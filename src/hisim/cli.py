@@ -30,6 +30,7 @@ from .dist import simulate_distributed
 from .partition import (
     MultiLevelPartition,
     PartitionResult,
+    multilevel_from_json,
     multilevel_to_json,
     optimal_parts_bruteforce,
     partition_dagp,
@@ -108,6 +109,17 @@ def _resolve_levels(args, circuit: Circuit) -> tuple[int, int]:
         math.ceil(l1 / 2), _widest_gate(circuit)
     )
     return l1, min(l2, l1)
+
+
+def _load_partition(
+    dag: GateDag, path: str
+) -> PartitionResult | MultiLevelPartition:
+    """Read a partition document, flat or multilevel by its strategy."""
+    text = Path(path).read_text()
+    doc = json.loads(text)
+    if isinstance(doc, dict) and doc.get("strategy") == "multilevel":
+        return multilevel_from_json(dag, text)
+    return partition_from_json(dag, text)
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -217,9 +229,13 @@ def cmd_run(args) -> int:
     else:
         dag = build_dag(circuit)
         if args.partition is not None:
-            partition = partition_from_json(dag, Path(args.partition).read_text())
-            strategy = partition.strategy
-            limit = partition.limit
+            partition = _load_partition(dag, args.partition)
+            if isinstance(partition, MultiLevelPartition):
+                strategy = "multilevel"
+                limit1, limit2 = partition.limit1, partition.limit2
+            else:
+                strategy = partition.strategy
+                limit = partition.limit
         elif args.mode == "multilevel" or (
             args.mode == "distributed" and args.l1 is not None
         ):
@@ -241,7 +257,8 @@ def cmd_run(args) -> int:
         elif args.mode == "multilevel":
             if not isinstance(partition, MultiLevelPartition):
                 raise _UsageError(
-                    "--mode multilevel needs --l1/--l2 limits, not --partition"
+                    "--mode multilevel needs --l1/--l2 limits or a "
+                    "multilevel --partition document"
                 )
             state, trace = execute_multilevel(circuit, partition, with_trace=True)
         else:

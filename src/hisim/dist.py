@@ -6,8 +6,10 @@ qubit values at the rank-bit positions, at the local offset spelled by the
 rest. Which qubits play which role is a layout, and each part runs under a
 layout that keeps the part's whole working set in the offset bits, so its
 gates never cross ranks. Between parts the layout changes and amplitudes
-move; the move is planned as coalesced runs and every remote amplitude is
-charged 16 bytes (one complex128).
+move. The move is one permutation of the index bits, applied as an axis
+transpose; its communication counts follow in closed form from the same
+permutation, and every remote amplitude is charged 16 bytes (one
+complex128).
 
 All ranks are emulated in one process as rows of a single array, which
 makes the accounting exact and the final state directly comparable with
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,8 +34,6 @@ __all__ = [
     "RankLayout",
     "default_layout",
     "choose_layout",
-    "layout_positions",
-    "TransferRun",
     "RedistributionPlan",
     "plan_redistribution",
     "SwitchStats",
@@ -83,6 +83,12 @@ class RankLayout:
     @property
     def num_local_qubits(self) -> int:
         return len(self.local)
+
+    @property
+    def storage_order(self) -> tuple[int, ...]:
+        """Qubit held by each bit of the flat position
+        ``rank * 2**l + offset``, fastest first."""
+        return self.local + self.process
 
     def is_local(self, q: int) -> bool:
         i = bisect_left(self.local, q)
@@ -148,75 +154,98 @@ def choose_layout(
     return RankLayout(num_qubits, tuple(sorted(local)), process)
 
 
-def layout_positions(layout: RankLayout) -> np.ndarray:
-    """Flat storage position of every global index under a layout.
+# --- bit permutations ------------------------------------------------------
 
-    Entry ``g`` is ``rank * 2**l + offset`` for the amplitude with global
-    index ``g``; as a permutation of ``arange(2**n)`` it maps natural
-    order to storage order.
+def _bit_permutation(
+    src: Sequence[int], dst: Sequence[int]
+) -> tuple[int, ...]:
+    """sigma with ``sigma[i]`` the bit of ``dst`` that holds the qubit in
+    bit ``i`` of ``src``; both list the qubit held by each bit, fastest
+    first."""
+    bit_of = {q: j for j, q in enumerate(dst)}
+    return tuple(bit_of[q] for q in src)
+
+
+def _permute_bits(data: np.ndarray, sigma: Sequence[int]) -> np.ndarray:
+    """Contiguous copy of ``data`` with index bit ``i`` moved to bit
+    ``sigma[i]``.
+
+    Under the C-order ``(2,) * n`` view, index bit ``i`` is axis
+    ``n - 1 - i``, so the move is one axis transpose and one copy.
     """
-    n = layout.num_qubits
-    g = np.arange(1 << n, dtype=np.int64)
-    off = np.zeros_like(g)
-    for j, q in enumerate(layout.local):
-        off |= ((g >> np.int64(q)) & 1) << np.int64(j)
-    rank = np.zeros_like(g)
-    for k, q in enumerate(layout.process):
-        rank |= ((g >> np.int64(q)) & 1) << np.int64(k)
-    return (rank << np.int64(layout.num_local_qubits)) | off
+    n = len(sigma)
+    axes = [0] * n
+    for i, j in enumerate(sigma):
+        axes[n - 1 - j] = n - 1 - i
+    return data.reshape((2,) * n).transpose(axes).copy().reshape(data.shape)
 
 
 # --- redistribution ---------------------------------------------------------
 
 @dataclass(frozen=True)
-class TransferRun:
-    """One maximal run of amplitudes moving together between two ranks."""
-
-    src_rank: int
-    dst_rank: int
-    src_offset: int
-    dst_offset: int
-    length: int
-
-    @property
-    def num_bytes(self) -> int:
-        return BYTES_PER_AMPLITUDE * self.length
-
-    @property
-    def resident(self) -> bool:
-        return self.src_rank == self.dst_rank
-
-
-@dataclass(frozen=True)
 class RedistributionPlan:
     """How every amplitude moves when the layout changes.
 
-    Runs are stored as parallel arrays ordered by source position; a run
-    never crosses a source-rank boundary, never changes destination rank,
-    and its destination offsets are consecutive. Amplitudes that stay on
-    their rank are resident and cost nothing; every other amplitude is
-    charged ``BYTES_PER_AMPLITUDE``.
+    A layout stores the amplitude with global index ``g`` at flat position
+    ``rank * 2**l + offset``, whose bit ``i`` is the qubit
+    ``storage_order[i]`` of ``g``. A switch is therefore the bit permutation
+    ``sigma`` between the old and new storage orders, and every number
+    below follows from it in closed form. A run is a maximal stretch of
+    consecutive source positions on one source rank that lands on one
+    destination rank at consecutive offsets. Amplitudes that stay on their
+    rank are resident and cost nothing; every other amplitude is charged
+    ``BYTES_PER_AMPLITUDE``.
     """
 
     old: RankLayout
     new: RankLayout
-    src_rank: np.ndarray
-    dst_rank: np.ndarray
-    src_offset: np.ndarray
-    dst_offset: np.ndarray
-    length: np.ndarray
+    sigma: tuple[int, ...]
 
     @property
     def num_runs(self) -> int:
-        return len(self.length)
+        """Runs from the break rule between source positions s and s + 1.
+
+        With t the number of trailing ones of s, the step flips bits
+        ``0..t``: the source rank changes if ``t >= l``, and the
+        destination advances by ``2**sigma[t] - sum(2**sigma[j] for j < t)``,
+        which must be 1. An advance of 1 flips destination bits ``0..t``,
+        so for ``t < l`` it never changes the destination rank. Each t
+        occurs for ``2**(n - t - 1)`` of the steps.
+        """
+        n = self.old.num_qubits
+        l = self.old.num_local_qubits
+        runs, lower = 1, 0
+        for t, j in enumerate(self.sigma):
+            if t >= l or (1 << j) - lower != 1:
+                runs += 1 << (n - t - 1)
+            lower += 1 << j
+        return runs
+
+    def _rank_pairs(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Source and destination rank of each assignment of the qubits
+        that are rank bits in either layout, and the amplitudes each
+        assignment stands for."""
+        union = sorted(set(self.old.process) | set(self.new.process))
+        a = np.arange(1 << len(union), dtype=np.int64)
+        bit_of = {q: i for i, q in enumerate(union)}
+
+        def rank(layout: RankLayout) -> np.ndarray:
+            r = np.zeros_like(a)
+            for k, q in enumerate(layout.process):
+                r |= ((a >> bit_of[q]) & 1) << k
+            return r
+
+        weight = 1 << (self.old.num_qubits - len(union))
+        return rank(self.old), rank(self.new), weight
 
     @property
     def remote_amplitudes(self) -> int:
-        return int(self.length[self.src_rank != self.dst_rank].sum())
+        src, dst, weight = self._rank_pairs()
+        return weight * int(np.count_nonzero(src != dst))
 
     @property
     def resident_amplitudes(self) -> int:
-        return int(self.length[self.src_rank == self.dst_rank].sum())
+        return (1 << self.old.num_qubits) - self.remote_amplitudes
 
     @property
     def total_bytes(self) -> int:
@@ -226,46 +255,31 @@ class RedistributionPlan:
     def messages(self) -> int:
         """Distinct remote (src, dst) rank pairs; one message carries all
         the runs of a pair."""
-        remote = self.src_rank != self.dst_rank
-        pairs = self.src_rank[remote] * np.int64(self.old.num_ranks) + \
-            self.dst_rank[remote]
+        src, dst, _ = self._rank_pairs()
+        remote = src != dst
+        pairs = src[remote] * np.int64(self.old.num_ranks) + dst[remote]
         return len(np.unique(pairs))
 
     def sent_bytes_by_rank(self) -> dict[int, int]:
-        return self._bytes_by_rank(self.src_rank)
+        src, dst, weight = self._rank_pairs()
+        return self._remote_bytes(src, src != dst, weight)
 
     def received_bytes_by_rank(self) -> dict[int, int]:
-        return self._bytes_by_rank(self.dst_rank)
+        src, dst, weight = self._rank_pairs()
+        return self._remote_bytes(dst, src != dst, weight)
 
-    def _bytes_by_rank(self, ranks: np.ndarray) -> dict[int, int]:
-        remote = self.src_rank != self.dst_rank
-        counts = np.bincount(
-            ranks[remote], weights=self.length[remote],
-            minlength=self.old.num_ranks,
-        )
+    def _remote_bytes(
+        self, ranks: np.ndarray, remote: np.ndarray, weight: int
+    ) -> dict[int, int]:
+        counts = np.bincount(ranks[remote], minlength=self.old.num_ranks)
         return {
-            r: BYTES_PER_AMPLITUDE * int(c)
+            r: BYTES_PER_AMPLITUDE * weight * int(c)
             for r, c in enumerate(counts) if c
         }
 
-    def iter_runs(self) -> Iterator[TransferRun]:
-        for i in range(self.num_runs):
-            yield TransferRun(
-                int(self.src_rank[i]),
-                int(self.dst_rank[i]),
-                int(self.src_offset[i]),
-                int(self.dst_offset[i]),
-                int(self.length[i]),
-            )
-
     def apply(self, buffers: np.ndarray) -> np.ndarray:
         """Rearrange ``(num_ranks, 2**l)`` buffers into the new layout."""
-        flat = buffers.reshape(-1)
-        out = np.empty_like(flat)
-        src = layout_positions(self.old)
-        dst = layout_positions(self.new)
-        out[dst] = flat[src]
-        return out.reshape(buffers.shape)
+        return _permute_bits(buffers, self.sigma)
 
 
 def plan_redistribution(
@@ -277,39 +291,8 @@ def plan_redistribution(
             f"layouts disagree: {old.num_qubits} qubits/{old.num_rank_bits} "
             f"rank bits vs {new.num_qubits}/{new.num_rank_bits}"
         )
-    n = old.num_qubits
-    l = old.num_local_qubits
-    src = layout_positions(old)
-    dst = layout_positions(new)
-    # destination position of each source position, in source order
-    inv = np.empty_like(src)
-    inv[src] = np.arange(1 << n, dtype=np.int64)
-    dst_pos = dst[inv]
-
-    s = np.arange(1 << n, dtype=np.int64)
-    src_rank = s >> np.int64(l)
-    dst_rank = dst_pos >> np.int64(l)
-    mask = np.int64((1 << l) - 1)
-    # a run breaks where the source rank changes, the destination rank
-    # changes, or the destination offset stops being consecutive
-    if len(s) > 1:
-        brk = (
-            (np.diff(src_rank) != 0)
-            | (np.diff(dst_rank) != 0)
-            | (np.diff(dst_pos) != 1)
-        )
-        starts = np.concatenate(([0], np.flatnonzero(brk) + 1))
-    else:
-        starts = np.array([0], dtype=np.int64)
-    ends = np.concatenate((starts[1:], [len(s)]))
     return RedistributionPlan(
-        old,
-        new,
-        src_rank=src_rank[starts],
-        dst_rank=dst_rank[starts],
-        src_offset=s[starts] & mask,
-        dst_offset=dst_pos[starts] & mask,
-        length=(ends - starts).astype(np.int64),
+        old, new, _bit_permutation(old.storage_order, new.storage_order)
     )
 
 
@@ -411,9 +394,9 @@ def distribute_state(state: StateVector, layout: RankLayout) -> np.ndarray:
         raise ValueError(
             f"state has {state.num_qubits} qubits, layout {layout.num_qubits}"
         )
-    flat = np.empty_like(state.data)
-    flat[layout_positions(layout)] = state.data
-    return flat.reshape(layout.num_ranks, -1)
+    natural = range(layout.num_qubits)
+    sigma = _bit_permutation(natural, layout.storage_order)
+    return _permute_bits(state.data, sigma).reshape(layout.num_ranks, -1)
 
 
 def assemble_state(buffers: np.ndarray, layout: RankLayout) -> StateVector:
@@ -421,8 +404,11 @@ def assemble_state(buffers: np.ndarray, layout: RankLayout) -> StateVector:
     expect = (layout.num_ranks, 1 << layout.num_local_qubits)
     if buffers.shape != expect:
         raise ValueError(f"buffers have shape {buffers.shape}, need {expect}")
-    data = buffers.reshape(-1)[layout_positions(layout)]
-    return StateVector(layout.num_qubits, np.ascontiguousarray(data))
+    natural = range(layout.num_qubits)
+    sigma = _bit_permutation(layout.storage_order, natural)
+    return StateVector(
+        layout.num_qubits, _permute_bits(buffers, sigma).reshape(-1)
+    )
 
 
 # --- driver -----------------------------------------------------------------

@@ -281,9 +281,6 @@ class ExecutionTrace:
     def total_scatter_calls(self) -> int:
         return sum(p.scatter_calls for p in self.parts)
 
-    def level_parts(self, level: int) -> list[PartTrace]:
-        return [p for p in self.parts if p.level == level]
-
     def part_rows(self) -> list[dict]:
         """One dict per part: part_id, w, iterations, gates, plus nesting."""
         return [

@@ -625,6 +625,31 @@ def optimal_parts_bruteforce(
 
 # --- multi-level ------------------------------------------------------------
 
+def _part_dag(dag: GateDag, part: Part) -> GateDag:
+    """A part as a standalone circuit over its own qubits, slot ``s``
+    standing for ``part.qubits[s]``, with fresh entry/exit stubs."""
+    to_slot = {q: s for s, q in enumerate(part.qubits)}
+    ops = (dag.circuit.ops[g] for g in part.gate_indices)
+    sub_ops = tuple(
+        GateOp(op.kind, tuple(to_slot[q] for q in op.qubits), op.params)
+        for op in ops
+    )
+    return build_dag(Circuit(len(part.qubits), sub_ops))
+
+
+def _pad(qubits: tuple[int, ...], parent: Part, limit2: int) -> tuple[int, ...]:
+    """Widen a level-2 qubit set with parent qubits, lowest index first, up
+    to min(limit2, parent working set)."""
+    target = min(limit2, parent.working_set)
+    pad = list(qubits)
+    for q in parent.qubits:
+        if len(pad) >= target:
+            break
+        if q not in qubits:
+            pad.append(q)
+    return tuple(sorted(pad))
+
+
 def partition_multilevel(
     dag: GateDag, limit1: int, limit2: int
 ) -> MultiLevelPartition:
@@ -643,36 +668,19 @@ def partition_multilevel(
     sublevels: list[PartitionResult] = []
     padded_all: list[tuple[tuple[int, ...], ...]] = []
     for part in level1.parts:
-        to_slot = {q: s for s, q in enumerate(part.qubits)}
-        to_global = dict(enumerate(part.qubits))
-        sub_ops = tuple(
-            GateOp(
-                dag.circuit.ops[g].kind,
-                tuple(to_slot[q] for q in dag.circuit.ops[g].qubits),
-                dag.circuit.ops[g].params,
-            )
-            for g in part.gate_indices
-        )
-        sub_dag = build_dag(Circuit(len(part.qubits), sub_ops))
+        sub_dag = _part_dag(dag, part)
         sub = partition_dagp(sub_dag, min(limit2, len(part.qubits)))
         mapped_parts = []
-        padded: list[tuple[int, ...]] = []
-        target = min(limit2, len(part.qubits))
         for sp in sub.parts:
             gates = tuple(sorted(part.gate_indices[i] for i in sp.gate_indices))
-            qubits = tuple(sorted(to_global[s] for s in sp.qubits))
+            qubits = tuple(sorted(part.qubits[s] for s in sp.qubits))
             mapped_parts.append(Part(sp.id, gates, qubits))
-            pad = list(qubits)
-            for q in part.qubits:
-                if len(pad) >= target:
-                    break
-                if q not in qubits:
-                    pad.append(q)
-            padded.append(tuple(sorted(pad)))
         sublevels.append(
             PartitionResult("dagp", limit2, tuple(mapped_parts))
         )
-        padded_all.append(tuple(padded))
+        padded_all.append(
+            tuple(_pad(p.qubits, part, limit2) for p in mapped_parts)
+        )
     return MultiLevelPartition(
         limit1, limit2, level1, tuple(sublevels), tuple(padded_all)
     )
@@ -701,16 +709,98 @@ def partition_to_json(dag: GateDag, result: PartitionResult) -> str:
     return json.dumps(doc, indent=2)
 
 
-def partition_from_json(dag: GateDag, text: str) -> PartitionResult:
-    """Load and validate a partition produced by partition_to_json."""
-    doc = json.loads(text)
-    parts = tuple(
+def _parts_from_doc(entries) -> tuple[Part, ...]:
+    return tuple(
         Part(p["id"], tuple(p["gate_indices"]), tuple(p["qubits"]))
-        for p in doc["parts"]
+        for p in entries
     )
+
+
+def _partition_from_doc(dag: GateDag, doc: dict) -> PartitionResult:
+    parts = _parts_from_doc(doc["parts"])
     result = PartitionResult(doc["strategy"], int(doc["limit"]), parts)
     check_partition(dag, result)
     return result
+
+
+def partition_from_json(dag: GateDag, text: str) -> PartitionResult:
+    """Load and validate a partition produced by partition_to_json."""
+    try:
+        return _partition_from_doc(dag, json.loads(text))
+    except (LookupError, TypeError) as e:
+        raise PartitionError(f"malformed partition document: {e!r}") from e
+
+
+def _multilevel_from_doc(dag: GateDag, doc: dict) -> MultiLevelPartition:
+    limit1, limit2 = int(doc["limit1"]), int(doc["limit2"])
+    if limit2 > limit1:
+        raise PartitionError(f"limit2 {limit2} exceeds limit1 {limit1}")
+    level1 = _partition_from_doc(dag, doc["level1"])
+    if level1.limit != limit1:
+        raise PartitionError(
+            f"level-1 limit {level1.limit} differs from limit1 {limit1}"
+        )
+    entries = doc["sublevels"]
+    if len(entries) != level1.num_parts:
+        raise PartitionError(
+            f"{len(entries)} sublevels for {level1.num_parts} level-1 parts"
+        )
+    sublevels: list[PartitionResult] = []
+    padded_all: list[tuple[tuple[int, ...], ...]] = []
+    for part, entry in zip(level1.parts, entries):
+        if entry["parent"] != part.id:
+            raise PartitionError(
+                f"sublevel of part {entry['parent']} listed for part {part.id}"
+            )
+        sub = PartitionResult("dagp", limit2, _parts_from_doc(entry["parts"]))
+        gate_slot = {g: i for i, g in enumerate(part.gate_indices)}
+        qubit_slot = {q: s for s, q in enumerate(part.qubits)}
+        outside = {g for p in sub.parts for g in p.gate_indices} - set(gate_slot)
+        if outside:
+            raise PartitionError(
+                f"level-2 parts of part {part.id} hold gates {sorted(outside)} "
+                f"outside it"
+            )
+        # the level-2 parts must partition the part's own circuit
+        local = tuple(
+            Part(
+                p.id,
+                tuple(gate_slot[g] for g in p.gate_indices),
+                tuple(qubit_slot.get(q, -1) for q in p.qubits),
+            )
+            for p in sub.parts
+        )
+        check_partition(
+            _part_dag(dag, part), PartitionResult("dagp", limit2, local)
+        )
+        padded = tuple(tuple(q) for q in entry["padded_qubits"])
+        if padded != tuple(_pad(p.qubits, part, limit2) for p in sub.parts):
+            raise PartitionError(
+                f"padded qubit sets of part {part.id} are not its level-2 "
+                f"qubits widened to min(limit2, working set)"
+            )
+        sublevels.append(sub)
+        padded_all.append(padded)
+    return MultiLevelPartition(
+        limit1, limit2, level1, tuple(sublevels), tuple(padded_all)
+    )
+
+
+def multilevel_from_json(dag: GateDag, text: str) -> MultiLevelPartition:
+    """Load and validate a two-level partition produced by
+    multilevel_to_json.
+
+    The level-1 partition is checked under ``limit1``; each part's level-2
+    parts must be a valid partition of that part's own circuit under
+    ``limit2``, and each padded qubit set must be the one
+    ``partition_multilevel`` gives.
+    """
+    try:
+        return _multilevel_from_doc(dag, json.loads(text))
+    except (LookupError, TypeError) as e:
+        raise PartitionError(
+            f"malformed multilevel partition document: {e!r}"
+        ) from e
 
 
 def multilevel_to_json(dag: GateDag, ml: MultiLevelPartition) -> str:

@@ -333,6 +333,36 @@ def test_saved_partition_replays(tmp_path, capsys):
     assert report["max_abs_delta"] < 1e-10
 
 
+def test_saved_multilevel_partition_replays(tmp_path, capsys):
+    parts_path = tmp_path / "ml.json"
+    code, _, _ = run_cli(
+        capsys, "partition", "qft_12", "--strategy", "multilevel",
+        "--l1", "8", "--l2", "4", "--out", str(parts_path),
+    )
+    assert code == 0
+    for mode in (["--mode", "multilevel"], ["--mode", "distributed", "--p", "1"]):
+        code, out, _ = run_cli(
+            capsys, "run", "qft_12", *mode, "--partition", str(parts_path),
+            "--verify",
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["strategy"] == "multilevel"
+        assert (report["limit1"], report["limit2"]) == (8, 4)
+        assert report["max_abs_delta"] < 1e-10
+    # level-2 parts out of dependency order would run, in the wrong order
+    doc = json.loads(parts_path.read_text())
+    doc["sublevels"][0]["parts"].reverse()
+    doc["sublevels"][0]["padded_qubits"].reverse()
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(doc))
+    code, _, _ = run_cli(
+        capsys, "run", "qft_12", "--mode", "multilevel",
+        "--partition", str(bad_path),
+    )
+    assert code == 2
+
+
 def test_replayed_partition_must_match_circuit(tmp_path, capsys):
     parts_path = tmp_path / "parts.json"
     run_cli(capsys, "partition", "bv_6", "--out", str(parts_path))

@@ -3,9 +3,12 @@ and communication accounting."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
+import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -20,7 +23,6 @@ from hisim.dist import (
     default_layout,
     distribute_state,
     assemble_state,
-    layout_positions,
     plan_redistribution,
     simulate_distributed,
 )
@@ -33,7 +35,7 @@ from hisim.partition import (
     partition_nat,
 )
 from hisim.qasm import Circuit, GateKind, GateOp
-from hisim.statevec import StateVector, simulate_flat
+from hisim.statevec import StateVector, simulate_flat, state_bytes
 
 
 def _random_circuit(seed, n, num_ops):
@@ -49,6 +51,104 @@ def _random_circuit(seed, n, num_ops):
         )
         ops.append(GateOp(kind, qubits, params))
     return Circuit(n, tuple(ops))
+
+
+def _all_layouts(n, p):
+    for process in itertools.combinations(range(n), p):
+        local = tuple(q for q in range(n) if q not in process)
+        yield RankLayout(n, local, process)
+
+
+# --- element-wise oracle ----------------------------------------------------
+#
+# The redistribution planner hisim used before a switch became one bit
+# permutation: index arrays give every amplitude's storage position, and
+# runs are found element by element. The closed forms in hisim.dist must
+# give the same numbers and the same data movement.
+
+
+class _Run(NamedTuple):
+    src_rank: int
+    dst_rank: int
+    src_offset: int
+    dst_offset: int
+    length: int
+
+
+def _layout_positions(layout):
+    """Flat storage position ``rank * 2**l + offset`` of every global
+    index."""
+    n = layout.num_qubits
+    g = np.arange(1 << n, dtype=np.int64)
+    off = np.zeros_like(g)
+    for j, q in enumerate(layout.local):
+        off |= ((g >> np.int64(q)) & 1) << np.int64(j)
+    rank = np.zeros_like(g)
+    for k, q in enumerate(layout.process):
+        rank |= ((g >> np.int64(q)) & 1) << np.int64(k)
+    return (rank << np.int64(layout.num_local_qubits)) | off
+
+
+def _oracle_runs(old, new):
+    """Maximal runs in source order: a run breaks where the source rank
+    changes, the destination rank changes, or the destination position
+    stops being consecutive."""
+    n = old.num_qubits
+    l = old.num_local_qubits
+    src = _layout_positions(old)
+    dst = _layout_positions(new)
+    inv = np.empty_like(src)
+    inv[src] = np.arange(1 << n, dtype=np.int64)
+    dst_pos = dst[inv]
+    s = np.arange(1 << n, dtype=np.int64)
+    src_rank = s >> np.int64(l)
+    dst_rank = dst_pos >> np.int64(l)
+    brk = (
+        (np.diff(src_rank) != 0)
+        | (np.diff(dst_rank) != 0)
+        | (np.diff(dst_pos) != 1)
+    )
+    starts = np.concatenate(([0], np.flatnonzero(brk) + 1))
+    ends = np.concatenate((starts[1:], [len(s)]))
+    mask = (1 << l) - 1
+    return [
+        _Run(
+            int(src_rank[a]), int(dst_rank[a]),
+            int(s[a]) & mask, int(dst_pos[a]) & mask, int(b - a),
+        )
+        for a, b in zip(starts, ends)
+    ]
+
+
+def _oracle_numbers(old, new):
+    runs = _oracle_runs(old, new)
+    remote = [r for r in runs if r.src_rank != r.dst_rank]
+    sent = [0] * old.num_ranks
+    received = [0] * old.num_ranks
+    for r in remote:
+        sent[r.src_rank] += BYTES_PER_AMPLITUDE * r.length
+        received[r.dst_rank] += BYTES_PER_AMPLITUDE * r.length
+    return {
+        "num_runs": len(runs),
+        "messages": len({(r.src_rank, r.dst_rank) for r in remote}),
+        "remote_amplitudes": sum(r.length for r in remote),
+        "resident_amplitudes": sum(
+            r.length for r in runs if r.src_rank == r.dst_rank
+        ),
+        "sent": {k: b for k, b in enumerate(sent) if b},
+        "received": {k: b for k, b in enumerate(received) if b},
+    }
+
+
+def _plan_numbers(plan):
+    return {
+        "num_runs": plan.num_runs,
+        "messages": plan.messages,
+        "remote_amplitudes": plan.remote_amplitudes,
+        "resident_amplitudes": plan.resident_amplitudes,
+        "sent": plan.sent_bytes_by_rank(),
+        "received": plan.received_bytes_by_rank(),
+    }
 
 
 # --- layouts ----------------------------------------------------------------
@@ -108,14 +208,15 @@ def test_choose_layout_rejects_oversized_parts():
 
 
 def test_layout_positions_are_a_permutation():
-    for n, cut in [(4, 2), (5, 0), (5, 5), (6, 3)]:
-        local = tuple(range(0, n, 2))[: n - cut]
-        qubits = sorted(range(n))
-        loc = tuple(qubits[: n - cut])
-        proc = tuple(qubits[n - cut :])
-        lay = RankLayout(n, loc, proc)
-        pos = layout_positions(lay)
-        assert sorted(pos.tolist()) == list(range(1 << n))
+    """The oracle's index arrays are permutations that agree with
+    ``address_of``."""
+    for n, p in [(4, 2), (5, 0), (5, 5), (6, 3)]:
+        for lay in _all_layouts(n, p):
+            pos = _layout_positions(lay)
+            assert sorted(pos.tolist()) == list(range(1 << n))
+            for g in range(1 << n):
+                r, o = lay.address_of(g)
+                assert pos[g] == (r << lay.num_local_qubits) | o
 
 
 def test_distribute_assemble_round_trip():
@@ -150,10 +251,9 @@ def _enumerate_transfers(old, new):
 def test_plan_covers_every_amplitude_exactly_once():
     old = RankLayout(4, (0, 1), (2, 3))
     new = RankLayout(4, (2, 3), (0, 1))
-    plan = plan_redistribution(old, new)
     seen_src = set()
     seen_dst = set()
-    for run in plan.iter_runs():
+    for run in _oracle_runs(old, new):
         for k in range(run.length):
             seen_src.add((run.src_rank, run.src_offset + k))
             seen_dst.add((run.dst_rank, run.dst_offset + k))
@@ -165,10 +265,9 @@ def test_plan_covers_every_amplitude_exactly_once():
 def test_plan_matches_elementwise_enumeration():
     old = RankLayout(4, (0, 1), (2, 3))
     new = RankLayout(4, (0, 3), (1, 2))
-    plan = plan_redistribution(old, new)
     expect = {(sr, so, dr, do) for sr, so, dr, do in _enumerate_transfers(old, new)}
     got = set()
-    for run in plan.iter_runs():
+    for run in _oracle_runs(old, new):
         for k in range(run.length):
             got.add(
                 (run.src_rank, run.src_offset + k, run.dst_rank, run.dst_offset + k)
@@ -183,6 +282,11 @@ def test_plan_between_identical_layouts_is_all_resident():
     assert plan.resident_amplitudes == 32
     assert plan.messages == 0
     assert plan.total_bytes == 0
+    # even the identity permutation hands back a fresh buffer
+    buffers = np.arange(32, dtype=complex).reshape(4, 8)
+    moved = plan.apply(buffers)
+    np.testing.assert_array_equal(moved, buffers)
+    assert not np.shares_memory(moved, buffers)
 
 
 def test_plan_rejects_mismatched_shapes():
@@ -231,15 +335,15 @@ def test_full_swap_leaves_only_rank_zero_diagonal_resident():
     old = RankLayout(4, (0, 1), (2, 3))
     new = RankLayout(4, (2, 3), (0, 1))
     plan = plan_redistribution(old, new)
-    resident = [
-        (run.src_rank, run.dst_rank)
-        for run in plan.iter_runs()
-        if run.src_rank == run.dst_rank
-    ]
     # Amplitudes stay put only when old rank bits equal new rank bits, i.e.
     # qubits (2,3) read the same value as qubits (0,1): 4 of 16 per rank pair.
+    stay = [
+        (sr, so) for sr, so, dr, _ in _enumerate_transfers(old, new) if sr == dr
+    ]
+    assert len(stay) == 4
+    resident = [run for run in _oracle_runs(old, new) if run.src_rank == run.dst_rank]
+    assert sum(run.length for run in resident) == 4
     assert plan.resident_amplitudes == 4
-    assert all(sr == dr for sr, dr in resident)
 
 
 def test_messages_count_distinct_rank_pairs():
@@ -247,11 +351,59 @@ def test_messages_count_distinct_rank_pairs():
     new = RankLayout(4, (2, 3), (0, 1))
     plan = plan_redistribution(old, new)
     pairs = {
-        (run.src_rank, run.dst_rank)
-        for run in plan.iter_runs()
-        if run.src_rank != run.dst_rank
+        (sr, dr) for sr, _, dr, _ in _enumerate_transfers(old, new) if sr != dr
     }
+    assert _oracle_numbers(old, new)["messages"] == len(pairs)
     assert plan.messages == len(pairs)
+
+
+def test_closed_form_plan_matches_elementwise_oracle():
+    """Every layout pair with n <= 6 qubits and p <= 3 rank bits: the
+    closed-form counts equal the oracle's, and the transposes move data
+    exactly as the oracle's index arrays do."""
+    rng = np.random.default_rng(11)
+    pairs = 0
+    for n in range(1, 7):
+        data = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        sv = StateVector(n, data.copy())
+        for p in range(min(3, n) + 1):
+            layouts = list(_all_layouts(n, p))
+            for old in layouts:
+                stored = np.empty_like(data)
+                stored[_layout_positions(old)] = data
+                buffers = distribute_state(sv, old)
+                np.testing.assert_array_equal(buffers.reshape(-1), stored)
+                np.testing.assert_array_equal(
+                    assemble_state(buffers, old).data, data
+                )
+                for new in layouts:
+                    plan = plan_redistribution(old, new)
+                    assert _plan_numbers(plan) == _oracle_numbers(old, new), (
+                        old, new
+                    )
+                    expect = np.empty_like(data)
+                    expect[_layout_positions(new)] = stored[_layout_positions(old)]
+                    np.testing.assert_array_equal(
+                        plan.apply(buffers).reshape(-1), expect
+                    )
+                    pairs += 1
+    assert pairs == 985
+
+
+def test_layout_switch_peaks_at_most_twice_the_state():
+    n = 16
+    rng = np.random.default_rng(4)
+    sv = StateVector(n, rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
+    old = default_layout(n, 2)
+    new = choose_layout(n, 2, Part(0, (0,), (n - 2, n - 1)))
+    buffers = distribute_state(sv, old)
+    tracemalloc.start()
+    try:
+        plan_redistribution(old, new).apply(buffers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * state_bytes(n)
 
 
 # --- end-to-end distributed simulation --------------------------------------

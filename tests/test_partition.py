@@ -18,6 +18,7 @@ from hisim.partition import (
     Part,
     PartitionResult,
     check_partition,
+    multilevel_from_json,
     multilevel_to_json,
     optimal_parts_bruteforce,
     partition_dagp,
@@ -360,3 +361,26 @@ def test_multilevel_json_document_shape():
     ):
         assert len(entry["parts"]) == len(sub.parts)
         assert entry["padded_qubits"] == [list(s) for s in padded]
+
+
+def test_multilevel_json_round_trip_and_validation():
+    g = build_dag(bench.build("qft_12"))
+    ml = partition_multilevel(g, 8, 4)
+    text = multilevel_to_json(g, ml)
+    assert multilevel_from_json(g, text) == ml
+
+    def corrupt(edit):
+        doc = json.loads(text)
+        edit(doc)
+        with pytest.raises(PartitionError):
+            multilevel_from_json(g, json.dumps(doc))
+
+    corrupt(lambda d: d.update(limit2=9))
+    corrupt(lambda d: d.pop("sublevels"))
+    corrupt(lambda d: d["sublevels"].pop())
+    corrupt(lambda d: d["sublevels"][0]["parts"].pop())
+    corrupt(lambda d: d["sublevels"][0]["parts"][0]["gate_indices"].append(
+        d["sublevels"][1]["parts"][0]["gate_indices"][0]
+    ))
+    corrupt(lambda d: d["sublevels"][0]["parts"].reverse())
+    corrupt(lambda d: d["sublevels"][0]["padded_qubits"][0].pop())
