@@ -20,8 +20,6 @@ from .hier import (
     ExecutionTrace,
     execute_hierarchical,
     execute_multilevel,
-    gather,
-    scatter,
     verify_against_flat,
 )
 from .partition import (
@@ -73,8 +71,6 @@ __all__ = [
     "ExecutionTrace",
     "execute_hierarchical",
     "execute_multilevel",
-    "gather",
-    "scatter",
     "verify_against_flat",
     "RankLayout",
     "CommStats",

@@ -25,7 +25,12 @@ from .errors import (
     TooLargeForOracleError,
     VerificationError,
 )
-from .hier import ExecutionTrace, execute_hierarchical, execute_multilevel
+from .hier import (
+    ExecutionTrace,
+    execute_hierarchical,
+    execute_multilevel,
+    level1_parts,
+)
 from .dist import simulate_distributed
 from .partition import (
     MultiLevelPartition,
@@ -192,18 +197,14 @@ def _probabilities(data: np.ndarray, num_qubits: int) -> dict[str, float] | None
     return out
 
 
-def _run_report_parts(partition) -> list[dict]:
-    if isinstance(partition, MultiLevelPartition):
-        parts = partition.level1.parts
-    else:
-        parts = partition.parts
+def _run_report_parts(circuit, partition) -> list[dict]:
     return [
         {
             "id": p.id,
             "working_set": p.working_set,
             "gates": len(p.gate_indices),
         }
-        for p in parts
+        for p in level1_parts(circuit, partition)
     ]
 
 
@@ -270,6 +271,7 @@ def cmd_run(args) -> int:
         ref = simulate_flat(circuit)
         max_delta = float(np.max(np.abs(state.data - ref.data)))
 
+    parts = _run_report_parts(circuit, partition) if partition is not None else None
     report = {
         "circuit": {"name": name, "num_qubits": n, "num_gates": circuit.num_ops},
         "mode": args.mode,
@@ -278,8 +280,8 @@ def cmd_run(args) -> int:
         "limit1": limit1,
         "limit2": limit2,
         "num_rank_bits": args.p if args.mode == "distributed" else None,
-        "num_parts": len(_run_report_parts(partition)) if partition else None,
-        "parts": _run_report_parts(partition) if partition else None,
+        "num_parts": len(parts) if parts is not None else None,
+        "parts": parts,
         "wall_time_s": round(wall, 6),
         "max_abs_delta": max_delta,
         "comm": comm.to_json() if comm is not None else None,

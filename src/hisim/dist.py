@@ -5,11 +5,13 @@ bits and ``p`` rank bits: every amplitude lives on the rank spelled by its
 qubit values at the rank-bit positions, at the local offset spelled by the
 rest. Which qubits play which role is a layout, and each part runs under a
 layout that keeps the part's whole working set in the offset bits, so its
-gates never cross ranks. Between parts the layout changes and amplitudes
-move. The move is one permutation of the index bits, applied as an axis
-transpose; its communication counts follow in closed form from the same
-permutation, and every remote amplitude is charged 16 bytes (one
-complex128).
+gates never cross ranks. Inside a layout the part runs through the same
+``hisim.hier.run_part`` as hierarchical execution, on all rank buffers at
+once, with offset bits standing in for qubits. Between parts the layout
+changes and amplitudes move. The move is one permutation of the index
+bits, applied as an axis transpose; its communication counts follow in
+closed form from the same permutation, and every remote amplitude is
+charged 16 bytes (one complex128).
 
 All ranks are emulated in one process as rows of a single array, which
 makes the accounting exact and the final state directly comparable with
@@ -25,10 +27,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LayoutMismatchError, PartTooWideForLayoutError
-from .hier import QubitSlotMap, part_block_indices, remap_part, run_part
+from .hier import _start_state, executable_part, level1_parts, run_part
+# not called here: benchmarks/layers.py traces them under these names
+from .hier import part_block_indices, remap_part  # noqa: F401
 from .partition import MultiLevelPartition, Part, PartitionResult
 from .qasm import Circuit
-from .statevec import StateVector, zero_state
+from .statevec import StateVector
 
 __all__ = [
     "RankLayout",
@@ -429,45 +433,6 @@ class DistributedRun:
         return iter((self.state, self.stats))
 
 
-def _level1_parts(
-    partition: PartitionResult | MultiLevelPartition,
-) -> Sequence[Part]:
-    if isinstance(partition, MultiLevelPartition):
-        return partition.level1.parts
-    return partition.parts
-
-
-def _run_on_buffers(
-    buffers: np.ndarray,
-    circuit: Circuit,
-    partition: PartitionResult | MultiLevelPartition,
-    index: int,
-    layout: RankLayout,
-) -> None:
-    """Execute level-1 part ``index`` on every rank buffer in place."""
-    parts = _level1_parts(partition)
-    part = parts[index]
-    positions = {q: layout.offset_bit_of(q) for q in part.qubits}
-    if not isinstance(partition, MultiLevelPartition):
-        run_part(buffers, remap_part(circuit, part, position_of=positions))
-        return
-    sub = partition.sublevels[index]
-    padded = partition.padded_qubits[index]
-    if len(sub.parts) == 1 and padded[0] == part.qubits:
-        run_part(buffers, remap_part(circuit, part, position_of=positions))
-        return
-    pmap = QubitSlotMap(tuple(sorted(positions[q] for q in part.qubits)))
-    inner_pos = {q: pmap.slot_of(positions[q]) for q in part.qubits}
-    gidx = part_block_indices(layout.num_local_qubits, pmap.qubits)
-    block = np.ascontiguousarray(buffers[..., gidx])
-    for j, sp in enumerate(sub.parts):
-        exe = remap_part(
-            circuit, sp, position_of=inner_pos, stage_qubits=padded[j]
-        )
-        run_part(block, exe)
-    buffers[..., gidx] = block
-
-
 def simulate_distributed(
     circuit: Circuit,
     partition: PartitionResult | MultiLevelPartition,
@@ -481,24 +446,19 @@ def simulate_distributed(
     Each part executes under a layout that keeps its qubits local, chosen
     with ``choose_layout``; a part whose qubits are already local reuses
     the current layout and costs nothing. Layout switches are planned,
-    applied, and charged to ``CommStats``. A two-level partition nests its
-    level-2 parts inside each rank with no extra communication.
+    applied, and charged to ``CommStats``. Each part then runs through
+    ``run_part`` on every rank buffer at once, addressed by offset bits; a
+    two-level partition nests its level-2 parts inside each rank with no
+    extra communication.
     """
     n = circuit.num_qubits
     if not 0 <= num_rank_bits <= n:
         raise ValueError(f"rank bits {num_rank_bits} outside 0..{n}")
-    parts = _level1_parts(partition)
+    parts = level1_parts(circuit, partition)
     if not parts:
         raise ValueError("partition has no parts")
 
-    full = (
-        initial.copy() if initial is not None else zero_state(n, max_qubits)
-    )
-    if full.num_qubits != n:
-        raise ValueError(
-            f"initial state has {full.num_qubits} qubits, circuit has {n}"
-        )
-
+    full = _start_state(circuit, initial, max_qubits)
     layout = choose_layout(n, num_rank_bits, parts[0])
     buffers = distribute_state(full, layout)
     stats = CommStats(n, num_rank_bits, len(parts))
@@ -511,5 +471,6 @@ def simulate_distributed(
             stats.switches.append(SwitchStats.from_plan(i, plan))
             layout = new_layout
         layouts.append(layout)
-        _run_on_buffers(buffers, circuit, partition, i, layout)
+        offset_bit = {q: j for j, q in enumerate(layout.local)}
+        run_part(buffers, executable_part(circuit, partition, i, offset_bit))
     return DistributedRun(assemble_state(buffers, layout), stats, layouts)

@@ -5,20 +5,23 @@ its gates act on inner vectors of ``2**w`` amplitudes. For every assignment
 of the remaining ``n - w`` (free) qubits, the matching amplitudes are
 gathered out of the full state, the part's gates run on that small dense
 vector, and the results scatter back to the same positions. A part is
-therefore ``2**(n - w)`` independent gather/execute/scatter passes; the
-implementation performs them as one vectorized pass with the free
+therefore ``2**(n - w)`` independent gather/execute/scatter passes;
+``run_part`` performs them as one vectorized pass with the free
 assignments as a batch axis, which computes the identical amplitudes.
 
-Two-level partitions nest the same scheme: the level-1 inner vector plays
-the role of the full state for the level-2 parts inside it.
+Every execution path is ``run_part`` on an ``ExecutablePart``. A two-level
+part is a level-1 part whose children are its level-2 parts, addressed as
+slots of the level-1 block: the block is staged once and stands in for the
+full state while the children run on it. Distributed execution
+(``hisim.dist``) runs the same parts on rank buffers, addressing qubits by
+their offset bits.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -28,15 +31,14 @@ from .qasm import Circuit, GateOp
 from .statevec import StateVector, apply_op, simulate_flat, zero_state
 
 __all__ = [
-    "QubitSlotMap",
     "ExecutablePart",
     "PartTrace",
     "ExecutionTrace",
     "bit_offsets",
     "part_block_indices",
-    "gather",
-    "scatter",
     "remap_part",
+    "level1_parts",
+    "executable_part",
     "run_part",
     "execute_hierarchical",
     "execute_multilevel",
@@ -45,37 +47,6 @@ __all__ = [
 
 
 # --- addressing -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QubitSlotMap:
-    """Maps bit positions in an outer index space to dense inner slots.
-
-    ``qubits`` lists the outer positions in strictly ascending order; slot
-    ``i`` of the inner vector corresponds to ``qubits[i]``, so ascending
-    outer position means ascending slot.
-    """
-
-    qubits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(b <= a for a, b in zip(self.qubits, self.qubits[1:])):
-            raise ValueError(f"positions not strictly ascending: {self.qubits}")
-        if self.qubits and self.qubits[0] < 0:
-            raise ValueError(f"negative position: {self.qubits[0]}")
-
-    @property
-    def num_slots(self) -> int:
-        return len(self.qubits)
-
-    def slot_of(self, q: int) -> int:
-        i = bisect_left(self.qubits, q)
-        if i == len(self.qubits) or self.qubits[i] != q:
-            raise KeyError(f"position {q} not in slot map {self.qubits}")
-        return i
-
-    def global_of(self, slot: int) -> int:
-        return self.qubits[slot]
-
 
 def bit_offsets(bits: Sequence[int]) -> np.ndarray:
     """Offsets of all assignments of the given bit positions.
@@ -96,8 +67,8 @@ def part_block_indices(num_qubits: int, qubits: Sequence[int]) -> np.ndarray:
 
     Row ``a`` holds the ``2**w`` outer indices whose bits at ``qubits``
     enumerate all inner values while the f free bits (the complement, in
-    ascending order) spell the assignment ``a``. Row ``a`` is exactly what
-    ``gather`` with ``free_index=a`` reads.
+    ascending order) spell the assignment ``a``: the inner vector of one
+    gather/execute/scatter pass.
     """
     inside = set(qubits)
     if len(inside) != len(qubits):
@@ -109,112 +80,110 @@ def part_block_indices(num_qubits: int, qubits: Sequence[int]) -> np.ndarray:
     return bit_offsets(free)[:, None] + bit_offsets(list(qubits))[None, :]
 
 
-def gather(
-    data: np.ndarray, num_qubits: int, qubits: Sequence[int], free_index: int
-) -> np.ndarray:
-    """Copy one inner vector out of a ``2**num_qubits`` amplitude array.
-
-    Bit ``i`` of the inner index corresponds to ``qubits[i]``; the
-    remaining positions, taken in ascending order, are frozen to the bits
-    of ``free_index``.
-    """
-    row = _assignment_indices(num_qubits, qubits, free_index)
-    return data[row].copy()
-
-
-def scatter(
-    data: np.ndarray,
-    num_qubits: int,
-    qubits: Sequence[int],
-    free_index: int,
-    inner: np.ndarray,
-) -> None:
-    """Write an inner vector back to the positions ``gather`` read it from."""
-    row = _assignment_indices(num_qubits, qubits, free_index)
-    if inner.shape != row.shape:
-        raise ValueError(f"inner has shape {inner.shape}, need {row.shape}")
-    data[row] = inner
-
-
-def _assignment_indices(
-    num_qubits: int, qubits: Sequence[int], free_index: int
-) -> np.ndarray:
-    inside = set(qubits)
-    if len(inside) != len(qubits):
-        raise ValueError(f"duplicate positions in {qubits}")
-    for q in qubits:
-        if not 0 <= q < num_qubits:
-            raise ValueError(f"position {q} outside 0..{num_qubits - 1}")
-    free = [q for q in range(num_qubits) if q not in inside]
-    if not 0 <= free_index < (1 << len(free)):
-        raise ValueError(
-            f"free_index {free_index} outside 0..{(1 << len(free)) - 1}"
-        )
-    base = sum(((free_index >> j) & 1) << b for j, b in enumerate(free))
-    return np.int64(base) + bit_offsets(list(qubits))
-
-
 # --- executable parts -------------------------------------------------------
 
 @dataclass(frozen=True)
 class ExecutablePart:
-    """A part translated into inner-vector coordinates.
+    """A part translated into the coordinates of the array it runs on.
 
+    ``positions`` are the ascending bit positions of that array's last axis
+    the part stages; slot ``i`` of the staged block is ``positions[i]``.
     ``ops`` keep their original (global) qubits for reference; the kernels
-    consume ``op_slots``, the same operands as slots of the gathered
-    vector. ``slot_map.qubits`` are outer bit positions, which equal global
-    qubit ids except when a caller re-addresses them (a rank-local buffer,
-    a level-1 inner vector).
+    consume ``op_slots``, the same operands as slots of the block.
+    ``children`` are nested parts, addressed as slots of this part's block,
+    that run on it after ``ops``; ``gate_indices`` include theirs.
     """
 
     part_id: int
     gate_indices: tuple[int, ...]
-    slot_map: QubitSlotMap
+    positions: tuple[int, ...]
     ops: tuple[GateOp, ...]
     op_slots: tuple[tuple[int, ...], ...]
+    children: tuple[ExecutablePart, ...]
 
     @property
     def num_slots(self) -> int:
-        return self.slot_map.num_slots
+        return len(self.positions)
 
 
 def remap_part(
     circuit: Circuit,
     part: Part,
-    *,
-    position_of: Mapping[int, int] | None = None,
-    stage_qubits: Iterable[int] | None = None,
+    position_of: Mapping[int, int] | Sequence[int],
+    staged: Sequence[int] | None = None,
 ) -> ExecutablePart:
     """Build the executable form of ``part``.
 
-    ``position_of`` translates global qubit ids into the outer index space
-    the part will run in (identity by default). ``stage_qubits`` widens the
-    gathered set beyond the part's own qubits (global ids, must be a
-    superset); gates still address their own operands, the extra qubits
-    just ride along in the inner vector.
+    ``position_of[q]`` is the bit position of global qubit ``q`` in the
+    array the part will run on. ``staged`` widens the staged set beyond the
+    part's own qubits (global ids, must be a superset); gates still address
+    their own operands, the extra qubits just ride along in the block.
     """
-    if stage_qubits is None:
+    if staged is None:
         staged = part.qubits
-    else:
-        staged = tuple(sorted(stage_qubits))
-        if not set(part.qubits) <= set(staged):
-            raise ValueError(
-                f"stage set {staged} does not cover part qubits {part.qubits}"
-            )
-    if position_of is None:
-        positions = staged
-    else:
-        positions = tuple(sorted(position_of[q] for q in staged))
-        if len(set(positions)) != len(staged):
-            raise ValueError("position_of maps two staged qubits to one position")
-    smap = QubitSlotMap(positions)
-
-    def slot(q: int) -> int:
-        return smap.slot_of(q if position_of is None else position_of[q])
-
+    elif not set(part.qubits) <= set(staged):
+        raise ValueError(
+            f"stage set {tuple(staged)} does not cover part qubits {part.qubits}"
+        )
+    positions = tuple(sorted(position_of[q] for q in staged))
+    if len(set(positions)) != len(positions):
+        raise ValueError("position_of maps two staged qubits to one position")
+    slot_of = {pos: i for i, pos in enumerate(positions)}
     ops = tuple(circuit.ops[g] for g in part.gate_indices)
-    op_slots = tuple(tuple(slot(q) for q in op.qubits) for op in ops)
-    return ExecutablePart(part.id, part.gate_indices, smap, ops, op_slots)
+    op_slots = tuple(
+        tuple(slot_of[position_of[q]] for q in op.qubits) for op in ops
+    )
+    return ExecutablePart(part.id, part.gate_indices, positions, ops, op_slots, ())
+
+
+def level1_parts(
+    circuit: Circuit, partition: PartitionResult | MultiLevelPartition
+) -> tuple[Part, ...]:
+    """The level-1 parts of either partition kind.
+
+    Raises ``ValueError`` unless the gates that execution applies (the
+    level-2 parts' gates, for a two-level partition) cover the circuit
+    exactly once.
+    """
+    if isinstance(partition, MultiLevelPartition):
+        parts = partition.level1.parts
+        executed = [p for sub in partition.sublevels for p in sub.parts]
+    else:
+        parts = executed = partition.parts
+    seen = [g for p in executed for g in p.gate_indices]
+    if len(seen) != circuit.num_ops or set(seen) != set(range(circuit.num_ops)):
+        raise ValueError("partition does not cover the circuit exactly once")
+    return parts
+
+
+def executable_part(
+    circuit: Circuit,
+    partition: PartitionResult | MultiLevelPartition,
+    i: int,
+    position_of: Mapping[int, int] | Sequence[int],
+) -> ExecutablePart:
+    """Level-1 part ``i`` of either partition kind, ready for ``run_part``.
+
+    A two-level part stages its level-1 qubits once and runs its level-2
+    parts as children on their padded qubit sets, addressed as slots of
+    the level-1 block. A sublevel that is just the parent part itself needs
+    no second staging and runs as a single-level part.
+    """
+    if not isinstance(partition, MultiLevelPartition):
+        return remap_part(circuit, partition.parts[i], position_of)
+    parent = partition.level1.parts[i]
+    sub = partition.sublevels[i].parts
+    if len(sub) == 1 and sub[0].gate_indices == parent.gate_indices:
+        return remap_part(circuit, parent, position_of)
+    positions = tuple(sorted(position_of[q] for q in parent.qubits))
+    slot_of = {q: positions.index(position_of[q]) for q in parent.qubits}
+    children = tuple(
+        remap_part(circuit, sp, slot_of, padded)
+        for sp, padded in zip(sub, partition.padded_qubits[i])
+    )
+    return ExecutablePart(
+        parent.id, parent.gate_indices, positions, (), (), children
+    )
 
 
 def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
@@ -222,26 +191,29 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
 
     The last axis must have length ``2**m`` with every staged position
     below ``m``; leading axes are batch and correspond to free qubits that
-    some enclosing pass already gathered.
+    some enclosing pass already gathered. The part's own gates run on the
+    staged block, then each child part runs on that block in turn.
     """
     m = int(data.shape[-1]).bit_length() - 1
     if data.shape[-1] != 1 << m:
         raise ValueError(f"last axis {data.shape[-1]} is not a power of two")
-    qubits = exe.slot_map.qubits
-    if qubits and qubits[-1] >= m:
-        raise ValueError(f"position {qubits[-1]} outside 0..{m - 1}")
-    w = exe.num_slots
-    if qubits == tuple(range(m)):
-        for op, slots in zip(exe.ops, exe.op_slots):
-            apply_op(data, w, op, slots)
-        return
-    gidx = part_block_indices(m, qubits)
-    # fancy indexing with leading batch axes can hand back a non-C-order
-    # array, which the in-place kernels reject
-    block = np.ascontiguousarray(data[..., gidx])
+    positions = exe.positions
+    if positions and positions[-1] >= m:
+        raise ValueError(f"position {positions[-1]} outside 0..{m - 1}")
+    staged = positions != tuple(range(m))
+    if staged:
+        gidx = part_block_indices(m, positions)
+        # fancy indexing with leading batch axes can hand back a non-C-order
+        # array, which the in-place kernels reject
+        block = np.ascontiguousarray(data[..., gidx])
+    else:
+        block = data
     for op, slots in zip(exe.ops, exe.op_slots):
-        apply_op(block, w, op, slots)
-    data[..., gidx] = block
+        apply_op(block, exe.num_slots, op, slots)
+    for child in exe.children:
+        run_part(block, child)
+    if staged:
+        data[..., gidx] = block
 
 
 # --- instrumentation --------------------------------------------------------
@@ -273,14 +245,6 @@ class ExecutionTrace:
     num_qubits: int
     parts: list[PartTrace] = field(default_factory=list)
 
-    @property
-    def total_gather_calls(self) -> int:
-        return sum(p.gather_calls for p in self.parts)
-
-    @property
-    def total_scatter_calls(self) -> int:
-        return sum(p.scatter_calls for p in self.parts)
-
     def part_rows(self) -> list[dict]:
         """One dict per part: part_id, w, iterations, gates, plus nesting."""
         return [
@@ -299,20 +263,21 @@ class ExecutionTrace:
         """Trace log: one JSON object per part, one per line."""
         return "\n".join(json.dumps(row) for row in self.part_rows())
 
-    def to_json(self) -> dict:
-        return {
-            "num_qubits": self.num_qubits,
-            "total_gather_calls": self.total_gather_calls,
-            "total_scatter_calls": self.total_scatter_calls,
-            "parts": self.part_rows(),
-        }
 
-
-def _trace_row(
-    n: int, part_id: int, level: int, parent_id: int | None, w: int, gates: int
-) -> PartTrace:
-    calls = 1 << (n - w)
-    return PartTrace(part_id, level, parent_id, w, gates, calls, calls, 1 << (w + 4))
+def _trace_part(
+    trace: ExecutionTrace, exe: ExecutablePart, level: int, parent_id: int | None
+) -> None:
+    """Append the rows of ``exe`` and, one level down, of its children."""
+    w = exe.num_slots
+    calls = 1 << (trace.num_qubits - w)
+    trace.parts.append(
+        PartTrace(
+            exe.part_id, level, parent_id, w, len(exe.gate_indices),
+            calls, calls, 1 << (w + 4),
+        )
+    )
+    for child in exe.children:
+        _trace_part(trace, child, level + 1, exe.part_id)
 
 
 # --- drivers ----------------------------------------------------------------
@@ -330,15 +295,9 @@ def _start_state(
     return initial.copy()
 
 
-def _check_covers(circuit: Circuit, parts: Sequence[Part]) -> None:
-    seen = [g for p in parts for g in p.gate_indices]
-    if len(seen) != circuit.num_ops or set(seen) != set(range(circuit.num_ops)):
-        raise ValueError("partition does not cover the circuit exactly once")
-
-
 def execute_hierarchical(
     circuit: Circuit,
-    partition: PartitionResult,
+    partition: PartitionResult | MultiLevelPartition,
     *,
     initial: StateVector | None = None,
     max_qubits: int | None = None,
@@ -346,74 +305,26 @@ def execute_hierarchical(
 ) -> StateVector | tuple[StateVector, ExecutionTrace]:
     """Run a partitioned circuit part by part on one full state vector.
 
-    Parts execute in the given order, each as a batched
-    gather/execute/scatter pass. The partition must be valid (see
+    Level-1 parts execute in the given order, each as one ``run_part``
+    pass; a two-level partition runs its level-2 parts nested inside each
+    staged level-1 block. The partition must be valid (see
     ``check_partition``); only coverage is re-checked here.
     """
-    _check_covers(circuit, partition.parts)
+    parts = level1_parts(circuit, partition)
     n = circuit.num_qubits
     state = _start_state(circuit, initial, max_qubits)
     trace = ExecutionTrace(n)
-    for part in partition.parts:
-        exe = remap_part(circuit, part)
+    for i in range(len(parts)):
+        exe = executable_part(circuit, partition, i, range(n))
         run_part(state.data, exe)
-        trace.parts.append(
-            _trace_row(n, part.id, 1, None, part.working_set, len(part.gate_indices))
-        )
+        _trace_part(trace, exe, 1, None)
     if with_trace:
         return state, trace
     return state
 
 
-def execute_multilevel(
-    circuit: Circuit,
-    partition: MultiLevelPartition,
-    *,
-    initial: StateVector | None = None,
-    max_qubits: int | None = None,
-    with_trace: bool = False,
-) -> StateVector | tuple[StateVector, ExecutionTrace]:
-    """Run a two-level partition with nested gather/execute/scatter.
-
-    Each level-1 part is gathered once; its level-2 parts then gather
-    their padded qubit sets out of that inner vector (batched over the
-    level-1 free assignments). A sublevel that is just the parent part
-    itself needs no second staging and runs directly on the level-1
-    vector, so its costs match single-level execution.
-    """
-    _check_covers(circuit, [p for sub in partition.sublevels for p in sub.parts])
-    n = circuit.num_qubits
-    state = _start_state(circuit, initial, max_qubits)
-    trace = ExecutionTrace(n)
-    for i, parent in enumerate(partition.level1.parts):
-        sub = partition.sublevels[i]
-        padded = partition.padded_qubits[i]
-        w1 = parent.working_set
-        trace.parts.append(
-            _trace_row(n, parent.id, 1, None, w1, len(parent.gate_indices))
-        )
-        lone = len(sub.parts) == 1 and padded[0] == parent.qubits
-        if lone:
-            run_part(state.data, remap_part(circuit, sub.parts[0]))
-            continue
-        pmap = QubitSlotMap(parent.qubits)
-        positions = {q: pmap.slot_of(q) for q in parent.qubits}
-        gidx = part_block_indices(n, parent.qubits)
-        block = state.data[gidx]
-        for j, sp in enumerate(sub.parts):
-            exe = remap_part(
-                circuit, sp, position_of=positions, stage_qubits=padded[j]
-            )
-            run_part(block, exe)
-            trace.parts.append(
-                _trace_row(
-                    n, sp.id, 2, parent.id, len(padded[j]), len(sp.gate_indices)
-                )
-            )
-        state.data[gidx] = block
-    if with_trace:
-        return state, trace
-    return state
+#: the same runner; kept under its own name for two-level partitions
+execute_multilevel = execute_hierarchical
 
 
 def verify_against_flat(

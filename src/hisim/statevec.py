@@ -4,10 +4,11 @@ Amplitude indexing is little-endian: bit i of a basis index is the value of
 qubit i, so a gate on qubit i pairs amplitudes at stride 2**i. A full
 n-qubit vector holds 2**n complex128 amplitudes, 2**(n+4) bytes.
 
-Kernels operate in place on arrays whose last axis is the state index; a
-leading batch axis lets the hierarchical executor run every gathered block
-of a part at once. Multi-qubit gates are applied directly through control
-masking, never decomposed.
+Kernels operate in place on arrays whose last axis is the state index;
+leading batch axes let ``hisim.hier.run_part`` run every staged block of a
+part at once, whether the blocks come from the full state, from a level-1
+block (nested parts) or from rank buffers. Multi-qubit gates are applied
+directly through control masking, never decomposed.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ and communication accounting."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -452,6 +453,32 @@ def test_distributed_multilevel_partition():
     run = simulate_distributed(circuit, ml, 2)
     expect = simulate_flat(circuit)
     assert np.max(np.abs(run.state.data - expect.data)) < 1e-10
+
+
+def _drop_first_gate(parts):
+    """``parts`` with the first gate of ``parts[0]`` left out."""
+    short = dataclasses.replace(parts[0], gate_indices=parts[0].gate_indices[1:])
+    return (short,) + parts[1:]
+
+
+def test_partition_missing_a_gate_is_rejected():
+    """A partition that leaves a gate out must raise, not return a wrong
+    state; for a two-level partition the executed gates are the level-2
+    parts'."""
+    circuit = bench.build("bv_6")
+    dag = build_dag(circuit)
+    flat = partition_nat(dag, 4)
+    flat = dataclasses.replace(flat, parts=_drop_first_gate(flat.parts))
+    ml = partition_multilevel(dag, 4, 2)
+    sublevels = list(ml.sublevels)
+    i = next(i for i, sub in enumerate(sublevels) if len(sub.parts) > 1)
+    sublevels[i] = dataclasses.replace(
+        sublevels[i], parts=_drop_first_gate(sublevels[i].parts)
+    )
+    ml = dataclasses.replace(ml, sublevels=tuple(sublevels))
+    for partition in (flat, ml):
+        with pytest.raises(ValueError, match="cover"):
+            simulate_distributed(circuit, partition, 1)
 
 
 def test_distributed_rejects_parts_wider_than_local_space():

@@ -13,13 +13,13 @@ import pytest
 from hisim import bench
 from hisim.dag import build_dag
 from hisim.hier import (
-    QubitSlotMap,
     bit_offsets,
     execute_hierarchical,
     execute_multilevel,
-    gather,
+    executable_part,
+    level1_parts,
     part_block_indices,
-    scatter,
+    run_part,
     verify_against_flat,
 )
 from hisim.errors import VerificationError
@@ -32,7 +32,7 @@ from hisim.partition import (
     partition_nat,
 )
 from hisim.qasm import Circuit, GateKind, GateOp
-from hisim.statevec import StateVector, simulate_flat, zero_state
+from hisim.statevec import StateVector, apply_op, simulate_flat, zero_state
 
 
 def _random_circuit(seed, n, num_ops):
@@ -50,22 +50,60 @@ def _random_circuit(seed, n, num_ops):
     return Circuit(n, tuple(ops))
 
 
-# --- slot maps and index arithmetic -----------------------------------------
+# --- single-assignment oracle -----------------------------------------------
+#
+# One gather/execute/scatter pass per free-qubit assignment, the scheme that
+# ``run_part`` batches into one pass.
 
 
-def test_slot_map_orders_by_global_index():
-    m = QubitSlotMap((2, 5, 7))
-    assert m.slot_of(2) == 0
-    assert m.slot_of(5) == 1
-    assert m.slot_of(7) == 2
-    assert m.global_of(1) == 5
+def _assignment_indices(num_qubits, qubits, free_index):
+    inside = set(qubits)
+    if len(inside) != len(qubits):
+        raise ValueError(f"duplicate positions in {qubits}")
+    for q in qubits:
+        if not 0 <= q < num_qubits:
+            raise ValueError(f"position {q} outside 0..{num_qubits - 1}")
+    free = [q for q in range(num_qubits) if q not in inside]
+    if not 0 <= free_index < (1 << len(free)):
+        raise ValueError(
+            f"free_index {free_index} outside 0..{(1 << len(free)) - 1}"
+        )
+    base = sum(((free_index >> j) & 1) << b for j, b in enumerate(free))
+    return np.int64(base) + bit_offsets(list(qubits))
 
 
-def test_slot_map_rejects_unsorted_input():
-    with pytest.raises(ValueError):
-        QubitSlotMap((5, 2))
-    with pytest.raises(ValueError):
-        QubitSlotMap((2, 2))
+def gather(data, num_qubits, qubits, free_index):
+    """Copy one inner vector out of a ``2**num_qubits`` amplitude array.
+
+    Bit ``i`` of the inner index corresponds to ``qubits[i]``; the
+    remaining positions, taken in ascending order, are frozen to the bits
+    of ``free_index``.
+    """
+    return data[_assignment_indices(num_qubits, qubits, free_index)].copy()
+
+
+def scatter(data, num_qubits, qubits, free_index, inner):
+    """Write an inner vector back to the positions ``gather`` read it from."""
+    row = _assignment_indices(num_qubits, qubits, free_index)
+    if inner.shape != row.shape:
+        raise ValueError(f"inner has shape {inner.shape}, need {row.shape}")
+    data[row] = inner
+
+
+def _run_part_oracle(data, exe):
+    """``run_part`` as one gather/execute/scatter per assignment, with the
+    children staged the same way inside each inner vector."""
+    m = data.size.bit_length() - 1
+    for a in range(1 << (m - exe.num_slots)):
+        inner = gather(data, m, exe.positions, a)
+        for op, slots in zip(exe.ops, exe.op_slots):
+            apply_op(inner, exe.num_slots, op, slots)
+        for child in exe.children:
+            _run_part_oracle(inner, child)
+        scatter(data, m, exe.positions, a, inner)
+
+
+# --- index arithmetic -------------------------------------------------------
 
 
 def test_bit_offsets_enumerates_subset_sums():
@@ -140,6 +178,28 @@ def test_scatter_inverts_gather_and_writes_nothing_else():
     for a in range(1 << (n - len(qubits))):
         scatter(data, n, qubits, a, gather(before, n, qubits, a))
     np.testing.assert_array_equal(data, before)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_run_part_matches_single_assignment_passes(seed):
+    """Batched staging, nested children included, equals one
+    gather/execute/scatter per free-qubit assignment."""
+    rng = random.Random(seed + 40)
+    n = rng.randint(4, 8)
+    circuit = _random_circuit(seed + 900, n, rng.randint(10, 40))
+    widest = max(len(o.qubits) for o in circuit.ops)
+    l1 = rng.randint(max(2, widest), n - 1)
+    l2 = rng.randint(max(2, widest), l1)
+    dag = build_dag(circuit)
+    data_rng = np.random.default_rng(seed)
+    for partition in (partition_dagp(dag, l1), partition_multilevel(dag, l1, l2)):
+        data = data_rng.normal(size=1 << n) + 1j * data_rng.normal(size=1 << n)
+        expect = data.copy()
+        for i in range(len(level1_parts(circuit, partition))):
+            exe = executable_part(circuit, partition, i, range(n))
+            run_part(data, exe)
+            _run_part_oracle(expect, exe)
+        np.testing.assert_allclose(data, expect, rtol=0, atol=1e-12)
 
 
 # --- equivalence with the flat simulator ------------------------------------
