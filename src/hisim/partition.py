@@ -7,8 +7,8 @@ acyclic. Strategies:
 - ``partition_nat``: greedy cutoff scan over program order.
 - ``partition_dfs``: the same cutoff over several randomized depth-first
   topological orders, keeping the best.
-- ``partition_dagp``: recursive acyclic bisection with boundary refinement,
-  followed by a part-graph merge phase.
+- ``partition_dagp``: greedy acyclic merging that starts from single-gate
+  parts and contracts part pairs while the union fits the limit.
 - ``optimal_parts_bruteforce``: exact minimum part count for small DAGs.
 - ``partition_multilevel``: a dagP partition whose parts are partitioned
   again under a smaller limit for nested execution.
@@ -18,15 +18,13 @@ from __future__ import annotations
 
 import heapq
 import json
-import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from .dag import GateDag, NodeKind, build_dag, dfs_topo_order, quotient_is_acyclic
 from .errors import LimitTooSmallError, PartitionError, TooLargeForOracleError
 from .qasm import Circuit, GateOp
 
-#: node-count imbalance tolerance of the bisection (side <= eps * ideal)
-BISECT_EPS = 1.5
 #: refusal threshold of the exact search
 ORACLE_MAX_GATES = 20
 
@@ -87,16 +85,9 @@ class PartitionResult:
 
     def part_graph_edges(self, dag: GateDag) -> tuple[tuple[int, int], ...]:
         """Directed edges between distinct parts, from gate-to-gate edges."""
-        part_of = self.part_of()
-        edges: set[tuple[int, int]] = set()
-        for e in dag.edges:
-            su = dag.nodes[e.src]
-            sv = dag.nodes[e.dst]
-            if su.kind is NodeKind.GATE and sv.kind is NodeKind.GATE:
-                pu, pv = part_of[su.op_index], part_of[sv.op_index]
-                if pu != pv:
-                    edges.add((pu, pv))
-        return tuple(sorted(edges))
+        succ, _ = _gate_adjacency(dag)
+        adj = _part_graph(self.part_of(), succ, range(self.num_parts))
+        return tuple(sorted((u, v) for u, vs in adj.items() for v in vs))
 
     def cut_edges(self, dag: GateDag) -> int:
         """Number of gate-to-gate DAG edges crossing parts (recorded only)."""
@@ -148,6 +139,20 @@ def _gate_adjacency(dag: GateDag) -> tuple[list[set[int]], list[set[int]]]:
             succ[u.op_index].add(v.op_index)
             pred[v.op_index].add(u.op_index)
     return succ, pred
+
+
+def _part_graph(
+    part_of: Mapping[int, int], succ: list[set[int]], parts: Iterable[int]
+) -> dict[int, set[int]]:
+    """Successor sets of the part graph: gate-to-gate edges ``succ``
+    contracted by ``part_of`` (op index -> part), keyed by ``parts``."""
+    adj: dict[int, set[int]] = {p: set() for p in parts}
+    for g, ss in enumerate(succ):
+        for s in ss:
+            pu, pv = part_of[g], part_of[s]
+            if pu != pv:
+                adj[pu].add(pv)
+    return adj
 
 
 def _make_result(
@@ -253,142 +258,27 @@ def partition_dfs(
     return _make_result(dag.circuit, "dfs", limit, best or [])
 
 
-# --- dagP-style recursive bisection ----------------------------------------
+# --- dagP-style greedy acyclic merge ----------------------------------------
 
 def partition_dagp(dag: GateDag, limit: int) -> PartitionResult:
-    """Recursive acyclic bisection followed by a merge phase.
+    """Greedy acyclic merging from single-gate parts.
 
-    Bisection splits a segment at the topological-prefix point (within the
-    BISECT_EPS node-balance window) with the fewest boundary qubits, then
-    refines by moving single boundary gates while that count drops; the
-    recursion runs down to unit segments. The merge phase then repacks
-    greedily: any two parts whose union fits the limit and whose
-    contraction keeps the part graph acyclic may merge, widest
-    shared-qubit pairs first (ties to the wider union, then part order),
-    until no valid merger remains.
+    Every gate starts as its own part, labelled in program order. Any two
+    parts whose union fits the limit and whose contraction keeps the part
+    graph acyclic may merge, widest shared-qubit pairs first (ties to the
+    wider union, then part order), until no valid merger remains. A circuit
+    whose qubits all fit the limit is one part.
     """
     circuit = dag.circuit
     _check_limit(circuit, limit)
     if dag.num_gates == 0:
         return PartitionResult("dagp", limit, ())
-    succ, pred = _gate_adjacency(dag)
+    gates = list(range(dag.num_gates))
     qubits_of = [set(op.qubits) for op in circuit.ops]
-
-    def seg_qubits(seg: list[int]) -> set[int]:
-        out: set[int] = set()
-        for g in seg:
-            out |= qubits_of[g]
-        return out
-
-    if len(seg_qubits(list(range(dag.num_gates)))) <= limit:
-        return _make_result(
-            circuit, "dagp", limit, [list(range(dag.num_gates))]
-        )
-
-    def bisect(seg: list[int]) -> list[list[int]]:
-        if len(seg) == 1:
-            return [seg]
-        a, b = _best_split(seg)
-        return bisect(a) + bisect(b)
-
-    def _best_split(seg: list[int]) -> tuple[list[int], list[int]]:
-        n = len(seg)
-        max_side = min(n - 1, math.floor(BISECT_EPS * n / 2))
-        min_side = max(1, n - max_side)
-        # seg is in program order, a topological order, so every prefix is
-        # a legal first half
-        counts_b: dict[int, int] = {}
-        for g in seg:
-            for q in qubits_of[g]:
-                counts_b[q] = counts_b.get(q, 0) + 1
-        counts_a: dict[int, int] = {}
-        best_k, best_cost = None, None
-        boundary = 0  # qubits present on both sides
-        for k in range(1, max_side + 1):
-            g = seg[k - 1]
-            for q in qubits_of[g]:
-                counts_b[q] -= 1
-                was = counts_a.get(q, 0)
-                counts_a[q] = was + 1
-                if was == 0 and counts_b[q] > 0:
-                    boundary += 1
-                elif was > 0 and counts_b[q] == 0:
-                    boundary -= 1
-            if k < min_side:
-                continue
-            cost = boundary
-            if (
-                best_cost is None
-                or cost < best_cost
-                or (cost == best_cost and abs(k - n / 2) < abs(best_k - n / 2))
-            ):
-                best_k, best_cost = k, cost
-        a = seg[:best_k]
-        b = seg[best_k:]
-        return _refine(a, b, min_side, max_side)
-
-    def _refine(
-        a: list[int], b: list[int], min_side: int, max_side: int
-    ) -> tuple[list[int], list[int]]:
-        aset, bset = set(a), set(b)
-        cnt_a: dict[int, int] = {}
-        cnt_b: dict[int, int] = {}
-        for g in a:
-            for q in qubits_of[g]:
-                cnt_a[q] = cnt_a.get(q, 0) + 1
-        for g in b:
-            for q in qubits_of[g]:
-                cnt_b[q] = cnt_b.get(q, 0) + 1
-
-        def boundary() -> int:
-            return sum(
-                1 for q in cnt_a if cnt_a[q] > 0 and cnt_b.get(q, 0) > 0
-            )
-
-        def move_gain(g: int, to_b: bool) -> int:
-            # boundary delta if g crosses; negative is an improvement
-            src, dst = (cnt_a, cnt_b) if to_b else (cnt_b, cnt_a)
-            delta = 0
-            for q in qubits_of[g]:
-                src_after = src[q] - 1
-                dst_before = dst.get(q, 0)
-                before = 1 if src[q] > 0 and dst_before > 0 else 0
-                after = 1 if src_after > 0 and dst_before + 1 > 0 else 0
-                delta += after - before
-            return delta
-
-        improved = True
-        while improved:
-            improved = False
-            best: tuple[int, int, bool] | None = None  # (gain, gate, to_b)
-            if len(aset) > min_side:
-                for g in aset:
-                    if succ[g] & aset:
-                        continue  # a successor stays behind: cycle
-                    gain = move_gain(g, True)
-                    if gain < 0 and (best is None or gain < best[0]):
-                        best = (gain, g, True)
-            if len(bset) > min_side:
-                for g in bset:
-                    if pred[g] & bset:
-                        continue
-                    gain = move_gain(g, False)
-                    if gain < 0 and (best is None or gain < best[0]):
-                        best = (gain, g, False)
-            if best is not None:
-                _, g, to_b = best
-                src_set, dst_set = (aset, bset) if to_b else (bset, aset)
-                src_cnt, dst_cnt = (cnt_a, cnt_b) if to_b else (cnt_b, cnt_a)
-                src_set.remove(g)
-                dst_set.add(g)
-                for q in qubits_of[g]:
-                    src_cnt[q] -= 1
-                    dst_cnt[q] = dst_cnt.get(q, 0) + 1
-                improved = True
-        return sorted(aset), sorted(bset)
-
-    groups = bisect(list(range(dag.num_gates)))
-    groups = _merge_phase(groups, qubits_of, succ, limit)
+    if len(set().union(*qubits_of)) <= limit:
+        return _make_result(circuit, "dagp", limit, [gates])
+    succ, _ = _gate_adjacency(dag)
+    groups = _merge_phase([[g] for g in gates], qubits_of, succ, limit)
     groups = _topo_order_groups(groups, succ)
     return _make_result(circuit, "dagp", limit, groups)
 
@@ -410,15 +300,6 @@ def _merge_phase(
     alive = {i: set(g) for i, g in enumerate(groups)}
     qsets = {i: {q for g in groups[i] for q in qubits_of[g]} for i in alive}
     part_of = {g: i for i, gs in alive.items() for g in gs}
-
-    def adjacency() -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {p: set() for p in alive}
-        for g, ss in enumerate(succ):
-            for s in ss:
-                pu, pv = part_of[g], part_of[s]
-                if pu != pv:
-                    adj[pu].add(pv)
-        return adj
 
     def mergeable(u: int, v: int, adj: dict[int, set[int]]) -> bool:
         # contraction is acyclic iff every u..v path is the direct edge
@@ -450,7 +331,7 @@ def _merge_phase(
             if k is not None:
                 heap.append(k)
     heapq.heapify(heap)
-    adj = adjacency()
+    adj = _part_graph(part_of, succ, alive)
 
     while heap:
         negshared, union, u, v = heapq.heappop(heap)
@@ -469,7 +350,7 @@ def _merge_phase(
         for g in alive[v]:
             part_of[g] = u
         del alive[v], qsets[v]
-        adj = adjacency()
+        adj = _part_graph(part_of, succ, alive)
         for w in alive:
             if w != u:
                 k = key(*sorted((u, w)))
@@ -484,13 +365,8 @@ def _topo_order_groups(
     """Relabel groups along a topological order of the part graph (Kahn,
     smallest original index first for determinism)."""
     part_of = {g: i for i, gs in enumerate(groups) for g in gs}
+    adj = _part_graph(part_of, succ, range(len(groups)))
     indeg = {i: 0 for i in range(len(groups))}
-    adj: dict[int, set[int]] = {i: set() for i in range(len(groups))}
-    for g, ss in enumerate(succ):
-        for s in ss:
-            pu, pv = part_of[g], part_of[s]
-            if pu != pv and pv not in adj[pu]:
-                adj[pu].add(pv)
     for u in adj:
         for v in adj[u]:
             indeg[v] += 1
@@ -688,21 +564,22 @@ def partition_multilevel(
 
 # --- JSON export / import ---------------------------------------------------
 
+def _part_doc(p: Part) -> dict:
+    return {
+        "id": p.id,
+        "gate_indices": list(p.gate_indices),
+        "qubits": list(p.qubits),
+        "working_set": p.working_set,
+    }
+
+
 def partition_to_json(dag: GateDag, result: PartitionResult) -> str:
     """Serialize a partition with its part-graph edges and edge cut."""
     doc = {
         "strategy": result.strategy,
         "limit": result.limit,
         "num_parts": result.num_parts,
-        "parts": [
-            {
-                "id": p.id,
-                "gate_indices": list(p.gate_indices),
-                "qubits": list(p.qubits),
-                "working_set": p.working_set,
-            }
-            for p in result.parts
-        ],
+        "parts": [_part_doc(p) for p in result.parts],
         "edges": [list(e) for e in result.part_graph_edges(dag)],
         "cut_edges": result.cut_edges(dag),
     }
@@ -806,15 +683,6 @@ def multilevel_from_json(dag: GateDag, text: str) -> MultiLevelPartition:
 def multilevel_to_json(dag: GateDag, ml: MultiLevelPartition) -> str:
     """Serialize a two-level partition: the level-1 document plus, per
     level-1 part, its level-2 parts and padded qubit sets."""
-
-    def part_doc(p: Part) -> dict:
-        return {
-            "id": p.id,
-            "gate_indices": list(p.gate_indices),
-            "qubits": list(p.qubits),
-            "working_set": p.working_set,
-        }
-
     doc = {
         "strategy": "multilevel",
         "limit1": ml.limit1,
@@ -823,7 +691,7 @@ def multilevel_to_json(dag: GateDag, ml: MultiLevelPartition) -> str:
         "sublevels": [
             {
                 "parent": ml.level1.parts[i].id,
-                "parts": [part_doc(p) for p in sub.parts],
+                "parts": [_part_doc(p) for p in sub.parts],
                 "padded_qubits": [list(q) for q in ml.padded_qubits[i]],
             }
             for i, sub in enumerate(ml.sublevels)

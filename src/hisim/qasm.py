@@ -133,10 +133,23 @@ def validate(circuit: Circuit) -> None:
 # --- angle expression evaluation -------------------------------------------
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d*(?:[eE][+-]?\d+)?|\.?\d+(?:[eE][+-]?\d+)?)|(pi)|([()+\-*/^]))")
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 
 
 def _eval_angle(text: str, line: int, col: int) -> float:
-    """Evaluate an angle expression: numbers, pi, + - * / ^, parentheses."""
+    """Evaluate an angle expression: numbers, pi, + - * / ^, parentheses.
+
+    ``^`` is right-associative and binds tighter than unary minus, as
+    Python's ``**`` does. Every literal and every intermediate result must
+    be a finite real; anything else is a QasmSyntaxError.
+    """
+    def finite(val: float | complex) -> float:
+        if isinstance(val, complex) or not math.isfinite(val):
+            raise QasmSyntaxError(
+                f"angle {text!r} is not a finite real number", line, col
+            )
+        return val
+
     tokens: list[str | float] = []
     pos = 0
     while pos < len(text):
@@ -149,7 +162,7 @@ def _eval_angle(text: str, line: int, col: int) -> float:
             break
         num, pi, sym = m.groups()
         if num is not None:
-            tokens.append(float(num))
+            tokens.append(finite(float(num)))
         elif pi is not None:
             tokens.append(math.pi)
         else:
@@ -157,14 +170,13 @@ def _eval_angle(text: str, line: int, col: int) -> float:
         pos = m.end()
 
     def parse_expr(i: int, min_prec: int = 0) -> tuple[float, int]:
-        prec = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
         val, i = parse_atom(i)
-        while i < len(tokens) and isinstance(tokens[i], str) and tokens[i] in prec:
+        while i < len(tokens) and isinstance(tokens[i], str) and tokens[i] in _PREC:
             op = tokens[i]
-            if prec[op] < min_prec:
+            if _PREC[op] < min_prec:
                 break
             # ^ is right-associative, the rest left
-            nxt = prec[op] if op == "^" else prec[op] + 1
+            nxt = _PREC[op] if op == "^" else _PREC[op] + 1
             rhs, i = parse_expr(i + 1, nxt)
             if op == "+":
                 val += rhs
@@ -176,6 +188,7 @@ def _eval_angle(text: str, line: int, col: int) -> float:
                 val /= rhs
             else:
                 val **= rhs
+            val = finite(val)
         return val, i
 
     def parse_atom(i: int) -> tuple[float, int]:
@@ -185,10 +198,10 @@ def _eval_angle(text: str, line: int, col: int) -> float:
         if isinstance(tok, float):
             return tok, i + 1
         if tok == "-":
-            val, j = parse_atom(i + 1)
+            val, j = parse_expr(i + 1, _PREC["^"])
             return -val, j
         if tok == "+":
-            return parse_atom(i + 1)
+            return parse_expr(i + 1, _PREC["^"])
         if tok == "(":
             val, j = parse_expr(i + 1)
             if j >= len(tokens) or tokens[j] != ")":
@@ -202,6 +215,8 @@ def _eval_angle(text: str, line: int, col: int) -> float:
         val, end = parse_expr(0)
     except ZeroDivisionError:
         raise QasmSyntaxError(f"division by zero in {text!r}", line, col) from None
+    except OverflowError:
+        raise QasmSyntaxError(f"angle {text!r} overflows", line, col) from None
     if end != len(tokens):
         raise QasmSyntaxError(f"trailing junk in angle {text!r}", line, col)
     return val
@@ -211,7 +226,9 @@ def _eval_angle(text: str, line: int, col: int) -> float:
 
 _QREG_RE = re.compile(r"qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
 _QUBIT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
-_GATE_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(\(([^)]*)\))?\s*(.*)$")
+# the parameter list runs to the last ')', so it may nest parentheses;
+# operands hold none
+_GATE_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(\((.*)\))?\s*([^()]*)$")
 
 _REJECTED = {
     "measure": "measurement is not supported (simulation is pure-state)",

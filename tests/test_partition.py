@@ -116,6 +116,48 @@ def test_strategy_quality_ordering_on_qaoa():
     assert counts == {"nat": 16, "dfs": 10, "dagp": 9}
 
 
+#: dagp part counts on every bundled circuit, one per feasible limit from
+#: the widest gate up to the register size; a change may lower them only
+DAGP_MAX_PARTS = {
+    "adder_10": [9, 7, 5, 3, 4, 3, 3, 1],
+    "bell": [1],
+    "bv_12": [9, 5, 4, 3, 3, 2, 2, 2, 2, 2, 1],
+    "bv_30": [22, 12, 9, 7, 6, 5, 4, 4, 4, 3, 3, 3, 3, 2, 2,
+              2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1],
+    "bv_6": [5, 3, 2, 2, 1],
+    "cat_state_6": [5, 3, 2, 2, 1],
+    "cc_12": [12, 6, 4, 3, 3, 2, 2, 2, 2, 2, 1],
+    "cc_8": [8, 4, 3, 2, 2, 2, 1],
+    "grover_7": [14, 14, 6, 6, 1],
+    "ising_12": [22, 11, 6, 5, 5, 3, 2, 3, 2, 3, 1],
+    "ising_8": [14, 7, 5, 3, 2, 3, 1],
+    "qaoa_8": [24, 16, 9, 7, 5, 4, 1],
+    "qft_12": [72, 34, 20, 14, 11, 7, 4, 4, 3, 3, 1],
+    "qnn_8": [14, 6, 4, 2, 2, 2, 1],
+    "qpe_9": [40, 20, 13, 9, 7, 5, 3, 1],
+}
+
+
+@pytest.mark.parametrize("name", bench.available())
+def test_dagp_part_counts_on_bundled_circuits_do_not_rise(name):
+    circuit = bench.build(name)
+    g = build_dag(circuit)
+    widest = max(len(op.qubits) for op in circuit.ops)
+    limits = range(widest, circuit.num_qubits + 1)
+    counts = [partition_dagp(g, limit).num_parts for limit in limits]
+    assert len(counts) == len(DAGP_MAX_PARTS[name])
+    assert all(c <= m for c, m in zip(counts, DAGP_MAX_PARTS[name])), counts
+
+
+def test_dagp_part_counts_on_benchmark_circuits():
+    """The benchmark's num_parts: qft(20) at limit 14 and qaoa(20) at
+    limits 14/8."""
+    assert partition_dagp(build_dag(bench.qft(20)), 14).num_parts == 4
+    ml = partition_multilevel(build_dag(bench.qaoa(20)), 14, 8)
+    assert ml.level1.num_parts == 5
+    assert sum(sub.num_parts for sub in ml.sublevels) == 11
+
+
 def test_limit_below_widest_gate_rejected():
     g = _bv6()  # contains 2-qubit gates
     with pytest.raises(LimitTooSmallError):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hisim import bench
+from hisim.cli import main
 from hisim.errors import (
     DuplicateQubitError,
     InvalidQubitCountError,
@@ -75,6 +76,48 @@ def test_angle_expressions():
 def test_angle_division_by_zero_is_a_syntax_error():
     with pytest.raises(QasmSyntaxError):
         parse_qasm("OPENQASM 2.0;\nqreg q[1];\nrz(pi/0) q[0];\n")
+
+
+@pytest.mark.parametrize(
+    "angle,value",
+    [
+        ("-pi^2", -math.pi**2),  # ^ binds tighter than unary minus
+        ("-2^0.5", -math.sqrt(2)),
+        ("2^-1", 0.5),
+        ("2^3^2", 512.0),  # right-associative
+        ("-(pi/2)", -math.pi / 2),
+        ("((1+1)*(pi-(pi/2)))", math.pi),
+    ],
+)
+def test_angle_precedence_and_nested_parens(angle, value):
+    c = parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrz({angle}) q[0];\n")
+    assert c.ops[0].params == pytest.approx((value,))
+
+
+def test_nested_parens_in_a_parameter_list():
+    c = parse_qasm("OPENQASM 2.0;\nqreg q[2];\nu3((pi),-(pi/2),(1)) q[1];\n")
+    assert c.ops[0] == GateOp(GateKind.U3, (1,), (math.pi, -math.pi / 2, 1.0))
+
+
+@pytest.mark.parametrize(
+    "angle",
+    ["2^10000", "1e999", "-1e999", "1e308*10", "1/1e999", "(-2)^0.5"],
+)
+def test_non_finite_or_complex_angle_is_a_syntax_error(angle):
+    with pytest.raises(QasmSyntaxError) as exc:
+        parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\nh q[0];\nrx({angle}) q[0];\n")
+    assert exc.value.line == 4
+
+
+@pytest.mark.parametrize("angle", ["2^10000", "1e999", "(-2)^0.5"])
+@pytest.mark.parametrize("command", ["run", "partition"])
+def test_bad_angle_is_an_input_error_on_the_command_line(
+    tmp_path, capsys, command, angle
+):
+    path = tmp_path / "bad.qasm"
+    path.write_text(f"OPENQASM 2.0;\nqreg q[2];\nrx({angle}) q[0];\ncx q[0],q[1];\n")
+    assert main([command, str(path)]) == 2
+    assert "line 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
