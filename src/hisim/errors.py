@@ -38,6 +38,10 @@ class InvalidQubitCountError(QasmError):
     """Register size or operand count is wrong for the gate."""
 
 
+class InvalidParamError(QasmError):
+    """A gate parameter is not a finite real that a float holds exactly."""
+
+
 class PartitionError(HisimError):
     """Base class for partitioning failures."""
 

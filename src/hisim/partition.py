@@ -274,64 +274,73 @@ def partition_dagp(dag: GateDag, limit: int) -> PartitionResult:
     if dag.num_gates == 0:
         return PartitionResult("dagp", limit, ())
     gates = list(range(dag.num_gates))
-    qubits_of = [set(op.qubits) for op in circuit.ops]
-    if len(set().union(*qubits_of)) <= limit:
+    if len(set().union(*(op.qubits for op in circuit.ops))) <= limit:
         return _make_result(circuit, "dagp", limit, [gates])
+    qmask = [sum(1 << q for q in op.qubits) for op in circuit.ops]
     succ, _ = _gate_adjacency(dag)
-    groups = _merge_phase([[g] for g in gates], qubits_of, succ, limit)
-    groups = _topo_order_groups(groups, succ)
+    groups, adj = _merge_phase(qmask, succ, limit)
+    groups = _topo_order_groups(groups, adj)
     return _make_result(circuit, "dagp", limit, groups)
 
 
 def _merge_phase(
-    groups: list[list[int]],
-    qubits_of: list[set[int]],
-    succ: list[set[int]],
-    limit: int,
-) -> list[list[int]]:
+    qmask: list[int], succ: list[set[int]], limit: int
+) -> tuple[list[list[int]], list[set[int]]]:
     """Greedily contract part pairs while the union fits the limit and the
-    part graph stays acyclic.
+    part graph stays acyclic, starting from one part per gate (part id =
+    op index, ``qmask[g]`` the gate's qubits as a bit mask).
 
     Candidates are ranked by descending shared-qubit count, then descending
     union size, then part order, through a lazy priority queue: entries are
     revalidated against the live structure when popped, and a contraction
     reenqueues the merged part's pairings.
-    """
-    alive = {i: set(g) for i, g in enumerate(groups)}
-    qsets = {i: {q for g in groups[i] for q in qubits_of[g]} for i in alive}
-    part_of = {g: i for i, gs in alive.items() for g in gs}
 
-    def mergeable(u: int, v: int, adj: dict[int, set[int]]) -> bool:
+    The part graph is kept as successor and predecessor sets, and ``reach``
+    holds, for every live part, its descendants as a bitset over part ids:
+    the transitive closure of the contracted part graph, without the part
+    itself. Contracting u and v is acyclic iff no other successor of one
+    reaches the other, so each candidate costs one bit test per successor.
+    Returns the groups in part-id order and the part graph between them.
+    """
+    n = len(qmask)
+    # queue entries share these id objects instead of each holding its own
+    # int (ints above 256 are not interned)
+    ids = list(range(n))
+    qmask = list(qmask)
+    qcount = [m.bit_count() for m in qmask]
+    alive = {g: [g] for g in ids}
+    out = [set(ss) for ss in succ]
+    into: list[set[int]] = [set() for _ in range(n)]
+    for g, ss in enumerate(succ):
+        for s in ss:
+            into[s].add(g)
+    # gate edges run forward in program order, so descending ids are a
+    # reverse topological order
+    reach = [0] * n
+    for g in range(n - 1, -1, -1):
+        for s in out[g]:
+            reach[g] |= reach[s] | 1 << s
+
+    def mergeable(u: int, v: int) -> bool:
         # contraction is acyclic iff every u..v path is the direct edge
-        for src, dst in ((u, v), (v, u)):
-            stack = [m for m in adj[src] if m != dst]
-            seen = set(stack)
-            while stack:
-                x = stack.pop()
-                if x == dst:
-                    return False
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-        return True
+        bu, bv = 1 << u, 1 << v
+        return not any(reach[m] & bv for m in out[u] if m != v) and not any(
+            reach[m] & bu for m in out[v] if m != u
+        )
 
     def key(u: int, v: int) -> tuple[int, int, int, int] | None:
-        union = len(qsets[u] | qsets[v])
+        union = (qmask[u] | qmask[v]).bit_count()
         if union > limit:
             return None
-        shared = len(qsets[u]) + len(qsets[v]) - union
-        return (-shared, -union, u, v)
+        return (union - qcount[u] - qcount[v], -union, u, v)
 
     heap: list[tuple[int, int, int, int]] = []
-    ids = sorted(alive)
-    for i, u in enumerate(ids):
-        for v in ids[i + 1:]:
+    for u in ids:
+        for v in ids[u + 1:]:
             k = key(u, v)
             if k is not None:
                 heap.append(k)
     heapq.heapify(heap)
-    adj = _part_graph(part_of, succ, alive)
 
     while heap:
         negshared, union, u, v = heapq.heappop(heap)
@@ -343,34 +352,47 @@ def _merge_phase(
         if k != (negshared, union, u, v):
             heapq.heappush(heap, k)  # stale entry: requeue corrected
             continue
-        if not mergeable(u, v, adj):
+        if not mergeable(u, v):
             continue
-        alive[u] |= alive[v]
-        qsets[u] |= qsets[v]
-        for g in alive[v]:
-            part_of[g] = u
-        del alive[v], qsets[v]
-        adj = _part_graph(part_of, succ, alive)
+        alive[u] += alive.pop(v)
+        qmask[u] |= qmask[v]
+        qcount[u] = qmask[u].bit_count()
+        bu, bv = 1 << u, 1 << v
+        reach[u] = (reach[u] | reach[v]) & ~(bu | bv)
+        for w in alive:
+            if reach[w] & (bu | bv):
+                reach[w] = (reach[w] | reach[u] | bu) & ~bv
+        for x in out[v]:
+            into[x].discard(v)
+            if x != u:
+                into[x].add(u)
+        for x in into[v]:
+            out[x].discard(v)
+            if x != u:
+                out[x].add(u)
+        out[u] = (out[u] | out[v]) - {u, v}
+        into[u] = (into[u] | into[v]) - {u, v}
         for w in alive:
             if w != u:
-                k = key(*sorted((u, w)))
+                k = key(w, u) if w < u else key(u, w)
                 if k is not None:
                     heapq.heappush(heap, k)
-    return [sorted(alive[p]) for p in sorted(alive)]
+    live = sorted(alive)
+    pos = {p: i for i, p in enumerate(live)}
+    groups = [sorted(alive[p]) for p in live]
+    return groups, [{pos[x] for x in out[p]} for p in live]
 
 
 def _topo_order_groups(
-    groups: list[list[int]], succ: list[set[int]]
+    groups: list[list[int]], adj: list[set[int]]
 ) -> list[list[int]]:
-    """Relabel groups along a topological order of the part graph (Kahn,
-    smallest original index first for determinism)."""
-    part_of = {g: i for i, gs in enumerate(groups) for g in gs}
-    adj = _part_graph(part_of, succ, range(len(groups)))
-    indeg = {i: 0 for i in range(len(groups))}
-    for u in adj:
-        for v in adj[u]:
+    """Relabel groups along a topological order of their part graph ``adj``
+    (Kahn, smallest original index first for determinism)."""
+    indeg = [0] * len(groups)
+    for vs in adj:
+        for v in vs:
             indeg[v] += 1
-    heap = [i for i in indeg if indeg[i] == 0]
+    heap = [i for i, d in enumerate(indeg) if d == 0]
     heapq.heapify(heap)
     order: list[list[int]] = []
     while heap:

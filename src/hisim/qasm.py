@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 
 from .errors import (
     DuplicateQubitError,
+    InvalidParamError,
     InvalidQubitCountError,
     QasmSyntaxError,
     QubitOutOfRangeError,
@@ -121,6 +123,12 @@ def validate(circuit: Circuit) -> None:
                 f"op {i}: {op.kind.value} takes {op.kind.num_params} params, "
                 f"got {len(op.params)}"
             )
+        for p in op.params:
+            if not _is_angle(p):
+                raise InvalidParamError(
+                    f"op {i}: {op.kind.value} param {p!r} is not a finite "
+                    f"real that a float holds exactly"
+                )
         if len(set(op.qubits)) != len(op.qubits):
             raise DuplicateQubitError(f"op {i}: repeated qubit in {op.qubits}")
         for q in op.qubits:
@@ -128,6 +136,18 @@ def validate(circuit: Circuit) -> None:
                 raise QubitOutOfRangeError(
                     f"op {i}: qubit {q} outside [0, {circuit.num_qubits})"
                 )
+
+
+def _is_angle(p: object) -> bool:
+    """A finite real that a float holds exactly (bools excluded), so
+    ``to_qasm`` writes it as a literal that parses back equal."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        return False
+    try:
+        x = float(p)
+    except OverflowError:
+        return False
+    return math.isfinite(x) and x == p
 
 
 # --- angle expression evaluation -------------------------------------------
@@ -375,8 +395,8 @@ def parse_qasm(text: str) -> Circuit:
 def to_qasm(circuit: Circuit) -> str:
     """Serialize to canonical text: one statement per line, register ``q``.
 
-    Angles are printed with repr precision, so parse(to_qasm(c)) == c holds
-    exactly for any valid circuit.
+    Angles are printed as the repr of their float value, so
+    parse(to_qasm(c)) == c holds exactly for any valid circuit.
     """
     lines = [
         "OPENQASM 2.0;",
@@ -386,7 +406,7 @@ def to_qasm(circuit: Circuit) -> str:
     for op in circuit.ops:
         name = op.kind.value
         if op.params:
-            name += "(" + ",".join(repr(p) for p in op.params) + ")"
+            name += "(" + ",".join(repr(float(p)) for p in op.params) + ")"
         operands = ",".join(f"q[{q}]" for q in op.qubits)
         lines.append(f"{name} {operands};")
     return "\n".join(lines) + "\n"

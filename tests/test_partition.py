@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import heapq
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hisim import bench
 from hisim.dag import build_dag, working_set
@@ -17,6 +21,9 @@ from hisim.errors import (
 from hisim.partition import (
     Part,
     PartitionResult,
+    _gate_adjacency,
+    _merge_phase,
+    _part_graph,
     check_partition,
     multilevel_from_json,
     multilevel_to_json,
@@ -156,6 +163,126 @@ def test_dagp_part_counts_on_benchmark_circuits():
     ml = partition_multilevel(build_dag(bench.qaoa(20)), 14, 8)
     assert ml.level1.num_parts == 5
     assert sum(sub.num_parts for sub in ml.sublevels) == 11
+
+
+def test_benchmark_partition_documents_are_pinned():
+    """SHA-256 of the benchmark circuits' partition documents, so a change
+    to the merge order shows up here and not as a benchmark drift."""
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    g = build_dag(bench.qft(20))
+    assert digest(partition_to_json(g, partition_dagp(g, 14))) == (
+        "aba0247bee98b815e80f520a88c028edc1d4df86dfba1f3618b00d1124059b92"
+    )
+    g = build_dag(bench.qaoa(20))
+    assert digest(multilevel_to_json(g, partition_multilevel(g, 14, 8))) == (
+        "22b545e77e0a978dbd6cb601592f55f5f319fce9797d402e01df31e53e727693"
+    )
+    g = build_dag(bench.qaoa(30, 3))
+    assert digest(partition_to_json(g, partition_dagp(g, 14))) == (
+        "5030f0d8b5de56bf77e9cdf0bbf14227f8dec34d5543bb014fa0975e1dbeb899"
+    )
+
+
+# --- merge phase against its depth-first oracle ------------------------------
+
+
+def _oracle_merge_phase(groups, qubits_of, succ, limit):
+    """The merge phase with a depth-first acyclicity test per candidate and
+    the part graph rebuilt after every contraction."""
+    alive = {i: set(g) for i, g in enumerate(groups)}
+    qsets = {i: {q for g in groups[i] for q in qubits_of[g]} for i in alive}
+    part_of = {g: i for i, gs in alive.items() for g in gs}
+
+    def mergeable(u, v, adj):
+        # contraction is acyclic iff every u..v path is the direct edge
+        for src, dst in ((u, v), (v, u)):
+            stack = [m for m in adj[src] if m != dst]
+            seen = set(stack)
+            while stack:
+                x = stack.pop()
+                if x == dst:
+                    return False
+                for y in adj[x]:
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+        return True
+
+    def key(u, v):
+        union = len(qsets[u] | qsets[v])
+        if union > limit:
+            return None
+        shared = len(qsets[u]) + len(qsets[v]) - union
+        return (-shared, -union, u, v)
+
+    heap = []
+    ids = sorted(alive)
+    for i, u in enumerate(ids):
+        for v in ids[i + 1:]:
+            k = key(u, v)
+            if k is not None:
+                heap.append(k)
+    heapq.heapify(heap)
+    adj = _part_graph(part_of, succ, alive)
+
+    while heap:
+        negshared, union, u, v = heapq.heappop(heap)
+        if u not in alive or v not in alive:
+            continue
+        k = key(u, v)
+        if k is None:
+            continue
+        if k != (negshared, union, u, v):
+            heapq.heappush(heap, k)  # stale entry: requeue corrected
+            continue
+        if not mergeable(u, v, adj):
+            continue
+        alive[u] |= alive[v]
+        qsets[u] |= qsets[v]
+        for g in alive[v]:
+            part_of[g] = u
+        del alive[v], qsets[v]
+        adj = _part_graph(part_of, succ, alive)
+        for w in alive:
+            if w != u:
+                k = key(*sorted((u, w)))
+                if k is not None:
+                    heapq.heappush(heap, k)
+    return [sorted(alive[p]) for p in sorted(alive)]
+
+
+def _assert_merge_phase_matches_oracle(circuit, limit):
+    succ, _ = _gate_adjacency(build_dag(circuit))
+    qubits_of = [set(op.qubits) for op in circuit.ops]
+    qmask = [sum(1 << q for q in op.qubits) for op in circuit.ops]
+    groups, adj = _merge_phase(qmask, succ, limit)
+    singles = [[g] for g in range(circuit.num_ops)]
+    assert groups == _oracle_merge_phase(singles, qubits_of, succ, limit)
+    part_of = {g: i for i, gs in enumerate(groups) for g in gs}
+    assert adj == list(_part_graph(part_of, succ, range(len(groups))).values())
+
+
+@pytest.mark.parametrize("name", bench.available())
+def test_merge_phase_matches_oracle_on_bundled_circuits(name):
+    circuit = bench.build(name)
+    widest = max(len(op.qubits) for op in circuit.ops)
+    for limit in range(widest, circuit.num_qubits):
+        _assert_merge_phase_matches_oracle(circuit, limit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 8),
+    num_ops=st.integers(1, 60),
+    data=st.data(),
+)
+def test_merge_phase_matches_oracle_on_random_dags(seed, n, num_ops, data):
+    limit = data.draw(st.integers(2, n), label="limit")
+    circuit = _random_circuit(seed, n, num_ops)
+    _assert_merge_phase_matches_oracle(circuit, limit)
 
 
 def test_limit_below_widest_gate_rejected():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,12 +13,13 @@ from hisim import bench
 from hisim.cli import main
 from hisim.errors import (
     DuplicateQubitError,
+    InvalidParamError,
     InvalidQubitCountError,
     QasmSyntaxError,
     QubitOutOfRangeError,
     UnsupportedGateError,
 )
-from hisim.qasm import Circuit, GateKind, GateOp, parse_qasm, to_qasm
+from hisim.qasm import Circuit, GateKind, GateOp, parse_qasm, to_qasm, validate
 
 
 def test_gate_kind_arities_and_params():
@@ -201,6 +203,31 @@ def test_roundtrip_through_text(circuit):
     back = parse_qasm(to_qasm(circuit))
     assert back.num_qubits == circuit.num_qubits
     assert back.ops == circuit.ops
+
+
+BAD_PARAMS = {
+    "inf": math.inf, "-inf": -math.inf, "nan": math.nan, "1j": 1j,
+    "complex-real": complex(0.5, 0), "True": True, "np.True_": np.True_,
+    "str": "0.5", "None": None, "10**400": 10**400, "2**60+1": 2**60 + 1,
+}
+
+
+@pytest.mark.parametrize("param", BAD_PARAMS.values(), ids=BAD_PARAMS.keys())
+def test_validate_rejects_params_that_do_not_round_trip(param):
+    """Only finite reals that a float holds exactly survive to_qasm."""
+    c = Circuit(2, (GateOp(GateKind.H, (0,), ()),
+                    GateOp(GateKind.RX, (1,), (param,))))
+    with pytest.raises(InvalidParamError, match=r"^op 1: rx param"):
+        validate(c)
+
+
+@pytest.mark.parametrize("param", [np.float64(0.5), np.float32(0.1), 3, -0.0])
+def test_numpy_and_int_params_round_trip(param):
+    c = Circuit(1, (GateOp(GateKind.RZ, (0,), (param,)),))
+    validate(c)
+    text = to_qasm(c)
+    assert text.splitlines()[-1] == f"rz({float(param)!r}) q[0];"
+    assert parse_qasm(text) == c
 
 
 @pytest.mark.parametrize("name", bench.DESK_NAMES)
