@@ -306,7 +306,7 @@ def cmd_run(args) -> int:
 
     if max_delta is not None:
         print(f"verify: max |delta| = {max_delta:.3e}", file=sys.stderr)
-        if max_delta >= VERIFY_ATOL:
+        if not max_delta < VERIFY_ATOL:  # NaN fails too
             raise VerificationError(
                 f"max amplitude deviation {max_delta:.3e} is not below "
                 f"{VERIFY_ATOL:.1e}"

@@ -32,7 +32,7 @@ from .hier import _start_state, executable_part, level1_parts, run_part
 from .hier import part_block_indices, remap_part  # noqa: F401
 from .partition import MultiLevelPartition, Part, PartitionResult
 from .qasm import Circuit
-from .statevec import StateVector
+from .statevec import StateVector, _permute_bits
 
 __all__ = [
     "RankLayout",
@@ -168,20 +168,6 @@ def _bit_permutation(
     first."""
     bit_of = {q: j for j, q in enumerate(dst)}
     return tuple(bit_of[q] for q in src)
-
-
-def _permute_bits(data: np.ndarray, sigma: Sequence[int]) -> np.ndarray:
-    """Contiguous copy of ``data`` with index bit ``i`` moved to bit
-    ``sigma[i]``.
-
-    Under the C-order ``(2,) * n`` view, index bit ``i`` is axis
-    ``n - 1 - i``, so the move is one axis transpose and one copy.
-    """
-    n = len(sigma)
-    axes = [0] * n
-    for i, j in enumerate(sigma):
-        axes[n - 1 - j] = n - 1 - i
-    return data.reshape((2,) * n).transpose(axes).copy().reshape(data.shape)
 
 
 # --- redistribution ---------------------------------------------------------
@@ -458,9 +444,12 @@ def simulate_distributed(
     if not parts:
         raise ValueError("partition has no parts")
 
-    full = _start_state(circuit, initial, max_qubits)
     layout = choose_layout(n, num_rank_bits, parts[0])
-    buffers = distribute_state(full, layout)
+    # no reference to the start state outlives its distribution, so a run
+    # holds one state copy, not two
+    buffers = distribute_state(
+        _start_state(circuit, initial, max_qubits), layout
+    )
     stats = CommStats(n, num_rank_bits, len(parts))
     layouts: list[RankLayout] = []
     for i, part in enumerate(parts):

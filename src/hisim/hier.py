@@ -333,12 +333,12 @@ def verify_against_flat(
     """Compare a partitioned result against the flat reference simulation.
 
     Returns the maximum absolute amplitude difference; raises
-    ``VerificationError`` if it exceeds ``atol``.
+    ``VerificationError`` unless it is below ``atol`` (a NaN never is).
     """
     ref = simulate_flat(circuit, max_qubits=state.num_qubits)
     err = float(np.max(np.abs(state.data - ref.data))) if state.data.size else 0.0
-    if err > atol:
+    if not err < atol:
         raise VerificationError(
-            f"max amplitude deviation {err:.3e} exceeds {atol:.1e}"
+            f"max amplitude deviation {err:.3e} is not below {atol:.1e}"
         )
     return err

@@ -346,13 +346,11 @@ def _merge_phase(
         negshared, union, u, v = heapq.heappop(heap)
         if u not in alive or v not in alive:
             continue
-        k = key(u, v)
-        if k is None:
-            continue
-        if k != (negshared, union, u, v):
-            heapq.heappush(heap, k)  # stale entry: requeue corrected
-            continue
-        if not mergeable(u, v):
+        # drop a stale key: the contraction that changed it queued the pair
+        # under its new key, which sorts earlier (keys only fall as parts
+        # grow); that entry was already judged, and only a contraction of
+        # u or v, which queues the pair again, can change the verdict
+        if key(u, v) != (negshared, union, u, v) or not mergeable(u, v):
             continue
         alive[u] += alive.pop(v)
         qmask[u] |= qmask[v]

@@ -7,8 +7,14 @@ n-qubit vector holds 2**n complex128 amplitudes, 2**(n+4) bytes.
 Kernels operate in place on arrays whose last axis is the state index;
 leading batch axes let ``hisim.hier.run_part`` run every staged block of a
 part at once, whether the blocks come from the full state, from a level-1
-block (nested parts) or from rank buffers. Multi-qubit gates are applied
-directly through control masking, never decomposed.
+block (nested parts) or from rank buffers.
+
+Only this module maps index bits to array axes: ``_subspace`` views every
+block with given slots held at given bits, and ``_permute_bits`` moves
+bits by one axis transpose. A gate is a 2x2 on two such views (target at
+0 and 1, controls at 1; or a SWAP's two exchanged slot pairs), never
+decomposed: a diagonal scales them, exactly X exchanges them, and any
+other mixes them in place from one saved copy of the first.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -41,6 +48,7 @@ _CONST_1Q = {
     GateKind.T: np.diag([1, np.exp(0.25j * np.pi)]).astype(np.complex128),
     GateKind.TDG: np.diag([1, np.exp(-0.25j * np.pi)]).astype(np.complex128),
 }
+_X = _CONST_1Q[GateKind.X]
 
 
 def _rx(t: float) -> np.ndarray:
@@ -80,20 +88,20 @@ _PARAM_1Q = {
     GateKind.U3: _u3,
 }
 
-#: controlled kinds mapped to (base 1q kind or builder, number of controls)
+#: controlled kinds mapped to the 1q kind their target applies; every
+#: operand but the last is a control
 _CONTROLLED = {
-    GateKind.CX: (GateKind.X, 1),
-    GateKind.CZ: (GateKind.Z, 1),
-    GateKind.CRZ: (GateKind.RZ, 1),
-    GateKind.CRY: (GateKind.RY, 1),
-    GateKind.CCX: (GateKind.X, 2),
+    GateKind.CX: GateKind.X,
+    GateKind.CZ: GateKind.Z,
+    GateKind.CRZ: GateKind.RZ,
+    GateKind.CRY: GateKind.RY,
+    GateKind.CCX: GateKind.X,
 }
 
 
 def _base_matrix(kind: GateKind, params: tuple[float, ...]) -> np.ndarray:
-    """The 2x2 acting on the target qubit (controls handled by masking)."""
-    if kind in _CONTROLLED:
-        kind = _CONTROLLED[kind][0]
+    """The 2x2 acting on the target qubit (controls select its subspace)."""
+    kind = _CONTROLLED.get(kind, kind)
     if kind in _CONST_1Q:
         return _CONST_1Q[kind]
     return _PARAM_1Q[kind](*params)
@@ -107,15 +115,11 @@ def gate_matrix(kind: GateKind, params: tuple[float, ...] = ()) -> np.ndarray:
     subspace (rows/cols 2 and 3) and SWAP exchanges indices 1 and 2.
     """
     if kind is GateKind.SWAP:
-        m = np.eye(4, dtype=np.complex128)
-        m[[1, 2]] = m[[2, 1]]
-        return m
+        return np.eye(4, dtype=np.complex128)[[0, 2, 1, 3]]
     if kind in _CONTROLLED:
-        base, num_controls = _CONTROLLED[kind]
-        u = _base_matrix(base, params)
-        dim = 1 << (num_controls + 1)
+        dim = 1 << kind.arity
         m = np.eye(dim, dtype=np.complex128)
-        m[dim - 2:, dim - 2:] = u
+        m[dim - 2:, dim - 2:] = _base_matrix(kind, params)
         return m
     return _base_matrix(kind, params)
 
@@ -170,73 +174,26 @@ def zero_state(n: int, max_qubits: int | None = None) -> StateVector:
 
 # --- kernels ----------------------------------------------------------------
 
-def _apply_1q(arr: np.ndarray, w: int, u: np.ndarray, t: int) -> None:
-    """Apply a 2x2 to slot t of every w-qubit block in arr (last axis 2**w)."""
-    v = arr.reshape(-1, 2, 1 << t)
-    a = v[:, 0, :]
-    b = v[:, 1, :]
-    if u[0, 1] == 0 and u[1, 0] == 0:
-        if u[0, 0] != 1.0:
-            a *= u[0, 0]
-        if u[1, 1] != 1.0:
-            b *= u[1, 1]
-        return
-    na = u[0, 0] * a + u[0, 1] * b
-    v[:, 1, :] = u[1, 0] * a + u[1, 1] * b
-    v[:, 0, :] = na
-
-
-def _control_view(arr: np.ndarray, w: int, controls: tuple[int, ...]):
-    """View of arr restricted to all control slots = 1.
-
-    Returns (view, axis_of) where axis_of maps a remaining slot to its axis
-    in the view. Basic slicing only, so writes hit arr.
-    """
-    batch = arr.size >> w
-    v = arr.reshape((batch,) + (2,) * w)
+def _subspace(arr: np.ndarray, w: int, fixed: dict[int, int]) -> np.ndarray:
+    """View of every w-qubit block of ``arr`` (last axis 2**w) with slot
+    ``s`` held at bit ``fixed[s]``; slot ``s`` is axis ``w - s`` of the
+    C-order ``(batch,) + (2,) * w`` view. Basic indexing only, so writes
+    through the view hit ``arr``."""
     index: list = [slice(None)] * (w + 1)
-    for c in controls:
-        index[1 + (w - 1 - c)] = 1
-    view = v[tuple(index)]
-
-    def axis_of(slot: int) -> int:
-        # axis 0 is the batch; control axes vanish on integer indexing
-        dropped = sum(1 for c in controls if c > slot)
-        return 1 + (w - 1 - slot) - dropped
-
-    return view, axis_of
+    for s, bit in fixed.items():
+        index[w - s] = bit
+    return arr.reshape((-1,) + (2,) * w)[tuple(index)]
 
 
-def _apply_controlled(
-    arr: np.ndarray, w: int, u: np.ndarray, t: int, controls: tuple[int, ...]
-) -> None:
-    """Apply a controlled 2x2: target slot t fires when all controls are 1."""
-    view, axis_of = _control_view(arr, w, controls)
-    m = np.moveaxis(view, axis_of(t), 0)
-    a = m[0]
-    b = m[1]
-    if u[0, 1] == 0 and u[1, 0] == 0:
-        if u[0, 0] != 1.0:
-            a *= u[0, 0]
-        if u[1, 1] != 1.0:
-            b *= u[1, 1]
-        return
-    na = u[0, 0] * a + u[0, 1] * b
-    m[1] = u[1, 0] * a + u[1, 1] * b
-    m[0] = na
-
-
-def _apply_swap(arr: np.ndarray, w: int, s0: int, s1: int) -> None:
-    """Exchange slots s0 and s1 of every block."""
-    batch = arr.size >> w
-    v = arr.reshape((batch,) + (2,) * w)
-    i01: list = [slice(None)] * (w + 1)
-    i10: list = [slice(None)] * (w + 1)
-    i01[1 + (w - 1 - s0)], i01[1 + (w - 1 - s1)] = 0, 1
-    i10[1 + (w - 1 - s0)], i10[1 + (w - 1 - s1)] = 1, 0
-    tmp = v[tuple(i01)].copy()
-    v[tuple(i01)] = v[tuple(i10)]
-    v[tuple(i10)] = tmp
+def _permute_bits(data: np.ndarray, sigma: Sequence[int]) -> np.ndarray:
+    """Contiguous copy of ``data`` with index bit ``i`` moved to bit
+    ``sigma[i]``: under the C-order ``(2,) * n`` view, bit ``i`` is axis
+    ``n - 1 - i``, so the move is one axis transpose and one copy."""
+    n = len(sigma)
+    axes = [0] * n
+    for i, j in enumerate(sigma):
+        axes[n - 1 - j] = n - 1 - i
+    return data.reshape((2,) * n).transpose(axes).copy().reshape(data.shape)
 
 
 def apply_op(arr: np.ndarray, w: int, op: GateOp, slots: tuple[int, ...] | None = None) -> None:
@@ -252,19 +209,29 @@ def apply_op(arr: np.ndarray, w: int, op: GateOp, slots: tuple[int, ...] | None 
         raise ValueError("arr must be C-contiguous")
     q = slots if slots is not None else op.qubits
     if op.kind is GateKind.SWAP:
-        _apply_swap(arr, w, q[0], q[1])
-        return
-    u = _base_matrix(op.kind, op.params)
-    if op.kind in _CONTROLLED:
-        num_controls = _CONTROLLED[op.kind][1]
-        _apply_controlled(arr, w, u, q[num_controls], tuple(q[:num_controls]))
+        u = _X
+        a = _subspace(arr, w, {q[0]: 0, q[1]: 1})
+        b = _subspace(arr, w, {q[0]: 1, q[1]: 0})
     else:
-        _apply_1q(arr, w, u, q[0])
-
-
-def apply_gate(state: StateVector, op: GateOp) -> None:
-    """Apply one gate to a full state vector in place."""
-    apply_op(state.data, state.num_qubits, op)
+        u = _base_matrix(op.kind, op.params)
+        held = dict.fromkeys(q[:-1], 1)
+        a = _subspace(arr, w, {**held, q[-1]: 0})
+        b = _subspace(arr, w, {**held, q[-1]: 1})
+    if u[0, 1] == 0 and u[1, 0] == 0:
+        if u[0, 0] != 1.0:
+            a *= u[0, 0]
+        if u[1, 1] != 1.0:
+            b *= u[1, 1]
+        return
+    saved = a.copy()
+    if (u == _X).all():
+        a[...] = b
+        b[...] = saved
+    else:
+        a *= u[0, 0]
+        a += u[0, 1] * b
+        b *= u[1, 1]
+        b += u[1, 0] * saved
 
 
 def simulate_flat(circuit: Circuit, max_qubits: int | None = None) -> StateVector:

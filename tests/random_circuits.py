@@ -1,0 +1,25 @@
+"""Seeded random circuits over the full gate set, shared by the suites."""
+
+from __future__ import annotations
+
+import math
+import random
+
+from hisim.qasm import Circuit, GateKind, GateOp
+
+
+def random_params(rng: random.Random, kind: GateKind) -> tuple[float, ...]:
+    """The kind's angles, each uniform in [-pi, pi]."""
+    return tuple(rng.uniform(-math.pi, math.pi) for _ in range(kind.num_params))
+
+
+def random_circuit(rng: random.Random, n: int, num_ops: int) -> Circuit:
+    """``num_ops`` gates, each of a kind drawn uniformly from the kinds that
+    fit on ``n`` qubits, on distinct random qubits, with random angles."""
+    kinds = [k for k in GateKind if k.arity <= n]
+    ops = []
+    for _ in range(num_ops):
+        kind = rng.choice(kinds)
+        qubits = tuple(rng.sample(range(n), kind.arity))
+        ops.append(GateOp(kind, qubits, random_params(rng, kind)))
+    return Circuit(n, tuple(ops))

@@ -32,11 +32,13 @@ from hisim.partition import (
 from hisim.qasm import Circuit, GateKind, GateOp
 from hisim.statevec import (
     StateVector,
-    apply_gate,
+    apply_op,
     gate_matrix,
     simulate_flat,
     state_bytes,
 )
+
+from random_circuits import random_circuit
 
 CORPUS_SEED = 20260822
 CORPUS_SIZE = 200
@@ -53,28 +55,13 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"[criterion {num}] {'PASS' if ok else 'FAIL'} {name}: {detail}")
 
 
-def _random_circuit(rng: random.Random, n: int, num_ops: int) -> Circuit:
-    kinds = list(GateKind)
-    ops = []
-    for _ in range(num_ops):
-        kind = rng.choice(kinds)
-        if kind.arity > n:
-            kind = GateKind.CX
-        qubits = tuple(rng.sample(range(n), kind.arity))
-        params = tuple(
-            rng.uniform(-math.pi, math.pi) for _ in range(kind.num_params)
-        )
-        ops.append(GateOp(kind, qubits, params))
-    return Circuit(n, tuple(ops))
-
-
 @pytest.fixture(scope="module")
 def corpus():
     rng = random.Random(CORPUS_SEED)
     entries = []
     for _ in range(CORPUS_SIZE):
         n = rng.randint(3, 12)
-        circuit = _random_circuit(rng, n, rng.randint(1, MAX_GATES))
+        circuit = random_circuit(rng, n, rng.randint(1, MAX_GATES))
         entries.append((circuit, build_dag(circuit), simulate_flat(circuit)))
     return entries
 
@@ -313,8 +300,8 @@ def test_criterion_6_numerical_hygiene(hier_sweep, dist_sweep):
         ) + 0j
         raw /= np.linalg.norm(raw)
         sv = StateVector(n, raw.copy())
-        apply_gate(sv, op)
-        apply_gate(sv, dag_op)
+        apply_op(sv.data, sv.num_qubits, op)
+        apply_op(sv.data, sv.num_qubits, dag_op)
         worst_restore = max(
             worst_restore, float(np.max(np.abs(sv.data - raw)))
         )
@@ -342,7 +329,7 @@ def test_criterion_7_stride_and_tiling():
         theta = 0.3 + i
         op = GateOp(GateKind.RY, (i,), (theta,))
         sv = StateVector(n, data.copy())
-        apply_gate(sv, op)
+        apply_op(sv.data, sv.num_qubits, op)
         u = gate_matrix(GateKind.RY, (theta,))
         stride = 1 << i
         expect = np.empty_like(data)

@@ -79,6 +79,26 @@ def test_verification_failure_is_exit_three(capsys, monkeypatch):
     assert "delta" in err
 
 
+def test_nan_amplitude_fails_verification(capsys, monkeypatch):
+    # every comparison with NaN is False, so "not below the tolerance"
+    # must be how a delta fails
+    import hisim.cli as cli_mod
+
+    real = cli_mod.execute_hierarchical
+
+    def corrupted(circuit, partition, **kwargs):
+        state, trace = real(circuit, partition, **kwargs)
+        state.data[0] = np.nan
+        return state, trace
+
+    monkeypatch.setattr(cli_mod, "execute_hierarchical", corrupted)
+    code, _, err = run_cli(
+        capsys, "run", "bv_6", "--mode", "hierarchical", "--verify"
+    )
+    assert code == 3
+    assert "nan" in err
+
+
 # --- run reports ------------------------------------------------------------
 
 REPORT_SCHEMA = {

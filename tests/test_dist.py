@@ -6,9 +6,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import math
 import random
 import tracemalloc
+import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -35,23 +35,9 @@ from hisim.partition import (
     partition_multilevel,
     partition_nat,
 )
-from hisim.qasm import Circuit, GateKind, GateOp
 from hisim.statevec import StateVector, simulate_flat, state_bytes
 
-
-def _random_circuit(seed, n, num_ops):
-    rng = random.Random(seed)
-    ops = []
-    for _ in range(num_ops):
-        kind = rng.choice(list(GateKind))
-        if kind.arity > n:
-            kind = GateKind.CX if n >= 2 else GateKind.H
-        qubits = tuple(rng.sample(range(n), kind.arity))
-        params = tuple(
-            rng.uniform(-math.pi, math.pi) for _ in range(kind.num_params)
-        )
-        ops.append(GateOp(kind, qubits, params))
-    return Circuit(n, tuple(ops))
+from random_circuits import random_circuit
 
 
 def _all_layouts(n, p):
@@ -407,6 +393,32 @@ def test_layout_switch_peaks_at_most_twice_the_state():
     assert peak <= 2 * state_bytes(n)
 
 
+def test_start_state_is_released_before_the_first_part(monkeypatch):
+    """Only the rank buffers hold the state while parts run: the start
+    state is dropped once it is distributed."""
+    import hisim.dist as dist_mod
+
+    real_start, real_run = dist_mod._start_state, dist_mod.run_part
+    starts = []
+    alive_at_part = []
+
+    def start_state(*args):
+        state = real_start(*args)
+        starts.append(weakref.ref(state.data))
+        return state
+
+    def run_part(data, exe):
+        alive_at_part.append(starts[0]() is not None)
+        real_run(data, exe)
+
+    monkeypatch.setattr(dist_mod, "_start_state", start_state)
+    monkeypatch.setattr(dist_mod, "run_part", run_part)
+    circuit = bench.build("bv_6")
+    run = simulate_distributed(circuit, partition_dfs(build_dag(circuit), 4), 1)
+    assert alive_at_part and not any(alive_at_part)
+    assert np.max(np.abs(run.state.data - simulate_flat(circuit).data)) < 1e-12
+
+
 # --- end-to-end distributed simulation --------------------------------------
 
 
@@ -415,7 +427,7 @@ def test_layout_switch_peaks_at_most_twice_the_state():
 def test_distributed_matches_flat(p, seed):
     rng = random.Random(seed * 17 + p)
     n = rng.randint(max(3, p), 9)
-    circuit = _random_circuit(seed * 7 + p, n, rng.randint(5, 50))
+    circuit = random_circuit(random.Random(seed * 7 + p), n, rng.randint(5, 50))
     widest = max((len(o.qubits) for o in circuit.ops), default=1)
     hi = n - p
     if hi < max(2, widest):

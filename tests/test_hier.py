@@ -4,7 +4,6 @@ with the plain single-pass simulator."""
 from __future__ import annotations
 
 import json
-import math
 import random
 
 import numpy as np
@@ -34,20 +33,7 @@ from hisim.partition import (
 from hisim.qasm import Circuit, GateKind, GateOp
 from hisim.statevec import StateVector, apply_op, simulate_flat, zero_state
 
-
-def _random_circuit(seed, n, num_ops):
-    rng = random.Random(seed)
-    ops = []
-    for _ in range(num_ops):
-        kind = rng.choice(list(GateKind))
-        if kind.arity > n:
-            kind = GateKind.CX if n >= 2 else GateKind.H
-        qubits = tuple(rng.sample(range(n), kind.arity))
-        params = tuple(
-            rng.uniform(-math.pi, math.pi) for _ in range(kind.num_params)
-        )
-        ops.append(GateOp(kind, qubits, params))
-    return Circuit(n, tuple(ops))
+from random_circuits import random_circuit
 
 
 # --- single-assignment oracle -----------------------------------------------
@@ -186,7 +172,7 @@ def test_run_part_matches_single_assignment_passes(seed):
     gather/execute/scatter per free-qubit assignment."""
     rng = random.Random(seed + 40)
     n = rng.randint(4, 8)
-    circuit = _random_circuit(seed + 900, n, rng.randint(10, 40))
+    circuit = random_circuit(random.Random(seed + 900), n, rng.randint(10, 40))
     widest = max(len(o.qubits) for o in circuit.ops)
     l1 = rng.randint(max(2, widest), n - 1)
     l2 = rng.randint(max(2, widest), l1)
@@ -245,7 +231,7 @@ def test_random_circuits_match_flat(strategy, seed):
     fns = {"nat": partition_nat, "dfs": partition_dfs, "dagp": partition_dagp}
     rng = random.Random(seed * 31 + 7)
     n = rng.randint(3, 9)
-    circuit = _random_circuit(seed, n, rng.randint(5, 60))
+    circuit = random_circuit(random.Random(seed), n, rng.randint(5, 60))
     limit = rng.randint(max(2, max((len(o.qubits) for o in circuit.ops), default=1)), n)
     partition = fns[strategy](build_dag(circuit), limit)
     err = _check(circuit, partition, execute_hierarchical)
@@ -272,7 +258,7 @@ def test_single_part_covering_everything_equals_flat():
 
 
 def test_initial_state_is_respected():
-    circuit = _random_circuit(3, 5, 30)
+    circuit = random_circuit(random.Random(3), 5, 30)
     rng = np.random.default_rng(8)
     raw = rng.normal(size=32) + 1j * rng.normal(size=32)
     raw /= np.linalg.norm(raw)
@@ -281,10 +267,8 @@ def test_initial_state_is_respected():
     got = execute_hierarchical(circuit, partition, initial=init)
     expect = raw.copy()
     sv = StateVector(5, expect)
-    from hisim.statevec import apply_gate
-
     for op in circuit.ops:
-        apply_gate(sv, op)
+        apply_op(sv.data, sv.num_qubits, op)
     assert np.max(np.abs(got.data - sv.data)) < 1e-12
     # The caller's buffer must not be modified.
     np.testing.assert_array_equal(init.data, raw)
@@ -345,7 +329,7 @@ def test_multilevel_matches_flat(name, l1, l2):
 def test_multilevel_random_circuits_match_flat(seed):
     rng = random.Random(seed + 100)
     n = rng.randint(4, 9)
-    circuit = _random_circuit(seed + 500, n, rng.randint(10, 60))
+    circuit = random_circuit(random.Random(seed + 500), n, rng.randint(10, 60))
     widest = max((len(o.qubits) for o in circuit.ops), default=1)
     l1 = rng.randint(max(2, widest), n)
     l2 = rng.randint(max(2, widest), l1)
@@ -400,5 +384,13 @@ def test_verify_against_flat_rejects_corrupted_state():
     circuit = bench.build("cat_state_6")
     state = simulate_flat(circuit)
     state.data[0] += 1e-6
+    with pytest.raises(VerificationError):
+        verify_against_flat(circuit, state)
+
+
+def test_verify_against_flat_rejects_nan():
+    circuit = bench.build("cat_state_6")
+    state = simulate_flat(circuit)
+    state.data[0] = np.nan
     with pytest.raises(VerificationError):
         verify_against_flat(circuit, state)

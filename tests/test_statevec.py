@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from hisim.errors import QubitCountOutOfRangeError
 from hisim.qasm import Circuit, GateKind, GateOp
 from hisim.statevec import (
     StateVector,
-    apply_gate,
     apply_op,
     gate_matrix,
     load_state,
@@ -23,6 +24,8 @@ from hisim.statevec import (
     state_bytes,
     zero_state,
 )
+
+from random_circuits import random_circuit, random_params
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -125,7 +128,7 @@ def test_single_gate_touches_stride_pairs():
     for i in range(n):
         data = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         sv = StateVector(n, data.copy())
-        apply_gate(sv, GateOp(GateKind.RZ, (i,), (0.9,)))
+        apply_op(sv.data, sv.num_qubits, GateOp(GateKind.RZ, (i,), (0.9,)))
         # rz is diagonal so amplitudes move only by phase; check the phase
         # depends only on bit i.
         ratio = sv.data / data
@@ -141,66 +144,95 @@ def test_x_gate_swaps_stride_partners():
     for i in range(n):
         data = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         sv = StateVector(n, data.copy())
-        apply_gate(sv, GateOp(GateKind.X, (i,), ()))
+        apply_op(sv.data, sv.num_qubits, GateOp(GateKind.X, (i,), ()))
         np.testing.assert_array_equal(
             sv.data, data[np.arange(1 << n) ^ (1 << i)]
         )
 
 
-def _kron_oracle(circuit: Circuit) -> np.ndarray:
-    """Reference simulation: promote every gate to a full 2**n matrix.
+def _full_operator(op: GateOp, n: int) -> np.ndarray:
+    """The gate promoted to a full 2**n matrix, independent of the kernel
+    code path; scales only to small n."""
+    u = gate_matrix(op.kind, op.params)
+    k = len(op.qubits)
+    full = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+    for col in range(1 << n):
+        sub_in = 0
+        for j, q in enumerate(op.qubits):
+            sub_in |= ((col >> q) & 1) << (k - 1 - j)
+        for sub_out in range(1 << k):
+            row = col
+            for j, q in enumerate(op.qubits):
+                row &= ~(1 << q)
+                row |= ((sub_out >> (k - 1 - j)) & 1) << q
+            full[row, col] += u[sub_out, sub_in]
+    return full
 
-    Independent of the kernel code path; scales only to small n.
-    """
+
+def _kron_oracle(circuit: Circuit) -> np.ndarray:
+    """Reference simulation: promote every gate to a full 2**n matrix."""
     n = circuit.num_qubits
     state = np.zeros(1 << n, dtype=np.complex128)
     state[0] = 1.0
     for op in circuit.ops:
-        u = gate_matrix(op.kind, op.params)
-        k = len(op.qubits)
-        full = np.zeros((1 << n, 1 << n), dtype=np.complex128)
-        for col in range(1 << n):
-            sub_in = 0
-            for j, q in enumerate(op.qubits):
-                sub_in |= ((col >> q) & 1) << (k - 1 - j)
-            for sub_out in range(1 << k):
-                row = col
-                for j, q in enumerate(op.qubits):
-                    row &= ~(1 << q)
-                    row |= ((sub_out >> (k - 1 - j)) & 1) << q
-                full[row, col] += u[sub_out, sub_in]
-        state = full @ state
+        state = _full_operator(op, n) @ state
     return state
-
-
-def _random_circuit(seed: int, n: int, num_ops: int) -> Circuit:
-    rng = random.Random(seed)
-    ops = []
-    for _ in range(num_ops):
-        kind = rng.choice(list(GateKind))
-        if kind.arity > n:
-            kind = GateKind.H
-        qubits = tuple(rng.sample(range(n), kind.arity))
-        params = tuple(
-            rng.uniform(-math.pi, math.pi) for _ in range(kind.num_params)
-        )
-        ops.append(GateOp(kind, qubits, params))
-    return Circuit(n, tuple(ops))
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_simulate_flat_matches_dense_matrix_oracle(seed):
     n = 3 + seed % 3
-    circuit = _random_circuit(seed, n, 12)
+    circuit = random_circuit(random.Random(seed), n, 12)
     got = simulate_flat(circuit)
     expect = _kron_oracle(circuit)
     assert np.max(np.abs(got.data - expect)) < 1e-12
 
 
+
+@pytest.mark.parametrize("kind", list(GateKind))
+def test_every_operand_order_matches_dense_operator(kind):
+    """Each kind, at every ordered operand tuple on a 4-qubit block, acts as
+    its full 16x16 operator, on one vector and on a leading batch axis."""
+    n = 4
+    rng = random.Random(kind.value)
+    draw = np.random.default_rng(21)
+    batch = draw.normal(size=(3, 1 << n)) + 1j * draw.normal(size=(3, 1 << n))
+    for qubits in itertools.permutations(range(n), kind.arity):
+        op = GateOp(kind, qubits, random_params(rng, kind))
+        full = _full_operator(op, n)
+        one = batch[0].copy()
+        apply_op(one, n, op)
+        assert np.max(np.abs(one - full @ batch[0])) < 1e-12
+        many = batch.copy()
+        apply_op(many, n, op)
+        assert np.max(np.abs(many - batch @ full.T)) < 1e-12
+
+
+def test_dense_gate_temporaries_stay_within_one_state():
+    """A dense 2x2 on a full state saves one half of it and builds one
+    half-sized product: at most the state's size in temporaries.
+
+    Only the lowest and highest targets are checked: between them the
+    halves are multi-axis strided views, and numpy's buffered iteration
+    adds its own fixed-size buffers (2 x 8192 amplitudes), which do not
+    grow with the state but are a quarter of it at n = 16.
+    """
+    n = 16
+    data = np.full(1 << n, 2 ** (-n / 2), dtype=np.complex128)
+    for t in (0, n - 1):
+        tracemalloc.start()
+        try:
+            apply_op(data, n, GateOp(GateKind.H, (t,), ()))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * state_bytes(n)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_norm_is_conserved(seed):
-    circuit = _random_circuit(seed, 4, 20)
+    circuit = random_circuit(random.Random(seed), 4, 20)
     sv = simulate_flat(circuit)
     assert abs(sv.norm() - 1.0) < 1e-12
 
@@ -236,8 +268,8 @@ def test_gate_then_dagger_restores_state(kind):
     data = np.random.default_rng(3).normal(size=1 << n) + 0j
     data /= np.linalg.norm(data)
     sv = StateVector(n, data.copy())
-    apply_gate(sv, op)
-    apply_gate(sv, _dagger(op))
+    apply_op(sv.data, sv.num_qubits, op)
+    apply_op(sv.data, sv.num_qubits, _dagger(op))
     assert np.max(np.abs(sv.data - data)) < 1e-12
 
 
@@ -296,7 +328,7 @@ def test_cap_can_be_lowered():
 
 
 def test_save_load_round_trip(tmp_path):
-    circuit = _random_circuit(99, 5, 25)
+    circuit = random_circuit(random.Random(99), 5, 25)
     sv = simulate_flat(circuit)
     path = tmp_path / "state.npz"
     save_state(sv, path)
