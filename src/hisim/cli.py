@@ -184,10 +184,12 @@ def cmd_partition(args) -> int:
 # --- run --------------------------------------------------------------------
 
 def _probabilities(data: np.ndarray, num_qubits: int) -> dict[str, float] | None:
-    """Largest basis-state probabilities, qubit n-1 leftmost; small n only."""
+    """Largest finite basis-state probabilities, qubit n-1 leftmost; small
+    n only."""
     if num_qubits > VERIFY_MAX_QUBITS:
         return None
     probs = np.abs(data) ** 2
+    probs[~np.isfinite(probs)] = 0.0  # JSON has no NaN or Infinity
     order = np.argsort(probs)[::-1][:64]
     out = {}
     for idx in order:
@@ -283,7 +285,10 @@ def cmd_run(args) -> int:
         "num_parts": len(parts) if parts is not None else None,
         "parts": parts,
         "wall_time_s": round(wall, 6),
-        "max_abs_delta": max_delta,
+        # JSON has no NaN: a non-finite delta is written as null
+        "max_abs_delta": (
+            max_delta if max_delta is None or math.isfinite(max_delta) else None
+        ),
         "comm": comm.to_json() if comm is not None else None,
         "probabilities": _probabilities(state.data, n),
     }

@@ -11,7 +11,9 @@ once, with offset bits standing in for qubits. Between parts the layout
 changes and amplitudes move. The move is one permutation of the index
 bits, applied as an axis transpose; its communication counts follow in
 closed form from the same permutation, and every remote amplitude is
-charged 16 bytes (one complex128).
+charged 16 bytes (one complex128). The per-switch numbers live on
+``CommStats.switches``, one ``SwitchStats`` per switch, derived from the
+plan in one pass.
 
 All ranks are emulated in one process as rows of a single array, which
 makes the accounting exact and the final state directly comparable with
@@ -20,7 +22,6 @@ the flat reference.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -36,7 +37,6 @@ from .statevec import StateVector, _permute_bits
 
 __all__ = [
     "RankLayout",
-    "default_layout",
     "choose_layout",
     "RedistributionPlan",
     "plan_redistribution",
@@ -94,44 +94,6 @@ class RankLayout:
         ``rank * 2**l + offset``, fastest first."""
         return self.local + self.process
 
-    def is_local(self, q: int) -> bool:
-        i = bisect_left(self.local, q)
-        return i < len(self.local) and self.local[i] == q
-
-    def offset_bit_of(self, q: int) -> int:
-        i = bisect_left(self.local, q)
-        if i == len(self.local) or self.local[i] != q:
-            raise KeyError(f"qubit {q} is not local in this layout")
-        return i
-
-    def rank_bit_of(self, q: int) -> int:
-        i = bisect_left(self.process, q)
-        if i == len(self.process) or self.process[i] != q:
-            raise KeyError(f"qubit {q} is not a rank bit in this layout")
-        return i
-
-    def address_of(self, global_index: int) -> tuple[int, int]:
-        """(rank, offset) of one global amplitude index."""
-        off = 0
-        for j, q in enumerate(self.local):
-            off |= ((global_index >> q) & 1) << j
-        rank = 0
-        for k, q in enumerate(self.process):
-            rank |= ((global_index >> q) & 1) << k
-        return rank, off
-
-
-def default_layout(num_qubits: int, num_rank_bits: int) -> RankLayout:
-    """Lowest qubits local, highest qubits as rank bits."""
-    if not 0 <= num_rank_bits <= num_qubits:
-        raise ValueError(
-            f"rank bits {num_rank_bits} outside 0..{num_qubits}"
-        )
-    cut = num_qubits - num_rank_bits
-    return RankLayout(
-        num_qubits, tuple(range(cut)), tuple(range(cut, num_qubits))
-    )
-
 
 def choose_layout(
     num_qubits: int, num_rank_bits: int, part: Part
@@ -142,6 +104,8 @@ def choose_layout(
     up to ``num_qubits - num_rank_bits`` locals; everything else becomes a
     rank bit.
     """
+    if not 0 <= num_rank_bits <= num_qubits:
+        raise ValueError(f"rank bits {num_rank_bits} outside 0..{num_qubits}")
     l = num_qubits - num_rank_bits
     if part.working_set > l:
         raise PartTooWideForLayoutError(
@@ -179,12 +143,11 @@ class RedistributionPlan:
     A layout stores the amplitude with global index ``g`` at flat position
     ``rank * 2**l + offset``, whose bit ``i`` is the qubit
     ``storage_order[i]`` of ``g``. A switch is therefore the bit permutation
-    ``sigma`` between the old and new storage orders, and every number
-    below follows from it in closed form. A run is a maximal stretch of
+    ``sigma`` between the old and new storage orders, and its run count
+    follows from it in closed form. A run is a maximal stretch of
     consecutive source positions on one source rank that lands on one
-    destination rank at consecutive offsets. Amplitudes that stay on their
-    rank are resident and cost nothing; every other amplitude is charged
-    ``BYTES_PER_AMPLITUDE``.
+    destination rank at consecutive offsets. The switch's other numbers
+    are ``SwitchStats.from_plan``'s.
     """
 
     old: RankLayout
@@ -210,62 +173,6 @@ class RedistributionPlan:
                 runs += 1 << (n - t - 1)
             lower += 1 << j
         return runs
-
-    def _rank_pairs(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """Source and destination rank of each assignment of the qubits
-        that are rank bits in either layout, and the amplitudes each
-        assignment stands for."""
-        union = sorted(set(self.old.process) | set(self.new.process))
-        a = np.arange(1 << len(union), dtype=np.int64)
-        bit_of = {q: i for i, q in enumerate(union)}
-
-        def rank(layout: RankLayout) -> np.ndarray:
-            r = np.zeros_like(a)
-            for k, q in enumerate(layout.process):
-                r |= ((a >> bit_of[q]) & 1) << k
-            return r
-
-        weight = 1 << (self.old.num_qubits - len(union))
-        return rank(self.old), rank(self.new), weight
-
-    @property
-    def remote_amplitudes(self) -> int:
-        src, dst, weight = self._rank_pairs()
-        return weight * int(np.count_nonzero(src != dst))
-
-    @property
-    def resident_amplitudes(self) -> int:
-        return (1 << self.old.num_qubits) - self.remote_amplitudes
-
-    @property
-    def total_bytes(self) -> int:
-        return BYTES_PER_AMPLITUDE * self.remote_amplitudes
-
-    @property
-    def messages(self) -> int:
-        """Distinct remote (src, dst) rank pairs; one message carries all
-        the runs of a pair."""
-        src, dst, _ = self._rank_pairs()
-        remote = src != dst
-        pairs = src[remote] * np.int64(self.old.num_ranks) + dst[remote]
-        return len(np.unique(pairs))
-
-    def sent_bytes_by_rank(self) -> dict[int, int]:
-        src, dst, weight = self._rank_pairs()
-        return self._remote_bytes(src, src != dst, weight)
-
-    def received_bytes_by_rank(self) -> dict[int, int]:
-        src, dst, weight = self._rank_pairs()
-        return self._remote_bytes(dst, src != dst, weight)
-
-    def _remote_bytes(
-        self, ranks: np.ndarray, remote: np.ndarray, weight: int
-    ) -> dict[int, int]:
-        counts = np.bincount(ranks[remote], minlength=self.old.num_ranks)
-        return {
-            r: BYTES_PER_AMPLITUDE * weight * int(c)
-            for r, c in enumerate(counts) if c
-        }
 
     def apply(self, buffers: np.ndarray) -> np.ndarray:
         """Rearrange ``(num_ranks, 2**l)`` buffers into the new layout."""
@@ -309,15 +216,47 @@ class SwitchStats:
 
     @staticmethod
     def from_plan(to_part: int, plan: RedistributionPlan) -> "SwitchStats":
+        """Every count from one pass over the rank pairs.
+
+        Only the qubits that are rank bits in either layout decide where an
+        amplitude goes, so each assignment of them stands for
+        ``2**(n - len(union))`` amplitudes with one source and one
+        destination rank. The assignment is spelled by that rank pair, so
+        distinct assignments are distinct pairs, and one message carries
+        all the runs of a remote pair. Amplitudes that stay on their rank
+        are resident; every other one is charged ``BYTES_PER_AMPLITUDE``.
+        """
+        old, new = plan.old, plan.new
+        n = old.num_qubits
+        union = sorted(set(old.process) | set(new.process))
+        a = np.arange(1 << len(union), dtype=np.int64)
+        bit_of = {q: i for i, q in enumerate(union)}
+
+        def rank(layout: RankLayout) -> np.ndarray:
+            r = np.zeros_like(a)
+            for k, q in enumerate(layout.process):
+                r |= ((a >> bit_of[q]) & 1) << k
+            return r
+
+        src, dst = rank(old), rank(new)
+        remote = src != dst
+        weight = BYTES_PER_AMPLITUDE << (n - len(union))
+
+        def by_rank(ranks: np.ndarray) -> dict[int, int]:
+            counts = np.bincount(ranks[remote], minlength=old.num_ranks)
+            return {r: weight * int(c) for r, c in enumerate(counts) if c}
+
+        messages = int(np.count_nonzero(remote))
+        bytes_remote = weight * messages
         return SwitchStats(
             from_part=to_part - 1,
             to_part=to_part,
             num_runs=plan.num_runs,
-            messages=plan.messages,
-            bytes_remote=plan.total_bytes,
-            bytes_resident=BYTES_PER_AMPLITUDE * plan.resident_amplitudes,
-            sent_bytes=plan.sent_bytes_by_rank(),
-            received_bytes=plan.received_bytes_by_rank(),
+            messages=messages,
+            bytes_remote=bytes_remote,
+            bytes_resident=(BYTES_PER_AMPLITUDE << n) - bytes_remote,
+            sent_bytes=by_rank(src),
+            received_bytes=by_rank(dst),
         )
 
 
@@ -438,8 +377,6 @@ def simulate_distributed(
     extra communication.
     """
     n = circuit.num_qubits
-    if not 0 <= num_rank_bits <= n:
-        raise ValueError(f"rank bits {num_rank_bits} outside 0..{n}")
     parts = level1_parts(circuit, partition)
     if not parts:
         raise ValueError("partition has no parts")
@@ -453,7 +390,7 @@ def simulate_distributed(
     stats = CommStats(n, num_rank_bits, len(parts))
     layouts: list[RankLayout] = []
     for i, part in enumerate(parts):
-        if not all(layout.is_local(q) for q in part.qubits):
+        if not set(part.qubits) <= set(layout.local):
             new_layout = choose_layout(n, num_rank_bits, part)
             plan = plan_redistribution(layout, new_layout)
             buffers = plan.apply(buffers)

@@ -79,7 +79,16 @@ def test_verification_failure_is_exit_three(capsys, monkeypatch):
     assert "delta" in err
 
 
-def test_nan_amplitude_fails_verification(capsys, monkeypatch):
+def _strict_json(text):
+    """Parse JSON, refusing the ``NaN``/``Infinity`` tokens that Python's
+    encoder writes but JSON does not have."""
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_nan_amplitude_fails_verification(capsys, monkeypatch, tmp_path):
     # every comparison with NaN is False, so "not below the tolerance"
     # must be how a delta fails
     import hisim.cli as cli_mod
@@ -92,11 +101,19 @@ def test_nan_amplitude_fails_verification(capsys, monkeypatch):
         return state, trace
 
     monkeypatch.setattr(cli_mod, "execute_hierarchical", corrupted)
-    code, _, err = run_cli(
-        capsys, "run", "bv_6", "--mode", "hierarchical", "--verify"
-    )
+    argv = ("run", "bv_6", "--mode", "hierarchical", "--verify")
+    code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert "nan" in err
+    path = tmp_path / "r.json"
+    code, _, err = run_cli(capsys, *argv, "--report", str(path))
+    assert code == 3
+    assert "nan" in err
+    # both reports are strict JSON: the NaN delta is null and the NaN
+    # probability is left out
+    for report in (_strict_json(out), _strict_json(path.read_text())):
+        assert report["max_abs_delta"] is None
+        assert report["probabilities"] == {"011111": 0.5, "111111": 0.5}
 
 
 # --- run reports ------------------------------------------------------------

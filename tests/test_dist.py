@@ -4,6 +4,7 @@ and communication accounting."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import random
@@ -20,8 +21,8 @@ from hisim.dist import (
     BYTES_PER_AMPLITUDE,
     CommStats,
     RankLayout,
+    SwitchStats,
     choose_layout,
-    default_layout,
     distribute_state,
     assemble_state,
     plan_redistribution,
@@ -118,8 +119,8 @@ def _oracle_numbers(old, new):
     return {
         "num_runs": len(runs),
         "messages": len({(r.src_rank, r.dst_rank) for r in remote}),
-        "remote_amplitudes": sum(r.length for r in remote),
-        "resident_amplitudes": sum(
+        "bytes_remote": BYTES_PER_AMPLITUDE * sum(r.length for r in remote),
+        "bytes_resident": BYTES_PER_AMPLITUDE * sum(
             r.length for r in runs if r.src_rank == r.dst_rank
         ),
         "sent": {k: b for k, b in enumerate(sent) if b},
@@ -127,26 +128,30 @@ def _oracle_numbers(old, new):
     }
 
 
-def _plan_numbers(plan):
+def _switch(old, new):
+    return SwitchStats.from_plan(1, plan_redistribution(old, new))
+
+
+def _switch_numbers(sw):
     return {
-        "num_runs": plan.num_runs,
-        "messages": plan.messages,
-        "remote_amplitudes": plan.remote_amplitudes,
-        "resident_amplitudes": plan.resident_amplitudes,
-        "sent": plan.sent_bytes_by_rank(),
-        "received": plan.received_bytes_by_rank(),
+        "num_runs": sw.num_runs,
+        "messages": sw.messages,
+        "bytes_remote": sw.bytes_remote,
+        "bytes_resident": sw.bytes_resident,
+        "sent": sw.sent_bytes,
+        "received": sw.received_bytes,
     }
 
 
 # --- layouts ----------------------------------------------------------------
 
 
-def test_default_layout_keeps_low_qubits_local():
-    lay = default_layout(4, 2)
-    assert lay.local == (0, 1)
-    assert lay.process == (2, 3)
+def test_layout_counts_and_storage_order():
+    lay = RankLayout(4, (1, 3), (0, 2))
+    assert lay.num_rank_bits == 2
     assert lay.num_ranks == 4
     assert lay.num_local_qubits == 2
+    assert lay.storage_order == (1, 3, 0, 2)
 
 
 def test_layout_validates_its_partition():
@@ -162,14 +167,11 @@ def test_layout_addressing():
     lay = RankLayout(4, (0, 2), (1, 3))
     # Qubit 0 -> offset bit 0, qubit 2 -> offset bit 1;
     # qubit 1 -> rank bit 0, qubit 3 -> rank bit 1.
-    assert lay.is_local(0) and lay.is_local(2)
-    assert not lay.is_local(1)
-    assert lay.offset_bit_of(2) == 1
-    assert lay.rank_bit_of(3) == 1
+    pos = _layout_positions(lay)
     # Global index 0b1010 has qubit 1 = 1 and qubit 3 = 1 -> rank 3;
     # local bits are qubit 0 = 0, qubit 2 = 0 -> offset 0.
-    assert lay.address_of(0b1010) == (3, 0)
-    assert lay.address_of(0b0101) == (0, 3)
+    assert pos[0b1010] == (3 << 2) | 0
+    assert pos[0b0101] == (0 << 2) | 3
 
 
 def test_choose_layout_centers_on_part_qubits():
@@ -194,16 +196,22 @@ def test_choose_layout_rejects_oversized_parts():
         choose_layout(4, 3, Part(0, (0,), (0, 1)))
 
 
+@pytest.mark.parametrize("p", [-1, 5])
+def test_choose_layout_rejects_rank_bits_out_of_range(p):
+    with pytest.raises(ValueError, match=f"rank bits {p} outside 0..4"):
+        choose_layout(4, p, Part(0, (0,), (0,)))
+
+
 def test_layout_positions_are_a_permutation():
-    """The oracle's index arrays are permutations that agree with
-    ``address_of``."""
+    """The oracle's index arrays are permutations whose bit ``i`` is the
+    qubit ``storage_order[i]`` of the global index."""
     for n, p in [(4, 2), (5, 0), (5, 5), (6, 3)]:
         for lay in _all_layouts(n, p):
             pos = _layout_positions(lay)
             assert sorted(pos.tolist()) == list(range(1 << n))
             for g in range(1 << n):
-                r, o = lay.address_of(g)
-                assert pos[g] == (r << lay.num_local_qubits) | o
+                bits = [(g >> q) & 1 for q in lay.storage_order]
+                assert pos[g] == sum(b << i for i, b in enumerate(bits))
 
 
 def test_distribute_assemble_round_trip():
@@ -217,9 +225,9 @@ def test_distribute_assemble_round_trip():
     np.testing.assert_array_equal(back.data, data)
     # Rank r, offset o holds the amplitude whose global index sets the
     # process qubits to the bits of r and local qubits to the bits of o.
+    pos = _layout_positions(lay)
     for g in range(16):
-        r, o = lay.address_of(g)
-        assert buffers[r, o] == data[g]
+        assert buffers[pos[g] >> 2, pos[g] & 3] == data[g]
 
 
 # --- redistribution plans ---------------------------------------------------
@@ -227,12 +235,12 @@ def test_distribute_assemble_round_trip():
 
 def _enumerate_transfers(old, new):
     """Element-wise oracle: where does each amplitude sit before and after."""
-    moves = []
-    for g in range(1 << old.num_qubits):
-        sr, so = old.address_of(g)
-        dr, do = new.address_of(g)
-        moves.append((sr, so, dr, do))
-    return moves
+    l = old.num_local_qubits
+    mask = (1 << l) - 1
+    return [
+        (int(s >> l), int(s & mask), int(d >> l), int(d & mask))
+        for s, d in zip(_layout_positions(old), _layout_positions(new))
+    ]
 
 
 def test_plan_covers_every_amplitude_exactly_once():
@@ -265,10 +273,11 @@ def test_plan_matches_elementwise_enumeration():
 def test_plan_between_identical_layouts_is_all_resident():
     lay = RankLayout(5, (0, 1, 2), (3, 4))
     plan = plan_redistribution(lay, lay)
-    assert plan.remote_amplitudes == 0
-    assert plan.resident_amplitudes == 32
-    assert plan.messages == 0
-    assert plan.total_bytes == 0
+    sw = SwitchStats.from_plan(1, plan)
+    assert sw.bytes_remote == 0
+    assert sw.bytes_resident == 32 * BYTES_PER_AMPLITUDE
+    assert sw.messages == 0
+    assert sw.sent_bytes == sw.received_bytes == {}
     # even the identity permutation hands back a fresh buffer
     buffers = np.arange(32, dtype=complex).reshape(4, 8)
     moved = plan.apply(buffers)
@@ -306,14 +315,11 @@ def test_plan_apply_permutes_buffers_correctly():
 def test_plan_volume_accounting():
     old = RankLayout(4, (0, 1), (2, 3))
     new = RankLayout(4, (2, 3), (0, 1))
-    plan = plan_redistribution(old, new)
-    assert plan.remote_amplitudes + plan.resident_amplitudes == 16
-    assert plan.total_bytes == plan.remote_amplitudes * BYTES_PER_AMPLITUDE
-    assert plan.total_bytes <= 16 * BYTES_PER_AMPLITUDE
-    sent = plan.sent_bytes_by_rank()
-    received = plan.received_bytes_by_rank()
-    assert sum(sent.values()) == plan.total_bytes
-    assert sum(received.values()) == plan.total_bytes
+    sw = _switch(old, new)
+    assert sw.bytes_remote + sw.bytes_resident == 16 * BYTES_PER_AMPLITUDE
+    assert sw.bytes_remote % BYTES_PER_AMPLITUDE == 0
+    assert sum(sw.sent_bytes.values()) == sw.bytes_remote
+    assert sum(sw.received_bytes.values()) == sw.bytes_remote
 
 
 def test_full_swap_leaves_only_rank_zero_diagonal_resident():
@@ -321,7 +327,6 @@ def test_full_swap_leaves_only_rank_zero_diagonal_resident():
     lands back on itself; rank 0 keeps offset 0."""
     old = RankLayout(4, (0, 1), (2, 3))
     new = RankLayout(4, (2, 3), (0, 1))
-    plan = plan_redistribution(old, new)
     # Amplitudes stay put only when old rank bits equal new rank bits, i.e.
     # qubits (2,3) read the same value as qubits (0,1): 4 of 16 per rank pair.
     stay = [
@@ -330,24 +335,23 @@ def test_full_swap_leaves_only_rank_zero_diagonal_resident():
     assert len(stay) == 4
     resident = [run for run in _oracle_runs(old, new) if run.src_rank == run.dst_rank]
     assert sum(run.length for run in resident) == 4
-    assert plan.resident_amplitudes == 4
+    assert _switch(old, new).bytes_resident == 4 * BYTES_PER_AMPLITUDE
 
 
 def test_messages_count_distinct_rank_pairs():
     old = RankLayout(4, (0, 1), (2, 3))
     new = RankLayout(4, (2, 3), (0, 1))
-    plan = plan_redistribution(old, new)
     pairs = {
         (sr, dr) for sr, _, dr, _ in _enumerate_transfers(old, new) if sr != dr
     }
     assert _oracle_numbers(old, new)["messages"] == len(pairs)
-    assert plan.messages == len(pairs)
+    assert _switch(old, new).messages == len(pairs)
 
 
 def test_closed_form_plan_matches_elementwise_oracle():
     """Every layout pair with n <= 6 qubits and p <= 3 rank bits: the
-    closed-form counts equal the oracle's, and the transposes move data
-    exactly as the oracle's index arrays do."""
+    closed-form counts, read from ``SwitchStats``, equal the oracle's, and
+    the transposes move data exactly as the oracle's index arrays do."""
     rng = np.random.default_rng(11)
     pairs = 0
     for n in range(1, 7):
@@ -365,7 +369,8 @@ def test_closed_form_plan_matches_elementwise_oracle():
                 )
                 for new in layouts:
                     plan = plan_redistribution(old, new)
-                    assert _plan_numbers(plan) == _oracle_numbers(old, new), (
+                    sw = SwitchStats.from_plan(1, plan)
+                    assert _switch_numbers(sw) == _oracle_numbers(old, new), (
                         old, new
                     )
                     expect = np.empty_like(data)
@@ -381,7 +386,7 @@ def test_layout_switch_peaks_at_most_twice_the_state():
     n = 16
     rng = np.random.default_rng(4)
     sv = StateVector(n, rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
-    old = default_layout(n, 2)
+    old = choose_layout(n, 2, Part(0, (0,), (0, 1)))
     new = choose_layout(n, 2, Part(0, (0,), (n - 2, n - 1)))
     buffers = distribute_state(sv, old)
     tracemalloc.start()
@@ -517,7 +522,40 @@ def test_switch_stats_balance_and_layout_history():
         assert total == (1 << n) * BYTES_PER_AMPLITUDE
     # Every part must fit entirely inside its layout's local qubits.
     for part, lay in zip(partition.parts, run.layouts):
-        assert all(lay.is_local(q) for q in part.qubits)
+        assert set(part.qubits) <= set(lay.local)
+
+
+def test_comm_documents_are_pinned():
+    """SHA-256 of the comm documents of every bundled circuit of at most 16
+    qubits, at every dagp limit from its widest gate to n - p, for p = 1,
+    2 and 3, so any change to layouts or switch accounting shows up here;
+    and the qft(20) benchmark run's totals."""
+    digest = hashlib.sha256()
+    runs = 0
+    for name in bench.available():
+        circuit = bench.build(name)
+        if circuit.num_qubits > 16:
+            continue
+        dag = build_dag(circuit)
+        widest = max(len(op.qubits) for op in circuit.ops)
+        for p in (1, 2, 3):
+            for limit in range(widest, circuit.num_qubits - p + 1):
+                run = simulate_distributed(circuit, partition_dagp(dag, limit), p)
+                digest.update((json.dumps(run.stats.to_json()) + "\n").encode())
+                runs += 1
+    assert runs == 231
+    assert digest.hexdigest() == (
+        "ba9b74c410649a3d94a3eeb1a86b0ff997082d49169771c8b7c603ad43e644b0"
+    )
+
+    circuit = bench.qft(20)
+    stats = simulate_distributed(
+        circuit, partition_dagp(build_dag(circuit), 14), 2
+    ).stats
+    assert stats.total_bytes == 37_748_736
+    assert stats.total_messages == 36
+    assert stats.num_switches == 3
+    assert sum(s.num_runs for s in stats.switches) == 131_328
 
 
 def test_comm_stats_json_schema():
