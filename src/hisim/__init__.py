@@ -7,7 +7,7 @@ hierarchically (:mod:`hisim.hier`), or across emulated ranks
 (:mod:`hisim.dist`).
 """
 
-from .dag import GateDag, build_dag, working_set
+from .dag import GateDag, build_dag
 from .dist import (
     CommStats,
     DistributedRun,
@@ -53,7 +53,6 @@ __all__ = [
     "validate",
     "GateDag",
     "build_dag",
-    "working_set",
     "StateVector",
     "gate_matrix",
     "simulate_flat",

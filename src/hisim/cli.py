@@ -73,6 +73,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _int_from(low: int):
+    """argparse type: an int of at least ``low``, so a flag out of range is
+    a usage error like any other bad flag."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
 # --- shared helpers ---------------------------------------------------------
 
 def _load_circuit(spec: str) -> tuple[str, Circuit]:
@@ -398,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l1", type=int, help="level-1 limit (multilevel)")
     p.add_argument("--l2", type=int, help="level-2 limit (multilevel)")
     p.add_argument("--seed", type=int, default=0, help="dfs shuffle seed")
-    p.add_argument("--trials", type=int, default=16, help="dfs restarts")
+    p.add_argument("--trials", type=_int_from(1), default=16,
+                   help="dfs restarts")
     p.add_argument("--out", help="write partition JSON here instead of stdout")
     p.add_argument("--dag", help="also export the gate DAG (.json or .dot)")
     p.set_defaults(func=cmd_partition)
@@ -411,8 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--l1", type=int, help="level-1 limit (multilevel)")
     r.add_argument("--l2", type=int, help="level-2 limit (multilevel)")
     r.add_argument("--seed", type=int, default=0, help="dfs shuffle seed")
-    r.add_argument("--trials", type=int, default=16, help="dfs restarts")
-    r.add_argument("--p", type=int, default=1,
+    r.add_argument("--trials", type=_int_from(1), default=16,
+                   help="dfs restarts")
+    r.add_argument("--p", type=_int_from(0), default=1,
                    help="rank bits for distributed mode (2**p ranks)")
     r.add_argument("--partition", help="run a partition loaded from JSON")
     r.add_argument("--verify", action="store_true",

@@ -4,6 +4,9 @@ Each qubit contributes an artificial Entry and Exit node; gates on the same
 qubit are chained between them, one edge per qubit. Node ids are dense:
 entries first (entry of qubit q has id q), then gates in program order
 (gate for op i has id num_qubits + i), then exits.
+
+Gate edges run forward in program order; ``hisim.partition`` validates a
+partition by that order over gate indices, not by node sets.
 """
 
 from __future__ import annotations
@@ -68,15 +71,6 @@ class GateDag:
     def exit_id(self, qubit: int) -> int:
         return self.num_qubits + self.num_gates + qubit
 
-    def gate_ids(self) -> range:
-        return range(self.num_qubits, self.num_qubits + self.num_gates)
-
-    def op_index_of(self, node_id: int) -> int:
-        node = self.nodes[node_id]
-        if node.kind is not NodeKind.GATE:
-            raise ValueError(f"node {node_id} is {node.kind.value}, not a gate")
-        return node.op_index
-
 
 def build_dag(circuit: Circuit) -> GateDag:
     """Build the per-qubit-chained dependency DAG of a circuit.
@@ -117,57 +111,6 @@ def build_dag(circuit: Circuit) -> GateDag:
         tuple(tuple(s) for s in succ),
         tuple(tuple(p) for p in pred),
     )
-
-
-def working_set(dag: GateDag, node_set) -> int:
-    """Number of qubits a node set needs: distinct qubits on edges entering
-    the set from outside, plus Entry nodes inside the set.
-
-    ``node_set`` may contain gate and entry ids only.
-    """
-    members = set(node_set)
-    qubits: set[int] = set()
-    entries = 0
-    for nid in members:
-        node = dag.nodes[nid]
-        if node.kind is NodeKind.EXIT:
-            raise ValueError(f"node {nid} is an exit node")
-        if node.kind is NodeKind.ENTRY:
-            entries += 1
-    for e in dag.edges:
-        if e.dst in members and e.src not in members:
-            qubits.add(e.qubit)
-    return len(qubits) + entries
-
-
-def quotient_is_acyclic(dag: GateDag, assignment) -> bool:
-    """True iff contracting each part of ``assignment`` leaves a DAG.
-
-    ``assignment`` maps every node id to a part id; self-loops produced by
-    intra-part edges are ignored.
-    """
-    part_edges: set[tuple[int, int]] = set()
-    for e in dag.edges:
-        pu, pv = assignment[e.src], assignment[e.dst]
-        if pu != pv:
-            part_edges.add((pu, pv))
-    parts = sorted({assignment[node.id] for node in dag.nodes})
-    adj: dict[int, list[int]] = {p: [] for p in parts}
-    indeg = {p: 0 for p in parts}
-    for u, v in part_edges:
-        adj[u].append(v)
-        indeg[v] += 1
-    # Kahn: the quotient is acyclic iff every part drains
-    queue = [p for p in parts if indeg[p] == 0]
-    seen = 0
-    while queue:
-        p = queue.pop()
-        seen += 1
-        for q in adj[p]:
-            indeg[q] -= 1
-            if indeg[q] == 0:
-                queue.append(q)
-    return seen == len(parts)
 
 
 def dfs_topo_order(dag: GateDag, seed: int = 0) -> list[int]:

@@ -378,10 +378,9 @@ def simulate_distributed(
     """
     n = circuit.num_qubits
     parts = level1_parts(circuit, partition)
-    if not parts:
-        raise ValueError("partition has no parts")
-
-    layout = choose_layout(n, num_rank_bits, parts[0])
+    # a gate-free circuit has no parts; it runs under one padding layout
+    first = parts[0] if parts else Part(0, (), ())
+    layout = choose_layout(n, num_rank_bits, first)
     # no reference to the start state outlives its distribution, so a run
     # holds one state copy, not two
     buffers = distribute_state(

@@ -1,8 +1,9 @@
 """Acyclic partitioning of the gate DAG under a working-set limit.
 
-A partition assigns every gate to exactly one part so that each part needs
-at most ``limit`` distinct qubits and the contracted part graph stays
-acyclic. Strategies:
+A partition lists its parts in execution order. Each part needs at most
+``limit`` distinct qubits, and every gate appears once, its part's gates
+ascending, so every dependency runs forward and the part graph is acyclic
+(``check_partition``). Strategies:
 
 - ``partition_nat``: greedy cutoff scan over program order.
 - ``partition_dfs``: the same cutoff over several randomized depth-first
@@ -21,7 +22,7 @@ import json
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from .dag import GateDag, NodeKind, build_dag, dfs_topo_order, quotient_is_acyclic
+from .dag import GateDag, NodeKind, build_dag, dfs_topo_order
 from .errors import LimitTooSmallError, PartitionError, TooLargeForOracleError
 from .qasm import Circuit, GateOp
 
@@ -44,7 +45,7 @@ class Part:
 
 @dataclass(frozen=True)
 class PartitionResult:
-    """A valid partition; ``parts`` is topologically ordered."""
+    """A valid partition; ``parts`` run in order, dependencies forward."""
 
     strategy: str
     limit: int
@@ -60,27 +61,6 @@ class PartitionResult:
         for pos, part in enumerate(self.parts):
             for g in part.gate_indices:
                 out[g] = pos
-        return out
-
-    def assignment(self, dag: GateDag) -> dict[int, int]:
-        """Extend the partition to every DAG node for quotient checks.
-
-        Entry nodes follow the first gate on their qubit and exit nodes the
-        last; qubits with no gates put both stubs in part 0.
-        """
-        part_of = self.part_of()
-        out: dict[int, int] = {}
-        first: dict[int, int] = {}
-        last: dict[int, int] = {}
-        for i, op in enumerate(dag.circuit.ops):
-            for q in op.qubits:
-                first.setdefault(q, part_of[i])
-                last[q] = part_of[i]
-        for q in range(dag.num_qubits):
-            out[dag.entry_id(q)] = first.get(q, 0)
-            out[dag.exit_id(q)] = last.get(q, 0)
-        for i in range(dag.num_gates):
-            out[dag.gate_id(i)] = part_of[i]
         return out
 
     def part_graph_edges(self, dag: GateDag) -> tuple[tuple[int, int], ...]:
@@ -169,39 +149,49 @@ def _make_result(
 
 def check_partition(dag: GateDag, result: PartitionResult) -> None:
     """Raise PartitionError unless ``result`` is a valid partition of
-    ``dag``: parts nonempty, disjoint, exhaustive, within the limit, and
-    the quotient acyclic with parts listed in topological order."""
-    seen: set[int] = set()
-    for part in result.parts:
-        if not part.gate_indices:
+    ``dag``.
+
+    Every part is nonempty, within the limit and carries exactly its gates'
+    qubits. Read in order, the parts list every gate of ``0..G-1`` once,
+    each part's gates ascending, so every gate-to-gate edge runs forward:
+    that is the order execution follows, and it makes the quotient acyclic.
+    """
+    ops = dag.circuit.ops
+    part_of = [-1] * len(ops)  # op index -> position of its part
+    for pos, part in enumerate(result.parts):
+        gates = part.gate_indices
+        if not gates:
             raise PartitionError(f"part {part.id} is empty")
+        outside = [g for g in gates if not 0 <= g < len(ops)]
+        if outside:
+            raise PartitionError(
+                f"part {part.id} holds gates {outside} outside "
+                f"0..{len(ops) - 1}"
+            )
+        if list(gates) != sorted(set(gates)):
+            raise PartitionError(f"part {part.id} gates are not ascending")
         if part.working_set > result.limit:
             raise PartitionError(
                 f"part {part.id} needs {part.working_set} qubits, "
                 f"limit {result.limit}"
             )
-        expect = sorted({q for g in part.gate_indices
-                         for q in dag.circuit.ops[g].qubits})
+        expect = sorted({q for g in gates for q in ops[g].qubits})
         if list(part.qubits) != expect:
             raise PartitionError(f"part {part.id} qubit set is stale")
-        overlap = seen.intersection(part.gate_indices)
-        if overlap:
-            raise PartitionError(f"gates {sorted(overlap)} in two parts")
-        seen.update(part.gate_indices)
-    if seen != set(range(dag.num_gates)):
-        missing = set(range(dag.num_gates)) - seen
-        raise PartitionError(f"gates {sorted(missing)} unassigned")
-    if result.parts:
-        part_of = result.part_of()
-        succ, _ = _gate_adjacency(dag)
-        for u in range(dag.num_gates):
-            for v in succ[u]:
-                if part_of[u] > part_of[v]:
-                    raise PartitionError(
-                        f"parts not topologically ordered: gate {u} -> {v}"
-                    )
-        if not quotient_is_acyclic(dag, result.assignment(dag)):
-            raise PartitionError("quotient graph has a cycle")
+        twice = [g for g in gates if part_of[g] >= 0]
+        if twice:
+            raise PartitionError(f"gates {twice} in two parts")
+        for g in gates:
+            part_of[g] = pos
+    missing = [g for g, p in enumerate(part_of) if p < 0]
+    if missing:
+        raise PartitionError(f"gates {missing} unassigned")
+    for e in dag.edges:
+        u, v = dag.nodes[e.src].op_index, dag.nodes[e.dst].op_index
+        if u is not None and v is not None and part_of[u] > part_of[v]:
+            raise PartitionError(
+                f"parts not topologically ordered: gate {u} -> {v}"
+            )
 
 
 # --- Nat and DFS ------------------------------------------------------------

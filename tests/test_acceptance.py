@@ -15,12 +15,7 @@ import numpy as np
 import pytest
 
 from hisim import bench
-from hisim.dag import (
-    NodeKind,
-    build_dag,
-    quotient_is_acyclic,
-    working_set,
-)
+from hisim.dag import NodeKind, build_dag
 from hisim.dist import plan_redistribution, simulate_distributed
 from hisim.hier import execute_hierarchical, part_block_indices
 from hisim.partition import (
@@ -38,6 +33,7 @@ from hisim.statevec import (
     state_bytes,
 )
 
+from dag_oracles import quotient_is_acyclic, working_set
 from random_circuits import random_circuit
 
 CORPUS_SEED = 20260822
@@ -170,9 +166,9 @@ def test_criterion_2_distributed_execution_matches_reference(dist_sweep):
 
 
 def test_criterion_3_every_partition_is_valid(hier_sweep):
-    """Nonempty, disjoint, exhaustive, within the limit, acyclic quotient --
-    checked directly against the dependency graph, not via the library's
-    own validator."""
+    """Nonempty, each part's gates in ascending (program) order, disjoint,
+    exhaustive, within the limit, acyclic quotient -- checked directly
+    against the dependency graph, not via the library's own validator."""
     violations = 0
     checked = 0
     for dag, limit, result in hier_sweep["partitions"]:
@@ -187,6 +183,8 @@ def test_criterion_3_every_partition_is_valid(hier_sweep):
         for part in result.parts:
             if not part.gate_indices:
                 violations += 1
+            if list(part.gate_indices) != sorted(part.gate_indices):
+                violations += 1  # execution would run the part out of order
             all_gates.extend(part.gate_indices)
             ids = [dag.gate_id(k) for k in part.gate_indices]
             for nid in ids:

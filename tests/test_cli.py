@@ -32,6 +32,47 @@ def test_missing_subcommand_is_usage_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("partition", "bv_6", "--strategy", "dfs", "--trials", "0"),
+        ("run", "bv_6", "--mode", "hierarchical", "--strategy", "dfs",
+         "--trials", "0"),
+        ("run", "bv_6", "--mode", "distributed", "--p", "-1"),
+    ],
+)
+def test_flag_out_of_range_is_usage_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert "is below" in err
+
+
+def test_rank_bits_beyond_the_circuit_is_input_error(capsys):
+    """Whether ``--p`` fits depends on the circuit, so it is an input
+    error, not a usage error."""
+    code, _, err = run_cli(capsys, "run", "bv_6", "--mode", "distributed",
+                           "--p", "7")
+    assert code == 2
+    assert "rank bits 7 outside 0..6" in err
+
+
+@pytest.mark.parametrize(
+    "mode", ["flat", "hierarchical", "multilevel", "distributed"]
+)
+def test_gate_free_circuit_runs_in_every_mode(tmp_path, capsys, mode):
+    path = tmp_path / "empty.qasm"
+    path.write_text("OPENQASM 2.0;\nqreg q[3];\n")
+    code, out, _ = run_cli(capsys, "run", str(path), "--mode", mode,
+                           "--verify")
+    assert code == 0
+    report = json.loads(out)
+    assert report["max_abs_delta"] == 0.0
+    assert report["probabilities"] == {"000": 1.0}
+    if mode == "distributed":
+        assert report["comm"]["parts"] == 0
+        assert report["comm"]["switches"] == []
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run_cli(capsys, "run", "/nonexistent/circuit.qasm")
     assert code == 2
@@ -398,6 +439,32 @@ def test_saved_multilevel_partition_replays(tmp_path, capsys):
         "--partition", str(bad_path),
     )
     assert code == 2
+
+
+def test_replayed_part_listed_backwards_is_rejected(tmp_path, capsys):
+    """A part whose gates are listed out of program order would run them in
+    that order; replay refuses it."""
+    circuit = tmp_path / "chain.qasm"
+    circuit.write_text(
+        "OPENQASM 2.0;\nqreg q[3];\nh q[0];\nx q[0];\ncx q[0],q[1];\n"
+        "h q[2];\n"
+    )
+    parts_path = tmp_path / "parts.json"
+    code, _, _ = run_cli(
+        capsys, "partition", str(circuit), "--strategy", "nat",
+        "--limit", "2", "--out", str(parts_path),
+    )
+    assert code == 0
+    doc = json.loads(parts_path.read_text())
+    assert doc["parts"][0]["gate_indices"] == [0, 1, 2]
+    doc["parts"][0]["gate_indices"].reverse()
+    parts_path.write_text(json.dumps(doc))
+    code, _, err = run_cli(
+        capsys, "run", str(circuit), "--mode", "hierarchical",
+        "--partition", str(parts_path), "--verify",
+    )
+    assert code == 2
+    assert "not ascending" in err
 
 
 def test_replayed_partition_must_match_circuit(tmp_path, capsys):

@@ -36,6 +36,7 @@ from hisim.partition import (
     partition_multilevel,
     partition_nat,
 )
+from hisim.qasm import Circuit
 from hisim.statevec import StateVector, simulate_flat, state_bytes
 
 from random_circuits import random_circuit
@@ -470,6 +471,27 @@ def test_distributed_multilevel_partition():
     run = simulate_distributed(circuit, ml, 2)
     expect = simulate_flat(circuit)
     assert np.max(np.abs(run.state.data - expect.data)) < 1e-10
+
+
+@pytest.mark.parametrize("p", [0, 1, 3])
+def test_gate_free_circuit_returns_the_zero_state(p):
+    """No gates means no parts: the run returns |000> under one layout, with
+    a comm document of 0 parts and no switches; rank bits outside 0..n are
+    still refused."""
+    circuit = Circuit(3, ())
+    partition = partition_dagp(build_dag(circuit), 2)
+    assert partition.parts == ()
+    run = simulate_distributed(circuit, partition, p)
+    np.testing.assert_array_equal(run.state.data, np.eye(8)[0])
+    assert run.layouts == []
+    doc = run.stats.to_json()
+    assert (doc["parts"], doc["num_ranks"], doc["switches"]) == (0, 1 << p, [])
+    assert doc["totals"] == {
+        "bytes_remote": 0, "bytes_resident": 0, "messages": 0, "switches": 0,
+    }
+    for bad in (-1, 4):
+        with pytest.raises(ValueError, match=f"rank bits {bad} outside 0..3"):
+            simulate_distributed(circuit, partition, bad)
 
 
 def _drop_first_gate(parts):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hisim import bench
-from hisim.dag import build_dag, working_set
+from hisim.dag import NodeKind, build_dag
 from hisim.errors import (
     LimitTooSmallError,
     PartitionError,
@@ -36,6 +36,9 @@ from hisim.partition import (
     partition_to_json,
 )
 from hisim.qasm import Circuit, GateKind, GateOp
+
+from dag_oracles import quotient_is_acyclic, working_set
+from random_circuits import random_circuit
 
 STRATEGIES = {
     "nat": partition_nat,
@@ -307,13 +310,13 @@ def test_check_partition_flags_duplicates():
     g = _bv6()
     r = partition_nat(g, 4)
     first = r.parts[0]
-    dup = Part(
-        r.parts[-1].id,
-        r.parts[-1].gate_indices + (first.gate_indices[0],),
-        r.parts[-1].qubits,
-    )
-    with pytest.raises(PartitionError):
-        check_partition(g, PartitionResult("nat", 4, r.parts[:-1] + (dup,)))
+    # ascending, with its qubits and within the limit, so only the
+    # duplicate is wrong
+    gates = tuple(sorted(r.parts[-1].gate_indices + (first.gate_indices[0],)))
+    qubits = sorted({q for k in gates for q in g.circuit.ops[k].qubits})
+    dup = Part(r.parts[-1].id, gates, tuple(qubits))
+    with pytest.raises(PartitionError, match="in two parts"):
+        check_partition(g, PartitionResult("nat", 6, r.parts[:-1] + (dup,)))
 
 
 def test_check_partition_flags_oversized_working_set():
@@ -326,7 +329,7 @@ def test_check_partition_flags_oversized_working_set():
 
 def test_check_partition_flags_cyclic_quotient():
     # Chain a->b->c on one qubit; grouping {a, c} apart from {b} makes the
-    # quotient cyclic.
+    # quotient cyclic, so no listing of the parts runs b -> c forward.
     c = Circuit(
         2,
         (
@@ -341,8 +344,122 @@ def test_check_partition_flags_cyclic_quotient():
         2,
         (Part(0, (0, 2), (0,)), Part(1, (1,), (0, 1))),
     )
-    with pytest.raises(PartitionError):
+    with pytest.raises(PartitionError, match="gate 1 -> 2"):
         check_partition(g, bad)
+
+
+@pytest.mark.parametrize("gate", [17, -1])
+def test_check_partition_flags_gates_outside_the_circuit(gate):
+    """bv_6 has gates 0..16. A part holding gate 17 or -1 (which Python
+    indexing would wrap to gate 16) is a PartitionError naming the part and
+    the gate, from the library and from a document."""
+    g = _bv6()
+    r = partition_nat(g, 4)
+    last = r.parts[-1]
+    gates = tuple(sorted(last.gate_indices + (gate,)))
+    bad = r.parts[:-1] + (Part(last.id, gates, last.qubits),)
+    message = rf"part {last.id} holds gates \[{gate}\] outside 0\.\.16"
+    with pytest.raises(PartitionError, match=message):
+        check_partition(g, PartitionResult("nat", 4, bad))
+    doc = json.loads(partition_to_json(g, r))
+    doc["parts"][-1]["gate_indices"] = list(gates)
+    with pytest.raises(PartitionError, match=message):
+        partition_from_json(g, json.dumps(doc))
+
+
+def _internal_edge(dag, gates):
+    """True iff some gate-to-gate edge runs inside the gate set."""
+    ids = {dag.gate_id(k) for k in gates}
+    return any(e.src in ids and e.dst in ids for e in dag.edges)
+
+
+def test_reversed_flat_part_is_rejected():
+    """Every part listed backwards would run its gates backwards: reversing
+    any dagp part whose gates depend on each other makes the document
+    invalid, as does the smallest example of one."""
+    small = build_dag(Circuit(3, (
+        GateOp(GateKind.H, (0,), ()),
+        GateOp(GateKind.X, (0,), ()),
+        GateOp(GateKind.CX, (0, 1), ()),
+        GateOp(GateKind.H, (2,), ()),
+    )))
+    qft = build_dag(bench.build("qft_12"))
+    for g, result in ((small, partition_nat(small, 2)),
+                      (qft, partition_dagp(qft, 8))):
+        text = partition_to_json(g, result)
+        assert partition_from_json(g, text) == result
+        reversible = [
+            i for i, p in enumerate(result.parts)
+            if _internal_edge(g, p.gate_indices)
+        ]
+        assert reversible
+        for i in reversible:
+            doc = json.loads(text)
+            doc["parts"][i]["gate_indices"].reverse()
+            with pytest.raises(PartitionError, match="not ascending"):
+                partition_from_json(g, json.dumps(doc))
+
+
+def test_reversed_level2_part_is_rejected():
+    """The same for level-2 parts: each is checked against its parent's own
+    circuit, whose gates keep program order."""
+    g = build_dag(bench.build("qft_12"))
+    ml = partition_multilevel(g, 8, 4)
+    text = multilevel_to_json(g, ml)
+    assert multilevel_from_json(g, text) == ml
+    reversible = [
+        (i, j)
+        for i, sub in enumerate(ml.sublevels)
+        for j, p in enumerate(sub.parts)
+        if _internal_edge(g, p.gate_indices)
+    ]
+    assert reversible
+    for i, j in reversible:
+        doc = json.loads(text)
+        doc["sublevels"][i]["parts"][j]["gate_indices"].reverse()
+        with pytest.raises(PartitionError, match="not ascending"):
+            multilevel_from_json(g, json.dumps(doc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_ordering_rule_matches_quotient_oracle(seed):
+    """Random part labels, parts shuffled, each part's gates ascending:
+    ``check_partition`` accepts exactly when the node-level quotient oracle
+    finds the quotient acyclic and every gate edge runs forward in the
+    listed gate sequence."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    circuit = random_circuit(rng, n, rng.randint(1, 14))
+    dag = build_dag(circuit)
+    num_labels = rng.randint(1, 4)
+    labels = [rng.randrange(num_labels) for _ in range(dag.num_gates)]
+    groups = [
+        [k for k, lab in enumerate(labels) if lab == label]
+        for label in sorted(set(labels))
+    ]
+    rng.shuffle(groups)
+    parts = tuple(
+        Part(pid, tuple(gates),
+             tuple(sorted({q for k in gates for q in circuit.ops[k].qubits})))
+        for pid, gates in enumerate(groups)
+    )
+    # entry and exit stubs each get a part of their own
+    assignment = {node.id: len(parts) + node.id for node in dag.nodes}
+    for pos, part in enumerate(parts):
+        for k in part.gate_indices:
+            assignment[dag.gate_id(k)] = pos
+    at = {k: i for i, k in enumerate(k for p in parts for k in p.gate_indices)}
+    ops = [(dag.nodes[e.src].op_index, dag.nodes[e.dst].op_index)
+           for e in dag.edges]
+    forward = all(at[u] < at[v] for u, v in ops if None not in (u, v))
+    expect = quotient_is_acyclic(dag, assignment) and forward
+    try:
+        check_partition(dag, PartitionResult("random", n, parts))
+        accepted = True
+    except PartitionError:
+        accepted = False
+    assert accepted == expect
 
 
 # --- exhaustive oracle ------------------------------------------------------
@@ -361,10 +478,7 @@ def _set_partitions(items):
 
 def _optimal_by_enumeration(g, limit):
     """Try every set partition of the gates; keep the smallest valid one."""
-    from hisim.dag import NodeKind, quotient_is_acyclic
-
     best = None
-    gate_ids = list(g.gate_ids())
     for blocks in _set_partitions(list(range(g.num_gates))):
         if best is not None and len(blocks) >= best:
             continue
@@ -515,6 +629,29 @@ def test_partition_from_json_validates():
     doc["parts"][0]["gate_indices"] = doc["parts"][0]["gate_indices"][:-1]
     with pytest.raises(PartitionError):
         partition_from_json(g, json.dumps(doc))
+
+
+def test_every_written_document_reads_back():
+    """What ``partition_to_json``/``multilevel_to_json`` write always loads
+    back to an equal object, so validation never rejects the library's own
+    documents. Every bundled circuit except bv_30 (30 qubits; its multilevel
+    sweep alone takes 17 s); nat, dfs and dagp at every limit from the
+    widest gate to n - 1; multilevel at each such limit1 with limit2 at the
+    widest gate and at ceil(limit1 / 2), the CLI default (every pair would
+    take about 9 s). About 3.5 s in all."""
+    for name in bench.available():
+        if name == "bv_30":
+            continue
+        g = build_dag(bench.build(name))
+        widest = max(len(op.qubits) for op in g.circuit.ops)
+        for limit in range(widest, g.num_qubits):
+            for fn in STRATEGIES.values():
+                r = fn(g, limit)
+                assert partition_from_json(g, partition_to_json(g, r)) == r
+            for limit2 in {widest, max(widest, -(-limit // 2))}:
+                ml = partition_multilevel(g, limit, limit2)
+                text = multilevel_to_json(g, ml)
+                assert multilevel_from_json(g, text) == ml
 
 
 def test_multilevel_json_document_shape():
