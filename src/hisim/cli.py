@@ -445,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--circuits", nargs="+",
                    help="circuit names or paths (default: bundled set)")
     g.add_argument("--limits", nargs="+", type=int, default=[3, 4, 5, 6])
-    g.add_argument("--truncate", type=int, default=20,
+    g.add_argument("--truncate", type=_int_from(0), default=20,
                    help="keep only the first K gates (0 = no truncation)")
     g.add_argument("--out", help="write the table as JSON here")
     g.set_defaults(func=cmd_oracle_gap)

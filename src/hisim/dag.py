@@ -5,8 +5,10 @@ qubit are chained between them, one edge per qubit. Node ids are dense:
 entries first (entry of qubit q has id q), then gates in program order
 (gate for op i has id num_qubits + i), then exits.
 
-Gate edges run forward in program order; ``hisim.partition`` validates a
-partition by that order over gate indices, not by node sets.
+Gate edges run forward in program order. ``hisim.partition`` reads the same
+gate-to-gate edges (pairs, multiplicity and order) straight from the op list,
+for any gate subset, through ``partition._wires``; of this graph it walks
+only the nodes, for ``partition_dfs``'s depth-first orders.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import VerificationError
-from .partition import MultiLevelPartition, Part, PartitionResult
+from .partition import MultiLevelPartition, Part, PartitionResult, _wires
 from .qasm import Circuit, GateOp
 from .statevec import StateVector, apply_op, simulate_flat, zero_state
 
@@ -141,9 +141,10 @@ def level1_parts(
 ) -> tuple[Part, ...]:
     """The level-1 parts of either partition kind.
 
-    Raises ``ValueError`` unless the gates that execution applies (the
-    level-2 parts' gates, for a two-level partition) cover the circuit
-    exactly once.
+    Raises ``ValueError`` unless the gates that execution applies, in the
+    order it applies them (level-1 parts, or for a two-level partition the
+    level-2 parts in level-1 order), cover the circuit exactly once and
+    run every gate after the gates it depends on.
     """
     if isinstance(partition, MultiLevelPartition):
         parts = partition.level1.parts
@@ -153,6 +154,14 @@ def level1_parts(
     seen = [g for p in executed for g in p.gate_indices]
     if len(seen) != circuit.num_ops or set(seen) != set(range(circuit.num_ops)):
         raise ValueError("partition does not cover the circuit exactly once")
+    at = [0] * len(seen)  # op index -> its step in the executed sequence
+    for step, g in enumerate(seen):
+        at[g] = step
+    for u, v in _wires(circuit.ops, range(circuit.num_ops)):
+        if at[u] > at[v]:
+            raise ValueError(
+                f"partition runs gate {v} before gate {u}, which it depends on"
+            )
     return parts
 
 
@@ -307,8 +316,10 @@ def execute_hierarchical(
 
     Level-1 parts execute in the given order, each as one ``run_part``
     pass; a two-level partition runs its level-2 parts nested inside each
-    staged level-1 block. The partition must be valid (see
-    ``check_partition``); only coverage is re-checked here.
+    staged level-1 block. The partition should be valid (see
+    ``check_partition``); here only the executed gate sequence is
+    re-checked: it must cover the circuit once and run every dependency
+    forward (``level1_parts``), else ``ValueError``.
     """
     parts = level1_parts(circuit, partition)
     n = circuit.num_qubits

@@ -13,16 +13,23 @@ ascending, so every dependency runs forward and the part graph is acyclic
 - ``optimal_parts_bruteforce``: exact minimum part count for small DAGs.
 - ``partition_multilevel``: a dagP partition whose parts are partitioned
   again under a smaller limit for nested execution.
+
+Partitions at either level stay in global gate and qubit indices. Gate
+edges come from ``_wires`` alone, for any ascending gate subset, so dagP and
+the validity rule run on a level-1 part's own gates to make and check its
+level-2 parts.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .dag import GateDag, NodeKind, build_dag, dfs_topo_order
+from .dag import GateDag, NodeKind, dfs_topo_order
+# not called here: benchmarks/layers.py traces it under this name
+from .dag import build_dag  # noqa: F401
 from .errors import LimitTooSmallError, PartitionError, TooLargeForOracleError
 from .qasm import Circuit, GateOp
 
@@ -63,23 +70,23 @@ class PartitionResult:
                 out[g] = pos
         return out
 
+    def _crossing(self, dag: GateDag) -> list[tuple[int, int]]:
+        """(source part, target part) of every gate-to-gate wire between
+        distinct parts, with multiplicity."""
+        part_of = self.part_of()
+        pairs = (
+            (part_of[u], part_of[v])
+            for u, v in _wires(dag.circuit.ops, range(dag.num_gates))
+        )
+        return [(pu, pv) for pu, pv in pairs if pu != pv]
+
     def part_graph_edges(self, dag: GateDag) -> tuple[tuple[int, int], ...]:
         """Directed edges between distinct parts, from gate-to-gate edges."""
-        succ, _ = _gate_adjacency(dag)
-        adj = _part_graph(self.part_of(), succ, range(self.num_parts))
-        return tuple(sorted((u, v) for u, vs in adj.items() for v in vs))
+        return tuple(sorted(set(self._crossing(dag))))
 
     def cut_edges(self, dag: GateDag) -> int:
         """Number of gate-to-gate DAG edges crossing parts (recorded only)."""
-        part_of = self.part_of()
-        count = 0
-        for e in dag.edges:
-            su = dag.nodes[e.src]
-            sv = dag.nodes[e.dst]
-            if su.kind is NodeKind.GATE and sv.kind is NodeKind.GATE:
-                if part_of[su.op_index] != part_of[sv.op_index]:
-                    count += 1
-        return count
+        return len(self._crossing(dag))
 
 
 @dataclass(frozen=True)
@@ -88,51 +95,44 @@ class MultiLevelPartition:
     part split again under ``limit2``.
 
     ``sublevels[i]`` partitions the gates of ``level1.parts[i]`` (indices
-    and qubits in global space). ``padded_qubits[i][j]`` is level-2 part j
-    widened with parent qubits, lowest index first, up to
-    min(limit2, parent working set); execution gathers on the padded set.
+    and qubits in global space).
     """
 
     limit1: int
     limit2: int
     level1: PartitionResult
     sublevels: tuple[PartitionResult, ...]
-    padded_qubits: tuple[tuple[tuple[int, ...], ...], ...]
+
+    @property
+    def padded_qubits(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """``[i][j]`` is level-2 part j of level-1 part i widened with parent
+        qubits, lowest index first, up to min(limit2, parent working set);
+        execution gathers on the padded set."""
+        return tuple(
+            tuple(_pad(p.qubits, parent, self.limit2) for p in sub.parts)
+            for parent, sub in zip(self.level1.parts, self.sublevels)
+        )
 
 
 # --- shared helpers ---------------------------------------------------------
 
-def _check_limit(circuit: Circuit, limit: int) -> None:
-    max_arity = max((len(op.qubits) for op in circuit.ops), default=1)
+def _check_limit(ops: Iterable[GateOp], limit: int) -> None:
+    max_arity = max((len(op.qubits) for op in ops), default=1)
     if limit < max_arity:
         raise LimitTooSmallError(limit, max_arity)
 
 
-def _gate_adjacency(dag: GateDag) -> tuple[list[set[int]], list[set[int]]]:
-    """Direct gate-to-gate dependencies as (successors, predecessors) by
-    op index."""
-    succ: list[set[int]] = [set() for _ in range(dag.num_gates)]
-    pred: list[set[int]] = [set() for _ in range(dag.num_gates)]
-    for e in dag.edges:
-        u, v = dag.nodes[e.src], dag.nodes[e.dst]
-        if u.kind is NodeKind.GATE and v.kind is NodeKind.GATE:
-            succ[u.op_index].add(v.op_index)
-            pred[v.op_index].add(u.op_index)
-    return succ, pred
-
-
-def _part_graph(
-    part_of: Mapping[int, int], succ: list[set[int]], parts: Iterable[int]
-) -> dict[int, set[int]]:
-    """Successor sets of the part graph: gate-to-gate edges ``succ``
-    contracted by ``part_of`` (op index -> part), keyed by ``parts``."""
-    adj: dict[int, set[int]] = {p: set() for p in parts}
-    for g, ss in enumerate(succ):
-        for s in ss:
-            pu, pv = part_of[g], part_of[s]
-            if pu != pv:
-                adj[pu].add(pv)
-    return adj
+def _wires(ops: Sequence[GateOp], gates: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """Gate-to-gate edges within an ascending gate subset: for each gate,
+    ``(predecessor, gate)`` on each of its qubits that an earlier gate of
+    the subset touched, one edge per qubit, in the order ``build_dag``
+    lists them. Over all gates these are the DAG's gate-to-gate edges."""
+    last: dict[int, int] = {}  # qubit -> latest gate on it so far
+    for g in gates:
+        for q in ops[g].qubits:
+            if q in last:
+                yield last[q], g
+            last[q] = g
 
 
 def _make_result(
@@ -156,39 +156,49 @@ def check_partition(dag: GateDag, result: PartitionResult) -> None:
     each part's gates ascending, so every gate-to-gate edge runs forward:
     that is the order execution follows, and it makes the quotient acyclic.
     """
-    ops = dag.circuit.ops
-    part_of = [-1] * len(ops)  # op index -> position of its part
-    for pos, part in enumerate(result.parts):
-        gates = part.gate_indices
-        if not gates:
+    n = dag.num_gates
+    _check_parts(dag.circuit.ops, range(n), result.parts, result.limit, f"0..{n - 1}")
+
+
+def _check_parts(
+    ops: Sequence[GateOp], gates: Sequence[int], parts, limit: int, scope: str
+) -> None:
+    """``check_partition``'s rule for ``parts`` over the ascending gate
+    subset ``gates`` (named ``scope`` in messages); the edges that must run
+    forward are the subset's own ``_wires``."""
+    part_of = [-2] * len(ops)  # op index -> position of its part; -2 outside
+    for g in gates:
+        part_of[g] = -1
+    for pos, part in enumerate(parts):
+        members = part.gate_indices
+        if not members:
             raise PartitionError(f"part {part.id} is empty")
-        outside = [g for g in gates if not 0 <= g < len(ops)]
+        outside = [
+            g for g in members if not 0 <= g < len(ops) or part_of[g] == -2
+        ]
         if outside:
             raise PartitionError(
-                f"part {part.id} holds gates {outside} outside "
-                f"0..{len(ops) - 1}"
+                f"part {part.id} holds gates {outside} outside {scope}"
             )
-        if list(gates) != sorted(set(gates)):
+        if list(members) != sorted(set(members)):
             raise PartitionError(f"part {part.id} gates are not ascending")
-        if part.working_set > result.limit:
+        if part.working_set > limit:
             raise PartitionError(
-                f"part {part.id} needs {part.working_set} qubits, "
-                f"limit {result.limit}"
+                f"part {part.id} needs {part.working_set} qubits, limit {limit}"
             )
-        expect = sorted({q for g in gates for q in ops[g].qubits})
+        expect = sorted({q for g in members for q in ops[g].qubits})
         if list(part.qubits) != expect:
             raise PartitionError(f"part {part.id} qubit set is stale")
-        twice = [g for g in gates if part_of[g] >= 0]
+        twice = [g for g in members if part_of[g] >= 0]
         if twice:
             raise PartitionError(f"gates {twice} in two parts")
-        for g in gates:
+        for g in members:
             part_of[g] = pos
-    missing = [g for g, p in enumerate(part_of) if p < 0]
+    missing = [g for g in gates if part_of[g] < 0]
     if missing:
         raise PartitionError(f"gates {missing} unassigned")
-    for e in dag.edges:
-        u, v = dag.nodes[e.src].op_index, dag.nodes[e.dst].op_index
-        if u is not None and v is not None and part_of[u] > part_of[v]:
+    for u, v in _wires(ops, gates):
+        if part_of[u] > part_of[v]:
             raise PartitionError(
                 f"parts not topologically ordered: gate {u} -> {v}"
             )
@@ -218,7 +228,7 @@ def _cutoff_scan(circuit: Circuit, order, limit: int) -> list[list[int]]:
 
 def partition_nat(dag: GateDag, limit: int) -> PartitionResult:
     """Cutoff scan over program order. Deterministic."""
-    _check_limit(dag.circuit, limit)
+    _check_limit(dag.circuit.ops, limit)
     groups = _cutoff_scan(dag.circuit, range(dag.num_gates), limit)
     return _make_result(dag.circuit, "nat", limit, groups)
 
@@ -232,7 +242,7 @@ def partition_dfs(
     fewest parts wins and ties go to the lowest trial index, so results are
     reproducible and adding trials can only help.
     """
-    _check_limit(dag.circuit, limit)
+    _check_limit(dag.circuit.ops, limit)
     if trials < 1:
         raise ValueError("trials must be positive")
     best: list[list[int]] | None = None
@@ -259,18 +269,27 @@ def partition_dagp(dag: GateDag, limit: int) -> PartitionResult:
     wider union, then part order), until no valid merger remains. A circuit
     whose qubits all fit the limit is one part.
     """
-    circuit = dag.circuit
-    _check_limit(circuit, limit)
-    if dag.num_gates == 0:
-        return PartitionResult("dagp", limit, ())
-    gates = list(range(dag.num_gates))
-    if len(set().union(*(op.qubits for op in circuit.ops))) <= limit:
-        return _make_result(circuit, "dagp", limit, [gates])
-    qmask = [sum(1 << q for q in op.qubits) for op in circuit.ops]
-    succ, _ = _gate_adjacency(dag)
+    groups = _dagp(dag.circuit.ops, range(dag.num_gates), limit)
+    return _make_result(dag.circuit, "dagp", limit, groups)
+
+
+def _dagp(ops: Sequence[GateOp], gates: Sequence[int], limit: int) -> list[list[int]]:
+    """``partition_dagp``'s groups for the ascending gate subset ``gates``,
+    in execution order. Part ids are positions in ``gates``, which keep
+    program order, and shared/union counts read the global qubit masks, so
+    the merge order is that of the subset as a circuit of its own."""
+    _check_limit((ops[g] for g in gates), limit)
+    if not gates:
+        return []
+    if len({q for g in gates for q in ops[g].qubits}) <= limit:
+        return [list(gates)]
+    qmask = [sum(1 << q for q in ops[g].qubits) for g in gates]
+    local = {g: i for i, g in enumerate(gates)}
+    succ: list[set[int]] = [set() for _ in gates]
+    for u, v in _wires(ops, gates):
+        succ[local[u]].add(local[v])
     groups, adj = _merge_phase(qmask, succ, limit)
-    groups = _topo_order_groups(groups, adj)
-    return _make_result(circuit, "dagp", limit, groups)
+    return [[gates[i] for i in grp] for grp in _topo_order_groups(groups, adj)]
 
 
 def _merge_phase(
@@ -407,8 +426,8 @@ def optimal_parts_bruteforce(
     lower bound ceil(|qubits|/limit) and a heuristic incumbent. Refuses
     DAGs above ``max_gates`` gates.
     """
-    circuit = dag.circuit
-    _check_limit(circuit, limit)
+    ops = dag.circuit.ops
+    _check_limit(ops, limit)
     m = dag.num_gates
     if m == 0:
         return 0
@@ -416,17 +435,10 @@ def optimal_parts_bruteforce(
         raise TooLargeForOracleError(
             f"{m} gates exceeds the exact-search guard of {max_gates}"
         )
-    qmask = []
-    for op in circuit.ops:
-        mask = 0
-        for q in op.qubits:
-            mask |= 1 << q
-        qmask.append(mask)
-    _, pred = _gate_adjacency(dag)
+    qmask = [sum(1 << q for q in op.qubits) for op in ops]
     pred_mask = [0] * m
-    for g in range(m):
-        for p in pred[g]:
-            pred_mask[g] |= 1 << p
+    for u, v in _wires(ops, range(m)):
+        pred_mask[v] |= 1 << u
 
     full = (1 << m) - 1
     ub = partition_dagp(dag, limit).num_parts  # valid partition: upper bound
@@ -511,18 +523,6 @@ def optimal_parts_bruteforce(
 
 # --- multi-level ------------------------------------------------------------
 
-def _part_dag(dag: GateDag, part: Part) -> GateDag:
-    """A part as a standalone circuit over its own qubits, slot ``s``
-    standing for ``part.qubits[s]``, with fresh entry/exit stubs."""
-    to_slot = {q: s for s, q in enumerate(part.qubits)}
-    ops = (dag.circuit.ops[g] for g in part.gate_indices)
-    sub_ops = tuple(
-        GateOp(op.kind, tuple(to_slot[q] for q in op.qubits), op.params)
-        for op in ops
-    )
-    return build_dag(Circuit(len(part.qubits), sub_ops))
-
-
 def _pad(qubits: tuple[int, ...], parent: Part, limit2: int) -> tuple[int, ...]:
     """Widen a level-2 qubit set with parent qubits, lowest index first, up
     to min(limit2, parent working set)."""
@@ -539,37 +539,24 @@ def _pad(qubits: tuple[int, ...], parent: Part, limit2: int) -> tuple[int, ...]:
 def partition_multilevel(
     dag: GateDag, limit1: int, limit2: int
 ) -> MultiLevelPartition:
-    """Partition under ``limit1``, then partition each part's own sub-DAG
+    """Partition under ``limit1``, then partition each part's own gates
     under ``limit2``.
 
-    Each level-1 part becomes a standalone sub-circuit over its own qubits
-    (fresh entry/exit stubs), is partitioned with dagP, and the result is
-    mapped back to global gate indices and qubits. Level-2 parts narrower
-    than the inner limit are padded with parent qubits, lowest index first,
-    up to min(limit2, parent working set).
+    The level-2 pass is dagP on the part's gates alone, in global gate and
+    qubit indices, exactly as if the part were a circuit of its own. Level-2
+    parts are padded on execution (``MultiLevelPartition.padded_qubits``).
     """
     if limit2 > limit1:
         raise PartitionError(f"limit2 {limit2} exceeds limit1 {limit1}")
     level1 = partition_dagp(dag, limit1)
-    sublevels: list[PartitionResult] = []
-    padded_all: list[tuple[tuple[int, ...], ...]] = []
-    for part in level1.parts:
-        sub_dag = _part_dag(dag, part)
-        sub = partition_dagp(sub_dag, min(limit2, len(part.qubits)))
-        mapped_parts = []
-        for sp in sub.parts:
-            gates = tuple(sorted(part.gate_indices[i] for i in sp.gate_indices))
-            qubits = tuple(sorted(part.qubits[s] for s in sp.qubits))
-            mapped_parts.append(Part(sp.id, gates, qubits))
-        sublevels.append(
-            PartitionResult("dagp", limit2, tuple(mapped_parts))
+    ops = dag.circuit.ops
+    sublevels = tuple(
+        _make_result(
+            dag.circuit, "dagp", limit2, _dagp(ops, part.gate_indices, limit2)
         )
-        padded_all.append(
-            tuple(_pad(p.qubits, part, limit2) for p in mapped_parts)
-        )
-    return MultiLevelPartition(
-        limit1, limit2, level1, tuple(sublevels), tuple(padded_all)
+        for part in level1.parts
     )
+    return MultiLevelPartition(limit1, limit2, level1, sublevels)
 
 
 # --- JSON export / import ---------------------------------------------------
@@ -632,34 +619,15 @@ def _multilevel_from_doc(dag: GateDag, doc: dict) -> MultiLevelPartition:
         raise PartitionError(
             f"{len(entries)} sublevels for {level1.num_parts} level-1 parts"
         )
+    ops = dag.circuit.ops
     sublevels: list[PartitionResult] = []
-    padded_all: list[tuple[tuple[int, ...], ...]] = []
     for part, entry in zip(level1.parts, entries):
         if entry["parent"] != part.id:
             raise PartitionError(
                 f"sublevel of part {entry['parent']} listed for part {part.id}"
             )
         sub = PartitionResult("dagp", limit2, _parts_from_doc(entry["parts"]))
-        gate_slot = {g: i for i, g in enumerate(part.gate_indices)}
-        qubit_slot = {q: s for s, q in enumerate(part.qubits)}
-        outside = {g for p in sub.parts for g in p.gate_indices} - set(gate_slot)
-        if outside:
-            raise PartitionError(
-                f"level-2 parts of part {part.id} hold gates {sorted(outside)} "
-                f"outside it"
-            )
-        # the level-2 parts must partition the part's own circuit
-        local = tuple(
-            Part(
-                p.id,
-                tuple(gate_slot[g] for g in p.gate_indices),
-                tuple(qubit_slot.get(q, -1) for q in p.qubits),
-            )
-            for p in sub.parts
-        )
-        check_partition(
-            _part_dag(dag, part), PartitionResult("dagp", limit2, local)
-        )
+        _check_parts(ops, part.gate_indices, sub.parts, limit2, f"part {part.id}")
         padded = tuple(tuple(q) for q in entry["padded_qubits"])
         if padded != tuple(_pad(p.qubits, part, limit2) for p in sub.parts):
             raise PartitionError(
@@ -667,10 +635,7 @@ def _multilevel_from_doc(dag: GateDag, doc: dict) -> MultiLevelPartition:
                 f"qubits widened to min(limit2, working set)"
             )
         sublevels.append(sub)
-        padded_all.append(padded)
-    return MultiLevelPartition(
-        limit1, limit2, level1, tuple(sublevels), tuple(padded_all)
-    )
+    return MultiLevelPartition(limit1, limit2, level1, tuple(sublevels))
 
 
 def multilevel_from_json(dag: GateDag, text: str) -> MultiLevelPartition:
@@ -678,9 +643,9 @@ def multilevel_from_json(dag: GateDag, text: str) -> MultiLevelPartition:
     multilevel_to_json.
 
     The level-1 partition is checked under ``limit1``; each part's level-2
-    parts must be a valid partition of that part's own circuit under
-    ``limit2``, and each padded qubit set must be the one
-    ``partition_multilevel`` gives.
+    parts must be a valid partition of that part's own gates under
+    ``limit2`` (``check_partition``'s rule on the part), and each padded
+    qubit set must be the one ``MultiLevelPartition.padded_qubits`` derives.
     """
     try:
         return _multilevel_from_doc(dag, json.loads(text))
@@ -700,11 +665,13 @@ def multilevel_to_json(dag: GateDag, ml: MultiLevelPartition) -> str:
         "level1": json.loads(partition_to_json(dag, ml.level1)),
         "sublevels": [
             {
-                "parent": ml.level1.parts[i].id,
+                "parent": parent.id,
                 "parts": [_part_doc(p) for p in sub.parts],
-                "padded_qubits": [list(q) for q in ml.padded_qubits[i]],
+                "padded_qubits": [list(q) for q in padded],
             }
-            for i, sub in enumerate(ml.sublevels)
+            for parent, sub, padded in zip(
+                ml.level1.parts, ml.sublevels, ml.padded_qubits
+            )
         ],
     }
     return json.dumps(doc, indent=2)

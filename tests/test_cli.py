@@ -39,6 +39,7 @@ def test_missing_subcommand_is_usage_error(capsys):
         ("run", "bv_6", "--mode", "hierarchical", "--strategy", "dfs",
          "--trials", "0"),
         ("run", "bv_6", "--mode", "distributed", "--p", "-1"),
+        ("oracle-gap", "--circuits", "bell", "--truncate", "-3"),
     ],
 )
 def test_flag_out_of_range_is_usage_error(capsys, argv):

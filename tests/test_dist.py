@@ -36,7 +36,7 @@ from hisim.partition import (
     partition_multilevel,
     partition_nat,
 )
-from hisim.qasm import Circuit
+from hisim.qasm import Circuit, GateKind, GateOp
 from hisim.statevec import StateVector, simulate_flat, state_bytes
 
 from random_circuits import random_circuit
@@ -518,6 +518,28 @@ def test_partition_missing_a_gate_is_rejected():
     for partition in (flat, ml):
         with pytest.raises(ValueError, match="cover"):
             simulate_distributed(circuit, partition, 1)
+
+
+def test_part_listed_backwards_is_rejected():
+    """h q[0]; x q[0]; cx q[0],q[1]; h q[2] with dagp's part 0 (the first
+    three gates, each depending on the last) listed backwards in memory
+    raises instead of returning a state off by 0.5."""
+    circuit = Circuit(3, (
+        GateOp(GateKind.H, (0,), ()),
+        GateOp(GateKind.X, (0,), ()),
+        GateOp(GateKind.CX, (0, 1), ()),
+        GateOp(GateKind.H, (2,), ()),
+    ))
+    partition = partition_dagp(build_dag(circuit), 2)
+    first = partition.parts[0]
+    assert first.gate_indices == (0, 1, 2)
+    backwards = dataclasses.replace(first, gate_indices=(2, 1, 0))
+    partition = dataclasses.replace(
+        partition, parts=(backwards,) + partition.parts[1:]
+    )
+    for p in (0, 1):
+        with pytest.raises(ValueError, match="runs gate 1 before gate 0"):
+            simulate_distributed(circuit, partition, p)
 
 
 def test_distributed_rejects_parts_wider_than_local_space():

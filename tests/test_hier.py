@@ -3,6 +3,7 @@ with the plain single-pass simulator."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -366,6 +367,58 @@ def test_multilevel_with_equal_limits_traces_like_single_level():
     )
     np.testing.assert_array_equal(state_ml.data, state_fl.data)
     assert trace_ml.part_rows() == trace_fl.part_rows()
+
+
+def test_reordered_level2_parts_are_padded_in_their_new_order():
+    """Padding is derived from the level-2 parts, so swapping two
+    independent level-2 parts swaps their stage sets and the run still
+    matches flat (ising_8 at 4/2: the first part's level-2 parts 0 and 1
+    share no wire)."""
+    circuit = bench.build("ising_8")
+    ml = partition_multilevel(build_dag(circuit), 4, 2)
+    first = ml.sublevels[0]
+    swapped = (first.parts[1], first.parts[0]) + first.parts[2:]
+    ml2 = dataclasses.replace(
+        ml,
+        sublevels=(dataclasses.replace(first, parts=swapped),) + ml.sublevels[1:],
+    )
+    assert ml2.padded_qubits[0][:2] == ((2, 3), (0, 1))
+    assert _check(circuit, ml2, execute_multilevel) < 1e-10
+
+
+def _reversed_part(parts, j):
+    """``parts`` with part ``j``'s gates listed backwards."""
+    part = dataclasses.replace(parts[j], gate_indices=parts[j].gate_indices[::-1])
+    return parts[:j] + (part,) + parts[j + 1:]
+
+
+#: h q[0]; x q[0]; cx q[0],q[1]; h q[2]; dagp at limit 2 puts the first three
+#: gates, which depend on each other, in part 0
+_CHAIN = Circuit(3, (
+    GateOp(GateKind.H, (0,), ()),
+    GateOp(GateKind.X, (0,), ()),
+    GateOp(GateKind.CX, (0, 1), ()),
+    GateOp(GateKind.H, (2,), ()),
+))
+
+
+def test_out_of_order_partition_is_rejected():
+    """A partition built in memory whose executed gate sequence runs a gate
+    before one it depends on raises instead of returning a wrong state:
+    a flat part listed backwards, and a level-2 part listed backwards."""
+    dag = build_dag(_CHAIN)
+    flat = partition_dagp(dag, 2)
+    assert flat.parts[0].gate_indices == (0, 1, 2)
+    flat = dataclasses.replace(flat, parts=_reversed_part(flat.parts, 0))
+    ml = partition_multilevel(dag, 3, 2)
+    assert ml.sublevels[0].parts[0].gate_indices == (0, 1, 2)
+    sub = dataclasses.replace(
+        ml.sublevels[0], parts=_reversed_part(ml.sublevels[0].parts, 0)
+    )
+    ml = dataclasses.replace(ml, sublevels=(sub,))
+    for partition in (flat, ml):
+        with pytest.raises(ValueError, match="before gate"):
+            execute_hierarchical(_CHAIN, partition)
 
 
 # --- verification helper ----------------------------------------------------

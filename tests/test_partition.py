@@ -21,9 +21,8 @@ from hisim.errors import (
 from hisim.partition import (
     Part,
     PartitionResult,
-    _gate_adjacency,
     _merge_phase,
-    _part_graph,
+    _wires,
     check_partition,
     multilevel_from_json,
     multilevel_to_json,
@@ -188,7 +187,121 @@ def test_benchmark_partition_documents_are_pinned():
     )
 
 
+#: SHA-256 over each bundled circuit's dagp and multilevel documents, in the
+#: order ``test_bundled_partition_documents_are_pinned`` writes them
+BUNDLED_DOCUMENT_DIGESTS = {
+    "adder_10": "2a5f3f3bba2edb16a9b6747338ebf74497e2bd8fa4c7ce4b751d470c8ba8a6e2",
+    "bv_12": "8a91dab87f7fc012c77fc572f51407c4fa1081e7b70e304b7077fbe36d459e10",
+    "bv_6": "efb7b031415fa4798217480bd52b06356ce0852fad5ad89ef5c004107bd7ca15",
+    "cat_state_6": "3252743133fd5c7645c43562aec6ce92d23e89d522af64dde1fbfa1ba68fb55b",
+    "cc_12": "5aaded49ac079b13ae678861d9628931331c39fa43b00e965c37a1282f862bb3",
+    "cc_8": "f66d319b73b73189e7910c8b34ea62c38a5383945b9955ba1dfa1ff8980c5ee2",
+    "grover_7": "13f6033c14e2460eb37ea2256b285fa3ec63286105931c5fc598efdc0ee05354",
+    "ising_12": "a80be026868dd4ce33093da62e671dfec31f4ee90b2c25fa967558f4e814da9c",
+    "ising_8": "e49e964ebb0b2bc60f36fbabd94ac57eb69e44dcd53d544b4cf8e580787f9f5f",
+    "qaoa_8": "59c5abaa725011cb2c209791836fa1c535d1b8d9e03394a0220c298930ee039b",
+    "qft_12": "91e2e787a4922639a7241b583d482767f0a5228bb84445ea638c79548fe05a9c",
+    "qnn_8": "15ca33670c3051d3c836dea51f753e2a4dd62eb16ba8d9f34a19a495f9ed2908",
+    "qpe_9": "d53737ddb706c2d217c72e04de3100668b07c925c7b40168824381753f136b40",
+}
+
+
+def test_bundled_partition_documents_are_pinned():
+    """Every bundled circuit except bv_30 (its multilevel sweep alone takes
+    17 s) and bell (no limit below its 2 qubits): the dagp document at every
+    limit from the widest gate to n - 1, each followed by the multilevel
+    documents at that limit1 with limit2 at the widest gate and at
+    ceil(limit1 / 2). 229 documents, about 3 s."""
+    digests = {}
+    documents = 0
+    for name in bench.available():
+        g = build_dag(bench.build(name))
+        widest = max(len(op.qubits) for op in g.circuit.ops)
+        if name == "bv_30" or widest >= g.num_qubits:
+            continue
+        digest = hashlib.sha256()
+        for limit in range(widest, g.num_qubits):
+            texts = [partition_to_json(g, partition_dagp(g, limit))]
+            texts += [
+                multilevel_to_json(g, partition_multilevel(g, limit, limit2))
+                for limit2 in sorted({widest, max(widest, -(-limit // 2))})
+            ]
+            for text in texts:
+                digest.update((text + "\n").encode())
+            documents += len(texts)
+        digests[name] = digest.hexdigest()
+    assert documents == 229
+    assert digests == BUNDLED_DOCUMENT_DIGESTS
+
+
+# --- gate wires against the DAG ----------------------------------------------
+
+
+def _dag_wires(dag):
+    """(op index, op index) of every gate-to-gate DAG edge, in DAG order."""
+    return [
+        (dag.nodes[e.src].op_index, dag.nodes[e.dst].op_index)
+        for e in dag.edges
+        if dag.nodes[e.src].kind is NodeKind.GATE
+        and dag.nodes[e.dst].kind is NodeKind.GATE
+    ]
+
+
+def _assert_wires_match_dag(circuit, subset):
+    """``_wires`` over all gates is the DAG's gate-to-gate edge list (same
+    pairs, multiplicity and order); over an ascending subset it is the
+    edge list of the subset as a circuit of its own, mapped back."""
+    assert list(_wires(circuit.ops, range(circuit.num_ops))) == _dag_wires(
+        build_dag(circuit)
+    )
+    sub = Circuit(circuit.num_qubits, tuple(circuit.ops[g] for g in subset))
+    assert list(_wires(circuit.ops, subset)) == [
+        (subset[u], subset[v]) for u, v in _dag_wires(build_dag(sub))
+    ]
+
+
+@pytest.mark.parametrize("name", bench.available())
+def test_wires_match_dag_on_bundled_circuits(name):
+    circuit = bench.build(name)
+    _assert_wires_match_dag(circuit, list(range(0, circuit.num_ops, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_wires_match_dag_on_random_circuits(seed):
+    rng = random.Random(seed)
+    circuit = random_circuit(rng, rng.randint(1, 6), rng.randint(0, 30))
+    subset = [g for g in range(circuit.num_ops) if rng.random() < 0.5]
+    _assert_wires_match_dag(circuit, subset)
+
+
 # --- merge phase against its depth-first oracle ------------------------------
+
+
+def _gate_succ(dag):
+    """Gate-to-gate successor sets by op index, read off the DAG's
+    node-level ``succ`` so the oracle's input does not come from
+    ``_wires``."""
+    return [
+        {
+            dag.nodes[s].op_index
+            for s in dag.succ[dag.gate_id(g)]
+            if dag.nodes[s].kind is NodeKind.GATE
+        }
+        for g in range(dag.num_gates)
+    ]
+
+
+def _part_graph(part_of, succ, parts):
+    """Successor sets of the part graph: gate-to-gate edges ``succ``
+    contracted by ``part_of`` (op index -> part), keyed by ``parts``."""
+    adj = {p: set() for p in parts}
+    for g, ss in enumerate(succ):
+        for s in ss:
+            pu, pv = part_of[g], part_of[s]
+            if pu != pv:
+                adj[pu].add(pv)
+    return adj
 
 
 def _oracle_merge_phase(groups, qubits_of, succ, limit):
@@ -257,7 +370,7 @@ def _oracle_merge_phase(groups, qubits_of, succ, limit):
 
 
 def _assert_merge_phase_matches_oracle(circuit, limit):
-    succ, _ = _gate_adjacency(build_dag(circuit))
+    succ = _gate_succ(build_dag(circuit))
     qubits_of = [set(op.qubits) for op in circuit.ops]
     qmask = [sum(1 << q for q in op.qubits) for op in circuit.ops]
     groups, adj = _merge_phase(qmask, succ, limit)
@@ -402,7 +515,7 @@ def test_reversed_flat_part_is_rejected():
 
 def test_reversed_level2_part_is_rejected():
     """The same for level-2 parts: each is checked against its parent's own
-    circuit, whose gates keep program order."""
+    gates, which keep program order."""
     g = build_dag(bench.build("qft_12"))
     ml = partition_multilevel(g, 8, 4)
     text = multilevel_to_json(g, ml)
