@@ -30,6 +30,7 @@ from .hier import (
     execute_hierarchical,
     execute_multilevel,
     level1_parts,
+    max_deviation_from_flat,
 )
 from .dist import simulate_distributed
 from .partition import (
@@ -284,8 +285,7 @@ def cmd_run(args) -> int:
 
     max_delta = None
     if args.verify:
-        ref = simulate_flat(circuit)
-        max_delta = float(np.max(np.abs(state.data - ref.data)))
+        max_delta = max_deviation_from_flat(circuit, state)
 
     parts = _run_report_parts(circuit, partition) if partition is not None else None
     report = {

@@ -15,6 +15,10 @@ bits by one axis transpose. A gate is a 2x2 on two such views (target at
 0 and 1, controls at 1; or a SWAP's two exchanged slot pairs), never
 decomposed: a diagonal scales them, exactly X exchanges them, and any
 other mixes them in place from one saved copy of the first.
+
+``is_diagonal`` is the one test for a gate that only scales amplitudes;
+``hisim.hier.run_part`` uses it to fold a run of such gates into one
+``2**w`` phase vector, built by ``apply_op`` on a vector of ones.
 """
 
 from __future__ import annotations
@@ -196,6 +200,23 @@ def _permute_bits(data: np.ndarray, sigma: Sequence[int]) -> np.ndarray:
     return data.reshape((2,) * n).transpose(axes).copy().reshape(data.shape)
 
 
+def _gate_2x2(op: GateOp) -> np.ndarray:
+    """The 2x2 ``apply_op`` applies to an op's two subspace views: X for a
+    SWAP's exchanged slot pairs, else the target's 2x2 with controls at 1."""
+    return _X if op.kind is GateKind.SWAP else _base_matrix(op.kind, op.params)
+
+
+def _scales(u: np.ndarray) -> bool:
+    return bool(u[0, 1] == 0 and u[1, 0] == 0)
+
+
+def is_diagonal(op: GateOp) -> bool:
+    """Whether ``op`` only scales amplitudes, each by a factor that depends
+    on its own index: any gate but SWAP whose 2x2 has zero off-diagonals
+    (``rz``, ``u1``, ``z``, ``cz``, ``crz``, ...; also ``rx(0)``)."""
+    return _scales(_gate_2x2(op))
+
+
 def apply_op(arr: np.ndarray, w: int, op: GateOp, slots: tuple[int, ...] | None = None) -> None:
     """Apply one gate in place to every w-qubit block of ``arr``.
 
@@ -208,16 +229,15 @@ def apply_op(arr: np.ndarray, w: int, op: GateOp, slots: tuple[int, ...] | None 
         # would silently reshape into a copy and drop the writes
         raise ValueError("arr must be C-contiguous")
     q = slots if slots is not None else op.qubits
+    u = _gate_2x2(op)
     if op.kind is GateKind.SWAP:
-        u = _X
         a = _subspace(arr, w, {q[0]: 0, q[1]: 1})
         b = _subspace(arr, w, {q[0]: 1, q[1]: 0})
     else:
-        u = _base_matrix(op.kind, op.params)
         held = dict.fromkeys(q[:-1], 1)
         a = _subspace(arr, w, {**held, q[-1]: 0})
         b = _subspace(arr, w, {**held, q[-1]: 1})
-    if u[0, 1] == 0 and u[1, 0] == 0:
+    if _scales(u):
         if u[0, 0] != 1.0:
             a *= u[0, 0]
         if u[1, 1] != 1.0:
@@ -251,7 +271,8 @@ def save_state(state: StateVector, path: str | Path) -> None:
     """Write amplitudes as little-endian float64 (re, im) pairs plus a JSON
     sidecar ``<path>.json`` carrying num_qubits and the norm."""
     path = Path(path)
-    state.data.astype("<c16").tofile(path)
+    # no copy when the host is little-endian, as the dump already is
+    state.data.astype("<c16", copy=False).tofile(path)
     sidecar = {"num_qubits": state.num_qubits, "norm": state.norm()}
     Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
@@ -266,4 +287,4 @@ def load_state(path: str | Path) -> StateVector:
         raise ValueError(
             f"dump holds {data.size} amplitudes, expected {1 << n}"
         )
-    return StateVector(n, data.astype(np.complex128))
+    return StateVector(n, data.astype(np.complex128, copy=False))

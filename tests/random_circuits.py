@@ -13,10 +13,13 @@ def random_params(rng: random.Random, kind: GateKind) -> tuple[float, ...]:
     return tuple(rng.uniform(-math.pi, math.pi) for _ in range(kind.num_params))
 
 
-def random_circuit(rng: random.Random, n: int, num_ops: int) -> Circuit:
-    """``num_ops`` gates, each of a kind drawn uniformly from the kinds that
-    fit on ``n`` qubits, on distinct random qubits, with random angles."""
-    kinds = [k for k in GateKind if k.arity <= n]
+def random_circuit(
+    rng: random.Random, n: int, num_ops: int, kinds=tuple(GateKind)
+) -> Circuit:
+    """``num_ops`` gates, each of a kind drawn uniformly from the entries of
+    ``kinds`` that fit on ``n`` qubits (list a kind twice to draw it twice as
+    often), on distinct random qubits, with random angles."""
+    kinds = [k for k in kinds if k.arity <= n]
     ops = []
     for _ in range(num_ops):
         kind = rng.choice(kinds)

@@ -6,12 +6,16 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hisim import bench
+from hisim import bench, hier
 from hisim.dag import build_dag
+from hisim.dist import simulate_distributed
 from hisim.hier import (
     bit_offsets,
     execute_hierarchical,
@@ -19,6 +23,7 @@ from hisim.hier import (
     executable_part,
     level1_parts,
     part_block_indices,
+    remap_part,
     run_part,
     verify_against_flat,
 )
@@ -32,7 +37,13 @@ from hisim.partition import (
     partition_nat,
 )
 from hisim.qasm import Circuit, GateKind, GateOp
-from hisim.statevec import StateVector, apply_op, simulate_flat, zero_state
+from hisim.statevec import (
+    StateVector,
+    apply_op,
+    simulate_flat,
+    state_bytes,
+    zero_state,
+)
 
 from random_circuits import random_circuit
 
@@ -187,6 +198,109 @@ def test_run_part_matches_single_assignment_passes(seed):
             run_part(data, exe)
             _run_part_oracle(expect, exe)
         np.testing.assert_allclose(data, expect, rtol=0, atol=1e-12)
+
+
+# --- diagonal runs ------------------------------------------------------------
+
+#: each diagonal kind three times over, then every kind once: most gates
+#: fall in diagonal runs, which dense gates and swaps break up
+_DIAGONAL_HEAVY = 3 * (
+    GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG,
+    GateKind.RZ, GateKind.U1, GateKind.CZ, GateKind.CRZ,
+) + tuple(GateKind)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_fused_diagonal_runs_match_flat_and_the_oracle(seed):
+    """Flat and two-level partitions, run hierarchically and on 2 and 4
+    emulated ranks, fold their diagonal runs and still equal the flat
+    simulator and the unfused single-assignment passes. An H on every
+    qubit first spreads the state, so every phase shows."""
+    rng = random.Random(seed)
+    n = rng.randint(5, 8)
+    body = random_circuit(rng, n, rng.randint(10, 50), _DIAGONAL_HEAVY)
+    spread = tuple(GateOp(GateKind.H, (q,), ()) for q in range(n))
+    circuit = Circuit(n, spread + body.ops)
+    widest = max(len(o.qubits) for o in circuit.ops)
+    l1 = rng.randint(max(2, widest), n - 2)
+    l2 = rng.randint(max(2, widest), l1)
+    dag = build_dag(circuit)
+    expect = simulate_flat(circuit).data
+    for partition in (partition_dagp(dag, l1), partition_multilevel(dag, l1, l2)):
+        data = zero_state(n).data
+        oracle = data.copy()
+        for i in range(len(level1_parts(circuit, partition))):
+            exe = executable_part(circuit, partition, i, range(n))
+            run_part(data, exe)
+            _run_part_oracle(oracle, exe)
+        assert np.max(np.abs(data - expect)) <= 1e-12
+        assert np.max(np.abs(data - oracle)) <= 1e-12
+        for p in (1, 2):
+            state = simulate_distributed(circuit, partition, p).state
+            assert np.max(np.abs(state.data - expect)) <= 1e-12
+
+
+#: h h | rz crz u1 (one run of three) | h | t (a run of one)
+_RUNS = Circuit(2, (
+    GateOp(GateKind.H, (0,), ()),
+    GateOp(GateKind.H, (1,), ()),
+    GateOp(GateKind.RZ, (0,), (0.3,)),
+    GateOp(GateKind.CRZ, (0, 1), (0.7,)),
+    GateOp(GateKind.U1, (1,), (1.1,)),
+    GateOp(GateKind.H, (0,), ()),
+    GateOp(GateKind.T, (1,), ()),
+))
+
+
+def test_diagonal_runs_fold_only_on_blocks_of_several_rows(monkeypatch):
+    """On a block of several rows only a run of two or more diagonal ops
+    is built into a phase vector off the block; on a single-row block, here
+    a whole-state part, every op runs on the block, bit-identical to
+    ``simulate_flat``."""
+    exe = remap_part(_RUNS, Part(0, tuple(range(_RUNS.num_ops)), (0, 1)), range(2))
+    on_block = []
+    real = hier.apply_op
+
+    def spy(arr, w, op, slots=None):
+        on_block.append(np.shares_memory(arr, data))
+        real(arr, w, op, slots)
+
+    monkeypatch.setattr(hier, "apply_op", spy)
+    rng = np.random.default_rng(4)
+    data = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    expect = data.copy()
+    for op in _RUNS.ops:
+        apply_op(expect, 2, op)
+    run_part(data, exe)
+    assert on_block == [True, True, False, False, False, True, True]
+    np.testing.assert_allclose(data, expect, rtol=0, atol=1e-15)
+
+    on_block.clear()
+    data = zero_state(2).data
+    run_part(data, exe)
+    assert on_block == [True] * _RUNS.num_ops
+    np.testing.assert_array_equal(data, simulate_flat(_RUNS).data)
+
+
+def test_fused_run_allocates_only_its_phase_vector():
+    """A run of diagonal ops over a 2**18-amplitude block of 2**10-amplitude
+    rows allocates the 16 KiB phase vector, and no copy of the block."""
+    w = 10
+    ops = tuple(
+        GateOp(GateKind.CRZ, (q, (q + 1) % w), (0.1 * q,)) for q in range(w)
+    ) + tuple(GateOp(GateKind.U1, (q,), (0.2,)) for q in range(w))
+    circuit = Circuit(w, ops)
+    part = Part(0, tuple(range(len(ops))), tuple(range(w)))
+    exe = remap_part(circuit, part, range(w))
+    data = np.full((1 << 8, 1 << w), 2.0 ** -9, dtype=np.complex128)
+    tracemalloc.start()
+    try:
+        run_part(data, exe)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * data.nbytes
 
 
 # --- equivalence with the flat simulator ------------------------------------
@@ -439,6 +553,24 @@ def test_verify_against_flat_rejects_corrupted_state():
     state.data[0] += 1e-6
     with pytest.raises(VerificationError):
         verify_against_flat(circuit, state)
+
+
+def test_verification_holds_the_reference_and_its_magnitudes():
+    """The difference is taken inside the reference, so comparing holds the
+    reference plus its half-size magnitudes: 1.5x the state, shown on a
+    gate-free circuit. Simulating the reference adds the kernels' own
+    temporaries, up to one state for a dense or exchanging gate (see
+    test_statevec), so verifying qft(18) peaks near 2x."""
+    n = 18
+    for circuit, bound in ((Circuit(n, ()), 1.6), (bench.qft(n), 2.1)):
+        state = simulate_flat(circuit)
+        tracemalloc.start()
+        try:
+            verify_against_flat(circuit, state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * state_bytes(n)
 
 
 def test_verify_against_flat_rejects_nan():

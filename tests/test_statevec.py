@@ -18,6 +18,7 @@ from hisim.statevec import (
     StateVector,
     apply_op,
     gate_matrix,
+    is_diagonal,
     load_state,
     save_state,
     simulate_flat,
@@ -109,6 +110,19 @@ def test_every_gate_is_unitary(kind):
     d = 1 << kind.arity
     assert u.shape == (d, d)
     np.testing.assert_allclose(u @ u.conj().T, np.eye(d), atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(GateKind))
+def test_is_diagonal_agrees_with_the_gate_matrix(kind):
+    """The predicate that decides phase folding says diagonal exactly when
+    the full matrix is, at random angles and at all-zero angles (``rx(0)``
+    is the identity); SWAP, which has no angles, never is."""
+    rng = random.Random(kind.value)
+    draws = [random_params(rng, kind) for _ in range(8)] + [(0.0,) * kind.num_params]
+    for params in draws:
+        op = GateOp(kind, tuple(range(kind.arity)), params)
+        m = gate_matrix(kind, params)
+        assert is_diagonal(op) == (np.count_nonzero(m - np.diag(np.diag(m))) == 0)
 
 
 def test_zero_state():
@@ -335,6 +349,26 @@ def test_save_load_round_trip(tmp_path):
     back = load_state(path)
     assert back.num_qubits == sv.num_qubits
     np.testing.assert_array_equal(back.data, sv.data)
+
+
+def test_state_dumps_hold_no_second_copy(tmp_path):
+    """On a little-endian host the dump's byte order is the state's own, so
+    saving writes the amplitudes as they are and loading keeps the array
+    it read."""
+    n = 18
+    sv = simulate_flat(random_circuit(random.Random(5), n, 30))
+    path = tmp_path / "state.bin"
+    peaks = []
+    for step in (lambda: save_state(sv, path), lambda: load_state(path)):
+        tracemalloc.start()
+        try:
+            step()
+            peaks.append(tracemalloc.get_traced_memory()[1] / state_bytes(n))
+        finally:
+            tracemalloc.stop()
+    save_peak, load_peak = peaks
+    assert save_peak <= 0.1
+    assert load_peak <= 1.1
 
 
 def test_copy_is_independent():
