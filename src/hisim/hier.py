@@ -5,26 +5,30 @@ its gates act on inner vectors of ``2**w`` amplitudes. For every assignment
 of the remaining ``n - w`` (free) qubits, the matching amplitudes are
 gathered out of the full state, the part's gates run on that small dense
 vector, and the results scatter back to the same positions. A part is
-therefore ``2**(n - w)`` independent gather/execute/scatter passes;
-``run_part`` performs them as one vectorized pass with the free
-assignments as a batch axis, which computes the identical amplitudes.
+therefore ``2**(n - w)`` independent gather/execute/scatter passes, one
+row of the staged block each. ``run_part`` stages the rows in chunks of
+about ``CHUNK_AMPS`` amplitudes, so each chunk is gathered, run and
+scattered while it sits in cache; it computes the identical amplitudes.
 
 Every execution path is ``run_part`` on an ``ExecutablePart``. A two-level
 part is a level-1 part whose children are its level-2 parts, addressed as
-slots of the level-1 block: the block is staged once and stands in for the
-full state while the children run on it. Distributed execution
+slots of the level-1 block: each level-1 chunk stands in for the full
+state while the children run on it. Distributed execution
 (``hisim.dist``) runs the same parts on rank buffers, addressing qubits by
 their offset bits.
 
-Within a part, consecutive diagonal gates act on the block as one phase
-vector of ``2**w`` amplitudes, so such a run costs one pass over the block
-(see ``run_part``); ``simulate_flat`` stays gate by gate as the oracle.
+Within a part, the ops are compiled once into steps (``_compile``): each
+run of diagonal gates becomes one ``2**w`` phase vector, and short runs of
+other gates become one dense unitary of at most ``FUSE_WIDTH`` qubits, so
+a chunk takes one pass per step, not one per gate. ``simulate_flat``
+stays gate by gate as the oracle.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 from typing import Mapping, Sequence
 
@@ -35,6 +39,7 @@ from .partition import MultiLevelPartition, Part, PartitionResult, _wires
 from .qasm import Circuit, GateOp
 from .statevec import (
     StateVector,
+    apply_matrix,
     apply_op,
     is_diagonal,
     simulate_flat,
@@ -56,6 +61,13 @@ __all__ = [
     "max_deviation_from_flat",
     "verify_against_flat",
 ]
+
+
+#: amplitudes ``run_part`` stages and runs at a time (1 MiB); chunks of
+#: 2**14 to 2**16 ran fastest at n = 20, 2**12 and 2**18 slower
+CHUNK_AMPS = 1 << 16
+#: most slots one fused dense unitary spans; 5 ran about as fast, 3 slower
+FUSE_WIDTH = 4
 
 
 # --- addressing -------------------------------------------------------------
@@ -116,6 +128,12 @@ class ExecutablePart:
     @property
     def num_slots(self) -> int:
         return len(self.positions)
+
+    @cached_property
+    def steps(self) -> list[tuple]:
+        """The ops compiled for a block of several rows (see ``_compile``),
+        built on first use and reused by every later chunk and call."""
+        return _compile(self)
 
 
 def remap_part(
@@ -207,53 +225,121 @@ def executable_part(
     )
 
 
+def _fuse(group: list[tuple[GateOp, tuple[int, ...]]]) -> tuple:
+    """One step for a group of ops: the op itself for a group of one, else
+    ``(slots, u)`` with ``u`` the group's unitary on its sorted slots,
+    built by applying the group op by op to the rows of the identity."""
+    if len(group) == 1:
+        op, slots = group[0]
+        return slots, op
+    slots = tuple(sorted({s for _, sl in group for s in sl}))
+    local = {s: j for j, s in enumerate(slots)}
+    k = len(slots)
+    rows = np.eye(1 << k, dtype=np.complex128)
+    for op, sl in group:
+        apply_op(rows, k, op, tuple(local[s] for s in sl))
+    # row i now holds the image of basis vector i, so rows is u transposed
+    return slots, rows.T
+
+
+def _compile(exe: ExecutablePart) -> list[tuple]:
+    """The part's ops as steps for a block of several ``2**w`` rows.
+
+    Each run of two or more consecutive diagonal ops (``is_diagonal``)
+    folds into one ``2**w`` phase vector, built by applying the run to
+    ones: a step ``(None, phase)``. The other ops group greedily, in
+    order, while the union of a group's slots holds at most
+    ``FUSE_WIDTH`` slots; a group of several ops becomes one dense unitary
+    (see ``_fuse``), a step ``(slots, u)``, and a group of one stays a step
+    ``(slots, op)``.
+    """
+    w = exe.num_slots
+    steps: list[tuple] = []
+    group: list[tuple[GateOp, tuple[int, ...]]] = []
+    runs = groupby(zip(exe.ops, exe.op_slots), key=lambda o: is_diagonal(o[0]))
+    for diagonal, run in runs:
+        run = list(run)
+        if diagonal and len(run) > 1:
+            if group:
+                steps.append(_fuse(group))
+                group = []
+            phase = np.ones(1 << w, dtype=np.complex128)
+            for op, slots in run:
+                apply_op(phase, w, op, slots)
+            steps.append((None, phase))
+            continue
+        for op, slots in run:
+            if group and len(set(slots).union(*(s for _, s in group))) > FUSE_WIDTH:
+                steps.append(_fuse(group))
+                group = []
+            group.append((op, slots))
+    if group:
+        steps.append(_fuse(group))
+    return steps
+
+
 def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     """Gather, execute, and scatter one part on the last axis of ``data``.
 
     The last axis must have length ``2**m`` with every staged position
     below ``m``; leading axes are batch and correspond to free qubits that
-    some enclosing pass already gathered. The part's own gates run on the
-    staged block, then each child part runs on that block in turn.
+    some enclosing pass already gathered. The staged block has one ``2**w``
+    row per batch entry and free-qubit assignment. Its rows are independent,
+    so they are staged, run and scattered back in chunks of about
+    ``CHUNK_AMPS`` amplitudes, counted across the batch axes: each chunk is
+    gathered through ``part_block_indices``, the part's steps run on it,
+    then each child part runs on it in turn. When the part's positions are
+    already ``0..m-1``, each batch entry is a row and the chunks are views.
 
-    When the block holds more than one ``2**w`` row, each run of two or
-    more consecutive diagonal ops (``statevec.is_diagonal``) is folded into
-    one ``2**w`` phase vector, built by applying the run to ones, and
-    applied as one ``block *= phase``: one pass over the block per run, not
-    one per gate. Any other op runs on the block through ``apply_op``.
+    When the block holds more than one row, the ops run as compiled steps
+    (``ExecutablePart.steps``, built once per part): runs of diagonal ops
+    fold into one phase vector and short runs of other ops fuse into one
+    dense unitary, applied by ``statevec.apply_matrix``. A single-row part,
+    such as a whole-state part with no batch, runs op by op through
+    ``apply_op``, bit-identical to ``simulate_flat``.
     """
     m = int(data.shape[-1]).bit_length() - 1
     if data.shape[-1] != 1 << m:
         raise ValueError(f"last axis {data.shape[-1]} is not a power of two")
+    if not data.flags.c_contiguous:
+        raise ValueError("data must be C-contiguous")
     positions = exe.positions
     if positions and positions[-1] >= m:
         raise ValueError(f"position {positions[-1]} outside 0..{m - 1}")
-    staged = positions != tuple(range(m))
-    if staged:
-        gidx = part_block_indices(m, positions)
-        # fancy indexing with leading batch axes can hand back a non-C-order
-        # array, which the in-place kernels reject
-        block = np.ascontiguousarray(data[..., gidx])
-    else:
-        block = data
     w = exe.num_slots
-    # a phase vector costs one pass over 2**w amplitudes per op, so it only
-    # saves passes when the block holds more than one 2**w row
-    fold = block.size > 1 << w
-    runs = groupby(zip(exe.ops, exe.op_slots), key=lambda o: is_diagonal(o[0]))
-    for diagonal, run in runs:
-        run = list(run)
-        if fold and diagonal and len(run) > 1:
-            phase = np.ones(1 << w, dtype=np.complex128)
-            for op, slots in run:
-                apply_op(phase, w, op, slots)
-            block *= phase
-        else:
-            for op, slots in run:
-                apply_op(block, w, op, slots)
-    for child in exe.children:
-        run_part(block, child)
-    if staged:
-        data[..., gidx] = block
+    if data.size > 1 << w:
+        steps = exe.steps
+    else:
+        steps = list(zip(exe.op_slots, exe.ops))
+    flat = data.reshape(-1, 1 << m)
+    staged = positions != tuple(range(m))
+    gidx = part_block_indices(m, positions) if staged else None
+    rows = 1 << (m - w)  # rows per batch entry
+    per = max(1, CHUNK_AMPS >> w)  # rows per chunk
+    if per >= rows:
+        chunks = [
+            (slice(b, b + per // rows), slice(None))
+            for b in range(0, len(flat), per // rows)
+        ]
+    else:
+        chunks = [
+            (slice(b, b + 1), slice(r, r + per))
+            for b in range(len(flat)) for r in range(0, rows, per)
+        ]
+    for batch, sel in chunks:
+        sub = flat[batch]
+        block = np.take(sub, gidx[sel], axis=1) if staged else sub
+        for slots, step in steps:
+            if slots is None:
+                block *= step
+            elif isinstance(step, GateOp):
+                apply_op(block, w, step, slots)
+            else:
+                apply_matrix(block, w, slots, step)
+        for child in exe.children:
+            run_part(block, child)
+        if staged:
+            sub[:, gidx[sel]] = block
 
 
 # --- instrumentation --------------------------------------------------------

@@ -5,20 +5,24 @@ qubit i, so a gate on qubit i pairs amplitudes at stride 2**i. A full
 n-qubit vector holds 2**n complex128 amplitudes, 2**(n+4) bytes.
 
 Kernels operate in place on arrays whose last axis is the state index;
-leading batch axes let ``hisim.hier.run_part`` run every staged block of a
-part at once, whether the blocks come from the full state, from a level-1
-block (nested parts) or from rank buffers.
+leading batch axes let ``hisim.hier.run_part`` run a whole chunk of a
+part's staged rows at once, whether the rows come from the full state,
+from a level-1 chunk (nested parts) or from rank buffers.
 
 Only this module maps index bits to array axes: ``_subspace`` views every
 block with given slots held at given bits, and ``_permute_bits`` moves
 bits by one axis transpose. A gate is a 2x2 on two such views (target at
 0 and 1, controls at 1; or a SWAP's two exchanged slot pairs), never
-decomposed: a diagonal scales them, exactly X exchanges them, and any
-other mixes them in place from one saved copy of the first.
+decomposed: a diagonal scales them, exactly X exchanges them, slab by
+slab through one saved copy, and any other mixes them in place from one
+saved copy of the first.
 
 ``is_diagonal`` is the one test for a gate that only scales amplitudes;
 ``hisim.hier.run_part`` uses it to fold a run of such gates into one
-``2**w`` phase vector, built by ``apply_op`` on a vector of ones.
+``2**w`` phase vector, built by ``apply_op`` on a vector of ones. It also
+fuses short runs of other gates into one dense ``2**k x 2**k`` unitary,
+built by ``apply_op`` on the identity, which ``apply_matrix`` applies to
+a cache-sized block as one matrix product.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ from .qasm import Circuit, GateKind, GateOp
 DEFAULT_MAX_QUBITS = 24
 #: absolute ceiling on vector width; n=30 is 16 GiB
 HARD_MAX_QUBITS = 30
+#: amplitudes an exchange (X, CX, CCX, SWAP) moves per step (1 MiB)
+_EXCHANGE_SLAB = 1 << 16
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -217,6 +223,31 @@ def is_diagonal(op: GateOp) -> bool:
     return _scales(_gate_2x2(op))
 
 
+def _exchange(arr: np.ndarray, fa: dict[int, int], fb: dict[int, int]) -> None:
+    """Exchange the subspaces ``fa`` and ``fb`` (slot -> held bit, see
+    ``_subspace``) of ``arr``, one slab of ``_EXCHANGE_SLAB`` amplitudes at a
+    time.
+
+    Every exchanged pair lies in one aligned run of ``2**(h+1)`` amplitudes,
+    ``h`` the highest held slot, so a slab of whole runs is exchanged on
+    its own: one saved copy of its first subspace, and, where the two
+    subspaces interleave (numpy then copies the source before assigning),
+    one copy of the second. The temporaries stay within one slab, or half
+    a run when a run is larger.
+    """
+    h = max(fa)
+    run = 1 << (h + 1)
+    runs = arr.reshape(-1, run)
+    step = max(1, _EXCHANGE_SLAB // run)
+    for r0 in range(0, len(runs), step):
+        slab = runs[r0:r0 + step]
+        a = _subspace(slab, h + 1, fa)
+        b = _subspace(slab, h + 1, fb)
+        saved = a.copy()
+        a[...] = b
+        b[...] = saved
+
+
 def apply_op(arr: np.ndarray, w: int, op: GateOp, slots: tuple[int, ...] | None = None) -> None:
     """Apply one gate in place to every w-qubit block of ``arr``.
 
@@ -231,12 +262,15 @@ def apply_op(arr: np.ndarray, w: int, op: GateOp, slots: tuple[int, ...] | None 
     q = slots if slots is not None else op.qubits
     u = _gate_2x2(op)
     if op.kind is GateKind.SWAP:
-        a = _subspace(arr, w, {q[0]: 0, q[1]: 1})
-        b = _subspace(arr, w, {q[0]: 1, q[1]: 0})
+        fa, fb = {q[0]: 0, q[1]: 1}, {q[0]: 1, q[1]: 0}
     else:
         held = dict.fromkeys(q[:-1], 1)
-        a = _subspace(arr, w, {**held, q[-1]: 0})
-        b = _subspace(arr, w, {**held, q[-1]: 1})
+        fa, fb = {**held, q[-1]: 0}, {**held, q[-1]: 1}
+    if (u == _X).all():
+        _exchange(arr, fa, fb)
+        return
+    a = _subspace(arr, w, fa)
+    b = _subspace(arr, w, fb)
     if _scales(u):
         if u[0, 0] != 1.0:
             a *= u[0, 0]
@@ -244,14 +278,35 @@ def apply_op(arr: np.ndarray, w: int, op: GateOp, slots: tuple[int, ...] | None 
             b *= u[1, 1]
         return
     saved = a.copy()
-    if (u == _X).all():
-        a[...] = b
-        b[...] = saved
-    else:
-        a *= u[0, 0]
-        a += u[0, 1] * b
-        b *= u[1, 1]
-        b += u[1, 0] * saved
+    a *= u[0, 0]
+    a += u[0, 1] * b
+    b *= u[1, 1]
+    b += u[1, 0] * saved
+
+
+def apply_matrix(
+    arr: np.ndarray, w: int, slots: Sequence[int], u: np.ndarray
+) -> None:
+    """Apply a dense ``2**k x 2**k`` unitary in place to every w-qubit block
+    of ``arr``; bit ``j`` of ``u``'s row and column index is slot ``slots[j]``.
+
+    The slots' axes move last in the ``(batch,) + (2,) * w`` view, so each
+    sub-vector is one row of a ``(rows, 2**k)`` matrix and the whole array
+    is one product with ``u.T``. That takes a copy in (a view when
+    ``slots`` are the lowest slots, ascending), the product, and a copy
+    back, each the size of ``arr``: meant for blocks that fit in cache.
+    """
+    if not arr.flags.c_contiguous:
+        raise ValueError("arr must be C-contiguous")
+    k = len(slots)
+    if u.shape != (1 << k, 1 << k):
+        raise ValueError(f"matrix of shape {u.shape} on {k} slots")
+    view = arr.reshape((-1,) + (2,) * w)
+    # slot s is axis w - s; bit j of the row index is the j-th axis from the end
+    moved = np.moveaxis(
+        view, [w - s for s in reversed(slots)], range(w + 1 - k, w + 1)
+    )
+    moved[...] = (moved.reshape(-1, 1 << k) @ u.T).reshape(moved.shape)
 
 
 def simulate_flat(circuit: Circuit, max_qubits: int | None = None) -> StateVector:

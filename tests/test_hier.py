@@ -40,12 +40,14 @@ from hisim.qasm import Circuit, GateKind, GateOp
 from hisim.statevec import (
     StateVector,
     apply_op,
+    is_diagonal,
     simulate_flat,
     state_bytes,
     zero_state,
 )
 
-from random_circuits import random_circuit
+from random_circuits import random_circuit, random_params
+from test_statevec import _full_operator
 
 
 # --- single-assignment oracle -----------------------------------------------
@@ -254,16 +256,17 @@ _RUNS = Circuit(2, (
 
 
 def test_diagonal_runs_fold_only_on_blocks_of_several_rows(monkeypatch):
-    """On a block of several rows only a run of two or more diagonal ops
-    is built into a phase vector off the block; on a single-row block, here
-    a whole-state part, every op runs on the block, bit-identical to
-    ``simulate_flat``."""
+    """On a block of several rows the run of diagonal ops is built into a
+    phase vector off the block, and the dense ops around it into unitaries
+    on the identity, so no op runs on the block op by op; on a single-row
+    block, here a whole-state part, every op runs on the block,
+    bit-identical to ``simulate_flat``."""
     exe = remap_part(_RUNS, Part(0, tuple(range(_RUNS.num_ops)), (0, 1)), range(2))
-    on_block = []
+    calls = []
     real = hier.apply_op
 
     def spy(arr, w, op, slots=None):
-        on_block.append(np.shares_memory(arr, data))
+        calls.append((op.kind, arr.shape, np.shares_memory(arr, data)))
         real(arr, w, op, slots)
 
     monkeypatch.setattr(hier, "apply_op", spy)
@@ -273,13 +276,22 @@ def test_diagonal_runs_fold_only_on_blocks_of_several_rows(monkeypatch):
     for op in _RUNS.ops:
         apply_op(expect, 2, op)
     run_part(data, exe)
-    assert on_block == [True, True, False, False, False, True, True]
+    phase, eye = (4,), (4, 4)
+    assert calls == [
+        (GateKind.H, eye, False),
+        (GateKind.H, eye, False),
+        (GateKind.RZ, phase, False),
+        (GateKind.CRZ, phase, False),
+        (GateKind.U1, phase, False),
+        (GateKind.H, eye, False),
+        (GateKind.T, eye, False),
+    ]
     np.testing.assert_allclose(data, expect, rtol=0, atol=1e-15)
 
-    on_block.clear()
+    calls.clear()
     data = zero_state(2).data
     run_part(data, exe)
-    assert on_block == [True] * _RUNS.num_ops
+    assert [on_block for _, _, on_block in calls] == [True] * _RUNS.num_ops
     np.testing.assert_array_equal(data, simulate_flat(_RUNS).data)
 
 
@@ -301,6 +313,156 @@ def test_fused_run_allocates_only_its_phase_vector():
     finally:
         tracemalloc.stop()
     assert peak <= 0.1 * data.nbytes
+
+
+# --- chunks and fused groups ----------------------------------------------
+
+
+def _spread(rng, n, num_ops):
+    """A random circuit over every gate kind behind an H on every qubit, so
+    every phase shows."""
+    body = random_circuit(rng, n, num_ops)
+    spread = tuple(GateOp(GateKind.H, (q,), ()) for q in range(n))
+    return Circuit(n, spread + body.ops)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 3])
+def test_chunked_parts_match_the_oracle_and_flat(monkeypatch, rows):
+    """With chunks of one amplitude, of one ``2**l1``-amplitude row and of
+    three such rows (the last chunk of a block then comes up short), flat
+    and nested parts on a batch of four states equal the single-assignment
+    passes, and every executor equals flat."""
+    l1, l2 = 5, 3
+    monkeypatch.setattr(hier, "CHUNK_AMPS", rows << l1 or 1)
+    n = 7
+    circuit = _spread(random.Random(rows), n, 60)
+    dag = build_dag(circuit)
+    expect = simulate_flat(circuit).data
+    data_rng = np.random.default_rng(rows)
+    for partition in (partition_dagp(dag, l1), partition_multilevel(dag, l1, l2)):
+        shape = (4, 1 << n)
+        data = data_rng.normal(size=shape) + 1j * data_rng.normal(size=shape)
+        oracle = data.copy()
+        for i in range(len(level1_parts(circuit, partition))):
+            exe = executable_part(circuit, partition, i, range(n))
+            run_part(data, exe)
+            for entry in oracle:
+                _run_part_oracle(entry, exe)
+        assert np.max(np.abs(data - oracle)) <= 1e-12
+        got = execute_hierarchical(circuit, partition)
+        assert np.max(np.abs(got.data - expect)) <= 1e-12
+        for p in (1, 2):
+            state = simulate_distributed(circuit, partition, p).state
+            assert np.max(np.abs(state.data - expect)) <= 1e-12
+
+    # a whole-state part on a batch of four: each entry is one row, and the
+    # chunks are views of up to ``rows`` entries, the last one short
+    small = _spread(random.Random(rows), l1, 30)
+    gates = tuple(range(small.num_ops))
+    whole = remap_part(small, Part(0, gates, tuple(range(l1))), range(l1))
+    data = np.zeros((4, 1 << l1), dtype=np.complex128)
+    data[:, 0] = 1.0
+    run_part(data, whole)
+    assert np.max(np.abs(data - simulate_flat(small).data)) <= 1e-12
+
+
+@pytest.mark.parametrize("width", [2, 3, 4])
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_fused_groups_match_flat_and_the_oracle(width, seed):
+    """Flat and two-level partitions of random circuits over every gate
+    kind, fused at width ``width``, run hierarchically and on 1 and 2
+    emulated rank bits, equal the flat simulator and the unfused
+    single-assignment passes."""
+    rng = random.Random(seed)
+    n = rng.randint(5, 8)
+    circuit = _spread(rng, n, rng.randint(10, 50))
+    widest = max(len(o.qubits) for o in circuit.ops)
+    l1 = rng.randint(max(2, widest), n - 2)
+    l2 = rng.randint(max(2, widest), l1)
+    dag = build_dag(circuit)
+    expect = simulate_flat(circuit).data
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hier, "FUSE_WIDTH", width)
+        for partition in (partition_dagp(dag, l1), partition_multilevel(dag, l1, l2)):
+            data = zero_state(n).data
+            oracle = data.copy()
+            for i in range(len(level1_parts(circuit, partition))):
+                exe = executable_part(circuit, partition, i, range(n))
+                run_part(data, exe)
+                _run_part_oracle(oracle, exe)
+            assert np.max(np.abs(data - expect)) <= 1e-12
+            assert np.max(np.abs(data - oracle)) <= 1e-12
+            for p in (1, 2):
+                state = simulate_distributed(circuit, partition, p).state
+                assert np.max(np.abs(state.data - expect)) <= 1e-12
+
+
+#: kinds that never only scale, so two of them never fold into a phase
+_DENSE = tuple(
+    k for k in GateKind
+    if not is_diagonal(GateOp(k, tuple(range(k.arity)), (0.5,) * k.num_params))
+)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_each_fused_unitary_is_its_ops_product(seed):
+    """Three segments of ops on alternating 4-slot sets of an 8-slot part
+    compile to three fused steps. Each segment opens with an H on all four
+    of its slots, so the next segment's first op always overflows the
+    group; dense ops alternate with ops of any kind, so no two diagonal ops
+    meet. Each step's unitary is the product of its ops' full operators on
+    its sorted slots, and unitary."""
+    rng = random.Random(seed)
+    sets = ((0, 2, 5, 7), (1, 3, 4, 6), (0, 2, 5, 7))
+    segments = []
+    for slots in sets:
+        ops = [GateOp(GateKind.H, (q,), ()) for q in slots]
+        for i in range(8):
+            kind = rng.choice(_DENSE if i % 2 == 0 else tuple(GateKind))
+            qubits = tuple(rng.sample(slots, kind.arity))
+            ops.append(GateOp(kind, qubits, random_params(rng, kind)))
+        segments.append(ops)
+    circuit = Circuit(8, tuple(op for ops in segments for op in ops))
+    gates = tuple(range(circuit.num_ops))
+    steps = remap_part(circuit, Part(0, gates, tuple(range(8))), range(8)).steps
+    assert [slots for slots, _ in steps] == list(sets)
+    for (slots, u), ops in zip(steps, segments):
+        local = {q: j for j, q in enumerate(slots)}
+        expect = np.eye(16, dtype=np.complex128)
+        for op in ops:
+            moved = GateOp(op.kind, tuple(local[q] for q in op.qubits), op.params)
+            expect = _full_operator(moved, 4) @ expect
+        assert np.max(np.abs(u - expect)) <= 1e-12
+        assert np.max(np.abs(u @ u.conj().T - np.eye(16))) <= 1e-12
+
+
+def test_partitioned_runs_peak_within_twice_the_state():
+    """At n = 20, limit 14 (and 8 below it), a part stages one cache-sized
+    chunk at a time, so a run holds the state, the part's index matrix
+    (half the state at w = 14) and chunk-sized temporaries: hierarchical
+    and multilevel runs peak at 2x the state, a distributed run on 2 rank
+    bits, which permutes the state out of place, at 2.1x."""
+    n = 20
+    qaoa = bench.qaoa(n, 2)
+    qft = bench.qft(n)
+    ising = bench.ising(n, 2)
+    hier_p = partition_dagp(build_dag(ising), 14)
+    multi_p = partition_multilevel(build_dag(qaoa), 14, 8)
+    dist_p = partition_dagp(build_dag(qft), 14)
+    runs = [
+        (lambda: execute_hierarchical(ising, hier_p), 2.0),
+        (lambda: execute_multilevel(qaoa, multi_p), 2.0),
+        (lambda: simulate_distributed(qft, dist_p, 2), 2.1),
+    ]
+    for run, bound in runs:
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * state_bytes(n)
 
 
 # --- equivalence with the flat simulator ------------------------------------
@@ -559,8 +721,8 @@ def test_verification_holds_the_reference_and_its_magnitudes():
     """The difference is taken inside the reference, so comparing holds the
     reference plus its half-size magnitudes: 1.5x the state, shown on a
     gate-free circuit. Simulating the reference adds the kernels' own
-    temporaries, up to one state for a dense or exchanging gate (see
-    test_statevec), so verifying qft(18) peaks near 2x."""
+    temporaries, up to one state for a dense gate and half for an
+    exchange (see test_statevec), so verifying qft(18) peaks near 2x."""
     n = 18
     for circuit, bound in ((Circuit(n, ()), 1.6), (bench.qft(n), 2.1)):
         state = simulate_flat(circuit)

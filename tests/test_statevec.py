@@ -16,6 +16,7 @@ from hisim.errors import QubitCountOutOfRangeError
 from hisim.qasm import Circuit, GateKind, GateOp
 from hisim.statevec import (
     StateVector,
+    apply_matrix,
     apply_op,
     gate_matrix,
     is_diagonal,
@@ -241,6 +242,88 @@ def test_dense_gate_temporaries_stay_within_one_state():
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * state_bytes(n)
+
+
+def test_exchange_temporaries_stay_within_half_the_state():
+    """X exchanges its halves slab by slab through one saved copy, so on a
+    full 18-qubit state it allocates at most half the state (the saved
+    half on the top target, where one slab is the whole state), and moves
+    every amplitude to its stride partner exactly."""
+    n = 18
+    rng = np.random.default_rng(17)
+    data = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    for t in (0, 9, n - 1):
+        before = data.copy()
+        tracemalloc.start()
+        try:
+            apply_op(data, n, GateOp(GateKind.X, (t,), ()))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.55 * state_bytes(n)
+        np.testing.assert_array_equal(data, before[np.arange(1 << n) ^ (1 << t)])
+
+
+@pytest.mark.parametrize("kind", [GateKind.CX, GateKind.SWAP, GateKind.CCX])
+def test_exchange_across_slabs_permutes_amplitudes(kind):
+    """A 17-qubit batch of two spans four exchange slabs; exchanges whose
+    operands sit below, across and above a slab boundary move every
+    amplitude of each batch entry to its partner, bit for bit."""
+    n = 17
+    rng = np.random.default_rng(kind.arity)
+    batch = rng.normal(size=(2, 1 << n)) + 1j * rng.normal(size=(2, 1 << n))
+    index = np.arange(1 << n)
+    for qubits in [(0, 1, 2), (3, 16, 15), (16, 0, 9), (14, 15, 16)]:
+        qubits = qubits[:kind.arity]
+        got = batch.copy()
+        apply_op(got, n, GateOp(kind, qubits, ()))
+        # an exchange permutes basis indices: amplitude i comes from src[i]
+        if kind is GateKind.SWAP:
+            a, b = qubits
+            flip = ((index >> a) ^ (index >> b)) & 1
+            src = index ^ (flip * ((1 << a) | (1 << b)))
+        else:
+            flip = np.ones_like(index)
+            for q in qubits[:-1]:
+                flip &= (index >> q) & 1
+            src = index ^ (flip << qubits[-1])
+        np.testing.assert_array_equal(got, batch[:, src])
+
+
+def test_apply_matrix_matches_dense_operator():
+    """A random 2**k unitary on any ordered slots acts as its full operator,
+    on one vector and on a leading batch axis."""
+    n = 5
+    rng = np.random.default_rng(23)
+    batch = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
+    orders = [(0,), (0, 1), (1, 0), (4, 2), (0, 1, 2, 3), (3, 0, 4), (4, 1, 2, 0)]
+    for slots in orders:
+        k = len(slots)
+        dim = (1 << k, 1 << k)
+        u, _ = np.linalg.qr(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        # the full operator: bit j of u's index is qubit slots[j]
+        full = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+        for col in range(1 << n):
+            sub_in = sum(((col >> s) & 1) << j for j, s in enumerate(slots))
+            for sub_out in range(1 << k):
+                row = col
+                for j, s in enumerate(slots):
+                    row = (row & ~(1 << s)) | (((sub_out >> j) & 1) << s)
+                full[row, col] += u[sub_out, sub_in]
+        one = batch[0].copy()
+        apply_matrix(one, n, slots, u)
+        assert np.max(np.abs(one - full @ batch[0])) < 1e-12
+        many = batch.copy()
+        apply_matrix(many, n, slots, u)
+        assert np.max(np.abs(many - batch @ full.T)) < 1e-12
+
+
+def test_apply_matrix_rejects_bad_input():
+    fortran = np.zeros((4, 4), dtype=np.complex128, order="F")
+    with pytest.raises(ValueError):
+        apply_matrix(fortran, 2, (0,), np.eye(2))
+    with pytest.raises(ValueError):
+        apply_matrix(np.zeros(4, dtype=np.complex128), 2, (0, 1), np.eye(2))
 
 
 @settings(max_examples=25, deadline=None)
