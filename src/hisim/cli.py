@@ -28,7 +28,6 @@ from .errors import (
 from .hier import (
     ExecutionTrace,
     execute_hierarchical,
-    execute_multilevel,
     level1_parts,
     max_deviation_from_flat,
 )
@@ -225,6 +224,23 @@ def _run_report_parts(circuit, partition) -> list[dict]:
     ]
 
 
+def _run_report_limits(partition) -> dict:
+    """The run report's strategy and limits, read off the partition that ran."""
+    if isinstance(partition, MultiLevelPartition):
+        return {
+            "strategy": "multilevel",
+            "limit": None,
+            "limit1": partition.limit1,
+            "limit2": partition.limit2,
+        }
+    return {
+        "strategy": partition.strategy if partition is not None else None,
+        "limit": partition.limit if partition is not None else None,
+        "limit1": None,
+        "limit2": None,
+    }
+
+
 def cmd_run(args) -> int:
     name, circuit = _load_circuit(args.circuit)
     n = circuit.num_qubits
@@ -236,8 +252,6 @@ def cmd_run(args) -> int:
         raise _UsageError("--trace requires --mode hierarchical or multilevel")
 
     partition: PartitionResult | MultiLevelPartition | None = None
-    strategy: str | None = None
-    limit = limit1 = limit2 = None
     trace: ExecutionTrace | None = None
     comm = None
 
@@ -248,39 +262,30 @@ def cmd_run(args) -> int:
         dag = build_dag(circuit)
         if args.partition is not None:
             partition = _load_partition(dag, args.partition)
-            if isinstance(partition, MultiLevelPartition):
-                strategy = "multilevel"
-                limit1, limit2 = partition.limit1, partition.limit2
-            else:
-                strategy = partition.strategy
-                limit = partition.limit
         elif args.mode == "multilevel" or (
             args.mode == "distributed" and args.l1 is not None
         ):
-            limit1, limit2 = _resolve_levels(args, circuit)
-            partition = partition_multilevel(dag, limit1, limit2)
-            strategy = "multilevel"
+            partition = partition_multilevel(dag, *_resolve_levels(args, circuit))
         else:
-            strategy = args.strategy
             limit = args.limit if args.limit is not None else _default_limit(circuit)
-            partition = _flat_partition(dag, strategy, limit, args.seed, args.trials)
+            partition = _flat_partition(
+                dag, args.strategy, limit, args.seed, args.trials
+            )
 
-        if args.mode == "hierarchical":
-            if isinstance(partition, MultiLevelPartition):
-                raise _UsageError(
-                    "--mode hierarchical needs a flat partition; "
-                    "use --mode multilevel"
-                )
-            state, trace = execute_hierarchical(circuit, partition, with_trace=True)
-        elif args.mode == "multilevel":
-            if not isinstance(partition, MultiLevelPartition):
-                raise _UsageError(
-                    "--mode multilevel needs --l1/--l2 limits or a "
-                    "multilevel --partition document"
-                )
-            state, trace = execute_multilevel(circuit, partition, with_trace=True)
-        else:
+        multilevel = isinstance(partition, MultiLevelPartition)
+        if args.mode == "hierarchical" and multilevel:
+            raise _UsageError(
+                "--mode hierarchical needs a flat partition; use --mode multilevel"
+            )
+        if args.mode == "multilevel" and not multilevel:
+            raise _UsageError(
+                "--mode multilevel needs --l1/--l2 limits or a "
+                "multilevel --partition document"
+            )
+        if args.mode == "distributed":
             state, comm = simulate_distributed(circuit, partition, args.p)
+        else:
+            state, trace = execute_hierarchical(circuit, partition, with_trace=True)
     wall = time.perf_counter() - t0
 
     max_delta = None
@@ -291,10 +296,7 @@ def cmd_run(args) -> int:
     report = {
         "circuit": {"name": name, "num_qubits": n, "num_gates": circuit.num_ops},
         "mode": args.mode,
-        "strategy": strategy,
-        "limit": limit,
-        "limit1": limit1,
-        "limit2": limit2,
+        **_run_report_limits(partition),
         "num_rank_bits": args.p if args.mode == "distributed" else None,
         "num_parts": len(parts) if parts is not None else None,
         "parts": parts,

@@ -10,10 +10,11 @@ row of the staged block each. ``run_part`` stages the rows in chunks of
 about ``CHUNK_AMPS`` amplitudes, so each chunk is gathered, run and
 scattered while it sits in cache; it computes the identical amplitudes.
 
-Every execution path is ``run_part`` on an ``ExecutablePart``. A two-level
-part is a level-1 part whose children are its level-2 parts, addressed as
-slots of the level-1 block: each level-1 chunk stands in for the full
-state while the children run on it. Distributed execution
+Every execution path is ``run_part`` on an ``ExecutablePart``, whose gates
+``remap_part`` rewrote once to slots of the part's staged block. A
+two-level part is a level-1 part whose children are its level-2 parts,
+addressed as slots of the level-1 block: each level-1 chunk stands in for
+the full state while the children run on it. Distributed execution
 (``hisim.dist``) runs the same parts on rank buffers, addressing qubits by
 their offset bits.
 
@@ -27,7 +28,7 @@ stays gate by gate as the oracle.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import groupby
 from typing import Mapping, Sequence
@@ -112,8 +113,8 @@ class ExecutablePart:
 
     ``positions`` are the ascending bit positions of that array's last axis
     the part stages; slot ``i`` of the staged block is ``positions[i]``.
-    ``ops`` keep their original (global) qubits for reference; the kernels
-    consume ``op_slots``, the same operands as slots of the block.
+    ``ops`` are the part's gates with their operands rewritten to slots of
+    the block, the only form the compiler and the kernels see.
     ``children`` are nested parts, addressed as slots of this part's block,
     that run on it after ``ops``; ``gate_indices`` include theirs.
     """
@@ -122,7 +123,6 @@ class ExecutablePart:
     gate_indices: tuple[int, ...]
     positions: tuple[int, ...]
     ops: tuple[GateOp, ...]
-    op_slots: tuple[tuple[int, ...], ...]
     children: tuple[ExecutablePart, ...]
 
     @property
@@ -140,30 +140,23 @@ def remap_part(
     circuit: Circuit,
     part: Part,
     position_of: Mapping[int, int] | Sequence[int],
-    staged: Sequence[int] | None = None,
 ) -> ExecutablePart:
-    """Build the executable form of ``part``.
+    """Build the executable form of ``part``, staging exactly ``part.qubits``.
 
     ``position_of[q]`` is the bit position of global qubit ``q`` in the
-    array the part will run on. ``staged`` widens the staged set beyond the
-    part's own qubits (global ids, must be a superset); gates still address
-    their own operands, the extra qubits just ride along in the block.
+    array the part will run on. Each gate is rewritten once to
+    ``GateOp(kind, slots, params)``, its operands as slots of the staged
+    block; a gate on a qubit outside ``part.qubits`` raises ``KeyError``.
     """
-    if staged is None:
-        staged = part.qubits
-    elif not set(part.qubits) <= set(staged):
-        raise ValueError(
-            f"stage set {tuple(staged)} does not cover part qubits {part.qubits}"
-        )
-    positions = tuple(sorted(position_of[q] for q in staged))
+    positions = tuple(sorted(position_of[q] for q in part.qubits))
     if len(set(positions)) != len(positions):
         raise ValueError("position_of maps two staged qubits to one position")
     slot_of = {pos: i for i, pos in enumerate(positions)}
-    ops = tuple(circuit.ops[g] for g in part.gate_indices)
-    op_slots = tuple(
-        tuple(slot_of[position_of[q]] for q in op.qubits) for op in ops
+    ops = tuple(
+        GateOp(op.kind, tuple(slot_of[position_of[q]] for q in op.qubits), op.params)
+        for op in (circuit.ops[g] for g in part.gate_indices)
     )
-    return ExecutablePart(part.id, part.gate_indices, positions, ops, op_slots, ())
+    return ExecutablePart(part.id, part.gate_indices, positions, ops, ())
 
 
 def level1_parts(
@@ -204,9 +197,10 @@ def executable_part(
     """Level-1 part ``i`` of either partition kind, ready for ``run_part``.
 
     A two-level part stages its level-1 qubits once and runs its level-2
-    parts as children on their padded qubit sets, addressed as slots of
-    the level-1 block. A sublevel that is just the parent part itself needs
-    no second staging and runs as a single-level part.
+    parts as children, each staging its padded qubit set (a superset of its
+    own qubits, see ``MultiLevelPartition.padded_qubits``), addressed as
+    slots of the level-1 block. A sublevel that is just the parent part
+    itself needs no second staging and runs as a single-level part.
     """
     if not isinstance(partition, MultiLevelPartition):
         return remap_part(circuit, partition.parts[i], position_of)
@@ -217,27 +211,25 @@ def executable_part(
     positions = tuple(sorted(position_of[q] for q in parent.qubits))
     slot_of = {q: positions.index(position_of[q]) for q in parent.qubits}
     children = tuple(
-        remap_part(circuit, sp, slot_of, padded)
+        remap_part(circuit, replace(sp, qubits=padded), slot_of)
         for sp, padded in zip(sub, partition.padded_qubits[i])
     )
-    return ExecutablePart(
-        parent.id, parent.gate_indices, positions, (), (), children
-    )
+    return ExecutablePart(parent.id, parent.gate_indices, positions, (), children)
 
 
-def _fuse(group: list[tuple[GateOp, tuple[int, ...]]]) -> tuple:
-    """One step for a group of ops: the op itself for a group of one, else
-    ``(slots, u)`` with ``u`` the group's unitary on its sorted slots,
+def _fuse(group: list[GateOp]) -> tuple:
+    """One step for a group of ops: ``(slots, op)`` for a group of one,
+    else ``(slots, u)`` with ``u`` the group's unitary on its sorted slots,
     built by applying the group op by op to the rows of the identity."""
     if len(group) == 1:
-        op, slots = group[0]
-        return slots, op
-    slots = tuple(sorted({s for _, sl in group for s in sl}))
+        return group[0].qubits, group[0]
+    slots = tuple(sorted({s for op in group for s in op.qubits}))
     local = {s: j for j, s in enumerate(slots)}
     k = len(slots)
     rows = np.eye(1 << k, dtype=np.complex128)
-    for op, sl in group:
-        apply_op(rows, k, op, tuple(local[s] for s in sl))
+    for op in group:
+        slots_k = tuple(local[s] for s in op.qubits)
+        apply_op(rows, k, GateOp(op.kind, slots_k, op.params))
     # row i now holds the image of basis vector i, so rows is u transposed
     return slots, rows.T
 
@@ -255,24 +247,24 @@ def _compile(exe: ExecutablePart) -> list[tuple]:
     """
     w = exe.num_slots
     steps: list[tuple] = []
-    group: list[tuple[GateOp, tuple[int, ...]]] = []
-    runs = groupby(zip(exe.ops, exe.op_slots), key=lambda o: is_diagonal(o[0]))
-    for diagonal, run in runs:
+    group: list[GateOp] = []
+    for diagonal, run in groupby(exe.ops, key=is_diagonal):
         run = list(run)
         if diagonal and len(run) > 1:
             if group:
                 steps.append(_fuse(group))
                 group = []
             phase = np.ones(1 << w, dtype=np.complex128)
-            for op, slots in run:
-                apply_op(phase, w, op, slots)
+            for op in run:
+                apply_op(phase, w, op)
             steps.append((None, phase))
             continue
-        for op, slots in run:
-            if group and len(set(slots).union(*(s for _, s in group))) > FUSE_WIDTH:
+        for op in run:
+            union = set(op.qubits).union(*(g.qubits for g in group))
+            if group and len(union) > FUSE_WIDTH:
                 steps.append(_fuse(group))
                 group = []
-            group.append((op, slots))
+            group.append(op)
     if group:
         steps.append(_fuse(group))
     return steps
@@ -284,19 +276,20 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     The last axis must have length ``2**m`` with every staged position
     below ``m``; leading axes are batch and correspond to free qubits that
     some enclosing pass already gathered. The staged block has one ``2**w``
-    row per batch entry and free-qubit assignment. Its rows are independent,
-    so they are staged, run and scattered back in chunks of about
-    ``CHUNK_AMPS`` amplitudes, counted across the batch axes: each chunk is
-    gathered through ``part_block_indices``, the part's steps run on it,
+    row per batch entry and free-qubit assignment.
+
+    A single-row part (one ``2**w`` row spanning ``data``, such as a
+    whole-state part with no batch) runs its ops gate by gate through
+    ``apply_op``, bit-identical to ``simulate_flat``, then its children.
+    Any other block's rows are independent, so one loop stages, runs and
+    scatters them back in chunks of about ``CHUNK_AMPS`` amplitudes: several
+    batch entries per chunk when a batch entry is small, else a run of rows
+    of one entry. Each chunk is gathered through ``part_block_indices``, the
+    part's compiled steps (``ExecutablePart.steps``, built once per part:
+    runs of diagonal ops fold into one phase vector, short runs of other ops
+    fuse into one dense unitary for ``statevec.apply_matrix``) run on it,
     then each child part runs on it in turn. When the part's positions are
     already ``0..m-1``, each batch entry is a row and the chunks are views.
-
-    When the block holds more than one row, the ops run as compiled steps
-    (``ExecutablePart.steps``, built once per part): runs of diagonal ops
-    fold into one phase vector and short runs of other ops fuse into one
-    dense unitary, applied by ``statevec.apply_matrix``. A single-row part,
-    such as a whole-state part with no batch, runs op by op through
-    ``apply_op``, bit-identical to ``simulate_flat``.
     """
     m = int(data.shape[-1]).bit_length() - 1
     if data.shape[-1] != 1 << m:
@@ -307,39 +300,34 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     if positions and positions[-1] >= m:
         raise ValueError(f"position {positions[-1]} outside 0..{m - 1}")
     w = exe.num_slots
-    if data.size > 1 << w:
-        steps = exe.steps
-    else:
-        steps = list(zip(exe.op_slots, exe.ops))
+    if data.size == 1 << w:
+        for op in exe.ops:
+            apply_op(data, w, op)
+        for child in exe.children:
+            run_part(data, child)
+        return
     flat = data.reshape(-1, 1 << m)
     staged = positions != tuple(range(m))
     gidx = part_block_indices(m, positions) if staged else None
     rows = 1 << (m - w)  # rows per batch entry
-    per = max(1, CHUNK_AMPS >> w)  # rows per chunk
-    if per >= rows:
-        chunks = [
-            (slice(b, b + per // rows), slice(None))
-            for b in range(0, len(flat), per // rows)
-        ]
-    else:
-        chunks = [
-            (slice(b, b + 1), slice(r, r + per))
-            for b in range(len(flat)) for r in range(0, rows, per)
-        ]
-    for batch, sel in chunks:
-        sub = flat[batch]
-        block = np.take(sub, gidx[sel], axis=1) if staged else sub
-        for slots, step in steps:
-            if slots is None:
-                block *= step
-            elif isinstance(step, GateOp):
-                apply_op(block, w, step, slots)
-            else:
-                apply_matrix(block, w, slots, step)
-        for child in exe.children:
-            run_part(block, child)
-        if staged:
-            sub[:, gidx[sel]] = block
+    bstep = max(1, CHUNK_AMPS >> m)  # batch entries per chunk
+    rstep = min(rows, max(1, CHUNK_AMPS >> w))  # rows of an entry per chunk
+    for b in range(0, len(flat), bstep):
+        sub = flat[b:b + bstep]
+        for r in range(0, rows, rstep):
+            sel = slice(r, r + rstep)
+            block = np.take(sub, gidx[sel], axis=1) if staged else sub
+            for slots, step in exe.steps:
+                if slots is None:
+                    block *= step
+                elif isinstance(step, GateOp):
+                    apply_op(block, w, step)
+                else:
+                    apply_matrix(block, w, slots, step)
+            for child in exe.children:
+                run_part(block, child)
+            if staged:
+                sub[:, gidx[sel]] = block
 
 
 # --- instrumentation --------------------------------------------------------

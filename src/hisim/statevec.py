@@ -7,7 +7,10 @@ n-qubit vector holds 2**n complex128 amplitudes, 2**(n+4) bytes.
 Kernels operate in place on arrays whose last axis is the state index;
 leading batch axes let ``hisim.hier.run_part`` run a whole chunk of a
 part's staged rows at once, whether the rows come from the full state,
-from a level-1 chunk (nested parts) or from rank buffers.
+from a level-1 chunk (nested parts) or from rank buffers. An op's qubits
+are always bits of the block it runs on: a circuit's own qubits on the
+full state, or slots of a part's staged block, as
+``hisim.hier.remap_part`` rewrote them.
 
 Only this module maps index bits to array axes: ``_subspace`` views every
 block with given slots held at given bits, and ``_permute_bits`` moves
@@ -248,18 +251,19 @@ def _exchange(arr: np.ndarray, fa: dict[int, int], fb: dict[int, int]) -> None:
         b[...] = saved
 
 
-def apply_op(arr: np.ndarray, w: int, op: GateOp, slots: tuple[int, ...] | None = None) -> None:
+def apply_op(arr: np.ndarray, w: int, op: GateOp) -> None:
     """Apply one gate in place to every w-qubit block of ``arr``.
 
     ``arr`` is any array whose last axis has length 2**w (leading axes are
-    batch). ``slots`` overrides the op's qubits with block-local slot
-    positions; by default the op's qubits are used directly.
+    batch). The op's qubits are slots of that block: a circuit's own ops on
+    the full state, or a part's ops as ``hisim.hier.remap_part`` rewrote
+    them for its staged block.
     """
     if not arr.flags.c_contiguous:
         # the kernels write through reshaped views; a non-contiguous array
         # would silently reshape into a copy and drop the writes
         raise ValueError("arr must be C-contiguous")
-    q = slots if slots is not None else op.qubits
+    q = op.qubits
     u = _gate_2x2(op)
     if op.kind is GateKind.SWAP:
         fa, fb = {q[0]: 0, q[1]: 1}, {q[0]: 1, q[1]: 0}
@@ -324,11 +328,16 @@ def simulate_flat(circuit: Circuit, max_qubits: int | None = None) -> StateVecto
 
 def save_state(state: StateVector, path: str | Path) -> None:
     """Write amplitudes as little-endian float64 (re, im) pairs plus a JSON
-    sidecar ``<path>.json`` carrying num_qubits and the norm."""
+    sidecar ``<path>.json`` carrying num_qubits and the norm, written as
+    ``null`` when it is not finite (JSON has no NaN)."""
     path = Path(path)
     # no copy when the host is little-endian, as the dump already is
     state.data.astype("<c16", copy=False).tofile(path)
-    sidecar = {"num_qubits": state.num_qubits, "norm": state.norm()}
+    norm = state.norm()
+    sidecar = {
+        "num_qubits": state.num_qubits,
+        "norm": norm if math.isfinite(norm) else None,
+    }
     Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
 

@@ -148,7 +148,8 @@ def test_nan_amplitude_fails_verification(capsys, monkeypatch, tmp_path):
     assert code == 3
     assert "nan" in err
     path = tmp_path / "r.json"
-    code, _, err = run_cli(capsys, *argv, "--report", str(path))
+    dump = tmp_path / "s.bin"
+    code, _, err = run_cli(capsys, *argv, "--report", str(path), "--out", str(dump))
     assert code == 3
     assert "nan" in err
     # both reports are strict JSON: the NaN delta is null and the NaN
@@ -156,6 +157,13 @@ def test_nan_amplitude_fails_verification(capsys, monkeypatch, tmp_path):
     for report in (_strict_json(out), _strict_json(path.read_text())):
         assert report["max_abs_delta"] is None
         assert report["probabilities"] == {"011111": 0.5, "111111": 0.5}
+    # so is the state dump's sidecar: the NaN norm is null, and the dump
+    # still reads back
+    sidecar = _strict_json((tmp_path / "s.bin.json").read_text())
+    assert sidecar == {"num_qubits": 6, "norm": None}
+    state = load_state(dump)
+    assert state.num_qubits == 6
+    assert np.isnan(state.data[0])
 
 
 # --- run reports ------------------------------------------------------------

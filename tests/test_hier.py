@@ -96,8 +96,8 @@ def _run_part_oracle(data, exe):
     m = data.size.bit_length() - 1
     for a in range(1 << (m - exe.num_slots)):
         inner = gather(data, m, exe.positions, a)
-        for op, slots in zip(exe.ops, exe.op_slots):
-            apply_op(inner, exe.num_slots, op, slots)
+        for op in exe.ops:
+            apply_op(inner, exe.num_slots, op)
         for child in exe.children:
             _run_part_oracle(inner, child)
         scatter(data, m, exe.positions, a, inner)
@@ -202,6 +202,27 @@ def test_run_part_matches_single_assignment_passes(seed):
         np.testing.assert_allclose(data, expect, rtol=0, atol=1e-12)
 
 
+def test_remap_part_rewrites_operands_to_block_slots():
+    """A ``cx 9,5`` in a 10-qubit circuit, in a part on qubits (5, 9),
+    becomes a ``cx`` on slots (1, 0) of the part's block, kind and params
+    kept, and the part's run equals ``simulate_flat``."""
+    circuit = Circuit(10, (
+        GateOp(GateKind.H, (9,), ()),
+        GateOp(GateKind.RX, (5,), (0.4,)),
+        GateOp(GateKind.CX, (9, 5), ()),
+    ))
+    exe = remap_part(circuit, Part(0, (0, 1, 2), (5, 9)), range(10))
+    assert exe.positions == (5, 9)
+    assert exe.ops == (
+        GateOp(GateKind.H, (1,), ()),
+        GateOp(GateKind.RX, (0,), (0.4,)),
+        GateOp(GateKind.CX, (1, 0), ()),
+    )
+    data = zero_state(10).data
+    run_part(data, exe)
+    np.testing.assert_allclose(data, simulate_flat(circuit).data, rtol=0, atol=1e-15)
+
+
 # --- diagonal runs ------------------------------------------------------------
 
 #: each diagonal kind three times over, then every kind once: most gates
@@ -265,9 +286,9 @@ def test_diagonal_runs_fold_only_on_blocks_of_several_rows(monkeypatch):
     calls = []
     real = hier.apply_op
 
-    def spy(arr, w, op, slots=None):
+    def spy(arr, w, op):
         calls.append((op.kind, arr.shape, np.shares_memory(arr, data)))
-        real(arr, w, op, slots)
+        real(arr, w, op)
 
     monkeypatch.setattr(hier, "apply_op", spy)
     rng = np.random.default_rng(4)
@@ -631,6 +652,25 @@ def test_multilevel_trace_nests_under_parents():
         assert t.num_qubits <= w1
         # Inner staging happens once per outer block pass.
         assert t.gather_calls == (1 << (n - w1)) * (1 << (w1 - t.num_qubits))
+
+
+def test_level2_parts_stage_their_padded_qubit_sets():
+    """Each child of a two-level part stages its padded qubit set, as slots
+    of the level-1 block, and its trace row has that width; on qaoa_8 at
+    6/4, three level-2 parts are padded beyond their own qubits."""
+    circuit = bench.build("qaoa_8")
+    ml = partition_multilevel(build_dag(circuit), 6, 4)
+    widths, widened = [], 0
+    for i, parent in enumerate(ml.level1.parts):
+        exe = executable_part(circuit, ml, i, range(circuit.num_qubits))
+        subparts = ml.sublevels[i].parts
+        for child, sp, padded in zip(exe.children, subparts, ml.padded_qubits[i]):
+            assert child.positions == tuple(parent.qubits.index(q) for q in padded)
+            widths.append(len(padded))
+            widened += len(padded) > sp.working_set
+    assert widened == 3
+    _, trace = execute_multilevel(circuit, ml, with_trace=True)
+    assert [t.num_qubits for t in trace.parts if t.level == 2] == widths
 
 
 def test_multilevel_with_equal_limits_traces_like_single_level():

@@ -370,19 +370,6 @@ def test_gate_then_dagger_restores_state(kind):
     assert np.max(np.abs(sv.data - data)) < 1e-12
 
 
-def test_apply_op_with_slots_relabels_operands():
-    """apply_op with a slot map must equal applying to the mapped qubits."""
-    n = 4
-    rng = np.random.default_rng(7)
-    data = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    a = data.copy()
-    b = data.copy()
-    op = GateOp(GateKind.CX, (2, 0), ())
-    apply_op(a, n, op)
-    apply_op(b, n, GateOp(GateKind.CX, (9, 5), ()), slots=(2, 0))
-    np.testing.assert_array_equal(a, b)
-
-
 def test_apply_op_rejects_non_contiguous_input():
     data = np.zeros((4, 4), dtype=np.complex128, order="F")
     with pytest.raises(ValueError):
