@@ -266,8 +266,10 @@ def partition_dagp(dag: GateDag, limit: int) -> PartitionResult:
     Every gate starts as its own part, labelled in program order. Any two
     parts whose union fits the limit and whose contraction keeps the part
     graph acyclic may merge, widest shared-qubit pairs first (ties to the
-    wider union, then part order), until no valid merger remains. A circuit
-    whose qubits all fit the limit is one part.
+    wider union, then part order), until no valid merger remains. Only
+    part-graph edges are queued as candidates; pairs that share no qubit
+    are searched for only when that queue runs dry (``_merge_phase``). A
+    circuit whose qubits all fit the limit is one part.
     """
     groups = _dagp(dag.circuit.ops, range(dag.num_gates), limit)
     return _make_result(dag.circuit, "dagp", limit, groups)
@@ -299,25 +301,32 @@ def _merge_phase(
     part graph stays acyclic, starting from one part per gate (part id =
     op index, ``qmask[g]`` the gate's qubits as a bit mask).
 
-    Candidates are ranked by descending shared-qubit count, then descending
-    union size, then part order, through a lazy priority queue: entries are
-    revalidated against the live structure when popped, and a contraction
-    reenqueues the merged part's pairings.
+    Each step contracts the mergeable pair ranked first by descending
+    shared-qubit count, then descending union size, then part order. Only
+    pairs joined by a part-graph edge go through the lazy priority queue:
+    two parts that share a qubit can merge only if no other part lies
+    between them on that qubit's wire, and then a gate edge joins them.
+    The queue is seeded with the gate edges, entries are revalidated when
+    popped, and a contraction requeues the merged part with its neighbours.
+    A popped pair judged unmergeable stays so until one of its own parts is
+    contracted, which requeues it. Pairs sharing no qubit rank after every
+    pair that shares one, so they are looked for only when the queue runs
+    dry: one scan of the live parts for the best mergeable disjoint pair.
 
     The part graph is kept as successor and predecessor sets, and ``reach``
     holds, for every live part, its descendants as a bitset over part ids:
     the transitive closure of the contracted part graph, without the part
-    itself. Contracting u and v is acyclic iff no other successor of one
-    reaches the other, so each candidate costs one bit test per successor.
+    itself (bits of merged-away parts may linger; none is ever tested).
+    Contracting u and v is acyclic iff no other successor of one reaches
+    the other, so each candidate costs one bit test per successor. A
+    contraction updates ``reach`` only on the merged part's ancestors, and
+    only up to those that already reach all it gained.
     Returns the groups in part-id order and the part graph between them.
     """
     n = len(qmask)
-    # queue entries share these id objects instead of each holding its own
-    # int (ints above 256 are not interned)
-    ids = list(range(n))
     qmask = list(qmask)
     qcount = [m.bit_count() for m in qmask]
-    alive = {g: [g] for g in ids}
+    alive = {g: [g] for g in range(n)}
     out = [set(ss) for ss in succ]
     into: list[set[int]] = [set() for _ in range(n)]
     for g, ss in enumerate(succ):
@@ -343,32 +352,45 @@ def _merge_phase(
             return None
         return (union - qcount[u] - qcount[v], -union, u, v)
 
-    heap: list[tuple[int, int, int, int]] = []
-    for u in ids:
-        for v in ids[u + 1:]:
-            k = key(u, v)
-            if k is not None:
-                heap.append(k)
+    def best_disjoint() -> tuple[int, int] | None:
+        # every disjoint pair that fits, widest union first, then part order
+        live = list(alive)  # ascending: ids only ever leave the dict
+        pairs = sorted(
+            (-(qcount[u] + qcount[v]), u, v)
+            for i, u in enumerate(live)
+            for v in live[i + 1:]
+            if not qmask[u] & qmask[v] and qcount[u] + qcount[v] <= limit
+        )
+        return next(((u, v) for _, u, v in pairs if mergeable(u, v)), None)
+
+    heap = [
+        k for u, ss in enumerate(succ) for v in ss
+        if (k := key(u, v)) is not None
+    ]
     heapq.heapify(heap)
 
-    while heap:
-        negshared, union, u, v = heapq.heappop(heap)
-        if u not in alive or v not in alive:
-            continue
-        # drop a stale key: the contraction that changed it queued the pair
-        # under its new key, which sorts earlier (keys only fall as parts
-        # grow); that entry was already judged, and only a contraction of
-        # u or v, which queues the pair again, can change the verdict
-        if key(u, v) != (negshared, union, u, v) or not mergeable(u, v):
-            continue
+    while True:
+        if heap:
+            negshared, union, u, v = heapq.heappop(heap)
+            if u not in alive or v not in alive:
+                continue
+            # drop a stale key: the contraction that changed it queued the
+            # pair under its new key, which sorts earlier (keys only fall as
+            # parts grow); that entry was already judged, and only a
+            # contraction of u or v, which queues the pair again, can change
+            # the verdict
+            if key(u, v) != (negshared, union, u, v) or not mergeable(u, v):
+                continue
+        else:
+            pair = best_disjoint()
+            if pair is None:
+                break
+            u, v = pair
         alive[u] += alive.pop(v)
         qmask[u] |= qmask[v]
         qcount[u] = qmask[u].bit_count()
         bu, bv = 1 << u, 1 << v
         reach[u] = (reach[u] | reach[v]) & ~(bu | bv)
-        for w in alive:
-            if reach[w] & (bu | bv):
-                reach[w] = (reach[w] | reach[u] | bu) & ~bv
         for x in out[v]:
             into[x].discard(v)
             if x != u:
@@ -379,11 +401,25 @@ def _merge_phase(
                 out[x].add(u)
         out[u] = (out[u] | out[v]) - {u, v}
         into[u] = (into[u] | into[v]) - {u, v}
-        for w in alive:
-            if w != u:
-                k = key(w, u) if w < u else key(u, w)
-                if k is not None:
-                    heapq.heappush(heap, k)
+        # the merged part's ancestors (the parts that reached u or v) gain
+        # it and its descendants; v's bit may stay, as nothing reads a bit
+        # of a merged-away part. A part that already holds them all changes
+        # nothing, and neither do its ancestors, whose bits include its own
+        gained = reach[u] | bu
+        stack = list(into[u])
+        seen = set(stack)
+        while stack:
+            w = stack.pop()
+            if reach[w] | gained == reach[w]:
+                continue
+            reach[w] |= gained
+            fresh = into[w] - seen
+            seen |= fresh
+            stack += fresh
+        for w in out[u] | into[u]:
+            k = key(w, u) if w < u else key(u, w)
+            if k is not None:
+                heapq.heappush(heap, k)
     live = sorted(alive)
     pos = {p: i for i, p in enumerate(live)}
     groups = [sorted(alive[p]) for p in live]

@@ -6,6 +6,7 @@ import hashlib
 import heapq
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,9 @@ from hisim.errors import (
 from hisim.partition import (
     Part,
     PartitionResult,
+    _check_parts,
+    _dagp,
+    _make_result,
     _merge_phase,
     _wires,
     check_partition,
@@ -192,6 +196,7 @@ def test_benchmark_partition_documents_are_pinned():
 BUNDLED_DOCUMENT_DIGESTS = {
     "adder_10": "2a5f3f3bba2edb16a9b6747338ebf74497e2bd8fa4c7ce4b751d470c8ba8a6e2",
     "bv_12": "8a91dab87f7fc012c77fc572f51407c4fa1081e7b70e304b7077fbe36d459e10",
+    "bv_30": "f08c28965eb37d12c66ebd253ef6df1444c0a77576fa0640b486764292e35d69",
     "bv_6": "efb7b031415fa4798217480bd52b06356ce0852fad5ad89ef5c004107bd7ca15",
     "cat_state_6": "3252743133fd5c7645c43562aec6ce92d23e89d522af64dde1fbfa1ba68fb55b",
     "cc_12": "5aaded49ac079b13ae678861d9628931331c39fa43b00e965c37a1282f862bb3",
@@ -207,17 +212,16 @@ BUNDLED_DOCUMENT_DIGESTS = {
 
 
 def test_bundled_partition_documents_are_pinned():
-    """Every bundled circuit except bv_30 (its multilevel sweep alone takes
-    17 s) and bell (no limit below its 2 qubits): the dagp document at every
-    limit from the widest gate to n - 1, each followed by the multilevel
-    documents at that limit1 with limit2 at the widest gate and at
-    ceil(limit1 / 2). 229 documents, about 3 s."""
+    """Every bundled circuit except bell (no limit below its 2 qubits): the
+    dagp document at every limit from the widest gate to n - 1, each
+    followed by the multilevel documents at that limit1 with limit2 at the
+    widest gate and at ceil(limit1 / 2). 310 documents, about 1.5 s."""
     digests = {}
     documents = 0
     for name in bench.available():
         g = build_dag(bench.build(name))
         widest = max(len(op.qubits) for op in g.circuit.ops)
-        if name == "bv_30" or widest >= g.num_qubits:
+        if widest >= g.num_qubits:
             continue
         digest = hashlib.sha256()
         for limit in range(widest, g.num_qubits):
@@ -230,7 +234,7 @@ def test_bundled_partition_documents_are_pinned():
                 digest.update((text + "\n").encode())
             documents += len(texts)
         digests[name] = digest.hexdigest()
-    assert documents == 229
+    assert documents == 310
     assert digests == BUNDLED_DOCUMENT_DIGESTS
 
 
@@ -399,6 +403,113 @@ def test_merge_phase_matches_oracle_on_random_dags(seed, n, num_ops, data):
     limit = data.draw(st.integers(2, n), label="limit")
     circuit = _random_circuit(seed, n, num_ops)
     _assert_merge_phase_matches_oracle(circuit, limit)
+
+
+def _splits_on_qubits(ops, group):
+    """Whether ``group``'s gates fall into two sets on disjoint qubits: the
+    group joins parts that shared no qubit when they merged."""
+    qubits = set(ops[group[0]].qubits)
+    rest = list(group[1:])
+    while True:
+        touching = [g for g in rest if qubits & set(ops[g].qubits)]
+        if not touching:
+            return bool(rest)
+        for g in touching:
+            qubits |= set(ops[g].qubits)
+            rest.remove(g)
+
+
+_LONE_GATES = (
+    # a gate on every qubit and two pairs joined: the queue merges the
+    # pairs, then only disjoint merges remain
+    (Circuit(8, tuple(GateOp(GateKind.H, (q,), ()) for q in range(8)) + (
+        GateOp(GateKind.CX, (0, 1), ()),
+        GateOp(GateKind.CX, (2, 3), ()),
+    )), 3),
+    # no edge at all: every merge comes from the scan
+    (Circuit(9, tuple(GateOp(GateKind.H, (q,), ()) for q in range(9))), 2),
+    # a chain of single-qubit gates per qubit, under a limit of a few wires
+    (Circuit(6, tuple(
+        GateOp(GateKind.H, (q,), ()) for _ in range(3) for q in range(6)
+    )), 4),
+)
+
+
+@pytest.mark.parametrize("circuit, limit", _LONE_GATES)
+def test_merge_phase_matches_oracle_through_disjoint_merges(circuit, limit):
+    """Parts that share no qubit are never joined by an edge, so they merge
+    only once the queue of edge pairs runs dry."""
+    _assert_merge_phase_matches_oracle(circuit, limit)
+    qmask = [sum(1 << q for q in op.qubits) for op in circuit.ops]
+    groups, _ = _merge_phase(qmask, _gate_succ(build_dag(circuit)), limit)
+    assert any(_splits_on_qubits(circuit.ops, grp) for grp in groups)
+
+
+def test_merge_phase_matches_oracle_after_a_disjoint_merge():
+    """After a disjoint merge, the parts that reached only one side of it
+    must also reach the other side's descendants, or a later scan merges
+    one of them with such a descendant and closes a cycle."""
+    circuit = Circuit(12, tuple(GateOp(kind, qubits, ()) for kind, qubits in (
+        (GateKind.CCX, (8, 4, 1)),
+        (GateKind.CX, (4, 6)),
+        (GateKind.CCX, (11, 0, 7)),
+        (GateKind.CCX, (1, 0, 5)),
+        (GateKind.CX, (2, 9)),
+        (GateKind.CCX, (10, 9, 4)),
+        (GateKind.CX, (2, 3)),
+    )))
+    _assert_merge_phase_matches_oracle(circuit, 5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 8),
+    num_ops=st.integers(1, 60),
+    data=st.data(),
+)
+def test_dagp_on_gate_subsets_matches_oracle(seed, n, num_ops, data):
+    """``_dagp`` on an ascending gate subset, as ``partition_multilevel``
+    runs it on a level-1 part, merges like the oracle on the subset as a
+    circuit of its own, mapped back to global gate indices."""
+    rng = random.Random(seed)
+    circuit = random_circuit(rng, n, num_ops)
+    subset = [g for g in range(num_ops) if rng.random() < 0.5] or [0]
+    sub = Circuit(n, tuple(circuit.ops[g] for g in subset))
+    widest = max(len(op.qubits) for op in sub.ops)
+    limit = data.draw(st.integers(widest, n), label="limit")
+    groups = _dagp(circuit.ops, subset, limit)
+    _check_parts(
+        circuit.ops, subset,
+        _make_result(circuit, "dagp", limit, groups).parts, limit, "subset",
+    )
+    expect = _oracle_merge_phase(
+        [[i] for i in range(len(subset))],
+        [set(op.qubits) for op in sub.ops],
+        _gate_succ(build_dag(sub)),
+        limit,
+    )
+    assert sorted(groups) == sorted([subset[i] for i in grp] for grp in expect)
+
+
+def test_dagp_meets_its_time_gates():
+    """dagp partitions qaoa(30, 6) (1020 gates) in under 2 s and qaoa(30, 60)
+    (9930 gates) in under 30 s at limit 14; about 0.05 s and 0.7 s on a
+    2-CPU host. The qaoa(30, 6) document keeps the SHA-256 of the all-pairs
+    queue that came before the edge-only one."""
+    g = build_dag(bench.qaoa(30, 6))
+    start = time.perf_counter()
+    result = partition_dagp(g, 14)
+    assert time.perf_counter() - start < 2
+    assert hashlib.sha256(partition_to_json(g, result).encode()).hexdigest() == (
+        "44ad885d244d18b6bfd03ab6eb5eb56f146db5acd81a16c2596a82d9f2e51239"
+    )
+    g = build_dag(bench.qaoa(30, 60))
+    assert g.num_gates == 9930
+    start = time.perf_counter()
+    result = partition_dagp(g, 14)
+    assert time.perf_counter() - start < 30
+    check_partition(g, result)
 
 
 def test_limit_below_widest_gate_rejected():
@@ -747,14 +858,11 @@ def test_partition_from_json_validates():
 def test_every_written_document_reads_back():
     """What ``partition_to_json``/``multilevel_to_json`` write always loads
     back to an equal object, so validation never rejects the library's own
-    documents. Every bundled circuit except bv_30 (30 qubits; its multilevel
-    sweep alone takes 17 s); nat, dfs and dagp at every limit from the
-    widest gate to n - 1; multilevel at each such limit1 with limit2 at the
-    widest gate and at ceil(limit1 / 2), the CLI default (every pair would
-    take about 9 s). About 3.5 s in all."""
+    documents. Every bundled circuit; nat, dfs and dagp at every limit from
+    the widest gate to n - 1; multilevel at each such limit1 with limit2 at
+    the widest gate and at ceil(limit1 / 2), the CLI default (every pair
+    would take about 5 s). About 2.5 s in all."""
     for name in bench.available():
-        if name == "bv_30":
-            continue
         g = build_dag(bench.build(name))
         widest = max(len(op.qubits) for op in g.circuit.ops)
         for limit in range(widest, g.num_qubits):
