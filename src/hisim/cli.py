@@ -26,9 +26,9 @@ from .errors import (
     VerificationError,
 )
 from .hier import (
+    VERIFY_ATOL,
     ExecutionTrace,
     execute_hierarchical,
-    level1_parts,
     max_deviation_from_flat,
 )
 from .dist import simulate_distributed
@@ -53,7 +53,6 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
 
-VERIFY_ATOL = 1e-10
 VERIFY_MAX_QUBITS = 16
 
 _STRATEGIES = ("nat", "dfs", "dagp", "multilevel")
@@ -213,14 +212,14 @@ def _probabilities(data: np.ndarray, num_qubits: int) -> dict[str, float] | None
     return out
 
 
-def _run_report_parts(circuit, partition) -> list[dict]:
+def _run_report_parts(partition) -> list[dict]:
     return [
         {
             "id": p.id,
             "working_set": p.working_set,
             "gates": len(p.gate_indices),
         }
-        for p in level1_parts(circuit, partition)
+        for p in partition.parts
     ]
 
 
@@ -292,7 +291,7 @@ def cmd_run(args) -> int:
     if args.verify:
         max_delta = max_deviation_from_flat(circuit, state)
 
-    parts = _run_report_parts(circuit, partition) if partition is not None else None
+    parts = _run_report_parts(partition) if partition is not None else None
     report = {
         "circuit": {"name": name, "num_qubits": n, "num_gates": circuit.num_ops},
         "mode": args.mode,

@@ -7,7 +7,9 @@ rest. Which qubits play which role is a layout, and each part runs under a
 layout that keeps the part's whole working set in the offset bits, so its
 gates never cross ranks. Inside a layout the part runs through the same
 ``hisim.hier.run_part`` as hierarchical execution, on all rank buffers at
-once, with offset bits standing in for qubits. Between parts the layout
+once: each part is built once by ``hisim.hier.executable_parts``, in qubit
+coordinates, and ``hisim.hier.rebase`` moves its positions to the offset
+bits that hold its qubits. Between parts the layout
 changes and amplitudes move. The move is one permutation of the index
 bits, applied as an axis transpose; its communication counts follow in
 closed form from the same permutation, and every remote amplitude is
@@ -28,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LayoutMismatchError, PartTooWideForLayoutError
-from .hier import _start_state, executable_part, level1_parts, run_part
+from .hier import _start_state, executable_parts, rebase, run_part
 # not called here: benchmarks/layers.py traces them under these names
 from .hier import part_block_indices, remap_part  # noqa: F401
 from .partition import MultiLevelPartition, Part, PartitionResult
@@ -364,31 +366,30 @@ def simulate_distributed(
     num_rank_bits: int,
     *,
     initial: StateVector | None = None,
-    max_qubits: int | None = None,
 ) -> DistributedRun:
     """Run a partitioned circuit on ``2**num_rank_bits`` emulated ranks.
 
     Each part executes under a layout that keeps its qubits local, chosen
     with ``choose_layout``; a part whose qubits are already local reuses
     the current layout and costs nothing. Layout switches are planned,
-    applied, and charged to ``CommStats``. Each part then runs through
-    ``run_part`` on every rank buffer at once, addressed by offset bits; a
-    two-level partition nests its level-2 parts inside each rank with no
-    extra communication.
+    applied, and charged to ``CommStats``. Each part, checked and built by
+    ``executable_parts``, then runs through ``run_part`` on every rank
+    buffer at once, re-based to offset bits; a two-level partition nests
+    its level-2 parts inside each rank with no extra communication.
     """
     n = circuit.num_qubits
-    parts = level1_parts(circuit, partition)
+    exes = executable_parts(circuit, partition)
+    parts = partition.parts
     # a gate-free circuit has no parts; it runs under one padding layout
     first = parts[0] if parts else Part(0, (), ())
     layout = choose_layout(n, num_rank_bits, first)
     # no reference to the start state outlives its distribution, so a run
     # holds one state copy, not two
-    buffers = distribute_state(
-        _start_state(circuit, initial, max_qubits), layout
-    )
+    buffers = distribute_state(_start_state(circuit, initial), layout)
     stats = CommStats(n, num_rank_bits, len(parts))
     layouts: list[RankLayout] = []
-    for i, part in enumerate(parts):
+    for i, exe in enumerate(exes):
+        part = parts[i]
         if not set(part.qubits) <= set(layout.local):
             new_layout = choose_layout(n, num_rank_bits, part)
             plan = plan_redistribution(layout, new_layout)
@@ -397,5 +398,5 @@ def simulate_distributed(
             layout = new_layout
         layouts.append(layout)
         offset_bit = {q: j for j, q in enumerate(layout.local)}
-        run_part(buffers, executable_part(circuit, partition, i, offset_bit))
+        run_part(buffers, rebase(exe, offset_bit))
     return DistributedRun(assemble_state(buffers, layout), stats, layouts)

@@ -10,13 +10,16 @@ row of the staged block each. ``run_part`` stages the rows in chunks of
 about ``CHUNK_AMPS`` amplitudes, so each chunk is gathered, run and
 scattered while it sits in cache; it computes the identical amplitudes.
 
-Every execution path is ``run_part`` on an ``ExecutablePart``, whose gates
-``remap_part`` rewrote once to slots of the part's staged block. A
-two-level part is a level-1 part whose children are its level-2 parts,
-addressed as slots of the level-1 block: each level-1 chunk stands in for
-the full state while the children run on it. Distributed execution
-(``hisim.dist``) runs the same parts on rank buffers, addressing qubits by
-their offset bits.
+Every execution path is ``run_part`` on an ``ExecutablePart``.
+``executable_parts`` checks a partition with the partition module's own
+rule and builds each level-1 part once, in qubit coordinates:
+``remap_part`` rewrites its gates to slots of its staged block, and its
+``positions`` are its qubits. A two-level part is a level-1 part whose
+children are its level-2 parts, re-based (``rebase``) to slots of the
+level-1 block: each level-1 chunk stands in for the full state while the
+children run on it. Distributed execution (``hisim.dist``) re-bases the
+same parts onto rank buffers, addressing qubits by their offset bits; a
+layout changes nothing but ``positions``.
 
 Within a part, the ops are compiled once into steps (``_compile``): each
 run of diagonal gates becomes one ``2**w`` phase vector, and short runs of
@@ -31,14 +34,21 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import groupby
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import VerificationError
-from .partition import MultiLevelPartition, Part, PartitionResult, _wires
+from .partition import (
+    MultiLevelPartition,
+    Part,
+    PartitionResult,
+    _check_multilevel,
+    _check_parts,
+)
 from .qasm import Circuit, GateOp
 from .statevec import (
+    CHUNK_AMPS,
     StateVector,
     apply_matrix,
     apply_op,
@@ -54,19 +64,20 @@ __all__ = [
     "bit_offsets",
     "part_block_indices",
     "remap_part",
-    "level1_parts",
-    "executable_part",
+    "rebase",
+    "executable_parts",
     "run_part",
     "execute_hierarchical",
     "execute_multilevel",
     "max_deviation_from_flat",
     "verify_against_flat",
+    "VERIFY_ATOL",
 ]
 
 
-#: amplitudes ``run_part`` stages and runs at a time (1 MiB); chunks of
-#: 2**14 to 2**16 ran fastest at n = 20, 2**12 and 2**18 slower
-CHUNK_AMPS = 1 << 16
+#: largest amplitude deviation from the flat reference that verification
+#: accepts
+VERIFY_ATOL = 1e-10
 #: most slots one fused dense unitary spans; 5 ran about as fast, 3 slower
 FUSE_WIDTH = 4
 
@@ -136,85 +147,64 @@ class ExecutablePart:
         return _compile(self)
 
 
-def remap_part(
-    circuit: Circuit,
-    part: Part,
-    position_of: Mapping[int, int] | Sequence[int],
-) -> ExecutablePart:
-    """Build the executable form of ``part``, staging exactly ``part.qubits``.
-
-    ``position_of[q]`` is the bit position of global qubit ``q`` in the
-    array the part will run on. Each gate is rewritten once to
-    ``GateOp(kind, slots, params)``, its operands as slots of the staged
-    block; a gate on a qubit outside ``part.qubits`` raises ``KeyError``.
-    """
-    positions = tuple(sorted(position_of[q] for q in part.qubits))
-    if len(set(positions)) != len(positions):
-        raise ValueError("position_of maps two staged qubits to one position")
-    slot_of = {pos: i for i, pos in enumerate(positions)}
+def remap_part(circuit: Circuit, part: Part) -> ExecutablePart:
+    """``part`` in qubit coordinates, ready for a full state (``rebase``
+    moves it): slot ``i`` of its block and ``positions[i]`` are
+    ``part.qubits[i]``, and each gate is rewritten once to ``GateOp(kind,
+    slots, params)``; a gate on a qubit outside ``part.qubits`` raises
+    ``KeyError``."""
+    slot_of = {q: i for i, q in enumerate(part.qubits)}
     ops = tuple(
-        GateOp(op.kind, tuple(slot_of[position_of[q]] for q in op.qubits), op.params)
+        GateOp(op.kind, tuple(slot_of[q] for q in op.qubits), op.params)
         for op in (circuit.ops[g] for g in part.gate_indices)
     )
-    return ExecutablePart(part.id, part.gate_indices, positions, ops, ())
+    return ExecutablePart(part.id, part.gate_indices, part.qubits, ops, ())
 
 
-def level1_parts(
+def rebase(exe: ExecutablePart, position_of: Mapping[int, int]) -> ExecutablePart:
+    """``exe`` on an array whose bit ``position_of[p]`` holds what bit ``p``
+    of its current one does. Ops and children address slots, so only
+    ``positions`` change; ``position_of`` must keep them ascending."""
+    positions = tuple(position_of[p] for p in exe.positions)
+    if any(a >= b for a, b in zip(positions, positions[1:])):
+        raise ValueError(f"positions {positions} are not ascending")
+    return replace(exe, positions=positions)
+
+
+def executable_parts(
     circuit: Circuit, partition: PartitionResult | MultiLevelPartition
-) -> tuple[Part, ...]:
-    """The level-1 parts of either partition kind.
+) -> Iterator[ExecutablePart]:
+    """Check ``partition`` with the rule its document loader applies
+    (``PartitionError``), then build its level-1 parts in execution order,
+    each once, in qubit coordinates, as the caller draws them; a finished
+    part and its compiled steps are then free to go.
 
-    Raises ``ValueError`` unless the gates that execution applies, in the
-    order it applies them (level-1 parts, or for a two-level partition the
-    level-2 parts in level-1 order), cover the circuit exactly once and
-    run every gate after the gates it depends on.
+    A two-level part runs its level-2 parts as children, each staging its
+    padded qubit set (``MultiLevelPartition.padded_qubits``), re-based to
+    slots of the level-1 block; a sublevel that is just the parent part
+    runs as a single-level part.
     """
+    ops = circuit.ops
     if isinstance(partition, MultiLevelPartition):
-        parts = partition.level1.parts
-        executed = [p for sub in partition.sublevels for p in sub.parts]
-    else:
-        parts = executed = partition.parts
-    seen = [g for p in executed for g in p.gate_indices]
-    if len(seen) != circuit.num_ops or set(seen) != set(range(circuit.num_ops)):
-        raise ValueError("partition does not cover the circuit exactly once")
-    at = [0] * len(seen)  # op index -> its step in the executed sequence
-    for step, g in enumerate(seen):
-        at[g] = step
-    for u, v in _wires(circuit.ops, range(circuit.num_ops)):
-        if at[u] > at[v]:
-            raise ValueError(
-                f"partition runs gate {v} before gate {u}, which it depends on"
-            )
-    return parts
+        _check_multilevel(ops, partition)
+        levels = zip(partition.parts, partition.sublevels, partition.padded_qubits)
+        return (_two_level_part(circuit, *level) for level in levels)
+    n = len(ops)
+    _check_parts(ops, range(n), partition.parts, partition.limit, f"0..{n - 1}")
+    return (remap_part(circuit, part) for part in partition.parts)
 
 
-def executable_part(
-    circuit: Circuit,
-    partition: PartitionResult | MultiLevelPartition,
-    i: int,
-    position_of: Mapping[int, int] | Sequence[int],
+def _two_level_part(
+    circuit: Circuit, parent: Part, sub: PartitionResult, padded
 ) -> ExecutablePart:
-    """Level-1 part ``i`` of either partition kind, ready for ``run_part``.
-
-    A two-level part stages its level-1 qubits once and runs its level-2
-    parts as children, each staging its padded qubit set (a superset of its
-    own qubits, see ``MultiLevelPartition.padded_qubits``), addressed as
-    slots of the level-1 block. A sublevel that is just the parent part
-    itself needs no second staging and runs as a single-level part.
-    """
-    if not isinstance(partition, MultiLevelPartition):
-        return remap_part(circuit, partition.parts[i], position_of)
-    parent = partition.level1.parts[i]
-    sub = partition.sublevels[i].parts
-    if len(sub) == 1 and sub[0].gate_indices == parent.gate_indices:
-        return remap_part(circuit, parent, position_of)
-    positions = tuple(sorted(position_of[q] for q in parent.qubits))
-    slot_of = {q: positions.index(position_of[q]) for q in parent.qubits}
+    if len(sub.parts) == 1 and sub.parts[0].gate_indices == parent.gate_indices:
+        return remap_part(circuit, parent)
+    slot_of = {q: i for i, q in enumerate(parent.qubits)}
     children = tuple(
-        remap_part(circuit, replace(sp, qubits=padded), slot_of)
-        for sp, padded in zip(sub, partition.padded_qubits[i])
+        rebase(remap_part(circuit, replace(sp, qubits=pad)), slot_of)
+        for sp, pad in zip(sub.parts, padded)
     )
-    return ExecutablePart(parent.id, parent.gate_indices, positions, (), children)
+    return ExecutablePart(parent.id, parent.gate_indices, parent.qubits, (), children)
 
 
 def _fuse(group: list[GateOp]) -> tuple:
@@ -396,11 +386,9 @@ def _trace_part(
 
 # --- drivers ----------------------------------------------------------------
 
-def _start_state(
-    circuit: Circuit, initial: StateVector | None, max_qubits: int | None
-) -> StateVector:
+def _start_state(circuit: Circuit, initial: StateVector | None) -> StateVector:
     if initial is None:
-        return zero_state(circuit.num_qubits, max_qubits)
+        return zero_state(circuit.num_qubits)
     if initial.num_qubits != circuit.num_qubits:
         raise ValueError(
             f"initial state has {initial.num_qubits} qubits, "
@@ -414,24 +402,19 @@ def execute_hierarchical(
     partition: PartitionResult | MultiLevelPartition,
     *,
     initial: StateVector | None = None,
-    max_qubits: int | None = None,
     with_trace: bool = False,
 ) -> StateVector | tuple[StateVector, ExecutionTrace]:
     """Run a partitioned circuit part by part on one full state vector.
 
     Level-1 parts execute in the given order, each as one ``run_part``
     pass; a two-level partition runs its level-2 parts nested inside each
-    staged level-1 block. The partition should be valid (see
-    ``check_partition``); here only the executed gate sequence is
-    re-checked: it must cover the circuit once and run every dependency
-    forward (``level1_parts``), else ``ValueError``.
+    staged level-1 block. An invalid partition raises ``PartitionError``
+    before any state is made (``executable_parts``).
     """
-    parts = level1_parts(circuit, partition)
-    n = circuit.num_qubits
-    state = _start_state(circuit, initial, max_qubits)
-    trace = ExecutionTrace(n)
-    for i in range(len(parts)):
-        exe = executable_part(circuit, partition, i, range(n))
+    plan = executable_parts(circuit, partition)
+    state = _start_state(circuit, initial)
+    trace = ExecutionTrace(circuit.num_qubits)
+    for exe in plan:
         run_part(state.data, exe)
         _trace_part(trace, exe, 1, None)
     if with_trace:
@@ -455,17 +438,16 @@ def max_deviation_from_flat(circuit: Circuit, state: StateVector) -> float:
     return float(np.max(np.abs(ref)))
 
 
-def verify_against_flat(
-    circuit: Circuit, state: StateVector, atol: float = 1e-10
-) -> float:
+def verify_against_flat(circuit: Circuit, state: StateVector) -> float:
     """Compare a partitioned result against the flat reference simulation.
 
     Returns the maximum absolute amplitude difference; raises
-    ``VerificationError`` unless it is below ``atol`` (a NaN never is).
+    ``VerificationError`` unless it is below ``VERIFY_ATOL`` (a NaN never
+    is).
     """
     err = max_deviation_from_flat(circuit, state)
-    if not err < atol:
+    if not err < VERIFY_ATOL:
         raise VerificationError(
-            f"max amplitude deviation {err:.3e} is not below {atol:.1e}"
+            f"max amplitude deviation {err:.3e} is not below {VERIFY_ATOL:.1e}"
         )
     return err

@@ -104,6 +104,11 @@ class MultiLevelPartition:
     sublevels: tuple[PartitionResult, ...]
 
     @property
+    def parts(self) -> tuple[Part, ...]:
+        """The level-1 parts, as ``PartitionResult.parts`` lists its own."""
+        return self.level1.parts
+
+    @property
     def padded_qubits(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """``[i][j]`` is level-2 part j of level-1 part i widened with parent
         qubits, lowest index first, up to min(limit2, parent working set);
@@ -166,16 +171,12 @@ def _check_parts(
     """``check_partition``'s rule for ``parts`` over the ascending gate
     subset ``gates`` (named ``scope`` in messages); the edges that must run
     forward are the subset's own ``_wires``."""
-    part_of = [-2] * len(ops)  # op index -> position of its part; -2 outside
-    for g in gates:
-        part_of[g] = -1
+    part_of = dict.fromkeys(gates, -1)  # op index -> position of its part
     for pos, part in enumerate(parts):
         members = part.gate_indices
         if not members:
             raise PartitionError(f"part {part.id} is empty")
-        outside = [
-            g for g in members if not 0 <= g < len(ops) or part_of[g] == -2
-        ]
+        outside = [g for g in members if g not in part_of]
         if outside:
             raise PartitionError(
                 f"part {part.id} holds gates {outside} outside {scope}"
@@ -202,6 +203,29 @@ def _check_parts(
             raise PartitionError(
                 f"parts not topologically ordered: gate {u} -> {v}"
             )
+
+
+def _check_multilevel(ops: Sequence[GateOp], ml: MultiLevelPartition) -> None:
+    """Raise PartitionError unless ``ml`` is a two-level partition of
+    ``ops``: ``limit2 <= limit1``, level 1 valid under ``limit1``, and one
+    sublevel per level-1 part, valid on that part's gates under ``limit2``
+    (``check_partition``'s rule on each), so its level-2 parts, run in
+    level-1 order, run every gate once and every dependency forward."""
+    if ml.limit2 > ml.limit1:
+        raise PartitionError(f"limit2 {ml.limit2} exceeds limit1 {ml.limit1}")
+    level1 = ml.level1
+    n = len(ops)
+    _check_parts(ops, range(n), level1.parts, level1.limit, f"0..{n - 1}")
+    if level1.limit != ml.limit1:
+        raise PartitionError(
+            f"level-1 limit {level1.limit} differs from limit1 {ml.limit1}"
+        )
+    if len(ml.sublevels) != level1.num_parts:
+        raise PartitionError(
+            f"{len(ml.sublevels)} sublevels for {level1.num_parts} level-1 parts"
+        )
+    for part, sub in zip(level1.parts, ml.sublevels):
+        _check_parts(ops, part.gate_indices, sub.parts, ml.limit2, f"part {part.id}")
 
 
 # --- Nat and DFS ------------------------------------------------------------
@@ -452,24 +476,22 @@ def _topo_order_groups(
 
 # --- exact oracle -----------------------------------------------------------
 
-def optimal_parts_bruteforce(
-    dag: GateDag, limit: int, max_gates: int = ORACLE_MAX_GATES
-) -> int:
+def optimal_parts_bruteforce(dag: GateDag, limit: int) -> int:
     """Exact minimum part count over all valid acyclic partitions.
 
     Searches chains of topological prefixes (every acyclic partition is
     one), memoizing on the set of remaining gates, pruning with the qubit
     lower bound ceil(|qubits|/limit) and a heuristic incumbent. Refuses
-    DAGs above ``max_gates`` gates.
+    DAGs above ``ORACLE_MAX_GATES`` gates.
     """
     ops = dag.circuit.ops
     _check_limit(ops, limit)
     m = dag.num_gates
     if m == 0:
         return 0
-    if m > max_gates:
+    if m > ORACLE_MAX_GATES:
         raise TooLargeForOracleError(
-            f"{m} gates exceeds the exact-search guard of {max_gates}"
+            f"{m} gates exceeds the exact-search guard of {ORACLE_MAX_GATES}"
         )
     qmask = [sum(1 << q for q in op.qubits) for op in ops]
     pred_mask = [0] * m
@@ -626,63 +648,50 @@ def _parts_from_doc(entries) -> tuple[Part, ...]:
     )
 
 
-def _partition_from_doc(dag: GateDag, doc: dict) -> PartitionResult:
+def _result_from_doc(doc: dict) -> PartitionResult:
     parts = _parts_from_doc(doc["parts"])
-    result = PartitionResult(doc["strategy"], int(doc["limit"]), parts)
-    check_partition(dag, result)
-    return result
+    return PartitionResult(doc["strategy"], int(doc["limit"]), parts)
 
 
 def partition_from_json(dag: GateDag, text: str) -> PartitionResult:
     """Load and validate a partition produced by partition_to_json."""
     try:
-        return _partition_from_doc(dag, json.loads(text))
+        result = _result_from_doc(json.loads(text))
+        check_partition(dag, result)
     except (LookupError, TypeError) as e:
         raise PartitionError(f"malformed partition document: {e!r}") from e
+    return result
 
 
 def _multilevel_from_doc(dag: GateDag, doc: dict) -> MultiLevelPartition:
-    limit1, limit2 = int(doc["limit1"]), int(doc["limit2"])
-    if limit2 > limit1:
-        raise PartitionError(f"limit2 {limit2} exceeds limit1 {limit1}")
-    level1 = _partition_from_doc(dag, doc["level1"])
-    if level1.limit != limit1:
-        raise PartitionError(
-            f"level-1 limit {level1.limit} differs from limit1 {limit1}"
-        )
+    limit2 = int(doc["limit2"])
     entries = doc["sublevels"]
-    if len(entries) != level1.num_parts:
-        raise PartitionError(
-            f"{len(entries)} sublevels for {level1.num_parts} level-1 parts"
-        )
-    ops = dag.circuit.ops
-    sublevels: list[PartitionResult] = []
-    for part, entry in zip(level1.parts, entries):
+    sublevels = tuple(
+        PartitionResult("dagp", limit2, _parts_from_doc(entry["parts"]))
+        for entry in entries
+    )
+    ml = MultiLevelPartition(
+        int(doc["limit1"]), limit2, _result_from_doc(doc["level1"]), sublevels
+    )
+    _check_multilevel(dag.circuit.ops, ml)
+    for part, entry, padded in zip(ml.level1.parts, entries, ml.padded_qubits):
         if entry["parent"] != part.id:
             raise PartitionError(
                 f"sublevel of part {entry['parent']} listed for part {part.id}"
             )
-        sub = PartitionResult("dagp", limit2, _parts_from_doc(entry["parts"]))
-        _check_parts(ops, part.gate_indices, sub.parts, limit2, f"part {part.id}")
-        padded = tuple(tuple(q) for q in entry["padded_qubits"])
-        if padded != tuple(_pad(p.qubits, part, limit2) for p in sub.parts):
+        if tuple(tuple(q) for q in entry["padded_qubits"]) != padded:
             raise PartitionError(
                 f"padded qubit sets of part {part.id} are not its level-2 "
                 f"qubits widened to min(limit2, working set)"
             )
-        sublevels.append(sub)
-    return MultiLevelPartition(limit1, limit2, level1, tuple(sublevels))
+    return ml
 
 
 def multilevel_from_json(dag: GateDag, text: str) -> MultiLevelPartition:
     """Load and validate a two-level partition produced by
-    multilevel_to_json.
-
-    The level-1 partition is checked under ``limit1``; each part's level-2
-    parts must be a valid partition of that part's own gates under
-    ``limit2`` (``check_partition``'s rule on the part), and each padded
-    qubit set must be the one ``MultiLevelPartition.padded_qubits`` derives.
-    """
+    multilevel_to_json: the partition must pass ``_check_multilevel``, and
+    each padded qubit set must be the one ``MultiLevelPartition.padded_qubits``
+    derives."""
     try:
         return _multilevel_from_doc(dag, json.loads(text))
     except (LookupError, TypeError) as e:

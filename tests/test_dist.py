@@ -28,7 +28,11 @@ from hisim.dist import (
     plan_redistribution,
     simulate_distributed,
 )
-from hisim.errors import LayoutMismatchError, PartTooWideForLayoutError
+from hisim.errors import (
+    LayoutMismatchError,
+    PartitionError,
+    PartTooWideForLayoutError,
+)
 from hisim.partition import (
     Part,
     partition_dagp,
@@ -494,10 +498,12 @@ def test_gate_free_circuit_returns_the_zero_state(p):
             simulate_distributed(circuit, partition, bad)
 
 
-def _drop_first_gate(parts):
-    """``parts`` with the first gate of ``parts[0]`` left out."""
-    short = dataclasses.replace(parts[0], gate_indices=parts[0].gate_indices[1:])
-    return (short,) + parts[1:]
+def _drop_first_gate(circuit, parts):
+    """``parts`` with the first gate of ``parts[0]`` left out, its qubit set
+    recomputed from the gates that stay."""
+    gates = parts[0].gate_indices[1:]
+    qubits = tuple(sorted({q for g in gates for q in circuit.ops[g].qubits}))
+    return (dataclasses.replace(parts[0], gate_indices=gates, qubits=qubits),) + parts[1:]
 
 
 def test_partition_missing_a_gate_is_rejected():
@@ -507,16 +513,16 @@ def test_partition_missing_a_gate_is_rejected():
     circuit = bench.build("bv_6")
     dag = build_dag(circuit)
     flat = partition_nat(dag, 4)
-    flat = dataclasses.replace(flat, parts=_drop_first_gate(flat.parts))
+    flat = dataclasses.replace(flat, parts=_drop_first_gate(circuit, flat.parts))
     ml = partition_multilevel(dag, 4, 2)
     sublevels = list(ml.sublevels)
     i = next(i for i, sub in enumerate(sublevels) if len(sub.parts) > 1)
     sublevels[i] = dataclasses.replace(
-        sublevels[i], parts=_drop_first_gate(sublevels[i].parts)
+        sublevels[i], parts=_drop_first_gate(circuit, sublevels[i].parts)
     )
     ml = dataclasses.replace(ml, sublevels=tuple(sublevels))
     for partition in (flat, ml):
-        with pytest.raises(ValueError, match="cover"):
+        with pytest.raises(PartitionError, match=r"gates \[0\] unassigned"):
             simulate_distributed(circuit, partition, 1)
 
 
@@ -538,7 +544,7 @@ def test_part_listed_backwards_is_rejected():
         partition, parts=(backwards,) + partition.parts[1:]
     )
     for p in (0, 1):
-        with pytest.raises(ValueError, match="runs gate 1 before gate 0"):
+        with pytest.raises(PartitionError, match="part 0 gates are not ascending"):
             simulate_distributed(circuit, partition, p)
 
 

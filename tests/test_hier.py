@@ -7,6 +7,7 @@ import dataclasses
 import json
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -20,14 +21,14 @@ from hisim.hier import (
     bit_offsets,
     execute_hierarchical,
     execute_multilevel,
-    executable_part,
-    level1_parts,
+    executable_parts,
     part_block_indices,
+    rebase,
     remap_part,
     run_part,
     verify_against_flat,
 )
-from hisim.errors import VerificationError
+from hisim.errors import PartitionError, VerificationError
 from hisim.partition import (
     Part,
     PartitionResult,
@@ -195,8 +196,7 @@ def test_run_part_matches_single_assignment_passes(seed):
     for partition in (partition_dagp(dag, l1), partition_multilevel(dag, l1, l2)):
         data = data_rng.normal(size=1 << n) + 1j * data_rng.normal(size=1 << n)
         expect = data.copy()
-        for i in range(len(level1_parts(circuit, partition))):
-            exe = executable_part(circuit, partition, i, range(n))
+        for exe in executable_parts(circuit, partition):
             run_part(data, exe)
             _run_part_oracle(expect, exe)
         np.testing.assert_allclose(data, expect, rtol=0, atol=1e-12)
@@ -205,13 +205,14 @@ def test_run_part_matches_single_assignment_passes(seed):
 def test_remap_part_rewrites_operands_to_block_slots():
     """A ``cx 9,5`` in a 10-qubit circuit, in a part on qubits (5, 9),
     becomes a ``cx`` on slots (1, 0) of the part's block, kind and params
-    kept, and the part's run equals ``simulate_flat``."""
+    kept, and the part's run equals ``simulate_flat``. Re-basing the part
+    moves its positions only, and refuses a map that reorders them."""
     circuit = Circuit(10, (
         GateOp(GateKind.H, (9,), ()),
         GateOp(GateKind.RX, (5,), (0.4,)),
         GateOp(GateKind.CX, (9, 5), ()),
     ))
-    exe = remap_part(circuit, Part(0, (0, 1, 2), (5, 9)), range(10))
+    exe = remap_part(circuit, Part(0, (0, 1, 2), (5, 9)))
     assert exe.positions == (5, 9)
     assert exe.ops == (
         GateOp(GateKind.H, (1,), ()),
@@ -221,6 +222,10 @@ def test_remap_part_rewrites_operands_to_block_slots():
     data = zero_state(10).data
     run_part(data, exe)
     np.testing.assert_allclose(data, simulate_flat(circuit).data, rtol=0, atol=1e-15)
+    moved = rebase(exe, {5: 0, 9: 1})
+    assert moved == dataclasses.replace(exe, positions=(0, 1))
+    with pytest.raises(ValueError, match="not ascending"):
+        rebase(exe, {5: 1, 9: 0})
 
 
 # --- diagonal runs ------------------------------------------------------------
@@ -253,8 +258,7 @@ def test_fused_diagonal_runs_match_flat_and_the_oracle(seed):
     for partition in (partition_dagp(dag, l1), partition_multilevel(dag, l1, l2)):
         data = zero_state(n).data
         oracle = data.copy()
-        for i in range(len(level1_parts(circuit, partition))):
-            exe = executable_part(circuit, partition, i, range(n))
+        for exe in executable_parts(circuit, partition):
             run_part(data, exe)
             _run_part_oracle(oracle, exe)
         assert np.max(np.abs(data - expect)) <= 1e-12
@@ -282,7 +286,7 @@ def test_diagonal_runs_fold_only_on_blocks_of_several_rows(monkeypatch):
     on the identity, so no op runs on the block op by op; on a single-row
     block, here a whole-state part, every op runs on the block,
     bit-identical to ``simulate_flat``."""
-    exe = remap_part(_RUNS, Part(0, tuple(range(_RUNS.num_ops)), (0, 1)), range(2))
+    exe = remap_part(_RUNS, Part(0, tuple(range(_RUNS.num_ops)), (0, 1)))
     calls = []
     real = hier.apply_op
 
@@ -325,7 +329,7 @@ def test_fused_run_allocates_only_its_phase_vector():
     ) + tuple(GateOp(GateKind.U1, (q,), (0.2,)) for q in range(w))
     circuit = Circuit(w, ops)
     part = Part(0, tuple(range(len(ops))), tuple(range(w)))
-    exe = remap_part(circuit, part, range(w))
+    exe = remap_part(circuit, part)
     data = np.full((1 << 8, 1 << w), 2.0 ** -9, dtype=np.complex128)
     tracemalloc.start()
     try:
@@ -364,8 +368,7 @@ def test_chunked_parts_match_the_oracle_and_flat(monkeypatch, rows):
         shape = (4, 1 << n)
         data = data_rng.normal(size=shape) + 1j * data_rng.normal(size=shape)
         oracle = data.copy()
-        for i in range(len(level1_parts(circuit, partition))):
-            exe = executable_part(circuit, partition, i, range(n))
+        for exe in executable_parts(circuit, partition):
             run_part(data, exe)
             for entry in oracle:
                 _run_part_oracle(entry, exe)
@@ -380,7 +383,7 @@ def test_chunked_parts_match_the_oracle_and_flat(monkeypatch, rows):
     # chunks are views of up to ``rows`` entries, the last one short
     small = _spread(random.Random(rows), l1, 30)
     gates = tuple(range(small.num_ops))
-    whole = remap_part(small, Part(0, gates, tuple(range(l1))), range(l1))
+    whole = remap_part(small, Part(0, gates, tuple(range(l1))))
     data = np.zeros((4, 1 << l1), dtype=np.complex128)
     data[:, 0] = 1.0
     run_part(data, whole)
@@ -408,8 +411,7 @@ def test_fused_groups_match_flat_and_the_oracle(width, seed):
         for partition in (partition_dagp(dag, l1), partition_multilevel(dag, l1, l2)):
             data = zero_state(n).data
             oracle = data.copy()
-            for i in range(len(level1_parts(circuit, partition))):
-                exe = executable_part(circuit, partition, i, range(n))
+            for exe in executable_parts(circuit, partition):
                 run_part(data, exe)
                 _run_part_oracle(oracle, exe)
             assert np.max(np.abs(data - expect)) <= 1e-12
@@ -446,7 +448,7 @@ def test_each_fused_unitary_is_its_ops_product(seed):
         segments.append(ops)
     circuit = Circuit(8, tuple(op for ops in segments for op in ops))
     gates = tuple(range(circuit.num_ops))
-    steps = remap_part(circuit, Part(0, gates, tuple(range(8))), range(8)).steps
+    steps = remap_part(circuit, Part(0, gates, tuple(range(8)))).steps
     assert [slots for slots, _ in steps] == list(sets)
     for (slots, u), ops in zip(steps, segments):
         local = {q: j for j, q in enumerate(slots)}
@@ -484,6 +486,39 @@ def test_partitioned_runs_peak_within_twice_the_state():
         finally:
             tracemalloc.stop()
         assert peak <= bound * state_bytes(n)
+
+
+def test_finished_parts_are_released(monkeypatch):
+    """Every executor draws its parts from ``executable_parts`` one at a
+    time, so when a part is drawn, each part before the last one drawn is
+    gone, and its compiled steps with it."""
+    from hisim import dist
+
+    real = hier.executable_parts
+    drawn = []
+
+    def spy(circuit, partition):
+        for exe in real(circuit, partition):
+            assert all(ref() is None for ref in drawn[:-1])
+            drawn.append(weakref.ref(exe))
+            yield exe
+
+    monkeypatch.setattr(hier, "executable_parts", spy)
+    monkeypatch.setattr(dist, "executable_parts", spy)
+    circuit = bench.build("qft_12")
+    dag = build_dag(circuit)
+    flat, ml = partition_dagp(dag, 6), partition_multilevel(dag, 6, 4)
+    runs = [
+        lambda: execute_hierarchical(circuit, flat),
+        lambda: execute_multilevel(circuit, ml),
+        lambda: simulate_distributed(circuit, flat, 2),
+        lambda: simulate_distributed(circuit, ml, 1),
+    ]
+    for run in runs:
+        drawn.clear()
+        run()
+        assert len(drawn) == flat.num_parts > 2
+        assert all(ref() is None for ref in drawn)
 
 
 # --- equivalence with the flat simulator ------------------------------------
@@ -661,10 +696,10 @@ def test_level2_parts_stage_their_padded_qubit_sets():
     circuit = bench.build("qaoa_8")
     ml = partition_multilevel(build_dag(circuit), 6, 4)
     widths, widened = [], 0
-    for i, parent in enumerate(ml.level1.parts):
-        exe = executable_part(circuit, ml, i, range(circuit.num_qubits))
-        subparts = ml.sublevels[i].parts
-        for child, sp, padded in zip(exe.children, subparts, ml.padded_qubits[i]):
+    levels = zip(executable_parts(circuit, ml), ml.level1.parts, ml.sublevels)
+    for (exe, parent, sub), pads in zip(levels, ml.padded_qubits):
+        assert exe.positions == parent.qubits
+        for child, sp, padded in zip(exe.children, sub.parts, pads):
             assert child.positions == tuple(parent.qubits.index(q) for q in padded)
             widths.append(len(padded))
             widened += len(padded) > sp.working_set
@@ -720,8 +755,9 @@ _CHAIN = Circuit(3, (
 
 def test_out_of_order_partition_is_rejected():
     """A partition built in memory whose executed gate sequence runs a gate
-    before one it depends on raises instead of returning a wrong state:
-    a flat part listed backwards, and a level-2 part listed backwards."""
+    before one it depends on raises the partition rule's error instead of
+    returning a wrong state: a flat part listed backwards, and a level-2
+    part listed backwards."""
     dag = build_dag(_CHAIN)
     flat = partition_dagp(dag, 2)
     assert flat.parts[0].gate_indices == (0, 1, 2)
@@ -733,8 +769,64 @@ def test_out_of_order_partition_is_rejected():
     )
     ml = dataclasses.replace(ml, sublevels=(sub,))
     for partition in (flat, ml):
-        with pytest.raises(ValueError, match="before gate"):
+        with pytest.raises(PartitionError, match="part 0 gates are not ascending"):
             execute_hierarchical(_CHAIN, partition)
+
+
+def _invalid_partitions():
+    """Partitions of qaoa_8 built in memory, each breaking one rule, with
+    the partition rule's message: flat ones at dagp limit 4, two-level ones
+    at 6/4."""
+    circuit = bench.build("qaoa_8")
+    dag = build_dag(circuit)
+    flat = partition_dagp(dag, 4)
+    stale = dataclasses.replace(flat.parts[0], qubits=flat.parts[0].qubits[1:])
+    widest = max(p.working_set for p in flat.parts)
+    ml = partition_multilevel(dag, 6, 4)
+    i, j = next(
+        (i, j)
+        for i, sub in enumerate(ml.sublevels)
+        for j, sp in enumerate(sub.parts)
+        if sp.working_set < ml.limit2
+    )
+    parent, sub = ml.level1.parts[i], ml.sublevels[i]
+    sp = sub.parts[j]
+    foreign = next(q for q in range(circuit.num_qubits) if q not in parent.qubits)
+    wide = dataclasses.replace(sp, qubits=tuple(sorted(sp.qubits + (foreign,))))
+    sub = dataclasses.replace(sub, parts=sub.parts[:j] + (wide,) + sub.parts[j + 1:])
+    sublevels = ml.sublevels[:i] + (sub,) + ml.sublevels[i + 1:]
+    flats = [
+        (dataclasses.replace(flat, parts=(stale,) + flat.parts[1:]),
+         f"part {stale.id} qubit set is stale"),
+        (dataclasses.replace(flat, limit=widest - 1),
+         f"needs {widest} qubits, limit {widest - 1}"),
+    ]
+    multis = [
+        (dataclasses.replace(ml, sublevels=sublevels),
+         f"part {sp.id} qubit set is stale"),
+        (dataclasses.replace(ml, limit1=2, limit2=4), "limit2 4 exceeds limit1 2"),
+        (dataclasses.replace(ml, limit1=7), "level-1 limit 6 differs from limit1 7"),
+        (dataclasses.replace(ml, sublevels=ml.sublevels[1:]),
+         f"{len(ml.sublevels) - 1} sublevels for {len(ml.sublevels)} level-1 parts"),
+    ]
+    return circuit, flats, multis
+
+
+def test_every_executor_rejects_an_invalid_partition():
+    """Hierarchical, multilevel and distributed (p = 0 and 1) execution
+    check a partition with the partition module's rule and raise its
+    ``PartitionError``: a stale qubit set, a part over its limit, a level-2
+    part with a qubit from outside its parent, limit2 above limit1, a
+    level-1 limit other than limit1, and a sublevel missing."""
+    circuit, flats, multis = _invalid_partitions()
+    executors = [(execute_hierarchical, flats), (execute_multilevel, multis)] + [
+        (lambda c, part, p=p: simulate_distributed(c, part, p), flats + multis)
+        for p in (0, 1)
+    ]
+    for run, cases in executors:
+        for partition, message in cases:
+            with pytest.raises(PartitionError, match=message):
+                run(circuit, partition)
 
 
 # --- verification helper ----------------------------------------------------
