@@ -33,7 +33,7 @@ from .errors import LayoutMismatchError, PartTooWideForLayoutError
 from .hier import _start_state, executable_parts, rebase, run_part
 # not called here: benchmarks/layers.py traces them under these names
 from .hier import part_block_indices, remap_part  # noqa: F401
-from .partition import MultiLevelPartition, Part, PartitionResult
+from .partition import MultiLevelPartition, PartitionResult
 from .qasm import Circuit
 from .statevec import StateVector, _permute_bits
 
@@ -98,24 +98,24 @@ class RankLayout:
 
 
 def choose_layout(
-    num_qubits: int, num_rank_bits: int, part: Part
+    num_qubits: int, num_rank_bits: int, qubits: Sequence[int]
 ) -> RankLayout:
-    """Layout that keeps the part's working set local.
+    """Layout that keeps ``qubits``, a part's working set, local.
 
-    The part's qubits are padded with the lowest-numbered remaining qubits
-    up to ``num_qubits - num_rank_bits`` locals; everything else becomes a
-    rank bit.
+    The qubits are padded with the lowest-numbered remaining qubits up to
+    ``num_qubits - num_rank_bits`` locals; everything else becomes a rank
+    bit.
     """
     if not 0 <= num_rank_bits <= num_qubits:
         raise ValueError(f"rank bits {num_rank_bits} outside 0..{num_qubits}")
     l = num_qubits - num_rank_bits
-    if part.working_set > l:
+    if len(qubits) > l:
         raise PartTooWideForLayoutError(
-            f"part {part.id} needs {part.working_set} local qubits, only "
-            f"{l} available with {num_rank_bits} rank bits on "
+            f"part on qubits {tuple(qubits)} needs {len(qubits)} local "
+            f"qubits, only {l} available with {num_rank_bits} rank bits on "
             f"{num_qubits} qubits"
         )
-    local = set(part.qubits)
+    local = set(qubits)
     for q in range(num_qubits):
         if len(local) == l:
             break
@@ -369,29 +369,29 @@ def simulate_distributed(
 ) -> DistributedRun:
     """Run a partitioned circuit on ``2**num_rank_bits`` emulated ranks.
 
-    Each part executes under a layout that keeps its qubits local, chosen
-    with ``choose_layout``; a part whose qubits are already local reuses
-    the current layout and costs nothing. Layout switches are planned,
-    applied, and charged to ``CommStats``. Each part, checked and built by
-    ``executable_parts``, then runs through ``run_part`` on every rank
-    buffer at once, re-based to offset bits; a two-level partition nests
-    its level-2 parts inside each rank with no extra communication.
+    Each part executes under a layout that keeps its qubits (its built
+    ``positions``) local, chosen with ``choose_layout``; a part whose
+    qubits are already local reuses the current layout and costs nothing.
+    Layout switches are planned, applied, and charged to ``CommStats``.
+    Each part, checked and built by ``executable_parts``, then runs
+    through ``run_part`` on every rank buffer at once, re-based to offset
+    bits; a two-level partition nests its level-2 parts inside each rank
+    with no extra communication.
     """
     n = circuit.num_qubits
     exes = executable_parts(circuit, partition)
-    parts = partition.parts
+    exe = next(exes, None)
     # a gate-free circuit has no parts; it runs under one padding layout
-    first = parts[0] if parts else Part(0, (), ())
-    layout = choose_layout(n, num_rank_bits, first)
+    layout = choose_layout(n, num_rank_bits, exe.positions if exe else ())
     # no reference to the start state outlives its distribution, so a run
     # holds one state copy, not two
     buffers = distribute_state(_start_state(circuit, initial), layout)
-    stats = CommStats(n, num_rank_bits, len(parts))
+    stats = CommStats(n, num_rank_bits, len(partition.parts))
     layouts: list[RankLayout] = []
-    for i, exe in enumerate(exes):
-        part = parts[i]
-        if not set(part.qubits) <= set(layout.local):
-            new_layout = choose_layout(n, num_rank_bits, part)
+    while exe is not None:
+        i = len(layouts)
+        if not set(exe.positions) <= set(layout.local):
+            new_layout = choose_layout(n, num_rank_bits, exe.positions)
             plan = plan_redistribution(layout, new_layout)
             buffers = plan.apply(buffers)
             stats.switches.append(SwitchStats.from_plan(i, plan))
@@ -399,4 +399,5 @@ def simulate_distributed(
         layouts.append(layout)
         offset_bit = {q: j for j, q in enumerate(layout.local)}
         run_part(buffers, rebase(exe, offset_bit))
+        exe = next(exes, None)
     return DistributedRun(assemble_state(buffers, layout), stats, layouts)

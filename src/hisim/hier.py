@@ -16,15 +16,22 @@ rule and builds each level-1 part once, in qubit coordinates:
 ``remap_part`` rewrites its gates to slots of its staged block, and its
 ``positions`` are its qubits. A two-level part is a level-1 part whose
 children are its level-2 parts, re-based (``rebase``) to slots of the
-level-1 block: each level-1 chunk stands in for the full state while the
-children run on it. Distributed execution (``hisim.dist``) re-bases the
-same parts onto rank buffers, addressing qubits by their offset bits; a
+level-1 block. Distributed execution (``hisim.dist``) re-bases the same
+parts onto rank buffers, addressing qubits by their offset bits; a
 layout changes nothing but ``positions``.
 
 Within a part, the ops are compiled once into steps (``_compile``): each
 run of diagonal gates becomes one ``2**w`` phase vector, and short runs of
 other gates become one dense unitary of at most ``FUSE_WIDTH`` qubits, so
-a chunk takes one pass per step, not one per gate. ``simulate_flat``
+a chunk takes one pass per step, not one per gate. A two-level part's
+children compile the same way, each on its own block, and their steps
+are lifted to level-1 slots (``_slot_steps``). ``_plan`` then runs the
+steps under a tracked bit order of the chunk: a unitary's slots are
+moved to the lowest bits by one transposing copy, unless they are
+already there, and applied by one matrix product; phase vectors and
+lone ops are re-addressed to the order once, and a last permutation
+restores it. So a level-1 chunk is gathered and scattered once, with
+its level-2 parts staged inside it by permutations. ``simulate_flat``
 stays gate by gate as the oracle.
 """
 
@@ -50,6 +57,7 @@ from .qasm import Circuit, GateOp
 from .statevec import (
     CHUNK_AMPS,
     StateVector,
+    _permute_bits,
     apply_matrix,
     apply_op,
     is_diagonal,
@@ -70,6 +78,7 @@ __all__ = [
     "execute_hierarchical",
     "execute_multilevel",
     "max_deviation_from_flat",
+    "check_deviation",
     "verify_against_flat",
     "VERIFY_ATOL",
 ]
@@ -142,9 +151,11 @@ class ExecutablePart:
 
     @cached_property
     def steps(self) -> list[tuple]:
-        """The ops compiled for a block of several rows (see ``_compile``),
-        built on first use and reused by every later chunk and call."""
-        return _compile(self)
+        """The plan for a block of several rows (see ``_plan``): the ops,
+        and the children's, compiled (``_slot_steps``) and re-addressed to
+        a tracked bit order; built on first use and reused by every later
+        chunk and call."""
+        return _plan(_slot_steps(self), self.num_slots)
 
 
 def remap_part(circuit: Circuit, part: Part) -> ExecutablePart:
@@ -224,21 +235,19 @@ def _fuse(group: list[GateOp]) -> tuple:
     return slots, rows.T
 
 
-def _compile(exe: ExecutablePart) -> list[tuple]:
-    """The part's ops as steps for a block of several ``2**w`` rows.
+def _compile(ops: Sequence[GateOp], w: int) -> list[tuple]:
+    """Ops on the slots of a ``2**w`` block as steps ``(slots, step)``.
 
     Each run of two or more consecutive diagonal ops (``is_diagonal``)
-    folds into one ``2**w`` phase vector, built by applying the run to
-    ones: a step ``(None, phase)``. The other ops group greedily, in
-    order, while the union of a group's slots holds at most
-    ``FUSE_WIDTH`` slots; a group of several ops becomes one dense unitary
-    (see ``_fuse``), a step ``(slots, u)``, and a group of one stays a step
-    ``(slots, op)``.
+    folds into one ``2**w`` phase vector over all ``w`` slots, built by
+    applying the run to ones. The other ops group greedily, in order, while
+    the union of a group's slots holds at most ``FUSE_WIDTH`` slots; a
+    group of several ops becomes one dense unitary on its sorted slots (see
+    ``_fuse``), and a group of one stays its op.
     """
-    w = exe.num_slots
     steps: list[tuple] = []
     group: list[GateOp] = []
-    for diagonal, run in groupby(exe.ops, key=is_diagonal):
+    for diagonal, run in groupby(ops, key=is_diagonal):
         run = list(run)
         if diagonal and len(run) > 1:
             if group:
@@ -247,7 +256,7 @@ def _compile(exe: ExecutablePart) -> list[tuple]:
             phase = np.ones(1 << w, dtype=np.complex128)
             for op in run:
                 apply_op(phase, w, op)
-            steps.append((None, phase))
+            steps.append((tuple(range(w)), phase))
             continue
         for op in run:
             union = set(op.qubits).union(*(g.qubits for g in group))
@@ -260,6 +269,70 @@ def _compile(exe: ExecutablePart) -> list[tuple]:
     return steps
 
 
+def _lift(op: GateOp, positions: Sequence[int]) -> GateOp:
+    return GateOp(op.kind, tuple(positions[s] for s in op.qubits), op.params)
+
+
+def _slot_ops(exe: ExecutablePart) -> Iterator[GateOp]:
+    """``exe``'s ops, then its children's, all on slots of its block."""
+    yield from exe.ops
+    for child in exe.children:
+        yield from (_lift(op, child.positions) for op in _slot_ops(child))
+
+
+def _slot_steps(exe: ExecutablePart) -> list[tuple]:
+    """``exe``'s ops compiled (``_compile``), then each child's steps, each
+    child compiled on its own block and lifted to slots of ``exe``'s."""
+    steps = _compile(exe.ops, exe.num_slots)
+    for child in exe.children:
+        pos = child.positions
+        for slots, step in _slot_steps(child):
+            if isinstance(step, GateOp):
+                step = _lift(step, pos)
+            steps.append((tuple(pos[s] for s in slots), step))
+    return steps
+
+
+def _plan(steps: list[tuple], w: int) -> list[tuple]:
+    """Steps on the slots of a ``2**w`` block as kernels ``(kind, arg)``
+    under a tracked bit order, ``order[j]`` the slot at index bit ``j``.
+
+    The order starts as the identity. A dense unitary on slots ``S`` runs
+    as ``("matmul", u)`` on the lowest ``len(S)`` bits, which must hold
+    ``S`` in ascending order; when they do not, a ``("permute", sigma)``
+    first moves ``S`` there, the other slots following in their current
+    order. A phase vector and a lone op are re-addressed to the current
+    order here, once: ``("phase", vector)`` and ``("op", op)`` on bits.
+    A last permute restores the identity order.
+    """
+    order = list(range(w))
+    plan: list[tuple] = []
+
+    def permute(new: list[int]) -> None:
+        bit_of = {s: j for j, s in enumerate(new)}
+        plan.append(("permute", tuple(bit_of[s] for s in order)))
+        order[:] = new
+
+    for slots, step in steps:
+        bit_of = {s: j for j, s in enumerate(order)}
+        if isinstance(step, GateOp):
+            plan.append(("op", _lift(step, [bit_of[s] for s in range(w)])))
+        elif step.ndim == 1:
+            # the vector's bit j is slot slots[j]; tile it over the others
+            rest = [j for j in range(w) if order[j] not in slots]
+            sigma = [bit_of[s] for s in slots] + rest
+            tiled = np.tile(step, 1 << (w - len(slots)))
+            plan.append(("phase", _permute_bits(tiled, sigma)))
+        else:
+            k = len(slots)
+            if tuple(order[:k]) != slots:
+                permute(list(slots) + [s for s in order if s not in slots])
+            plan.append(("matmul", step))
+    if order != list(range(w)):
+        permute(list(range(w)))
+    return plan
+
+
 def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     """Gather, execute, and scatter one part on the last axis of ``data``.
 
@@ -269,17 +342,18 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     row per batch entry and free-qubit assignment.
 
     A single-row part (one ``2**w`` row spanning ``data``, such as a
-    whole-state part with no batch) runs its ops gate by gate through
-    ``apply_op``, bit-identical to ``simulate_flat``, then its children.
-    Any other block's rows are independent, so one loop stages, runs and
-    scatters them back in chunks of about ``CHUNK_AMPS`` amplitudes: several
-    batch entries per chunk when a batch entry is small, else a run of rows
-    of one entry. Each chunk is gathered through ``part_block_indices``, the
-    part's compiled steps (``ExecutablePart.steps``, built once per part:
-    runs of diagonal ops fold into one phase vector, short runs of other ops
-    fuse into one dense unitary for ``statevec.apply_matrix``) run on it,
-    then each child part runs on it in turn. When the part's positions are
-    already ``0..m-1``, each batch entry is a row and the chunks are views.
+    whole-state part with no batch) runs its ops, then its children's, gate
+    by gate through ``apply_op``, bit-identical to ``simulate_flat``. Any
+    other block's rows are independent, so one loop stages, runs and
+    scatters them back in chunks of about ``CHUNK_AMPS`` amplitudes:
+    several batch entries per chunk when a batch entry is small, else a run
+    of rows of one entry. Each chunk is gathered once through
+    ``part_block_indices`` and runs the part's plan (``ExecutablePart.steps``,
+    built once per part), its children's steps included, then scatters
+    back. The plan's permutes and products alternate the chunk with one
+    scratch buffer, allocated here once for all chunks when the plan needs
+    it. When the part's positions are already ``0..m-1``, each batch entry
+    is a row and the chunks are views.
     """
     m = int(data.shape[-1]).bit_length() - 1
     if data.shape[-1] != 1 << m:
@@ -291,10 +365,8 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
         raise ValueError(f"position {positions[-1]} outside 0..{m - 1}")
     w = exe.num_slots
     if data.size == 1 << w:
-        for op in exe.ops:
+        for op in _slot_ops(exe):
             apply_op(data, w, op)
-        for child in exe.children:
-            run_part(data, child)
         return
     flat = data.reshape(-1, 1 << m)
     staged = positions != tuple(range(m))
@@ -302,22 +374,33 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     rows = 1 << (m - w)  # rows per batch entry
     bstep = max(1, CHUNK_AMPS >> m)  # batch entries per chunk
     rstep = min(rows, max(1, CHUNK_AMPS >> w))  # rows of an entry per chunk
+    plan = exe.steps
+    spare = None
+    if any(kind in ("permute", "matmul") for kind, _ in plan):
+        spare = np.empty(min(bstep, len(flat)) * rstep << w, dtype=data.dtype)
     for b in range(0, len(flat), bstep):
         sub = flat[b:b + bstep]
         for r in range(0, rows, rstep):
             sel = slice(r, r + rstep)
             block = np.take(sub, gidx[sel], axis=1) if staged else sub
-            for slots, step in exe.steps:
-                if slots is None:
-                    block *= step
-                elif isinstance(step, GateOp):
-                    apply_op(block, w, step)
+            cur = block
+            if spare is not None:
+                other = spare[:block.size].reshape(block.shape)
+            for kind, arg in plan:
+                if kind == "phase":
+                    cur *= arg
+                elif kind == "op":
+                    apply_op(cur, w, arg)
                 else:
-                    apply_matrix(block, w, slots, step)
-            for child in exe.children:
-                run_part(block, child)
+                    if kind == "permute":
+                        _permute_bits(cur, arg, out=other)
+                    else:
+                        apply_matrix(cur, arg, other)
+                    cur, other = other, cur
             if staged:
-                sub[:, gidx[sel]] = block
+                sub[:, gidx[sel]] = cur
+            elif cur is not block:
+                block[...] = cur
 
 
 # --- instrumentation --------------------------------------------------------
@@ -438,16 +521,20 @@ def max_deviation_from_flat(circuit: Circuit, state: StateVector) -> float:
     return float(np.max(np.abs(ref)))
 
 
-def verify_against_flat(circuit: Circuit, state: StateVector) -> float:
-    """Compare a partitioned result against the flat reference simulation.
-
-    Returns the maximum absolute amplitude difference; raises
-    ``VerificationError`` unless it is below ``VERIFY_ATOL`` (a NaN never
-    is).
-    """
-    err = max_deviation_from_flat(circuit, state)
+def check_deviation(err: float) -> float:
+    """``err``, a maximum amplitude deviation from the flat reference, if it
+    is below ``VERIFY_ATOL``; else (a NaN never is) ``VerificationError``."""
     if not err < VERIFY_ATOL:
         raise VerificationError(
             f"max amplitude deviation {err:.3e} is not below {VERIFY_ATOL:.1e}"
         )
     return err
+
+
+def verify_against_flat(circuit: Circuit, state: StateVector) -> float:
+    """Compare a partitioned result against the flat reference simulation.
+
+    Returns the maximum absolute amplitude difference, after
+    ``check_deviation`` accepts it.
+    """
+    return check_deviation(max_deviation_from_flat(circuit, state))

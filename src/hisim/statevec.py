@@ -14,8 +14,11 @@ full state, or slots of a part's staged block, as
 
 Only this module maps index bits to array axes: ``_subspace`` views every
 block with given slots held at given bits, and ``_permute_bits`` moves
-bits by one axis transpose. A gate is a 2x2 on two such views (target at
-0 and 1, controls at 1; or a SWAP's two exchanged slot pairs), never
+bits by one axis transpose, of a whole array or of each entry of a
+batch, into a new array or a given buffer. It is the one permute, for
+layout switches in ``hisim.dist`` and for the bit order of a part's
+chunk in ``hisim.hier``. A gate is a 2x2 on two such views (target at 0
+and 1, controls at 1; or a SWAP's two exchanged slot pairs), never
 decomposed: a diagonal scales them, exactly X exchanges them, slab by
 slab through one saved copy, and any other mixes them in place from one
 saved copy of the first.
@@ -24,8 +27,10 @@ saved copy of the first.
 ``hisim.hier.run_part`` uses it to fold a run of such gates into one
 ``2**w`` phase vector, built by ``apply_op`` on a vector of ones. It also
 fuses short runs of other gates into one dense ``2**k x 2**k`` unitary,
-built by ``apply_op`` on the identity, which ``apply_matrix`` applies to
-a cache-sized block as one matrix product.
+built by ``apply_op`` on the identity. ``apply_matrix`` applies such a
+unitary to the lowest ``k`` bits of a cache-sized block as one matrix
+product into a second buffer; ``hisim.hier`` first moves the unitary's
+slots there with ``_permute_bits``.
 """
 
 from __future__ import annotations
@@ -199,15 +204,27 @@ def _subspace(arr: np.ndarray, w: int, fixed: dict[int, int]) -> np.ndarray:
     return arr.reshape((-1,) + (2,) * w)[tuple(index)]
 
 
-def _permute_bits(data: np.ndarray, sigma: Sequence[int]) -> np.ndarray:
-    """Contiguous copy of ``data`` with index bit ``i`` moved to bit
-    ``sigma[i]``: under the C-order ``(2,) * n`` view, bit ``i`` is axis
-    ``n - 1 - i``, so the move is one axis transpose and one copy."""
+def _permute_bits(
+    data: np.ndarray, sigma: Sequence[int], out: np.ndarray | None = None
+) -> np.ndarray:
+    """``data`` with index bit ``i`` of each entry moved to bit ``sigma[i]``.
+
+    An entry is a run of ``2**len(sigma)`` amplitudes; any leading
+    amplitudes are batch, each entry permuted alike. Under the C-order
+    ``(batch,) + (2,) * n`` view, bit ``i`` is axis ``n - i``, so the move
+    is one axis transpose and one copy: into ``out`` when given
+    (C-contiguous, the size of ``data``, not overlapping it), else into a
+    new array of ``data``'s shape.
+    """
     n = len(sigma)
-    axes = [0] * n
+    axes = [0] * (n + 1)
     for i, j in enumerate(sigma):
-        axes[n - 1 - j] = n - 1 - i
-    return data.reshape((2,) * n).transpose(axes).copy().reshape(data.shape)
+        axes[n - j] = n - i
+    moved = data.reshape((-1,) + (2,) * n).transpose(axes)
+    if out is None:
+        return moved.copy().reshape(data.shape)
+    np.copyto(out.reshape(moved.shape), moved)
+    return out
 
 
 def _gate_2x2(op: GateOp) -> np.ndarray:
@@ -289,29 +306,25 @@ def apply_op(arr: np.ndarray, w: int, op: GateOp) -> None:
     b += u[1, 0] * saved
 
 
-def apply_matrix(
-    arr: np.ndarray, w: int, slots: Sequence[int], u: np.ndarray
-) -> None:
-    """Apply a dense ``2**k x 2**k`` unitary in place to every w-qubit block
-    of ``arr``; bit ``j`` of ``u``'s row and column index is slot ``slots[j]``.
+def apply_matrix(src: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
+    """Apply a dense ``2**k x 2**k`` unitary to the lowest ``k`` index bits
+    of ``src``, writing the result to ``out``: bit ``j`` of ``u``'s row and
+    column index is index bit ``j``.
 
-    The slots' axes move last in the ``(batch,) + (2,) * w`` view, so each
-    sub-vector is one row of a ``(rows, 2**k)`` matrix and the whole array
-    is one product with ``u.T``. That takes a copy in (a view when
-    ``slots`` are the lowest slots, ascending), the product, and a copy
-    back, each the size of ``arr``: meant for blocks that fit in cache.
+    Each run of ``2**k`` amplitudes is one row of a ``(rows, 2**k)``
+    matrix, so the whole array is one product with ``u.T``, written
+    straight into ``out`` (C-contiguous, the size of ``src``, not
+    overlapping it). A unitary on other bits first moves them to the
+    bottom with ``_permute_bits``.
     """
-    if not arr.flags.c_contiguous:
-        raise ValueError("arr must be C-contiguous")
-    k = len(slots)
-    if u.shape != (1 << k, 1 << k):
-        raise ValueError(f"matrix of shape {u.shape} on {k} slots")
-    view = arr.reshape((-1,) + (2,) * w)
-    # slot s is axis w - s; bit j of the row index is the j-th axis from the end
-    moved = np.moveaxis(
-        view, [w - s for s in reversed(slots)], range(w + 1 - k, w + 1)
-    )
-    moved[...] = (moved.reshape(-1, 1 << k) @ u.T).reshape(moved.shape)
+    if not (src.flags.c_contiguous and out.flags.c_contiguous):
+        raise ValueError("src and out must be C-contiguous")
+    dim = u.shape[0]
+    if u.shape != (dim, dim) or dim & (dim - 1) or src.size % dim:
+        raise ValueError(f"matrix of shape {u.shape} on {src.size} amplitudes")
+    if out.size != src.size:
+        raise ValueError(f"out holds {out.size} amplitudes, src {src.size}")
+    np.matmul(src.reshape(-1, dim), u.T, out=out.reshape(-1, dim))
 
 
 def simulate_flat(circuit: Circuit, max_qubits: int | None = None) -> StateVector:

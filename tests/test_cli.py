@@ -166,6 +166,27 @@ def test_nan_amplitude_fails_verification(capsys, monkeypatch, tmp_path):
     assert np.isnan(state.data[0])
 
 
+@pytest.mark.parametrize("delta", [float("nan"), 1.0])
+def test_cli_and_verify_against_flat_fail_alike(capsys, monkeypatch, delta):
+    """With the deviation stubbed, ``hisim run --verify`` prints the delta,
+    then fails with the message ``verify_against_flat`` raises."""
+    import hisim.cli as cli_mod
+    from hisim import hier
+    from hisim.errors import VerificationError
+
+    monkeypatch.setattr(cli_mod, "max_deviation_from_flat", lambda c, s: delta)
+    monkeypatch.setattr(hier, "max_deviation_from_flat", lambda c, s: delta)
+    circuit = bench.build("bv_6")
+    with pytest.raises(VerificationError) as raised:
+        hier.verify_against_flat(circuit, simulate_flat(circuit))
+    argv = ("run", "bv_6", "--mode", "hierarchical", "--verify")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    lines = err.splitlines()
+    assert lines[0] == f"verify: max |delta| = {delta:.3e}"
+    assert lines[1].endswith(f"verification failed: {raised.value}")
+
+
 # --- run reports ------------------------------------------------------------
 
 REPORT_SCHEMA = {

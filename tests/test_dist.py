@@ -34,7 +34,6 @@ from hisim.errors import (
     PartTooWideForLayoutError,
 )
 from hisim.partition import (
-    Part,
     partition_dagp,
     partition_dfs,
     partition_multilevel,
@@ -182,29 +181,29 @@ def test_layout_addressing():
 def test_choose_layout_centers_on_part_qubits():
     """A two-rank-bit layout for a part on the low pair keeps that pair
     local; for the high pair it ships the low pair out instead."""
-    low = choose_layout(4, 2, Part(0, (0,), (0, 1)))
+    low = choose_layout(4, 2, (0, 1))
     assert low.local == (0, 1)
     assert low.process == (2, 3)
-    high = choose_layout(4, 2, Part(1, (1,), (2, 3)))
+    high = choose_layout(4, 2, (2, 3))
     assert high.local == (2, 3)
     assert high.process == (0, 1)
 
 
 def test_choose_layout_pads_with_lowest_free_qubits():
-    lay = choose_layout(5, 2, Part(0, (0,), (2, 4)))
+    lay = choose_layout(5, 2, (2, 4))
     assert lay.local == (0, 2, 4)
     assert lay.process == (1, 3)
 
 
 def test_choose_layout_rejects_oversized_parts():
     with pytest.raises(PartTooWideForLayoutError):
-        choose_layout(4, 3, Part(0, (0,), (0, 1)))
+        choose_layout(4, 3, (0, 1))
 
 
 @pytest.mark.parametrize("p", [-1, 5])
 def test_choose_layout_rejects_rank_bits_out_of_range(p):
     with pytest.raises(ValueError, match=f"rank bits {p} outside 0..4"):
-        choose_layout(4, p, Part(0, (0,), (0,)))
+        choose_layout(4, p, (0,))
 
 
 def test_layout_positions_are_a_permutation():
@@ -391,8 +390,8 @@ def test_layout_switch_peaks_at_most_twice_the_state():
     n = 16
     rng = np.random.default_rng(4)
     sv = StateVector(n, rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
-    old = choose_layout(n, 2, Part(0, (0,), (0, 1)))
-    new = choose_layout(n, 2, Part(0, (0,), (n - 2, n - 1)))
+    old = choose_layout(n, 2, (0, 1))
+    new = choose_layout(n, 2, (n - 2, n - 1))
     buffers = distribute_state(sv, old)
     tracemalloc.start()
     try:

@@ -343,6 +343,45 @@ def test_fused_run_allocates_only_its_phase_vector():
 # --- chunks and fused groups ----------------------------------------------
 
 
+def test_fused_groups_allocate_one_scratch_chunk():
+    """Fused groups on scattered 4-slot sets over a 2**18-amplitude block
+    of 2**10-amplitude rows run through permutes and products that
+    alternate each chunk with one scratch buffer: the run allocates that
+    chunk-sized buffer once, and no copy per step."""
+    w = 10
+    sets = ((0, 3, 6, 9), (1, 4, 7, 8), (2, 5, 6, 9), (0, 1, 8, 9))
+    ops = tuple(
+        op
+        for slots in sets
+        for op in (
+            *(GateOp(GateKind.H, (q,), ()) for q in slots),
+            GateOp(GateKind.CX, slots[:2], ()),
+            GateOp(GateKind.RX, (slots[3],), (0.3,)),
+        )
+    )
+    circuit = Circuit(w, ops)
+    exe = remap_part(circuit, Part(0, tuple(range(len(ops))), tuple(range(w))))
+    rng = np.random.default_rng(5)
+    shape = (1 << 8, 1 << w)
+    data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    expect = data.copy()
+    for op in ops:
+        apply_op(expect, w, op)
+    tracemalloc.start()
+    try:
+        run_part(data, exe)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kinds = [kind for kind, _ in exe.steps]
+    assert kinds.count("matmul") == len(sets)
+    assert kinds.count("permute") >= len(sets)
+    chunk = hier.CHUNK_AMPS * data.itemsize
+    assert chunk < data.nbytes
+    assert chunk <= peak <= 1.1 * chunk
+    assert np.max(np.abs(data - expect)) <= 1e-12
+
+
 def _spread(rng, n, num_ops):
     """A random circuit over every gate kind behind an H on every qubit, so
     every phase shows."""
@@ -421,6 +460,77 @@ def test_fused_groups_match_flat_and_the_oracle(width, seed):
                 assert np.max(np.abs(state.data - expect)) <= 1e-12
 
 
+#: multilevel cases whose level-2 parts hold diagonal runs, lone dense ops,
+#: fused groups and SWAPs
+_NESTED = [
+    ("qft8", lambda: bench.qft(8), 6, 4),
+    ("qft7", lambda: bench.qft(7), 5, 3),
+    *[(f"spread{s}", lambda s=s: _spread(random.Random(s), 8, 60), 6, 4)
+      for s in range(3)],
+]
+
+
+@pytest.mark.parametrize("chunk_rows", [0, 1])
+@pytest.mark.parametrize("name,build,l1,l2", _NESTED)
+def test_nested_parts_match_flat_and_the_oracle(
+    monkeypatch, name, build, l1, l2, chunk_rows
+):
+    """Level-2 parts staged inside each level-1 chunk, by the default
+    chunks and by chunks of one level-1 row, equal the single-assignment
+    passes and flat, hierarchically and on 1 and 2 emulated rank bits; the
+    cases' level-2 parts hold every step kind and SWAPs."""
+    if chunk_rows:
+        monkeypatch.setattr(hier, "CHUNK_AMPS", chunk_rows << l1)
+    circuit = build()
+    partition = partition_multilevel(build_dag(circuit), l1, l2)
+    expect = simulate_flat(circuit).data
+    data = zero_state(circuit.num_qubits).data
+    oracle = data.copy()
+    held = set()
+    for exe in executable_parts(circuit, partition):
+        for child in exe.children:
+            held.update(
+                "op" if isinstance(step, GateOp) else f"{step.ndim}d"
+                for _, step in hier._compile(child.ops, child.num_slots)
+            )
+            held.update(op.kind for op in child.ops)
+        run_part(data, exe)
+        _run_part_oracle(oracle, exe)
+    assert {"op", "1d", GateKind.SWAP} <= held
+    assert np.max(np.abs(data - expect)) <= 1e-12
+    assert np.max(np.abs(data - oracle)) <= 1e-12
+    got = execute_multilevel(circuit, partition)
+    assert np.max(np.abs(got.data - expect)) <= 1e-12
+    for p in (1, 2):
+        state = simulate_distributed(circuit, partition, p).state
+        assert np.max(np.abs(state.data - expect)) <= 1e-12
+
+
+def test_two_level_part_builds_its_index_matrix_once(monkeypatch):
+    """A two-level part run in one chunk per level-1 row builds the
+    level-1 index matrix once, and nothing for its level-2 parts."""
+    calls = []
+    real = hier.part_block_indices
+
+    def counted(num_qubits, qubits):
+        calls.append(tuple(qubits))
+        return real(num_qubits, qubits)
+
+    monkeypatch.setattr(hier, "part_block_indices", counted)
+    monkeypatch.setattr(hier, "CHUNK_AMPS", 1 << 6)
+    circuit = bench.qft(9)
+    partition = partition_multilevel(build_dag(circuit), 6, 4)
+    data = zero_state(9).data
+    nested = 0
+    for exe in executable_parts(circuit, partition):
+        calls.clear()
+        run_part(data, exe)
+        assert calls == [exe.positions]
+        nested += len(exe.children)
+    assert nested > 2
+    assert np.max(np.abs(data - simulate_flat(circuit).data)) <= 1e-12
+
+
 #: kinds that never only scale, so two of them never fold into a phase
 _DENSE = tuple(
     k for k in GateKind
@@ -431,11 +541,13 @@ _DENSE = tuple(
 @pytest.mark.parametrize("seed", range(4))
 def test_each_fused_unitary_is_its_ops_product(seed):
     """Three segments of ops on alternating 4-slot sets of an 8-slot part
-    compile to three fused steps. Each segment opens with an H on all four
-    of its slots, so the next segment's first op always overflows the
+    compile to three fused products. Each segment opens with an H on all
+    four of its slots, so the next segment's first op always overflows the
     group; dense ops alternate with ops of any kind, so no two diagonal ops
-    meet. Each step's unitary is the product of its ops' full operators on
-    its sorted slots, and unitary."""
+    meet. Walking the plan's permutes, each product finds its sorted slots
+    on the lowest bits, the plan ends in the identity order, and each
+    product's unitary is the product of its ops' full operators on those
+    slots, and unitary."""
     rng = random.Random(seed)
     sets = ((0, 2, 5, 7), (1, 3, 4, 6), (0, 2, 5, 7))
     segments = []
@@ -448,9 +560,21 @@ def test_each_fused_unitary_is_its_ops_product(seed):
         segments.append(ops)
     circuit = Circuit(8, tuple(op for ops in segments for op in ops))
     gates = tuple(range(circuit.num_ops))
-    steps = remap_part(circuit, Part(0, gates, tuple(range(8)))).steps
-    assert [slots for slots, _ in steps] == list(sets)
-    for (slots, u), ops in zip(steps, segments):
+    plan = remap_part(circuit, Part(0, gates, tuple(range(8)))).steps
+    order = list(range(8))  # the slot at each index bit
+    fused = []
+    for kind, arg in plan:
+        if kind == "permute":
+            moved = [0] * 8
+            for i, j in enumerate(arg):
+                moved[j] = order[i]
+            order = moved
+        else:
+            assert kind == "matmul"
+            fused.append((tuple(order[:4]), arg))
+    assert order == list(range(8))
+    assert [slots for slots, _ in fused] == list(sets)
+    for (slots, u), ops in zip(fused, segments):
         local = {q: j for j, q in enumerate(slots)}
         expect = np.eye(16, dtype=np.complex128)
         for op in ops:
@@ -463,19 +587,22 @@ def test_each_fused_unitary_is_its_ops_product(seed):
 def test_partitioned_runs_peak_within_twice_the_state():
     """At n = 20, limit 14 (and 8 below it), a part stages one cache-sized
     chunk at a time, so a run holds the state, the part's index matrix
-    (half the state at w = 14) and chunk-sized temporaries: hierarchical
-    and multilevel runs peak at 2x the state, a distributed run on 2 rank
-    bits, which permutes the state out of place, at 2.1x."""
+    (half the state at w = 14), chunk-sized temporaries and, for a
+    two-level part, its level-2 parts' phase vectors expanded to ``2**14``:
+    hierarchical and multilevel runs peak at 2x the state, a distributed
+    run on 2 rank bits, which permutes the state out of place, at 2.1x."""
     n = 20
     qaoa = bench.qaoa(n, 2)
     qft = bench.qft(n)
     ising = bench.ising(n, 2)
     hier_p = partition_dagp(build_dag(ising), 14)
     multi_p = partition_multilevel(build_dag(qaoa), 14, 8)
+    multi_qft = partition_multilevel(build_dag(qft), 14, 8)
     dist_p = partition_dagp(build_dag(qft), 14)
     runs = [
         (lambda: execute_hierarchical(ising, hier_p), 2.0),
         (lambda: execute_multilevel(qaoa, multi_p), 2.0),
+        (lambda: execute_multilevel(qft, multi_qft), 2.0),
         (lambda: simulate_distributed(qft, dist_p, 2), 2.1),
     ]
     for run, bound in runs:

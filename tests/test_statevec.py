@@ -16,6 +16,7 @@ from hisim.errors import QubitCountOutOfRangeError
 from hisim.qasm import Circuit, GateKind, GateOp
 from hisim.statevec import (
     StateVector,
+    _permute_bits,
     apply_matrix,
     apply_op,
     gate_matrix,
@@ -291,8 +292,9 @@ def test_exchange_across_slabs_permutes_amplitudes(kind):
 
 
 def test_apply_matrix_matches_dense_operator():
-    """A random 2**k unitary on any ordered slots acts as its full operator,
-    on one vector and on a leading batch axis."""
+    """A random 2**k unitary on any ordered slots, moved to the lowest bits
+    by ``_permute_bits``, applied there and moved back, acts as its full
+    operator, on one vector and on a leading batch axis."""
     n = 5
     rng = np.random.default_rng(23)
     batch = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
@@ -310,20 +312,47 @@ def test_apply_matrix_matches_dense_operator():
                 for j, s in enumerate(slots):
                     row = (row & ~(1 << s)) | (((sub_out >> j) & 1) << s)
                 full[row, col] += u[sub_out, sub_in]
-        one = batch[0].copy()
-        apply_matrix(one, n, slots, u)
+        # bit j of the moved index holds bit target[j] of the original
+        target = list(slots) + [b for b in range(n) if b not in slots]
+        to_low = [target.index(b) for b in range(n)]
+
+        def apply(arr):
+            low = _permute_bits(arr, to_low)
+            out = np.empty_like(low)
+            apply_matrix(low, u, out)
+            return _permute_bits(out, target, out=low)
+
+        one = apply(batch[0])
         assert np.max(np.abs(one - full @ batch[0])) < 1e-12
-        many = batch.copy()
-        apply_matrix(many, n, slots, u)
+        many = apply(batch)
+        assert many.shape == batch.shape
         assert np.max(np.abs(many - batch @ full.T)) < 1e-12
+
+
+def test_permute_bits_moves_each_entrys_bits():
+    """On a batch of three 3-bit entries, moving bits (0, 1, 2) to (2, 0, 1)
+    sends amplitude i of each entry to the index whose bit sigma[b] is bit
+    b of i, into ``out`` when given."""
+    sigma = (2, 0, 1)
+    data = np.arange(24, dtype=np.complex128).reshape(3, 8)
+    dest = [sum(((i >> b) & 1) << sigma[b] for b in range(3)) for i in range(8)]
+    expect = np.empty_like(data)
+    expect[:, dest] = data
+    np.testing.assert_array_equal(_permute_bits(data, sigma), expect)
+    out = np.empty_like(data)
+    assert _permute_bits(data, sigma, out=out) is out
+    np.testing.assert_array_equal(out, expect)
 
 
 def test_apply_matrix_rejects_bad_input():
     fortran = np.zeros((4, 4), dtype=np.complex128, order="F")
+    out = np.zeros(16, dtype=np.complex128)
     with pytest.raises(ValueError):
-        apply_matrix(fortran, 2, (0,), np.eye(2))
+        apply_matrix(fortran, np.eye(2), out)
     with pytest.raises(ValueError):
-        apply_matrix(np.zeros(4, dtype=np.complex128), 2, (0, 1), np.eye(2))
+        apply_matrix(np.zeros(4, dtype=np.complex128), np.eye(3), out[:4])
+    with pytest.raises(ValueError):
+        apply_matrix(np.zeros(4, dtype=np.complex128), np.eye(2), out)
 
 
 @settings(max_examples=25, deadline=None)
