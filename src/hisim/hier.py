@@ -22,17 +22,20 @@ layout changes nothing but ``positions``.
 
 Within a part, the ops are compiled once into steps (``_compile``): each
 run of diagonal gates becomes one ``2**w`` phase vector, and short runs of
-other gates become one dense unitary of at most ``FUSE_WIDTH`` qubits, so
-a chunk takes one pass per step, not one per gate. A two-level part's
-children compile the same way, each on its own block, and their steps
-are lifted to level-1 slots (``_slot_steps``). ``_plan`` then runs the
-steps under a tracked bit order of the chunk: a unitary's slots are
-moved to the lowest bits by one transposing copy, unless they are
-already there, and applied by one matrix product; phase vectors and
-lone ops are re-addressed to the order once, and a last permutation
-restores it. So a level-1 chunk is gathered and scattered once, with
-its level-2 parts staged inside it by permutations. ``simulate_flat``
-stays gate by gate as the oracle.
+other gates, and lone dense 1-qubit gates, become one dense unitary of at
+most ``FUSE_WIDTH`` qubits, so a chunk takes one pass per step, not one
+per gate. A two-level part's children compile the same way, each on its
+own block, and their steps are lifted to level-1 slots (``_slot_steps``).
+``_plan`` then runs the steps under a tracked bit order of the chunk, and
+applies each unitary where its slots sit when a product fits there: on
+the lowest bits, padded with identity bits when they all sit below
+``FUSE_WIDTH``, or in place from bit ``STRIDE_FLOOR`` up. Only otherwise
+does one transposing copy move its slots to the lowest bits, and the
+same copy lifts the next unitary's slots to the highest bits. Phase
+vectors, merged when adjacent, and lone ops are re-addressed to the
+order once, and a last permutation restores it. So a level-1 chunk is
+gathered and scattered once, with its level-2 parts staged inside it by
+permutations. ``simulate_flat`` stays gate by gate as the oracle.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from .statevec import (
     _permute_bits,
     apply_matrix,
     apply_op,
+    is_dense,
     is_diagonal,
     simulate_flat,
     zero_state,
@@ -87,8 +91,15 @@ __all__ = [
 #: largest amplitude deviation from the flat reference that verification
 #: accepts
 VERIFY_ATOL = 1e-10
-#: most slots one fused dense unitary spans; 5 ran about as fast, 3 slower
+#: most slots one fused dense unitary spans; 5 ran about as fast, 3 slower.
+#: A unitary whose bits all sit below it is padded to the lowest bits.
 FUSE_WIDTH = 4
+#: lowest index bit a unitary's lowest bit may sit on to run in place as a
+#: stack of ``(2**k, 2**bit)`` products (``apply_matrix``'s ``low``). For
+#: a 2x2 on a 2**16-amplitude chunk of 2**14-amplitude rows (2 CPUs), a
+#: product at bit 6 cost about as much as a permute to the lowest bits and
+#: a product there, at bit 5 about 1.5x as much, from bit 7 up less
+STRIDE_FLOOR = 6
 
 
 # --- addressing -------------------------------------------------------------
@@ -219,11 +230,14 @@ def _two_level_part(
 
 
 def _fuse(group: list[GateOp]) -> tuple:
-    """One step for a group of ops: ``(slots, op)`` for a group of one,
-    else ``(slots, u)`` with ``u`` the group's unitary on its sorted slots,
-    built by applying the group op by op to the rows of the identity."""
-    if len(group) == 1:
-        return group[0].qubits, group[0]
+    """One step for a group of ops: ``(slots, op)`` for a lone op that does
+    not mix amplitude pairs or spans several slots, else ``(slots, u)``
+    with ``u`` the group's unitary on its sorted slots (a lone dense 1-qubit
+    gate's 2x2), built by applying the group op by op to the rows of the
+    identity."""
+    op = group[0]
+    if len(group) == 1 and (len(op.qubits) > 1 or not is_dense(op)):
+        return op.qubits, op
     slots = tuple(sorted({s for op in group for s in op.qubits}))
     local = {s: j for j, s in enumerate(slots)}
     k = len(slots)
@@ -242,8 +256,9 @@ def _compile(ops: Sequence[GateOp], w: int) -> list[tuple]:
     folds into one ``2**w`` phase vector over all ``w`` slots, built by
     applying the run to ones. The other ops group greedily, in order, while
     the union of a group's slots holds at most ``FUSE_WIDTH`` slots; a
-    group of several ops becomes one dense unitary on its sorted slots (see
-    ``_fuse``), and a group of one stays its op.
+    group of several ops, or one dense 1-qubit gate, becomes one dense
+    unitary on its sorted slots (see ``_fuse``), and any other group of one
+    stays its op.
     """
     steps: list[tuple] = []
     group: list[GateOp] = []
@@ -293,17 +308,39 @@ def _slot_steps(exe: ExecutablePart) -> list[tuple]:
     return steps
 
 
+def _embed(u: np.ndarray, bits: Sequence[int], h: int) -> np.ndarray:
+    """The ``2**h`` unitary that acts as ``u`` on index bits ``bits`` (bit
+    ``j`` of ``u``'s index is ``bits[j]``) and as the identity on the
+    other bits below ``h``."""
+    k = len(bits)
+    m = np.kron(u, np.eye(1 << (h - k), dtype=u.dtype))
+    # m holds u's bits on top of the identity's; move each where it belongs
+    sigma = [b for b in range(h) if b not in bits] + list(bits)
+    if sigma == list(range(h)):
+        return m
+    m = _permute_bits(m, sigma)  # column bits, row by row
+    return np.ascontiguousarray(_permute_bits(m.T, sigma).T)
+
+
 def _plan(steps: list[tuple], w: int) -> list[tuple]:
     """Steps on the slots of a ``2**w`` block as kernels ``(kind, arg)``
     under a tracked bit order, ``order[j]`` the slot at index bit ``j``.
 
     The order starts as the identity. A dense unitary on slots ``S`` runs
-    as ``("matmul", u)`` on the lowest ``len(S)`` bits, which must hold
-    ``S`` in ascending order; when they do not, a ``("permute", sigma)``
-    first moves ``S`` there, the other slots following in their current
-    order. A phase vector and a lone op are re-addressed to the current
-    order here, once: ``("phase", vector)`` and ``("op", op)`` on bits.
-    A last permute restores the identity order.
+    as ``("matmul", (t, u))``, one product on bits ``t`` and up
+    (``apply_matrix``), where its slots sit when a product fits there, its
+    matrix re-addressed to their bits once, here (``_embed``): on the
+    lowest bits (``t`` 0) when every bit of ``S`` is below ``FUSE_WIDTH``,
+    ``u`` padded with identity bits up to the highest, or from the lowest
+    bit of ``S`` when that is at least ``STRIDE_FLOOR`` and ``S`` spans at
+    most ``FUSE_WIDTH`` bits. Otherwise a ``("permute", sigma)`` first
+    moves ``S`` to the lowest bits, in ascending order; the same copy
+    moves the next unitary's slots to the highest bits when they are
+    disjoint from ``S``, so that one can run in place; the other slots
+    keep their order. A phase vector and a lone op are re-addressed to the
+    current order here, once: ``("phase", vector)`` and ``("op", op)`` on
+    bits; phase vectors with nothing between them merge into one. A last
+    permute restores the identity order.
     """
     order = list(range(w))
     plan: list[tuple] = []
@@ -313,7 +350,7 @@ def _plan(steps: list[tuple], w: int) -> list[tuple]:
         plan.append(("permute", tuple(bit_of[s] for s in order)))
         order[:] = new
 
-    for slots, step in steps:
+    for i, (slots, step) in enumerate(steps):
         bit_of = {s: j for j, s in enumerate(order)}
         if isinstance(step, GateOp):
             plan.append(("op", _lift(step, [bit_of[s] for s in range(w)])))
@@ -322,15 +359,29 @@ def _plan(steps: list[tuple], w: int) -> list[tuple]:
             rest = [j for j in range(w) if order[j] not in slots]
             sigma = [bit_of[s] for s in slots] + rest
             tiled = np.tile(step, 1 << (w - len(slots)))
-            plan.append(("phase", _permute_bits(tiled, sigma)))
+            phase = _permute_bits(tiled, sigma)
+            if plan and plan[-1][0] == "phase":
+                plan[-1] = ("phase", plan[-1][1] * phase)
+            else:
+                plan.append(("phase", phase))
         else:
-            k = len(slots)
-            if tuple(order[:k]) != slots:
-                permute(list(slots) + [s for s in order if s not in slots])
-            plan.append(("matmul", step))
+            bits = [bit_of[s] for s in slots]
+            t = min(bits) if min(bits) >= STRIDE_FLOOR else 0
+            if max(bits) - t >= FUSE_WIDTH:
+                ahead = next((s for s, u in steps[i + 1:] if _unitary(u)), ())
+                top = () if set(ahead) & set(slots) else ahead
+                kept = [s for s in order if s not in slots and s not in top]
+                permute([*slots, *kept, *top])
+                bits, t = list(range(len(slots))), 0
+            u = _embed(step, [b - t for b in bits], max(bits) + 1 - t)
+            plan.append(("matmul", (t, u)))
     if order != list(range(w)):
         permute(list(range(w)))
     return plan
+
+
+def _unitary(step) -> bool:
+    return isinstance(step, np.ndarray) and step.ndim == 2
 
 
 def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
@@ -350,10 +401,11 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     of rows of one entry. Each chunk is gathered once through
     ``part_block_indices`` and runs the part's plan (``ExecutablePart.steps``,
     built once per part), its children's steps included, then scatters
-    back. The plan's permutes and products alternate the chunk with one
-    scratch buffer, allocated here once for all chunks when the plan needs
-    it. When the part's positions are already ``0..m-1``, each batch entry
-    is a row and the chunks are views.
+    back. The plan's permutes and products, on the lowest bits or in place
+    higher up, alternate the chunk with one scratch buffer, allocated here
+    once for all chunks when the plan needs it. When the part's positions
+    are already ``0..m-1``, each batch entry is a row and the chunks are
+    views.
     """
     m = int(data.shape[-1]).bit_length() - 1
     if data.shape[-1] != 1 << m:
@@ -395,7 +447,7 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
                     if kind == "permute":
                         _permute_bits(cur, arg, out=other)
                     else:
-                        apply_matrix(cur, arg, other)
+                        apply_matrix(cur, arg[1], other, arg[0])
                     cur, other = other, cur
             if staged:
                 sub[:, gidx[sel]] = cur

@@ -26,11 +26,14 @@ saved copy of the first.
 ``is_diagonal`` is the one test for a gate that only scales amplitudes;
 ``hisim.hier.run_part`` uses it to fold a run of such gates into one
 ``2**w`` phase vector, built by ``apply_op`` on a vector of ones. It also
-fuses short runs of other gates into one dense ``2**k x 2**k`` unitary,
-built by ``apply_op`` on the identity. ``apply_matrix`` applies such a
-unitary to the lowest ``k`` bits of a cache-sized block as one matrix
-product into a second buffer; ``hisim.hier`` first moves the unitary's
-slots there with ``_permute_bits``.
+fuses short runs of other gates, and lone gates that ``is_dense`` says
+mix amplitude pairs, into one dense ``2**k x 2**k`` unitary, built by
+``apply_op`` on the identity. ``apply_matrix`` applies such a unitary to
+``k`` consecutive bits of a cache-sized block, into a second buffer: on
+the lowest bits as one matrix product, or from bit ``low`` up as one
+stacked product. ``hisim.hier`` picks the bits where the unitary's slots
+already sit, and moves them with ``_permute_bits`` only when no product
+fits there.
 """
 
 from __future__ import annotations
@@ -237,11 +240,23 @@ def _scales(u: np.ndarray) -> bool:
     return bool(u[0, 1] == 0 and u[1, 0] == 0)
 
 
+def _exchanges(u: np.ndarray) -> bool:
+    return bool((u == _X).all())
+
+
 def is_diagonal(op: GateOp) -> bool:
     """Whether ``op`` only scales amplitudes, each by a factor that depends
     on its own index: any gate but SWAP whose 2x2 has zero off-diagonals
     (``rz``, ``u1``, ``z``, ``cz``, ``crz``, ...; also ``rx(0)``)."""
     return _scales(_gate_2x2(op))
+
+
+def is_dense(op: GateOp) -> bool:
+    """Whether ``apply_op`` mixes amplitude pairs for ``op``: its 2x2 neither
+    only scales (``is_diagonal``) nor is exactly X, which exchanges them
+    (X, CX, CCX, SWAP)."""
+    u = _gate_2x2(op)
+    return not (_scales(u) or _exchanges(u))
 
 
 def _exchange(arr: np.ndarray, fa: dict[int, int], fb: dict[int, int]) -> None:
@@ -288,7 +303,7 @@ def apply_op(arr: np.ndarray, w: int, op: GateOp) -> None:
     else:
         held = dict.fromkeys(q[:-1], 1)
         fa, fb = {**held, q[-1]: 0}, {**held, q[-1]: 1}
-    if (u == _X).all():
+    if _exchanges(u):
         _exchange(arr, fa, fb)
         return
     a = _subspace(arr, w, fa)
@@ -306,25 +321,35 @@ def apply_op(arr: np.ndarray, w: int, op: GateOp) -> None:
     b += u[1, 0] * saved
 
 
-def apply_matrix(src: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
-    """Apply a dense ``2**k x 2**k`` unitary to the lowest ``k`` index bits
-    of ``src``, writing the result to ``out``: bit ``j`` of ``u``'s row and
-    column index is index bit ``j``.
+def apply_matrix(
+    src: np.ndarray, u: np.ndarray, out: np.ndarray, low: int = 0
+) -> None:
+    """Apply a dense ``2**k x 2**k`` unitary to index bits ``low`` to
+    ``low + k - 1`` of ``src``, writing the result to ``out``: bit ``j`` of
+    ``u``'s row and column index is index bit ``low + j``.
 
-    Each run of ``2**k`` amplitudes is one row of a ``(rows, 2**k)``
-    matrix, so the whole array is one product with ``u.T``, written
-    straight into ``out`` (C-contiguous, the size of ``src``, not
-    overlapping it). A unitary on other bits first moves them to the
-    bottom with ``_permute_bits``.
+    On the lowest bits (``low`` 0) each run of ``2**k`` amplitudes is one
+    row of a ``(rows, 2**k)`` matrix, so the whole array is one product
+    with ``u.T``. Above them, ``src`` is a stack of ``(2**k, 2**low)``
+    matrices, each multiplied by ``u``: one ``np.matmul`` call, but one
+    small product per matrix, so it pays only when ``2**low`` is large
+    (``hisim.hier.STRIDE_FLOOR``). Either way the result goes straight into
+    ``out`` (C-contiguous, the size of ``src``, not overlapping it).
     """
     if not (src.flags.c_contiguous and out.flags.c_contiguous):
         raise ValueError("src and out must be C-contiguous")
     dim = u.shape[0]
-    if u.shape != (dim, dim) or dim & (dim - 1) or src.size % dim:
-        raise ValueError(f"matrix of shape {u.shape} on {src.size} amplitudes")
+    if u.shape != (dim, dim) or dim & (dim - 1) or src.size % (dim << low):
+        raise ValueError(
+            f"matrix of shape {u.shape} at bit {low} on {src.size} amplitudes"
+        )
     if out.size != src.size:
         raise ValueError(f"out holds {out.size} amplitudes, src {src.size}")
-    np.matmul(src.reshape(-1, dim), u.T, out=out.reshape(-1, dim))
+    if low == 0:
+        np.matmul(src.reshape(-1, dim), u.T, out=out.reshape(-1, dim))
+    else:
+        shape = (-1, dim, 1 << low)
+        np.matmul(u, src.reshape(shape), out=out.reshape(shape))
 
 
 def simulate_flat(circuit: Circuit, max_qubits: int | None = None) -> StateVector:

@@ -41,6 +41,7 @@ from hisim.qasm import Circuit, GateKind, GateOp
 from hisim.statevec import (
     StateVector,
     apply_op,
+    is_dense,
     is_diagonal,
     simulate_flat,
     state_bytes,
@@ -571,7 +572,9 @@ def test_each_fused_unitary_is_its_ops_product(seed):
             order = moved
         else:
             assert kind == "matmul"
-            fused.append((tuple(order[:4]), arg))
+            low, u = arg
+            assert low == 0
+            fused.append((tuple(order[:4]), u))
     assert order == list(range(8))
     assert [slots for slots, _ in fused] == list(sets)
     for (slots, u), ops in zip(fused, segments):
@@ -582,6 +585,107 @@ def test_each_fused_unitary_is_its_ops_product(seed):
             expect = _full_operator(moved, 4) @ expect
         assert np.max(np.abs(u - expect)) <= 1e-12
         assert np.max(np.abs(u @ u.conj().T - np.eye(16))) <= 1e-12
+
+
+#: slot sets of a 10-slot part, named by the bits their fused group finds
+#: them on when it runs first: the lowest bits, bits that a padded
+#: product covers, the highest bits, and scattered bits
+_PLACED = {
+    "low": (0, 1, 2, 3),
+    "padded": (1, 3),
+    "high": (6, 7, 8, 9),
+    "scattered": (0, 4, 7, 9),
+}
+#: consecutive groups: disjoint ones (the permute for the first also lifts
+#: the second to the highest bits) and overlapping ones
+_CONSECUTIVE = {
+    "disjoint": ((0, 3, 5, 8), (1, 2, 6, 9), (0, 4, 7, 9)),
+    "overlapping": ((0, 4, 7, 9), (4, 5, 6, 8), (1, 5, 8, 9)),
+}
+
+
+def _group(rng, slots):
+    """A group of dense ops on ``slots``: an H on each, then ops of kinds
+    that never only scale, so the group's unitary spans exactly ``slots``
+    and no phase run splits it."""
+    ops = [GateOp(GateKind.H, (q,), ()) for q in slots]
+    for _ in range(6):
+        kind = rng.choice([k for k in _DENSE if k.arity <= len(slots)])
+        qubits = tuple(rng.sample(slots, kind.arity))
+        ops.append(GateOp(kind, qubits, random_params(rng, kind)))
+    return ops
+
+
+def _phase_run(rng, w):
+    """Two diagonal ops, which fold into one phase vector and so keep the
+    dense steps on either side of them apart."""
+    a, b = rng.sample(range(w), 2)
+    return [
+        GateOp(GateKind.CRZ, (a, b), (rng.uniform(-3, 3),)),
+        GateOp(GateKind.U1, (b,), (rng.uniform(-3, 3),)),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_placed_kernels_match_the_unfused_ops(monkeypatch, seed):
+    """Dense steps run wherever their bits sit: a lone dense 1-qubit gate
+    at every slot, fused groups found on the lowest, padded-low, highest
+    and scattered bits, and disjoint and overlapping consecutive groups,
+    each as a part of a 10-slot block, staged out of a 12-qubit state on a
+    batch of two and run in chunks of two rows, equal the ops applied one
+    by one; together the plans use every kernel."""
+    monkeypatch.setattr(hier, "CHUNK_AMPS", 2 << 10)
+    rng = random.Random(seed)
+    w, n = 10, 12
+    cases = []
+    for kind in (GateKind.H, GateKind.RX, GateKind.U3, GateKind.RY):
+        for q in range(w):
+            cases.append([GateOp(kind, (q,), random_params(rng, kind))])
+        # every slot again, in a random order, between phase runs, so the
+        # lone gates meet bits that earlier permutes moved
+        lone = []
+        for q in rng.sample(range(w), w):
+            lone += [GateOp(kind, (q,), random_params(rng, kind))]
+            lone += _phase_run(rng, w)
+        cases.append(lone)
+    for slots in _PLACED.values():
+        cases.append(_group(rng, slots))
+    for sets in _CONSECUTIVE.values():
+        cases.append([op for slots in sets for op in _group(rng, slots)])
+    data_rng = np.random.default_rng(seed)
+    kinds = set()  # and, for products, the lowest bit they run on
+    for ops in cases:
+        positions = tuple(sorted(rng.sample(range(n), w)))
+        part = Part(0, tuple(range(len(ops))), tuple(range(w)))
+        exe = remap_part(Circuit(w, tuple(ops)), part)
+        exe = rebase(exe, dict(enumerate(positions)))
+        shape = (2, 1 << n)
+        data = data_rng.normal(size=shape) + 1j * data_rng.normal(size=shape)
+        expect = data.copy()
+        for op in ops:
+            apply_op(expect, n, hier._lift(op, positions))
+        run_part(data, exe)
+        assert np.max(np.abs(data - expect)) <= 1e-12
+        for kind, arg in exe.steps:
+            kinds.add((kind, arg[0] > 0) if kind == "matmul" else kind)
+            assert kind != "op" or len(arg.qubits) > 1 or not is_dense(arg)
+    assert kinds == {("matmul", False), ("matmul", True), "permute", "phase"}
+
+
+def test_benchmark_plans_keep_their_kernel_placement():
+    """On the benchmark circuits, no chunked plan runs a dense 1-qubit gate
+    through ``apply_op`` (qft(20) at dagp limit 14), and a multilevel
+    qaoa(20) at 14/8 needs fewer permutes than products."""
+    qft = bench.qft(20)
+    for exe in executable_parts(qft, partition_dagp(build_dag(qft), 14)):
+        assert exe.num_slots < qft.num_qubits
+        for kind, arg in exe.steps:
+            assert kind != "op" or len(arg.qubits) > 1 or not is_dense(arg)
+    qaoa = bench.qaoa(20, 2)
+    partition = partition_multilevel(build_dag(qaoa), 14, 8)
+    parts = executable_parts(qaoa, partition)
+    kinds = [kind for exe in parts for kind, _ in exe.steps]
+    assert kinds.count("permute") < kinds.count("matmul")
 
 
 def test_partitioned_runs_peak_within_twice_the_state():

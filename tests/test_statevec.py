@@ -291,6 +291,48 @@ def test_exchange_across_slabs_permutes_amplitudes(kind):
         np.testing.assert_array_equal(got, batch[:, src])
 
 
+def _random_unitary(rng, k):
+    dim = (1 << k, 1 << k)
+    u, _ = np.linalg.qr(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    return u
+
+
+def _operator_on(u, slots, n):
+    """The ``2**n`` operator of ``u`` with bit j of its index on qubit
+    ``slots[j]``."""
+    k = len(slots)
+    full = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+    for col in range(1 << n):
+        sub_in = sum(((col >> s) & 1) << j for j, s in enumerate(slots))
+        for sub_out in range(1 << k):
+            row = col
+            for j, s in enumerate(slots):
+                row = (row & ~(1 << s)) | (((sub_out >> j) & 1) << s)
+            full[row, col] += u[sub_out, sub_in]
+    return full
+
+
+def test_apply_matrix_above_the_lowest_bits_matches_dense_operator():
+    """With ``low`` set, a random 2**k unitary acts on bits ``low`` to
+    ``low + k - 1`` in place, as its full operator there, on one vector
+    and on a leading batch axis; a ``low`` the array cannot hold raises."""
+    n = 6
+    rng = np.random.default_rng(29)
+    batch = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
+    for k in (1, 2, 3):
+        for low in range(n - k + 1):
+            u = _random_unitary(rng, k)
+            full = _operator_on(u, tuple(range(low, low + k)), n)
+            out = np.empty_like(batch)
+            apply_matrix(batch, u, out, low)
+            assert np.max(np.abs(out - batch @ full.T)) < 1e-12
+            one = np.empty_like(batch[0])
+            apply_matrix(batch[0], u, one, low)
+            assert np.max(np.abs(one - full @ batch[0])) < 1e-12
+    with pytest.raises(ValueError):
+        apply_matrix(batch[0], np.eye(4), np.empty_like(batch[0]), n - 1)
+
+
 def test_apply_matrix_matches_dense_operator():
     """A random 2**k unitary on any ordered slots, moved to the lowest bits
     by ``_permute_bits``, applied there and moved back, acts as its full
@@ -301,17 +343,8 @@ def test_apply_matrix_matches_dense_operator():
     orders = [(0,), (0, 1), (1, 0), (4, 2), (0, 1, 2, 3), (3, 0, 4), (4, 1, 2, 0)]
     for slots in orders:
         k = len(slots)
-        dim = (1 << k, 1 << k)
-        u, _ = np.linalg.qr(rng.normal(size=dim) + 1j * rng.normal(size=dim))
-        # the full operator: bit j of u's index is qubit slots[j]
-        full = np.zeros((1 << n, 1 << n), dtype=np.complex128)
-        for col in range(1 << n):
-            sub_in = sum(((col >> s) & 1) << j for j, s in enumerate(slots))
-            for sub_out in range(1 << k):
-                row = col
-                for j, s in enumerate(slots):
-                    row = (row & ~(1 << s)) | (((sub_out >> j) & 1) << s)
-                full[row, col] += u[sub_out, sub_in]
+        u = _random_unitary(rng, k)
+        full = _operator_on(u, slots, n)
         # bit j of the moved index holds bit target[j] of the original
         target = list(slots) + [b for b in range(n) if b not in slots]
         to_low = [target.index(b) for b in range(n)]
