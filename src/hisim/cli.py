@@ -123,10 +123,11 @@ def _resolve_levels(args, circuit: Circuit) -> tuple[int, int]:
     l1 = args.l1 if args.l1 is not None else (
         args.limit if args.limit is not None else _default_limit(circuit)
     )
-    l2 = args.l2 if args.l2 is not None else max(
-        math.ceil(l1 / 2), _widest_gate(circuit)
-    )
-    return l1, min(l2, l1)
+    if args.l2 is None:
+        return l1, min(max(math.ceil(l1 / 2), _widest_gate(circuit)), l1)
+    if args.l2 > l1:
+        raise _UsageError(f"--l2 {args.l2} exceeds the level-1 limit {l1}")
+    return l1, args.l2
 
 
 def _load_partition(

@@ -14,18 +14,18 @@ Every execution path is ``run_part`` on an ``ExecutablePart``.
 ``executable_parts`` checks a partition with the partition module's own
 rule and builds each level-1 part once, in qubit coordinates:
 ``remap_part`` rewrites its gates to slots of its staged block, and its
-``positions`` are its qubits. A two-level part is a level-1 part whose
-children are its level-2 parts, re-based (``rebase``) to slots of the
-level-1 block. Distributed execution (``hisim.dist``) re-bases the same
-parts onto rank buffers, addressing qubits by their offset bits; a
-layout changes nothing but ``positions``.
+``positions`` are its qubits. A two-level part is its level-1 part run
+in level-2 gate order; the level-2 parts' padded qubit sets are
+documented and traced but not staged, since the level-1 chunk already is
+the cache-sized vector. Distributed execution (``hisim.dist``) re-bases
+(``rebase``) the same parts onto rank buffers, addressing qubits by
+their offset bits; a layout changes nothing but ``positions``.
 
 Within a part, the ops are compiled once into steps (``_compile``): each
 run of diagonal gates becomes one ``2**w`` phase vector, and short runs of
 other gates, and lone dense 1-qubit gates, become one dense unitary of at
 most ``FUSE_WIDTH`` qubits, so a chunk takes one pass per step, not one
-per gate. A two-level part's children compile the same way, each on its
-own block, and their steps are lifted to level-1 slots (``_slot_steps``).
+per gate; a two-level part's steps may span level-2 boundaries.
 ``_plan`` then runs the steps under a tracked bit order of the chunk, and
 applies each unitary where its slots sit when a product fits there: on
 the lowest bits, padded with identity bits when they all sit below
@@ -33,9 +33,9 @@ the lowest bits, padded with identity bits when they all sit below
 does one transposing copy move its slots to the lowest bits, and the
 same copy lifts the next unitary's slots to the highest bits. Phase
 vectors, merged when adjacent, and lone ops are re-addressed to the
-order once, and a last permutation restores it. So a level-1 chunk is
-gathered and scattered once, with its level-2 parts staged inside it by
-permutations. ``simulate_flat`` stays gate by gate as the oracle.
+order once, and a last permutation restores it. So each chunk is
+gathered and scattered once. ``simulate_flat`` stays gate by gate as the
+oracle.
 """
 
 from __future__ import annotations
@@ -144,17 +144,14 @@ class ExecutablePart:
 
     ``positions`` are the ascending bit positions of that array's last axis
     the part stages; slot ``i`` of the staged block is ``positions[i]``.
-    ``ops`` are the part's gates with their operands rewritten to slots of
-    the block, the only form the compiler and the kernels see.
-    ``children`` are nested parts, addressed as slots of this part's block,
-    that run on it after ``ops``; ``gate_indices`` include theirs.
+    ``ops`` are the part's gates, in the order they run, with their
+    operands rewritten to slots of the block, the only form the compiler
+    and the kernels see. A two-level part is its level-1 part with its
+    gates in level-2 order (``executable_parts``).
     """
 
-    part_id: int
-    gate_indices: tuple[int, ...]
     positions: tuple[int, ...]
     ops: tuple[GateOp, ...]
-    children: tuple[ExecutablePart, ...]
 
     @property
     def num_slots(self) -> int:
@@ -162,11 +159,10 @@ class ExecutablePart:
 
     @cached_property
     def steps(self) -> list[tuple]:
-        """The plan for a block of several rows (see ``_plan``): the ops,
-        and the children's, compiled (``_slot_steps``) and re-addressed to
-        a tracked bit order; built on first use and reused by every later
-        chunk and call."""
-        return _plan(_slot_steps(self), self.num_slots)
+        """The plan for a block of several rows (see ``_plan``): the ops
+        compiled (``_compile``) and re-addressed to a tracked bit order;
+        built on first use and reused by every later chunk and call."""
+        return _plan(_compile(self.ops, self.num_slots), self.num_slots)
 
 
 def remap_part(circuit: Circuit, part: Part) -> ExecutablePart:
@@ -180,13 +176,13 @@ def remap_part(circuit: Circuit, part: Part) -> ExecutablePart:
         GateOp(op.kind, tuple(slot_of[q] for q in op.qubits), op.params)
         for op in (circuit.ops[g] for g in part.gate_indices)
     )
-    return ExecutablePart(part.id, part.gate_indices, part.qubits, ops, ())
+    return ExecutablePart(part.qubits, ops)
 
 
 def rebase(exe: ExecutablePart, position_of: Mapping[int, int]) -> ExecutablePart:
     """``exe`` on an array whose bit ``position_of[p]`` holds what bit ``p``
-    of its current one does. Ops and children address slots, so only
-    ``positions`` change; ``position_of`` must keep them ascending."""
+    of its current one does. Ops address slots, so only ``positions``
+    change; ``position_of`` must keep them ascending."""
     positions = tuple(position_of[p] for p in exe.positions)
     if any(a >= b for a, b in zip(positions, positions[1:])):
         raise ValueError(f"positions {positions} are not ascending")
@@ -201,32 +197,25 @@ def executable_parts(
     each once, in qubit coordinates, as the caller draws them; a finished
     part and its compiled steps are then free to go.
 
-    A two-level part runs its level-2 parts as children, each staging its
-    padded qubit set (``MultiLevelPartition.padded_qubits``), re-based to
-    slots of the level-1 block; a sublevel that is just the parent part
-    runs as a single-level part.
+    A two-level part is its level-1 part with its gates in level-2 order:
+    its sublevel's parts in turn, each one's gates ascending, an order the
+    check proves valid. So its plan fuses across level-2 boundaries, and
+    the level-2 parts' padded qubit sets
+    (``MultiLevelPartition.padded_qubits``) are traced but not staged: the
+    level-1 chunk already is the cache-sized vector.
     """
     ops = circuit.ops
     if isinstance(partition, MultiLevelPartition):
         _check_multilevel(ops, partition)
-        levels = zip(partition.parts, partition.sublevels, partition.padded_qubits)
-        return (_two_level_part(circuit, *level) for level in levels)
+        return (
+            remap_part(circuit, replace(parent, gate_indices=tuple(
+                g for sp in sub.parts for g in sp.gate_indices
+            )))
+            for parent, sub in zip(partition.parts, partition.sublevels)
+        )
     n = len(ops)
     _check_parts(ops, range(n), partition.parts, partition.limit, f"0..{n - 1}")
     return (remap_part(circuit, part) for part in partition.parts)
-
-
-def _two_level_part(
-    circuit: Circuit, parent: Part, sub: PartitionResult, padded
-) -> ExecutablePart:
-    if len(sub.parts) == 1 and sub.parts[0].gate_indices == parent.gate_indices:
-        return remap_part(circuit, parent)
-    slot_of = {q: i for i, q in enumerate(parent.qubits)}
-    children = tuple(
-        rebase(remap_part(circuit, replace(sp, qubits=pad)), slot_of)
-        for sp, pad in zip(sub.parts, padded)
-    )
-    return ExecutablePart(parent.id, parent.gate_indices, parent.qubits, (), children)
 
 
 def _fuse(group: list[GateOp]) -> tuple:
@@ -288,26 +277,6 @@ def _lift(op: GateOp, positions: Sequence[int]) -> GateOp:
     return GateOp(op.kind, tuple(positions[s] for s in op.qubits), op.params)
 
 
-def _slot_ops(exe: ExecutablePart) -> Iterator[GateOp]:
-    """``exe``'s ops, then its children's, all on slots of its block."""
-    yield from exe.ops
-    for child in exe.children:
-        yield from (_lift(op, child.positions) for op in _slot_ops(child))
-
-
-def _slot_steps(exe: ExecutablePart) -> list[tuple]:
-    """``exe``'s ops compiled (``_compile``), then each child's steps, each
-    child compiled on its own block and lifted to slots of ``exe``'s."""
-    steps = _compile(exe.ops, exe.num_slots)
-    for child in exe.children:
-        pos = child.positions
-        for slots, step in _slot_steps(child):
-            if isinstance(step, GateOp):
-                step = _lift(step, pos)
-            steps.append((tuple(pos[s] for s in slots), step))
-    return steps
-
-
 def _embed(u: np.ndarray, bits: Sequence[int], h: int) -> np.ndarray:
     """The ``2**h`` unitary that acts as ``u`` on index bits ``bits`` (bit
     ``j`` of ``u``'s index is ``bits[j]``) and as the identity on the
@@ -337,10 +306,11 @@ def _plan(steps: list[tuple], w: int) -> list[tuple]:
     moves ``S`` to the lowest bits, in ascending order; the same copy
     moves the next unitary's slots to the highest bits when they are
     disjoint from ``S``, so that one can run in place; the other slots
-    keep their order. A phase vector and a lone op are re-addressed to the
-    current order here, once: ``("phase", vector)`` and ``("op", op)`` on
-    bits; phase vectors with nothing between them merge into one. A last
-    permute restores the identity order.
+    keep their order. A phase vector, which spans the block, and a lone op
+    are re-addressed to the current order here, once: ``("phase",
+    vector)`` and ``("op", op)`` on bits; phase vectors with nothing
+    between them merge into one. A last permute restores the identity
+    order.
     """
     order = list(range(w))
     plan: list[tuple] = []
@@ -351,15 +321,13 @@ def _plan(steps: list[tuple], w: int) -> list[tuple]:
         order[:] = new
 
     for i, (slots, step) in enumerate(steps):
-        bit_of = {s: j for j, s in enumerate(order)}
+        bit_of = [order.index(s) for s in range(w)]  # slot s sits on bit_of[s]
         if isinstance(step, GateOp):
-            plan.append(("op", _lift(step, [bit_of[s] for s in range(w)])))
+            plan.append(("op", _lift(step, bit_of)))
         elif step.ndim == 1:
-            # the vector's bit j is slot slots[j]; tile it over the others
-            rest = [j for j in range(w) if order[j] not in slots]
-            sigma = [bit_of[s] for s in slots] + rest
-            tiled = np.tile(step, 1 << (w - len(slots)))
-            phase = _permute_bits(tiled, sigma)
+            # the vector's bit j is slot j
+            ordered = order == list(range(w))
+            phase = step if ordered else _permute_bits(step, bit_of)
             if plan and plan[-1][0] == "phase":
                 plan[-1] = ("phase", plan[-1][1] * phase)
             else:
@@ -393,19 +361,19 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     row per batch entry and free-qubit assignment.
 
     A single-row part (one ``2**w`` row spanning ``data``, such as a
-    whole-state part with no batch) runs its ops, then its children's, gate
-    by gate through ``apply_op``, bit-identical to ``simulate_flat``. Any
-    other block's rows are independent, so one loop stages, runs and
-    scatters them back in chunks of about ``CHUNK_AMPS`` amplitudes:
-    several batch entries per chunk when a batch entry is small, else a run
-    of rows of one entry. Each chunk is gathered once through
-    ``part_block_indices`` and runs the part's plan (``ExecutablePart.steps``,
-    built once per part), its children's steps included, then scatters
-    back. The plan's permutes and products, on the lowest bits or in place
-    higher up, alternate the chunk with one scratch buffer, allocated here
-    once for all chunks when the plan needs it. When the part's positions
-    are already ``0..m-1``, each batch entry is a row and the chunks are
-    views.
+    whole-state part with no batch) runs its ops gate by gate through
+    ``apply_op``, bit-identical to ``simulate_flat`` when they are in
+    program order (level-2 order may swap commuting gates). Any other
+    block's rows are independent, so one loop stages, runs and scatters
+    them back in chunks of about ``CHUNK_AMPS`` amplitudes: several batch
+    entries per chunk when a batch entry is small, else a run of rows of
+    one entry. Each chunk is gathered once through ``part_block_indices``
+    and runs the part's plan (``ExecutablePart.steps``, built once per
+    part), then scatters back. The plan's permutes and products, on the
+    lowest bits or in place higher up, alternate the chunk with one
+    scratch buffer, allocated here once for all chunks when the plan needs
+    it. When the part's positions are already ``0..m-1``, each batch entry
+    is a row and the chunks are views.
     """
     m = int(data.shape[-1]).bit_length() - 1
     if data.shape[-1] != 1 << m:
@@ -417,7 +385,7 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
         raise ValueError(f"position {positions[-1]} outside 0..{m - 1}")
     w = exe.num_slots
     if data.size == 1 << w:
-        for op in _slot_ops(exe):
+        for op in exe.ops:
             apply_op(data, w, op)
         return
     flat = data.reshape(-1, 1 << m)
@@ -465,6 +433,8 @@ class PartTrace:
     assignment, i.e. ``2**(n - num_qubits)``; the batched implementation
     moves the same amplitudes in one pass. ``scatter_calls`` mirrors it.
     ``inner_bytes`` is the size of one staged vector, ``2**(num_qubits+4)``.
+    A level-2 row gives these for its padded qubit set, as if staged on its
+    own; its gates run in its level-1 part's chunks.
     """
 
     part_id: int
@@ -503,20 +473,32 @@ class ExecutionTrace:
         return "\n".join(json.dumps(row) for row in self.part_rows())
 
 
-def _trace_part(
-    trace: ExecutionTrace, exe: ExecutablePart, level: int, parent_id: int | None
-) -> None:
-    """Append the rows of ``exe`` and, one level down, of its children."""
-    w = exe.num_slots
-    calls = 1 << (trace.num_qubits - w)
-    trace.parts.append(
-        PartTrace(
-            exe.part_id, level, parent_id, w, len(exe.gate_indices),
+def _trace(
+    num_qubits: int, partition: PartitionResult | MultiLevelPartition
+) -> ExecutionTrace:
+    """The rows of ``partition``'s parts in execution order: each level-1
+    part, then each of its level-2 parts at the width of its padded qubit
+    set, unless its sublevel is just the part itself."""
+    trace = ExecutionTrace(num_qubits)
+
+    def add(part: Part, level: int, parent_id: int | None, w: int) -> None:
+        calls = 1 << (num_qubits - w)
+        trace.parts.append(PartTrace(
+            part.id, level, parent_id, w, len(part.gate_indices),
             calls, calls, 1 << (w + 4),
-        )
-    )
-    for child in exe.children:
-        _trace_part(trace, child, level + 1, exe.part_id)
+        ))
+
+    if isinstance(partition, MultiLevelPartition):
+        levels = zip(partition.parts, partition.sublevels, partition.padded_qubits)
+    else:
+        levels = ((part, None, ()) for part in partition.parts)
+    for parent, sub, padded in levels:
+        add(parent, 1, None, len(parent.qubits))
+        # a valid sublevel is its parent iff its first part has every gate
+        if sub is not None and sub.parts[0].gate_indices != parent.gate_indices:
+            for sp, pad in zip(sub.parts, padded):
+                add(sp, 2, parent.id, len(pad))
+    return trace
 
 
 # --- drivers ----------------------------------------------------------------
@@ -542,22 +524,23 @@ def execute_hierarchical(
     """Run a partitioned circuit part by part on one full state vector.
 
     Level-1 parts execute in the given order, each as one ``run_part``
-    pass; a two-level partition runs its level-2 parts nested inside each
-    staged level-1 block. An invalid partition raises ``PartitionError``
-    before any state is made (``executable_parts``).
+    pass; a two-level part runs its gates in level-2 order
+    (``executable_parts``). An invalid partition raises ``PartitionError``
+    before any state is made. The trace is read off the partition: its
+    level-2 rows give the staging a level-2 part's padded qubit set would
+    take on its own.
     """
     plan = executable_parts(circuit, partition)
     state = _start_state(circuit, initial)
-    trace = ExecutionTrace(circuit.num_qubits)
     for exe in plan:
         run_part(state.data, exe)
-        _trace_part(trace, exe, 1, None)
     if with_trace:
-        return state, trace
+        return state, _trace(circuit.num_qubits, partition)
     return state
 
 
-#: the same runner; kept under its own name for two-level partitions
+#: the same runner; a level-2 partition only sets the order in which each
+#: level-1 part's gates run, and so which of them fuse into one kernel
 execute_multilevel = execute_hierarchical
 
 

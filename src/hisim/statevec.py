@@ -6,8 +6,8 @@ n-qubit vector holds 2**n complex128 amplitudes, 2**(n+4) bytes.
 
 Kernels operate in place on arrays whose last axis is the state index;
 leading batch axes let ``hisim.hier.run_part`` run a whole chunk of a
-part's staged rows at once, whether the rows come from the full state,
-from a level-1 chunk (nested parts) or from rank buffers. An op's qubits
+part's staged rows at once, whether the rows come from the full state
+or from rank buffers. An op's qubits
 are always bits of the block it runs on: a circuit's own qubits on the
 full state, or slots of a part's staged block, as
 ``hisim.hier.remap_part`` rewrote them.

@@ -314,6 +314,26 @@ def test_multilevel_run(capsys):
     assert report["max_abs_delta"] < 1e-10
 
 
+def test_explicit_l2_above_l1_is_usage_error(capsys):
+    """An explicit ``--l2`` above the level-1 limit, given by ``--l1`` or
+    ``--limit``, is refused, not clamped; a defaulted ``--l2`` still fits
+    under ``--l1``."""
+    for argv in (
+        ("run", "qft_12", "--mode", "multilevel", "--l1", "3", "--l2", "5"),
+        ("run", "qft_12", "--mode", "multilevel", "--limit", "3", "--l2", "5"),
+        ("partition", "qft_12", "--strategy", "multilevel", "--l1", "3",
+         "--l2", "5"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "--l2 5 exceeds the level-1 limit 3" in err
+    code, out, _ = run_cli(capsys, "run", "qft_12", "--mode", "multilevel",
+                           "--l1", "3")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["limit1"], report["limit2"]) == (3, 2)
+
+
 def test_state_output_matches_flat(tmp_path, capsys):
     out_path = tmp_path / "state.npz"
     code, _, _ = run_cli(capsys, "run", "bv_6", "--out", str(out_path))

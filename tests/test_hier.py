@@ -18,6 +18,7 @@ from hisim import bench, hier
 from hisim.dag import build_dag
 from hisim.dist import simulate_distributed
 from hisim.hier import (
+    ExecutablePart,
     bit_offsets,
     execute_hierarchical,
     execute_multilevel,
@@ -30,6 +31,7 @@ from hisim.hier import (
 )
 from hisim.errors import PartitionError, VerificationError
 from hisim.partition import (
+    MultiLevelPartition,
     Part,
     PartitionResult,
     partition_dagp,
@@ -92,17 +94,37 @@ def scatter(data, num_qubits, qubits, free_index, inner):
     data[row] = inner
 
 
-def _run_part_oracle(data, exe):
+def _run_part_oracle(data, exe, nested=()):
     """``run_part`` as one gather/execute/scatter per assignment, with the
-    children staged the same way inside each inner vector."""
+    ``nested`` parts, addressed as slots of ``exe``'s block, staged the
+    same way inside each inner vector after ``exe``'s ops."""
     m = data.size.bit_length() - 1
     for a in range(1 << (m - exe.num_slots)):
         inner = gather(data, m, exe.positions, a)
         for op in exe.ops:
             apply_op(inner, exe.num_slots, op)
-        for child in exe.children:
+        for child in nested:
             _run_part_oracle(inner, child)
         scatter(data, m, exe.positions, a, inner)
+
+
+def _run_oracle(data, circuit, partition):
+    """``partition`` run on ``data`` by single-assignment passes. A two-level
+    part is really nested: each level-2 part stages its padded qubit set
+    (``MultiLevelPartition.padded_qubits``) inside every inner vector of
+    its level-1 part, in sublevel order."""
+    if not isinstance(partition, MultiLevelPartition):
+        for part in partition.parts:
+            _run_part_oracle(data, remap_part(circuit, part))
+        return
+    levels = zip(partition.parts, partition.sublevels, partition.padded_qubits)
+    for parent, sub, padded in levels:
+        slot_of = {q: i for i, q in enumerate(parent.qubits)}
+        nested = [
+            rebase(remap_part(circuit, dataclasses.replace(sp, qubits=pad)), slot_of)
+            for sp, pad in zip(sub.parts, padded)
+        ]
+        _run_part_oracle(data, ExecutablePart(parent.qubits, ()), nested)
 
 
 # --- index arithmetic -------------------------------------------------------
@@ -199,7 +221,7 @@ def test_run_part_matches_single_assignment_passes(seed):
         expect = data.copy()
         for exe in executable_parts(circuit, partition):
             run_part(data, exe)
-            _run_part_oracle(expect, exe)
+        _run_oracle(expect, circuit, partition)
         np.testing.assert_allclose(data, expect, rtol=0, atol=1e-12)
 
 
@@ -261,7 +283,7 @@ def test_fused_diagonal_runs_match_flat_and_the_oracle(seed):
         oracle = data.copy()
         for exe in executable_parts(circuit, partition):
             run_part(data, exe)
-            _run_part_oracle(oracle, exe)
+        _run_oracle(oracle, circuit, partition)
         assert np.max(np.abs(data - expect)) <= 1e-12
         assert np.max(np.abs(data - oracle)) <= 1e-12
         for p in (1, 2):
@@ -410,8 +432,8 @@ def test_chunked_parts_match_the_oracle_and_flat(monkeypatch, rows):
         oracle = data.copy()
         for exe in executable_parts(circuit, partition):
             run_part(data, exe)
-            for entry in oracle:
-                _run_part_oracle(entry, exe)
+        for entry in oracle:
+            _run_oracle(entry, circuit, partition)
         assert np.max(np.abs(data - oracle)) <= 1e-12
         got = execute_hierarchical(circuit, partition)
         assert np.max(np.abs(got.data - expect)) <= 1e-12
@@ -453,7 +475,7 @@ def test_fused_groups_match_flat_and_the_oracle(width, seed):
             oracle = data.copy()
             for exe in executable_parts(circuit, partition):
                 run_part(data, exe)
-                _run_part_oracle(oracle, exe)
+            _run_oracle(oracle, circuit, partition)
             assert np.max(np.abs(data - expect)) <= 1e-12
             assert np.max(np.abs(data - oracle)) <= 1e-12
             for p in (1, 2):
@@ -461,11 +483,11 @@ def test_fused_groups_match_flat_and_the_oracle(width, seed):
                 assert np.max(np.abs(state.data - expect)) <= 1e-12
 
 
-#: multilevel cases whose level-2 parts hold diagonal runs, lone dense ops,
-#: fused groups and SWAPs
+#: multilevel cases whose two-level parts compile to diagonal runs, lone
+#: ops, fused groups and SWAPs (qft(7) at 5/3 fuses every lone SWAP)
 _NESTED = [
     ("qft8", lambda: bench.qft(8), 6, 4),
-    ("qft7", lambda: bench.qft(7), 5, 3),
+    ("qft8", lambda: bench.qft(8), 5, 3),
     *[(f"spread{s}", lambda s=s: _spread(random.Random(s), 8, 60), 6, 4)
       for s in range(3)],
 ]
@@ -476,10 +498,11 @@ _NESTED = [
 def test_nested_parts_match_flat_and_the_oracle(
     monkeypatch, name, build, l1, l2, chunk_rows
 ):
-    """Level-2 parts staged inside each level-1 chunk, by the default
-    chunks and by chunks of one level-1 row, equal the single-assignment
+    """Two-level parts run in level-2 gate order, by the default chunks and
+    by chunks of one level-1 row, equal the truly nested single-assignment
     passes and flat, hierarchically and on 1 and 2 emulated rank bits; the
-    cases' level-2 parts hold every step kind and SWAPs."""
+    compiles of the cases' two-level parts hold every step kind and
+    SWAPs."""
     if chunk_rows:
         monkeypatch.setattr(hier, "CHUNK_AMPS", chunk_rows << l1)
     circuit = build()
@@ -488,15 +511,15 @@ def test_nested_parts_match_flat_and_the_oracle(
     data = zero_state(circuit.num_qubits).data
     oracle = data.copy()
     held = set()
-    for exe in executable_parts(circuit, partition):
-        for child in exe.children:
+    for exe, sub in zip(executable_parts(circuit, partition), partition.sublevels):
+        if len(sub.parts) > 1:
             held.update(
                 "op" if isinstance(step, GateOp) else f"{step.ndim}d"
-                for _, step in hier._compile(child.ops, child.num_slots)
+                for _, step in hier._compile(exe.ops, exe.num_slots)
             )
-            held.update(op.kind for op in child.ops)
+            held.update(op.kind for op in exe.ops)
         run_part(data, exe)
-        _run_part_oracle(oracle, exe)
+    _run_oracle(oracle, circuit, partition)
     assert {"op", "1d", GateKind.SWAP} <= held
     assert np.max(np.abs(data - expect)) <= 1e-12
     assert np.max(np.abs(data - oracle)) <= 1e-12
@@ -509,7 +532,8 @@ def test_nested_parts_match_flat_and_the_oracle(
 
 def test_two_level_part_builds_its_index_matrix_once(monkeypatch):
     """A two-level part run in one chunk per level-1 row builds the
-    level-1 index matrix once, and nothing for its level-2 parts."""
+    level-1 index matrix once, and nothing for its level-2 parts: qft(9)
+    at 6/4 has more than two of them."""
     calls = []
     real = hier.part_block_indices
 
@@ -522,13 +546,11 @@ def test_two_level_part_builds_its_index_matrix_once(monkeypatch):
     circuit = bench.qft(9)
     partition = partition_multilevel(build_dag(circuit), 6, 4)
     data = zero_state(9).data
-    nested = 0
     for exe in executable_parts(circuit, partition):
         calls.clear()
         run_part(data, exe)
         assert calls == [exe.positions]
-        nested += len(exe.children)
-    assert nested > 2
+    assert sum(len(s.parts) for s in partition.sublevels if len(s.parts) > 1) > 2
     assert np.max(np.abs(data - simulate_flat(circuit).data)) <= 1e-12
 
 
@@ -691,8 +713,8 @@ def test_benchmark_plans_keep_their_kernel_placement():
 def test_partitioned_runs_peak_within_twice_the_state():
     """At n = 20, limit 14 (and 8 below it), a part stages one cache-sized
     chunk at a time, so a run holds the state, the part's index matrix
-    (half the state at w = 14), chunk-sized temporaries and, for a
-    two-level part, its level-2 parts' phase vectors expanded to ``2**14``:
+    (half the state at w = 14), chunk-sized temporaries and its plan's
+    phase vectors, each over the part's ``2**14``-amplitude block:
     hierarchical and multilevel runs peak at 2x the state, a distributed
     run on 2 rank bits, which permutes the state out of place, at 2.1x."""
     n = 20
@@ -921,18 +943,24 @@ def test_multilevel_trace_nests_under_parents():
 
 
 def test_level2_parts_stage_their_padded_qubit_sets():
-    """Each child of a two-level part stages its padded qubit set, as slots
-    of the level-1 block, and its trace row has that width; on qaoa_8 at
-    6/4, three level-2 parts are padded beyond their own qubits."""
+    """A two-level part stages its level-1 qubits and runs its gates in
+    level-2 order: each level-2 part's gates in turn. Each level-2 part's
+    padded qubit set, which the oracle stages, lies inside its parent's
+    qubits and around its own, and its trace row has that width; on
+    qaoa_8 at 6/4, three level-2 parts are padded beyond their own
+    qubits."""
     circuit = bench.build("qaoa_8")
     ml = partition_multilevel(build_dag(circuit), 6, 4)
     widths, widened = [], 0
     levels = zip(executable_parts(circuit, ml), ml.level1.parts, ml.sublevels)
     for (exe, parent, sub), pads in zip(levels, ml.padded_qubits):
         assert exe.positions == parent.qubits
-        for child, sp, padded in zip(exe.children, sub.parts, pads):
-            assert child.positions == tuple(parent.qubits.index(q) for q in padded)
-            widths.append(len(padded))
+        gates = [circuit.ops[g] for sp in sub.parts for g in sp.gate_indices]
+        assert [hier._lift(op, exe.positions) for op in exe.ops] == gates
+        for sp, padded in zip(sub.parts, pads):
+            assert set(sp.qubits) <= set(padded) <= set(parent.qubits)
+            if len(sub.parts) > 1:
+                widths.append(len(padded))
             widened += len(padded) > sp.working_set
     assert widened == 3
     _, trace = execute_multilevel(circuit, ml, with_trace=True)
@@ -949,6 +977,88 @@ def test_multilevel_with_equal_limits_traces_like_single_level():
     )
     np.testing.assert_array_equal(state_ml.data, state_fl.data)
     assert trace_ml.part_rows() == trace_fl.part_rows()
+
+
+#: ``execute_multilevel`` trace logs, pinned byte for byte: qaoa_8 at 6/4 has
+#: widened level-2 parts, bv_6 at 4/4 a sublevel that is its parent (no
+#: level-2 row), qft_12 at 5/3 many level-2 parts per level-1 part
+_PINNED_TRACES = {
+    ("qaoa_8", 6, 4): """\
+{"part_id": 0, "w": 6, "iterations": 4, "gates": 21, "level": 1, "parent_id": null}
+{"part_id": 0, "w": 4, "iterations": 16, "gates": 13, "level": 2, "parent_id": 0}
+{"part_id": 1, "w": 4, "iterations": 16, "gates": 8, "level": 2, "parent_id": 0}
+{"part_id": 1, "w": 6, "iterations": 4, "gates": 21, "level": 1, "parent_id": null}
+{"part_id": 0, "w": 4, "iterations": 16, "gates": 13, "level": 2, "parent_id": 1}
+{"part_id": 1, "w": 4, "iterations": 16, "gates": 8, "level": 2, "parent_id": 1}
+{"part_id": 2, "w": 6, "iterations": 4, "gates": 22, "level": 1, "parent_id": null}
+{"part_id": 0, "w": 4, "iterations": 16, "gates": 11, "level": 2, "parent_id": 2}
+{"part_id": 1, "w": 4, "iterations": 16, "gates": 11, "level": 2, "parent_id": 2}
+{"part_id": 3, "w": 6, "iterations": 4, "gates": 22, "level": 1, "parent_id": null}
+{"part_id": 0, "w": 4, "iterations": 16, "gates": 9, "level": 2, "parent_id": 3}
+{"part_id": 1, "w": 4, "iterations": 16, "gates": 8, "level": 2, "parent_id": 3}
+{"part_id": 2, "w": 4, "iterations": 16, "gates": 5, "level": 2, "parent_id": 3}
+{"part_id": 4, "w": 4, "iterations": 16, "gates": 10, "level": 1, "parent_id": null}""",
+    ("bv_6", 4, 4): """\
+{"part_id": 0, "w": 4, "iterations": 4, "gates": 11, "level": 1, "parent_id": null}
+{"part_id": 1, "w": 3, "iterations": 8, "gates": 6, "level": 1, "parent_id": null}""",
+    ("qft_12", 5, 3): """\
+{"part_id": 0, "w": 5, "iterations": 128, "gates": 25, "level": 1, "parent_id": null}
+{"part_id": 0, "w": 3, "iterations": 512, "gates": 9, "level": 2, "parent_id": 0}
+{"part_id": 1, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 0}
+{"part_id": 2, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 0}
+{"part_id": 3, "w": 3, "iterations": 512, "gates": 8, "level": 2, "parent_id": 0}
+{"part_id": 1, "w": 5, "iterations": 128, "gates": 8, "level": 1, "parent_id": null}
+{"part_id": 0, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 1}
+{"part_id": 1, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 1}
+{"part_id": 2, "w": 5, "iterations": 128, "gates": 8, "level": 1, "parent_id": null}
+{"part_id": 0, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 2}
+{"part_id": 1, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 2}
+{"part_id": 3, "w": 5, "iterations": 128, "gates": 12, "level": 1, "parent_id": null}
+{"part_id": 0, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 3}
+{"part_id": 1, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 3}
+{"part_id": 2, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 3}
+{"part_id": 4, "w": 5, "iterations": 128, "gates": 8, "level": 1, "parent_id": null}
+{"part_id": 0, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 4}
+{"part_id": 1, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 4}
+{"part_id": 5, "w": 5, "iterations": 128, "gates": 8, "level": 1, "parent_id": null}
+{"part_id": 0, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 5}
+{"part_id": 1, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 5}
+{"part_id": 6, "w": 5, "iterations": 128, "gates": 12, "level": 1, "parent_id": null}
+{"part_id": 0, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 6}
+{"part_id": 1, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 6}
+{"part_id": 2, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 6}
+{"part_id": 7, "w": 5, "iterations": 128, "gates": 24, "level": 1, "parent_id": null}
+{"part_id": 0, "w": 3, "iterations": 512, "gates": 8, "level": 2, "parent_id": 7}
+{"part_id": 1, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 7}
+{"part_id": 2, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 7}
+{"part_id": 3, "w": 3, "iterations": 512, "gates": 8, "level": 2, "parent_id": 7}
+{"part_id": 8, "w": 5, "iterations": 128, "gates": 12, "level": 1, "parent_id": null}
+{"part_id": 0, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 8}
+{"part_id": 1, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 8}
+{"part_id": 2, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 8}
+{"part_id": 9, "w": 5, "iterations": 128, "gates": 7, "level": 1, "parent_id": null}
+{"part_id": 0, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 9}
+{"part_id": 1, "w": 3, "iterations": 512, "gates": 3, "level": 2, "parent_id": 9}
+{"part_id": 10, "w": 5, "iterations": 128, "gates": 7, "level": 1, "parent_id": null}
+{"part_id": 0, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 10}
+{"part_id": 1, "w": 3, "iterations": 512, "gates": 3, "level": 2, "parent_id": 10}
+{"part_id": 11, "w": 5, "iterations": 128, "gates": 16, "level": 1, "parent_id": null}
+{"part_id": 0, "w": 3, "iterations": 512, "gates": 8, "level": 2, "parent_id": 11}
+{"part_id": 1, "w": 3, "iterations": 512, "gates": 3, "level": 2, "parent_id": 11}
+{"part_id": 2, "w": 3, "iterations": 512, "gates": 5, "level": 2, "parent_id": 11}
+{"part_id": 12, "w": 4, "iterations": 256, "gates": 2, "level": 1, "parent_id": null}
+{"part_id": 0, "w": 3, "iterations": 512, "gates": 1, "level": 2, "parent_id": 12}
+{"part_id": 1, "w": 3, "iterations": 512, "gates": 1, "level": 2, "parent_id": 12}
+{"part_id": 13, "w": 2, "iterations": 1024, "gates": 1, "level": 1, "parent_id": null}""",
+}
+
+
+@pytest.mark.parametrize("name,l1,l2", list(_PINNED_TRACES))
+def test_multilevel_trace_logs_are_pinned(name, l1, l2):
+    circuit = bench.build(name)
+    ml = partition_multilevel(build_dag(circuit), l1, l2)
+    _, trace = execute_multilevel(circuit, ml, with_trace=True)
+    assert trace.to_json_lines() == _PINNED_TRACES[name, l1, l2]
 
 
 def test_reordered_level2_parts_are_padded_in_their_new_order():
