@@ -251,6 +251,16 @@ def cmd_run(args) -> int:
     if args.trace and args.mode not in ("hierarchical", "multilevel"):
         raise _UsageError("--trace requires --mode hierarchical or multilevel")
 
+    levels = args.partition is None and (
+        args.mode == "multilevel"
+        or (args.mode == "distributed" and args.l1 is not None)
+    )
+    if not levels and (args.l1 is not None or args.l2 is not None):
+        raise _UsageError(
+            "--l1/--l2 apply only to a multilevel run without --partition "
+            "(--mode multilevel, or --mode distributed with --l1)"
+        )
+
     partition: PartitionResult | MultiLevelPartition | None = None
     trace: ExecutionTrace | None = None
     comm = None
@@ -262,9 +272,7 @@ def cmd_run(args) -> int:
         dag = build_dag(circuit)
         if args.partition is not None:
             partition = _load_partition(dag, args.partition)
-        elif args.mode == "multilevel" or (
-            args.mode == "distributed" and args.l1 is not None
-        ):
+        elif levels:
             partition = partition_multilevel(dag, *_resolve_levels(args, circuit))
         else:
             limit = args.limit if args.limit is not None else _default_limit(circuit)

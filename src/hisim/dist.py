@@ -9,9 +9,9 @@ gates never cross ranks. Inside a layout the part runs through the same
 ``hisim.hier.run_part`` as hierarchical execution, on all rank buffers at
 once: each part is built once by ``hisim.hier.executable_parts``, in qubit
 coordinates, and ``hisim.hier.rebase`` moves its positions to the offset
-bits that hold its qubits. A two-level part is its level-1 part run in
-level-2 gate order, so only level-1 parts choose layouts; the level-2
-parts' padded qubit sets are not staged. Between parts the layout
+bits that hold its qubits. A two-level part is its level-1 part, so only
+level-1 parts choose layouts; the level-2 parts' padded qubit sets are
+not staged. Between parts the layout
 changes and amplitudes move. The move is one permutation of the index
 bits, applied as an axis transpose; its communication counts follow in
 closed form from the same permutation, and every remote amplitude is
@@ -377,8 +377,8 @@ def simulate_distributed(
     Layout switches are planned, applied, and charged to ``CommStats``.
     Each part, checked and built by ``executable_parts``, then runs
     through ``run_part`` on every rank buffer at once, re-based to offset
-    bits; a two-level part is its level-1 part run in level-2 gate order,
-    so it needs no extra communication.
+    bits; a two-level part is its level-1 part, so it needs no extra
+    communication.
     """
     n = circuit.num_qubits
     exes = executable_parts(circuit, partition)

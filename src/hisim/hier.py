@@ -14,28 +14,31 @@ Every execution path is ``run_part`` on an ``ExecutablePart``.
 ``executable_parts`` checks a partition with the partition module's own
 rule and builds each level-1 part once, in qubit coordinates:
 ``remap_part`` rewrites its gates to slots of its staged block, and its
-``positions`` are its qubits. A two-level part is its level-1 part run
-in level-2 gate order; the level-2 parts' padded qubit sets are
-documented and traced but not staged, since the level-1 chunk already is
-the cache-sized vector. Distributed execution (``hisim.dist``) re-bases
-(``rebase``) the same parts onto rank buffers, addressing qubits by
-their offset bits; a layout changes nothing but ``positions``.
+``positions`` are its qubits. A two-level part is its level-1 part, its
+gates in program order: the level-2 partition is checked and traced (its
+parts' padded qubit sets), but it neither stages nor orders anything,
+since the level-1 chunk already is the cache-sized vector and the
+kernels come from the part's own gate DAG. Distributed execution
+(``hisim.dist``) re-bases (``rebase``) the same parts onto rank buffers,
+addressing qubits by their offset bits; a layout changes nothing but
+``positions``.
 
 Within a part, the ops are compiled once into steps (``_compile``): each
-run of diagonal gates becomes one ``2**w`` phase vector, and short runs of
-other gates, and lone dense 1-qubit gates, become one dense unitary of at
-most ``FUSE_WIDTH`` qubits, so a chunk takes one pass per step, not one
-per gate; a two-level part's steps may span level-2 boundaries.
-``_plan`` then runs the steps under a tracked bit order of the chunk, and
-applies each unitary where its slots sit when a product fits there: on
-the lowest bits, padded with identity bits when they all sit below
-``FUSE_WIDTH``, or in place from bit ``STRIDE_FLOOR`` up. Only otherwise
-does one transposing copy move its slots to the lowest bits, and the
-same copy lifts the next unitary's slots to the highest bits. Phase
-vectors, merged when adjacent, and lone ops are re-addressed to the
-order once, and a last permutation restores it. So each chunk is
-gathered and scattered once. ``simulate_flat`` stays gate by gate as the
-oracle.
+run of diagonal gates becomes one ``2**w`` phase vector, and dagp
+(``partition._dagp``) cuts the gates between those runs into acyclic
+groups of at most ``FUSE_WIDTH`` slots, the kernelization of Atlas
+(Xu et al., SC24); each group of several gates, and each lone dense
+1-qubit gate, becomes one dense unitary, so a chunk takes one pass per
+step, not one per gate. ``_plan`` then runs the steps under a tracked
+bit order of the chunk, and applies each unitary where its slots sit
+when a product fits there: on the lowest bits, padded with identity
+bits when they all sit below ``FUSE_WIDTH`` (a 2x2 on the lowest bit to
+a 4x4), or in place from bit ``STRIDE_FLOOR`` up. Only otherwise does
+one transposing copy move its slots to the lowest bits, and the same
+copy lifts the next unitary's slots to the highest bits. Phase vectors,
+merged when adjacent, and lone ops are re-addressed to the order once,
+and a last permutation restores it. So each chunk is gathered and
+scattered once. ``simulate_flat`` stays gate by gate as the oracle.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from .partition import (
     PartitionResult,
     _check_multilevel,
     _check_parts,
+    _dagp,
 )
 from .qasm import Circuit, GateOp
 from .statevec import (
@@ -91,8 +95,12 @@ __all__ = [
 #: largest amplitude deviation from the flat reference that verification
 #: accepts
 VERIFY_ATOL = 1e-10
-#: most slots one fused dense unitary spans; 5 ran about as fast, 3 slower.
-#: A unitary whose bits all sit below it is padded to the lowest bits.
+#: most slots one fused dense unitary spans. Under dagp grouping (2 CPUs,
+#: limit 14, min of 5-7 runs), 3 ran ising(22) and qaoa(20) 1.25-1.4x
+#: slower; 5 cut multilevel qaoa(20) at 14/8 from 23 products and 24
+#: permutes to 20 and 20 and ran within about 10% of 4, inside the
+#: run-to-run spread, and qft as fast. A unitary whose bits all sit below
+#: it is padded to the lowest bits.
 FUSE_WIDTH = 4
 #: lowest index bit a unitary's lowest bit may sit on to run in place as a
 #: stack of ``(2**k, 2**bit)`` products (``apply_matrix``'s ``low``). For
@@ -146,8 +154,8 @@ class ExecutablePart:
     the part stages; slot ``i`` of the staged block is ``positions[i]``.
     ``ops`` are the part's gates, in the order they run, with their
     operands rewritten to slots of the block, the only form the compiler
-    and the kernels see. A two-level part is its level-1 part with its
-    gates in level-2 order (``executable_parts``).
+    and the kernels see. A two-level part is its level-1 part
+    (``executable_parts``).
     """
 
     positions: tuple[int, ...]
@@ -197,24 +205,18 @@ def executable_parts(
     each once, in qubit coordinates, as the caller draws them; a finished
     part and its compiled steps are then free to go.
 
-    A two-level part is its level-1 part with its gates in level-2 order:
-    its sublevel's parts in turn, each one's gates ascending, an order the
-    check proves valid. So its plan fuses across level-2 boundaries, and
-    the level-2 parts' padded qubit sets
-    (``MultiLevelPartition.padded_qubits``) are traced but not staged: the
-    level-1 chunk already is the cache-sized vector.
+    A two-level part is built from its level-1 part alone, its gates in
+    program order: its kernels come from the gate DAG (``_compile``), so
+    the level-2 partition orders nothing. It is checked, and its parts'
+    padded qubit sets (``MultiLevelPartition.padded_qubits``) are traced,
+    but not staged: the level-1 chunk already is the cache-sized vector.
     """
     ops = circuit.ops
     if isinstance(partition, MultiLevelPartition):
         _check_multilevel(ops, partition)
-        return (
-            remap_part(circuit, replace(parent, gate_indices=tuple(
-                g for sp in sub.parts for g in sp.gate_indices
-            )))
-            for parent, sub in zip(partition.parts, partition.sublevels)
-        )
-    n = len(ops)
-    _check_parts(ops, range(n), partition.parts, partition.limit, f"0..{n - 1}")
+    else:
+        n = len(ops)
+        _check_parts(ops, range(n), partition.parts, partition.limit, f"0..{n - 1}")
     return (remap_part(circuit, part) for part in partition.parts)
 
 
@@ -243,33 +245,38 @@ def _compile(ops: Sequence[GateOp], w: int) -> list[tuple]:
 
     Each run of two or more consecutive diagonal ops (``is_diagonal``)
     folds into one ``2**w`` phase vector over all ``w`` slots, built by
-    applying the run to ones. The other ops group greedily, in order, while
-    the union of a group's slots holds at most ``FUSE_WIDTH`` slots; a
-    group of several ops, or one dense 1-qubit gate, becomes one dense
-    unitary on its sorted slots (see ``_fuse``), and any other group of one
-    stays its op.
+    applying the run to ones. The ops between those runs form segments,
+    which dagp (``partition._dagp``) cuts into acyclic groups of at most
+    ``FUSE_WIDTH`` slots; each group, in the order dagp returns them, its
+    ops in program order, becomes one step (``_fuse``): a dense unitary on
+    its sorted slots for a group of several ops or one dense 1-qubit gate,
+    else its one op. An op wider than ``FUSE_WIDTH`` ends a segment and
+    stays its own step.
     """
     steps: list[tuple] = []
-    group: list[GateOp] = []
+    segment: list[GateOp] = []
+
+    def kernelize() -> None:
+        groups = _dagp(segment, range(len(segment)), FUSE_WIDTH)
+        steps.extend(_fuse([segment[i] for i in group]) for group in groups)
+        segment.clear()
+
     for diagonal, run in groupby(ops, key=is_diagonal):
         run = list(run)
         if diagonal and len(run) > 1:
-            if group:
-                steps.append(_fuse(group))
-                group = []
+            kernelize()
             phase = np.ones(1 << w, dtype=np.complex128)
             for op in run:
                 apply_op(phase, w, op)
             steps.append((tuple(range(w)), phase))
             continue
         for op in run:
-            union = set(op.qubits).union(*(g.qubits for g in group))
-            if group and len(union) > FUSE_WIDTH:
-                steps.append(_fuse(group))
-                group = []
-            group.append(op)
-    if group:
-        steps.append(_fuse(group))
+            if len(op.qubits) > FUSE_WIDTH:
+                kernelize()
+                steps.append(_fuse([op]))
+            else:
+                segment.append(op)
+    kernelize()
     return steps
 
 
@@ -300,10 +307,11 @@ def _plan(steps: list[tuple], w: int) -> list[tuple]:
     (``apply_matrix``), where its slots sit when a product fits there, its
     matrix re-addressed to their bits once, here (``_embed``): on the
     lowest bits (``t`` 0) when every bit of ``S`` is below ``FUSE_WIDTH``,
-    ``u`` padded with identity bits up to the highest, or from the lowest
-    bit of ``S`` when that is at least ``STRIDE_FLOOR`` and ``S`` spans at
-    most ``FUSE_WIDTH`` bits. Otherwise a ``("permute", sigma)`` first
-    moves ``S`` to the lowest bits, in ascending order; the same copy
+    ``u`` padded with identity bits up to the highest, and a 2x2 on bit 0
+    up to bit 1 when the block has one; or from the lowest bit of ``S``
+    when that is at least ``STRIDE_FLOOR`` and ``S`` spans at most
+    ``FUSE_WIDTH`` bits. Otherwise a ``("permute", sigma)`` first moves
+    ``S`` to the lowest bits, in ascending order; the same copy
     moves the next unitary's slots to the highest bits when they are
     disjoint from ``S``, so that one can run in place; the other slots
     keep their order. A phase vector, which spans the block, and a lone op
@@ -341,7 +349,12 @@ def _plan(steps: list[tuple], w: int) -> list[tuple]:
                 kept = [s for s in order if s not in slots and s not in top]
                 permute([*slots, *kept, *top])
                 bits, t = list(range(len(slots))), 0
-            u = _embed(step, [b - t for b in bits], max(bits) + 1 - t)
+            h = max(bits) + 1 - t
+            if h == 1 and t == 0 and w > 1:
+                # on a 2**16-amplitude chunk a 2x2 product on bit 0 took
+                # 210-220 us, a 4x4 on bits 0-1 about 130 us (2 CPUs)
+                h = 2
+            u = _embed(step, [b - t for b in bits], h)
             plan.append(("matmul", (t, u)))
     if order != list(range(w)):
         permute(list(range(w)))
@@ -362,13 +375,13 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
 
     A single-row part (one ``2**w`` row spanning ``data``, such as a
     whole-state part with no batch) runs its ops gate by gate through
-    ``apply_op``, bit-identical to ``simulate_flat`` when they are in
-    program order (level-2 order may swap commuting gates). Any other
-    block's rows are independent, so one loop stages, runs and scatters
-    them back in chunks of about ``CHUNK_AMPS`` amplitudes: several batch
-    entries per chunk when a batch entry is small, else a run of rows of
-    one entry. Each chunk is gathered once through ``part_block_indices``
-    and runs the part's plan (``ExecutablePart.steps``, built once per
+    ``apply_op``, in program order, bit-identical to ``simulate_flat``.
+    Any other block's rows are independent, so one loop stages, runs and
+    scatters them back in chunks of about ``CHUNK_AMPS`` amplitudes:
+    several batch entries per chunk when a batch entry is small, else a
+    run of rows of one entry. Each chunk is gathered once through
+    ``part_block_indices`` and runs the part's plan
+    (``ExecutablePart.steps``, built once per
     part), then scatters back. The plan's permutes and products, on the
     lowest bits or in place higher up, alternate the chunk with one
     scratch buffer, allocated here once for all chunks when the plan needs
@@ -524,7 +537,7 @@ def execute_hierarchical(
     """Run a partitioned circuit part by part on one full state vector.
 
     Level-1 parts execute in the given order, each as one ``run_part``
-    pass; a two-level part runs its gates in level-2 order
+    pass; a two-level part runs as its level-1 part
     (``executable_parts``). An invalid partition raises ``PartitionError``
     before any state is made. The trace is read off the partition: its
     level-2 rows give the staging a level-2 part's padded qubit set would
@@ -539,8 +552,9 @@ def execute_hierarchical(
     return state
 
 
-#: the same runner; a level-2 partition only sets the order in which each
-#: level-1 part's gates run, and so which of them fuse into one kernel
+#: the same runner: a level-2 partition is checked and traced, but each
+#: level-1 part's kernels come from its own gate DAG, so it changes
+#: nothing that runs
 execute_multilevel = execute_hierarchical
 
 

@@ -334,6 +334,45 @@ def test_explicit_l2_above_l1_is_usage_error(capsys):
     assert (report["limit1"], report["limit2"]) == (3, 2)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--mode", "hierarchical", "--l1", "5", "--l2", "3"),
+        ("--mode", "hierarchical", "--l2", "3"),
+        ("--mode", "flat", "--l1", "5"),
+        ("--mode", "distributed", "--p", "1", "--l2", "3"),
+        ("--mode", "multilevel", "--partition", "PART", "--l1", "5"),
+        ("--mode", "distributed", "--partition", "PART", "--l1", "5"),
+    ],
+)
+def test_ignored_level_limits_are_usage_errors(tmp_path, capsys, argv):
+    """``--l1``/``--l2`` wherever the run would not partition in two
+    levels (another mode, distributed without ``--l1``, or a loaded
+    partition) are refused with exit 1, not silently dropped."""
+    part_path = tmp_path / "ml.json"
+    code, _, _ = run_cli(capsys, "partition", "qft_12", "--strategy",
+                         "multilevel", "--l1", "5", "--l2", "3",
+                         "--out", str(part_path))
+    assert code == 0
+    argv = [str(part_path) if a == "PART" else a for a in argv]
+    code, out, err = run_cli(capsys, "run", "qft_12", *argv)
+    assert code == 1
+    assert out == ""
+    assert "--l1/--l2 apply only to a multilevel run" in err
+
+
+def test_distributed_level_limits_partition_in_two_levels(capsys):
+    """``--mode distributed`` with ``--l1`` (and ``--l2``) runs a multilevel
+    partition at those limits."""
+    code, out, _ = run_cli(capsys, "run", "qft_12", "--mode", "distributed",
+                           "--p", "1", "--l1", "5", "--l2", "3", "--verify")
+    assert code == 0
+    report = json.loads(out)
+    assert report["strategy"] == "multilevel"
+    assert (report["limit1"], report["limit2"]) == (5, 3)
+    assert report["max_abs_delta"] < 1e-10
+
+
 def test_state_output_matches_flat(tmp_path, capsys):
     out_path = tmp_path / "state.npz"
     code, _, _ = run_cli(capsys, "run", "bv_6", "--out", str(out_path))

@@ -34,6 +34,7 @@ from hisim.partition import (
     MultiLevelPartition,
     Part,
     PartitionResult,
+    _dagp,
     partition_dagp,
     partition_dfs,
     partition_multilevel,
@@ -368,9 +369,10 @@ def test_fused_run_allocates_only_its_phase_vector():
 
 def test_fused_groups_allocate_one_scratch_chunk():
     """Fused groups on scattered 4-slot sets over a 2**18-amplitude block
-    of 2**10-amplitude rows run through permutes and products that
-    alternate each chunk with one scratch buffer: the run allocates that
-    chunk-sized buffer once, and no copy per step."""
+    of 2**10-amplitude rows, one product per dagp group, run through
+    permutes and products that alternate each chunk with one scratch
+    buffer: the run allocates that chunk-sized buffer once, and no copy
+    per step."""
     w = 10
     sets = ((0, 3, 6, 9), (1, 4, 7, 8), (2, 5, 6, 9), (0, 1, 8, 9))
     ops = tuple(
@@ -397,8 +399,9 @@ def test_fused_groups_allocate_one_scratch_chunk():
     finally:
         tracemalloc.stop()
     kinds = [kind for kind, _ in exe.steps]
-    assert kinds.count("matmul") == len(sets)
-    assert kinds.count("permute") >= len(sets)
+    groups = _dagp(exe.ops, range(len(ops)), hier.FUSE_WIDTH)
+    assert kinds.count("matmul") == len(groups) > 1
+    assert "permute" in kinds
     chunk = hier.CHUNK_AMPS * data.itemsize
     assert chunk < data.nbytes
     assert chunk <= peak <= 1.1 * chunk
@@ -483,11 +486,75 @@ def test_fused_groups_match_flat_and_the_oracle(width, seed):
                 assert np.max(np.abs(state.data - expect)) <= 1e-12
 
 
+@pytest.mark.parametrize("width", [2, 3, 4])
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from([1, 2, 3]))
+def test_kernelized_parts_match_the_unfused_ops(width, seed, rows):
+    """The dagp kernels at fusion width ``width``, on random circuits over
+    every gate kind with two CCX gates (wider than width 2, so they stay
+    their own steps), flat and two-level: each part's plan, run on a
+    batch of two random states in chunks of ``rows`` level-1 rows, equals
+    the part's ops applied one by one, and the whole run equals flat,
+    hierarchically and on 1 and 2 emulated rank bits."""
+    rng = random.Random(seed)
+    n = rng.randint(5, 8)
+    ops = list(_spread(rng, n, rng.randint(10, 50)).ops)
+    for _ in range(2):
+        ccx = GateOp(GateKind.CCX, tuple(rng.sample(range(n), 3)), ())
+        ops.insert(rng.randint(n, len(ops)), ccx)
+    circuit = Circuit(n, tuple(ops))
+    l1 = rng.randint(3, n - 2)
+    l2 = rng.randint(3, l1)
+    dag = build_dag(circuit)
+    expect = simulate_flat(circuit).data
+    data_rng = np.random.default_rng(seed)
+    wide = 0  # plan steps wider than the fusion width
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hier, "FUSE_WIDTH", width)
+        mp.setattr(hier, "CHUNK_AMPS", rows << l1)
+        for partition in (partition_dagp(dag, l1), partition_multilevel(dag, l1, l2)):
+            for exe in executable_parts(circuit, partition):
+                shape = (2, 1 << n)
+                data = data_rng.normal(size=shape) + 1j * data_rng.normal(size=shape)
+                unfused = data.copy()
+                run_part(data, exe)
+                for entry in unfused:
+                    _run_part_oracle(entry, exe)
+                assert np.max(np.abs(data - unfused)) <= 1e-12
+                wide += sum(
+                    kind == "op" and len(arg.qubits) > width
+                    for kind, arg in exe.steps
+                )
+            got = execute_hierarchical(circuit, partition)
+            assert np.max(np.abs(got.data - expect)) <= 1e-12
+            for p in (1, 2):
+                state = simulate_distributed(circuit, partition, p).state
+                assert np.max(np.abs(state.data - expect)) <= 1e-12
+    assert (wide > 0) == (width == 2)
+
+
+#: h h | crz u1 | swap | crz u1: a lone SWAP between two diagonal runs,
+#: which stays its own step
+_LONE_SWAP = (
+    GateOp(GateKind.H, (0,), ()),
+    GateOp(GateKind.H, (1,), ()),
+    GateOp(GateKind.CRZ, (0, 1), (0.4,)),
+    GateOp(GateKind.U1, (1,), (0.9,)),
+    GateOp(GateKind.SWAP, (0, 1), ()),
+    GateOp(GateKind.CRZ, (1, 0), (1.3,)),
+    GateOp(GateKind.U1, (0,), (0.2,)),
+)
+
+
+def _qft_after_lone_swap(n):
+    return Circuit(n, _LONE_SWAP + bench.qft(n).ops)
+
+
 #: multilevel cases whose two-level parts compile to diagonal runs, lone
-#: ops, fused groups and SWAPs (qft(7) at 5/3 fuses every lone SWAP)
+#: ops, fused groups and SWAPs (qft's own SWAPs all fuse into groups)
 _NESTED = [
-    ("qft8", lambda: bench.qft(8), 6, 4),
-    ("qft8", lambda: bench.qft(8), 5, 3),
+    ("qft8", lambda: _qft_after_lone_swap(8), 6, 4),
+    ("qft8", lambda: _qft_after_lone_swap(8), 5, 3),
     *[(f"spread{s}", lambda s=s: _spread(random.Random(s), 8, 60), 6, 4)
       for s in range(3)],
 ]
@@ -498,11 +565,11 @@ _NESTED = [
 def test_nested_parts_match_flat_and_the_oracle(
     monkeypatch, name, build, l1, l2, chunk_rows
 ):
-    """Two-level parts run in level-2 gate order, by the default chunks and
-    by chunks of one level-1 row, equal the truly nested single-assignment
-    passes and flat, hierarchically and on 1 and 2 emulated rank bits; the
-    compiles of the cases' two-level parts hold every step kind and
-    SWAPs."""
+    """Two-level parts run as their level-1 gates' dagp groups, by the
+    default chunks and by chunks of one level-1 row, equal the truly
+    nested single-assignment passes and flat, hierarchically and on 1 and
+    2 emulated rank bits; the compiles of the cases' two-level parts hold
+    every step kind and SWAPs."""
     if chunk_rows:
         monkeypatch.setattr(hier, "CHUNK_AMPS", chunk_rows << l1)
     circuit = build()
@@ -563,14 +630,16 @@ _DENSE = tuple(
 
 @pytest.mark.parametrize("seed", range(4))
 def test_each_fused_unitary_is_its_ops_product(seed):
-    """Three segments of ops on alternating 4-slot sets of an 8-slot part
-    compile to three fused products. Each segment opens with an H on all
-    four of its slots, so the next segment's first op always overflows the
-    group; dense ops alternate with ops of any kind, so no two diagonal ops
-    meet. Walking the plan's permutes, each product finds its sorted slots
-    on the lowest bits, the plan ends in the identity order, and each
-    product's unitary is the product of its ops' full operators on those
-    slots, and unitary."""
+    """Three segments of ops on alternating 4-slot sets of an 8-slot part.
+    Each segment opens with an H on all four of its slots; dense ops
+    alternate with ops of any kind, so no two diagonal ops meet and the
+    part is one dagp segment. The middle set shares no slot with the
+    others, so dagp puts the first and last segments in one group, and
+    the plan holds one product per group. Walking the plan's permutes,
+    each product finds its group's sorted slots on the lowest bits, the
+    plan ends in the identity order, and each product's unitary is the
+    product of its own group's ops' full operators on those slots, in
+    program order, and unitary."""
     rng = random.Random(seed)
     sets = ((0, 2, 5, 7), (1, 3, 4, 6), (0, 2, 5, 7))
     segments = []
@@ -583,10 +652,15 @@ def test_each_fused_unitary_is_its_ops_product(seed):
         segments.append(ops)
     circuit = Circuit(8, tuple(op for ops in segments for op in ops))
     gates = tuple(range(circuit.num_ops))
-    plan = remap_part(circuit, Part(0, gates, tuple(range(8)))).steps
+    exe = remap_part(circuit, Part(0, gates, tuple(range(8))))
+    groups = [
+        [exe.ops[i] for i in group]
+        for group in _dagp(exe.ops, gates, hier.FUSE_WIDTH)
+    ]
+    assert [len(group) for group in groups] == [24, 12]
     order = list(range(8))  # the slot at each index bit
     fused = []
-    for kind, arg in plan:
+    for kind, arg in exe.steps:
         if kind == "permute":
             moved = [0] * 8
             for i, j in enumerate(arg):
@@ -598,8 +672,9 @@ def test_each_fused_unitary_is_its_ops_product(seed):
             assert low == 0
             fused.append((tuple(order[:4]), u))
     assert order == list(range(8))
-    assert [slots for slots, _ in fused] == list(sets)
-    for (slots, u), ops in zip(fused, segments):
+    assert len(fused) == len(groups)
+    for (slots, u), ops in zip(fused, groups):
+        assert slots == tuple(sorted({q for op in ops for q in op.qubits}))
         local = {q: j for j, q in enumerate(slots)}
         expect = np.eye(16, dtype=np.complex128)
         for op in ops:
@@ -696,18 +771,21 @@ def test_placed_kernels_match_the_unfused_ops(monkeypatch, seed):
 
 def test_benchmark_plans_keep_their_kernel_placement():
     """On the benchmark circuits, no chunked plan runs a dense 1-qubit gate
-    through ``apply_op`` (qft(20) at dagp limit 14), and a multilevel
-    qaoa(20) at 14/8 needs fewer permutes than products."""
+    through ``apply_op`` or as a 2x2 product on the lowest bit (qft(20)
+    at dagp limit 14), and a multilevel qaoa(20) at 14/8 compiles to 23
+    products and 24 permutes, 5 of them the parts' restores (38 and 32
+    under greedy program-order grouping)."""
     qft = bench.qft(20)
     for exe in executable_parts(qft, partition_dagp(build_dag(qft), 14)):
         assert exe.num_slots < qft.num_qubits
         for kind, arg in exe.steps:
             assert kind != "op" or len(arg.qubits) > 1 or not is_dense(arg)
+            assert kind != "matmul" or arg[0] > 0 or len(arg[1]) > 2
     qaoa = bench.qaoa(20, 2)
     partition = partition_multilevel(build_dag(qaoa), 14, 8)
     parts = executable_parts(qaoa, partition)
     kinds = [kind for exe in parts for kind, _ in exe.steps]
-    assert kinds.count("permute") < kinds.count("matmul")
+    assert (kinds.count("matmul"), kinds.count("permute")) == (23, 24)
 
 
 def test_partitioned_runs_peak_within_twice_the_state():
@@ -843,6 +921,18 @@ def test_single_part_covering_everything_equals_flat():
     np.testing.assert_array_equal(got.data, simulate_flat(circuit).data)
 
 
+@pytest.mark.parametrize("name", ["qaoa_8", "ising_8"])
+def test_whole_state_two_level_part_equals_flat_bit_for_bit(name):
+    """A two-level part on every qubit runs its level-1 gates in program
+    order, gate by gate, so the state is flat's exactly; run in its
+    level-2 parts' order (at 8/2 here), the rounding differed."""
+    circuit = bench.build(name)
+    ml = partition_multilevel(build_dag(circuit), 8, 2)
+    assert ml.level1.num_parts == 1 < ml.sublevels[0].num_parts
+    got = execute_multilevel(circuit, ml)
+    np.testing.assert_array_equal(got.data, simulate_flat(circuit).data)
+
+
 def test_initial_state_is_respected():
     circuit = random_circuit(random.Random(3), 5, 30)
     rng = np.random.default_rng(8)
@@ -943,11 +1033,11 @@ def test_multilevel_trace_nests_under_parents():
 
 
 def test_level2_parts_stage_their_padded_qubit_sets():
-    """A two-level part stages its level-1 qubits and runs its gates in
-    level-2 order: each level-2 part's gates in turn. Each level-2 part's
-    padded qubit set, which the oracle stages, lies inside its parent's
-    qubits and around its own, and its trace row has that width; on
-    qaoa_8 at 6/4, three level-2 parts are padded beyond their own
+    """A two-level part stages its level-1 qubits and runs its level-1
+    gates in program order; its level-2 parts order nothing. Each level-2
+    part's padded qubit set, which the oracle stages, lies inside its
+    parent's qubits and around its own, and its trace row has that width;
+    on qaoa_8 at 6/4, three level-2 parts are padded beyond their own
     qubits."""
     circuit = bench.build("qaoa_8")
     ml = partition_multilevel(build_dag(circuit), 6, 4)
@@ -955,7 +1045,7 @@ def test_level2_parts_stage_their_padded_qubit_sets():
     levels = zip(executable_parts(circuit, ml), ml.level1.parts, ml.sublevels)
     for (exe, parent, sub), pads in zip(levels, ml.padded_qubits):
         assert exe.positions == parent.qubits
-        gates = [circuit.ops[g] for sp in sub.parts for g in sp.gate_indices]
+        gates = [circuit.ops[g] for g in parent.gate_indices]
         assert [hier._lift(op, exe.positions) for op in exe.ops] == gates
         for sp, padded in zip(sub.parts, pads):
             assert set(sp.qubits) <= set(padded) <= set(parent.qubits)
