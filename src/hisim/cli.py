@@ -251,15 +251,25 @@ def cmd_run(args) -> int:
     if args.trace and args.mode not in ("hierarchical", "multilevel"):
         raise _UsageError("--trace requires --mode hierarchical or multilevel")
 
-    levels = args.partition is None and (
+    partitions = args.mode != "flat" and args.partition is None
+    levels = partitions and (
         args.mode == "multilevel"
         or (args.mode == "distributed" and args.l1 is not None)
     )
-    if not levels and (args.l1 is not None or args.l2 is not None):
-        raise _UsageError(
-            "--l1/--l2 apply only to a multilevel run without --partition "
-            "(--mode multilevel, or --mode distributed with --l1)"
-        )
+    # a flag the run would ignore is refused: (given, used, where it applies)
+    for flag, given, used, where in (
+        ("--partition", args.partition is not None, args.mode != "flat",
+         "applies only to a partitioned run (any --mode but flat)"),
+        ("--limit", args.limit is not None,
+         partitions and not (levels and args.l1 is not None),
+         "applies only to a run that partitions, unless --l1 sets its "
+         "level-1 limit (not --mode flat, nor with --partition)"),
+        ("--l1/--l2", args.l1 is not None or args.l2 is not None, levels,
+         "apply only to a multilevel run without --partition "
+         "(--mode multilevel, or --mode distributed with --l1)"),
+    ):
+        if given and not used:
+            raise _UsageError(f"{flag} {where}")
 
     partition: PartitionResult | MultiLevelPartition | None = None
     trace: ExecutionTrace | None = None

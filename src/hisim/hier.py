@@ -23,21 +23,24 @@ kernels come from the part's own gate DAG. Distributed execution
 addressing qubits by their offset bits; a layout changes nothing but
 ``positions``.
 
-Within a part, the ops are compiled once into steps (``_compile``): each
-run of diagonal gates becomes one ``2**w`` phase vector, and dagp
-(``partition._dagp``) cuts the gates between those runs into acyclic
-groups of at most ``FUSE_WIDTH`` slots, the kernelization of Atlas
-(Xu et al., SC24); each group of several gates, and each lone dense
-1-qubit gate, becomes one dense unitary, so a chunk takes one pass per
-step, not one per gate. ``_plan`` then runs the steps under a tracked
-bit order of the chunk, and applies each unitary where its slots sit
-when a product fits there: on the lowest bits, padded with identity
-bits when they all sit below ``FUSE_WIDTH`` (a 2x2 on the lowest bit to
-a 4x4), or in place from bit ``STRIDE_FLOOR`` up. Only otherwise does
-one transposing copy move its slots to the lowest bits, and the same
-copy lifts the next unitary's slots to the highest bits. Phase vectors,
-merged when adjacent, and lone ops are re-addressed to the order once,
-and a last permutation restores it. So each chunk is gathered and
+Within a part, the ops are grouped once (``_compile``): each run of
+diagonal gates is one phase group, and dagp (``partition._dagp``) cuts
+the gates between those runs into acyclic groups of at most
+``FUSE_WIDTH`` slots, the kernelization of Atlas (Xu et al., SC24); each
+group of several gates, and each lone dense 1-qubit gate, is one dense
+group, so a chunk takes one pass per group, not one per gate. ``_plan``
+then runs the groups under a tracked bit order of the chunk and builds
+each kernel once, in the bits it runs on, by applying the group's gates
+there. A dense group becomes one unitary, built on the rows of the
+identity of its bits, and runs where its slots sit when a product fits
+there: on the lowest bits, padded with identity bits when they all sit
+below ``FUSE_WIDTH`` (a 2x2 on the lowest bit to a 4x4), or in place
+from bit ``STRIDE_FLOOR`` up. Only otherwise does one transposing copy
+move its slots to the lowest bits, and the same copy lifts the next
+unitary's slots to the highest bits. A phase group is applied to a
+``2**w`` vector of ones, and a lone op runs as itself on its bits;
+nothing is re-addressed after it is built, and a last permutation
+restores the order. So each chunk is gathered and
 scattered once. ``simulate_flat`` stays gate by gate as the oracle.
 """
 
@@ -168,9 +171,10 @@ class ExecutablePart:
     @cached_property
     def steps(self) -> list[tuple]:
         """The plan for a block of several rows (see ``_plan``): the ops
-        compiled (``_compile``) and re-addressed to a tracked bit order;
-        built on first use and reused by every later chunk and call."""
-        return _plan(_compile(self.ops, self.num_slots), self.num_slots)
+        grouped (``_compile``), each group built once into a kernel on the
+        bits it runs on; built on first use and reused by every later
+        chunk and call."""
+        return _plan(_compile(self.ops), self.num_slots)
 
 
 def remap_part(circuit: Circuit, part: Part) -> ExecutablePart:
@@ -203,7 +207,7 @@ def executable_parts(
     """Check ``partition`` with the rule its document loader applies
     (``PartitionError``), then build its level-1 parts in execution order,
     each once, in qubit coordinates, as the caller draws them; a finished
-    part and its compiled steps are then free to go.
+    part and its plan are then free to go.
 
     A two-level part is built from its level-1 part alone, its gates in
     program order: its kernels come from the gate DAG (``_compile``), so
@@ -220,105 +224,77 @@ def executable_parts(
     return (remap_part(circuit, part) for part in partition.parts)
 
 
-def _fuse(group: list[GateOp]) -> tuple:
-    """One step for a group of ops: ``(slots, op)`` for a lone op that does
-    not mix amplitude pairs or spans several slots, else ``(slots, u)``
-    with ``u`` the group's unitary on its sorted slots (a lone dense 1-qubit
-    gate's 2x2), built by applying the group op by op to the rows of the
-    identity."""
-    op = group[0]
-    if len(group) == 1 and (len(op.qubits) > 1 or not is_dense(op)):
-        return op.qubits, op
-    slots = tuple(sorted({s for op in group for s in op.qubits}))
-    local = {s: j for j, s in enumerate(slots)}
-    k = len(slots)
-    rows = np.eye(1 << k, dtype=np.complex128)
-    for op in group:
-        slots_k = tuple(local[s] for s in op.qubits)
-        apply_op(rows, k, GateOp(op.kind, slots_k, op.params))
-    # row i now holds the image of basis vector i, so rows is u transposed
-    return slots, rows.T
+def _compile(ops: Sequence[GateOp]) -> list[tuple[str, list[GateOp]]]:
+    """Ops on the slots of a block as groups ``(tag, ops)``, each tagged
+    with the kernel ``_plan`` builds from it.
 
-
-def _compile(ops: Sequence[GateOp], w: int) -> list[tuple]:
-    """Ops on the slots of a ``2**w`` block as steps ``(slots, step)``.
-
-    Each run of two or more consecutive diagonal ops (``is_diagonal``)
-    folds into one ``2**w`` phase vector over all ``w`` slots, built by
-    applying the run to ones. The ops between those runs form segments,
-    which dagp (``partition._dagp``) cuts into acyclic groups of at most
-    ``FUSE_WIDTH`` slots; each group, in the order dagp returns them, its
-    ops in program order, becomes one step (``_fuse``): a dense unitary on
-    its sorted slots for a group of several ops or one dense 1-qubit gate,
-    else its one op. An op wider than ``FUSE_WIDTH`` ends a segment and
-    stays its own step.
+    Each run of two or more consecutive diagonal ops (``is_diagonal``) is
+    one ``"phase"`` group. The ops between those runs form segments, which
+    dagp (``partition._dagp``) cuts into acyclic groups of at most
+    ``FUSE_WIDTH`` slots, in the order dagp returns them, each group's ops
+    in program order: ``"dense"`` for a group of several ops or one dense
+    1-qubit gate (``is_dense``), else ``"op"``. An op wider than
+    ``FUSE_WIDTH`` ends a segment and is an ``"op"`` group of its own.
     """
-    steps: list[tuple] = []
+    groups: list[tuple[str, list[GateOp]]] = []
     segment: list[GateOp] = []
 
     def kernelize() -> None:
-        groups = _dagp(segment, range(len(segment)), FUSE_WIDTH)
-        steps.extend(_fuse([segment[i] for i in group]) for group in groups)
+        for group in _dagp(segment, range(len(segment)), FUSE_WIDTH):
+            ops = [segment[i] for i in group]
+            op = ops[0]
+            lone = len(ops) == 1 and (len(op.qubits) > 1 or not is_dense(op))
+            groups.append(("op" if lone else "dense", ops))
         segment.clear()
 
     for diagonal, run in groupby(ops, key=is_diagonal):
         run = list(run)
         if diagonal and len(run) > 1:
             kernelize()
-            phase = np.ones(1 << w, dtype=np.complex128)
-            for op in run:
-                apply_op(phase, w, op)
-            steps.append((tuple(range(w)), phase))
+            groups.append(("phase", run))
             continue
         for op in run:
             if len(op.qubits) > FUSE_WIDTH:
                 kernelize()
-                steps.append(_fuse([op]))
+                groups.append(("op", [op]))
             else:
                 segment.append(op)
     kernelize()
-    return steps
+    return groups
 
 
 def _lift(op: GateOp, positions: Sequence[int]) -> GateOp:
     return GateOp(op.kind, tuple(positions[s] for s in op.qubits), op.params)
 
 
-def _embed(u: np.ndarray, bits: Sequence[int], h: int) -> np.ndarray:
-    """The ``2**h`` unitary that acts as ``u`` on index bits ``bits`` (bit
-    ``j`` of ``u``'s index is ``bits[j]``) and as the identity on the
-    other bits below ``h``."""
-    k = len(bits)
-    m = np.kron(u, np.eye(1 << (h - k), dtype=u.dtype))
-    # m holds u's bits on top of the identity's; move each where it belongs
-    sigma = [b for b in range(h) if b not in bits] + list(bits)
-    if sigma == list(range(h)):
-        return m
-    m = _permute_bits(m, sigma)  # column bits, row by row
-    return np.ascontiguousarray(_permute_bits(m.T, sigma).T)
+def _slots(ops: Sequence[GateOp]) -> list[int]:
+    return sorted({s for op in ops for s in op.qubits})
 
 
-def _plan(steps: list[tuple], w: int) -> list[tuple]:
-    """Steps on the slots of a ``2**w`` block as kernels ``(kind, arg)``
-    under a tracked bit order, ``order[j]`` the slot at index bit ``j``.
+def _plan(groups: list[tuple[str, list[GateOp]]], w: int) -> list[tuple]:
+    """Groups of ops on the slots of a ``2**w`` block (``_compile``) as
+    kernels ``(kind, arg)`` under a tracked bit order, ``order[j]`` the
+    slot at index bit ``j``. Each kernel is built once, here, on the bits
+    it runs on: its group's ops, each lifted (``_lift``) from its slots to
+    their bits, applied (``apply_op``) to the identity or to ones.
 
-    The order starts as the identity. A dense unitary on slots ``S`` runs
-    as ``("matmul", (t, u))``, one product on bits ``t`` and up
-    (``apply_matrix``), where its slots sit when a product fits there, its
-    matrix re-addressed to their bits once, here (``_embed``): on the
-    lowest bits (``t`` 0) when every bit of ``S`` is below ``FUSE_WIDTH``,
-    ``u`` padded with identity bits up to the highest, and a 2x2 on bit 0
-    up to bit 1 when the block has one; or from the lowest bit of ``S``
-    when that is at least ``STRIDE_FLOOR`` and ``S`` spans at most
+    The order starts as the identity. A ``"dense"`` group on slots ``S``
+    runs as ``("matmul", (t, u))``, one product on bits ``t`` to ``t + h -
+    1`` (``apply_matrix``), where its slots sit when a product fits there:
+    on the lowest bits (``t`` 0) when every bit of ``S`` is below
+    ``FUSE_WIDTH``, up to the highest of them, and up to bit 1 when that
+    is bit 0 and the block has one; or from the lowest bit of ``S`` when
+    that is at least ``STRIDE_FLOOR`` and ``S`` spans at most
     ``FUSE_WIDTH`` bits. Otherwise a ``("permute", sigma)`` first moves
-    ``S`` to the lowest bits, in ascending order; the same copy
-    moves the next unitary's slots to the highest bits when they are
-    disjoint from ``S``, so that one can run in place; the other slots
-    keep their order. A phase vector, which spans the block, and a lone op
-    are re-addressed to the current order here, once: ``("phase",
-    vector)`` and ``("op", op)`` on bits; phase vectors with nothing
-    between them merge into one. A last permute restores the identity
-    order.
+    ``S`` to the lowest bits, in ascending order; the same copy moves the
+    next dense group's slots to the highest bits when they are disjoint
+    from ``S``, so that one can run in place; the other slots keep their
+    order. ``u`` is the transpose of the ``2**h`` identity's rows with the
+    ops applied on bits ``t`` and up. A ``"phase"`` group is ``("phase",
+    vector)``, its ops applied to ones over the whole block; its run is
+    maximal, so another kernel always stands between two of them. An
+    ``"op"`` group is ``("op", op)`` on bits. A last permute restores the
+    identity order.
     """
     order = list(range(w))
     plan: list[tuple] = []
@@ -328,41 +304,41 @@ def _plan(steps: list[tuple], w: int) -> list[tuple]:
         plan.append(("permute", tuple(bit_of[s] for s in order)))
         order[:] = new
 
-    for i, (slots, step) in enumerate(steps):
+    for i, (tag, ops) in enumerate(groups):
         bit_of = [order.index(s) for s in range(w)]  # slot s sits on bit_of[s]
-        if isinstance(step, GateOp):
-            plan.append(("op", _lift(step, bit_of)))
-        elif step.ndim == 1:
-            # the vector's bit j is slot j
-            ordered = order == list(range(w))
-            phase = step if ordered else _permute_bits(step, bit_of)
-            if plan and plan[-1][0] == "phase":
-                plan[-1] = ("phase", plan[-1][1] * phase)
-            else:
-                plan.append(("phase", phase))
+        if tag == "op":
+            plan.append(("op", _lift(ops[0], bit_of)))
+        elif tag == "phase":
+            phase = np.ones(1 << w, dtype=np.complex128)
+            for op in ops:
+                apply_op(phase, w, _lift(op, bit_of))
+            plan.append(("phase", phase))
         else:
+            slots = _slots(ops)
             bits = [bit_of[s] for s in slots]
             t = min(bits) if min(bits) >= STRIDE_FLOOR else 0
             if max(bits) - t >= FUSE_WIDTH:
-                ahead = next((s for s, u in steps[i + 1:] if _unitary(u)), ())
-                top = () if set(ahead) & set(slots) else ahead
+                ahead = next((g for k, g in groups[i + 1:] if k == "dense"), [])
+                top = [] if set(_slots(ahead)) & set(slots) else _slots(ahead)
                 kept = [s for s in order if s not in slots and s not in top]
                 permute([*slots, *kept, *top])
+                bit_of = [order.index(s) for s in range(w)]
                 bits, t = list(range(len(slots))), 0
             h = max(bits) + 1 - t
             if h == 1 and t == 0 and w > 1:
                 # on a 2**16-amplitude chunk a 2x2 product on bit 0 took
                 # 210-220 us, a 4x4 on bits 0-1 about 130 us (2 CPUs)
                 h = 2
-            u = _embed(step, [b - t for b in bits], h)
-            plan.append(("matmul", (t, u)))
+            rows = np.eye(1 << h, dtype=np.complex128)
+            for op in ops:
+                apply_op(rows, h, _lift(op, [b - t for b in bit_of]))
+            # row i now holds the image of basis vector i: rows is u
+            # transposed. On a 2**16-amplitude chunk, products with a copy
+            # of u in C order ran 3-5% faster than with rows.T (2 CPUs)
+            plan.append(("matmul", (t, rows.T.copy())))
     if order != list(range(w)):
         permute(list(range(w)))
     return plan
-
-
-def _unitary(step) -> bool:
-    return isinstance(step, np.ndarray) and step.ndim == 2
 
 
 def run_part(data: np.ndarray, exe: ExecutablePart) -> None:

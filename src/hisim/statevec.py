@@ -24,16 +24,17 @@ slab through one saved copy, and any other mixes them in place from one
 saved copy of the first.
 
 ``is_diagonal`` is the one test for a gate that only scales amplitudes;
-``hisim.hier.run_part`` uses it to fold a run of such gates into one
-``2**w`` phase vector, built by ``apply_op`` on a vector of ones. It also
-fuses short runs of other gates, and lone gates that ``is_dense`` says
-mix amplitude pairs, into one dense ``2**k x 2**k`` unitary, built by
-``apply_op`` on the identity. ``apply_matrix`` applies such a unitary to
-``k`` consecutive bits of a cache-sized block, into a second buffer: on
-the lowest bits as one matrix product, or from bit ``low`` up as one
-stacked product. ``hisim.hier`` picks the bits where the unitary's slots
-already sit, and moves them with ``_permute_bits`` only when no product
-fits there.
+``hisim.hier._compile`` uses it to find runs of such gates, each folded
+into one ``2**w`` phase vector, built by ``apply_op`` on a vector of
+ones. It also groups other gates, and takes lone gates that ``is_dense``
+says mix amplitude pairs, each group fused into one dense ``2**k x
+2**k`` unitary, built by ``apply_op`` on the identity of the ``k`` bits
+it runs on.
+``apply_matrix`` applies such a unitary to ``k`` consecutive bits of a
+cache-sized block, into a second buffer: on the lowest bits as one
+matrix product, or from bit ``low`` up as one stacked product.
+``hisim.hier`` picks the bits where the unitary's slots already sit, and
+moves them with ``_permute_bits`` only when no product fits there.
 """
 
 from __future__ import annotations

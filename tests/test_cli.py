@@ -361,6 +361,34 @@ def test_ignored_level_limits_are_usage_errors(tmp_path, capsys, argv):
     assert "--l1/--l2 apply only to a multilevel run" in err
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("--mode", "flat", "--partition", "PART"), "--partition"),
+        (("--mode", "flat", "--limit", "4"), "--limit"),
+        (("--mode", "hierarchical", "--partition", "PART", "--limit", "2"),
+         "--limit"),
+        (("--mode", "distributed", "--partition", "PART", "--limit", "2"),
+         "--limit"),
+        (("--mode", "multilevel", "--l1", "5", "--limit", "4"), "--limit"),
+        (("--mode", "distributed", "--l1", "5", "--limit", "4"), "--limit"),
+    ],
+)
+def test_ignored_partition_and_limit_are_usage_errors(tmp_path, capsys, argv, flag):
+    """``--partition`` or ``--limit`` under ``--mode flat``, and ``--limit``
+    alongside ``--partition`` or a two-level run's ``--l1``, are refused
+    with exit 1, not silently dropped."""
+    part_path = tmp_path / "parts.json"
+    code, _, _ = run_cli(capsys, "partition", "bv_6", "--limit", "4",
+                         "--out", str(part_path))
+    assert code == 0
+    argv = [str(part_path) if a == "PART" else a for a in argv]
+    code, out, err = run_cli(capsys, "run", "bv_6", *argv)
+    assert code == 1
+    assert out == ""
+    assert f"{flag} applies only to" in err
+
+
 def test_distributed_level_limits_partition_in_two_levels(capsys):
     """``--mode distributed`` with ``--l1`` (and ``--l2``) runs a multilevel
     partition at those limits."""

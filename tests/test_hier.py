@@ -8,6 +8,7 @@ import json
 import random
 import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from hisim.partition import (
 from hisim.qasm import Circuit, GateKind, GateOp
 from hisim.statevec import (
     StateVector,
+    _permute_bits,
     apply_op,
     is_dense,
     is_diagonal,
@@ -580,14 +582,11 @@ def test_nested_parts_match_flat_and_the_oracle(
     held = set()
     for exe, sub in zip(executable_parts(circuit, partition), partition.sublevels):
         if len(sub.parts) > 1:
-            held.update(
-                "op" if isinstance(step, GateOp) else f"{step.ndim}d"
-                for _, step in hier._compile(exe.ops, exe.num_slots)
-            )
+            held.update(tag for tag, _ in hier._compile(exe.ops))
             held.update(op.kind for op in exe.ops)
         run_part(data, exe)
     _run_oracle(oracle, circuit, partition)
-    assert {"op", "1d", GateKind.SWAP} <= held
+    assert {"op", "phase", GateKind.SWAP} <= held
     assert np.max(np.abs(data - expect)) <= 1e-12
     assert np.max(np.abs(data - oracle)) <= 1e-12
     got = execute_multilevel(circuit, partition)
@@ -626,6 +625,18 @@ _DENSE = tuple(
     k for k in GateKind
     if not is_diagonal(GateOp(k, tuple(range(k.arity)), (0.5,) * k.num_params))
 )
+
+
+def _product(ops):
+    """A group's sorted slots and its unitary on them: the product of its
+    ops' full operators on those slots, in program order."""
+    slots = sorted({q for op in ops for q in op.qubits})
+    local = {q: j for j, q in enumerate(slots)}
+    u = np.eye(1 << len(slots), dtype=np.complex128)
+    for op in ops:
+        moved = GateOp(op.kind, tuple(local[q] for q in op.qubits), op.params)
+        u = _full_operator(moved, len(slots)) @ u
+    return slots, u
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -674,12 +685,8 @@ def test_each_fused_unitary_is_its_ops_product(seed):
     assert order == list(range(8))
     assert len(fused) == len(groups)
     for (slots, u), ops in zip(fused, groups):
-        assert slots == tuple(sorted({q for op in ops for q in op.qubits}))
-        local = {q: j for j, q in enumerate(slots)}
-        expect = np.eye(16, dtype=np.complex128)
-        for op in ops:
-            moved = GateOp(op.kind, tuple(local[q] for q in op.qubits), op.params)
-            expect = _full_operator(moved, 4) @ expect
+        expect_slots, expect = _product(ops)
+        assert list(slots) == expect_slots
         assert np.max(np.abs(u - expect)) <= 1e-12
         assert np.max(np.abs(u @ u.conj().T - np.eye(16))) <= 1e-12
 
@@ -723,6 +730,38 @@ def _phase_run(rng, w):
     ]
 
 
+def _embed(u, bits, h):
+    """The ``2**h`` unitary that acts as ``u`` on index bits ``bits`` (bit
+    ``j`` of ``u``'s index is ``bits[j]``) and as the identity on the
+    other bits below ``h``."""
+    m = np.kron(u, np.eye(1 << (h - len(bits)), dtype=u.dtype))
+    # m holds u's bits on top of the identity's; move each where it belongs
+    sigma = [b for b in range(h) if b not in bits] + list(bits)
+    m = _permute_bits(m, sigma)  # column bits, row by row
+    return _permute_bits(m.T, sigma).T
+
+
+def _check_products(exe):
+    """Walk ``exe``'s plan alongside its dense groups: each product is its
+    group's unitary on its sorted slots, embedded at the bits the plan's
+    permutes have moved those slots to."""
+    groups = [ops for tag, ops in hier._compile(exe.ops) if tag == "dense"]
+    order = list(range(exe.num_slots))  # the slot at each index bit
+    for kind, arg in exe.steps:
+        if kind == "permute":
+            moved = order[:]
+            for i, j in enumerate(arg):
+                moved[j] = order[i]
+            order = moved
+        elif kind == "matmul":
+            t, u = arg
+            slots, expect = _product(groups.pop(0))
+            bits = [order.index(s) - t for s in slots]
+            h = len(u).bit_length() - 1
+            assert np.max(np.abs(u - _embed(expect, bits, h))) <= 1e-12
+    assert groups == []
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_placed_kernels_match_the_unfused_ops(monkeypatch, seed):
     """Dense steps run wherever their bits sit: a lone dense 1-qubit gate
@@ -730,7 +769,9 @@ def test_placed_kernels_match_the_unfused_ops(monkeypatch, seed):
     and scattered bits, and disjoint and overlapping consecutive groups,
     each as a part of a 10-slot block, staged out of a 12-qubit state on a
     batch of two and run in chunks of two rows, equal the ops applied one
-    by one; together the plans use every kernel."""
+    by one. Each product is its group's unitary, embedded where the plan
+    finds the group's slots (``_check_products``), and together the plans
+    use every kernel."""
     monkeypatch.setattr(hier, "CHUNK_AMPS", 2 << 10)
     rng = random.Random(seed)
     w, n = 10, 12
@@ -763,29 +804,39 @@ def test_placed_kernels_match_the_unfused_ops(monkeypatch, seed):
             apply_op(expect, n, hier._lift(op, positions))
         run_part(data, exe)
         assert np.max(np.abs(data - expect)) <= 1e-12
+        _check_products(exe)
         for kind, arg in exe.steps:
             kinds.add((kind, arg[0] > 0) if kind == "matmul" else kind)
             assert kind != "op" or len(arg.qubits) > 1 or not is_dense(arg)
     assert kinds == {("matmul", False), ("matmul", True), "permute", "phase"}
 
 
+def _kernel_counts(circuit, partition):
+    return Counter(
+        kind for exe in executable_parts(circuit, partition) for kind, _ in exe.steps
+    )
+
+
 def test_benchmark_plans_keep_their_kernel_placement():
-    """On the benchmark circuits, no chunked plan runs a dense 1-qubit gate
-    through ``apply_op`` or as a 2x2 product on the lowest bit (qft(20)
-    at dagp limit 14), and a multilevel qaoa(20) at 14/8 compiles to 23
-    products and 24 permutes, 5 of them the parts' restores (38 and 32
-    under greedy program-order grouping)."""
+    """The three benchmark circuits compile to pinned kernel counts per set
+    of plans. qft(20) at dagp limit 14: 25 products, 8 permutes and 20
+    phase vectors, no lone op, and no 2x2 product on the lowest bit.
+    ising(22) at 14: 13 products and 8 permutes. Multilevel qaoa(20) at
+    14/8: 23 products and 24 permutes, 5 of them the parts' restores (38
+    and 32 under greedy program-order grouping)."""
     qft = bench.qft(20)
-    for exe in executable_parts(qft, partition_dagp(build_dag(qft), 14)):
+    partition = partition_dagp(build_dag(qft), 14)
+    for exe in executable_parts(qft, partition):
         assert exe.num_slots < qft.num_qubits
         for kind, arg in exe.steps:
-            assert kind != "op" or len(arg.qubits) > 1 or not is_dense(arg)
             assert kind != "matmul" or arg[0] > 0 or len(arg[1]) > 2
+    assert _kernel_counts(qft, partition) == {"matmul": 25, "permute": 8, "phase": 20}
+    ising = bench.ising(22)
+    partition = partition_dagp(build_dag(ising), 14)
+    assert _kernel_counts(ising, partition) == {"matmul": 13, "permute": 8}
     qaoa = bench.qaoa(20, 2)
     partition = partition_multilevel(build_dag(qaoa), 14, 8)
-    parts = executable_parts(qaoa, partition)
-    kinds = [kind for exe in parts for kind, _ in exe.steps]
-    assert (kinds.count("matmul"), kinds.count("permute")) == (23, 24)
+    assert _kernel_counts(qaoa, partition) == {"matmul": 23, "permute": 24}
 
 
 def test_partitioned_runs_peak_within_twice_the_state():
