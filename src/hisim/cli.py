@@ -57,6 +57,9 @@ VERIFY_MAX_QUBITS = 16
 
 _STRATEGIES = ("nat", "dfs", "dagp", "multilevel")
 _MODES = ("flat", "hierarchical", "multilevel", "distributed")
+#: defaults of the flags that parse to None, so that a command can tell a
+#: given flag from a defaulted one (``_refuse_ignored``)
+_DEFAULTS = {"strategy": "dagp", "seed": 0, "trials": 16, "p": 1}
 
 
 class _UsageError(Exception):
@@ -130,6 +133,18 @@ def _resolve_levels(args, circuit: Circuit) -> tuple[int, int]:
     return l1, args.l2
 
 
+def _refuse_ignored(args, rows) -> None:
+    """Refuse a flag the command would ignore, each row ``(flag, given,
+    used, where it applies)``; then set every flag left at None to its
+    ``_DEFAULTS`` value."""
+    for flag, given, used, where in rows:
+        if given and not used:
+            raise _UsageError(f"{flag} {where}")
+    for name, value in _DEFAULTS.items():
+        if getattr(args, name, value) is None:
+            setattr(args, name, value)
+
+
 def _load_partition(
     dag: GateDag, path: str
 ) -> PartitionResult | MultiLevelPartition:
@@ -151,6 +166,18 @@ def _write_or_print(text: str, out: str | None) -> None:
 # --- partition --------------------------------------------------------------
 
 def cmd_partition(args) -> int:
+    levels = args.strategy == "multilevel"
+    dfs = args.strategy == "dfs"
+    _refuse_ignored(args, (
+        ("--limit", args.limit is not None, not (levels and args.l1 is not None),
+         "applies only to a one-level strategy, or to multilevel without "
+         "--l1"),
+        ("--l1/--l2", args.l1 is not None or args.l2 is not None, levels,
+         "apply only to --strategy multilevel"),
+        ("--seed", args.seed is not None, dfs, "applies only to --strategy dfs"),
+        ("--trials", args.trials is not None, dfs,
+         "applies only to --strategy dfs"),
+    ))
     name, circuit = _load_circuit(args.circuit)
     dag = build_dag(circuit)
     summary_stream = sys.stdout if args.out else sys.stderr
@@ -160,7 +187,7 @@ def cmd_partition(args) -> int:
         text = to_dot(dag) if dag_path.suffix == ".dot" else dag_to_json(dag)
         dag_path.write_text(text + "\n")
 
-    if args.strategy == "multilevel":
+    if levels:
         l1, l2 = _resolve_levels(args, circuit)
         ml = partition_multilevel(dag, l1, l2)
         _write_or_print(multilevel_to_json(dag, ml), args.out)
@@ -256,8 +283,8 @@ def cmd_run(args) -> int:
         args.mode == "multilevel"
         or (args.mode == "distributed" and args.l1 is not None)
     )
-    # a flag the run would ignore is refused: (given, used, where it applies)
-    for flag, given, used, where in (
+    dfs = partitions and not levels and args.strategy == "dfs"
+    _refuse_ignored(args, (
         ("--partition", args.partition is not None, args.mode != "flat",
          "applies only to a partitioned run (any --mode but flat)"),
         ("--limit", args.limit is not None,
@@ -267,9 +294,16 @@ def cmd_run(args) -> int:
         ("--l1/--l2", args.l1 is not None or args.l2 is not None, levels,
          "apply only to a multilevel run without --partition "
          "(--mode multilevel, or --mode distributed with --l1)"),
-    ):
-        if given and not used:
-            raise _UsageError(f"{flag} {where}")
+        ("--strategy", args.strategy is not None, partitions and not levels,
+         "applies only to a run that partitions in one level (not --mode "
+         "flat or multilevel, nor with --partition or a distributed --l1)"),
+        ("--seed", args.seed is not None, dfs,
+         "applies only to a run that partitions with --strategy dfs"),
+        ("--trials", args.trials is not None, dfs,
+         "applies only to a run that partitions with --strategy dfs"),
+        ("--p", args.p is not None, args.mode == "distributed",
+         "applies only to --mode distributed"),
+    ))
 
     partition: PartitionResult | MultiLevelPartition | None = None
     trace: ExecutionTrace | None = None
@@ -422,30 +456,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "partition", help="partition a circuit and write the result as JSON"
     )
-    p.add_argument("circuit", help=".qasm path or bundled circuit name")
-    p.add_argument("--strategy", choices=_STRATEGIES, default="dagp")
-    p.add_argument("--limit", type=int, help="working-set limit (default: n/2)")
-    p.add_argument("--l1", type=int, help="level-1 limit (multilevel)")
-    p.add_argument("--l2", type=int, help="level-2 limit (multilevel)")
-    p.add_argument("--seed", type=int, default=0, help="dfs shuffle seed")
-    p.add_argument("--trials", type=_int_from(1), default=16,
-                   help="dfs restarts")
+    r = sub.add_parser("run", help="simulate a circuit and report the run")
+    r.add_argument("--mode", choices=_MODES, default="flat")
+    for s, strategies in ((p, _STRATEGIES), (r, ("nat", "dfs", "dagp"))):
+        s.add_argument("circuit", help=".qasm path or bundled circuit name")
+        s.add_argument("--strategy", choices=strategies,
+                       help=f"partitioner (default: {_DEFAULTS['strategy']})")
+        s.add_argument("--limit", type=int,
+                       help="working-set limit (default: n/2)")
+        s.add_argument("--l1", type=int, help="level-1 limit (multilevel)")
+        s.add_argument("--l2", type=int, help="level-2 limit (multilevel)")
+        s.add_argument("--seed", type=int,
+                       help=f"dfs shuffle seed (default: {_DEFAULTS['seed']})")
+        s.add_argument("--trials", type=_int_from(1),
+                       help=f"dfs restarts (default: {_DEFAULTS['trials']})")
     p.add_argument("--out", help="write partition JSON here instead of stdout")
     p.add_argument("--dag", help="also export the gate DAG (.json or .dot)")
     p.set_defaults(func=cmd_partition)
 
-    r = sub.add_parser("run", help="simulate a circuit and report the run")
-    r.add_argument("circuit", help=".qasm path or bundled circuit name")
-    r.add_argument("--mode", choices=_MODES, default="flat")
-    r.add_argument("--strategy", choices=("nat", "dfs", "dagp"), default="dagp")
-    r.add_argument("--limit", type=int, help="working-set limit (default: n/2)")
-    r.add_argument("--l1", type=int, help="level-1 limit (multilevel)")
-    r.add_argument("--l2", type=int, help="level-2 limit (multilevel)")
-    r.add_argument("--seed", type=int, default=0, help="dfs shuffle seed")
-    r.add_argument("--trials", type=_int_from(1), default=16,
-                   help="dfs restarts")
-    r.add_argument("--p", type=_int_from(0), default=1,
-                   help="rank bits for distributed mode (2**p ranks)")
+    r.add_argument("--p", type=_int_from(0),
+                   help=f"rank bits for distributed mode, 2**p ranks "
+                        f"(default: {_DEFAULTS['p']})")
     r.add_argument("--partition", help="run a partition loaded from JSON")
     r.add_argument("--verify", action="store_true",
                    help="compare against the flat reference (n <= 16)")

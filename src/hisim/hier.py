@@ -361,8 +361,10 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     part), then scatters back. The plan's permutes and products, on the
     lowest bits or in place higher up, alternate the chunk with one
     scratch buffer, allocated here once for all chunks when the plan needs
-    it. When the part's positions are already ``0..m-1``, each batch entry
-    is a row and the chunks are views.
+    it. The rows are cut at the part's highest position, every bit above
+    it batch, so a part on the lowest bits of its array (positions
+    ``0..w-1``) builds no index matrix: each batch entry is a row and the
+    chunks are views.
     """
     m = int(data.shape[-1]).bit_length() - 1
     if data.shape[-1] != 1 << m:
@@ -377,6 +379,8 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
         for op in exe.ops:
             apply_op(data, w, op)
         return
+    # split at the part's highest bit: the bits above it are batch too
+    m = positions[-1] + 1 if positions else 0
     flat = data.reshape(-1, 1 << m)
     staged = positions != tuple(range(m))
     gidx = part_block_indices(m, positions) if staged else None

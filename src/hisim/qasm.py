@@ -4,14 +4,18 @@ Parses flat, measurement-free circuits into an immutable gate-list IR and
 serializes them back to canonical text. The supported statements are the
 header (``OPENQASM 2.0;``), ``include``, a single ``qreg``, ``barrier``
 (ignored), comments, and applications of the fixed gate set below. Angle
-expressions (``pi/2``, ``-3*pi/4`` ...) are evaluated at parse time.
+expressions (``pi/2``, ``-3*pi/4`` ...) are evaluated at parse time by
+Python's ``ast`` (``_eval_angle``), and each gate is held to ``validate``'s
+per-gate rule (``_check_op``) as it is read.
 """
 
 from __future__ import annotations
 
+import ast
 import enum
 import math
 import numbers
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -113,29 +117,37 @@ def validate(circuit: Circuit) -> None:
             f"circuit needs at least one qubit, got {circuit.num_qubits}"
         )
     for i, op in enumerate(circuit.ops):
-        if len(op.qubits) != op.kind.arity:
-            raise InvalidQubitCountError(
-                f"op {i}: {op.kind.value} takes {op.kind.arity} qubits, "
-                f"got {len(op.qubits)}"
+        _check_op(op, circuit.num_qubits, f"op {i}")
+
+
+def _check_op(op: GateOp, num_qubits: int, where: str) -> None:
+    """The per-gate rule: operand and param counts, each param an angle
+    (``_is_angle``), distinct qubits in ``[0, num_qubits)``, checked in that
+    order; the first failure raises, its message led by ``where``."""
+    kind = op.kind
+    if len(op.qubits) != kind.arity:
+        raise InvalidQubitCountError(
+            f"{where}: {kind.value} takes {kind.arity} qubits, "
+            f"got {len(op.qubits)}"
+        )
+    if len(op.params) != kind.num_params:
+        raise InvalidQubitCountError(
+            f"{where}: {kind.value} takes {kind.num_params} params, "
+            f"got {len(op.params)}"
+        )
+    for p in op.params:
+        if not _is_angle(p):
+            raise InvalidParamError(
+                f"{where}: {kind.value} param {p!r} is not a finite "
+                f"real that a float holds exactly"
             )
-        if len(op.params) != op.kind.num_params:
-            raise InvalidQubitCountError(
-                f"op {i}: {op.kind.value} takes {op.kind.num_params} params, "
-                f"got {len(op.params)}"
+    if len(set(op.qubits)) != len(op.qubits):
+        raise DuplicateQubitError(f"{where}: repeated qubit in {op.qubits}")
+    for q in op.qubits:
+        if not 0 <= q < num_qubits:
+            raise QubitOutOfRangeError(
+                f"{where}: qubit {q} outside [0, {num_qubits})"
             )
-        for p in op.params:
-            if not _is_angle(p):
-                raise InvalidParamError(
-                    f"op {i}: {op.kind.value} param {p!r} is not a finite "
-                    f"real that a float holds exactly"
-                )
-        if len(set(op.qubits)) != len(op.qubits):
-            raise DuplicateQubitError(f"op {i}: repeated qubit in {op.qubits}")
-        for q in op.qubits:
-            if not 0 <= q < circuit.num_qubits:
-                raise QubitOutOfRangeError(
-                    f"op {i}: qubit {q} outside [0, {circuit.num_qubits})"
-                )
 
 
 def _is_angle(p: object) -> bool:
@@ -153,16 +165,27 @@ def _is_angle(p: object) -> bool:
 # --- angle expression evaluation -------------------------------------------
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d*(?:[eE][+-]?\d+)?|\.?\d+(?:[eE][+-]?\d+)?)|(pi)|([()+\-*/^]))")
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
+_FOLD = {
+    ast.UAdd: operator.pos, ast.USub: operator.neg,
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: operator.pow,
+}
 
 
 def _eval_angle(text: str, line: int, col: int) -> float:
     """Evaluate an angle expression: numbers, pi, + - * / ^, parentheses.
 
-    ``^`` is right-associative and binds tighter than unary minus, as
-    Python's ``**`` does. Every literal and every intermediate result must
-    be a finite real; anything else is a QasmSyntaxError.
+    ``_TOKEN_RE`` lexes the text, and each token is respelled as Python:
+    a number as its float's repr, ``^`` as ``**``. The tokens are joined
+    by spaces, so a ``**`` typed in QASM stays two operators and an error.
+    ``ast`` parses the result, and a fold over constants, ``pi``, unary
+    ``+ -`` and binary ``+ - * / **`` evaluates it; every other node is
+    refused. Every literal and every value must be a finite real; anything
+    else is a QasmSyntaxError.
     """
+    def bad(what: str = "bad angle expression") -> QasmSyntaxError:
+        return QasmSyntaxError(f"{what} {text!r}", line, col)
+
     def finite(val: float | complex) -> float:
         if isinstance(val, complex) or not math.isfinite(val):
             raise QasmSyntaxError(
@@ -170,76 +193,41 @@ def _eval_angle(text: str, line: int, col: int) -> float:
             )
         return val
 
-    tokens: list[str | float] = []
+    def fold(node: ast.expr) -> float:
+        if isinstance(node, ast.Constant) and type(node.value) is float:
+            return finite(node.value)
+        if isinstance(node, ast.Name) and node.id == "pi":
+            return math.pi
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _FOLD:
+            return finite(_FOLD[type(node.op)](fold(node.operand)))
+        if isinstance(node, ast.BinOp) and type(node.op) in _FOLD:
+            return finite(_FOLD[type(node.op)](fold(node.left), fold(node.right)))
+        raise bad()
+
+    words: list[str] = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise QasmSyntaxError(
-                    f"bad angle expression {text!r}", line, col
-                )
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:
             break
         num, pi, sym = m.groups()
         if num is not None:
-            tokens.append(finite(float(num)))
-        elif pi is not None:
-            tokens.append(math.pi)
+            words.append(repr(finite(float(num))))
         else:
-            tokens.append(sym)
+            words.append(pi or ("**" if sym == "^" else sym))
         pos = m.end()
-
-    def parse_expr(i: int, min_prec: int = 0) -> tuple[float, int]:
-        val, i = parse_atom(i)
-        while i < len(tokens) and isinstance(tokens[i], str) and tokens[i] in _PREC:
-            op = tokens[i]
-            if _PREC[op] < min_prec:
-                break
-            # ^ is right-associative, the rest left
-            nxt = _PREC[op] if op == "^" else _PREC[op] + 1
-            rhs, i = parse_expr(i + 1, nxt)
-            if op == "+":
-                val += rhs
-            elif op == "-":
-                val -= rhs
-            elif op == "*":
-                val *= rhs
-            elif op == "/":
-                val /= rhs
-            else:
-                val **= rhs
-            val = finite(val)
-        return val, i
-
-    def parse_atom(i: int) -> tuple[float, int]:
-        if i >= len(tokens):
-            raise QasmSyntaxError(f"bad angle expression {text!r}", line, col)
-        tok = tokens[i]
-        if isinstance(tok, float):
-            return tok, i + 1
-        if tok == "-":
-            val, j = parse_expr(i + 1, _PREC["^"])
-            return -val, j
-        if tok == "+":
-            return parse_expr(i + 1, _PREC["^"])
-        if tok == "(":
-            val, j = parse_expr(i + 1)
-            if j >= len(tokens) or tokens[j] != ")":
-                raise QasmSyntaxError(f"unbalanced parens in {text!r}", line, col)
-            return val, j + 1
-        raise QasmSyntaxError(f"bad angle expression {text!r}", line, col)
-
-    if not tokens:
-        raise QasmSyntaxError("empty angle expression", line, col)
+    if text[pos:].strip():
+        raise bad()
     try:
-        val, end = parse_expr(0)
+        return fold(ast.parse(" ".join(words), mode="eval").body)
+    except (SyntaxError, RecursionError, MemoryError):
+        # the parser refuses more than 200 nested parentheses and runs out
+        # of stack (MemoryError) on thousands of nested operators; the fold
+        # recurses once per level of the tree
+        raise bad() from None
     except ZeroDivisionError:
-        raise QasmSyntaxError(f"division by zero in {text!r}", line, col) from None
+        raise bad("division by zero in") from None
     except OverflowError:
         raise QasmSyntaxError(f"angle {text!r} overflows", line, col) from None
-    if end != len(tokens):
-        raise QasmSyntaxError(f"trailing junk in angle {text!r}", line, col)
-    return val
 
 
 # --- parsing ----------------------------------------------------------------
@@ -249,6 +237,8 @@ _QUBIT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
 # the parameter list runs to the last ')', so it may nest parentheses;
 # operands hold none
 _GATE_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(\((.*)\))?\s*([^()]*)$")
+_COMMENT_RE = re.compile(r"//[^\n]*")
+_STATEMENT_RE = re.compile(r"\s*([^;]*)(;?)")
 
 _REJECTED = {
     "measure": "measurement is not supported (simulation is pure-state)",
@@ -261,40 +251,26 @@ _REJECTED = {
 
 
 def _statements(text: str):
-    """Split source into ';'-terminated statements with line/col positions."""
-    line, col = 1, 1
-    buf: list[str] = []
-    start: tuple[int, int] | None = None
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "/" and text[i : i + 2] == "//":
-            while i < len(text) and text[i] != "\n":
-                i += 1
+    """Split source into ';'-terminated statements, each with the line and
+    column of its first non-blank character.
+
+    A ``//`` comment runs to the end of its line, so deleting it moves no
+    character after it. Inside a statement each line break reads as a
+    space. A non-blank tail without its ';' is a QasmSyntaxError.
+    """
+    text = _COMMENT_RE.sub("", text)
+    line, seen = 1, 0
+    for m in _STATEMENT_RE.finditer(text):
+        stmt = m.group(1).replace("\n", " ").strip()
+        if not stmt:
             continue
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            if buf:
-                buf.append(" ")
-            continue
-        if ch == ";":
-            if start is not None:
-                stmt = "".join(buf).strip()
-                if stmt:
-                    yield stmt, start[0], start[1]
-            buf = []
-            start = None
-        elif not ch.isspace() and start is None:
-            start = (line, col)
-            buf.append(ch)
-        elif start is not None:
-            buf.append(ch)
-        col += 1
-        i += 1
-    if start is not None and "".join(buf).strip():
-        raise QasmSyntaxError("statement missing ';'", start[0], start[1])
+        start = m.start(1)
+        line += text.count("\n", seen, start)
+        seen = start
+        col = start - text.rfind("\n", 0, start)
+        if not m.group(2):
+            raise QasmSyntaxError("statement missing ';'", line, col)
+        yield stmt, line, col
 
 
 def parse_qasm(text: str) -> Circuit:
@@ -302,24 +278,19 @@ def parse_qasm(text: str) -> Circuit:
 
     Raises QasmSyntaxError / UnsupportedGateError / QubitOutOfRangeError /
     DuplicateQubitError / InvalidQubitCountError. Exactly one qreg is
-    required; barriers and comments are dropped.
+    required; barriers and comments are dropped. Each gate passes
+    ``validate``'s per-gate rule as it is read.
     """
     reg_name: str | None = None
     num_qubits = 0
     ops: list[GateOp] = []
 
     for stmt, line, col in _statements(text):
-        head = stmt.split(None, 1)[0] if stmt.split() else stmt
-        if head == "OPENQASM":
-            continue
-        if head == "include":
-            continue
-        if head == "barrier":
+        head = stmt.split(None, 1)[0]
+        if head in ("OPENQASM", "include", "barrier"):
             continue
         if head in _REJECTED:
-            raise UnsupportedGateError(
-                f"line {line}: {_REJECTED[head]}"
-            )
+            raise UnsupportedGateError(f"line {line}: {_REJECTED[head]}")
         if head == "qreg":
             m = _QREG_RE.match(stmt)
             if m is None:
@@ -339,57 +310,35 @@ def parse_qasm(text: str) -> Circuit:
         m = _GATE_RE.match(stmt)
         if m is None:
             raise QasmSyntaxError("unrecognized statement", line, col)
-        name, paren, params_text, operands_text = m.groups()
+        name, _, params_text, operands_text = m.groups()
         kind = _BY_NAME.get(name)
         if kind is None:
             raise UnsupportedGateError(f"line {line}: unsupported gate {name!r}")
         if reg_name is None:
             raise QasmSyntaxError("gate application before qreg", line, col)
 
-        params: tuple[float, ...] = ()
-        if paren is not None:
-            parts = [p for p in params_text.split(",") if p.strip()]
-            params = tuple(_eval_angle(p, line, col) for p in parts)
-        if len(params) != kind.num_params:
-            raise InvalidQubitCountError(
-                f"line {line}: {name} takes {kind.num_params} params, "
-                f"got {len(params)}"
-            )
-
+        params = tuple(
+            _eval_angle(p, line, col)
+            for p in (params_text or "").split(",") if p.strip()
+        )
         qubits: list[int] = []
-        operand_parts = [o.strip() for o in operands_text.split(",")]
-        if operand_parts == [""]:
-            operand_parts = []
-        for otext in operand_parts:
+        operands = [o.strip() for o in operands_text.split(",")]
+        for otext in operands if operands != [""] else []:
             qm = _QUBIT_RE.match(otext)
             if qm is None:
                 raise QasmSyntaxError(f"bad operand {otext!r}", line, col)
-            oname, idx_text = qm.group(1), qm.group(2)
-            if oname != reg_name:
+            if qm.group(1) != reg_name:
                 raise QasmSyntaxError(
-                    f"unknown register {oname!r}", line, col
+                    f"unknown register {qm.group(1)!r}", line, col
                 )
-            idx = int(idx_text)
-            if idx >= num_qubits:
-                raise QubitOutOfRangeError(
-                    f"line {line}: qubit {idx} outside [0, {num_qubits})"
-                )
-            qubits.append(idx)
-        if len(qubits) != kind.arity:
-            raise InvalidQubitCountError(
-                f"line {line}: {name} takes {kind.arity} qubits, got {len(qubits)}"
-            )
-        if len(set(qubits)) != len(qubits):
-            raise DuplicateQubitError(
-                f"line {line}: repeated qubit in {name} {tuple(qubits)}"
-            )
-        ops.append(GateOp(kind, tuple(qubits), params))
+            qubits.append(int(qm.group(2)))
+        op = GateOp(kind, tuple(qubits), params)
+        _check_op(op, num_qubits, f"line {line}")
+        ops.append(op)
 
     if reg_name is None:
         raise QasmSyntaxError("no qreg declaration", 1, 1)
-    circuit = Circuit(num_qubits, tuple(ops))
-    validate(circuit)
-    return circuit
+    return Circuit(num_qubits, tuple(ops))
 
 
 def to_qasm(circuit: Circuit) -> str:

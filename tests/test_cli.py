@@ -343,6 +343,8 @@ def test_explicit_l2_above_l1_is_usage_error(capsys):
         ("--mode", "distributed", "--p", "1", "--l2", "3"),
         ("--mode", "multilevel", "--partition", "PART", "--l1", "5"),
         ("--mode", "distributed", "--partition", "PART", "--l1", "5"),
+        ("--mode", "flat", "--l2", "3", "--strategy", "nat"),
+        ("--mode", "hierarchical", "--l1", "5", "--p", "3"),
     ],
 )
 def test_ignored_level_limits_are_usage_errors(tmp_path, capsys, argv):
@@ -372,12 +374,25 @@ def test_ignored_level_limits_are_usage_errors(tmp_path, capsys, argv):
          "--limit"),
         (("--mode", "multilevel", "--l1", "5", "--limit", "4"), "--limit"),
         (("--mode", "distributed", "--l1", "5", "--limit", "4"), "--limit"),
+        (("--mode", "flat", "--strategy", "nat", "--seed", "3"), "--strategy"),
+        (("--mode", "hierarchical", "--p", "3"), "--p"),
+        (("--mode", "multilevel", "--strategy", "nat"), "--strategy"),
+        (("--mode", "hierarchical", "--trials", "4"), "--trials"),
+        (("--mode", "hierarchical", "--strategy", "nat", "--seed", "3"),
+         "--seed"),
+        (("--mode", "distributed", "--partition", "PART", "--strategy", "dfs"),
+         "--strategy"),
+        (("--mode", "distributed", "--l1", "5", "--strategy", "dagp"),
+         "--strategy"),
+        (("--mode", "flat", "--p", "0"), "--p"),
     ],
 )
 def test_ignored_partition_and_limit_are_usage_errors(tmp_path, capsys, argv, flag):
     """``--partition`` or ``--limit`` under ``--mode flat``, and ``--limit``
     alongside ``--partition`` or a two-level run's ``--l1``, are refused
-    with exit 1, not silently dropped."""
+    with exit 1, not silently dropped. So are ``--strategy`` where the run
+    does not partition in one level, ``--seed`` and ``--trials`` where it
+    does not partition with dfs, and ``--p`` outside a distributed run."""
     part_path = tmp_path / "parts.json"
     code, _, _ = run_cli(capsys, "partition", "bv_6", "--limit", "4",
                          "--out", str(part_path))
@@ -387,6 +402,44 @@ def test_ignored_partition_and_limit_are_usage_errors(tmp_path, capsys, argv, fl
     assert code == 1
     assert out == ""
     assert f"{flag} applies only to" in err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("--strategy", "dagp", "--l1", "5", "--l2", "3"), "--l1/--l2 apply"),
+        (("--l2", "3"), "--l1/--l2 apply"),
+        (("--strategy", "multilevel", "--l1", "5", "--limit", "3"),
+         "--limit applies"),
+        (("--strategy", "nat", "--seed", "3"), "--seed applies"),
+        (("--trials", "4"), "--trials applies"),
+        (("--strategy", "multilevel", "--l1", "5", "--seed", "1"),
+         "--seed applies"),
+    ],
+)
+def test_ignored_partition_flags_are_usage_errors(capsys, argv, flag):
+    """``hisim partition`` refuses ``--l1``/``--l2`` outside a multilevel
+    partition, ``--limit`` beside a multilevel ``--l1``, and ``--seed`` or
+    ``--trials`` outside dfs, with exit 1 and nothing on stdout."""
+    code, out, err = run_cli(capsys, "partition", "bv_6", *argv)
+    assert code == 1
+    assert out == ""
+    assert f"{flag} only to" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("partition", "bv_6", "--strategy", "dfs", "--seed", "3", "--trials", "2"),
+        ("partition", "bv_6", "--strategy", "multilevel", "--limit", "4"),
+        ("run", "bv_6", "--mode", "distributed", "--strategy", "dfs", "--seed",
+         "2", "--trials", "3", "--p", "2"),
+        ("run", "bv_6", "--mode", "hierarchical", "--strategy", "nat"),
+    ],
+)
+def test_flags_that_are_read_are_accepted(capsys, argv):
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
 
 
 def test_distributed_level_limits_partition_in_two_levels(capsys):

@@ -599,7 +599,8 @@ def test_nested_parts_match_flat_and_the_oracle(
 def test_two_level_part_builds_its_index_matrix_once(monkeypatch):
     """A two-level part run in one chunk per level-1 row builds the
     level-1 index matrix once, and nothing for its level-2 parts: qft(9)
-    at 6/4 has more than two of them."""
+    at 6/4 has more than two of them. A part on the lowest bits of the
+    state builds none: its chunks are views."""
     calls = []
     real = hier.part_block_indices
 
@@ -612,12 +613,44 @@ def test_two_level_part_builds_its_index_matrix_once(monkeypatch):
     circuit = bench.qft(9)
     partition = partition_multilevel(build_dag(circuit), 6, 4)
     data = zero_state(9).data
+    low = 0
     for exe in executable_parts(circuit, partition):
         calls.clear()
         run_part(data, exe)
-        assert calls == [exe.positions]
+        if exe.positions == tuple(range(exe.num_slots)):
+            low += 1
+            assert calls == []
+        else:
+            assert calls == [exe.positions]
+    assert 0 < low < partition.level1.num_parts
     assert sum(len(s.parts) for s in partition.sublevels if len(s.parts) > 1) > 2
     assert np.max(np.abs(data - simulate_flat(circuit).data)) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [None, 1, 2])
+def test_part_on_the_lowest_bits_runs_on_views(monkeypatch, p):
+    """A part on the lowest bits of a 10-qubit state, run on the full state
+    (``p`` None) or on ``2**p`` rank buffers, from a random state and in
+    several chunks, builds no index matrix and matches the gates applied
+    one by one."""
+    calls = []
+    monkeypatch.setattr(hier, "part_block_indices", lambda *a: calls.append(a))
+    monkeypatch.setattr(hier, "CHUNK_AMPS", 1 << 6)
+    circuit = Circuit(10, bench.qft(5).ops)
+    partition = partition_dagp(build_dag(circuit), 5)
+    assert [part.qubits for part in partition.parts] == [(0, 1, 2, 3, 4)]
+    rng = np.random.default_rng(3)
+    data = rng.normal(size=1 << 10) + 1j * rng.normal(size=1 << 10)
+    initial = StateVector(10, data / np.linalg.norm(data))
+    expect = initial.data.copy()
+    for op in circuit.ops:
+        apply_op(expect, 10, op)
+    if p is None:
+        got = execute_hierarchical(circuit, partition, initial=initial)
+    else:
+        got = simulate_distributed(circuit, partition, p, initial=initial).state
+    assert calls == []
+    assert np.max(np.abs(got.data - expect)) <= 1e-12
 
 
 #: kinds that never only scale, so two of them never fold into a phase

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -19,7 +20,16 @@ from hisim.errors import (
     QubitOutOfRangeError,
     UnsupportedGateError,
 )
-from hisim.qasm import Circuit, GateKind, GateOp, parse_qasm, to_qasm, validate
+from hisim.qasm import (
+    Circuit,
+    GateKind,
+    GateOp,
+    _eval_angle,
+    _statements,
+    parse_qasm,
+    to_qasm,
+    validate,
+)
 
 
 def test_gate_kind_arities_and_params():
@@ -111,7 +121,142 @@ def test_non_finite_or_complex_angle_is_a_syntax_error(angle):
     assert exc.value.line == 4
 
 
-@pytest.mark.parametrize("angle", ["2^10000", "1e999", "(-2)^0.5"])
+#: binary operators of the angle grammar: (precedence, the operation);
+#: ``^`` is right-associative, the others left
+_BINARY = {
+    "+": (1, operator.add), "-": (1, operator.sub),
+    "*": (2, operator.mul), "/": (2, operator.truediv),
+    "^": (4, operator.pow),
+}
+_UNARY = 3  # looser than ^, tighter than * and /
+_ATOM = 5
+
+
+class _Refused(Exception):
+    pass
+
+
+def _value(val):
+    if isinstance(val, complex) or not math.isfinite(val):
+        raise _Refused
+    return val
+
+
+def _fold(tree):
+    """The tree's value, by the grammar's rules; ``_Refused`` where a value
+    is not a finite real or an operation fails."""
+    tag = tree[0]
+    if tag == "num":
+        return _value(float(tree[1]))
+    if tag == "pi":
+        return math.pi
+    if tag == "paren":
+        return _fold(tree[1])
+    if tag == "neg":
+        return -_fold(tree[1])
+    try:
+        return _value(_BINARY[tree[1]][1](_fold(tree[2]), _fold(tree[3])))
+    except (ZeroDivisionError, OverflowError):
+        raise _Refused from None
+
+
+def _render(tree, space):
+    """QASM text of the tree and its precedence, with only the parentheses
+    the grammar needs (and the tree's own ``paren`` nodes)."""
+    tag = tree[0]
+    if tag == "num":
+        return tree[1], _ATOM
+    if tag == "pi":
+        return "pi", _ATOM
+    if tag == "paren":
+        return f"({_render(tree[1], space)[0]})", _ATOM
+
+    def operand(sub, least):
+        text, prec = _render(sub, space)
+        return text if prec >= least else f"({text})"
+
+    if tag == "neg":
+        return "-" + operand(tree[1], _UNARY), _UNARY
+    op = tree[1]
+    prec = _BINARY[op][0]
+    left, right = (_ATOM, _UNARY) if op == "^" else (prec, prec + 1)
+    text = space.join((operand(tree[2], left), op, operand(tree[3], right)))
+    return text, prec
+
+
+_LITERALS = st.sampled_from(["09", ".5", "5.", "1e-3", "2", "0", "1E+2",
+                             "3.25e1", "1e308", "0.0"]) | st.from_regex(
+    r"\A(\d{1,3}\.\d{0,3}|\.?\d{1,3})([eE][+-]?\d{1,2})?\Z")
+_TREES = st.recursive(
+    st.tuples(st.just("num"), _LITERALS) | st.just(("pi",)),
+    lambda sub: (
+        st.tuples(st.just("neg"), sub)
+        | st.tuples(st.just("paren"), sub)
+        | st.tuples(st.just("bin"), st.sampled_from(sorted(_BINARY)), sub, sub)
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TREES, st.sampled_from(["", " "]))
+def test_angles_fold_like_their_expression_tree(tree, space):
+    """An expression tree rendered with the grammar's precedence parses
+    back to the tree: its value is the tree's own fold, bit for bit, and
+    it is refused exactly where the fold meets a value that is not a
+    finite real."""
+    text, _ = _render(tree, space)
+    try:
+        expect = _fold(tree)
+    except _Refused:
+        with pytest.raises(QasmSyntaxError):
+            _eval_angle(text, 3, 4)
+        return
+    assert _eval_angle(text, 3, 4) == expect
+
+
+@pytest.mark.parametrize(
+    "angle",
+    ["2**3", "inf", "nan", "1e999", "0x10", "1_0", "1j", "pi pi", "e",
+     "1/(1e308*10)", "()", "(1)(2)", "pi(2)", "1 2", "2^", "-", "1..5"],
+)
+def test_angles_outside_the_grammar_are_refused(angle):
+    with pytest.raises(QasmSyntaxError) as exc:
+        _eval_angle(angle, 3, 4)
+    assert (exc.value.line, exc.value.col) == (3, 4)
+
+
+@pytest.mark.parametrize("angle", ["1e999", "2*1e999", "1e308*10"])
+def test_a_non_finite_angle_says_so(angle):
+    with pytest.raises(QasmSyntaxError, match="not a finite real number"):
+        _eval_angle(angle, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "angle",
+    ["(" * 600 + "1" + ")" * 600, "-" * 5000 + "1", "+".join(["1"] * 1500),
+     "+".join(["1"] * 5000), "^".join(["1"] * 5000)],
+    ids=["600 parens", "5000 minuses", "1500 sums", "5000 sums", "5000 powers"],
+)
+def test_deep_angles_are_syntax_errors(angle):
+    """Python's parser caps nesting at 200 parentheses and the fold
+    recurses once per level, so an angle far past either is refused as
+    a QasmSyntaxError, not a RecursionError or MemoryError."""
+    with pytest.raises(QasmSyntaxError):
+        parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrz({angle}) q[0];\n")
+
+
+def test_nesting_within_the_bounds_parses():
+    angle = "(" * 200 + "-" * 300 + "+".join(["1"] * 300) + ")" * 200
+    c = parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrz({angle}) q[0];\n")
+    assert c.ops[0].params == (300.0,)
+
+
+@pytest.mark.parametrize(
+    "angle",
+    ["2^10000", "1e999", "(-2)^0.5",
+     pytest.param("(" * 600 + "1" + ")" * 600, id="600 parens")],
+)
 @pytest.mark.parametrize("command", ["run", "partition"])
 def test_bad_angle_is_an_input_error_on_the_command_line(
     tmp_path, capsys, command, angle
@@ -148,6 +293,48 @@ def test_syntax_errors_carry_position():
     with pytest.raises(QasmSyntaxError) as exc:
         parse_qasm("OPENQASM 2.0;\nqreg q[2];\nh q[0]\n")
     assert exc.value.line == 3
+
+
+def test_statements_carry_the_position_of_their_first_character():
+    text = (
+        "// header comment\n"
+        "\n"
+        "OPENQASM 2.0; // trailing ; comment\n"
+        "   qreg q[3];\n"
+        "\t\n"
+        "  // a comment line\n"
+        "  cx q[0],\n"
+        "     q[1];  h\n"
+        "q[2]\n"
+        "  ;;  rz(pi //\n"
+        "/2) q[0];\n"
+    )
+    assert list(_statements(text)) == [
+        ("OPENQASM 2.0", 3, 1),
+        ("qreg q[3]", 4, 4),
+        ("cx q[0],      q[1]", 7, 3),
+        ("h q[2]", 8, 13),
+        ("rz(pi  /2) q[0]", 10, 7),
+    ]
+    assert parse_qasm(text).ops == (
+        GateOp(GateKind.CX, (0, 1)),
+        GateOp(GateKind.H, (2,)),
+        GateOp(GateKind.RZ, (0,), (math.pi / 2,)),
+    )
+
+
+@pytest.mark.parametrize(
+    "tail,line,col",
+    [("h q[0]", 4, 1), ("  // c\n\n   x\nq[1]", 6, 4), ("h q[0]; // c\n  z q[1]", 5, 3)],
+)
+def test_a_tail_without_its_semicolon_is_refused_where_it_starts(tail, line, col):
+    text = "OPENQASM 2.0;\n// c\nqreg q[2];\n" + tail
+    with pytest.raises(QasmSyntaxError, match="missing ';'") as exc:
+        list(_statements(text))
+    assert (exc.value.line, exc.value.col) == (line, col)
+    with pytest.raises(QasmSyntaxError) as exc:
+        parse_qasm(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
 
 
 def test_missing_qreg_rejected():
