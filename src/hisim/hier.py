@@ -9,6 +9,8 @@ therefore ``2**(n - w)`` independent gather/execute/scatter passes, one
 row of the staged block each. ``run_part`` stages the rows in chunks of
 about ``CHUNK_AMPS`` amplitudes, so each chunk is gathered, run and
 scattered while it sits in cache; it computes the identical amplitudes.
+A part on every qubit is one chunk, a view of the state, and runs the
+same plan: a one-part partition is fusion without partitioning.
 
 Every execution path is ``run_part`` on an ``ExecutablePart``.
 ``executable_parts`` checks a partition with the partition module's own
@@ -38,10 +40,11 @@ below ``FUSE_WIDTH`` (a 2x2 on the lowest bit to a 4x4), or in place
 from bit ``STRIDE_FLOOR`` up. Only otherwise does one transposing copy
 move its slots to the lowest bits, and the same copy lifts the next
 unitary's slots to the highest bits. A phase group is applied to a
-``2**w`` vector of ones, and a lone op runs as itself on its bits;
-nothing is re-addressed after it is built, and a last permutation
-restores the order. So each chunk is gathered and
-scattered once. ``simulate_flat`` stays gate by gate as the oracle.
+``2**w`` vector of ones while that fits a chunk, else its ops are lone
+ops, and a lone op runs as itself on its bits; nothing is re-addressed
+after it is built, and a last permutation restores the order. So each
+chunk is gathered and scattered once. Only ``simulate_flat`` runs gate
+by gate; it stays the oracle.
 """
 
 from __future__ import annotations
@@ -170,7 +173,7 @@ class ExecutablePart:
 
     @cached_property
     def steps(self) -> list[tuple]:
-        """The plan for a block of several rows (see ``_plan``): the ops
+        """The plan every chunk runs (see ``_plan``): the ops
         grouped (``_compile``), each group built once into a kernel on the
         bits it runs on; built on first use and reused by every later
         chunk and call."""
@@ -291,10 +294,13 @@ def _plan(groups: list[tuple[str, list[GateOp]]], w: int) -> list[tuple]:
     from ``S``, so that one can run in place; the other slots keep their
     order. ``u`` is the transpose of the ``2**h`` identity's rows with the
     ops applied on bits ``t`` and up. A ``"phase"`` group is ``("phase",
-    vector)``, its ops applied to ones over the whole block; its run is
-    maximal, so another kernel always stands between two of them. An
-    ``"op"`` group is ``("op", op)`` on bits. A last permute restores the
-    identity order.
+    vector)``, its ops applied to ones over the whole block, while ``2**w``
+    fits a chunk (``CHUNK_AMPS``); its run is maximal, so another kernel
+    always stands between two of them. On a wider block a chunk is one
+    row, where the vector would cost as many passes as its ops and a
+    ``2**w`` allocation, so each of its ops is an ``("op", op)`` on bits,
+    as an ``"op"`` group's one op is. A last permute restores the identity
+    order.
     """
     order = list(range(w))
     plan: list[tuple] = []
@@ -306,8 +312,8 @@ def _plan(groups: list[tuple[str, list[GateOp]]], w: int) -> list[tuple]:
 
     for i, (tag, ops) in enumerate(groups):
         bit_of = [order.index(s) for s in range(w)]  # slot s sits on bit_of[s]
-        if tag == "op":
-            plan.append(("op", _lift(ops[0], bit_of)))
+        if tag == "op" or (tag == "phase" and 1 << w > CHUNK_AMPS):
+            plan.extend(("op", _lift(op, bit_of)) for op in ops)
         elif tag == "phase":
             phase = np.ones(1 << w, dtype=np.complex128)
             for op in ops:
@@ -349,13 +355,11 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     some enclosing pass already gathered. The staged block has one ``2**w``
     row per batch entry and free-qubit assignment.
 
-    A single-row part (one ``2**w`` row spanning ``data``, such as a
-    whole-state part with no batch) runs its ops gate by gate through
-    ``apply_op``, in program order, bit-identical to ``simulate_flat``.
-    Any other block's rows are independent, so one loop stages, runs and
-    scatters them back in chunks of about ``CHUNK_AMPS`` amplitudes:
-    several batch entries per chunk when a batch entry is small, else a
-    run of rows of one entry. Each chunk is gathered once through
+    The rows are independent, so one loop stages, runs and scatters them
+    back in chunks of about ``CHUNK_AMPS`` amplitudes: several batch
+    entries per chunk when a batch entry is small, else a run of rows of
+    one entry, one row when a row is wider than that (a whole-state part
+    is one chunk, a view of ``data``). Each chunk is gathered once through
     ``part_block_indices`` and runs the part's plan
     (``ExecutablePart.steps``, built once per
     part), then scatters back. The plan's permutes and products, on the
@@ -375,10 +379,6 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     if positions and positions[-1] >= m:
         raise ValueError(f"position {positions[-1]} outside 0..{m - 1}")
     w = exe.num_slots
-    if data.size == 1 << w:
-        for op in exe.ops:
-            apply_op(data, w, op)
-        return
     # split at the part's highest bit: the bits above it are batch too
     m = positions[-1] + 1 if positions else 0
     flat = data.reshape(-1, 1 << m)

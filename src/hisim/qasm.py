@@ -317,10 +317,10 @@ def parse_qasm(text: str) -> Circuit:
         if reg_name is None:
             raise QasmSyntaxError("gate application before qreg", line, col)
 
+        # "h()" has no parameters; an empty entry of a list is refused
         params = tuple(
-            _eval_angle(p, line, col)
-            for p in (params_text or "").split(",") if p.strip()
-        )
+            _eval_angle(p, line, col) for p in params_text.split(",")
+        ) if params_text and params_text.strip() else ()
         qubits: list[int] = []
         operands = [o.strip() for o in operands_text.split(",")]
         for otext in operands if operands != [""] else []:

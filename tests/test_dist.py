@@ -435,12 +435,11 @@ def test_start_state_is_released_before_the_first_part(monkeypatch):
 @pytest.mark.parametrize("seed", range(4))
 def test_distributed_matches_flat(p, seed):
     rng = random.Random(seed * 17 + p)
-    n = rng.randint(max(3, p), 9)
+    n = rng.randint(max(3, p + 3), 9)
     circuit = random_circuit(random.Random(seed * 7 + p), n, rng.randint(5, 50))
     widest = max((len(o.qubits) for o in circuit.ops), default=1)
     hi = n - p
-    if hi < max(2, widest):
-        pytest.skip("no feasible limit for this rank count")
+    assert hi >= max(2, widest)  # no gate is wider than 3
     limit = rng.randint(max(2, widest), hi)
     partition = partition_dfs(build_dag(circuit), limit)
     run = simulate_distributed(circuit, partition, p)
@@ -448,11 +447,16 @@ def test_distributed_matches_flat(p, seed):
     assert np.max(np.abs(run.state.data - expect.data)) < 1e-10
 
 
-def test_zero_rank_bits_is_bit_identical_to_hierarchical():
+@pytest.mark.parametrize("limit", [4, 6])
+def test_zero_rank_bits_is_bit_identical_to_hierarchical(limit):
+    """With no rank bits the state sits in one ``(1, 2**n)`` buffer, and
+    each part runs the same plan as on the flat state: at limit 6 the one
+    part covers the whole state."""
     from hisim.hier import execute_hierarchical
 
     circuit = bench.build("bv_6")
-    partition = partition_nat(build_dag(circuit), 4)
+    partition = partition_nat(build_dag(circuit), limit)
+    assert (partition.num_parts == 1) == (limit == circuit.num_qubits)
     run = simulate_distributed(circuit, partition, 0)
     expect = execute_hierarchical(circuit, partition)
     np.testing.assert_array_equal(run.state.data, expect.data)

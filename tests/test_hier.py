@@ -306,13 +306,13 @@ _RUNS = Circuit(2, (
 ))
 
 
-def test_diagonal_runs_fold_only_on_blocks_of_several_rows(monkeypatch):
-    """On a block of several rows the run of diagonal ops is built into a
+def test_diagonal_runs_fold_while_the_block_fits_a_chunk(monkeypatch):
+    """While ``2**w`` fits a chunk, the run of diagonal ops is built into a
     phase vector off the block, and the dense ops around it into unitaries
-    on the identity, so no op runs on the block op by op; on a single-row
-    block, here a whole-state part, every op runs on the block,
-    bit-identical to ``simulate_flat``."""
-    exe = remap_part(_RUNS, Part(0, tuple(range(_RUNS.num_ops)), (0, 1)))
+    on the identity, so no op runs on the block op by op: on a block of
+    several rows and on a single-row block, here a whole-state part, with
+    the same calls. On a block wider than a chunk the run's ops run on
+    each chunk one by one, and the dense groups are still fused."""
     calls = []
     real = hier.apply_op
 
@@ -320,15 +320,18 @@ def test_diagonal_runs_fold_only_on_blocks_of_several_rows(monkeypatch):
         calls.append((op.kind, arr.shape, np.shares_memory(arr, data)))
         real(arr, w, op)
 
+    def whole():
+        return remap_part(_RUNS, Part(0, tuple(range(_RUNS.num_ops)), (0, 1)))
+
     monkeypatch.setattr(hier, "apply_op", spy)
     rng = np.random.default_rng(4)
     data = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
     expect = data.copy()
     for op in _RUNS.ops:
         apply_op(expect, 2, op)
-    run_part(data, exe)
+    run_part(data, whole())
     phase, eye = (4,), (4, 4)
-    assert calls == [
+    folded = [
         (GateKind.H, eye, False),
         (GateKind.H, eye, False),
         (GateKind.RZ, phase, False),
@@ -337,13 +340,34 @@ def test_diagonal_runs_fold_only_on_blocks_of_several_rows(monkeypatch):
         (GateKind.H, eye, False),
         (GateKind.T, eye, False),
     ]
+    assert calls == folded
     np.testing.assert_allclose(data, expect, rtol=0, atol=1e-15)
 
     calls.clear()
     data = zero_state(2).data
+    run_part(data, whole())
+    assert calls == folded
+    np.testing.assert_allclose(data, simulate_flat(_RUNS).data, rtol=0, atol=1e-15)
+
+    calls.clear()
+    monkeypatch.setattr(hier, "CHUNK_AMPS", 2)
+    data = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    expect = data.copy()
+    for op in _RUNS.ops:
+        apply_op(expect, 2, op)
+    exe = whole()
     run_part(data, exe)
-    assert [on_block for _, _, on_block in calls] == [True] * _RUNS.num_ops
-    np.testing.assert_array_equal(data, simulate_flat(_RUNS).data)
+    assert [kind for kind, _ in exe.steps] == ["matmul", "op", "op", "op", "matmul"]
+    # the unitaries are built once; the run's ops act on each one-row chunk
+    row = (1, 4)
+    assert [(kind, shape) for kind, shape, _ in calls] == [
+        (GateKind.H, eye),
+        (GateKind.H, eye),
+        (GateKind.H, eye),
+        (GateKind.T, eye),
+        *3 * [(GateKind.RZ, row), (GateKind.CRZ, row), (GateKind.U1, row)],
+    ]
+    np.testing.assert_allclose(data, expect, rtol=0, atol=1e-15)
 
 
 def test_fused_run_allocates_only_its_phase_vector():
@@ -878,7 +902,9 @@ def test_partitioned_runs_peak_within_twice_the_state():
     (half the state at w = 14), chunk-sized temporaries and its plan's
     phase vectors, each over the part's ``2**14``-amplitude block:
     hierarchical and multilevel runs peak at 2x the state, a distributed
-    run on 2 rank bits, which permutes the state out of place, at 2.1x."""
+    run on 2 rank bits, which permutes the state out of place, at 2.1x. A
+    whole-state part (limit 20) runs its plan on the state as one view,
+    with one scratch buffer of its size and no phase vector: 2.1x."""
     n = 20
     qaoa = bench.qaoa(n, 2)
     qft = bench.qft(n)
@@ -893,6 +919,10 @@ def test_partitioned_runs_peak_within_twice_the_state():
         (lambda: execute_multilevel(qft, multi_qft), 2.0),
         (lambda: simulate_distributed(qft, dist_p, 2), 2.1),
     ]
+    for circuit in (ising, qaoa, qft):
+        whole = partition_dagp(build_dag(circuit), n)
+        assert whole.num_parts == 1
+        runs.append((lambda c=circuit, p=whole: execute_hierarchical(c, p), 2.1))
     for run, bound in runs:
         tracemalloc.start()
         try:
@@ -901,6 +931,27 @@ def test_partitioned_runs_peak_within_twice_the_state():
         finally:
             tracemalloc.stop()
         assert peak <= bound * state_bytes(n)
+
+
+def test_part_wider_than_a_chunk_holds_no_phase_vector():
+    """qft(20) at dagp limit 19 has a 19-slot staged part, whose rows are
+    wider than a chunk, so each chunk is one row and its diagonal runs
+    are lone ops, never a ``2**19`` phase vector (10.5x the state with
+    one per run). The run holds the state, the index matrix (half the
+    state), the scratch row and two gathered rows (half the state each:
+    a chunk's row is still held while the next one is gathered), so it
+    peaks at 3x."""
+    n = 20
+    qft = bench.qft(n)
+    partition = partition_dagp(build_dag(qft), 19)
+    assert max(part.working_set for part in partition.parts) == 19
+    tracemalloc.start()
+    try:
+        execute_hierarchical(qft, partition)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * state_bytes(n)
 
 
 def test_finished_parts_are_released(monkeypatch):
@@ -1006,15 +1057,19 @@ def test_single_part_covering_everything_equals_flat():
 
 
 @pytest.mark.parametrize("name", ["qaoa_8", "ising_8"])
-def test_whole_state_two_level_part_equals_flat_bit_for_bit(name):
-    """A two-level part on every qubit runs its level-1 gates in program
-    order, gate by gate, so the state is flat's exactly; run in its
-    level-2 parts' order (at 8/2 here), the rounding differed."""
+def test_whole_state_two_level_part_is_its_level1_part(name):
+    """A two-level part on every qubit runs its level-1 part's plan, as a
+    whole-state part does: the state is bit-identical to the level-1
+    partition's run, whatever the level-2 parts (at 8/2 here), and
+    within rounding of flat."""
     circuit = bench.build(name)
     ml = partition_multilevel(build_dag(circuit), 8, 2)
     assert ml.level1.num_parts == 1 < ml.sublevels[0].num_parts
     got = execute_multilevel(circuit, ml)
-    np.testing.assert_array_equal(got.data, simulate_flat(circuit).data)
+    np.testing.assert_array_equal(
+        got.data, execute_hierarchical(circuit, ml.level1).data
+    )
+    assert np.max(np.abs(got.data - simulate_flat(circuit).data)) <= 1e-12
 
 
 def test_initial_state_is_respected():

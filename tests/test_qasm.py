@@ -111,6 +111,11 @@ def test_nested_parens_in_a_parameter_list():
     assert c.ops[0] == GateOp(GateKind.U3, (1,), (math.pi, -math.pi / 2, 1.0))
 
 
+def test_empty_parentheses_are_no_parameters():
+    c = parse_qasm("OPENQASM 2.0;\nqreg q[2];\nh() q[0];\nx( ) q[1];\n")
+    assert c.ops == (GateOp(GateKind.H, (0,), ()), GateOp(GateKind.X, (1,), ()))
+
+
 @pytest.mark.parametrize(
     "angle",
     ["2^10000", "1e999", "-1e999", "1e308*10", "1/1e999", "(-2)^0.5"],
@@ -254,7 +259,7 @@ def test_nesting_within_the_bounds_parses():
 
 @pytest.mark.parametrize(
     "angle",
-    ["2^10000", "1e999", "(-2)^0.5",
+    ["2^10000", "1e999", "(-2)^0.5", "pi,", ",pi", "1,,2",
      pytest.param("(" * 600 + "1" + ")" * 600, id="600 parens")],
 )
 @pytest.mark.parametrize("command", ["run", "partition"])
@@ -282,6 +287,9 @@ def test_bad_angle_is_an_input_error_on_the_command_line(
         ("cx q[0];", InvalidQubitCountError),  # wrong operand count
         ("rz q[0];", InvalidQubitCountError),  # missing parameter
         ("h(0.5) q[0];", InvalidQubitCountError),  # unexpected parameter
+        ("rz(pi,) q[0];", QasmSyntaxError),  # empty parameter entries
+        ("rz(,pi) q[0];", QasmSyntaxError),
+        ("u3(1,,2,3) q[0];", QasmSyntaxError),
     ],
 )
 def test_error_taxonomy(body, err):
