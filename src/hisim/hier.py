@@ -42,9 +42,13 @@ move its slots to the lowest bits, and the same copy lifts the next
 unitary's slots to the highest bits. A phase group is applied to a
 ``2**w`` vector of ones while that fits a chunk, else its ops are lone
 ops, and a lone op runs as itself on its bits; nothing is re-addressed
-after it is built, and a last permutation restores the order. So each
-chunk is gathered and scattered once. Only ``simulate_flat`` runs gate
-by gate; it stays the oracle.
+after it is built. A plan enters and leaves in its own bit orders: the
+gather takes the chunk's columns in the order of the plan's first
+permute, and the scatter writes the chunk back from the order the last
+kernel leaves it in, by one transposed copy into a view of the state. So
+each chunk is gathered and scattered once, and no permute only restores
+the identity. Only ``simulate_flat`` runs gate by gate; it stays the
+oracle.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import groupby
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -172,11 +176,11 @@ class ExecutablePart:
         return len(self.positions)
 
     @cached_property
-    def steps(self) -> list[tuple]:
-        """The plan every chunk runs (see ``_plan``): the ops
-        grouped (``_compile``), each group built once into a kernel on the
-        bits it runs on; built on first use and reused by every later
-        chunk and call."""
+    def steps(self) -> Plan:
+        """The plan every chunk runs (see ``_plan``): the ops grouped
+        (``_compile``), each group built once into a kernel on the bits it
+        runs on, between the orders a chunk enters and leaves in; built on
+        first use and reused by every later chunk and call."""
         return _plan(_compile(self.ops), self.num_slots)
 
 
@@ -274,7 +278,17 @@ def _slots(ops: Sequence[GateOp]) -> list[int]:
     return sorted({s for op in ops for s in op.qubits})
 
 
-def _plan(groups: list[tuple[str, list[GateOp]]], w: int) -> list[tuple]:
+class Plan(NamedTuple):
+    """What every chunk of a part runs (``_plan``): it enters with slot
+    ``entry[j]`` at index bit ``j``, runs ``kernels`` in order, and leaves
+    with slot ``exit[j]`` at bit ``j``."""
+
+    entry: tuple[int, ...]
+    kernels: list[tuple]
+    exit: tuple[int, ...]
+
+
+def _plan(groups: list[tuple[str, list[GateOp]]], w: int) -> Plan:
     """Groups of ops on the slots of a ``2**w`` block (``_compile``) as
     kernels ``(kind, arg)`` under a tracked bit order, ``order[j]`` the
     slot at index bit ``j``. Each kernel is built once, here, on the bits
@@ -299,26 +313,34 @@ def _plan(groups: list[tuple[str, list[GateOp]]], w: int) -> list[tuple]:
     always stands between two of them. On a wider block a chunk is one
     row, where the vector would cost as many passes as its ops and a
     ``2**w`` allocation, so each of its ops is an ``("op", op)`` on bits,
-    as an ``"op"`` group's one op is. A last permute restores the identity
-    order.
+    as an ``"op"`` group's one op is.
+
+    A permute that would be the first kernel is not one: its order is the
+    plan's entry order, which the gather produces. Nothing restores the
+    identity order at the end: the order there is the exit order, which
+    the scatter takes back.
     """
     order = list(range(w))
-    plan: list[tuple] = []
+    entry = order[:]
+    kernels: list[tuple] = []
 
     def permute(new: list[int]) -> None:
-        bit_of = {s: j for j, s in enumerate(new)}
-        plan.append(("permute", tuple(bit_of[s] for s in order)))
+        if kernels:
+            bit_of = {s: j for j, s in enumerate(new)}
+            kernels.append(("permute", tuple(bit_of[s] for s in order)))
+        else:
+            entry[:] = new
         order[:] = new
 
     for i, (tag, ops) in enumerate(groups):
         bit_of = [order.index(s) for s in range(w)]  # slot s sits on bit_of[s]
         if tag == "op" or (tag == "phase" and 1 << w > CHUNK_AMPS):
-            plan.extend(("op", _lift(op, bit_of)) for op in ops)
+            kernels.extend(("op", _lift(op, bit_of)) for op in ops)
         elif tag == "phase":
             phase = np.ones(1 << w, dtype=np.complex128)
             for op in ops:
                 apply_op(phase, w, _lift(op, bit_of))
-            plan.append(("phase", phase))
+            kernels.append(("phase", phase))
         else:
             slots = _slots(ops)
             bits = [bit_of[s] for s in slots]
@@ -341,10 +363,8 @@ def _plan(groups: list[tuple[str, list[GateOp]]], w: int) -> list[tuple]:
             # row i now holds the image of basis vector i: rows is u
             # transposed. On a 2**16-amplitude chunk, products with a copy
             # of u in C order ran 3-5% faster than with rows.T (2 CPUs)
-            plan.append(("matmul", (t, rows.T.copy())))
-    if order != list(range(w)):
-        permute(list(range(w)))
-    return plan
+            kernels.append(("matmul", (t, rows.T.copy())))
+    return Plan(tuple(entry), kernels, tuple(order))
 
 
 def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
@@ -358,17 +378,22 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     The rows are independent, so one loop stages, runs and scatters them
     back in chunks of about ``CHUNK_AMPS`` amplitudes: several batch
     entries per chunk when a batch entry is small, else a run of rows of
-    one entry, one row when a row is wider than that (a whole-state part
-    is one chunk, a view of ``data``). Each chunk is gathered once through
-    ``part_block_indices`` and runs the part's plan
-    (``ExecutablePart.steps``, built once per
-    part), then scatters back. The plan's permutes and products, on the
-    lowest bits or in place higher up, alternate the chunk with one
-    scratch buffer, allocated here once for all chunks when the plan needs
-    it. The rows are cut at the part's highest position, every bit above
-    it batch, so a part on the lowest bits of its array (positions
-    ``0..w-1``) builds no index matrix: each batch entry is a row and the
-    chunks are views.
+    one entry (a power of two of them, so the chunk's higher free bits are
+    fixed), one row when a row is wider than that (a whole-state part is
+    one chunk, a view of ``data``). Each chunk runs the part's plan
+    (``ExecutablePart.steps``, built once per part). It is gathered in the
+    plan's entry order through the columns of one ``part_block_indices``
+    matrix, into one buffer reused by every chunk, and it leaves by one
+    transposed copy from the plan's exit order into a view of ``data``.
+    The plan's permutes and products, on the lowest bits or in place
+    higher up, alternate the chunk with one scratch buffer, allocated
+    here once for all chunks when the plan needs it. The rows are cut at
+    the part's highest position, every bit above it batch, so a part on
+    the lowest bits of its array (positions ``0..w-1``) builds no index
+    matrix: each batch entry is a row, the chunks are views, and the
+    plan's entry order is one more permute in front of its kernels. Such
+    a plan with no out-of-place kernel that leaves in the identity order
+    allocates nothing.
     """
     m = int(data.shape[-1]).bit_length() - 1
     if data.shape[-1] != 1 << m:
@@ -382,24 +407,46 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     # split at the part's highest bit: the bits above it are batch too
     m = positions[-1] + 1 if positions else 0
     flat = data.reshape(-1, 1 << m)
+    plan = exe.steps
+    kernels = plan.kernels
+    identity = tuple(range(w))
     staged = positions != tuple(range(m))
-    gidx = part_block_indices(m, positions) if staged else None
+    if staged:
+        gidx = part_block_indices(m, [positions[s] for s in plan.entry])
+    elif plan.entry != identity:
+        kernels = [("permute", tuple(map(plan.entry.index, identity))), *kernels]
     rows = 1 << (m - w)  # rows per batch entry
     bstep = max(1, CHUNK_AMPS >> m)  # batch entries per chunk
-    rstep = min(rows, max(1, CHUNK_AMPS >> w))  # rows of an entry per chunk
-    plan = exe.steps
+    k = max(0, min(m - w, (CHUNK_AMPS >> w).bit_length() - 1))
+    rstep = 1 << k  # rows of an entry per chunk; free bits 0..k-1 vary
+    # bit j of a leaving chunk's row index, its slots in exit order below
+    # its free bits, sits on bit bits[j] of ``data``: axis m - bits[j] of
+    # the ``(batch,) + (2,) * m`` view
+    free = sorted(set(range(m)) - set(positions))
+    bits = [*(positions[s] for s in plan.exit), *free]
+    axes = [0, *(m - q for q in reversed(bits))]
+    size = min(bstep, len(flat)) * rstep << w
+    gathered = np.empty(size, dtype=data.dtype) if staged else None
     spare = None
-    if any(kind in ("permute", "matmul") for kind, _ in plan):
-        spare = np.empty(min(bstep, len(flat)) * rstep << w, dtype=data.dtype)
+    if any(kind in ("permute", "matmul") for kind, _ in kernels):
+        spare = np.empty(size, dtype=data.dtype)
     for b in range(0, len(flat), bstep):
         sub = flat[b:b + bstep]
+        leave = sub.reshape((len(sub),) + (2,) * m).transpose(axes)
         for r in range(0, rows, rstep):
-            sel = slice(r, r + rstep)
-            block = np.take(sub, gidx[sel], axis=1) if staged else sub
-            cur = block
+            # the free bits above the chunk's rows are those of row r
+            high = (r >> i & 1 for i in range(m - w - 1, k - 1, -1))
+            dest = leave[(slice(None), *high)]
+            if staged:
+                cur = gathered[:dest.size].reshape(len(sub), rstep, 1 << w)
+                # under the default mode="raise", np.take copies through a
+                # temporary when given ``out``; the indices are all in range
+                np.take(sub, gidx[r:r + rstep], axis=1, out=cur, mode="clip")
+            else:
+                cur = sub
             if spare is not None:
-                other = spare[:block.size].reshape(block.shape)
-            for kind, arg in plan:
+                other = spare[:cur.size].reshape(cur.shape)
+            for kind, arg in kernels:
                 if kind == "phase":
                     cur *= arg
                 elif kind == "op":
@@ -410,10 +457,11 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
                     else:
                         apply_matrix(cur, arg[1], other, arg[0])
                     cur, other = other, cur
-            if staged:
-                sub[:, gidx[sel]] = cur
-            elif cur is not block:
-                block[...] = cur
+            if cur is sub and plan.exit != identity:
+                other[...] = cur
+                cur = other
+            if cur is not sub:
+                np.copyto(dest, cur.reshape(dest.shape))
 
 
 # --- instrumentation --------------------------------------------------------

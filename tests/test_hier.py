@@ -357,7 +357,9 @@ def test_diagonal_runs_fold_while_the_block_fits_a_chunk(monkeypatch):
         apply_op(expect, 2, op)
     exe = whole()
     run_part(data, exe)
-    assert [kind for kind, _ in exe.steps] == ["matmul", "op", "op", "op", "matmul"]
+    assert [kind for kind, _ in exe.steps.kernels] == [
+        "matmul", "op", "op", "op", "matmul"
+    ]
     # the unitaries are built once; the run's ops act on each one-row chunk
     row = (1, 4)
     assert [(kind, shape) for kind, shape, _ in calls] == [
@@ -424,7 +426,7 @@ def test_fused_groups_allocate_one_scratch_chunk():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    kinds = [kind for kind, _ in exe.steps]
+    kinds = [kind for kind, _ in exe.steps.kernels]
     groups = _dagp(exe.ops, range(len(ops)), hier.FUSE_WIDTH)
     assert kinds.count("matmul") == len(groups) > 1
     assert "permute" in kinds
@@ -445,8 +447,9 @@ def _spread(rng, n, num_ops):
 @pytest.mark.parametrize("rows", [0, 1, 3])
 def test_chunked_parts_match_the_oracle_and_flat(monkeypatch, rows):
     """With chunks of one amplitude, of one ``2**l1``-amplitude row and of
-    three such rows (the last chunk of a block then comes up short), flat
-    and nested parts on a batch of four states equal the single-assignment
+    three such rows (three batch entries, the last chunk of a block then
+    short; a staged part's rows go in runs of a power of two), flat and
+    nested parts on a batch of four states equal the single-assignment
     passes, and every executor equals flat."""
     l1, l2 = 5, 3
     monkeypatch.setattr(hier, "CHUNK_AMPS", rows << l1 or 1)
@@ -549,7 +552,7 @@ def test_kernelized_parts_match_the_unfused_ops(width, seed, rows):
                 assert np.max(np.abs(data - unfused)) <= 1e-12
                 wide += sum(
                     kind == "op" and len(arg.qubits) > width
-                    for kind, arg in exe.steps
+                    for kind, arg in exe.steps.kernels
                 )
             got = execute_hierarchical(circuit, partition)
             assert np.max(np.abs(got.data - expect)) <= 1e-12
@@ -645,7 +648,8 @@ def test_two_level_part_builds_its_index_matrix_once(monkeypatch):
             low += 1
             assert calls == []
         else:
-            assert calls == [exe.positions]
+            # the columns come in the plan's entry order
+            assert [tuple(sorted(qubits)) for qubits in calls] == [exe.positions]
     assert 0 < low < partition.level1.num_parts
     assert sum(len(s.parts) for s in partition.sublevels if len(s.parts) > 1) > 2
     assert np.max(np.abs(data - simulate_flat(circuit).data)) <= 1e-12
@@ -696,6 +700,23 @@ def _product(ops):
     return slots, u
 
 
+def _walk(plan):
+    """``plan``'s kernels, each as ``(kind, arg, order)`` with ``order[j]``
+    the slot at index bit ``j`` while it runs: the walk starts at the
+    plan's entry order, each permute moves it, and it must end at the
+    plan's exit order."""
+    order, walked = plan.entry, []
+    for kind, arg in plan.kernels:
+        if kind == "permute":
+            moved = list(order)
+            for i, j in enumerate(arg):
+                moved[j] = order[i]
+            order = tuple(moved)
+        walked.append((kind, arg, order))
+    assert order == plan.exit
+    return walked
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_each_fused_unitary_is_its_ops_product(seed):
     """Three segments of ops on alternating 4-slot sets of an 8-slot part.
@@ -703,11 +724,10 @@ def test_each_fused_unitary_is_its_ops_product(seed):
     alternate with ops of any kind, so no two diagonal ops meet and the
     part is one dagp segment. The middle set shares no slot with the
     others, so dagp puts the first and last segments in one group, and
-    the plan holds one product per group. Walking the plan's permutes,
-    each product finds its group's sorted slots on the lowest bits, the
-    plan ends in the identity order, and each product's unitary is the
-    product of its own group's ops' full operators on those slots, in
-    program order, and unitary."""
+    the plan holds one product per group. Walking the plan (``_walk``),
+    each product finds its group's sorted slots on the lowest bits, and
+    each product's unitary is the product of its own group's ops' full
+    operators on those slots, in program order, and unitary."""
     rng = random.Random(seed)
     sets = ((0, 2, 5, 7), (1, 3, 4, 6), (0, 2, 5, 7))
     segments = []
@@ -726,20 +746,13 @@ def test_each_fused_unitary_is_its_ops_product(seed):
         for group in _dagp(exe.ops, gates, hier.FUSE_WIDTH)
     ]
     assert [len(group) for group in groups] == [24, 12]
-    order = list(range(8))  # the slot at each index bit
     fused = []
-    for kind, arg in exe.steps:
-        if kind == "permute":
-            moved = [0] * 8
-            for i, j in enumerate(arg):
-                moved[j] = order[i]
-            order = moved
-        else:
+    for kind, arg, order in _walk(exe.steps):
+        if kind != "permute":
             assert kind == "matmul"
             low, u = arg
             assert low == 0
-            fused.append((tuple(order[:4]), u))
-    assert order == list(range(8))
+            fused.append((order[:4], u))
     assert len(fused) == len(groups)
     for (slots, u), ops in zip(fused, groups):
         expect_slots, expect = _product(ops)
@@ -799,18 +812,12 @@ def _embed(u, bits, h):
 
 
 def _check_products(exe):
-    """Walk ``exe``'s plan alongside its dense groups: each product is its
-    group's unitary on its sorted slots, embedded at the bits the plan's
-    permutes have moved those slots to."""
+    """Walk ``exe``'s plan (``_walk``) alongside its dense groups: each
+    product is its group's unitary on its sorted slots, embedded at the
+    bits the plan's entry order and permutes have moved those slots to."""
     groups = [ops for tag, ops in hier._compile(exe.ops) if tag == "dense"]
-    order = list(range(exe.num_slots))  # the slot at each index bit
-    for kind, arg in exe.steps:
-        if kind == "permute":
-            moved = order[:]
-            for i, j in enumerate(arg):
-                moved[j] = order[i]
-            order = moved
-        elif kind == "matmul":
+    for kind, arg, order in _walk(exe.steps):
+        if kind == "matmul":
             t, u = arg
             slots, expect = _product(groups.pop(0))
             bits = [order.index(s) - t for s in slots]
@@ -862,38 +869,121 @@ def test_placed_kernels_match_the_unfused_ops(monkeypatch, seed):
         run_part(data, exe)
         assert np.max(np.abs(data - expect)) <= 1e-12
         _check_products(exe)
-        for kind, arg in exe.steps:
+        for kind, arg in exe.steps.kernels:
             kinds.add((kind, arg[0] > 0) if kind == "matmul" else kind)
             assert kind != "op" or len(arg.qubits) > 1 or not is_dense(arg)
     assert kinds == {("matmul", False), ("matmul", True), "permute", "phase"}
 
 
+#: slot sets of the groups of a 6-slot part whose plan enters and leaves
+#: in orders other than the identity: the first group's slots span more
+#: than ``FUSE_WIDTH`` bits, so the gather brings them to the lowest bits
+#: and lifts the second's to the highest, where it takes a permute; a
+#: third group then runs where the second left its slots. Run on the
+#: lowest bits, with the entry permute in front, the first plan ends on
+#: the chunk's view, the second on the scratch buffer.
+_ENTER_AND_LEAVE = {
+    "even": ((0, 2, 3, 5), (1, 4)),
+    "odd": ((0, 2, 3, 5), (1, 4), (0, 4)),
+}
+
+
+@pytest.mark.parametrize("sets", _ENTER_AND_LEAVE)
+@pytest.mark.parametrize("chunk", [1 << 4, 3 << 6, 3 << 7, 1 << 16])
+@pytest.mark.parametrize("p", [None, 1, 2])
+@pytest.mark.parametrize("placement", ["staged", "lowest"])
+def test_plans_enter_and_leave_in_their_own_orders(
+    monkeypatch, placement, p, chunk, sets
+):
+    """A 6-slot part whose plan enters and leaves in non-identity orders,
+    its groups kept apart by phase runs, staged out of a 9-qubit state or
+    on its lowest bits, run on the full state (``p`` None) or on ``2**p``
+    rank buffers, from a random state, equals its ops applied one by one.
+    The chunks are rows wider than a chunk (``2**4`` amplitudes), several
+    batch entries or rows per chunk (three times ``2**6`` or ``2**7``
+    amplitudes: three batch entries, the last chunk short, or two rows),
+    or the default."""
+    monkeypatch.setattr(hier, "CHUNK_AMPS", chunk)
+    rng = random.Random(chunk + (p or 0))
+    n, w = 9, 6
+    ops = [op for slots in _ENTER_AND_LEAVE[sets] for op in _group(rng, slots)
+           + _phase_run(rng, w)]
+    gates = tuple(range(len(ops)))
+    exe = remap_part(Circuit(w, tuple(ops)), Part(0, gates, tuple(range(w))))
+    plan = exe.steps
+    assert plan.entry != tuple(range(w)) and plan.exit != tuple(range(w))
+    local = n - (p or 0)  # the offset bits of a rank buffer
+    if placement == "staged":
+        positions = (0, 1, 3, 4, local - 2, local - 1)
+    else:
+        positions = tuple(range(w))
+    exe = rebase(exe, dict(enumerate(positions)))
+    shape = (1 << local,) if p is None else (1 << p, 1 << local)
+    data_rng = np.random.default_rng(chunk)
+    data = data_rng.normal(size=shape) + 1j * data_rng.normal(size=shape)
+    expect = data.copy()
+    for op in ops:
+        apply_op(expect, local, hier._lift(op, positions))
+    run_part(data, exe)
+    assert np.max(np.abs(data - expect)) <= 1e-12
+
+
+def test_staged_part_allocates_its_buffers_once():
+    """A staged 10-slot part of an 18-qubit state runs in four chunks of
+    ``2**16`` amplitudes, each gathered into one reused buffer and run
+    through permutes and products against one scratch buffer: the run
+    holds the index matrix and those two chunk buffers, and never a third
+    chunk."""
+    rng = random.Random(2)
+    w, n = 10, 18
+    ops = [op for slots in _CONSECUTIVE["overlapping"] for op in _group(rng, slots)]
+    gates = tuple(range(len(ops)))
+    exe = remap_part(Circuit(w, tuple(ops)), Part(0, gates, tuple(range(w))))
+    positions = (0, 2, 3, 5, 8, 9, 11, 13, 16, 17)
+    exe = rebase(exe, dict(enumerate(positions)))
+    assert "permute" in {kind for kind, _ in exe.steps.kernels}
+    data = zero_state(n).data
+    chunk = hier.CHUNK_AMPS * data.itemsize
+    index = 8 << n  # one int64 per amplitude
+    assert 4 * chunk == data.nbytes
+    tracemalloc.start()
+    try:
+        run_part(data, exe)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert index + 2 * chunk <= peak <= index + 2.1 * chunk
+
+
 def _kernel_counts(circuit, partition):
     return Counter(
-        kind for exe in executable_parts(circuit, partition) for kind, _ in exe.steps
+        kind
+        for exe in executable_parts(circuit, partition)
+        for kind, _ in exe.steps.kernels
     )
 
 
 def test_benchmark_plans_keep_their_kernel_placement():
     """The three benchmark circuits compile to pinned kernel counts per set
-    of plans. qft(20) at dagp limit 14: 25 products, 8 permutes and 20
+    of plans. qft(20) at dagp limit 14: 25 products, 4 permutes and 20
     phase vectors, no lone op, and no 2x2 product on the lowest bit.
-    ising(22) at 14: 13 products and 8 permutes. Multilevel qaoa(20) at
-    14/8: 23 products and 24 permutes, 5 of them the parts' restores (38
+    ising(22) at 14: 13 products and 5 permutes. Multilevel qaoa(20) at
+    14/8: 23 products and 15 permutes (24 while each plan began with its
+    leading permute and ended with a restore to the identity order; 38
     and 32 under greedy program-order grouping)."""
     qft = bench.qft(20)
     partition = partition_dagp(build_dag(qft), 14)
     for exe in executable_parts(qft, partition):
         assert exe.num_slots < qft.num_qubits
-        for kind, arg in exe.steps:
+        for kind, arg in exe.steps.kernels:
             assert kind != "matmul" or arg[0] > 0 or len(arg[1]) > 2
-    assert _kernel_counts(qft, partition) == {"matmul": 25, "permute": 8, "phase": 20}
+    assert _kernel_counts(qft, partition) == {"matmul": 25, "permute": 4, "phase": 20}
     ising = bench.ising(22)
     partition = partition_dagp(build_dag(ising), 14)
-    assert _kernel_counts(ising, partition) == {"matmul": 13, "permute": 8}
+    assert _kernel_counts(ising, partition) == {"matmul": 13, "permute": 5}
     qaoa = bench.qaoa(20, 2)
     partition = partition_multilevel(build_dag(qaoa), 14, 8)
-    assert _kernel_counts(qaoa, partition) == {"matmul": 23, "permute": 24}
+    assert _kernel_counts(qaoa, partition) == {"matmul": 23, "permute": 15}
 
 
 def test_partitioned_runs_peak_within_twice_the_state():
@@ -937,10 +1027,9 @@ def test_part_wider_than_a_chunk_holds_no_phase_vector():
     """qft(20) at dagp limit 19 has a 19-slot staged part, whose rows are
     wider than a chunk, so each chunk is one row and its diagonal runs
     are lone ops, never a ``2**19`` phase vector (10.5x the state with
-    one per run). The run holds the state, the index matrix (half the
-    state), the scratch row and two gathered rows (half the state each:
-    a chunk's row is still held while the next one is gathered), so it
-    peaks at 3x."""
+    one per run). The run holds the state, and half the state each for
+    the index matrix, the one gathered row every chunk reuses and the
+    scratch row, so it peaks at 2.5x."""
     n = 20
     qft = bench.qft(n)
     partition = partition_dagp(build_dag(qft), 19)
@@ -951,7 +1040,7 @@ def test_part_wider_than_a_chunk_holds_no_phase_vector():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.1 * state_bytes(n)
+    assert peak <= 2.6 * state_bytes(n)
 
 
 def test_finished_parts_are_released(monkeypatch):
