@@ -21,7 +21,9 @@ plan in one pass.
 
 All ranks are emulated in one process as rows of a single array, which
 makes the accounting exact and the final state directly comparable with
-the flat reference.
+the flat reference. The rank buffers are batch rows of ``run_part``, so
+the chunks of every rank run on its one pool of threads, one per CPU,
+not on a pool per rank.
 """
 
 from __future__ import annotations

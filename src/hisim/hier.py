@@ -49,14 +49,28 @@ kernel leaves it in, by one transposed copy into a view of the state. So
 each chunk is gathered and scattered once, and no permute only restores
 the identity. Only ``simulate_flat`` runs gate by gate; it stays the
 oracle.
+
+The chunks of a part are independent, so ``run_part`` runs them on every
+CPU the process may use: the calling thread and one helper thread per
+further CPU, at most one worker per chunk, each taking the next chunk
+from one shared queue into its own gather and scratch buffers, so each
+helper adds at most two chunks of memory. numpy's BLAS is held to one
+thread while they run (``statevec._one_blas_thread``), each worker's
+products running on its own CPU, and the helpers are joined before the
+part returns. A part of one chunk, one whose rows are wider than a chunk
+(each helper would add two rows), and every part where numpy's BLAS
+thread count cannot be set, run on the calling thread alone.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import groupby
+from itertools import groupby, product
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -74,6 +88,8 @@ from .qasm import Circuit, GateOp
 from .statevec import (
     CHUNK_AMPS,
     StateVector,
+    _blas_threads,
+    _one_blas_thread,
     _permute_bits,
     apply_matrix,
     apply_op,
@@ -367,6 +383,26 @@ def _plan(groups: list[tuple[str, list[GateOp]]], w: int) -> Plan:
     return Plan(tuple(entry), kernels, tuple(order))
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _workers(chunks: int, w: int) -> int:
+    """Threads ``run_part`` runs ``chunks`` chunks of a part's
+    ``2**w``-amplitude rows on: one per CPU (``_cpus``), and at most one
+    per chunk. One when a row is wider than a chunk, since each further
+    worker would hold two more row-sized buffers, and one where numpy's
+    BLAS cannot be held to one thread (``statevec._blas_threads``), since
+    every worker's products would then start BLAS threads of their own."""
+    if 1 << w > CHUNK_AMPS or _blas_threads() is None:
+        return 1
+    return min(_cpus(), chunks)
+
+
 def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     """Gather, execute, and scatter one part on the last axis of ``data``.
 
@@ -375,25 +411,40 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     some enclosing pass already gathered. The staged block has one ``2**w``
     row per batch entry and free-qubit assignment.
 
-    The rows are independent, so one loop stages, runs and scatters them
-    back in chunks of about ``CHUNK_AMPS`` amplitudes: several batch
-    entries per chunk when a batch entry is small, else a run of rows of
-    one entry (a power of two of them, so the chunk's higher free bits are
-    fixed), one row when a row is wider than that (a whole-state part is
-    one chunk, a view of ``data``). Each chunk runs the part's plan
+    The rows are independent, so they are staged, run and scattered back
+    in chunks of about ``CHUNK_AMPS`` amplitudes: several batch entries
+    per chunk when a batch entry is small, else a run of rows of one entry
+    (a power of two of them, so the chunk's higher free bits are fixed),
+    one row when a row is wider than that (a whole-state part is one
+    chunk, a view of ``data``). Each chunk runs the part's plan
     (``ExecutablePart.steps``, built once per part). It is gathered in the
     plan's entry order through the columns of one ``part_block_indices``
-    matrix, into one buffer reused by every chunk, and it leaves by one
-    transposed copy from the plan's exit order into a view of ``data``.
-    The plan's permutes and products, on the lowest bits or in place
-    higher up, alternate the chunk with one scratch buffer, allocated
-    here once for all chunks when the plan needs it. The rows are cut at
-    the part's highest position, every bit above it batch, so a part on
-    the lowest bits of its array (positions ``0..w-1``) builds no index
-    matrix: each batch entry is a row, the chunks are views, and the
-    plan's entry order is one more permute in front of its kernels. Such
-    a plan with no out-of-place kernel that leaves in the identity order
-    allocates nothing.
+    matrix, built once per call, into a gather buffer, and it leaves by
+    one transposed copy from the plan's exit order into a view of
+    ``data``. The plan's permutes and products, on the lowest bits or in
+    place higher up, alternate the chunk with a scratch buffer. The rows
+    are cut at the part's highest position, every bit above it batch, so
+    a part on the lowest bits of its array (positions ``0..w-1``) builds
+    no index matrix: each batch entry is a row, the chunks are views, and
+    the plan's entry order is one more permute in front of its kernels.
+    Such a chunk would end on its view, out of its exit order, when its
+    permutes and products are even in number; a gather buffer then takes
+    the view's turn after the first of them, so it too leaves by one
+    copy, except on a row wider than a chunk, where a plain copy into the
+    scratch goes first. A part on the lowest bits whose plan has no
+    permute or product and leaves in the identity order allocates nothing.
+
+    The chunks run on ``_workers`` threads, each taking the next chunk
+    from one shared queue until none is left: the calling thread, and one
+    helper thread per further worker, started here and joined before the
+    call returns, also when a chunk raises, whose error the call then
+    raises. Each worker has its own gather and scratch buffers, allocated
+    here once for all its chunks, as the plan needs them: so each helper
+    adds at most two chunks to the call's memory. While the helpers run,
+    numpy's BLAS is held to one thread (``statevec._one_blas_thread``),
+    each worker's products running on its own CPU. A part on one chunk,
+    on rows wider than a chunk, or on one CPU, and every part where the
+    BLAS thread count cannot be set, runs on the calling thread alone.
     """
     m = int(data.shape[-1]).bit_length() - 1
     if data.shape[-1] != 1 << m:
@@ -424,19 +475,35 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     # the ``(batch,) + (2,) * m`` view
     free = sorted(set(range(m)) - set(positions))
     bits = [*(positions[s] for s in plan.exit), *free]
-    axes = [0, *(m - q for q in reversed(bits))]
+    leave = flat.reshape((len(flat),) + (2,) * m).transpose(
+        [0, *(m - q for q in reversed(bits))]
+    )
     size = min(bstep, len(flat)) * rstep << w
-    gathered = np.empty(size, dtype=data.dtype) if staged else None
-    spare = None
-    if any(kind in ("permute", "matmul") for kind, _ in kernels):
-        spare = np.empty(size, dtype=data.dtype)
-    for b in range(0, len(flat), bstep):
-        sub = flat[b:b + bstep]
-        leave = sub.reshape((len(sub),) + (2,) * m).transpose(axes)
-        for r in range(0, rows, rstep):
+    moves = sum(kind in ("permute", "matmul") for kind, _ in kernels)
+    # a view that would be the last buffer written, out of order, yields
+    # its turn to a gather buffer, unless a row outgrows a chunk
+    relay = (
+        not staged and moves % 2 == 0 and plan.exit != identity
+        and 1 << w <= CHUNK_AMPS
+    )
+
+    def buffers() -> tuple[np.ndarray | None, np.ndarray | None]:
+        gathered = np.empty(size, dtype=data.dtype) if staged or relay else None
+        spare = np.empty(size, dtype=data.dtype) if moves else None
+        return gathered, spare
+
+    chunks = deque(product(range(0, len(flat), bstep), range(0, rows, rstep)))
+
+    def work(gathered: np.ndarray | None, spare: np.ndarray | None) -> None:
+        while True:
+            try:
+                b, r = chunks.popleft()
+            except IndexError:
+                return
+            sub = flat[b:b + bstep]
             # the free bits above the chunk's rows are those of row r
             high = (r >> i & 1 for i in range(m - w - 1, k - 1, -1))
-            dest = leave[(slice(None), *high)]
+            dest = leave[(slice(b, b + bstep), *high)]
             if staged:
                 cur = gathered[:dest.size].reshape(len(sub), rstep, 1 << w)
                 # under the default mode="raise", np.take copies through a
@@ -446,6 +513,7 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
                 cur = sub
             if spare is not None:
                 other = spare[:cur.size].reshape(cur.shape)
+            back = gathered[:cur.size].reshape(cur.shape) if relay else sub
             for kind, arg in kernels:
                 if kind == "phase":
                     cur *= arg
@@ -456,12 +524,42 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
                         _permute_bits(cur, arg, out=other)
                     else:
                         apply_matrix(cur, arg[1], other, arg[0])
-                    cur, other = other, cur
+                    cur, other = other, back if cur is sub else cur
             if cur is sub and plan.exit != identity:
                 other[...] = cur
                 cur = other
             if cur is not sub:
                 np.copyto(dest, cur.reshape(dest.shape))
+
+    workers = _workers(len(chunks), w)
+    held = [buffers() for _ in range(workers)]
+    if workers == 1:
+        work(*held[0])
+        return
+    errors: list[BaseException] = []
+
+    def helper(gathered: np.ndarray | None, spare: np.ndarray | None) -> None:
+        try:
+            work(gathered, spare)
+        except BaseException as exc:  # raised again by the calling thread
+            errors.append(exc)
+            chunks.clear()
+
+    threads = [threading.Thread(target=helper, args=pair) for pair in held[1:]]
+    with _one_blas_thread():
+        try:
+            for thread in threads:
+                thread.start()
+            work(*held[0])
+        except BaseException:
+            chunks.clear()
+            raise
+        finally:
+            for thread in threads:
+                if thread.ident is not None:  # it started
+                    thread.join()
+    if errors:
+        raise errors[0]
 
 
 # --- instrumentation --------------------------------------------------------

@@ -36,16 +36,33 @@ cache-sized block, into a second buffer: on the lowest bits as one
 matrix product, or from bit ``low`` up as one stacked product.
 ``hisim.hier`` picks the bits where the unitary's slots already sit, and
 moves them with ``_permute_bits`` only when no product fits there.
+
+``hisim.hier.run_part`` runs a part's chunks on several threads at once,
+and each thread's products then run in BLAS on its own CPU:
+``_one_blas_thread`` holds numpy's BLAS to one thread while they run,
+and restores its old thread count after, also when a kernel raises. It
+expects numpy's BLAS to be OpenBLAS, as numpy's own wheels bundle it
+(scipy-openblas), exporting its ``set_num_threads`` and
+``get_num_threads`` entry points under one of the names
+``_BLAS_THREAD_CALLS`` lists, and safe to call from several threads
+at once. ``_blas_threads`` finds them through ``ctypes`` in the library
+numpy loaded, by the handle of numpy's own core extension, so no second
+copy of a BLAS is loaded; where it finds none, ``run_part`` runs a part
+on one thread, since uncapped BLAS threads on every worker oversubscribe
+the CPUs.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,6 +76,16 @@ HARD_MAX_QUBITS = 30
 #: amplitudes an exchange (X, CX, CCX, SWAP) moves, and ``hisim.hier.run_part``
 #: stages, per step (1 MiB); 2**14 to 2**16 ran fastest at n = 20
 CHUNK_AMPS = 1 << 16
+
+#: (get, set) names of OpenBLAS's thread-count entry points: those of
+#: numpy's bundled scipy-openblas, 64-bit integer and plain, then those of
+#: a plain OpenBLAS build
+_BLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -352,6 +379,44 @@ def apply_matrix(
     else:
         shape = (-1, dim, 1 << low)
         np.matmul(u, src.reshape(shape), out=out.reshape(shape))
+
+
+@cache
+def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The get and set calls of the thread count of the BLAS numpy loaded,
+    or None where none is found (see the module docstring)."""
+    try:
+        from numpy._core import _multiarray_umath as core
+
+        # RTLD_NOLOAD: the handle of the copy numpy loaded, or an OSError;
+        # its symbols include those of the libraries it links against
+        lib = ctypes.CDLL(core.__file__, mode=os.RTLD_NOLOAD)
+    except (ImportError, AttributeError, OSError):
+        return None
+    for get_name, set_name in _BLAS_THREAD_CALLS:
+        try:
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Hold numpy's BLAS to one thread inside the block, and restore its
+    old thread count on the way out, also when the block raises.
+    ``_blas_threads`` must find the calls. The count is the process's, so
+    only one thread may hold it at a time."""
+    get, set_ = _blas_threads()
+    old = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(old)
 
 
 def simulate_flat(circuit: Circuit, max_qubits: int | None = None) -> StateVector:

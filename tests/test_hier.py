@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import random
+import sys
+import threading
 import tracemalloc
 import weakref
 from collections import Counter
@@ -44,6 +47,7 @@ from hisim.partition import (
 from hisim.qasm import Circuit, GateKind, GateOp
 from hisim.statevec import (
     StateVector,
+    _blas_threads,
     _permute_bits,
     apply_op,
     is_dense,
@@ -395,12 +399,22 @@ def test_fused_run_allocates_only_its_phase_vector():
 # --- chunks and fused groups ----------------------------------------------
 
 
-def test_fused_groups_allocate_one_scratch_chunk():
+def _workers_found(workers):
+    """Skip a pooled case where numpy's BLAS thread count cannot be set,
+    since every part then runs on one worker."""
+    if workers > 1 and _blas_threads() is None:
+        pytest.skip("numpy's BLAS thread count cannot be set")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fused_groups_allocate_one_scratch_chunk(monkeypatch, workers):
     """Fused groups on scattered 4-slot sets over a 2**18-amplitude block
     of 2**10-amplitude rows, one product per dagp group, run through
     permutes and products that alternate each chunk with one scratch
-    buffer: the run allocates that chunk-sized buffer once, and no copy
-    per step."""
+    buffer: the run allocates that chunk-sized buffer once per worker
+    (one per CPU, stubbed), and no copy per step."""
+    _workers_found(workers)
+    monkeypatch.setattr(hier, "_cpus", lambda: workers)
     w = 10
     sets = ((0, 3, 6, 9), (1, 4, 7, 8), (2, 5, 6, 9), (0, 1, 8, 9))
     ops = tuple(
@@ -432,7 +446,7 @@ def test_fused_groups_allocate_one_scratch_chunk():
     assert "permute" in kinds
     chunk = hier.CHUNK_AMPS * data.itemsize
     assert chunk < data.nbytes
-    assert chunk <= peak <= 1.1 * chunk
+    assert workers * chunk <= peak <= workers * 1.1 * chunk
     assert np.max(np.abs(data - expect)) <= 1e-12
 
 
@@ -928,12 +942,15 @@ def test_plans_enter_and_leave_in_their_own_orders(
     assert np.max(np.abs(data - expect)) <= 1e-12
 
 
-def test_staged_part_allocates_its_buffers_once():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_staged_part_allocates_its_buffers_once(monkeypatch, workers):
     """A staged 10-slot part of an 18-qubit state runs in four chunks of
     ``2**16`` amplitudes, each gathered into one reused buffer and run
     through permutes and products against one scratch buffer: the run
-    holds the index matrix and those two chunk buffers, and never a third
-    chunk."""
+    holds the index matrix, built once, and those two chunk buffers per
+    worker (one per CPU, stubbed), and never a third chunk."""
+    _workers_found(workers)
+    monkeypatch.setattr(hier, "_cpus", lambda: workers)
     rng = random.Random(2)
     w, n = 10, 18
     ops = [op for slots in _CONSECUTIVE["overlapping"] for op in _group(rng, slots)]
@@ -952,7 +969,7 @@ def test_staged_part_allocates_its_buffers_once():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert index + 2 * chunk <= peak <= index + 2.1 * chunk
+    assert index + workers * 2 * chunk <= peak <= index + workers * 2.1 * chunk
 
 
 def _kernel_counts(circuit, partition):
@@ -1041,6 +1058,186 @@ def test_part_wider_than_a_chunk_holds_no_phase_vector():
     finally:
         tracemalloc.stop()
     assert peak <= 2.6 * state_bytes(n)
+
+
+# --- the chunk pool ---------------------------------------------------------
+
+
+def test_workers_follow_the_cpus_and_the_chunks(monkeypatch):
+    """One worker per CPU, at most one per chunk; one on a row wider than
+    a chunk, and one where numpy's BLAS thread count cannot be set. The
+    count is read off stubs: no thread starts."""
+    monkeypatch.setattr(hier, "_blas_threads", lambda: "found")
+    for cpus, chunks, expect in [(1, 16, 1), (2, 16, 2), (64, 16, 16), (2, 1, 1)]:
+        monkeypatch.setattr(hier, "_cpus", lambda cpus=cpus: cpus)
+        assert hier._workers(chunks, 14) == expect
+        assert hier._workers(chunks, 16) == expect  # a row of one chunk
+        assert hier._workers(chunks, 17) == 1
+    monkeypatch.setattr(hier, "_blas_threads", lambda: None)
+    assert hier._workers(16, 14) == 1
+    assert 1 <= hier._cpus() <= (os.cpu_count() or 1)
+
+
+def test_run_part_sizes_its_pool_by_its_chunks(monkeypatch):
+    """``run_part`` asks ``_workers`` for a pool by the number of its
+    chunks and the width of its rows: a 5-slot part of a 10-qubit state
+    in chunks of ``2**6`` amplitudes, staged or on the lowest bits, is 16
+    chunks, and a whole-state part one."""
+    asked = []
+
+    def one(chunks, w):
+        asked.append((chunks, w))
+        return 1
+
+    monkeypatch.setattr(hier, "_workers", one)
+    monkeypatch.setattr(hier, "CHUNK_AMPS", 1 << 6)
+    ops = tuple(GateOp(GateKind.H, (q,), ()) for q in range(5))
+    exe = remap_part(Circuit(5, ops), Part(0, tuple(range(5)), tuple(range(5))))
+    data = zero_state(10).data
+    for positions in [(0, 1, 2, 3, 4), (0, 2, 4, 6, 8)]:
+        run_part(data, rebase(exe, dict(enumerate(positions))))
+    whole = Circuit(10, ops)
+    run_part(data, remap_part(whole, Part(0, tuple(range(5)), tuple(range(10)))))
+    assert asked == [(16, 5), (16, 5), (1, 10)]
+
+
+def _pooled_runs(workers):
+    """States of a staged part, a part on the lowest bits, a two-level run
+    and distributed runs on 1 and 2 rank bits, each from a random state,
+    with ``workers`` workers."""
+    rng = random.Random(4)
+    n, w = 10, 6
+    ops = [op for slots in _ENTER_AND_LEAVE["even"] for op in _group(rng, slots)
+           + _phase_run(rng, w)]
+    gates = tuple(range(len(ops)))
+    exe = remap_part(Circuit(w, tuple(ops)), Part(0, gates, tuple(range(w))))
+    data_rng = np.random.default_rng(4)
+    start = data_rng.normal(size=1 << n) + 1j * data_rng.normal(size=1 << n)
+    start /= np.linalg.norm(start)
+    states = []
+    for positions in [(0, 2, 3, 5, 8, 9), tuple(range(w))]:
+        data = start.copy()
+        run_part(data, rebase(exe, dict(enumerate(positions))))
+        states.append(data)
+    circuit = _spread(random.Random(5), n, 80)
+    dag = build_dag(circuit)
+    initial = StateVector(n, start)
+    states.append(execute_multilevel(
+        circuit, partition_multilevel(dag, 7, 4), initial=initial
+    ).data)
+    for p in (1, 2):
+        run = simulate_distributed(circuit, partition_dagp(dag, 6), p, initial=initial)
+        states.append(run.state.data)
+    return states
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_pooled_runs_equal_one_worker_bit_for_bit(monkeypatch, workers):
+    """With chunks of ``2**5`` amplitudes, so every part has many, runs on
+    2 or 4 workers (stubbed CPUs; 4 is more than this host may have),
+    threads switching every microsecond, equal one worker's bit for bit:
+    a chunk lost or run twice by the shared queue would show."""
+    _workers_found(workers)
+    monkeypatch.setattr(hier, "CHUNK_AMPS", 1 << 5)
+    monkeypatch.setattr(hier, "_cpus", lambda: 1)
+    expect = _pooled_runs(1)
+    monkeypatch.setattr(hier, "_cpus", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _pooled_runs(workers)
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(got, expect):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("raiser", ["helper", "caller", None])
+def test_pool_joins_its_threads_and_restores_blas(monkeypatch, raiser):
+    """A product that raises on a helper thread raises in the caller, as
+    one that raises on the calling thread does; either way, and in a run
+    that raises nothing, every helper is joined before ``run_part``
+    returns, BLAS runs on one thread while the pool runs, and its old
+    thread count is back afterwards."""
+    _workers_found(2)
+    monkeypatch.setattr(hier, "_cpus", lambda: 2)
+    monkeypatch.setattr(hier, "CHUNK_AMPS", 1 << 12)
+    get, _ = _blas_threads()
+    caller = threading.current_thread()
+    helper_ran = threading.Event()
+    counts = []
+    real = hier.apply_matrix
+
+    def product(*args):
+        counts.append(get())
+        if threading.current_thread() is caller:
+            # let a helper take a chunk before the caller takes them all
+            helper_ran.wait(timeout=10)
+        else:
+            helper_ran.set()
+        if raiser == "helper" and threading.current_thread() is not caller:
+            raise RuntimeError("helper")
+        if raiser == "caller" and threading.current_thread() is caller:
+            raise RuntimeError("caller")
+        return real(*args)
+
+    monkeypatch.setattr(hier, "apply_matrix", product)
+    rng = random.Random(6)
+    ops = [op for slots in _CONSECUTIVE["overlapping"] for op in _group(rng, slots)]
+    gates = tuple(range(len(ops)))
+    exe = remap_part(Circuit(10, tuple(ops)), Part(0, gates, tuple(range(10))))
+    data = zero_state(16).data
+    before, threads = get(), threading.active_count()
+    if raiser is None:
+        run_part(data, exe)
+    else:
+        with pytest.raises(RuntimeError, match=raiser):
+            run_part(data, exe)
+    assert helper_ran.is_set()
+    assert threading.active_count() == threads
+    assert get() == before
+    assert set(counts) == {1}
+
+
+@pytest.mark.parametrize("sets", _ENTER_AND_LEAVE)
+def test_view_chunks_leave_in_one_copy(monkeypatch, sets):
+    """A part on the lowest bits whose plan leaves out of order, with its
+    permutes and products (the entry permute included) even or odd in
+    number, never ends a chunk on its view, to be copied out and back
+    again: the last of each chunk's permutes and products writes outside
+    the state, and with an even number none of them writes into it."""
+    monkeypatch.setattr(hier, "_cpus", lambda: 1)
+    monkeypatch.setattr(hier, "CHUNK_AMPS", 1 << 7)
+    rng = random.Random(8)
+    n, w = 9, 6
+    ops = [op for slots in _ENTER_AND_LEAVE[sets] for op in _group(rng, slots)
+           + _phase_run(rng, w)]
+    gates = tuple(range(len(ops)))
+    exe = remap_part(Circuit(w, tuple(ops)), Part(0, gates, tuple(range(w))))
+    assert exe.steps.exit != tuple(range(w))
+    data_rng = np.random.default_rng(8)
+    data = data_rng.normal(size=1 << n) + 1j * data_rng.normal(size=1 << n)
+    expect = data.copy()
+    for op in ops:
+        apply_op(expect, n, op)
+    outs = []
+
+    def spy(real):
+        def wrapped(*args, **kwargs):
+            out = kwargs["out"] if "out" in kwargs else args[2]
+            outs.append(np.shares_memory(out, data))
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(hier, "apply_matrix", spy(hier.apply_matrix))
+    monkeypatch.setattr(hier, "_permute_bits", spy(hier._permute_bits))
+    run_part(data, exe)
+    kinds = [kind for kind, _ in exe.steps.kernels]
+    moves = 1 + kinds.count("permute") + kinds.count("matmul")  # and entry
+    assert len(outs) == 4 * moves  # four chunks of two rows
+    assert not any(outs[moves - 1::moves])
+    assert any(outs) == (moves % 2 == 1)
+    assert np.max(np.abs(data - expect)) <= 1e-12
 
 
 def test_finished_parts_are_released(monkeypatch):
