@@ -25,12 +25,16 @@ kernels come from the part's own gate DAG. Distributed execution
 addressing qubits by their offset bits; a layout changes nothing but
 ``positions``.
 
-Within a part, the ops are grouped once (``_compile``): each run of
-diagonal gates is one phase group, and dagp (``partition._dagp``) cuts
-the gates between those runs into acyclic groups of at most
-``FUSE_WIDTH`` slots, the kernelization of Atlas (Xu et al., SC24); each
-group of several gates, and each lone dense 1-qubit gate, is one dense
-group, so a chunk takes one pass per group, not one per gate. ``_plan``
+Within a part, the ops are grouped once (``_compile``), as Atlas
+kernelizes (Xu et al., SC24): diagonal gates commute, so the members of
+each run of two or more are free to move, and dagp (``partition._dagp``)
+cuts every other gate into acyclic groups of at most ``FUSE_WIDTH``
+slots, over the DAG projected through the free gates. Each free gate then
+joins a dense group that holds all its qubits where it may run, or else a
+phase group just before the first group that must follow it, which all
+the gates placed there share. So a chunk takes one pass per group, not
+one per gate, and a lone gate between two diagonal runs, such as qft's
+``h``, fuses with its neighbours instead of running alone. ``_plan``
 then runs the groups under a tracked bit order of the chunk and builds
 each kernel once, in the bits it runs on, by applying the group's gates
 there. A dense group becomes one unitary, built on the rows of the
@@ -41,14 +45,14 @@ from bit ``STRIDE_FLOOR`` up. Only otherwise does one transposing copy
 move its slots to the lowest bits, and the same copy lifts the next
 unitary's slots to the highest bits. A phase group is applied to a
 ``2**w`` vector of ones while that fits a chunk, else its ops are lone
-ops, and a lone op runs as itself on its bits; nothing is re-addressed
-after it is built. A plan enters and leaves in its own bit orders: the
-gather takes the chunk's columns in the order of the plan's first
-permute, and the scatter writes the chunk back from the order the last
-kernel leaves it in, by one transposed copy into a view of the state. So
-each chunk is gathered and scattered once, and no permute only restores
-the identity. Only ``simulate_flat`` runs gate by gate; it stays the
-oracle.
+ops, and a lone op, like an op wider than ``FUSE_WIDTH``, runs as itself
+on its bits; nothing is re-addressed after it is built. A plan enters
+and leaves in its own bit orders: the gather takes the chunk's columns in
+the order of the plan's first permute, and the scatter writes the chunk
+back from the order the last kernel leaves it in, by one transposed copy
+into a view of the state. So each chunk is gathered and scattered once,
+and no permute only restores the identity. Only ``simulate_flat`` runs
+gate by gate; it stays the oracle.
 
 The chunks of a part are independent, so ``run_part`` runs them on every
 CPU the process may use: the calling thread and one helper thread per
@@ -71,7 +75,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import groupby, product
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -249,40 +253,110 @@ def executable_parts(
 
 def _compile(ops: Sequence[GateOp]) -> list[tuple[str, list[GateOp]]]:
     """Ops on the slots of a block as groups ``(tag, ops)``, each tagged
-    with the kernel ``_plan`` builds from it.
+    with the kernel ``_plan`` builds from it, each group's ops in program
+    order.
 
-    Each run of two or more consecutive diagonal ops (``is_diagonal``) is
-    one ``"phase"`` group. The ops between those runs form segments, which
-    dagp (``partition._dagp``) cuts into acyclic groups of at most
-    ``FUSE_WIDTH`` slots, in the order dagp returns them, each group's ops
-    in program order: ``"dense"`` for a group of several ops or one dense
-    1-qubit gate (``is_dense``), else ``"op"``. An op wider than
-    ``FUSE_WIDTH`` ends a segment and is an ``"op"`` group of its own.
+    An op wider than ``FUSE_WIDTH`` is an ``"op"`` group of its own, and
+    the ops between such ops form segments, each kernelized on its own
+    (``_kernelize``) into ``"phase"`` groups, of diagonal ops only,
+    ``"dense"`` groups, on at most ``FUSE_WIDTH`` slots each, and ``"op"``
+    groups of one lone op that exchanges amplitudes (``x``, ``cx``,
+    ``swap``, ``ccx``).
     """
     groups: list[tuple[str, list[GateOp]]] = []
     segment: list[GateOp] = []
+    for op in ops:
+        if len(op.qubits) > FUSE_WIDTH:
+            groups += _kernelize(segment)
+            groups.append(("op", [op]))
+            segment = []
+        else:
+            segment.append(op)
+    return groups + _kernelize(segment)
 
-    def kernelize() -> None:
-        for group in _dagp(segment, range(len(segment)), FUSE_WIDTH):
-            ops = [segment[i] for i in group]
-            op = ops[0]
-            lone = len(ops) == 1 and (len(op.qubits) > 1 or not is_dense(op))
-            groups.append(("op" if lone else "dense", ops))
-        segment.clear()
 
-    for diagonal, run in groupby(ops, key=is_diagonal):
+def _nearest(
+    ops: Sequence[GateOp], free: set[int], order: Iterable[int]
+) -> dict[int, set[int]]:
+    """For each free op, the ops not in ``free`` met last, walking
+    ``order``, on each of its slots."""
+    last: dict[int, int] = {}  # slot -> latest op not in free on it
+    near = {}
+    for i in order:
+        if i in free:
+            near[i] = {last[s] for s in ops[i].qubits if s in last}
+        else:
+            last.update(dict.fromkeys(ops[i].qubits, i))
+    return near
+
+
+def _kernelize(ops: Sequence[GateOp]) -> list[tuple[str, list[GateOp]]]:
+    """``_compile``'s groups for one segment of ops, none wider than
+    ``FUSE_WIDTH``.
+
+    Diagonal ops (``is_diagonal``) commute with each other, so the members
+    of each run of two or more consecutive ones are free to move, between
+    the last other op before them and the first after them on each of
+    their slots. dagp (``partition._dagp``) cuts every other op into
+    acyclic groups of at most ``FUSE_WIDTH`` slots over the DAG projected
+    through the free ops: the wires between the others, plus an edge
+    ``u -> v`` whenever ``u -> d -> v`` through a free op ``d``. Each free
+    op then joins the first of those groups that holds all its slots
+    within its window (from its predecessors' last group to its
+    successors' first), or else a ``"phase"`` group just before its
+    successors' first group, or at the end when it has none; the free ops
+    placed there share that group. A free op whose predecessor and
+    successor share a group without all its slots has no place: it is
+    pinned, as if not free, and the segment regrouped. A dagp group is
+    ``"dense"`` when it holds several ops or one dense 1-qubit op
+    (``is_dense``); one lone diagonal op is a ``"phase"`` group too, and
+    any other lone op an ``"op"``.
+    """
+    free: set[int] = set()
+    for diagonal, run in groupby(range(len(ops)), key=lambda i: is_diagonal(ops[i])):
         run = list(run)
         if diagonal and len(run) > 1:
-            kernelize()
-            groups.append(("phase", run))
-            continue
-        for op in run:
-            if len(op.qubits) > FUSE_WIDTH:
-                kernelize()
-                groups.append(("op", [op]))
+            free.update(run)
+    while True:
+        before = _nearest(ops, free, range(len(ops)))
+        after = _nearest(ops, free, reversed(range(len(ops))))
+        through = [(u, v) for d in free for u in before[d] for v in after[d]]
+        fixed = [i for i in range(len(ops)) if i not in free]
+        dense = _dagp(ops, fixed, FUSE_WIDTH, through)
+        at = {i: k for k, group in enumerate(dense) for i in group}
+        slots = [{s for i in group for s in ops[i].qubits} for group in dense]
+        joined: list[list[int]] = [[] for _ in dense]
+        phases: list[list[int]] = [[] for _ in range(len(dense) + 1)]
+        pinned = set()
+        for d in sorted(free):
+            lo = max((at[u] for u in before[d]), default=0)
+            hi = min((at[v] for v in after[d]), default=len(dense))
+            home = next(
+                (k for k in range(lo, min(hi + 1, len(dense)))
+                 if slots[k].issuperset(ops[d].qubits)),
+                None,
+            )
+            if home is not None:
+                joined[home].append(d)
+            elif before[d] and lo == hi:
+                pinned.add(d)
             else:
-                segment.append(op)
-    kernelize()
+                phases[hi].append(d)
+        if not pinned:
+            break
+        free -= pinned
+    groups = []
+    for k, phase in enumerate(phases):
+        if phase:
+            groups.append(("phase", [ops[i] for i in phase]))
+        if k < len(dense):
+            group = [ops[i] for i in sorted(dense[k] + joined[k])]
+            op = group[0]
+            if len(group) > 1 or (len(op.qubits) == 1 and is_dense(op)):
+                tag = "dense"
+            else:
+                tag = "phase" if is_diagonal(op) else "op"
+            groups.append((tag, group))
     return groups
 
 
@@ -325,11 +399,10 @@ def _plan(groups: list[tuple[str, list[GateOp]]], w: int) -> Plan:
     order. ``u`` is the transpose of the ``2**h`` identity's rows with the
     ops applied on bits ``t`` and up. A ``"phase"`` group is ``("phase",
     vector)``, its ops applied to ones over the whole block, while ``2**w``
-    fits a chunk (``CHUNK_AMPS``); its run is maximal, so another kernel
-    always stands between two of them. On a wider block a chunk is one
-    row, where the vector would cost as many passes as its ops and a
-    ``2**w`` allocation, so each of its ops is an ``("op", op)`` on bits,
-    as an ``"op"`` group's one op is.
+    fits a chunk (``CHUNK_AMPS``). On a wider block a chunk is one row,
+    where the vector would cost as many passes as its ops and a ``2**w``
+    allocation, so each of its ops is an ``("op", op)`` on bits, as an
+    ``"op"`` group's one op is.
 
     A permute that would be the first kernel is not one: its order is the
     plan's entry order, which the gather produces. Nothing restores the

@@ -15,9 +15,10 @@ ascending, so every dependency runs forward and the part graph is acyclic
   again under a smaller limit for nested execution.
 
 Partitions at either level stay in global gate and qubit indices. Gate
-edges come from ``_wires`` alone, for any ascending gate subset, so dagP and
-the validity rule run on a level-1 part's own gates to make and check its
-level-2 parts.
+edges come from ``_wires``, for any ascending gate subset, so dagP and the
+validity rule run on a level-1 part's own gates to make and check its
+level-2 parts. dagP also kernelizes a part's gates (``hisim.hier``), with
+edges added that run through the gates it leaves out (``_dagp``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import heapq
 import json
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from .dag import GateDag, NodeKind, dfs_topo_order
 # not called here: benchmarks/layers.py traces it under this name
@@ -300,11 +302,19 @@ def partition_dagp(dag: GateDag, limit: int) -> PartitionResult:
     return _make_result(dag.circuit, "dagp", limit, groups)
 
 
-def _dagp(ops: Sequence[GateOp], gates: Sequence[int], limit: int) -> list[list[int]]:
+def _dagp(
+    ops: Sequence[GateOp],
+    gates: Sequence[int],
+    limit: int,
+    through: Iterable[tuple[int, int]] = (),
+) -> list[list[int]]:
     """``partition_dagp``'s groups for the ascending gate subset ``gates``,
     in execution order. Part ids are positions in ``gates``, which keep
     program order, and shared/union counts read the global qubit masks, so
-    the merge order is that of the subset as a circuit of its own."""
+    the merge order is that of the subset as a circuit of its own. The
+    DAG is the subset's wires plus the ``through`` edges ``(u, v)``
+    between its gates, each with ``u < v``: dependencies that run through
+    gates left out of the subset."""
     _check_limit((ops[g] for g in gates), limit)
     if not gates:
         return []
@@ -313,7 +323,7 @@ def _dagp(ops: Sequence[GateOp], gates: Sequence[int], limit: int) -> list[list[
     qmask = [sum(1 << q for q in ops[g].qubits) for g in gates]
     local = {g: i for i, g in enumerate(gates)}
     succ: list[set[int]] = [set() for _ in gates]
-    for u, v in _wires(ops, gates):
+    for u, v in chain(_wires(ops, gates), through):
         succ[local[u]].add(local[v])
     groups, adj = _merge_phase(qmask, succ, limit)
     return [[gates[i] for i in grp] for grp in _topo_order_groups(groups, adj)]
@@ -331,8 +341,11 @@ def _merge_phase(
     pairs joined by a part-graph edge go through the lazy priority queue:
     two parts that share a qubit can merge only if no other part lies
     between them on that qubit's wire, and then a gate edge joins them.
-    The queue is seeded with the gate edges, entries are revalidated when
-    popped, and a contraction requeues the merged part with its neighbours.
+    An edge may also join two parts that share no qubit, when it runs
+    through gates left out of the graph (``_dagp``'s ``through``); such a
+    pair is never queued. The queue is seeded with the gate edges between
+    parts that share a qubit, entries are revalidated when popped, and a
+    contraction requeues the merged part with its neighbours.
     A popped pair judged unmergeable stays so until one of its own parts is
     contracted, which requeues it. Pairs sharing no qubit rank after every
     pair that shares one, so they are looked for only when the queue runs
@@ -372,10 +385,13 @@ def _merge_phase(
         )
 
     def key(u: int, v: int) -> tuple[int, int, int, int] | None:
+        # a pair sharing no qubit is left to the scan, even when an edge
+        # that runs through gates outside the subset joins it
         union = (qmask[u] | qmask[v]).bit_count()
-        if union > limit:
+        negshared = union - qcount[u] - qcount[v]
+        if union > limit or not negshared:
             return None
-        return (union - qcount[u] - qcount[v], -union, u, v)
+        return (negshared, -union, u, v)
 
     def best_disjoint() -> tuple[int, int] | None:
         # every disjoint pair that fits, widest union first, then part order

@@ -24,13 +24,15 @@ slab through one saved copy, and any other mixes them in place from one
 saved copy of the first.
 
 ``is_diagonal`` is the one test for a gate that only scales amplitudes;
-``hisim.hier._compile`` uses it to find runs of such gates, each folded
-into one ``2**w`` phase vector, built by ``apply_op`` on a vector of
-ones, while ``2**w`` fits a ``CHUNK_AMPS`` chunk (on a wider block each
-gate of the run is applied by ``apply_op`` to the chunk). It also groups
-other gates, and takes lone gates that ``is_dense`` says mix amplitude
-pairs, each group fused into one dense ``2**k x 2**k`` unitary, built by
-``apply_op`` on the identity of the ``k`` bits it runs on.
+``hisim.hier._compile`` uses it to find runs of such gates, which commute,
+so each of their gates joins a group of other gates that holds its
+qubits, or else a phase group of such gates, folded into one ``2**w``
+phase vector, built by ``apply_op`` on a vector of ones, while ``2**w``
+fits a ``CHUNK_AMPS`` chunk (on a wider block each gate of the group is
+applied by ``apply_op`` to the chunk). Every group of several gates, and
+every lone gate that ``is_dense`` says mixes amplitude pairs, is fused
+into one dense ``2**k x 2**k`` unitary, built by ``apply_op`` on the
+identity of the ``k`` bits it runs on.
 ``apply_matrix`` applies such a unitary to ``k`` consecutive bits of a
 cache-sized block, into a second buffer: on the lowest bits as one
 matrix product, or from bit ``low`` up as one stacked product.

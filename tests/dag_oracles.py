@@ -8,6 +8,8 @@ a DAG.
 
 from __future__ import annotations
 
+import heapq
+
 from hisim.dag import GateDag, NodeKind
 
 
@@ -60,3 +62,66 @@ def quotient_is_acyclic(dag: GateDag, assignment) -> bool:
             if indeg[q] == 0:
                 queue.append(q)
     return seen == len(parts)
+
+
+def merge_by_closure(qubits_of, succ, limit):
+    """dagp's merge phase, done naively: from one part per node
+    (``succ[u]`` the successor set of node ``u``, ``qubits_of[u]`` its
+    qubits), contract the best mergeable pair of live parts until none is
+    left, and return the groups in part-id order, a part's id being its
+    lowest node.
+
+    Every pair whose union fits ``limit`` is a candidate, joined by an edge
+    or not, ranked by most shared qubits, then widest union, then part
+    order. A pair is mergeable iff no path of two or more edges joins it,
+    read off the transitive closure of the part graph, which is recomputed
+    from the node edges after every contraction. A pair found unmergeable
+    is dropped until one of its parts grows: contractions elsewhere only
+    add paths.
+    """
+    parts = {u: {u} for u in range(len(qubits_of))}
+    qubits = {u: frozenset(qs) for u, qs in enumerate(qubits_of)}
+
+    def closure():
+        part_of = {g: p for p, gs in parts.items() for g in gs}
+        out = {p: set() for p in parts}
+        for u, vs in enumerate(succ):
+            out[part_of[u]] |= {part_of[v] for v in vs} - {part_of[u]}
+        reach = {}  # part -> bit mask of every part a path leads to
+
+        def walk(p):
+            if p not in reach:
+                reach[p] = 0
+                for q in out[p]:
+                    reach[p] |= 1 << q | walk(q)
+            return reach[p]
+
+        for p in parts:
+            walk(p)
+        return out, reach
+
+    def rank(u, v):
+        union = len(qubits[u] | qubits[v])
+        if union > limit:
+            return None
+        return (union - len(qubits[u]) - len(qubits[v]), -union, u, v)
+
+    heap = [k for u in parts for v in parts if u < v and (k := rank(u, v))]
+    heapq.heapify(heap)
+    out, reach = closure()
+    while heap:
+        k = heapq.heappop(heap)
+        u, v = k[2:]
+        if u not in parts or v not in parts or rank(u, v) != k:
+            continue  # a part has gone, or grown and queued the pair anew
+        if any(reach[m] >> v & 1 for m in out[u] - {v}) or any(
+            reach[m] >> u & 1 for m in out[v] - {u}
+        ):
+            continue
+        parts[u] |= parts.pop(v)
+        qubits[u] |= qubits.pop(v)
+        out, reach = closure()
+        for w in parts:
+            if w != u and (k := rank(min(u, w), max(u, w))):
+                heapq.heappush(heap, k)
+    return [sorted(parts[p]) for p in sorted(parts)]

@@ -298,24 +298,28 @@ def test_fused_diagonal_runs_match_flat_and_the_oracle(seed):
             assert np.max(np.abs(state.data - expect)) <= 1e-12
 
 
-#: h h | rz crz u1 (one run of three) | h | t (a run of one)
-_RUNS = Circuit(2, (
-    GateOp(GateKind.H, (0,), ()),
-    GateOp(GateKind.H, (1,), ()),
-    GateOp(GateKind.RZ, (0,), (0.3,)),
-    GateOp(GateKind.CRZ, (0, 1), (0.7,)),
-    GateOp(GateKind.U1, (1,), (1.1,)),
-    GateOp(GateKind.H, (0,), ()),
-    GateOp(GateKind.T, (1,), ()),
+#: h on slots 0-3 | crz(3, 4) u1(4) cz(0, 4) rz(4) (one run of four) | h(4)
+#: t(4) (a run of one): the h gates on 0-3 fill one group, so crz and cz,
+#: which also need slot 4, fold into a phase vector before the group of
+#: h(4), which u1, rz and t join
+_RUNS = Circuit(5, (
+    *(GateOp(GateKind.H, (q,), ()) for q in range(4)),
+    GateOp(GateKind.CRZ, (3, 4), (0.7,)),
+    GateOp(GateKind.U1, (4,), (1.1,)),
+    GateOp(GateKind.CZ, (0, 4), ()),
+    GateOp(GateKind.RZ, (4,), (0.3,)),
+    GateOp(GateKind.H, (4,), ()),
+    GateOp(GateKind.T, (4,), ()),
 ))
 
 
 def test_diagonal_runs_fold_while_the_block_fits_a_chunk(monkeypatch):
-    """While ``2**w`` fits a chunk, the run of diagonal ops is built into a
-    phase vector off the block, and the dense ops around it into unitaries
-    on the identity, so no op runs on the block op by op: on a block of
-    several rows and on a single-row block, here a whole-state part, with
-    the same calls. On a block wider than a chunk the run's ops run on
+    """While ``2**w`` fits a chunk, the diagonal ops of a run that no dense
+    group can hold are built into one phase vector off the block, and the
+    others, with the dense ops around them, into unitaries on the
+    identity, so no op runs on the block op by op: on a block of several
+    rows and on a single-row block, here a whole-state part, with the same
+    calls. On a block wider than a chunk the phase vector's ops run on
     each chunk one by one, and the dense groups are still fused."""
     calls = []
     real = hier.apply_op
@@ -325,53 +329,53 @@ def test_diagonal_runs_fold_while_the_block_fits_a_chunk(monkeypatch):
         real(arr, w, op)
 
     def whole():
-        return remap_part(_RUNS, Part(0, tuple(range(_RUNS.num_ops)), (0, 1)))
+        return remap_part(_RUNS, Part(0, tuple(range(_RUNS.num_ops)), tuple(range(5))))
 
     monkeypatch.setattr(hier, "apply_op", spy)
     rng = np.random.default_rng(4)
-    data = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    shape = (3, 1 << 5)
+    data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    data /= np.linalg.norm(data, axis=1, keepdims=True)
     expect = data.copy()
     for op in _RUNS.ops:
-        apply_op(expect, 2, op)
+        apply_op(expect, 5, op)
     run_part(data, whole())
-    phase, eye = (4,), (4, 4)
+    phase, low, high = (1 << 5,), (16, 16), (4, 4)
     folded = [
-        (GateKind.H, eye, False),
-        (GateKind.H, eye, False),
-        (GateKind.RZ, phase, False),
+        *4 * [(GateKind.H, low, False)],
         (GateKind.CRZ, phase, False),
-        (GateKind.U1, phase, False),
-        (GateKind.H, eye, False),
-        (GateKind.T, eye, False),
+        (GateKind.CZ, phase, False),
+        (GateKind.U1, high, False),
+        (GateKind.RZ, high, False),
+        (GateKind.H, high, False),
+        (GateKind.T, high, False),
     ]
     assert calls == folded
     np.testing.assert_allclose(data, expect, rtol=0, atol=1e-15)
 
     calls.clear()
-    data = zero_state(2).data
+    data = zero_state(5).data
     run_part(data, whole())
     assert calls == folded
     np.testing.assert_allclose(data, simulate_flat(_RUNS).data, rtol=0, atol=1e-15)
 
     calls.clear()
     monkeypatch.setattr(hier, "CHUNK_AMPS", 2)
-    data = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    data /= np.linalg.norm(data, axis=1, keepdims=True)
     expect = data.copy()
     for op in _RUNS.ops:
-        apply_op(expect, 2, op)
+        apply_op(expect, 5, op)
     exe = whole()
     run_part(data, exe)
     assert [kind for kind, _ in exe.steps.kernels] == [
-        "matmul", "op", "op", "op", "matmul"
+        "matmul", "op", "op", "permute", "matmul"
     ]
-    # the unitaries are built once; the run's ops act on each one-row chunk
-    row = (1, 4)
+    # the unitaries are built once; the folded ops act on each one-row chunk
+    row = (1, 1 << 5)
     assert [(kind, shape) for kind, shape, _ in calls] == [
-        (GateKind.H, eye),
-        (GateKind.H, eye),
-        (GateKind.H, eye),
-        (GateKind.T, eye),
-        *3 * [(GateKind.RZ, row), (GateKind.CRZ, row), (GateKind.U1, row)],
+        *(call[:2] for call in folded if call[1] != phase),
+        *3 * [(GateKind.CRZ, row), (GateKind.CZ, row)],
     ]
     np.testing.assert_allclose(data, expect, rtol=0, atol=1e-15)
 
@@ -576,8 +580,8 @@ def test_kernelized_parts_match_the_unfused_ops(width, seed, rows):
     assert (wide > 0) == (width == 2)
 
 
-#: h h | crz u1 | swap | crz u1: a lone SWAP between two diagonal runs,
-#: which stays its own step
+#: h h | crz u1 | swap | crz u1: a SWAP between two diagonal runs, which
+#: their gates may not cross
 _LONE_SWAP = (
     GateOp(GateKind.H, (0,), ()),
     GateOp(GateKind.H, (1,), ()),
@@ -593,8 +597,8 @@ def _qft_after_lone_swap(n):
     return Circuit(n, _LONE_SWAP + bench.qft(n).ops)
 
 
-#: multilevel cases whose two-level parts compile to diagonal runs, lone
-#: ops, fused groups and SWAPs (qft's own SWAPs all fuse into groups)
+#: multilevel cases whose two-level parts compile to phase vectors, fused
+#: groups and SWAPs
 _NESTED = [
     ("qft8", lambda: _qft_after_lone_swap(8), 6, 4),
     ("qft8", lambda: _qft_after_lone_swap(8), 5, 3),
@@ -612,7 +616,8 @@ def test_nested_parts_match_flat_and_the_oracle(
     default chunks and by chunks of one level-1 row, equal the truly
     nested single-assignment passes and flat, hierarchically and on 1 and
     2 emulated rank bits; the compiles of the cases' two-level parts hold
-    every step kind and SWAPs."""
+    phase and dense groups and SWAPs (no lone op: the SWAP between two
+    diagonal runs fuses with the gates around it)."""
     if chunk_rows:
         monkeypatch.setattr(hier, "CHUNK_AMPS", chunk_rows << l1)
     circuit = build()
@@ -627,7 +632,7 @@ def test_nested_parts_match_flat_and_the_oracle(
             held.update(op.kind for op in exe.ops)
         run_part(data, exe)
     _run_oracle(oracle, circuit, partition)
-    assert {"op", "phase", GateKind.SWAP} <= held
+    assert {"dense", "phase", GateKind.SWAP} <= held
     assert np.max(np.abs(data - expect)) <= 1e-12
     assert np.max(np.abs(data - oracle)) <= 1e-12
     got = execute_multilevel(circuit, partition)
@@ -793,10 +798,12 @@ _CONSECUTIVE = {
 
 
 def _group(rng, slots):
-    """A group of dense ops on ``slots``: an H on each, then ops of kinds
-    that never only scale, so the group's unitary spans exactly ``slots``
-    and no phase run splits it."""
+    """A group of dense ops on ``slots``: an H on each, a CX on each pair of
+    neighbouring slots, so that the group's gates are joined on its wires,
+    then ops of kinds that never only scale, so the group's unitary spans
+    exactly ``slots``."""
     ops = [GateOp(GateKind.H, (q,), ()) for q in slots]
+    ops += [GateOp(GateKind.CX, pair, ()) for pair in zip(slots, slots[1:])]
     for _ in range(6):
         kind = rng.choice([k for k in _DENSE if k.arity <= len(slots)])
         qubits = tuple(rng.sample(slots, kind.arity))
@@ -857,8 +864,9 @@ def test_placed_kernels_match_the_unfused_ops(monkeypatch, seed):
     for kind in (GateKind.H, GateKind.RX, GateKind.U3, GateKind.RY):
         for q in range(w):
             cases.append([GateOp(kind, (q,), random_params(rng, kind))])
-        # every slot again, in a random order, between phase runs, so the
-        # lone gates meet bits that earlier permutes moved
+        # every slot again, in a random order, between phase runs, whose
+        # gates commute, so the gates fuse four at a time and the products
+        # meet bits that earlier permutes moved
         lone = []
         for q in rng.sample(range(w), w):
             lone += [GateOp(kind, (q,), random_params(rng, kind))]
@@ -889,17 +897,149 @@ def test_placed_kernels_match_the_unfused_ops(monkeypatch, seed):
     assert kinds == {("matmul", False), ("matmul", True), "permute", "phase"}
 
 
+#: the diagonal kinds a part's runs are drawn from, and the others
+_RUN_KINDS = (
+    GateKind.RZ, GateKind.U1, GateKind.Z, GateKind.S, GateKind.T,
+    GateKind.CZ, GateKind.CRZ,
+)
+_OTHER_KINDS = (
+    GateKind.H, GateKind.RX, GateKind.U3, GateKind.CX, GateKind.SWAP, GateKind.CCX,
+)
+
+
+def _random_op(rng, kinds, slots):
+    kind = rng.choice(kinds)
+    return GateOp(kind, tuple(rng.sample(slots, kind.arity)), random_params(rng, kind))
+
+
+def _mixed_part(rng, w):
+    """Ops on ``w`` slots: an H on each, then runs of two to five diagonal
+    ops between short stretches of other ops (CX, SWAP and CCX among them),
+    and traps: a dense op on one slot, a two-slot diagonal op from it to
+    another and a second diagonal op, then a dense op on the first slot
+    again, so the two dense ops may share a group that lacks the other
+    slot."""
+    slots = range(w)
+    ops = [GateOp(GateKind.H, (q,), ()) for q in slots]
+    for _ in range(rng.randint(3, 10)):
+        pick = rng.random()
+        if pick < 0.4:
+            run = rng.randint(2, 5)
+            ops += [_random_op(rng, _RUN_KINDS, slots) for _ in range(run)]
+        elif pick < 0.7:
+            a, b = rng.sample(slots, 2)
+            kind = rng.choice((GateKind.CZ, GateKind.CRZ))
+            ops += [
+                _random_op(rng, (GateKind.H, GateKind.RX, GateKind.U3), [a]),
+                GateOp(kind, (a, b), random_params(rng, kind)),
+                _random_op(rng, _RUN_KINDS, slots),
+                _random_op(rng, (GateKind.H, GateKind.RX, GateKind.U3), [a]),
+            ]
+        else:
+            stretch = rng.randint(1, 3)
+            ops += [_random_op(rng, _OTHER_KINDS, slots) for _ in range(stretch)]
+    return ops
+
+
+def _check_groups(ops, groups, width):
+    """``_compile``'s ``groups`` of ``ops`` at fusion width ``width``: every
+    op in exactly one group, a ``"phase"`` group all diagonal, a
+    ``"dense"`` group on at most ``width`` slots, and an ``"op"`` group one
+    op wider than that or one lone exchange."""
+    assert Counter(op for _, group in groups for op in group) == Counter(ops)
+    for tag, group in groups:
+        if tag == "phase":
+            assert all(is_diagonal(op) for op in group)
+        elif tag == "dense":
+            assert len({s for op in group for s in op.qubits}) <= width
+        else:
+            assert tag == "op" and len(group) == 1
+            op = group[0]
+            assert len(op.qubits) > width or not (is_dense(op) or is_diagonal(op))
+
+
+@pytest.mark.parametrize("width", [2, 3, 4])
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_diagonals_move_to_their_groups(width, seed):
+    """Random parts of diagonal runs, traps and other ops, CCX wider than
+    width 2 among them, grouped at fusion width ``width``
+    (``_check_groups``): each product of the plan is its group's unitary
+    (``_check_products``), and the plan, staged out of a larger state or
+    on its lowest bits, run on a batch of two random states in chunks of
+    two rows, equals the ops applied one by one."""
+    rng = random.Random(seed)
+    w = rng.randint(4, 7)
+    n = w + 2
+    ops = _mixed_part(rng, w)
+    part = Part(0, tuple(range(len(ops))), tuple(range(w)))
+    data_rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hier, "FUSE_WIDTH", width)
+        mp.setattr(hier, "CHUNK_AMPS", 2 << w)
+        _check_groups(ops, hier._compile(ops), width)
+        for positions in (tuple(sorted(rng.sample(range(n), w))), tuple(range(w))):
+            exe = remap_part(Circuit(w, tuple(ops)), part)
+            exe = rebase(exe, dict(enumerate(positions)))
+            _check_products(exe)
+            shape = (2, 1 << n)
+            data = data_rng.normal(size=shape) + 1j * data_rng.normal(size=shape)
+            unfused = data.copy()
+            run_part(data, exe)
+            for entry in unfused:
+                _run_part_oracle(entry, exe)
+            assert np.max(np.abs(data - unfused)) <= 1e-12
+
+
+def test_trapped_diagonal_is_pinned_and_regrouped():
+    """h(0) | cz(0, 1) rz(2) | h(0): the two h gates form one group on slot
+    0, which the cz, between them on that slot, cannot join without slot
+    1, nor leave. It is pinned and the part regrouped, so it runs in one
+    product with them; the rz, which no other op touches, is a one-gate
+    phase vector at the end. A cz across two full groups waits in a
+    phase vector between them instead."""
+    h0 = GateOp(GateKind.H, (0,), ())
+    cz = GateOp(GateKind.CZ, (0, 1), ())
+    rz = GateOp(GateKind.RZ, (2,), (0.4,))
+    assert hier._compile([h0, cz, rz, h0]) == [("dense", [h0, cz, h0]), ("phase", [rz])]
+    first = [GateOp(GateKind.H, (q,), ()) for q in range(4)]
+    first += [GateOp(GateKind.CX, (q, q + 1), ()) for q in range(3)]
+    second = [GateOp(GateKind.CX, (q, q + 1), ()) for q in range(4, 7)]
+    across = GateOp(GateKind.CZ, (3, 4), ())
+    ops = [*first, across, GateOp(GateKind.Z, (4,), ()), *second]
+    assert hier._compile(ops) == [
+        ("dense", first), ("phase", [across]), ("dense", [ops[-4], *second]),
+    ]
+
+
 #: slot sets of the groups of a 6-slot part whose plan enters and leaves
-#: in orders other than the identity: the first group's slots span more
-#: than ``FUSE_WIDTH`` bits, so the gather brings them to the lowest bits
-#: and lifts the second's to the highest, where it takes a permute; a
-#: third group then runs where the second left its slots. Run on the
-#: lowest bits, with the entry permute in front, the first plan ends on
-#: the chunk's view, the second on the scratch buffer.
+#: in orders other than the identity, with ``STRIDE_FLOOR`` at 4: the first
+#: group's slots span more than ``FUSE_WIDTH`` bits, so the gather brings
+#: them to the lowest bits. In "odd" the same gather lifts the second
+#: group's slots, disjoint from the first's, to the highest bits, where it
+#: runs in place: three permutes and products, the gather's included. In
+#: "even" the second group shares a slot with the first, so a permute
+#: brings it to the lowest bits: four. The two never fit one product.
 _ENTER_AND_LEAVE = {
-    "even": ((0, 2, 3, 5), (1, 4)),
-    "odd": ((0, 2, 3, 5), (1, 4), (0, 4)),
+    "even": ((0, 2, 3, 5), (0, 1, 4)),
+    "odd": ((0, 2, 3, 5), (1, 4)),
 }
+
+
+def _enter_and_leave(monkeypatch, rng, sets):
+    """A 6-slot part on ``_ENTER_AND_LEAVE[sets]``'s groups, each followed
+    by a phase run, and its ops, planned with ``STRIDE_FLOOR`` at 4."""
+    monkeypatch.setattr(hier, "STRIDE_FLOOR", 4)
+    w = 6
+    ops = [op for slots in _ENTER_AND_LEAVE[sets] for op in _group(rng, slots)
+           + _phase_run(rng, w)]
+    gates = tuple(range(len(ops)))
+    exe = remap_part(Circuit(w, tuple(ops)), Part(0, gates, tuple(range(w))))
+    plan = exe.steps
+    assert plan.entry != tuple(range(w)) and plan.exit != tuple(range(w))
+    moves = 1 + sum(kind in ("permute", "matmul") for kind, _ in plan.kernels)
+    assert moves == {"even": 4, "odd": 3}[sets]
+    return exe, ops
 
 
 @pytest.mark.parametrize("sets", _ENTER_AND_LEAVE)
@@ -909,8 +1049,8 @@ _ENTER_AND_LEAVE = {
 def test_plans_enter_and_leave_in_their_own_orders(
     monkeypatch, placement, p, chunk, sets
 ):
-    """A 6-slot part whose plan enters and leaves in non-identity orders,
-    its groups kept apart by phase runs, staged out of a 9-qubit state or
+    """A 6-slot part whose plan enters and leaves in non-identity orders
+    (``_enter_and_leave``), staged out of a 9-qubit state or
     on its lowest bits, run on the full state (``p`` None) or on ``2**p``
     rank buffers, from a random state, equals its ops applied one by one.
     The chunks are rows wider than a chunk (``2**4`` amplitudes), several
@@ -918,14 +1058,8 @@ def test_plans_enter_and_leave_in_their_own_orders(
     amplitudes: three batch entries, the last chunk short, or two rows),
     or the default."""
     monkeypatch.setattr(hier, "CHUNK_AMPS", chunk)
-    rng = random.Random(chunk + (p or 0))
     n, w = 9, 6
-    ops = [op for slots in _ENTER_AND_LEAVE[sets] for op in _group(rng, slots)
-           + _phase_run(rng, w)]
-    gates = tuple(range(len(ops)))
-    exe = remap_part(Circuit(w, tuple(ops)), Part(0, gates, tuple(range(w))))
-    plan = exe.steps
-    assert plan.entry != tuple(range(w)) and plan.exit != tuple(range(w))
+    exe, ops = _enter_and_leave(monkeypatch, random.Random(chunk + (p or 0)), sets)
     local = n - (p or 0)  # the offset bits of a rank buffer
     if placement == "staged":
         positions = (0, 1, 3, 4, local - 2, local - 1)
@@ -982,19 +1116,22 @@ def _kernel_counts(circuit, partition):
 
 def test_benchmark_plans_keep_their_kernel_placement():
     """The three benchmark circuits compile to pinned kernel counts per set
-    of plans. qft(20) at dagp limit 14: 25 products, 4 permutes and 20
-    phase vectors, no lone op, and no 2x2 product on the lowest bit.
-    ising(22) at 14: 13 products and 5 permutes. Multilevel qaoa(20) at
-    14/8: 23 products and 15 permutes (24 while each plan began with its
-    leading permute and ended with a restore to the identity order; 38
-    and 32 under greedy program-order grouping)."""
+    of plans, none of them a lone ``"op"``. qft(20) at dagp limit 14: 11
+    products, 3 permutes and 6 phase vectors, and no 2x2 product on the
+    lowest bit (25, 4 and 20 while each run of diagonal gates cut a part
+    into segments, its lone ``h`` gates trapped between them). ising(22)
+    at 14: 13 products and 5 permutes. Multilevel qaoa(20) at 14/8: 23
+    products and 15 permutes (24 while each plan began with its leading
+    permute and ended with a restore to the identity order; 38 and 32
+    under greedy program-order grouping), its ``rz`` gates each alone
+    between two ``cx`` gates, so never free to move."""
     qft = bench.qft(20)
     partition = partition_dagp(build_dag(qft), 14)
     for exe in executable_parts(qft, partition):
         assert exe.num_slots < qft.num_qubits
         for kind, arg in exe.steps.kernels:
             assert kind != "matmul" or arg[0] > 0 or len(arg[1]) > 2
-    assert _kernel_counts(qft, partition) == {"matmul": 25, "permute": 4, "phase": 20}
+    assert _kernel_counts(qft, partition) == {"matmul": 11, "permute": 3, "phase": 6}
     ising = bench.ising(22)
     partition = partition_dagp(build_dag(ising), 14)
     assert _kernel_counts(ising, partition) == {"matmul": 13, "permute": 5}
@@ -1208,13 +1345,8 @@ def test_view_chunks_leave_in_one_copy(monkeypatch, sets):
     the state, and with an even number none of them writes into it."""
     monkeypatch.setattr(hier, "_cpus", lambda: 1)
     monkeypatch.setattr(hier, "CHUNK_AMPS", 1 << 7)
-    rng = random.Random(8)
-    n, w = 9, 6
-    ops = [op for slots in _ENTER_AND_LEAVE[sets] for op in _group(rng, slots)
-           + _phase_run(rng, w)]
-    gates = tuple(range(len(ops)))
-    exe = remap_part(Circuit(w, tuple(ops)), Part(0, gates, tuple(range(w))))
-    assert exe.steps.exit != tuple(range(w))
+    n = 9
+    exe, ops = _enter_and_leave(monkeypatch, random.Random(8), sets)
     data_rng = np.random.default_rng(8)
     data = data_rng.normal(size=1 << n) + 1j * data_rng.normal(size=1 << n)
     expect = data.copy()

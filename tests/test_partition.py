@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import random
 import time
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hisim import bench
+from hisim import bench, hier, partition
 from hisim.dag import NodeKind, build_dag
 from hisim.errors import (
     LimitTooSmallError,
@@ -40,8 +39,9 @@ from hisim.partition import (
 )
 from hisim.qasm import Circuit, GateKind, GateOp
 
-from dag_oracles import quotient_is_acyclic, working_set
+from dag_oracles import merge_by_closure, quotient_is_acyclic, working_set
 from random_circuits import random_circuit
+from test_hier import _DIAGONAL_HEAVY
 
 STRATEGIES = {
     "nat": partition_nat,
@@ -279,7 +279,7 @@ def test_wires_match_dag_on_random_circuits(seed):
     _assert_wires_match_dag(circuit, subset)
 
 
-# --- merge phase against its depth-first oracle ------------------------------
+# --- merge phase against its closure oracle ----------------------------------
 
 
 def _gate_succ(dag):
@@ -308,78 +308,12 @@ def _part_graph(part_of, succ, parts):
     return adj
 
 
-def _oracle_merge_phase(groups, qubits_of, succ, limit):
-    """The merge phase with a depth-first acyclicity test per candidate and
-    the part graph rebuilt after every contraction."""
-    alive = {i: set(g) for i, g in enumerate(groups)}
-    qsets = {i: {q for g in groups[i] for q in qubits_of[g]} for i in alive}
-    part_of = {g: i for i, gs in alive.items() for g in gs}
-
-    def mergeable(u, v, adj):
-        # contraction is acyclic iff every u..v path is the direct edge
-        for src, dst in ((u, v), (v, u)):
-            stack = [m for m in adj[src] if m != dst]
-            seen = set(stack)
-            while stack:
-                x = stack.pop()
-                if x == dst:
-                    return False
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-        return True
-
-    def key(u, v):
-        union = len(qsets[u] | qsets[v])
-        if union > limit:
-            return None
-        shared = len(qsets[u]) + len(qsets[v]) - union
-        return (-shared, -union, u, v)
-
-    heap = []
-    ids = sorted(alive)
-    for i, u in enumerate(ids):
-        for v in ids[i + 1:]:
-            k = key(u, v)
-            if k is not None:
-                heap.append(k)
-    heapq.heapify(heap)
-    adj = _part_graph(part_of, succ, alive)
-
-    while heap:
-        negshared, union, u, v = heapq.heappop(heap)
-        if u not in alive or v not in alive:
-            continue
-        k = key(u, v)
-        if k is None:
-            continue
-        if k != (negshared, union, u, v):
-            heapq.heappush(heap, k)  # stale entry: requeue corrected
-            continue
-        if not mergeable(u, v, adj):
-            continue
-        alive[u] |= alive[v]
-        qsets[u] |= qsets[v]
-        for g in alive[v]:
-            part_of[g] = u
-        del alive[v], qsets[v]
-        adj = _part_graph(part_of, succ, alive)
-        for w in alive:
-            if w != u:
-                k = key(*sorted((u, w)))
-                if k is not None:
-                    heapq.heappush(heap, k)
-    return [sorted(alive[p]) for p in sorted(alive)]
-
-
 def _assert_merge_phase_matches_oracle(circuit, limit):
     succ = _gate_succ(build_dag(circuit))
     qubits_of = [set(op.qubits) for op in circuit.ops]
     qmask = [sum(1 << q for q in op.qubits) for op in circuit.ops]
     groups, adj = _merge_phase(qmask, succ, limit)
-    singles = [[g] for g in range(circuit.num_ops)]
-    assert groups == _oracle_merge_phase(singles, qubits_of, succ, limit)
+    assert groups == merge_by_closure(qubits_of, succ, limit)
     part_of = {g: i for i, gs in enumerate(groups) for g in gs}
     assert adj == list(_part_graph(part_of, succ, range(len(groups))).values())
     return groups
@@ -446,20 +380,42 @@ def test_merge_phase_matches_oracle_through_disjoint_merges(circuit, limit):
     assert any(_splits_on_qubits(circuit.ops, grp) for grp in groups)
 
 
+#: gates 0 and 3 merge on qubit 1, and gates 1 and 4 with gate 5, on
+#: disjoint qubits until 5 joins them; gate 2 reaches gate 6 only through
+#: both merged parts, and shares no qubit with it
+_DISJOINT_MERGE = (
+    (GateKind.CCX, (8, 4, 1)),
+    (GateKind.CX, (4, 6)),
+    (GateKind.CCX, (11, 0, 7)),
+    (GateKind.CCX, (1, 0, 5)),
+    (GateKind.CX, (2, 9)),
+    (GateKind.CCX, (10, 9, 4)),
+    (GateKind.CX, (2, 3)),
+)
+
+
 def test_merge_phase_matches_oracle_after_a_disjoint_merge():
     """After a disjoint merge, the parts that reached only one side of it
     must also reach the other side's descendants, or a later scan merges
-    one of them with such a descendant and closes a cycle."""
-    circuit = Circuit(12, tuple(GateOp(kind, qubits, ()) for kind, qubits in (
-        (GateKind.CCX, (8, 4, 1)),
-        (GateKind.CX, (4, 6)),
-        (GateKind.CCX, (11, 0, 7)),
-        (GateKind.CCX, (1, 0, 5)),
-        (GateKind.CX, (2, 9)),
-        (GateKind.CCX, (10, 9, 4)),
-        (GateKind.CX, (2, 3)),
-    )))
-    _assert_merge_phase_matches_oracle(circuit, 5)
+    one of them with such a descendant and closes a cycle. Checked at
+    limit 5 on ``_DISJOINT_MERGE`` and on 200 copies of it, each with its
+    qubits relabelled and up to four H or CX gates on further qubits put
+    anywhere among its gates: pruning the ``reach`` walk at any ancestor
+    that already reached ``u`` merges gates 2 and 6 on the case and on
+    120 of the copies."""
+    base = Circuit(12, tuple(GateOp(kind, qs, ()) for kind, qs in _DISJOINT_MERGE))
+    _assert_merge_phase_matches_oracle(base, 5)
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = 12 + rng.randint(0, 4)
+        relabel = rng.sample(range(n), n)
+        ops = [GateOp(op.kind, tuple(relabel[q] for q in op.qubits)) for op in base.ops]
+        kinds = [k for k in (GateKind.H, GateKind.CX) if k.arity <= n - 12]
+        for _ in range(n - 12):
+            kind = rng.choice(kinds)
+            gate = GateOp(kind, tuple(rng.sample(relabel[12:], kind.arity)))
+            ops.insert(rng.randint(0, len(ops)), gate)
+        _assert_merge_phase_matches_oracle(Circuit(n, tuple(ops)), 5)
 
 
 def _wide_circuit(rng):
@@ -492,6 +448,39 @@ def test_merge_phase_matches_oracle_on_wide_random_circuits():
     assert disjoint >= 400
 
 
+def test_merge_phase_matches_oracle_on_projected_dags(monkeypatch):
+    """``hier._compile`` hands dagp the gates outside diagonal runs, joined
+    by their wires and by edges through the runs' free gates, which may
+    join parts that share no qubit. On every such DAG it merged, for 300
+    random diagonal-heavy parts at fusion widths 2, 3 and 4, the merge
+    phase equals the closure oracle, and some of those DAGs hold such an
+    edge."""
+    real = partition._merge_phase
+    seen = []
+
+    def spy(qmask, succ, limit):
+        seen.append((qmask, [set(s) for s in succ], limit))
+        return real(qmask, succ, limit)
+
+    monkeypatch.setattr(partition, "_merge_phase", spy)
+    for seed in range(300):
+        rng = random.Random(seed)
+        n, num_ops = rng.randint(4, 9), rng.randint(10, 60)
+        circuit = random_circuit(rng, n, num_ops, _DIAGONAL_HEAVY)
+        monkeypatch.setattr(hier, "FUSE_WIDTH", 2 + seed % 3)
+        hier._compile(circuit.ops)
+    disjoint = 0
+    for qmask, succ, limit in seen:
+        qubits_of = [
+            {q for q in range(mask.bit_length()) if mask >> q & 1} for mask in qmask
+        ]
+        assert real(qmask, succ, limit)[0] == merge_by_closure(qubits_of, succ, limit)
+        disjoint += any(
+            not qmask[u] & qmask[v] for u, vs in enumerate(succ) for v in vs
+        )
+    assert disjoint >= 100
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -514,8 +503,7 @@ def test_dagp_on_gate_subsets_matches_oracle(seed, n, num_ops, data):
         circuit.ops, subset,
         _make_result(circuit, "dagp", limit, groups).parts, limit, "subset",
     )
-    expect = _oracle_merge_phase(
-        [[i] for i in range(len(subset))],
+    expect = merge_by_closure(
         [set(op.qubits) for op in sub.ops],
         _gate_succ(build_dag(sub)),
         limit,
