@@ -8,6 +8,15 @@ import random
 from hisim.qasm import Circuit, GateKind, GateOp
 
 
+#: each diagonal kind three times over, then every kind once, for
+#: ``random_circuit``'s ``kinds``: most gates fall in diagonal runs, which
+#: dense gates and swaps break up
+DIAGONAL_HEAVY = 3 * (
+    GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG,
+    GateKind.RZ, GateKind.U1, GateKind.CZ, GateKind.CRZ,
+) + tuple(GateKind)
+
+
 def random_params(rng: random.Random, kind: GateKind) -> tuple[float, ...]:
     """The kind's angles, each uniform in [-pi, pi]."""
     return tuple(rng.uniform(-math.pi, math.pi) for _ in range(kind.num_params))

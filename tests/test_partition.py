@@ -40,8 +40,7 @@ from hisim.partition import (
 from hisim.qasm import Circuit, GateKind, GateOp
 
 from dag_oracles import merge_by_closure, quotient_is_acyclic, working_set
-from random_circuits import random_circuit
-from test_hier import _DIAGONAL_HEAVY
+from random_circuits import DIAGONAL_HEAVY, random_circuit
 
 STRATEGIES = {
     "nat": partition_nat,
@@ -466,7 +465,7 @@ def test_merge_phase_matches_oracle_on_projected_dags(monkeypatch):
     for seed in range(300):
         rng = random.Random(seed)
         n, num_ops = rng.randint(4, 9), rng.randint(10, 60)
-        circuit = random_circuit(rng, n, num_ops, _DIAGONAL_HEAVY)
+        circuit = random_circuit(rng, n, num_ops, DIAGONAL_HEAVY)
         monkeypatch.setattr(hier, "FUSE_WIDTH", 2 + seed % 3)
         hier._compile(circuit.ops)
     disjoint = 0
