@@ -17,10 +17,10 @@ Every execution path is ``run_part`` on an ``ExecutablePart``.
 rule and builds each level-1 part once, in qubit coordinates:
 ``remap_part`` rewrites its gates to slots of its staged block, and its
 ``positions`` are its qubits. A two-level part is its level-1 part, its
-gates in program order: the level-2 partition is checked and traced (its
-parts' padded qubit sets), but it neither stages nor orders anything,
-since the level-1 chunk already is the cache-sized vector and the
-kernels come from the part's own gate DAG. Distributed execution
+gates in program order: the level-2 partition is checked and documented
+(its parts' padded qubit sets), but it neither stages, orders nor traces
+anything, since the level-1 chunk already is the cache-sized vector and
+the kernels come from the part's own gate DAG. Distributed execution
 (``hisim.dist``) re-bases (``rebase``) the same parts onto rank buffers,
 addressing qubits by their offset bits; a layout changes nothing but
 ``positions``.
@@ -92,6 +92,7 @@ from .qasm import Circuit, GateOp
 from .statevec import (
     CHUNK_AMPS,
     StateVector,
+    _bit_view,
     _blas_threads,
     _one_blas_thread,
     _permute_bits,
@@ -211,10 +212,7 @@ def remap_part(circuit: Circuit, part: Part) -> ExecutablePart:
     slots, params)``; a gate on a qubit outside ``part.qubits`` raises
     ``KeyError``."""
     slot_of = {q: i for i, q in enumerate(part.qubits)}
-    ops = tuple(
-        GateOp(op.kind, tuple(slot_of[q] for q in op.qubits), op.params)
-        for op in (circuit.ops[g] for g in part.gate_indices)
-    )
+    ops = tuple(_lift(circuit.ops[g], slot_of) for g in part.gate_indices)
     return ExecutablePart(part.qubits, ops)
 
 
@@ -239,8 +237,9 @@ def executable_parts(
     A two-level part is built from its level-1 part alone, its gates in
     program order: its kernels come from the gate DAG (``_compile``), so
     the level-2 partition orders nothing. It is checked, and its parts'
-    padded qubit sets (``MultiLevelPartition.padded_qubits``) are traced,
-    but not staged: the level-1 chunk already is the cache-sized vector.
+    padded qubit sets (``MultiLevelPartition.padded_qubits``) are
+    documented, but not staged: the level-1 chunk already is the
+    cache-sized vector.
     """
     ops = circuit.ops
     if isinstance(partition, MultiLevelPartition):
@@ -360,8 +359,9 @@ def _kernelize(ops: Sequence[GateOp]) -> list[tuple[str, list[GateOp]]]:
     return groups
 
 
-def _lift(op: GateOp, positions: Sequence[int]) -> GateOp:
-    return GateOp(op.kind, tuple(positions[s] for s in op.qubits), op.params)
+def _lift(op: GateOp, to: Mapping[int, int] | Sequence[int]) -> GateOp:
+    """``op`` with each operand ``s`` rewritten to ``to[s]``."""
+    return GateOp(op.kind, tuple(to[s] for s in op.qubits), op.params)
 
 
 def _slots(ops: Sequence[GateOp]) -> list[int]:
@@ -543,14 +543,10 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     bstep = max(1, CHUNK_AMPS >> m)  # batch entries per chunk
     k = max(0, min(m - w, (CHUNK_AMPS >> w).bit_length() - 1))
     rstep = 1 << k  # rows of an entry per chunk; free bits 0..k-1 vary
-    # bit j of a leaving chunk's row index, its slots in exit order below
-    # its free bits, sits on bit bits[j] of ``data``: axis m - bits[j] of
-    # the ``(batch,) + (2,) * m`` view
+    # a leaving chunk's row index holds its slots in exit order, then its
+    # free bits
     free = sorted(set(range(m)) - set(positions))
-    bits = [*(positions[s] for s in plan.exit), *free]
-    leave = flat.reshape((len(flat),) + (2,) * m).transpose(
-        [0, *(m - q for q in reversed(bits))]
-    )
+    leave = _bit_view(flat, [*(positions[s] for s in plan.exit), *free])
     size = min(bstep, len(flat)) * rstep << w
     moves = sum(kind in ("permute", "matmul") for kind, _ in kernels)
     # a view that would be the last buffer written, out of order, yields
@@ -645,13 +641,9 @@ class PartTrace:
     assignment, i.e. ``2**(n - num_qubits)``; the batched implementation
     moves the same amplitudes in one pass. ``scatter_calls`` mirrors it.
     ``inner_bytes`` is the size of one staged vector, ``2**(num_qubits+4)``.
-    A level-2 row gives these for its padded qubit set, as if staged on its
-    own; its gates run in its level-1 part's chunks.
     """
 
     part_id: int
-    level: int
-    parent_id: int | None
     num_qubits: int
     num_gates: int
     gather_calls: int
@@ -667,15 +659,13 @@ class ExecutionTrace:
     parts: list[PartTrace] = field(default_factory=list)
 
     def part_rows(self) -> list[dict]:
-        """One dict per part: part_id, w, iterations, gates, plus nesting."""
+        """One dict per part: part_id, w, iterations, gates."""
         return [
             {
                 "part_id": p.part_id,
                 "w": p.num_qubits,
                 "iterations": p.gather_calls,
                 "gates": p.num_gates,
-                "level": p.level,
-                "parent_id": p.parent_id,
             }
             for p in self.parts
         ]
@@ -688,28 +678,15 @@ class ExecutionTrace:
 def _trace(
     num_qubits: int, partition: PartitionResult | MultiLevelPartition
 ) -> ExecutionTrace:
-    """The rows of ``partition``'s parts in execution order: each level-1
-    part, then each of its level-2 parts at the width of its padded qubit
-    set, unless its sublevel is just the part itself."""
+    """The rows of the parts that run, ``partition``'s level-1 parts, in
+    execution order: one per ``run_part`` call."""
     trace = ExecutionTrace(num_qubits)
-
-    def add(part: Part, level: int, parent_id: int | None, w: int) -> None:
+    for part in partition.parts:
+        w = len(part.qubits)
         calls = 1 << (num_qubits - w)
         trace.parts.append(PartTrace(
-            part.id, level, parent_id, w, len(part.gate_indices),
-            calls, calls, 1 << (w + 4),
+            part.id, w, len(part.gate_indices), calls, calls, 1 << (w + 4)
         ))
-
-    if isinstance(partition, MultiLevelPartition):
-        levels = zip(partition.parts, partition.sublevels, partition.padded_qubits)
-    else:
-        levels = ((part, None, ()) for part in partition.parts)
-    for parent, sub, padded in levels:
-        add(parent, 1, None, len(parent.qubits))
-        # a valid sublevel is its parent iff its first part has every gate
-        if sub is not None and sub.parts[0].gate_indices != parent.gate_indices:
-            for sp, pad in zip(sub.parts, padded):
-                add(sp, 2, parent.id, len(pad))
     return trace
 
 
@@ -738,9 +715,8 @@ def execute_hierarchical(
     Level-1 parts execute in the given order, each as one ``run_part``
     pass; a two-level part runs as its level-1 part
     (``executable_parts``). An invalid partition raises ``PartitionError``
-    before any state is made. The trace is read off the partition: its
-    level-2 rows give the staging a level-2 part's padded qubit set would
-    take on its own.
+    before any state is made. The trace has one row per part that ran, so
+    a two-level run traces as its level-1 partition does.
     """
     plan = executable_parts(circuit, partition)
     state = _start_state(circuit, initial)
@@ -751,9 +727,9 @@ def execute_hierarchical(
     return state
 
 
-#: the same runner: a level-2 partition is checked and traced, but each
-#: level-1 part's kernels come from its own gate DAG, so it changes
-#: nothing that runs
+#: the same runner: a level-2 partition is checked and documented, but
+#: each level-1 part's kernels come from its own gate DAG, so it changes
+#: nothing that runs or is traced
 execute_multilevel = execute_hierarchical
 
 

@@ -114,8 +114,8 @@ class MultiLevelPartition:
     def padded_qubits(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """``[i][j]`` is level-2 part j of level-1 part i widened with parent
         qubits, lowest index first, up to min(limit2, parent working set);
-        documented and traced, not staged: execution runs each level-1 part
-        whole, its gates in level-2 order."""
+        documented, not staged or traced: execution runs each level-1 part
+        whole, its gates in program order."""
         return tuple(
             tuple(_pad(p.qubits, parent, self.limit2) for p in sub.parts)
             for parent, sub in zip(self.level1.parts, self.sublevels)
@@ -619,8 +619,7 @@ def partition_multilevel(
 
     The level-2 pass is dagP on the part's gates alone, in global gate and
     qubit indices, exactly as if the part were a circuit of its own. Level-2
-    parts are padded (``MultiLevelPartition.padded_qubits``) in documents
-    and traces.
+    parts are padded (``MultiLevelPartition.padded_qubits``) in documents.
     """
     if limit2 > limit1:
         raise PartitionError(f"limit2 {limit2} exceeds limit1 {limit1}")

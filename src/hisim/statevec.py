@@ -12,16 +12,18 @@ are always bits of the block it runs on: a circuit's own qubits on the
 full state, or slots of a part's staged block, as
 ``hisim.hier.remap_part`` rewrote them.
 
-Only this module maps index bits to array axes: ``_subspace`` views every
-block with given slots held at given bits, and ``_permute_bits`` moves
-bits by one axis transpose, of a whole array or of each entry of a
-batch, into a new array or a given buffer. It is the one permute, for
-layout switches in ``hisim.dist`` and for the bit order of a part's
-chunk in ``hisim.hier``. A gate is a 2x2 on two such views (target at 0
-and 1, controls at 1; or a SWAP's two exchanged slot pairs), never
-decomposed: a diagonal scales them, exactly X exchanges them, slab by
-slab through one saved copy, and any other mixes them in place from one
-saved copy of the first.
+Only this module maps index bits to array axes: ``_bit_view`` views each
+entry of a batch with its bits reordered, by one axis transpose, and the
+scatter of ``hisim.hier.run_part`` writes into such a view, while
+``_permute_bits`` copies one, of a whole array or of each entry, into a
+new array or a buffer: the one permute, for layout switches in
+``hisim.dist`` and for the bit order of a part's chunk in
+``hisim.hier``. ``_subspace`` views every block with given slots held at
+given bits. A gate is a 2x2 on two such views (target at 0 and 1,
+controls at 1; or a SWAP's two exchanged slot pairs), never decomposed:
+a diagonal scales them, exactly X exchanges them, slab by slab through
+one saved copy, and any other mixes them in place from one saved copy of
+the first.
 
 ``is_diagonal`` is the one test for a gate that only scales amplitudes;
 ``hisim.hier._compile`` uses it to find runs of such gates, which commute,
@@ -42,16 +44,16 @@ moves them with ``_permute_bits`` only when no product fits there.
 ``hisim.hier.run_part`` runs a part's chunks on several threads at once,
 and each thread's products then run in BLAS on its own CPU:
 ``_one_blas_thread`` holds numpy's BLAS to one thread while they run,
-and restores its old thread count after, also when a kernel raises. It
-expects numpy's BLAS to be OpenBLAS, as numpy's own wheels bundle it
-(scipy-openblas), exporting its ``set_num_threads`` and
-``get_num_threads`` entry points under one of the names
-``_BLAS_THREAD_CALLS`` lists, and safe to call from several threads
-at once. ``_blas_threads`` finds them through ``ctypes`` in the library
-numpy loaded, by the handle of numpy's own core extension, so no second
-copy of a BLAS is loaded; where it finds none, ``run_part`` runs a part
-on one thread, since uncapped BLAS threads on every worker oversubscribe
-the CPUs.
+and the last of overlapping holds restores its old thread count after,
+also when a kernel raises. It expects numpy's BLAS to be OpenBLAS, as
+numpy's own wheels bundle it (scipy-openblas), exporting its
+``set_num_threads`` and ``get_num_threads`` entry points under one of
+the names ``_BLAS_THREAD_CALLS`` lists, and safe to call from several
+threads at once. ``_blas_threads`` finds them through ``ctypes`` in the
+library numpy loaded, by the handle of numpy's own core extension, so no
+second copy of a BLAS is loaded; where it finds none, ``run_part`` runs
+a part on one thread, since uncapped BLAS threads on every worker
+oversubscribe the CPUs.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ import ctypes
 import json
 import math
 import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
@@ -238,23 +241,32 @@ def _subspace(arr: np.ndarray, w: int, fixed: dict[int, int]) -> np.ndarray:
     return arr.reshape((-1,) + (2,) * w)[tuple(index)]
 
 
+def _bit_view(data: np.ndarray, bits: Sequence[int]) -> np.ndarray:
+    """``data`` as a batch of ``(2,) * n`` entries, ``n = len(bits)``,
+    whose index bit ``j`` is bit ``bits[j]`` of the entry: bit ``i`` is
+    axis ``n - i`` of the C-order ``(batch,) + (2,) * n`` view, so this is
+    one axis transpose, a view of a C-contiguous ``data``."""
+    n = len(bits)
+    return data.reshape((-1,) + (2,) * n).transpose(
+        [0, *(n - b for b in reversed(bits))]
+    )
+
+
 def _permute_bits(
     data: np.ndarray, sigma: Sequence[int], out: np.ndarray | None = None
 ) -> np.ndarray:
     """``data`` with index bit ``i`` of each entry moved to bit ``sigma[i]``.
 
     An entry is a run of ``2**len(sigma)`` amplitudes; any leading
-    amplitudes are batch, each entry permuted alike. Under the C-order
-    ``(batch,) + (2,) * n`` view, bit ``i`` is axis ``n - i``, so the move
-    is one axis transpose and one copy: into ``out`` when given
-    (C-contiguous, the size of ``data``, not overlapping it), else into a
-    new array of ``data``'s shape.
+    amplitudes are batch, each entry permuted alike. The move is one copy
+    of a ``_bit_view``: into ``out`` when given (C-contiguous, the size of
+    ``data``, not overlapping it), else into a new array of ``data``'s
+    shape.
     """
-    n = len(sigma)
-    axes = [0] * (n + 1)
+    bits = [0] * len(sigma)
     for i, j in enumerate(sigma):
-        axes[n - j] = n - i
-    moved = data.reshape((-1,) + (2,) * n).transpose(axes)
+        bits[j] = i
+    moved = _bit_view(data, bits)
     if out is None:
         return moved.copy().reshape(data.shape)
     np.copyto(out.reshape(moved.shape), moved)
@@ -406,19 +418,31 @@ def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     return None
 
 
+_blas_lock = threading.Lock()
+_blas_holds = 0
+_blas_saved = 1
+
+
 @contextmanager
 def _one_blas_thread() -> Iterator[None]:
-    """Hold numpy's BLAS to one thread inside the block, and restore its
-    old thread count on the way out, also when the block raises.
-    ``_blas_threads`` must find the calls. The count is the process's, so
-    only one thread may hold it at a time."""
+    """Hold numpy's BLAS to one thread inside the block. The count is the
+    process's, and holds may overlap: the first saves it and sets 1, the
+    last to end restores it, also when its block raises. ``_blas_threads``
+    must find the calls."""
+    global _blas_holds, _blas_saved
     get, set_ = _blas_threads()
-    old = get()
-    set_(1)
+    with _blas_lock:
+        if not _blas_holds:
+            _blas_saved = get()
+            set_(1)
+        _blas_holds += 1
     try:
         yield
     finally:
-        set_(old)
+        with _blas_lock:
+            _blas_holds -= 1
+            if not _blas_holds:
+                set_(_blas_saved)
 
 
 def simulate_flat(circuit: Circuit, max_qubits: int | None = None) -> StateVector:

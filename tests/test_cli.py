@@ -482,8 +482,34 @@ def test_trace_file_has_one_row_per_executed_part(tmp_path, capsys):
     rows = [json.loads(s) for s in trace_path.read_text().splitlines()]
     assert len(rows) == 5
     for row in rows:
-        assert set(row) == {"part_id", "w", "iterations", "gates", "level", "parent_id"}
+        assert set(row) == {"part_id", "w", "iterations", "gates"}
         assert row["iterations"] == 1 << (6 - row["w"])
+
+
+def test_multilevel_trace_log_is_its_level1_log(tmp_path, capsys, monkeypatch):
+    """A two-level run at 5/3 and a one-level run at limit 5 write the same
+    trace log, byte for byte, each one row per ``run_part`` call: a
+    two-level part runs as its level-1 part."""
+    from hisim import hier
+
+    calls = []
+    real = hier.run_part
+
+    def record(data, exe):
+        calls.append(exe)
+        real(data, exe)
+
+    monkeypatch.setattr(hier, "run_part", record)
+    logs = []
+    for argv in (["--mode", "multilevel", "--l1", "5", "--l2", "3"],
+                 ["--mode", "hierarchical", "--limit", "5"]):
+        calls.clear()
+        path = tmp_path / f"trace{len(logs)}.jsonl"
+        code, _, _ = run_cli(capsys, "run", "qft_12", *argv, "--trace", str(path))
+        assert code == 0
+        logs.append(path.read_bytes())
+        assert len(logs[-1].splitlines()) == len(calls) > 1
+    assert logs[0] == logs[1]
 
 
 # --- partition subcommand ---------------------------------------------------

@@ -1528,13 +1528,12 @@ def test_trace_counts_follow_part_width():
     assert len(trace.parts) == len(partition.parts)
     for t, p in zip(trace.parts, partition.parts):
         w = len(p.qubits)
+        assert t.part_id == p.id
         assert t.num_qubits == w
         assert t.num_gates == len(p.gate_indices)
         assert t.gather_calls == 1 << (n - w)
         assert t.scatter_calls == 1 << (n - w)
         assert t.inner_bytes == (1 << w) * 16
-        assert t.level == 1
-        assert t.parent_id is None
 
 
 def test_trace_rows_schema():
@@ -1544,11 +1543,10 @@ def test_trace_rows_schema():
     rows = trace.part_rows()
     assert [r["part_id"] for r in rows] == [p.id for p in partition.parts]
     for row, p in zip(rows, partition.parts):
+        assert set(row) == {"part_id", "w", "iterations", "gates"}
         assert row["w"] == len(p.qubits)
         assert row["iterations"] == 1 << (circuit.num_qubits - row["w"])
         assert row["gates"] == len(p.gate_indices)
-        assert row["level"] == 1
-        assert row["parent_id"] is None
     lines = trace.to_json_lines().strip().splitlines()
     assert [json.loads(s) for s in lines] == rows
 
@@ -1579,35 +1577,47 @@ def test_multilevel_random_circuits_match_flat(seed):
     assert _check(circuit, ml, execute_multilevel) < 1e-10
 
 
-def test_multilevel_trace_nests_under_parents():
+def _record_run_part(monkeypatch) -> list:
+    """The parts ``hier.run_part`` runs from here on, as it runs them."""
+    ran = []
+    real = hier.run_part
+
+    def record(data, exe):
+        ran.append(exe)
+        real(data, exe)
+
+    monkeypatch.setattr(hier, "run_part", record)
+    return ran
+
+
+def test_multilevel_trace_rows_are_the_level1_rows(monkeypatch):
+    """A two-level part runs as its level-1 part, so a multilevel trace has
+    one row per ``run_part`` call, each that of a level-1 part, in
+    execution order, with the counts of its own width."""
     circuit = bench.build("bv_6")
     ml = partition_multilevel(build_dag(circuit), 4, 2)
+    assert any(len(sub.parts) > 1 for sub in ml.sublevels)
+    ran = _record_run_part(monkeypatch)
     _, trace = execute_multilevel(circuit, ml, with_trace=True)
-    level1 = [t for t in trace.parts if t.level == 1]
-    level2 = [t for t in trace.parts if t.level == 2]
-    assert [t.part_id for t in level1] == [p.id for p in ml.level1.parts]
-    assert len(level2) == sum(len(s.parts) for s in ml.sublevels)
+    assert len(trace.parts) == len(ran)
+    assert [t.part_id for t in trace.parts] == [p.id for p in ml.level1.parts]
     n = circuit.num_qubits
-    for t in level1:
+    for t, p, exe in zip(trace.parts, ml.level1.parts, ran):
+        assert t.num_qubits == len(p.qubits) == exe.num_slots
+        assert t.num_gates == len(p.gate_indices) == len(exe.ops)
         assert t.gather_calls == 1 << (n - t.num_qubits)
-    for t in level2:
-        parent = ml.level1.parts[t.parent_id]
-        w1 = len(parent.qubits)
-        assert t.num_qubits <= w1
-        # Inner staging happens once per outer block pass.
-        assert t.gather_calls == (1 << (n - w1)) * (1 << (w1 - t.num_qubits))
 
 
 def test_level2_parts_stage_their_padded_qubit_sets():
     """A two-level part stages its level-1 qubits and runs its level-1
     gates in program order; its level-2 parts order nothing. Each level-2
     part's padded qubit set, which the oracle stages, lies inside its
-    parent's qubits and around its own, and its trace row has that width;
-    on qaoa_8 at 6/4, three level-2 parts are padded beyond their own
-    qubits."""
+    parent's qubits and around its own; on qaoa_8 at 6/4, three level-2
+    parts are padded beyond their own qubits. The trace gives no row for
+    them: its rows are the level-1 parts, at their own widths."""
     circuit = bench.build("qaoa_8")
     ml = partition_multilevel(build_dag(circuit), 6, 4)
-    widths, widened = [], 0
+    widened = 0
     levels = zip(executable_parts(circuit, ml), ml.level1.parts, ml.sublevels)
     for (exe, parent, sub), pads in zip(levels, ml.padded_qubits):
         assert exe.positions == parent.qubits
@@ -1615,98 +1625,64 @@ def test_level2_parts_stage_their_padded_qubit_sets():
         assert [hier._lift(op, exe.positions) for op in exe.ops] == gates
         for sp, padded in zip(sub.parts, pads):
             assert set(sp.qubits) <= set(padded) <= set(parent.qubits)
-            if len(sub.parts) > 1:
-                widths.append(len(padded))
             widened += len(padded) > sp.working_set
     assert widened == 3
     _, trace = execute_multilevel(circuit, ml, with_trace=True)
-    assert [t.num_qubits for t in trace.parts if t.level == 2] == widths
+    assert [t.num_qubits for t in trace.parts] == [
+        len(p.qubits) for p in ml.level1.parts
+    ]
 
 
-def test_multilevel_with_equal_limits_traces_like_single_level():
-    circuit = bench.build("bv_6")
-    g = build_dag(circuit)
-    ml = partition_multilevel(g, 4, 4)
-    state_ml, trace_ml = execute_multilevel(circuit, ml, with_trace=True)
-    state_fl, trace_fl = execute_hierarchical(
-        circuit, ml.level1, with_trace=True
-    )
-    np.testing.assert_array_equal(state_ml.data, state_fl.data)
-    assert trace_ml.part_rows() == trace_fl.part_rows()
-
-
-#: ``execute_multilevel`` trace logs, pinned byte for byte: qaoa_8 at 6/4 has
-#: widened level-2 parts, bv_6 at 4/4 a sublevel that is its parent (no
-#: level-2 row), qft_12 at 5/3 many level-2 parts per level-1 part
+#: ``execute_multilevel`` trace logs, pinned byte for byte: one row per
+#: level-1 part, the parts that run. qaoa_8 at 6/4 has widened level-2
+#: parts, bv_6 at 4/4 a sublevel that is its parent, qft_12 at 5/3 many
+#: level-2 parts per level-1 part
 _PINNED_TRACES = {
     ("qaoa_8", 6, 4): """\
-{"part_id": 0, "w": 6, "iterations": 4, "gates": 21, "level": 1, "parent_id": null}
-{"part_id": 0, "w": 4, "iterations": 16, "gates": 13, "level": 2, "parent_id": 0}
-{"part_id": 1, "w": 4, "iterations": 16, "gates": 8, "level": 2, "parent_id": 0}
-{"part_id": 1, "w": 6, "iterations": 4, "gates": 21, "level": 1, "parent_id": null}
-{"part_id": 0, "w": 4, "iterations": 16, "gates": 13, "level": 2, "parent_id": 1}
-{"part_id": 1, "w": 4, "iterations": 16, "gates": 8, "level": 2, "parent_id": 1}
-{"part_id": 2, "w": 6, "iterations": 4, "gates": 22, "level": 1, "parent_id": null}
-{"part_id": 0, "w": 4, "iterations": 16, "gates": 11, "level": 2, "parent_id": 2}
-{"part_id": 1, "w": 4, "iterations": 16, "gates": 11, "level": 2, "parent_id": 2}
-{"part_id": 3, "w": 6, "iterations": 4, "gates": 22, "level": 1, "parent_id": null}
-{"part_id": 0, "w": 4, "iterations": 16, "gates": 9, "level": 2, "parent_id": 3}
-{"part_id": 1, "w": 4, "iterations": 16, "gates": 8, "level": 2, "parent_id": 3}
-{"part_id": 2, "w": 4, "iterations": 16, "gates": 5, "level": 2, "parent_id": 3}
-{"part_id": 4, "w": 4, "iterations": 16, "gates": 10, "level": 1, "parent_id": null}""",
+{"part_id": 0, "w": 6, "iterations": 4, "gates": 21}
+{"part_id": 1, "w": 6, "iterations": 4, "gates": 21}
+{"part_id": 2, "w": 6, "iterations": 4, "gates": 22}
+{"part_id": 3, "w": 6, "iterations": 4, "gates": 22}
+{"part_id": 4, "w": 4, "iterations": 16, "gates": 10}""",
     ("bv_6", 4, 4): """\
-{"part_id": 0, "w": 4, "iterations": 4, "gates": 11, "level": 1, "parent_id": null}
-{"part_id": 1, "w": 3, "iterations": 8, "gates": 6, "level": 1, "parent_id": null}""",
+{"part_id": 0, "w": 4, "iterations": 4, "gates": 11}
+{"part_id": 1, "w": 3, "iterations": 8, "gates": 6}""",
     ("qft_12", 5, 3): """\
-{"part_id": 0, "w": 5, "iterations": 128, "gates": 25, "level": 1, "parent_id": null}
-{"part_id": 0, "w": 3, "iterations": 512, "gates": 9, "level": 2, "parent_id": 0}
-{"part_id": 1, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 0}
-{"part_id": 2, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 0}
-{"part_id": 3, "w": 3, "iterations": 512, "gates": 8, "level": 2, "parent_id": 0}
-{"part_id": 1, "w": 5, "iterations": 128, "gates": 8, "level": 1, "parent_id": null}
-{"part_id": 0, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 1}
-{"part_id": 1, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 1}
-{"part_id": 2, "w": 5, "iterations": 128, "gates": 8, "level": 1, "parent_id": null}
-{"part_id": 0, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 2}
-{"part_id": 1, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 2}
-{"part_id": 3, "w": 5, "iterations": 128, "gates": 12, "level": 1, "parent_id": null}
-{"part_id": 0, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 3}
-{"part_id": 1, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 3}
-{"part_id": 2, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 3}
-{"part_id": 4, "w": 5, "iterations": 128, "gates": 8, "level": 1, "parent_id": null}
-{"part_id": 0, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 4}
-{"part_id": 1, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 4}
-{"part_id": 5, "w": 5, "iterations": 128, "gates": 8, "level": 1, "parent_id": null}
-{"part_id": 0, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 5}
-{"part_id": 1, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 5}
-{"part_id": 6, "w": 5, "iterations": 128, "gates": 12, "level": 1, "parent_id": null}
-{"part_id": 0, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 6}
-{"part_id": 1, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 6}
-{"part_id": 2, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 6}
-{"part_id": 7, "w": 5, "iterations": 128, "gates": 24, "level": 1, "parent_id": null}
-{"part_id": 0, "w": 3, "iterations": 512, "gates": 8, "level": 2, "parent_id": 7}
-{"part_id": 1, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 7}
-{"part_id": 2, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 7}
-{"part_id": 3, "w": 3, "iterations": 512, "gates": 8, "level": 2, "parent_id": 7}
-{"part_id": 8, "w": 5, "iterations": 128, "gates": 12, "level": 1, "parent_id": null}
-{"part_id": 0, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 8}
-{"part_id": 1, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 8}
-{"part_id": 2, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 8}
-{"part_id": 9, "w": 5, "iterations": 128, "gates": 7, "level": 1, "parent_id": null}
-{"part_id": 0, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 9}
-{"part_id": 1, "w": 3, "iterations": 512, "gates": 3, "level": 2, "parent_id": 9}
-{"part_id": 10, "w": 5, "iterations": 128, "gates": 7, "level": 1, "parent_id": null}
-{"part_id": 0, "w": 3, "iterations": 512, "gates": 4, "level": 2, "parent_id": 10}
-{"part_id": 1, "w": 3, "iterations": 512, "gates": 3, "level": 2, "parent_id": 10}
-{"part_id": 11, "w": 5, "iterations": 128, "gates": 16, "level": 1, "parent_id": null}
-{"part_id": 0, "w": 3, "iterations": 512, "gates": 8, "level": 2, "parent_id": 11}
-{"part_id": 1, "w": 3, "iterations": 512, "gates": 3, "level": 2, "parent_id": 11}
-{"part_id": 2, "w": 3, "iterations": 512, "gates": 5, "level": 2, "parent_id": 11}
-{"part_id": 12, "w": 4, "iterations": 256, "gates": 2, "level": 1, "parent_id": null}
-{"part_id": 0, "w": 3, "iterations": 512, "gates": 1, "level": 2, "parent_id": 12}
-{"part_id": 1, "w": 3, "iterations": 512, "gates": 1, "level": 2, "parent_id": 12}
-{"part_id": 13, "w": 2, "iterations": 1024, "gates": 1, "level": 1, "parent_id": null}""",
+{"part_id": 0, "w": 5, "iterations": 128, "gates": 25}
+{"part_id": 1, "w": 5, "iterations": 128, "gates": 8}
+{"part_id": 2, "w": 5, "iterations": 128, "gates": 8}
+{"part_id": 3, "w": 5, "iterations": 128, "gates": 12}
+{"part_id": 4, "w": 5, "iterations": 128, "gates": 8}
+{"part_id": 5, "w": 5, "iterations": 128, "gates": 8}
+{"part_id": 6, "w": 5, "iterations": 128, "gates": 12}
+{"part_id": 7, "w": 5, "iterations": 128, "gates": 24}
+{"part_id": 8, "w": 5, "iterations": 128, "gates": 12}
+{"part_id": 9, "w": 5, "iterations": 128, "gates": 7}
+{"part_id": 10, "w": 5, "iterations": 128, "gates": 7}
+{"part_id": 11, "w": 5, "iterations": 128, "gates": 16}
+{"part_id": 12, "w": 4, "iterations": 256, "gates": 2}
+{"part_id": 13, "w": 2, "iterations": 1024, "gates": 1}""",
 }
+
+
+def test_multilevel_traces_like_single_level(monkeypatch):
+    """At any limits, a multilevel run gives the state and the trace log,
+    byte for byte, of ``execute_hierarchical`` on its level-1 partition,
+    and either log has one row per ``run_part`` call."""
+    calls = _record_run_part(monkeypatch)
+    for name, l1, l2 in _PINNED_TRACES:
+        circuit = bench.build(name)
+        ml = partition_multilevel(build_dag(circuit), l1, l2)
+        logs, states = [], []
+        runs = (execute_multilevel, ml), (execute_hierarchical, ml.level1)
+        for run, partition in runs:
+            calls.clear()
+            state, trace = run(circuit, partition, with_trace=True)
+            assert len(trace.parts) == len(calls)
+            logs.append(trace.to_json_lines())
+            states.append(state.data)
+        np.testing.assert_array_equal(*states)
+        assert logs[0] == logs[1]
 
 
 @pytest.mark.parametrize("name,l1,l2", list(_PINNED_TRACES))

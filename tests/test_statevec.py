@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,6 +18,8 @@ from hisim.errors import QubitCountOutOfRangeError
 from hisim.qasm import Circuit, GateKind, GateOp
 from hisim.statevec import (
     StateVector,
+    _blas_threads,
+    _one_blas_thread,
     _permute_bits,
     apply_matrix,
     apply_op,
@@ -375,6 +379,71 @@ def test_permute_bits_moves_each_entrys_bits():
     out = np.empty_like(data)
     assert _permute_bits(data, sigma, out=out) is out
     np.testing.assert_array_equal(out, expect)
+
+
+def test_overlapping_blas_holds_restore_the_thread_count():
+    """Two holds that overlap (A in, B in, A out, B out), as two
+    ``run_part`` calls on two threads make them, keep BLAS on one thread
+    while either is held and leave the count where it was, also when the
+    inner block raises. The count is set to 2 first, so that 1 is not
+    already the count."""
+    calls = _blas_threads()
+    if calls is None:
+        pytest.skip("numpy's BLAS thread count cannot be set")
+    get, set_ = calls
+    old = get()
+    set_(2)
+    try:
+        before = get()
+        a, b = _one_blas_thread(), _one_blas_thread()
+        a.__enter__()
+        assert get() == 1
+        b.__enter__()
+        assert get() == 1
+        a.__exit__(None, None, None)
+        assert get() == 1
+        b.__exit__(None, None, None)
+        assert get() == before
+        with pytest.raises(RuntimeError), _one_blas_thread():
+            with _one_blas_thread():
+                assert get() == 1
+                raise RuntimeError
+        assert get() == before
+    finally:
+        set_(old)
+
+
+def test_blas_holds_on_many_threads_restore_the_thread_count():
+    """Four threads each open and close 2000 nested holds while threads
+    switch every microsecond: BLAS reads one thread inside every hold, and
+    the count is back when all are done."""
+    calls = _blas_threads()
+    if calls is None:
+        pytest.skip("numpy's BLAS thread count cannot be set")
+    get, set_ = calls
+    old, interval = get(), sys.getswitchinterval()
+    seen = []
+
+    def hold():
+        for _ in range(2000):
+            with _one_blas_thread(), _one_blas_thread():
+                seen.append(get())
+
+    set_(2)
+    sys.setswitchinterval(1e-6)
+    try:
+        before = get()
+        threads = [threading.Thread(target=hold) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert len(seen) == 8000 and set(seen) == {1}
+        assert get() == before
+    finally:
+        sys.setswitchinterval(interval)
+        set_(old)
 
 
 def test_apply_matrix_rejects_bad_input():
