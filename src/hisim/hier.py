@@ -25,34 +25,39 @@ the kernels come from the part's own gate DAG. Distributed execution
 addressing qubits by their offset bits; a layout changes nothing but
 ``positions``.
 
-Within a part, the ops are grouped once (``_compile``), as Atlas
-kernelizes (Xu et al., SC24): diagonal gates commute, so the members of
-each run of two or more are free to move, and dagp (``partition._dagp``)
-cuts every other gate into acyclic groups of at most ``FUSE_WIDTH``
-slots, over the DAG projected through the free gates. Each free gate then
-joins a dense group that holds all its qubits where it may run, or else a
-phase group just before the first group that must follow it, which all
-the gates placed there share. So a chunk takes one pass per group, not
-one per gate, and a lone gate between two diagonal runs, such as qft's
-``h``, fuses with its neighbours instead of running alone. ``_plan``
-then runs the groups under a tracked bit order of the chunk and builds
-each kernel once, in the bits it runs on, by applying the group's gates
-there. A dense group becomes one unitary, built on the rows of the
-identity of its bits, and runs where its slots sit when a product fits
-there: on the lowest bits, padded with identity bits when they all sit
-below ``FUSE_WIDTH`` (a 2x2 on the lowest bit to a 4x4), or in place
-from bit ``STRIDE_FLOOR`` up. Only otherwise does one transposing copy
-move its slots to the lowest bits, and the same copy lifts the next
-unitary's slots to the highest bits. A phase group is applied to a
-``2**w`` vector of ones while that fits a chunk, else its ops are lone
-ops, and a lone op, like an op wider than ``FUSE_WIDTH``, runs as itself
-on its bits; nothing is re-addressed after it is built. A plan enters
-and leaves in its own bit orders: the gather takes the chunk's columns in
-the order of the plan's first permute, and the scatter writes the chunk
-back from the order the last kernel leaves it in, by one transposed copy
-into a view of the state. So each chunk is gathered and scattered once,
-and no permute only restores the identity. Only ``simulate_flat`` runs
-gate by gate; it stays the oracle.
+Within a part, a swap moves no amplitude: each one relabels the slots
+after it (``_relabel``), the qubit relabelling of Häner & Steiger (SC17),
+and the order a chunk leaves in takes up what it would have moved. The
+other ops are grouped once (``_compile``), as Atlas kernelizes (Xu et
+al., SC24): diagonal gates commute, so the members of each run of two or
+more are free to move, and dagp (``partition._dagp``) cuts every other
+gate into acyclic groups of at most ``FUSE_WIDTH`` slots, over the DAG
+projected through the free gates. Each free gate then joins a dense
+group that holds all its qubits where it may run, or else a phase group
+just before the first group that must follow it, which all the gates
+placed there share. So a chunk takes one pass per group, not one per
+gate, and a lone gate between two diagonal runs, such as qft's ``h``,
+fuses with its neighbours instead of running alone. ``_plan`` then runs
+the groups under a tracked bit order of the chunk and builds each kernel
+once, in the bits it runs on, by applying the group's gates there. A
+dense group becomes one unitary, built on the rows of the identity of
+its bits, and runs where its slots sit when a product fits there: on the
+lowest bits, padded with identity bits when they all sit below
+``FUSE_WIDTH`` (a 2x2 on the lowest bit to a 4x4), or in place from bit
+``STRIDE_FLOOR`` up. Only otherwise does one permute move its slots to
+the lowest bits, and the same permute lifts the next unitary's slots to
+the highest bits: one ``np.take`` through a ``2**w`` gather index built
+with the plan while ``2**w`` fits a chunk, else one transposing copy. A
+phase group is applied to a ``2**w`` vector of ones while that fits a
+chunk, else its ops are lone ops, and a lone op, like an op wider than
+``FUSE_WIDTH``, runs as itself on its bits; nothing is re-addressed after
+it is built. A plan enters and leaves in its own bit orders: the gather
+takes the chunk's columns in the order of the plan's first permute, and
+the scatter writes the chunk back from the order the last kernel leaves
+it in, read through the swaps' relabelling, by one transposed copy into
+a view of the state. So each chunk is gathered and scattered once, no
+permute only restores the identity, and a swap costs nothing. Only
+``simulate_flat`` runs gate by gate; it stays the oracle.
 
 The chunks of a part are independent, so ``run_part`` runs them on every
 CPU the process may use: the calling thread and one helper thread per
@@ -88,7 +93,7 @@ from .partition import (
     _check_parts,
     _dagp,
 )
-from .qasm import Circuit, GateOp
+from .qasm import Circuit, GateKind, GateOp
 from .statevec import (
     CHUNK_AMPS,
     StateVector,
@@ -137,7 +142,11 @@ FUSE_WIDTH = 4
 #: stack of ``(2**k, 2**bit)`` products (``apply_matrix``'s ``low``). For
 #: a 2x2 on a 2**16-amplitude chunk of 2**14-amplitude rows (2 CPUs), a
 #: product at bit 6 cost about as much as a permute to the lowest bits and
-#: a product there, at bit 5 about 1.5x as much, from bit 7 up less
+#: a product there, at bit 5 about 1.5x as much, from bit 7 up less. With
+#: permutes by gather index, running every product on the lowest bits
+#: instead read qft20-dist ``solve_s`` 0.131 s against 0.123 s and
+#: qaoa20-multilevel 0.169 against 0.167 s (benchmarks/run.py, medians of
+#: 8 alternating runs at ``--seconds 8``, 2 CPUs)
 STRIDE_FLOOR = 6
 
 
@@ -198,11 +207,13 @@ class ExecutablePart:
 
     @cached_property
     def steps(self) -> Plan:
-        """The plan every chunk runs (see ``_plan``): the ops grouped
-        (``_compile``), each group built once into a kernel on the bits it
-        runs on, between the orders a chunk enters and leaves in; built on
-        first use and reused by every later chunk and call."""
-        return _plan(_compile(self.ops), self.num_slots)
+        """The plan every chunk runs (see ``_plan``): the ops, their swaps
+        taken as relabellings (``_relabel``), grouped (``_compile``), each
+        group built once into a kernel on the bits it runs on, between the
+        orders a chunk enters and leaves in; built on first use and reused
+        by every later chunk and call."""
+        ops, where = _relabel(self.ops, self.num_slots)
+        return _plan(_compile(ops), self.num_slots, where)
 
 
 def remap_part(circuit: Circuit, part: Part) -> ExecutablePart:
@@ -260,7 +271,7 @@ def _compile(ops: Sequence[GateOp]) -> list[tuple[str, list[GateOp]]]:
     (``_kernelize``) into ``"phase"`` groups, of diagonal ops only,
     ``"dense"`` groups, on at most ``FUSE_WIDTH`` slots each, and ``"op"``
     groups of one lone op that exchanges amplitudes (``x``, ``cx``,
-    ``swap``, ``ccx``).
+    ``ccx``; a part's swaps never get here, ``_relabel``).
     """
     groups: list[tuple[str, list[GateOp]]] = []
     segment: list[GateOp] = []
@@ -364,6 +375,29 @@ def _lift(op: GateOp, to: Mapping[int, int] | Sequence[int]) -> GateOp:
     return GateOp(op.kind, tuple(to[s] for s in op.qubits), op.params)
 
 
+def _relabel(ops: Sequence[GateOp], w: int) -> tuple[list[GateOp], list[int]]:
+    """``ops`` on the slots of a ``2**w`` block without their swaps, and
+    ``where``, with ``where[s]`` the slot that holds slot ``s`` after them.
+
+    A swap moves no amplitude here: it exchanges two entries of ``where``,
+    which starts as the identity, and every other op is lifted
+    (``_lift``) through ``where`` as it stands. So the ops left leave slot
+    ``s`` on slot ``where[s]``, where the swaps would have put it, and
+    ``_plan`` folds ``where`` into the order a chunk leaves in, which the
+    scatter writes back by the one transposed copy it makes anyway (the
+    qubit relabelling of Häner & Steiger, SC17).
+    """
+    where = list(range(w))
+    lifted = []
+    for op in ops:
+        if op.kind is GateKind.SWAP:
+            a, b = op.qubits
+            where[a], where[b] = where[b], where[a]
+        else:
+            lifted.append(_lift(op, where))
+    return lifted, where
+
+
 def _slots(ops: Sequence[GateOp]) -> list[int]:
     return sorted({s for op in ops for s in op.qubits})
 
@@ -371,14 +405,29 @@ def _slots(ops: Sequence[GateOp]) -> list[int]:
 class Plan(NamedTuple):
     """What every chunk of a part runs (``_plan``): it enters with slot
     ``entry[j]`` at index bit ``j``, runs ``kernels`` in order, and leaves
-    with slot ``exit[j]`` at bit ``j``."""
+    with slot ``exit[j]`` at bit ``j``, the part's swaps done."""
 
     entry: tuple[int, ...]
     kernels: list[tuple]
     exit: tuple[int, ...]
 
 
-def _plan(groups: list[tuple[str, list[GateOp]]], w: int) -> Plan:
+def _permute(order: Sequence[int], new: Sequence[int], w: int) -> tuple:
+    """The kernel that moves a ``2**w`` block from bit order ``order`` to
+    ``new`` (``order[j]`` the slot at index bit ``j``): ``("permute",
+    index)``, with ``index`` the ``2**w`` gather index of ``np.take``,
+    while ``2**w`` fits a chunk (``CHUNK_AMPS``); on a wider block, whose
+    index would be half the size of a row, up to half the state,
+    ``("permute", sigma)``, one transposing copy (``_permute_bits``)."""
+    if 1 << w <= CHUNK_AMPS:
+        # bit j of the new order comes from the bit its slot sits on now
+        return ("permute", bit_offsets([order.index(s) for s in new]))
+    return ("permute", tuple(new.index(s) for s in order))
+
+
+def _plan(
+    groups: list[tuple[str, list[GateOp]]], w: int, where: Sequence[int]
+) -> Plan:
     """Groups of ops on the slots of a ``2**w`` block (``_compile``) as
     kernels ``(kind, arg)`` under a tracked bit order, ``order[j]`` the
     slot at index bit ``j``. Each kernel is built once, here, on the bits
@@ -392,8 +441,8 @@ def _plan(groups: list[tuple[str, list[GateOp]]], w: int) -> Plan:
     ``FUSE_WIDTH``, up to the highest of them, and up to bit 1 when that
     is bit 0 and the block has one; or from the lowest bit of ``S`` when
     that is at least ``STRIDE_FLOOR`` and ``S`` spans at most
-    ``FUSE_WIDTH`` bits. Otherwise a ``("permute", sigma)`` first moves
-    ``S`` to the lowest bits, in ascending order; the same copy moves the
+    ``FUSE_WIDTH`` bits. Otherwise a permute (``_permute``) first moves
+    ``S`` to the lowest bits, in ascending order; the same move lifts the
     next dense group's slots to the highest bits when they are disjoint
     from ``S``, so that one can run in place; the other slots keep their
     order. ``u`` is the transpose of the ``2**h`` identity's rows with the
@@ -406,8 +455,9 @@ def _plan(groups: list[tuple[str, list[GateOp]]], w: int) -> Plan:
 
     A permute that would be the first kernel is not one: its order is the
     plan's entry order, which the gather produces. Nothing restores the
-    identity order at the end: the order there is the exit order, which
-    the scatter takes back.
+    identity order at the end: the order there, with each slot ``s`` read
+    as the slot ``where`` (``_relabel``) moved to it, is the exit order,
+    which the scatter takes back.
     """
     order = list(range(w))
     entry = order[:]
@@ -415,8 +465,7 @@ def _plan(groups: list[tuple[str, list[GateOp]]], w: int) -> Plan:
 
     def permute(new: list[int]) -> None:
         if kernels:
-            bit_of = {s: j for j, s in enumerate(new)}
-            kernels.append(("permute", tuple(bit_of[s] for s in order)))
+            kernels.append(_permute(order, new, w))
         else:
             entry[:] = new
         order[:] = new
@@ -453,7 +502,8 @@ def _plan(groups: list[tuple[str, list[GateOp]]], w: int) -> Plan:
             # transposed. On a 2**16-amplitude chunk, products with a copy
             # of u in C order ran 3-5% faster than with rows.T (2 CPUs)
             kernels.append(("matmul", (t, rows.T.copy())))
-    return Plan(tuple(entry), kernels, tuple(order))
+    held = {p: s for s, p in enumerate(where)}  # slot p holds slot held[p]
+    return Plan(tuple(entry), kernels, tuple(held[p] for p in order))
 
 
 def _cpus() -> int:
@@ -503,9 +553,12 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     Such a chunk would end on its view, out of its exit order, when its
     permutes and products are even in number; a gather buffer then takes
     the view's turn after the first of them, so it too leaves by one
-    copy, except on a row wider than a chunk, where a plain copy into the
-    scratch goes first. A part on the lowest bits whose plan has no
-    permute or product and leaves in the identity order allocates nothing.
+    copy, except on a row wider than a chunk or in a plan with no permute
+    or product, where a plain copy into the scratch goes first. A part on
+    the lowest bits whose plan has no permute or product and leaves in the
+    identity order allocates nothing. A permute is one ``np.take`` through
+    its gather index while a row fits a chunk, else one transposing copy
+    (``_permute``).
 
     The chunks run on ``_workers`` threads, each taking the next chunk
     from one shared queue until none is left: the calling thread, and one
@@ -538,7 +591,7 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     if staged:
         gidx = part_block_indices(m, [positions[s] for s in plan.entry])
     elif plan.entry != identity:
-        kernels = [("permute", tuple(map(plan.entry.index, identity))), *kernels]
+        kernels = [_permute(identity, plan.entry, w), *kernels]
     rows = 1 << (m - w)  # rows per batch entry
     bstep = max(1, CHUNK_AMPS >> m)  # batch entries per chunk
     k = max(0, min(m - w, (CHUNK_AMPS >> w).bit_length() - 1))
@@ -549,16 +602,15 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     leave = _bit_view(flat, [*(positions[s] for s in plan.exit), *free])
     size = min(bstep, len(flat)) * rstep << w
     moves = sum(kind in ("permute", "matmul") for kind, _ in kernels)
-    # a view that would be the last buffer written, out of order, yields
-    # its turn to a gather buffer, unless a row outgrows a chunk
-    relay = (
-        not staged and moves % 2 == 0 and plan.exit != identity
-        and 1 << w <= CHUNK_AMPS
-    )
+    # a view that would be the last buffer written, out of order, must be
+    # copied out to leave; after a first move it yields its turn to a
+    # gather buffer instead, unless a row outgrows a chunk
+    stuck = not staged and moves % 2 == 0 and plan.exit != identity
+    relay = stuck and moves > 0 and 1 << w <= CHUNK_AMPS
 
     def buffers() -> tuple[np.ndarray | None, np.ndarray | None]:
         gathered = np.empty(size, dtype=data.dtype) if staged or relay else None
-        spare = np.empty(size, dtype=data.dtype) if moves else None
+        spare = np.empty(size, dtype=data.dtype) if moves or stuck else None
         return gathered, spare
 
     chunks = deque(product(range(0, len(flat), bstep), range(0, rows, rstep)))
@@ -589,10 +641,12 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
                 elif kind == "op":
                     apply_op(cur, w, arg)
                 else:
-                    if kind == "permute":
+                    if kind == "matmul":
+                        apply_matrix(cur, arg[1], other, arg[0])
+                    elif isinstance(arg, tuple):  # a row wider than a chunk
                         _permute_bits(cur, arg, out=other)
                     else:
-                        apply_matrix(cur, arg[1], other, arg[0])
+                        np.take(cur, arg, axis=-1, out=other, mode="clip")
                     cur, other = other, back if cur is sub else cur
             if cur is sub and plan.exit != identity:
                 other[...] = cur

@@ -16,14 +16,16 @@ Only this module maps index bits to array axes: ``_bit_view`` views each
 entry of a batch with its bits reordered, by one axis transpose, and the
 scatter of ``hisim.hier.run_part`` writes into such a view, while
 ``_permute_bits`` copies one, of a whole array or of each entry, into a
-new array or a buffer: the one permute, for layout switches in
-``hisim.dist`` and for the bit order of a part's chunk in
-``hisim.hier``. ``_subspace`` views every block with given slots held at
-given bits. A gate is a 2x2 on two such views (target at 0 and 1,
-controls at 1; or a SWAP's two exchanged slot pairs), never decomposed:
-a diagonal scales them, exactly X exchanges them, slab by slab through
-one saved copy, and any other mixes them in place from one saved copy of
-the first.
+new array or a buffer: the transposing permute, for layout switches in
+``hisim.dist`` and for the bit order of a part's chunk in ``hisim.hier``
+when its rows are wider than a chunk. Narrower rows are permuted by one
+``np.take`` through a gather index instead (``hisim.hier._permute``),
+and a SWAP in a part only relabels its slots (``hisim.hier._relabel``).
+``_subspace`` views every block with given slots held at given bits. A
+gate is a 2x2 on two such views (target at 0 and 1, controls at 1; or a
+SWAP's two exchanged slot pairs), never decomposed: a diagonal scales
+them, exactly X exchanges them, slab by slab through one saved copy, and
+any other mixes them in place from one saved copy of the first.
 
 ``is_diagonal`` is the one test for a gate that only scales amplitudes;
 ``hisim.hier._compile`` uses it to find runs of such gates, which commute,
@@ -39,7 +41,7 @@ identity of the ``k`` bits it runs on.
 cache-sized block, into a second buffer: on the lowest bits as one
 matrix product, or from bit ``low`` up as one stacked product.
 ``hisim.hier`` picks the bits where the unitary's slots already sit, and
-moves them with ``_permute_bits`` only when no product fits there.
+permutes them only when no product fits there.
 
 ``hisim.hier.run_part`` runs a part's chunks on several threads at once,
 and each thread's products then run in BLAS on its own CPU:

@@ -728,20 +728,34 @@ def _product(ops):
     return slots, u
 
 
-def _walk(plan):
-    """``plan``'s kernels, each as ``(kind, arg, order)`` with ``order[j]``
-    the slot at index bit ``j`` while it runs: the walk starts at the
-    plan's entry order, each permute moves it, and it must end at the
-    plan's exit order."""
+def _moved(order, arg):
+    """``order`` after a permute kernel's ``arg``: a gather index, which
+    must be that of a bit permutation (``bit_offsets`` of the bits it reads
+    each new bit from), or a ``sigma`` moving bit ``i`` to ``sigma[i]``."""
+    if isinstance(arg, tuple):
+        moved = list(order)
+        for i, j in enumerate(arg):
+            moved[j] = order[i]
+        return tuple(moved)
+    source = [int(arg[1 << j]).bit_length() - 1 for j in range(len(order))]
+    assert np.array_equal(arg, bit_offsets(source))
+    return tuple(order[b] for b in source)
+
+
+def _walk(exe):
+    """``exe``'s plan's kernels, each as ``(kind, arg, order)`` with
+    ``order[j]`` the slot at index bit ``j`` while it runs: the walk starts
+    at the plan's entry order, each permute moves it (``_moved``), and it
+    must end at the plan's exit order once each slot there is read as the
+    slot the part's swaps moved onto it (``hier._relabel``)."""
+    plan = exe.steps
     order, walked = plan.entry, []
     for kind, arg in plan.kernels:
         if kind == "permute":
-            moved = list(order)
-            for i, j in enumerate(arg):
-                moved[j] = order[i]
-            order = tuple(moved)
+            order = _moved(order, arg)
         walked.append((kind, arg, order))
-    assert order == plan.exit
+    _, where = hier._relabel(exe.ops, exe.num_slots)
+    assert tuple(where.index(p) for p in order) == plan.exit
     return walked
 
 
@@ -750,12 +764,14 @@ def test_each_fused_unitary_is_its_ops_product(seed):
     """Three segments of ops on alternating 4-slot sets of an 8-slot part.
     Each segment opens with an H on all four of its slots; dense ops
     alternate with ops of any kind, so no two diagonal ops meet and the
-    part is one dagp segment. The middle set shares no slot with the
-    others, so dagp puts the first and last segments in one group, and
-    the plan holds one product per group. Walking the plan (``_walk``),
-    each product finds its group's sorted slots on the lowest bits, and
-    each product's unitary is the product of its own group's ops' full
-    operators on those slots, in program order, and unitary."""
+    part is one dagp segment. Its swaps, each within one set, are
+    relabellings (``hier._relabel``), so the ops left keep to the same
+    sets. The middle set shares no slot with the others, so dagp puts the
+    first and last segments in one group, and the plan holds one product
+    per group. Walking the plan (``_walk``), each product finds its
+    group's sorted slots on the lowest bits, and each product's unitary is
+    the product of its own group's relabelled ops' full operators on those
+    slots, in program order, and unitary."""
     rng = random.Random(seed)
     sets = ((0, 2, 5, 7), (1, 3, 4, 6), (0, 2, 5, 7))
     segments = []
@@ -769,13 +785,14 @@ def test_each_fused_unitary_is_its_ops_product(seed):
     circuit = Circuit(8, tuple(op for ops in segments for op in ops))
     gates = tuple(range(circuit.num_ops))
     exe = remap_part(circuit, Part(0, gates, tuple(range(8))))
+    ops, _ = hier._relabel(exe.ops, 8)
     groups = [
-        [exe.ops[i] for i in group]
-        for group in _dagp(exe.ops, gates, hier.FUSE_WIDTH)
+        [ops[i] for i in group]
+        for group in _dagp(ops, range(len(ops)), hier.FUSE_WIDTH)
     ]
-    assert [len(group) for group in groups] == [24, 12]
+    assert [_product(group)[0] for group in groups] == [[0, 2, 5, 7], [1, 3, 4, 6]]
     fused = []
-    for kind, arg, order in _walk(exe.steps):
+    for kind, arg, order in _walk(exe):
         if kind != "permute":
             assert kind == "matmul"
             low, u = arg
@@ -842,11 +859,13 @@ def _embed(u, bits, h):
 
 
 def _check_products(exe):
-    """Walk ``exe``'s plan (``_walk``) alongside its dense groups: each
-    product is its group's unitary on its sorted slots, embedded at the
-    bits the plan's entry order and permutes have moved those slots to."""
-    groups = [ops for tag, ops in hier._compile(exe.ops) if tag == "dense"]
-    for kind, arg, order in _walk(exe.steps):
+    """Walk ``exe``'s plan (``_walk``) alongside the dense groups of its
+    relabelled ops (``hier._relabel``): each product is its group's
+    unitary on its sorted slots, embedded at the bits the plan's entry
+    order and permutes have moved those slots to."""
+    ops, _ = hier._relabel(exe.ops, exe.num_slots)
+    groups = [group for tag, group in hier._compile(ops) if tag == "dense"]
+    for kind, arg, order in _walk(exe):
         if kind == "matmul":
             t, u = arg
             slots, expect = _product(groups.pop(0))
@@ -972,7 +991,8 @@ def _check_groups(ops, groups, width):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_diagonals_move_to_their_groups(width, seed):
     """Random parts of diagonal runs, traps and other ops, CCX wider than
-    width 2 among them, grouped at fusion width ``width``
+    width 2 among them, their swaps taken as relabellings
+    (``hier._relabel``), grouped at fusion width ``width``
     (``_check_groups``): each product of the plan is its group's unitary
     (``_check_products``), and the plan, staged out of a larger state or
     on its lowest bits, run on a batch of two random states in chunks of
@@ -986,7 +1006,8 @@ def test_diagonals_move_to_their_groups(width, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hier, "FUSE_WIDTH", width)
         mp.setattr(hier, "CHUNK_AMPS", 2 << w)
-        _check_groups(ops, hier._compile(ops), width)
+        left, _ = hier._relabel(ops, w)
+        _check_groups(left, hier._compile(left), width)
         for positions in (tuple(sorted(rng.sample(range(n), w))), tuple(range(w))):
             exe = remap_part(Circuit(w, tuple(ops)), part)
             exe = rebase(exe, dict(enumerate(positions)))
@@ -1085,6 +1106,142 @@ def test_plans_enter_and_leave_in_their_own_orders(
     assert np.max(np.abs(data - expect)) <= 1e-12
 
 
+#: swaps on five slots and the order they leave a chunk in, slot
+#: ``_SWAPS_EXIT[j]`` at bit ``j``: taken as relabellings, they leave no
+#: slot where it was
+_SWAPS = ((0, 3), (1, 4), (3, 2), (0, 1))
+_SWAPS_EXIT = (2, 4, 3, 1, 0)
+
+
+def _swap_part():
+    ops = tuple(GateOp(GateKind.SWAP, pair, ()) for pair in _SWAPS)
+    return remap_part(Circuit(5, ops), Part(0, tuple(range(len(ops))), tuple(range(5))))
+
+
+def _run_against_the_ops(exe, n, seed):
+    """``exe`` run on a batch of two random ``n``-qubit states, against its
+    ops applied one by one on its positions."""
+    data_rng = np.random.default_rng(seed)
+    shape = (2, 1 << n)
+    data = data_rng.normal(size=shape) + 1j * data_rng.normal(size=shape)
+    expect = data.copy()
+    for op in exe.ops:
+        apply_op(expect, n, hier._lift(op, exe.positions))
+    run_part(data, exe)
+    assert np.max(np.abs(data - expect)) <= 1e-12
+
+
+@pytest.mark.parametrize("chunk", [1 << 4, 1 << 7, 1 << 16])
+@pytest.mark.parametrize("placement", ["lowest", "staged"])
+def test_swap_only_parts_only_relabel(monkeypatch, placement, chunk):
+    """A part of swaps only plans no kernel at all: it enters in the
+    identity order and leaves in the order its swaps relabel
+    (``_SWAPS_EXIT``). On the lowest bits of a 9-qubit state or staged out
+    of it, on rows wider than a chunk (``2**4`` amplitudes), in several
+    chunks or in one, it equals the swaps applied one by one."""
+    monkeypatch.setattr(hier, "CHUNK_AMPS", chunk)
+    exe = _swap_part()
+    assert exe.steps == hier.Plan(tuple(range(5)), [], _SWAPS_EXIT)
+    positions = tuple(range(5)) if placement == "lowest" else (0, 2, 3, 6, 8)
+    _run_against_the_ops(rebase(exe, dict(enumerate(positions))), 9, chunk)
+
+
+@pytest.mark.parametrize("chunk", [1 << 4, 1 << 7])
+def test_kernel_less_view_plan_leaves_in_its_exit_order(monkeypatch, chunk):
+    """A part on the lowest bits whose plan, set on it directly, has no
+    kernel but leaves out of the identity order copies each chunk out of
+    its view and writes it back in that order, also on rows wider than a
+    chunk, so it equals its swaps applied one by one."""
+    monkeypatch.setattr(hier, "CHUNK_AMPS", chunk)
+    exe = _swap_part()
+    exe.__dict__["steps"] = hier.Plan(tuple(range(5)), [], _SWAPS_EXIT)
+    _run_against_the_ops(exe, 9, chunk)
+
+
+def test_swap_only_partitions_run_no_kernel():
+    """A circuit of swaps only, cut by dagp at limit 4 into several parts,
+    plans no kernel in any part, and from a random state equals the swaps
+    applied one by one, hierarchically and on 1 and 2 emulated rank
+    bits."""
+    pairs = [(0, 7), (1, 6), (2, 5), (3, 4), (0, 1), (6, 7), (2, 3), (5, 1)]
+    circuit = Circuit(8, tuple(GateOp(GateKind.SWAP, pair, ()) for pair in pairs))
+    partition = partition_dagp(build_dag(circuit), 4)
+    assert partition.num_parts > 1
+    for exe in executable_parts(circuit, partition):
+        assert exe.steps.kernels == []
+    data_rng = np.random.default_rng(1)
+    data = data_rng.normal(size=1 << 8) + 1j * data_rng.normal(size=1 << 8)
+    initial = StateVector(8, data / np.linalg.norm(data))
+    expect = initial.data.copy()
+    for op in circuit.ops:
+        apply_op(expect, 8, op)
+    states = [execute_hierarchical(circuit, partition, initial=initial)]
+    for p in (1, 2):
+        states.append(simulate_distributed(circuit, partition, p, initial=initial).state)
+    for state in states:
+        assert np.max(np.abs(state.data - expect)) <= 1e-12
+
+
+#: the kinds drawn between swaps on the same slots: dense, diagonal and
+#: exchanging ones
+_AMONG_SWAPS = (
+    GateKind.H, GateKind.RX, GateKind.U3, GateKind.CX, GateKind.CRZ,
+    GateKind.U1, GateKind.RZ, GateKind.CZ, GateKind.CCX,
+)
+
+
+@pytest.mark.parametrize("chunk", [1 << 4, 2 << 6, 1 << 16])
+@pytest.mark.parametrize("seed", range(4))
+def test_swaps_among_other_gates_relabel(monkeypatch, seed, chunk):
+    """Parts of 6 slots whose swaps are interleaved with dense, diagonal
+    and exchanging gates on the same slots, on the lowest bits of a
+    9-qubit state or staged out of it, in chunks of rows wider than a
+    chunk, of two rows, or the default, equal their ops applied one by
+    one. No swap reaches a kernel, each product is its relabelled group's
+    unitary (``_check_products``), and the plan leaves in the order the
+    swaps relabel (``_walk``)."""
+    monkeypatch.setattr(hier, "CHUNK_AMPS", chunk)
+    rng = random.Random(seed)
+    w = 6
+    ops = [GateOp(GateKind.H, (q,), ()) for q in range(w)]
+    for _ in range(30):
+        if rng.random() < 0.3:
+            ops.append(GateOp(GateKind.SWAP, tuple(rng.sample(range(w), 2)), ()))
+        else:
+            ops.append(_random_op(rng, _AMONG_SWAPS, range(w)))
+    gates = tuple(range(len(ops)))
+    exe = remap_part(Circuit(w, tuple(ops)), Part(0, gates, tuple(range(w))))
+    _check_products(exe)
+    for kind, arg in exe.steps.kernels:
+        assert kind != "op" or arg.kind is not GateKind.SWAP
+    for positions in (tuple(range(w)), (0, 2, 3, 5, 7, 8)):
+        _run_against_the_ops(rebase(exe, dict(enumerate(positions))), 9, seed)
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("seed", range(3))
+def test_indexed_permutes_equal_the_transposing_copy(monkeypatch, shape, seed):
+    """For random bit orders of 1 to 7 slots, the permute ``_permute``
+    builds while a row fits a chunk, one ``np.take`` through a ``2**w``
+    gather index, moves each entry of a batch as the transposing copy
+    (``_permute_bits``) it builds on a row wider than a chunk does, bit
+    for bit."""
+    rng = np.random.default_rng(seed)
+    for w in range(1, 8):
+        order = [int(s) for s in rng.permutation(w)]
+        new = [int(s) for s in rng.permutation(w)]
+        _, index = hier._permute(order, new, w)
+        assert index.shape == (1 << w,) and index.dtype == np.intp
+        with monkeypatch.context() as mp:
+            mp.setattr(hier, "CHUNK_AMPS", 1 << (w - 1))
+            _, sigma = hier._permute(order, new, w)
+        assert isinstance(sigma, tuple)
+        data = rng.normal(size=(*shape, 1 << w)) + 1j * rng.normal(size=(*shape, 1 << w))
+        out = np.empty_like(data)
+        np.take(data, index, axis=-1, out=out, mode="clip")
+        assert np.array_equal(out, _permute_bits(data, sigma))
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_staged_part_allocates_its_buffers_once(monkeypatch, workers):
     """A staged 10-slot part of an 18-qubit state runs in four chunks of
@@ -1125,22 +1282,23 @@ def _kernel_counts(circuit, partition):
 
 def test_benchmark_plans_keep_their_kernel_placement():
     """The three benchmark circuits compile to pinned kernel counts per set
-    of plans, none of them a lone ``"op"``. qft(20) at dagp limit 14: 11
-    products, 3 permutes and 6 phase vectors, and no 2x2 product on the
-    lowest bit (25, 4 and 20 while each run of diagonal gates cut a part
-    into segments, its lone ``h`` gates trapped between them). ising(22)
-    at 14: 13 products and 5 permutes. Multilevel qaoa(20) at 14/8: 23
-    products and 15 permutes (24 while each plan began with its leading
-    permute and ended with a restore to the identity order; 38 and 32
-    under greedy program-order grouping), its ``rz`` gates each alone
-    between two ``cx`` gates, so never free to move."""
+    of plans, none of them a lone ``"op"``. qft(20) at dagp limit 14: 6
+    products, 1 permute and 6 phase vectors, and no 2x2 product on the
+    lowest bit; its swaps are relabellings (11, 3 and 6 while they fused
+    into products; 25, 4 and 20 while each run of diagonal gates cut a
+    part into segments, its lone ``h`` gates trapped between them).
+    ising(22) at 14: 13 products and 5 permutes. Multilevel qaoa(20) at
+    14/8: 23 products and 15 permutes (24 while each plan began with its
+    leading permute and ended with a restore to the identity order; 38
+    and 32 under greedy program-order grouping), its ``rz`` gates each
+    alone between two ``cx`` gates, so never free to move."""
     qft = bench.qft(20)
     partition = partition_dagp(build_dag(qft), 14)
     for exe in executable_parts(qft, partition):
         assert exe.num_slots < qft.num_qubits
         for kind, arg in exe.steps.kernels:
             assert kind != "matmul" or arg[0] > 0 or len(arg[1]) > 2
-    assert _kernel_counts(qft, partition) == {"matmul": 11, "permute": 3, "phase": 6}
+    assert _kernel_counts(qft, partition) == {"matmul": 6, "permute": 1, "phase": 6}
     ising = bench.ising(22)
     partition = partition_dagp(build_dag(ising), 14)
     assert _kernel_counts(ising, partition) == {"matmul": 13, "permute": 5}
@@ -1157,7 +1315,9 @@ def test_partitioned_runs_peak_within_twice_the_state():
     hierarchical and multilevel runs peak at 2x the state, a distributed
     run on 2 rank bits, which permutes the state out of place, at 2.1x. A
     whole-state part (limit 20) runs its plan on the state as one view,
-    with one scratch buffer of its size and no phase vector: 2.1x."""
+    with one scratch buffer of its size, no phase vector, and no gather
+    index, its rows being wider than a chunk: each of its permutes is a
+    transposing copy. 2.1x."""
     n = 20
     qaoa = bench.qaoa(n, 2)
     qft = bench.qft(n)
@@ -1175,6 +1335,9 @@ def test_partitioned_runs_peak_within_twice_the_state():
     for circuit in (ising, qaoa, qft):
         whole = partition_dagp(build_dag(circuit), n)
         assert whole.num_parts == 1
+        (exe,) = executable_parts(circuit, whole)
+        moves = [arg for kind, arg in exe.steps.kernels if kind == "permute"]
+        assert moves and all(isinstance(arg, tuple) for arg in moves)
         runs.append((lambda c=circuit, p=whole: execute_hierarchical(c, p), 2.1))
     for run, bound in runs:
         tracemalloc.start()
@@ -1351,7 +1514,9 @@ def test_view_chunks_leave_in_one_copy(monkeypatch, sets):
     permutes and products (the entry permute included) even or odd in
     number, never ends a chunk on its view, to be copied out and back
     again: the last of each chunk's permutes and products writes outside
-    the state, and with an even number none of them writes into it."""
+    the state, and with an even number none of them writes into it. Its
+    rows fit a chunk, so each permute is one ``np.take`` through its
+    gather index, the entry permute too, and none a transposing copy."""
     monkeypatch.setattr(hier, "_cpus", lambda: 1)
     monkeypatch.setattr(hier, "CHUNK_AMPS", 1 << 7)
     n = 9
@@ -1371,7 +1536,8 @@ def test_view_chunks_leave_in_one_copy(monkeypatch, sets):
         return wrapped
 
     monkeypatch.setattr(hier, "apply_matrix", spy(hier.apply_matrix))
-    monkeypatch.setattr(hier, "_permute_bits", spy(hier._permute_bits))
+    monkeypatch.setattr(np, "take", spy(np.take))
+    monkeypatch.setattr(hier, "_permute_bits", None)
     run_part(data, exe)
     kinds = [kind for kind, _ in exe.steps.kernels]
     moves = 1 + kinds.count("permute") + kinds.count("matmul")  # and entry
