@@ -9,6 +9,9 @@ therefore ``2**(n - w)`` independent gather/execute/scatter passes, one
 row of the staged block each. ``run_part`` stages the rows in chunks of
 about ``CHUNK_AMPS`` amplitudes, so each chunk is gathered, run and
 scattered while it sits in cache; it computes the identical amplitudes.
+Every chunk is gathered through one index over the bits a chunk varies,
+built once per ``run_part`` call, from an offset set by its fixed free
+bits, so no index outgrows a chunk.
 A part on every qubit is one chunk, a view of the state, and runs the
 same plan: a one-part partition is fusion without partitioning.
 
@@ -27,7 +30,9 @@ addressing qubits by their offset bits; a layout changes nothing but
 
 Within a part, a swap moves no amplitude: each one relabels the slots
 after it (``_relabel``), the qubit relabelling of Häner & Steiger (SC17),
-and the order a chunk leaves in takes up what it would have moved. The
+and the order a chunk leaves in takes up what it would have moved. A ZZ
+term is a phase: a ``cx(a, b)`` conjugating diagonal gates on ``b`` is
+dropped, and its closing ``cx`` becomes a ``crz`` (``_unconjugate``). The
 other ops are grouped once (``_compile``), as Atlas kernelizes (Xu et
 al., SC24): diagonal gates commute, so the members of each run of two or
 more are free to move, and dagp (``partition._dagp``) cuts every other
@@ -103,6 +108,7 @@ from .statevec import (
     _permute_bits,
     apply_matrix,
     apply_op,
+    gate_matrix,
     is_dense,
     is_diagonal,
     simulate_flat,
@@ -157,12 +163,13 @@ def bit_offsets(bits: Sequence[int]) -> np.ndarray:
 
     Entry ``k`` is ``sum(2**bits[j] for set bits j of k)``: the outer index
     contribution of writing ``k``'s bits into positions ``bits``. With
-    ``bits`` empty this is the single offset 0.
+    ``bits`` empty this is the single offset 0. Built by doubling: the
+    entries with bit ``j`` set are those below ``2**j`` plus ``2**bits[j]``,
+    so the whole array costs one pass and no temporary.
     """
-    ks = np.arange(1 << len(bits), dtype=np.int64)
-    out = np.zeros_like(ks)
+    out = np.zeros(1 << len(bits), dtype=np.int64)
     for j, b in enumerate(bits):
-        out += ((ks >> np.int64(j)) & 1) << np.int64(b)
+        np.add(out[:1 << j], 1 << b, out=out[1 << j:2 << j])
     return out
 
 
@@ -172,7 +179,9 @@ def part_block_indices(num_qubits: int, qubits: Sequence[int]) -> np.ndarray:
     Row ``a`` holds the ``2**w`` outer indices whose bits at ``qubits``
     enumerate all inner values while the f free bits (the complement, in
     ascending order) spell the assignment ``a``: the inner vector of one
-    gather/execute/scatter pass.
+    gather/execute/scatter pass. ``run_part`` builds it over the bits one
+    chunk varies only, numbered in order, and maps it to the state's bits
+    through their ``bit_offsets``.
     """
     inside = set(qubits)
     if len(inside) != len(qubits):
@@ -208,10 +217,10 @@ class ExecutablePart:
     @cached_property
     def steps(self) -> Plan:
         """The plan every chunk runs (see ``_plan``): the ops, their swaps
-        taken as relabellings (``_relabel``), grouped (``_compile``), each
-        group built once into a kernel on the bits it runs on, between the
-        orders a chunk enters and leaves in; built on first use and reused
-        by every later chunk and call."""
+        taken as relabellings and their ZZ terms as phases (``_relabel``),
+        grouped (``_compile``), each group built once into a kernel on the
+        bits it runs on, between the orders a chunk enters and leaves in;
+        built on first use and reused by every later chunk and call."""
         ops, where = _relabel(self.ops, self.num_slots)
         return _plan(_compile(ops), self.num_slots, where)
 
@@ -385,7 +394,8 @@ def _relabel(ops: Sequence[GateOp], w: int) -> tuple[list[GateOp], list[int]]:
     ``s`` on slot ``where[s]``, where the swaps would have put it, and
     ``_plan`` folds ``where`` into the order a chunk leaves in, which the
     scatter writes back by the one transposed copy it makes anyway (the
-    qubit relabelling of Häner & Steiger, SC17).
+    qubit relabelling of Häner & Steiger, SC17). The ops left then drop
+    their conjugated diagonals (``_unconjugate``).
     """
     where = list(range(w))
     lifted = []
@@ -395,7 +405,37 @@ def _relabel(ops: Sequence[GateOp], w: int) -> tuple[list[GateOp], list[int]]:
             where[a], where[b] = where[b], where[a]
         else:
             lifted.append(_lift(op, where))
-    return lifted, where
+    return _unconjugate(lifted), where
+
+
+def _unconjugate(ops: Sequence[GateOp]) -> list[GateOp]:
+    """``ops`` with each ``cx(a, b)`` whose next op on slot ``a`` is the
+    same ``cx(a, b)``, every op between them on slot ``b`` a 1-qubit
+    diagonal (``is_diagonal``), dropped, and that second ``cx`` made a
+    ``crz(a, b, -2 * phi)``, ``phi`` the sum of ``angle(u11 / u00)`` over
+    those diagonals' 2x2s. This is exact, since ``X diag(p, q) X = diag(p,
+    q) rz(-2 arg(q / p))``, and turns a ZZ term ``cx rz cx`` into two
+    diagonal ops, which are free to move (``_kernelize``).
+    """
+    out: list[GateOp | None] = list(ops)
+    for i, op in enumerate(out):
+        if op.kind is not GateKind.CX:
+            continue
+        a, b = op.qubits
+        phi = 0.0
+        for j in range(i + 1, len(out)):
+            later = out[j]
+            if a in later.qubits:
+                if later == op:
+                    out[i] = None
+                    out[j] = GateOp(GateKind.CRZ, (a, b), (-2 * phi,))
+                break
+            if b in later.qubits:
+                if len(later.qubits) > 1 or not is_diagonal(later):
+                    break
+                u = gate_matrix(later.kind, later.params)
+                phi += float(np.angle(u[1, 1] / u[0, 0]))
+    return [op for op in out if op is not None]
 
 
 def _slots(ops: Sequence[GateOp]) -> list[int]:
@@ -541,11 +581,15 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     one row when a row is wider than that (a whole-state part is one
     chunk, a view of ``data``). Each chunk runs the part's plan
     (``ExecutablePart.steps``, built once per part). It is gathered in the
-    plan's entry order through the columns of one ``part_block_indices``
-    matrix, built once per call, into a gather buffer, and it leaves by
-    one transposed copy from the plan's exit order into a view of
-    ``data``. The plan's permutes and products, on the lowest bits or in
-    place higher up, alternate the chunk with a scratch buffer. The rows
+    plan's entry order into a gather buffer, through one index over the
+    bits a chunk varies, the part's positions and its ``k`` lowest free
+    bits, built once per call (``part_block_indices`` over ``w + k`` bits,
+    mapped through those bits' ``bit_offsets``), from the offset its
+    fixed higher free bits spell, and it leaves by one transposed copy
+    from the plan's exit order into a view of ``data``. So no index holds
+    more than a chunk's ``2**(w + k)`` amplitudes, or one row's where a
+    row is wider. The plan's permutes and products, on the lowest bits or
+    in place higher up, alternate the chunk with a scratch buffer. The rows
     are cut at the part's highest position, every bit above it batch, so
     a part on the lowest bits of its array (positions ``0..w-1``) builds
     no index matrix: each batch entry is a row, the chunks are views, and
@@ -587,18 +631,22 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     plan = exe.steps
     kernels = plan.kernels
     identity = tuple(range(w))
-    staged = positions != tuple(range(m))
-    if staged:
-        gidx = part_block_indices(m, [positions[s] for s in plan.entry])
-    elif plan.entry != identity:
-        kernels = [_permute(identity, plan.entry, w), *kernels]
     rows = 1 << (m - w)  # rows per batch entry
     bstep = max(1, CHUNK_AMPS >> m)  # batch entries per chunk
     k = max(0, min(m - w, (CHUNK_AMPS >> w).bit_length() - 1))
     rstep = 1 << k  # rows of an entry per chunk; free bits 0..k-1 vary
+    free = sorted(set(range(m)) - set(positions))
+    staged = positions != tuple(range(m))
+    if staged:
+        # a chunk varies the part's positions and its lowest k free bits;
+        # its higher free bits only offset the index
+        varying = sorted([*positions, *free[:k]])
+        entry = [varying.index(positions[s]) for s in plan.entry]
+        gidx = bit_offsets(varying)[part_block_indices(w + k, entry)]
+    elif plan.entry != identity:
+        kernels = [_permute(identity, plan.entry, w), *kernels]
     # a leaving chunk's row index holds its slots in exit order, then its
     # free bits
-    free = sorted(set(range(m)) - set(positions))
     leave = _bit_view(flat, [*(positions[s] for s in plan.exit), *free])
     size = min(bstep, len(flat)) * rstep << w
     moves = sum(kind in ("permute", "matmul") for kind, _ in kernels)
@@ -627,9 +675,10 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
             dest = leave[(slice(b, b + bstep), *high)]
             if staged:
                 cur = gathered[:dest.size].reshape(len(sub), rstep, 1 << w)
+                base = sum(1 << p for j, p in enumerate(free[k:]) if r >> k + j & 1)
                 # under the default mode="raise", np.take copies through a
                 # temporary when given ``out``; the indices are all in range
-                np.take(sub, gidx[r:r + rstep], axis=1, out=cur, mode="clip")
+                np.take(sub[:, base:], gidx, axis=1, out=cur, mode="clip")
             else:
                 cur = sub
             if spare is not None:

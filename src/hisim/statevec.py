@@ -28,7 +28,9 @@ them, exactly X exchanges them, slab by slab through one saved copy, and
 any other mixes them in place from one saved copy of the first.
 
 ``is_diagonal`` is the one test for a gate that only scales amplitudes;
-``hisim.hier._compile`` uses it to find runs of such gates, which commute,
+``hisim.hier._unconjugate`` uses it to find the diagonal gates a pair of
+equal ``cx`` gates conjugates, which then become a phase, and
+``hisim.hier._compile`` to find runs of such gates, which commute,
 so each of their gates joins a group of other gates that holds its
 qubits, or else a phase group of such gates, folded into one ``2**w``
 phase vector, built by ``apply_op`` on a vector of ones, while ``2**w``
@@ -120,11 +122,13 @@ def _ry(t: float) -> np.ndarray:
 
 
 def _rz(t: float) -> np.ndarray:
-    return np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)]).astype(np.complex128)
+    c, s = math.cos(t / 2), math.sin(t / 2)
+    return np.array([[c - 1j * s, 0], [0, c + 1j * s]], dtype=np.complex128)
 
 
 def _u1(lam: float) -> np.ndarray:
-    return np.diag([1.0, np.exp(1j * lam)]).astype(np.complex128)
+    phase = complex(math.cos(lam), math.sin(lam))
+    return np.array([[1, 0], [0, phase]], dtype=np.complex128)
 
 
 def _u3(t: float, phi: float, lam: float) -> np.ndarray:
