@@ -35,12 +35,14 @@ term is a phase: a ``cx(a, b)`` conjugating diagonal gates on ``b`` is
 dropped, and its closing ``cx`` becomes a ``crz`` (``_unconjugate``). The
 other ops are grouped once (``_compile``), as Atlas kernelizes (Xu et
 al., SC24): diagonal gates commute, so the members of each run of two or
-more are free to move, and dagp (``partition._dagp``) cuts every other
-gate into acyclic groups of at most ``FUSE_WIDTH`` slots, over the DAG
-projected through the free gates. Each free gate then joins a dense
-group that holds all its qubits where it may run, or else a phase group
-just before the first group that must follow it, which all the gates
-placed there share. So a chunk takes one pass per group, not one per
+more are free to move, but a gate on two qubits that other gates enclose
+on one of them is pinned first. One dagp call (``partition._dagp``) then
+cuts every other gate into acyclic groups of at most ``FUSE_WIDTH``
+slots, over the DAG projected through the free gates. Each free gate
+then joins a dense group that holds all its qubits where it may run, or
+else a phase group just before the first group that must follow it,
+which all the gates placed there share; the pinning leaves every free
+gate one of the two. So a chunk takes one pass per group, not one per
 gate, and a lone gate between two diagonal runs, such as qft's ``h``,
 fuses with its neighbours instead of running alone. ``_plan`` then runs
 the groups under a tracked bit order of the chunk and builds each kernel
@@ -54,15 +56,15 @@ the lowest bits, and the same permute lifts the next unitary's slots to
 the highest bits: one ``np.take`` through a ``2**w`` gather index built
 with the plan while ``2**w`` fits a chunk, else one transposing copy. A
 phase group is applied to a ``2**w`` vector of ones while that fits a
-chunk, else its ops are lone ops, and a lone op, like an op wider than
-``FUSE_WIDTH``, runs as itself on its bits; nothing is re-addressed after
-it is built. A plan enters and leaves in its own bit orders: the gather
-takes the chunk's columns in the order of the plan's first permute, and
-the scatter writes the chunk back from the order the last kernel leaves
-it in, read through the swaps' relabelling, by one transposed copy into
-a view of the state. So each chunk is gathered and scattered once, no
-permute only restores the identity, and a swap costs nothing. Only
-``simulate_flat`` runs gate by gate; it stays the oracle.
+chunk, else its ops are lone ops, and a lone op runs as itself on its
+bits; nothing is re-addressed after it is built. A plan enters and
+leaves in its own bit orders: the gather takes the chunk's columns in
+the order of the plan's first permute, and the scatter writes the chunk
+back from the order the last kernel leaves it in, read through the
+swaps' relabelling, by one transposed copy into a view of the state. So
+each chunk is gathered and scattered once, no permute only restores the
+identity, and a swap costs nothing. Only ``simulate_flat`` runs gate by
+gate; it stays the oracle.
 
 The chunks of a part are independent, so ``run_part`` runs them on every
 CPU the process may use: the calling thread and one helper thread per
@@ -273,63 +275,36 @@ def executable_parts(
 def _compile(ops: Sequence[GateOp]) -> list[tuple[str, list[GateOp]]]:
     """Ops on the slots of a block as groups ``(tag, ops)``, each tagged
     with the kernel ``_plan`` builds from it, each group's ops in program
-    order.
-
-    An op wider than ``FUSE_WIDTH`` is an ``"op"`` group of its own, and
-    the ops between such ops form segments, each kernelized on its own
-    (``_kernelize``) into ``"phase"`` groups, of diagonal ops only,
-    ``"dense"`` groups, on at most ``FUSE_WIDTH`` slots each, and ``"op"``
-    groups of one lone op that exchanges amplitudes (``x``, ``cx``,
-    ``ccx``; a part's swaps never get here, ``_relabel``).
-    """
-    groups: list[tuple[str, list[GateOp]]] = []
-    segment: list[GateOp] = []
-    for op in ops:
-        if len(op.qubits) > FUSE_WIDTH:
-            groups += _kernelize(segment)
-            groups.append(("op", [op]))
-            segment = []
-        else:
-            segment.append(op)
-    return groups + _kernelize(segment)
-
-
-def _nearest(
-    ops: Sequence[GateOp], free: set[int], order: Iterable[int]
-) -> dict[int, set[int]]:
-    """For each free op, the ops not in ``free`` met last, walking
-    ``order``, on each of its slots."""
-    last: dict[int, int] = {}  # slot -> latest op not in free on it
-    near = {}
-    for i in order:
-        if i in free:
-            near[i] = {last[s] for s in ops[i].qubits if s in last}
-        else:
-            last.update(dict.fromkeys(ops[i].qubits, i))
-    return near
-
-
-def _kernelize(ops: Sequence[GateOp]) -> list[tuple[str, list[GateOp]]]:
-    """``_compile``'s groups for one segment of ops, none wider than
-    ``FUSE_WIDTH``.
+    order: ``"phase"`` groups, of diagonal ops only, ``"dense"`` groups, on
+    at most ``FUSE_WIDTH`` slots each, and ``"op"`` groups of one lone op
+    that exchanges amplitudes (``x``, ``cx``, ``ccx``; a part's swaps never
+    get here, ``_relabel``). One ``partition._dagp`` call groups them; an
+    op wider than ``FUSE_WIDTH`` raises ``LimitTooSmallError`` there.
 
     Diagonal ops (``is_diagonal``) commute with each other, so the members
     of each run of two or more consecutive ones are free to move, between
     the last other op before them and the first after them on each of
-    their slots. dagp (``partition._dagp``) cuts every other op into
-    acyclic groups of at most ``FUSE_WIDTH`` slots over the DAG projected
-    through the free ops: the wires between the others, plus an edge
-    ``u -> v`` whenever ``u -> d -> v`` through a free op ``d``. Each free
-    op then joins the first of those groups that holds all its slots
-    within its window (from its predecessors' last group to its
-    successors' first), or else a ``"phase"`` group just before its
-    successors' first group, or at the end when it has none; the free ops
-    placed there share that group. A free op whose predecessor and
-    successor share a group without all its slots has no place: it is
-    pinned, as if not free, and the segment regrouped. A dagp group is
-    ``"dense"`` when it holds several ops or one dense 1-qubit op
-    (``is_dense``); one lone diagonal op is a ``"phase"`` group too, and
-    any other lone op an ``"op"``.
+    their slots. A free op on two slots that has other ops both before and
+    after it on one slot is pinned first, as if not free, until none is
+    left. dagp cuts every other op into acyclic groups of at most
+    ``FUSE_WIDTH`` slots over the DAG projected through the free ops: the
+    wires between the others, plus an edge ``u -> v`` whenever ``u -> d ->
+    v`` through a free op ``d``. Each free op then joins the first of those
+    groups that holds all its slots within its window (from its
+    predecessors' last group to its successors' first), or else a
+    ``"phase"`` group just before its successors' first group, or at the
+    end when it has none; the free ops placed there share that group.
+
+    Every free op has a place. The projected edges keep its predecessors'
+    groups no later than its successors'. So only a group that holds both
+    a predecessor and a successor leaves no room for a phase group between
+    them, and then it holds all the op's slots: a 1-slot op's are those of
+    its neighbours, and on a 2-slot op, which no pinning took, the
+    predecessor sits on one slot and the successor on the other. No
+    diagonal op spans three slots. A dagp group is ``"dense"`` when it
+    holds several ops or one dense 1-qubit op (``is_dense``); one lone
+    diagonal op is a ``"phase"`` group too, and any other lone op an
+    ``"op"``.
     """
     free: set[int] = set()
     for diagonal, run in groupby(range(len(ops)), key=lambda i: is_diagonal(ops[i])):
@@ -339,31 +314,34 @@ def _kernelize(ops: Sequence[GateOp]) -> list[tuple[str, list[GateOp]]]:
     while True:
         before = _nearest(ops, free, range(len(ops)))
         after = _nearest(ops, free, reversed(range(len(ops))))
-        through = [(u, v) for d in free for u in before[d] for v in after[d]]
-        fixed = [i for i in range(len(ops)) if i not in free]
-        dense = _dagp(ops, fixed, FUSE_WIDTH, through)
-        at = {i: k for k, group in enumerate(dense) for i in group}
-        slots = [{s for i in group for s in ops[i].qubits} for group in dense]
-        joined: list[list[int]] = [[] for _ in dense]
-        phases: list[list[int]] = [[] for _ in range(len(dense) + 1)]
-        pinned = set()
-        for d in sorted(free):
-            lo = max((at[u] for u in before[d]), default=0)
-            hi = min((at[v] for v in after[d]), default=len(dense))
-            home = next(
-                (k for k in range(lo, min(hi + 1, len(dense)))
-                 if slots[k].issuperset(ops[d].qubits)),
-                None,
-            )
-            if home is not None:
-                joined[home].append(d)
-            elif before[d] and lo == hi:
-                pinned.add(d)
-            else:
-                phases[hi].append(d)
+        pinned = {
+            d for d in free
+            if len(ops[d].qubits) > 1 and before[d].keys() & after[d].keys()
+        }
         if not pinned:
             break
         free -= pinned
+    through = [
+        (u, v) for d in free for u in before[d].values() for v in after[d].values()
+    ]
+    fixed = [i for i in range(len(ops)) if i not in free]
+    dense = _dagp(ops, fixed, FUSE_WIDTH, through)
+    at = {i: k for k, group in enumerate(dense) for i in group}
+    slots = [{s for i in group for s in ops[i].qubits} for group in dense]
+    joined: list[list[int]] = [[] for _ in dense]
+    phases: list[list[int]] = [[] for _ in range(len(dense) + 1)]
+    for d in sorted(free):
+        lo = max((at[u] for u in before[d].values()), default=0)
+        hi = min((at[v] for v in after[d].values()), default=len(dense))
+        home = next(
+            (k for k in range(lo, min(hi + 1, len(dense)))
+             if slots[k].issuperset(ops[d].qubits)),
+            None,
+        )
+        if home is None:
+            phases[hi].append(d)
+        else:
+            joined[home].append(d)
     groups = []
     for k, phase in enumerate(phases):
         if phase:
@@ -377,6 +355,21 @@ def _kernelize(ops: Sequence[GateOp]) -> list[tuple[str, list[GateOp]]]:
                 tag = "phase" if is_diagonal(op) else "op"
             groups.append((tag, group))
     return groups
+
+
+def _nearest(
+    ops: Sequence[GateOp], free: set[int], order: Iterable[int]
+) -> dict[int, dict[int, int]]:
+    """For each free op, the op not in ``free`` met last, walking
+    ``order``, on each of its slots that has one, by slot."""
+    last: dict[int, int] = {}  # slot -> latest op not in free on it
+    near = {}
+    for i in order:
+        if i in free:
+            near[i] = {s: last[s] for s in ops[i].qubits if s in last}
+        else:
+            last.update(dict.fromkeys(ops[i].qubits, i))
+    return near
 
 
 def _lift(op: GateOp, to: Mapping[int, int] | Sequence[int]) -> GateOp:
@@ -415,7 +408,7 @@ def _unconjugate(ops: Sequence[GateOp]) -> list[GateOp]:
     ``crz(a, b, -2 * phi)``, ``phi`` the sum of ``angle(u11 / u00)`` over
     those diagonals' 2x2s. This is exact, since ``X diag(p, q) X = diag(p,
     q) rz(-2 arg(q / p))``, and turns a ZZ term ``cx rz cx`` into two
-    diagonal ops, which are free to move (``_kernelize``).
+    diagonal ops, which are free to move (``_compile``).
     """
     out: list[GateOp | None] = list(ops)
     for i, op in enumerate(out):
@@ -570,9 +563,10 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     """Gather, execute, and scatter one part on the last axis of ``data``.
 
     The last axis must have length ``2**m`` with every staged position
-    below ``m``; leading axes are batch and correspond to free qubits that
-    some enclosing pass already gathered. The staged block has one ``2**w``
-    row per batch entry and free-qubit assignment.
+    below ``m``; leading axes are batch, each entry run alike: the rank
+    buffers of a distributed run (``hisim.dist``), or a batch of states.
+    The staged block has one ``2**w`` row per batch entry and free-qubit
+    assignment.
 
     The rows are independent, so they are staged, run and scattered back
     in chunks of about ``CHUNK_AMPS`` amplitudes: several batch entries

@@ -658,16 +658,29 @@ def partition_to_json(dag: GateDag, result: PartitionResult) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _int(value, name: str) -> int:
+    """``value`` if it is a JSON integer, else ``PartitionError``: a float
+    such as ``0.0`` would pass every check (``0.0 == 0``) and fail later as
+    an index, and ``int`` would truncate ``2.5``; a bool is no integer."""
+    if type(value) is not int:
+        raise PartitionError(f"{name} {value!r} is not an integer")
+    return value
+
+
 def _parts_from_doc(entries) -> tuple[Part, ...]:
     return tuple(
-        Part(p["id"], tuple(p["gate_indices"]), tuple(p["qubits"]))
+        Part(
+            _int(p["id"], "part id"),
+            tuple(_int(g, f"part {p['id']} gate index") for g in p["gate_indices"]),
+            tuple(_int(q, f"part {p['id']} qubit") for q in p["qubits"]),
+        )
         for p in entries
     )
 
 
 def _result_from_doc(doc: dict) -> PartitionResult:
     parts = _parts_from_doc(doc["parts"])
-    return PartitionResult(doc["strategy"], int(doc["limit"]), parts)
+    return PartitionResult(doc["strategy"], _int(doc["limit"], "limit"), parts)
 
 
 def partition_from_json(dag: GateDag, text: str) -> PartitionResult:
@@ -681,18 +694,19 @@ def partition_from_json(dag: GateDag, text: str) -> PartitionResult:
 
 
 def _multilevel_from_doc(dag: GateDag, doc: dict) -> MultiLevelPartition:
-    limit2 = int(doc["limit2"])
+    limit2 = _int(doc["limit2"], "limit2")
     entries = doc["sublevels"]
     sublevels = tuple(
         PartitionResult("dagp", limit2, _parts_from_doc(entry["parts"]))
         for entry in entries
     )
     ml = MultiLevelPartition(
-        int(doc["limit1"]), limit2, _result_from_doc(doc["level1"]), sublevels
+        _int(doc["limit1"], "limit1"), limit2, _result_from_doc(doc["level1"]),
+        sublevels,
     )
     _check_multilevel(dag.circuit.ops, ml)
     for part, entry, padded in zip(ml.level1.parts, entries, ml.padded_qubits):
-        if entry["parent"] != part.id:
+        if _int(entry["parent"], "parent") != part.id:
             raise PartitionError(
                 f"sublevel of part {entry['parent']} listed for part {part.id}"
             )

@@ -663,6 +663,27 @@ def test_replayed_part_listed_backwards_is_rejected(tmp_path, capsys):
     assert "not ascending" in err
 
 
+def test_replayed_partition_with_float_qubits_is_an_input_error(
+    tmp_path, capsys
+):
+    """A partition document whose qubits are JSON floats (``0.0 == 0``
+    passes every structural check) exits 2 with a message, not a
+    traceback from execution."""
+    parts_path = tmp_path / "parts.json"
+    code, _, _ = run_cli(capsys, "partition", "bell", "--out", str(parts_path))
+    assert code == 0
+    doc = json.loads(parts_path.read_text())
+    doc["parts"][0]["qubits"] = [float(q) for q in doc["parts"][0]["qubits"]]
+    parts_path.write_text(json.dumps(doc))
+    code, _, err = run_cli(
+        capsys, "run", "bell", "--mode", "hierarchical",
+        "--partition", str(parts_path),
+    )
+    assert code == 2
+    assert "is not an integer" in err
+    assert "Traceback" not in err
+
+
 def test_replayed_partition_must_match_circuit(tmp_path, capsys):
     parts_path = tmp_path / "parts.json"
     run_cli(capsys, "partition", "bv_6", "--out", str(parts_path))

@@ -33,7 +33,7 @@ from hisim.hier import (
     run_part,
     verify_against_flat,
 )
-from hisim.errors import PartitionError, VerificationError
+from hisim.errors import LimitTooSmallError, PartitionError, VerificationError
 from hisim.partition import (
     MultiLevelPartition,
     Part,
@@ -470,10 +470,10 @@ def test_fused_groups_allocate_one_scratch_chunk(monkeypatch, workers):
     assert np.max(np.abs(data - expect)) <= 1e-12
 
 
-def _spread(rng, n, num_ops):
-    """A random circuit over every gate kind behind an H on every qubit, so
-    every phase shows."""
-    body = random_circuit(rng, n, num_ops)
+def _spread(rng, n, num_ops, kinds=tuple(GateKind)):
+    """A random circuit over ``kinds``, every gate kind by default, behind
+    an H on every qubit, so every phase shows."""
+    body = random_circuit(rng, n, num_ops, kinds)
     spread = tuple(GateOp(GateKind.H, (q,), ()) for q in range(n))
     return Circuit(n, spread + body.ops)
 
@@ -523,12 +523,13 @@ def test_chunked_parts_match_the_oracle_and_flat(monkeypatch, rows):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_fused_groups_match_flat_and_the_oracle(width, seed):
     """Flat and two-level partitions of random circuits over every gate
-    kind, fused at width ``width``, run hierarchically and on 1 and 2
-    emulated rank bits, equal the flat simulator and the unfused
-    single-assignment passes."""
+    kind that fits the fusion width ``width`` (no CCX at width 2), fused at
+    that width, run hierarchically and on 1 and 2 emulated rank bits, equal
+    the flat simulator and the unfused single-assignment passes."""
     rng = random.Random(seed)
     n = rng.randint(5, 8)
-    circuit = _spread(rng, n, rng.randint(10, 50))
+    kinds = tuple(k for k in GateKind if k.arity <= width)
+    circuit = _spread(rng, n, rng.randint(10, 50), kinds)
     widest = max(len(o.qubits) for o in circuit.ops)
     l1 = rng.randint(max(2, widest), n - 2)
     l2 = rng.randint(max(2, widest), l1)
@@ -554,15 +555,18 @@ def test_fused_groups_match_flat_and_the_oracle(width, seed):
 @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([1, 2, 3]))
 def test_kernelized_parts_match_the_unfused_ops(width, seed, rows):
     """The dagp kernels at fusion width ``width``, on random circuits over
-    every gate kind with two CCX gates (wider than width 2, so they stay
-    their own steps), flat and two-level: each part's plan, run on a
-    batch of two random states in chunks of ``rows`` level-1 rows, equals
-    the part's ops applied one by one, and the whole run equals flat,
-    hierarchically and on 1 and 2 emulated rank bits."""
+    every gate kind that fits that width with two CCX gates at widths 3
+    and 4 (a gate wider than the fusion width is refused, so width 2
+    draws none), flat and two-level: each part's plan, run on a batch of
+    two random states in chunks of ``rows`` level-1 rows, equals the
+    part's ops applied one by one, and no step is wider than the fusion
+    width; the whole run equals flat, hierarchically and on 1 and 2
+    emulated rank bits."""
     rng = random.Random(seed)
     n = rng.randint(5, 8)
-    ops = list(_spread(rng, n, rng.randint(10, 50)).ops)
-    for _ in range(2):
+    kinds = tuple(k for k in GateKind if k.arity <= width)
+    ops = list(_spread(rng, n, rng.randint(10, 50), kinds).ops)
+    for _ in range(2 if width > 2 else 0):
         ccx = GateOp(GateKind.CCX, tuple(rng.sample(range(n), 3)), ())
         ops.insert(rng.randint(n, len(ops)), ccx)
     circuit = Circuit(n, tuple(ops))
@@ -571,7 +575,6 @@ def test_kernelized_parts_match_the_unfused_ops(width, seed, rows):
     dag = build_dag(circuit)
     expect = simulate_flat(circuit).data
     data_rng = np.random.default_rng(seed)
-    wide = 0  # plan steps wider than the fusion width
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hier, "FUSE_WIDTH", width)
         mp.setattr(hier, "CHUNK_AMPS", rows << l1)
@@ -584,8 +587,8 @@ def test_kernelized_parts_match_the_unfused_ops(width, seed, rows):
                 for entry in unfused:
                     _run_part_oracle(entry, exe)
                 assert np.max(np.abs(data - unfused)) <= 1e-12
-                wide += sum(
-                    kind == "op" and len(arg.qubits) > width
+                assert all(
+                    kind != "op" or len(arg.qubits) <= width
                     for kind, arg in exe.steps.kernels
                 )
             got = execute_hierarchical(circuit, partition)
@@ -593,7 +596,6 @@ def test_kernelized_parts_match_the_unfused_ops(width, seed, rows):
             for p in (1, 2):
                 state = simulate_distributed(circuit, partition, p).state
                 assert np.max(np.abs(state.data - expect)) <= 1e-12
-    assert (wide > 0) == (width == 2)
 
 
 #: h h | crz u1 | swap | crz u1: a SWAP between two diagonal runs, which
@@ -626,8 +628,8 @@ _LONE_CX = (
 )
 
 
-#: multilevel cases whose two-level parts compile to phase vectors, fused
-#: groups and SWAPs, and in qft8cx a lone op
+#: multilevel cases whose two-level parts compile to fused groups and
+#: SWAPs, all but spread2 to phase vectors, and in qft8cx a lone op
 _NESTED = [
     ("qft8", lambda: _qft_after_lone_swap(8), 6, 4),
     ("qft8", lambda: _qft_after_lone_swap(8), 5, 3),
@@ -646,8 +648,9 @@ def test_nested_parts_match_flat_and_the_oracle(
     default chunks and by chunks of one level-1 row, equal the truly
     nested single-assignment passes and flat, hierarchically and on 1 and
     2 emulated rank bits; the compiles of each case's two-level parts hold
-    phase and dense groups and SWAPs, and qft8cx's a lone op too (in the
-    others every exchange fuses with the gates around it)."""
+    dense groups and SWAPs, phase groups in all but spread2 (whose free
+    diagonal gates all join dense groups), and qft8cx's a lone op too (in
+    the others every exchange fuses with the gates around it)."""
     if chunk_rows:
         monkeypatch.setattr(hier, "CHUNK_AMPS", chunk_rows << l1)
     circuit = build()
@@ -663,7 +666,8 @@ def test_nested_parts_match_flat_and_the_oracle(
         run_part(data, exe)
     _run_oracle(oracle, circuit, partition)
     lone = {"op"} if name == "qft8cx" else set()
-    assert {"dense", "phase", GateKind.SWAP} | lone <= held
+    phase = set() if name == "spread2" else {"phase"}
+    assert {"dense", GateKind.SWAP} | phase | lone <= held
     assert np.max(np.abs(data - expect)) <= 1e-12
     assert np.max(np.abs(data - oracle)) <= 1e-12
     got = execute_multilevel(circuit, partition)
@@ -969,14 +973,15 @@ def _random_op(rng, kinds, slots):
     return GateOp(kind, tuple(rng.sample(slots, kind.arity)), random_params(rng, kind))
 
 
-def _mixed_part(rng, w):
+def _mixed_part(rng, w, width):
     """Ops on ``w`` slots: an H on each, then runs of two to five diagonal
-    ops between short stretches of other ops (CX, SWAP and CCX among them),
-    and traps: a dense op on one slot, a two-slot diagonal op from it to
-    another and a second diagonal op, then a dense op on the first slot
-    again, so the two dense ops may share a group that lacks the other
-    slot."""
+    ops between short stretches of other ops (CX, SWAP and, when the
+    fusion width ``width`` holds it, CCX among them), and traps: a dense op
+    on one slot, a two-slot diagonal op from it to another and a second
+    diagonal op, then a dense op on the first slot again, so the two dense
+    ops may share a group that lacks the other slot."""
     slots = range(w)
+    others = [k for k in _OTHER_KINDS if k.arity <= width]
     ops = [GateOp(GateKind.H, (q,), ()) for q in slots]
     for _ in range(rng.randint(3, 10)):
         pick = rng.random()
@@ -994,34 +999,60 @@ def _mixed_part(rng, w):
             ]
         else:
             stretch = rng.randint(1, 3)
-            ops += [_random_op(rng, _OTHER_KINDS, slots) for _ in range(stretch)]
+            ops += [_random_op(rng, others, slots) for _ in range(stretch)]
     return ops
+
+
+def _spy_on_dagp(mp):
+    """The list each ``hier._dagp`` call appends its arguments to while
+    ``mp`` holds its patch."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _dagp(*args)
+
+    mp.setattr(hier, "_dagp", spy)
+    return calls
 
 
 def _check_groups(ops, groups, width):
     """``_compile``'s ``groups`` of ``ops`` at fusion width ``width``: every
     op in exactly one group, a ``"phase"`` group all diagonal, a
     ``"dense"`` group on at most ``width`` slots, and an ``"op"`` group one
-    op wider than that or one lone exchange."""
+    lone exchange. Every op runs after each earlier op on one of its slots
+    that it does not commute with (not both diagonal): so a free op placed
+    in a phase group, just before the first group that must follow it, has
+    all its predecessors in earlier groups."""
     assert Counter(op for _, group in groups for op in group) == Counter(ops)
-    for tag, group in groups:
+    index = {id(op): i for i, op in enumerate(ops)}
+    assert len(index) == len(ops)
+    at = {}  # op index -> (group, place in the group)
+    for k, (tag, group) in enumerate(groups):
+        at.update({index[id(op)]: (k, j) for j, op in enumerate(group)})
         if tag == "phase":
             assert all(is_diagonal(op) for op in group)
         elif tag == "dense":
             assert len({s for op in group for s in op.qubits}) <= width
         else:
             assert tag == "op" and len(group) == 1
-            op = group[0]
-            assert len(op.qubits) > width or not (is_dense(op) or is_diagonal(op))
+            assert not (is_dense(group[0]) or is_diagonal(group[0]))
+    for i, op in enumerate(ops):
+        for h in range(i):
+            earlier = ops[h]
+            if set(earlier.qubits) & set(op.qubits) and not (
+                is_diagonal(earlier) and is_diagonal(op)
+            ):
+                assert at[h] < at[i]
 
 
 @pytest.mark.parametrize("width", [2, 3, 4])
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_diagonals_move_to_their_groups(width, seed):
-    """Random parts of diagonal runs, traps and other ops, CCX wider than
-    width 2 among them, their swaps taken as relabellings
-    (``hier._relabel``), grouped at fusion width ``width``
+    """Random parts of diagonal runs, traps and other ops, CCX among them
+    at widths 3 and 4, their swaps taken as relabellings
+    (``hier._relabel``), grouped at fusion width ``width`` by one dagp call
     (``_check_groups``): each product of the plan is its group's unitary
     (``_check_products``), and the plan, staged out of a larger state or
     on its lowest bits, run on a batch of two random states in chunks of
@@ -1029,14 +1060,16 @@ def test_diagonals_move_to_their_groups(width, seed):
     rng = random.Random(seed)
     w = rng.randint(4, 7)
     n = w + 2
-    ops = _mixed_part(rng, w)
+    ops = _mixed_part(rng, w, width)
     part = Part(0, tuple(range(len(ops))), tuple(range(w)))
     data_rng = np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hier, "FUSE_WIDTH", width)
         mp.setattr(hier, "CHUNK_AMPS", 2 << w)
+        calls = _spy_on_dagp(mp)
         left, _ = hier._relabel(ops, w)
         _check_groups(left, hier._compile(left), width)
+        assert len(calls) == 1
         for positions in (tuple(sorted(rng.sample(range(n), w))), tuple(range(w))):
             exe = remap_part(Circuit(w, tuple(ops)), part)
             exe = rebase(exe, dict(enumerate(positions)))
@@ -1050,13 +1083,14 @@ def test_diagonals_move_to_their_groups(width, seed):
             assert np.max(np.abs(data - unfused)) <= 1e-12
 
 
-def test_trapped_diagonal_is_pinned_and_regrouped():
-    """h(0) | cz(0, 1) rz(2) | h(0): the two h gates form one group on slot
-    0, which the cz, between them on that slot, cannot join without slot
-    1, nor leave. It is pinned and the part regrouped, so it runs in one
-    product with them; the rz, which no other op touches, is a one-gate
-    phase vector at the end. A cz across two full groups waits in a
-    phase vector between them instead."""
+def test_enclosed_diagonal_is_pinned_before_grouping():
+    """h(0) | cz(0, 1) rz(2) | h(0): the cz has an h before and after it on
+    slot 0, so the two h gates might form one group on slot 0 that it
+    could neither join without slot 1 nor leave. It is pinned before dagp
+    groups the part, and runs in one product with them; the rz, which no
+    other op touches, is a one-gate phase vector at the end. A cz across
+    two full groups, with other ops before it on one slot and after it on
+    the other, stays free and waits in a phase vector between them."""
     h0 = GateOp(GateKind.H, (0,), ())
     cz = GateOp(GateKind.CZ, (0, 1), ())
     rz = GateOp(GateKind.RZ, (2,), (0.4,))
@@ -1069,6 +1103,26 @@ def test_trapped_diagonal_is_pinned_and_regrouped():
     assert hier._compile(ops) == [
         ("dense", first), ("phase", [across]), ("dense", [ops[-4], *second]),
     ]
+
+
+def test_no_diagonal_gate_spans_three_qubits():
+    """``_compile`` places every free op without regrouping only because a
+    diagonal op spans at most two slots: no gate kind on three or more
+    qubits is diagonal, at zero angles or at random ones."""
+    rng = random.Random(0)
+    for kind in GateKind:
+        if kind.arity > 2:
+            for params in ((0.0,) * kind.num_params, random_params(rng, kind)):
+                assert not is_diagonal(GateOp(kind, tuple(range(kind.arity)), params))
+
+
+def test_op_wider_than_the_fusion_width_is_refused(monkeypatch):
+    """A gate wider than ``FUSE_WIDTH`` reaches dagp like any other, which
+    refuses it: at width 2 a CCX raises ``LimitTooSmallError``."""
+    monkeypatch.setattr(hier, "FUSE_WIDTH", 2)
+    ops = [GateOp(GateKind.H, (0,), ()), GateOp(GateKind.CCX, (0, 1, 2), ())]
+    with pytest.raises(LimitTooSmallError):
+        hier._compile(ops)
 
 
 #: slot sets of the groups of a 6-slot part whose plan enters and leaves
@@ -1496,9 +1550,11 @@ def _kernel_counts(circuit, partition):
     )
 
 
-def test_benchmark_plans_keep_their_kernel_placement():
+def test_benchmark_plans_keep_their_kernel_placement(monkeypatch):
     """The three benchmark circuits compile to pinned kernel counts per set
-    of plans, none of them a lone ``"op"``. qft(20) at dagp limit 14: 6
+    of plans, none of them a lone ``"op"``, by one ``_dagp`` call per part
+    (qaoa 18 and ising 8 while each trapped diagonal regrouped its part,
+    one round at a time). qft(20) at dagp limit 14: 6
     products, 1 permute and 6 phase vectors, and no 2x2 product on the
     lowest bit; its swaps are relabellings (11, 3 and 6 while they fused
     into products; 25, 4 and 20 while each run of diagonal gates cut a
@@ -1511,19 +1567,25 @@ def test_benchmark_plans_keep_their_kernel_placement():
     permutes while each plan began with its leading permute and ended
     with a restore to the identity order, 38 and 32 under greedy
     program-order grouping)."""
+    calls = _spy_on_dagp(monkeypatch)
     qft = bench.qft(20)
     partition = partition_dagp(build_dag(qft), 14)
     for exe in executable_parts(qft, partition):
         assert exe.num_slots < qft.num_qubits
         for kind, arg in exe.steps.kernels:
             assert kind != "matmul" or arg[0] > 0 or len(arg[1]) > 2
+    assert len(calls) == 4
     assert _kernel_counts(qft, partition) == {"matmul": 6, "permute": 1, "phase": 6}
     ising = bench.ising(22)
     partition = partition_dagp(build_dag(ising), 14)
+    calls.clear()
     assert _kernel_counts(ising, partition) == {"matmul": 8, "permute": 2, "phase": 2}
+    assert len(calls) == 2
     qaoa = bench.qaoa(20, 2)
     partition = partition_multilevel(build_dag(qaoa), 14, 8)
+    calls.clear()
     assert _kernel_counts(qaoa, partition) == {"matmul": 18, "permute": 8, "phase": 8}
+    assert len(calls) == 5
 
 
 def test_partitioned_runs_peak_within_twice_the_state():

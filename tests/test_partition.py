@@ -450,10 +450,12 @@ def test_merge_phase_matches_oracle_on_wide_random_circuits():
 def test_merge_phase_matches_oracle_on_projected_dags(monkeypatch):
     """``hier._compile`` hands dagp the gates outside diagonal runs, joined
     by their wires and by edges through the runs' free gates, which may
-    join parts that share no qubit. On every such DAG it merged, for 300
-    random diagonal-heavy parts at fusion widths 2, 3 and 4, the merge
-    phase equals the closure oracle, and some of those DAGs hold such an
-    edge."""
+    join parts that share no qubit. On every such DAG it merged, for 1000
+    random diagonal-heavy parts at fusion widths 2, 3 and 4 (no CCX at
+    width 2, which dagp would refuse), the merge phase equals the closure
+    oracle, and at least 100 of those DAGs hold such an edge (one dagp
+    call per part sees fewer DAGs than the regrouping it replaced, which
+    met that bound in 300 parts)."""
     real = partition._merge_phase
     seen = []
 
@@ -462,11 +464,13 @@ def test_merge_phase_matches_oracle_on_projected_dags(monkeypatch):
         return real(qmask, succ, limit)
 
     monkeypatch.setattr(partition, "_merge_phase", spy)
-    for seed in range(300):
+    for seed in range(1000):
         rng = random.Random(seed)
         n, num_ops = rng.randint(4, 9), rng.randint(10, 60)
-        circuit = random_circuit(rng, n, num_ops, DIAGONAL_HEAVY)
-        monkeypatch.setattr(hier, "FUSE_WIDTH", 2 + seed % 3)
+        width = 2 + seed % 3
+        kinds = [k for k in DIAGONAL_HEAVY if k.arity <= width]
+        circuit = random_circuit(rng, n, num_ops, kinds)
+        monkeypatch.setattr(hier, "FUSE_WIDTH", width)
         hier._compile(circuit.ops)
     disjoint = 0
     for qmask, succ, limit in seen:
@@ -871,6 +875,43 @@ def test_partition_from_json_validates():
     doc["parts"][0]["gate_indices"] = doc["parts"][0]["gate_indices"][:-1]
     with pytest.raises(PartitionError):
         partition_from_json(g, json.dumps(doc))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["parts"][0]["qubits"].__setitem__(0, 0.0),
+    lambda d: d["parts"][0]["gate_indices"].__setitem__(0, 0.0),
+    lambda d: d["parts"][0].update(id="0"),
+    lambda d: d["parts"][0]["qubits"].__setitem__(0, False),
+    lambda d: d.update(limit=4.5),
+    lambda d: d.update(limit=True),
+], ids=["float-qubit", "float-gate", "string-id", "bool-qubit", "float-limit",
+        "bool-limit"])
+def test_partition_from_json_wants_integers(edit):
+    """Every part id, gate index, qubit and the limit must be a JSON
+    integer: a float equal to one, a string or a bool is refused."""
+    g = _bv6()
+    doc = json.loads(partition_to_json(g, partition_nat(g, 4)))
+    edit(doc)
+    with pytest.raises(PartitionError, match="is not an integer"):
+        partition_from_json(g, json.dumps(doc))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(limit1=8.0),
+    lambda d: d.update(limit2=4.0),
+    lambda d: d["sublevels"][0].update(parent=0.0),
+    lambda d: d["sublevels"][0]["parts"][0]["qubits"].__setitem__(0, 0.0),
+    lambda d: d["level1"]["parts"][0].update(id=True),
+], ids=["float-limit1", "float-limit2", "float-parent", "float-level2-qubit",
+        "bool-level1-id"])
+def test_multilevel_from_json_wants_integers(edit):
+    """So must the two limits, each sublevel's parent and every level-1
+    and level-2 part's fields of a two-level document."""
+    g = build_dag(bench.build("qft_12"))
+    doc = json.loads(multilevel_to_json(g, partition_multilevel(g, 8, 4)))
+    edit(doc)
+    with pytest.raises(PartitionError, match="is not an integer"):
+        multilevel_from_json(g, json.dumps(doc))
 
 
 def test_every_written_document_reads_back():
