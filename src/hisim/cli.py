@@ -35,8 +35,6 @@ from .dist import simulate_distributed
 from .partition import (
     MultiLevelPartition,
     PartitionResult,
-    multilevel_from_json,
-    multilevel_to_json,
     optimal_parts_bruteforce,
     partition_dagp,
     partition_dfs,
@@ -110,27 +108,29 @@ def _default_limit(circuit: Circuit) -> int:
     return max(math.ceil(circuit.num_qubits / 2), _widest_gate(circuit))
 
 
-def _flat_partition(
-    dag: GateDag, strategy: str, limit: int, seed: int, trials: int
-) -> PartitionResult:
-    if strategy == "nat":
+def _partition(
+    args, dag: GateDag, levels: bool
+) -> PartitionResult | MultiLevelPartition:
+    """The partition the flags ask for: two-level under ``--l1``/``--l2``
+    if ``levels``, else ``--strategy`` under ``--limit``. The limit (and
+    with it ``--l1``) defaults to ``_default_limit``, and ``--l2`` to half
+    of ``--l1``, never below the widest gate nor above ``--l1``."""
+    circuit = dag.circuit
+    limit = args.limit if args.limit is not None else _default_limit(circuit)
+    if levels:
+        l1 = args.l1 if args.l1 is not None else limit
+        if args.l2 is None:
+            l2 = min(max(math.ceil(l1 / 2), _widest_gate(circuit)), l1)
+        elif args.l2 > l1:
+            raise _UsageError(f"--l2 {args.l2} exceeds the level-1 limit {l1}")
+        else:
+            l2 = args.l2
+        return partition_multilevel(dag, l1, l2)
+    if args.strategy == "nat":
         return partition_nat(dag, limit)
-    if strategy == "dfs":
-        return partition_dfs(dag, limit, trials=trials, seed=seed)
-    if strategy == "dagp":
-        return partition_dagp(dag, limit)
-    raise _UsageError(f"strategy {strategy!r} does not produce a flat partition")
-
-
-def _resolve_levels(args, circuit: Circuit) -> tuple[int, int]:
-    l1 = args.l1 if args.l1 is not None else (
-        args.limit if args.limit is not None else _default_limit(circuit)
-    )
-    if args.l2 is None:
-        return l1, min(max(math.ceil(l1 / 2), _widest_gate(circuit)), l1)
-    if args.l2 > l1:
-        raise _UsageError(f"--l2 {args.l2} exceeds the level-1 limit {l1}")
-    return l1, args.l2
+    if args.strategy == "dfs":
+        return partition_dfs(dag, limit, trials=args.trials, seed=args.seed)
+    return partition_dagp(dag, limit)
 
 
 def _refuse_ignored(args, rows) -> None:
@@ -143,17 +143,6 @@ def _refuse_ignored(args, rows) -> None:
     for name, value in _DEFAULTS.items():
         if getattr(args, name, value) is None:
             setattr(args, name, value)
-
-
-def _load_partition(
-    dag: GateDag, path: str
-) -> PartitionResult | MultiLevelPartition:
-    """Read a partition document, flat or multilevel by its strategy."""
-    text = Path(path).read_text()
-    doc = json.loads(text)
-    if isinstance(doc, dict) and doc.get("strategy") == "multilevel":
-        return multilevel_from_json(dag, text)
-    return partition_from_json(dag, text)
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -187,36 +176,29 @@ def cmd_partition(args) -> int:
         text = to_dot(dag) if dag_path.suffix == ".dot" else dag_to_json(dag)
         dag_path.write_text(text + "\n")
 
+    partition = _partition(args, dag, levels)
+    _write_or_print(partition_to_json(dag, partition), args.out)
     if levels:
-        l1, l2 = _resolve_levels(args, circuit)
-        ml = partition_multilevel(dag, l1, l2)
-        _write_or_print(multilevel_to_json(dag, ml), args.out)
-        print(
-            f"{name}: multilevel limits {l1}/{l2}, "
-            f"{ml.level1.num_parts} level-1 parts, "
-            f"{sum(s.num_parts for s in ml.sublevels)} level-2 parts",
-            file=summary_stream,
+        head = (
+            f"multilevel limits {partition.limit1}/{partition.limit2}, "
+            f"{partition.level1.num_parts} level-1 parts, "
+            f"{sum(s.num_parts for s in partition.sublevels)} level-2 parts"
         )
-        for i, part in enumerate(ml.level1.parts):
-            ws2 = [p.working_set for p in ml.sublevels[i].parts]
-            print(
-                f"  part {part.id}: working set {part.working_set}, "
-                f"{len(part.gate_indices)} gates, level-2 working sets {ws2}",
-                file=summary_stream,
-            )
-        return EXIT_OK
-
-    limit = args.limit if args.limit is not None else _default_limit(circuit)
-    result = _flat_partition(dag, args.strategy, limit, args.seed, args.trials)
-    _write_or_print(partition_to_json(dag, result), args.out)
-    print(
-        f"{name}: {args.strategy} limit {limit}, {result.num_parts} parts",
-        file=summary_stream,
-    )
-    for part in result.parts:
+        tails = [
+            f", level-2 working sets {[p.working_set for p in sub.parts]}"
+            for sub in partition.sublevels
+        ]
+    else:
+        head = (
+            f"{partition.strategy} limit {partition.limit}, "
+            f"{partition.num_parts} parts"
+        )
+        tails = [""] * partition.num_parts
+    print(f"{name}: {head}", file=summary_stream)
+    for part, tail in zip(partition.parts, tails):
         print(
             f"  part {part.id}: working set {part.working_set}, "
-            f"{len(part.gate_indices)} gates",
+            f"{len(part.gate_indices)} gates{tail}",
             file=summary_stream,
         )
     return EXIT_OK
@@ -315,14 +297,9 @@ def cmd_run(args) -> int:
     else:
         dag = build_dag(circuit)
         if args.partition is not None:
-            partition = _load_partition(dag, args.partition)
-        elif levels:
-            partition = partition_multilevel(dag, *_resolve_levels(args, circuit))
+            partition = partition_from_json(dag, Path(args.partition).read_text())
         else:
-            limit = args.limit if args.limit is not None else _default_limit(circuit)
-            partition = _flat_partition(
-                dag, args.strategy, limit, args.seed, args.trials
-            )
+            partition = _partition(args, dag, levels)
 
         multilevel = isinstance(partition, MultiLevelPartition)
         if args.mode == "hierarchical" and multilevel:

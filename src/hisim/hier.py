@@ -16,8 +16,9 @@ A part on every qubit is one chunk, a view of the state, and runs the
 same plan: a one-part partition is fusion without partitioning.
 
 Every execution path is ``run_part`` on an ``ExecutablePart``.
-``executable_parts`` checks a partition with the partition module's own
-rule and builds each level-1 part once, in qubit coordinates:
+``executable_parts`` checks a partition of either kind by
+``check_partition``'s rule, the one its document reader applies, and
+builds each level-1 part once, in qubit coordinates:
 ``remap_part`` rewrites its gates to slots of its staged block, and its
 ``positions`` are its qubits. A two-level part is its level-1 part, its
 gates in program order: the level-2 partition is checked and documented
@@ -96,8 +97,7 @@ from .partition import (
     MultiLevelPartition,
     Part,
     PartitionResult,
-    _check_multilevel,
-    _check_parts,
+    _check,
     _dagp,
 )
 from .qasm import Circuit, GateKind, GateOp
@@ -251,10 +251,10 @@ def rebase(exe: ExecutablePart, position_of: Mapping[int, int]) -> ExecutablePar
 def executable_parts(
     circuit: Circuit, partition: PartitionResult | MultiLevelPartition
 ) -> Iterator[ExecutablePart]:
-    """Check ``partition`` with the rule its document loader applies
-    (``PartitionError``), then build its level-1 parts in execution order,
-    each once, in qubit coordinates, as the caller draws them; a finished
-    part and its plan are then free to go.
+    """Check ``partition``, flat or two-level, by ``check_partition``'s
+    rule (``PartitionError``), then build its level-1 parts in execution
+    order, each once, in qubit coordinates, as the caller draws them; a
+    finished part and its plan are then free to go.
 
     A two-level part is built from its level-1 part alone, its gates in
     program order: its kernels come from the gate DAG (``_compile``), so
@@ -263,12 +263,7 @@ def executable_parts(
     documented, but not staged: the level-1 chunk already is the
     cache-sized vector.
     """
-    ops = circuit.ops
-    if isinstance(partition, MultiLevelPartition):
-        _check_multilevel(ops, partition)
-    else:
-        n = len(ops)
-        _check_parts(ops, range(n), partition.parts, partition.limit, f"0..{n - 1}")
+    _check(circuit.ops, partition)
     return (remap_part(circuit, part) for part in partition.parts)
 
 

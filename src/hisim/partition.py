@@ -19,6 +19,13 @@ edges come from ``_wires``, for any ascending gate subset, so dagP and the
 validity rule run on a level-1 part's own gates to make and check its
 level-2 parts. dagP also kernelizes a part's gates (``hisim.hier``), with
 edges added that run through the gates it leaves out (``_dagp``).
+
+Both kinds, a flat ``PartitionResult`` and a two-level
+``MultiLevelPartition``, have one check (``check_partition``), one writer
+(``partition_to_json``) and one reader (``partition_from_json``), which
+tells them apart by the document's ``strategy``. Documents also carry
+``num_parts``, ``working_set``, ``edges`` and ``cut_edges`` for their
+readers; the reader never reads them back.
 """
 
 from __future__ import annotations
@@ -155,17 +162,45 @@ def _make_result(
     return PartitionResult(strategy, limit, tuple(parts))
 
 
-def check_partition(dag: GateDag, result: PartitionResult) -> None:
-    """Raise PartitionError unless ``result`` is a valid partition of
-    ``dag``.
+def check_partition(
+    dag: GateDag, partition: PartitionResult | MultiLevelPartition
+) -> None:
+    """Raise PartitionError unless ``partition``, flat or two-level, is a
+    valid partition of ``dag``.
 
     Every part is nonempty, within the limit and carries exactly its gates'
     qubits. Read in order, the parts list every gate of ``0..G-1`` once,
     each part's gates ascending, so every gate-to-gate edge runs forward:
     that is the order execution follows, and it makes the quotient acyclic.
+    A two-level partition also needs ``limit2 <= limit1``, its level 1
+    valid under ``limit1``, and one sublevel per level-1 part, valid by the
+    same rule on that part's gates under ``limit2``.
     """
-    n = dag.num_gates
-    _check_parts(dag.circuit.ops, range(n), result.parts, result.limit, f"0..{n - 1}")
+    _check(dag.circuit.ops, partition)
+
+
+def _check(ops: Sequence[GateOp], p: PartitionResult | MultiLevelPartition) -> None:
+    """``check_partition``'s rule on ``ops``. ``hisim.hier`` checks what it
+    runs here rather than through ``check_partition``, so a trace of
+    ``check_partition`` counts only its callers' own checks."""
+    n = len(ops)
+    if not isinstance(p, MultiLevelPartition):
+        _check_parts(ops, range(n), p.parts, p.limit, f"0..{n - 1}")
+        return
+    if p.limit2 > p.limit1:
+        raise PartitionError(f"limit2 {p.limit2} exceeds limit1 {p.limit1}")
+    level1 = p.level1
+    _check(ops, level1)
+    if level1.limit != p.limit1:
+        raise PartitionError(
+            f"level-1 limit {level1.limit} differs from limit1 {p.limit1}"
+        )
+    if len(p.sublevels) != level1.num_parts:
+        raise PartitionError(
+            f"{len(p.sublevels)} sublevels for {level1.num_parts} level-1 parts"
+        )
+    for part, sub in zip(level1.parts, p.sublevels):
+        _check_parts(ops, part.gate_indices, sub.parts, p.limit2, f"part {part.id}")
 
 
 def _check_parts(
@@ -206,29 +241,6 @@ def _check_parts(
             raise PartitionError(
                 f"parts not topologically ordered: gate {u} -> {v}"
             )
-
-
-def _check_multilevel(ops: Sequence[GateOp], ml: MultiLevelPartition) -> None:
-    """Raise PartitionError unless ``ml`` is a two-level partition of
-    ``ops``: ``limit2 <= limit1``, level 1 valid under ``limit1``, and one
-    sublevel per level-1 part, valid on that part's gates under ``limit2``
-    (``check_partition``'s rule on each), so its level-2 parts, run in
-    level-1 order, run every gate once and every dependency forward."""
-    if ml.limit2 > ml.limit1:
-        raise PartitionError(f"limit2 {ml.limit2} exceeds limit1 {ml.limit1}")
-    level1 = ml.level1
-    n = len(ops)
-    _check_parts(ops, range(n), level1.parts, level1.limit, f"0..{n - 1}")
-    if level1.limit != ml.limit1:
-        raise PartitionError(
-            f"level-1 limit {level1.limit} differs from limit1 {ml.limit1}"
-        )
-    if len(ml.sublevels) != level1.num_parts:
-        raise PartitionError(
-            f"{len(ml.sublevels)} sublevels for {level1.num_parts} level-1 parts"
-        )
-    for part, sub in zip(level1.parts, ml.sublevels):
-        _check_parts(ops, part.gate_indices, sub.parts, ml.limit2, f"part {part.id}")
 
 
 # --- Nat and DFS ------------------------------------------------------------
@@ -645,17 +657,45 @@ def _part_doc(p: Part) -> dict:
     }
 
 
-def partition_to_json(dag: GateDag, result: PartitionResult) -> str:
-    """Serialize a partition with its part-graph edges and edge cut."""
-    doc = {
-        "strategy": result.strategy,
-        "limit": result.limit,
-        "num_parts": result.num_parts,
-        "parts": [_part_doc(p) for p in result.parts],
-        "edges": [list(e) for e in result.part_graph_edges(dag)],
-        "cut_edges": result.cut_edges(dag),
+def partition_to_json(
+    dag: GateDag, partition: PartitionResult | MultiLevelPartition
+) -> str:
+    """Serialize a partition of either kind. A flat document holds its
+    parts with their part-graph edges and edge cut; a two-level one
+    (``"strategy": "multilevel"``) holds the level-1 document plus, per
+    level-1 part, its level-2 parts and padded qubit sets. ``num_parts``,
+    ``working_set``, ``edges`` and ``cut_edges`` are written for readers
+    and never read back."""
+    return json.dumps(_doc(dag, partition), indent=2)
+
+
+def _doc(dag: GateDag, partition: PartitionResult | MultiLevelPartition) -> dict:
+    if isinstance(partition, MultiLevelPartition):
+        return {
+            "strategy": "multilevel",
+            "limit1": partition.limit1,
+            "limit2": partition.limit2,
+            "level1": _doc(dag, partition.level1),
+            "sublevels": [
+                {
+                    "parent": parent.id,
+                    "parts": [_part_doc(p) for p in sub.parts],
+                    "padded_qubits": [list(q) for q in padded],
+                }
+                for parent, sub, padded in zip(
+                    partition.level1.parts, partition.sublevels,
+                    partition.padded_qubits,
+                )
+            ],
+        }
+    return {
+        "strategy": partition.strategy,
+        "limit": partition.limit,
+        "num_parts": partition.num_parts,
+        "parts": [_part_doc(p) for p in partition.parts],
+        "edges": [list(e) for e in partition.part_graph_edges(dag)],
+        "cut_edges": partition.cut_edges(dag),
     }
-    return json.dumps(doc, indent=2)
 
 
 def _int(value, name: str) -> int:
@@ -679,33 +719,31 @@ def _parts_from_doc(entries) -> tuple[Part, ...]:
 
 
 def _result_from_doc(doc: dict) -> PartitionResult:
+    strategy = doc["strategy"]
+    if strategy not in ("nat", "dfs", "dagp"):
+        raise PartitionError(
+            f"strategy {strategy!r} names no one-level partitioner "
+            f"(nat, dfs, dagp)"
+        )
     parts = _parts_from_doc(doc["parts"])
-    return PartitionResult(doc["strategy"], _int(doc["limit"], "limit"), parts)
+    return PartitionResult(strategy, _int(doc["limit"], "limit"), parts)
 
 
-def partition_from_json(dag: GateDag, text: str) -> PartitionResult:
-    """Load and validate a partition produced by partition_to_json."""
-    try:
-        result = _result_from_doc(json.loads(text))
-        check_partition(dag, result)
-    except (LookupError, TypeError) as e:
-        raise PartitionError(f"malformed partition document: {e!r}") from e
-    return result
-
-
-def _multilevel_from_doc(dag: GateDag, doc: dict) -> MultiLevelPartition:
+def _multilevel_from_doc(doc: dict) -> MultiLevelPartition:
     limit2 = _int(doc["limit2"], "limit2")
-    entries = doc["sublevels"]
-    sublevels = tuple(
-        PartitionResult("dagp", limit2, _parts_from_doc(entry["parts"]))
-        for entry in entries
-    )
-    ml = MultiLevelPartition(
+    return MultiLevelPartition(
         _int(doc["limit1"], "limit1"), limit2, _result_from_doc(doc["level1"]),
-        sublevels,
+        tuple(
+            PartitionResult("dagp", limit2, _parts_from_doc(entry["parts"]))
+            for entry in doc["sublevels"]
+        ),
     )
-    _check_multilevel(dag.circuit.ops, ml)
-    for part, entry, padded in zip(ml.level1.parts, entries, ml.padded_qubits):
+
+
+def _check_entries(ml: MultiLevelPartition, entries) -> None:
+    """The fields a two-level document adds per sublevel: its parent's id
+    and the padded qubit sets ``MultiLevelPartition.padded_qubits`` derives."""
+    for part, entry, padded in zip(ml.parts, entries, ml.padded_qubits):
         if _int(entry["parent"], "parent") != part.id:
             raise PartitionError(
                 f"sublevel of part {entry['parent']} listed for part {part.id}"
@@ -715,39 +753,24 @@ def _multilevel_from_doc(dag: GateDag, doc: dict) -> MultiLevelPartition:
                 f"padded qubit sets of part {part.id} are not its level-2 "
                 f"qubits widened to min(limit2, working set)"
             )
-    return ml
 
 
-def multilevel_from_json(dag: GateDag, text: str) -> MultiLevelPartition:
-    """Load and validate a two-level partition produced by
-    multilevel_to_json: the partition must pass ``_check_multilevel``, and
-    each padded qubit set must be the one ``MultiLevelPartition.padded_qubits``
-    derives."""
+def partition_from_json(
+    dag: GateDag, text: str
+) -> PartitionResult | MultiLevelPartition:
+    """Load a document ``partition_to_json`` wrote: two-level if its
+    strategy is ``multilevel``, else flat. A flat document's strategy, and
+    a two-level one's level-1 strategy, must be ``nat``, ``dfs`` or
+    ``dagp``. The partition must pass ``check_partition``, and each padded
+    qubit set of a two-level one must be the one
+    ``MultiLevelPartition.padded_qubits`` derives."""
     try:
-        return _multilevel_from_doc(dag, json.loads(text))
+        doc = json.loads(text)
+        levels = doc["strategy"] == "multilevel"
+        partition = _multilevel_from_doc(doc) if levels else _result_from_doc(doc)
+        check_partition(dag, partition)
+        if levels:
+            _check_entries(partition, doc["sublevels"])
     except (LookupError, TypeError) as e:
-        raise PartitionError(
-            f"malformed multilevel partition document: {e!r}"
-        ) from e
-
-
-def multilevel_to_json(dag: GateDag, ml: MultiLevelPartition) -> str:
-    """Serialize a two-level partition: the level-1 document plus, per
-    level-1 part, its level-2 parts and padded qubit sets."""
-    doc = {
-        "strategy": "multilevel",
-        "limit1": ml.limit1,
-        "limit2": ml.limit2,
-        "level1": json.loads(partition_to_json(dag, ml.level1)),
-        "sublevels": [
-            {
-                "parent": parent.id,
-                "parts": [_part_doc(p) for p in sub.parts],
-                "padded_qubits": [list(q) for q in padded],
-            }
-            for parent, sub, padded in zip(
-                ml.level1.parts, ml.sublevels, ml.padded_qubits
-            )
-        ],
-    }
-    return json.dumps(doc, indent=2)
+        raise PartitionError(f"malformed partition document: {e!r}") from e
+    return partition

@@ -684,6 +684,52 @@ def test_replayed_partition_with_float_qubits_is_an_input_error(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("strategy", [["x"], "x", None],
+                         ids=["list", "string", "null"])
+def test_replayed_partition_with_unknown_strategy_is_an_input_error(
+    tmp_path, capsys, strategy
+):
+    """A document whose strategy, or whose level 1's strategy in a
+    two-level document, names no partitioner exits 2 with a message, not a
+    run that reports the strategy it was given."""
+    flat, nested = tmp_path / "flat.json", tmp_path / "nested.json"
+    assert run_cli(capsys, "partition", "bell", "--out", str(flat))[0] == 0
+    assert run_cli(capsys, "partition", "bell", "--strategy", "multilevel",
+                   "--out", str(nested))[0] == 0
+    for path, mode in ((flat, "hierarchical"), (nested, "multilevel")):
+        doc = json.loads(path.read_text())
+        doc.get("level1", doc)["strategy"] = strategy
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "run", "bell", "--mode", mode, "--partition", str(path),
+        )
+        assert code == 2
+        assert "names no one-level partitioner" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+
+def test_replayed_partition_is_parsed_once(tmp_path, capsys, monkeypatch):
+    """``hisim run --partition`` parses its document once, in the reader
+    that tells a two-level document from a flat one."""
+    path = tmp_path / "ml.json"
+    assert run_cli(capsys, "partition", "bell", "--strategy", "multilevel",
+                   "--out", str(path))[0] == 0
+    parsed = []
+    loads = json.loads
+
+    def spy(text, *args, **kwargs):
+        parsed.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", spy)
+    code, _, _ = run_cli(
+        capsys, "run", "bell", "--mode", "multilevel", "--partition", str(path),
+    )
+    assert code == 0
+    assert parsed == [path.read_text()]
+
+
 def test_replayed_partition_must_match_circuit(tmp_path, capsys):
     parts_path = tmp_path / "parts.json"
     run_cli(capsys, "partition", "bv_6", "--out", str(parts_path))

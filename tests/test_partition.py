@@ -6,6 +6,7 @@ import hashlib
 import json
 import random
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -27,8 +28,6 @@ from hisim.partition import (
     _merge_phase,
     _wires,
     check_partition,
-    multilevel_from_json,
-    multilevel_to_json,
     optimal_parts_bruteforce,
     partition_dagp,
     partition_dfs,
@@ -181,7 +180,7 @@ def test_benchmark_partition_documents_are_pinned():
         "aba0247bee98b815e80f520a88c028edc1d4df86dfba1f3618b00d1124059b92"
     )
     g = build_dag(bench.qaoa(20))
-    assert digest(multilevel_to_json(g, partition_multilevel(g, 14, 8))) == (
+    assert digest(partition_to_json(g, partition_multilevel(g, 14, 8))) == (
         "22b545e77e0a978dbd6cb601592f55f5f319fce9797d402e01df31e53e727693"
     )
     g = build_dag(bench.qaoa(30, 3))
@@ -226,7 +225,7 @@ def test_bundled_partition_documents_are_pinned():
         for limit in range(widest, g.num_qubits):
             texts = [partition_to_json(g, partition_dagp(g, limit))]
             texts += [
-                multilevel_to_json(g, partition_multilevel(g, limit, limit2))
+                partition_to_json(g, partition_multilevel(g, limit, limit2))
                 for limit2 in sorted({widest, max(widest, -(-limit // 2))})
             ]
             for text in texts:
@@ -651,8 +650,8 @@ def test_reversed_level2_part_is_rejected():
     gates, which keep program order."""
     g = build_dag(bench.build("qft_12"))
     ml = partition_multilevel(g, 8, 4)
-    text = multilevel_to_json(g, ml)
-    assert multilevel_from_json(g, text) == ml
+    text = partition_to_json(g, ml)
+    assert partition_from_json(g, text) == ml
     reversible = [
         (i, j)
         for i, sub in enumerate(ml.sublevels)
@@ -664,7 +663,7 @@ def test_reversed_level2_part_is_rejected():
         doc = json.loads(text)
         doc["sublevels"][i]["parts"][j]["gate_indices"].reverse()
         with pytest.raises(PartitionError, match="not ascending"):
-            multilevel_from_json(g, json.dumps(doc))
+            partition_from_json(g, json.dumps(doc))
 
 
 @settings(max_examples=200, deadline=None)
@@ -811,6 +810,42 @@ def test_multilevel_inner_limit_capped_by_outer():
         partition_multilevel(g, 4, 5)
 
 
+def test_check_partition_checks_two_level_partitions():
+    """``check_partition`` takes a two-level partition as well as a flat one
+    and holds it to the rule that the reader and ``hier.executable_parts``
+    apply, with their messages: limit2 within limit1, one sublevel per
+    level-1 part, and level-2 parts that run their gates forward."""
+    g = build_dag(bench.build("qaoa_8"))
+    ml = partition_multilevel(g, 6, 3)
+    check_partition(g, ml)
+    n = ml.level1.num_parts
+    i, j = next(
+        (i, j)
+        for i, sub in enumerate(ml.sublevels)
+        for j, p in enumerate(sub.parts)
+        if _internal_edge(g, p.gate_indices)
+    )
+    sub = ml.sublevels[i]
+    backwards = list(sub.parts)
+    backwards[j] = replace(
+        backwards[j], gate_indices=backwards[j].gate_indices[::-1]
+    )
+    sublevels = list(ml.sublevels)
+    sublevels[i] = replace(sub, parts=tuple(backwards))
+    for bad, message in (
+        (replace(ml, limit2=7), "limit2 7 exceeds limit1 6"),
+        (replace(ml, sublevels=ml.sublevels[:-1]),
+         f"{n - 1} sublevels for {n} level-1 parts"),
+        (replace(ml, sublevels=tuple(sublevels)), "not ascending"),
+    ):
+        with pytest.raises(PartitionError, match=message):
+            check_partition(g, bad)
+        with pytest.raises(PartitionError, match=message):
+            partition_from_json(g, partition_to_json(g, bad))
+        with pytest.raises(PartitionError, match=message):
+            hier.executable_parts(g.circuit, bad)
+
+
 # --- serialization ----------------------------------------------------------
 
 
@@ -877,45 +912,59 @@ def test_partition_from_json_validates():
         partition_from_json(g, json.dumps(doc))
 
 
-@pytest.mark.parametrize("edit", [
-    lambda d: d["parts"][0]["qubits"].__setitem__(0, 0.0),
-    lambda d: d["parts"][0]["gate_indices"].__setitem__(0, 0.0),
-    lambda d: d["parts"][0].update(id="0"),
-    lambda d: d["parts"][0]["qubits"].__setitem__(0, False),
-    lambda d: d.update(limit=4.5),
-    lambda d: d.update(limit=True),
+@pytest.mark.parametrize("two_level, edit", [
+    (False, lambda d: d["parts"][0]["qubits"].__setitem__(0, 0.0)),
+    (False, lambda d: d["parts"][0]["gate_indices"].__setitem__(0, 0.0)),
+    (False, lambda d: d["parts"][0].update(id="0")),
+    (False, lambda d: d["parts"][0]["qubits"].__setitem__(0, False)),
+    (False, lambda d: d.update(limit=4.5)),
+    (False, lambda d: d.update(limit=True)),
+    (True, lambda d: d.update(limit1=8.0)),
+    (True, lambda d: d.update(limit2=4.0)),
+    (True, lambda d: d["sublevels"][0].update(parent=0.0)),
+    (True, lambda d: d["sublevels"][0]["parts"][0]["qubits"].__setitem__(0, 0.0)),
+    (True, lambda d: d["level1"]["parts"][0].update(id=True)),
 ], ids=["float-qubit", "float-gate", "string-id", "bool-qubit", "float-limit",
-        "bool-limit"])
-def test_partition_from_json_wants_integers(edit):
+        "bool-limit", "float-limit1", "float-limit2", "float-parent",
+        "float-level2-qubit", "bool-level1-id"])
+def test_partition_from_json_wants_integers(two_level, edit):
     """Every part id, gate index, qubit and the limit must be a JSON
-    integer: a float equal to one, a string or a bool is refused."""
-    g = _bv6()
-    doc = json.loads(partition_to_json(g, partition_nat(g, 4)))
+    integer: a float equal to one, a string or a bool is refused. So must
+    the two limits, each sublevel's parent and every level-1 and level-2
+    part's fields of a two-level document (qft_12 at 8/4)."""
+    if two_level:
+        g = build_dag(bench.build("qft_12"))
+        doc = json.loads(partition_to_json(g, partition_multilevel(g, 8, 4)))
+    else:
+        g = _bv6()
+        doc = json.loads(partition_to_json(g, partition_nat(g, 4)))
     edit(doc)
     with pytest.raises(PartitionError, match="is not an integer"):
         partition_from_json(g, json.dumps(doc))
 
 
-@pytest.mark.parametrize("edit", [
-    lambda d: d.update(limit1=8.0),
-    lambda d: d.update(limit2=4.0),
-    lambda d: d["sublevels"][0].update(parent=0.0),
-    lambda d: d["sublevels"][0]["parts"][0]["qubits"].__setitem__(0, 0.0),
-    lambda d: d["level1"]["parts"][0].update(id=True),
-], ids=["float-limit1", "float-limit2", "float-parent", "float-level2-qubit",
-        "bool-level1-id"])
-def test_multilevel_from_json_wants_integers(edit):
-    """So must the two limits, each sublevel's parent and every level-1
-    and level-2 part's fields of a two-level document."""
+@pytest.mark.parametrize("strategy", [["x"], "x", None],
+                         ids=["list", "string", "null"])
+def test_partition_from_json_wants_a_known_strategy(strategy):
+    """``multilevel`` selects a two-level document. Any other strategy of a
+    document, and the strategy of a two-level document's level 1, must be
+    ``nat``, ``dfs`` or ``dagp``: the reader refuses anything else, and a
+    level 1 that claims to be ``multilevel``."""
     g = build_dag(bench.build("qft_12"))
-    doc = json.loads(multilevel_to_json(g, partition_multilevel(g, 8, 4)))
-    edit(doc)
-    with pytest.raises(PartitionError, match="is not an integer"):
-        multilevel_from_json(g, json.dumps(doc))
+    flat = json.loads(partition_to_json(g, partition_dagp(g, 8)))
+    flat["strategy"] = strategy
+    docs = [flat]
+    text = partition_to_json(g, partition_multilevel(g, 8, 4))
+    for level1 in (strategy, "multilevel"):
+        docs.append(json.loads(text))
+        docs[-1]["level1"]["strategy"] = level1
+    for doc in docs:
+        with pytest.raises(PartitionError, match="names no one-level"):
+            partition_from_json(g, json.dumps(doc))
 
 
 def test_every_written_document_reads_back():
-    """What ``partition_to_json``/``multilevel_to_json`` write always loads
+    """What ``partition_to_json`` writes, of either kind, always loads
     back to an equal object, so validation never rejects the library's own
     documents. Every bundled circuit; nat, dfs and dagp at every limit from
     the widest gate to n - 1; multilevel at each such limit1 with limit2 at
@@ -930,14 +979,14 @@ def test_every_written_document_reads_back():
                 assert partition_from_json(g, partition_to_json(g, r)) == r
             for limit2 in {widest, max(widest, -(-limit // 2))}:
                 ml = partition_multilevel(g, limit, limit2)
-                text = multilevel_to_json(g, ml)
-                assert multilevel_from_json(g, text) == ml
+                text = partition_to_json(g, ml)
+                assert partition_from_json(g, text) == ml
 
 
 def test_multilevel_json_document_shape():
     g = _bv6()
     ml = partition_multilevel(g, 4, 2)
-    doc = json.loads(multilevel_to_json(g, ml))
+    doc = json.loads(partition_to_json(g, ml))
     assert doc["strategy"] == "multilevel"
     assert doc["limit1"] == 4 and doc["limit2"] == 2
     assert doc["level1"]["num_parts"] == len(ml.level1.parts)
@@ -952,14 +1001,14 @@ def test_multilevel_json_document_shape():
 def test_multilevel_json_round_trip_and_validation():
     g = build_dag(bench.build("qft_12"))
     ml = partition_multilevel(g, 8, 4)
-    text = multilevel_to_json(g, ml)
-    assert multilevel_from_json(g, text) == ml
+    text = partition_to_json(g, ml)
+    assert partition_from_json(g, text) == ml
 
     def corrupt(edit):
         doc = json.loads(text)
         edit(doc)
         with pytest.raises(PartitionError):
-            multilevel_from_json(g, json.dumps(doc))
+            partition_from_json(g, json.dumps(doc))
 
     corrupt(lambda d: d.update(limit2=9))
     corrupt(lambda d: d.pop("sublevels"))
