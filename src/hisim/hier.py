@@ -47,24 +47,25 @@ gate one of the two. So a chunk takes one pass per group, not one per
 gate, and a lone gate between two diagonal runs, such as qft's ``h``,
 fuses with its neighbours instead of running alone. ``_plan`` then runs
 the groups under a tracked bit order of the chunk and builds each kernel
-once, in the bits it runs on, by applying the group's gates there. A
-dense group becomes one unitary, built on the rows of the identity of
-its bits, and runs where its slots sit when a product fits there: on the
-lowest bits, padded with identity bits when they all sit below
-``FUSE_WIDTH`` (a 2x2 on the lowest bit to a 4x4), or in place from bit
-``STRIDE_FLOOR`` up. Only otherwise does one permute move its slots to
-the lowest bits, and the same permute lifts the next unitary's slots to
-the highest bits: one ``np.take`` through a ``2**w`` gather index built
-with the plan while ``2**w`` fits a chunk, else one transposing copy. A
-phase group is applied to a ``2**w`` vector of ones while that fits a
-chunk, else its ops are lone ops, and a lone op runs as itself on its
-bits; nothing is re-addressed after it is built. A plan enters and
-leaves in its own bit orders: the gather takes the chunk's columns in
-the order of the plan's first permute, and the scatter writes the chunk
-back from the order the last kernel leaves it in, read through the
-swaps' relabelling, by one transposed copy into a view of the state. So
-each chunk is gathered and scattered once, no permute only restores the
-identity, and a swap costs nothing. Only ``simulate_flat`` runs gate by
+once, in the bits it runs on. A dense group becomes one unitary, its
+gates applied to the rows of the identity of its bits, and runs where
+its slots sit when a product fits there: on the lowest bits, padded with
+identity bits when they all sit below ``FUSE_WIDTH`` (a 2x2 on the
+lowest bit to a 4x4), or in place from bit ``STRIDE_FLOOR`` up. Only
+otherwise does one permute move its slots to the lowest bits, and the
+same permute lifts the next unitary's slots to the highest bits: one
+``np.take`` through a ``2**w`` gather index built with the plan while
+``2**w`` fits a chunk, else one transposing copy. A phase group is one
+``2**w`` phase vector while that fits a chunk, built in closed form
+(``_phases``) from its gates' diagonal entries, at a cost that does not
+grow with their number; else its ops are lone ops, and a lone op runs as
+itself on its bits; nothing is re-addressed after it is built. A plan
+enters and leaves in its own bit orders: the gather takes the chunk's
+columns in the order of the plan's first permute, and the scatter writes
+the chunk back from the order the last kernel leaves it in, read through
+the swaps' relabelling, by one transposed copy into a view of the state.
+So each chunk is gathered and scattered once, no permute only restores
+the identity, and a swap costs nothing. Only ``simulate_flat`` runs gate by
 gate; it stays the oracle.
 
 The chunks of a part are independent, so ``run_part`` runs them on every
@@ -110,6 +111,7 @@ from .statevec import (
     _permute_bits,
     apply_matrix,
     apply_op,
+    diagonal_entries,
     gate_matrix,
     is_dense,
     is_diagonal,
@@ -387,12 +389,14 @@ def _relabel(ops: Sequence[GateOp], w: int) -> tuple[list[GateOp], list[int]]:
     """
     where = list(range(w))
     lifted = []
+    swapped = False  # until the first swap, ops stay as they are
     for op in ops:
         if op.kind is GateKind.SWAP:
             a, b = op.qubits
             where[a], where[b] = where[b], where[a]
+            swapped = True
         else:
-            lifted.append(_lift(op, where))
+            lifted.append(_lift(op, where) if swapped else op)
     return _unconjugate(lifted), where
 
 
@@ -424,6 +428,60 @@ def _unconjugate(ops: Sequence[GateOp]) -> list[GateOp]:
                 u = gate_matrix(later.kind, later.params)
                 phi += float(np.angle(u[1, 1] / u[0, 0]))
     return [op for op in out if op is not None]
+
+
+def _phases(ops: Sequence[GateOp], w: int) -> np.ndarray:
+    """The ``2**w`` factors diagonal ``ops`` on bits of a ``2**w`` block
+    scale its amplitudes by: what ``apply_op`` of each on a vector of ones
+    leaves, in closed form.
+
+    No diagonal op spans more than two bits, and one on two bits is
+    controlled: with its two diagonal entries ``d0, d1``
+    (``diagonal_entries``, read once), it scales by ``d0`` where its
+    control is set and by ``d1`` where its target is set too. So the
+    factor at index ``i`` is a base factor, times ``rise[b]`` for each set
+    bit ``b``, times ``pair[a, b]`` for each pair of set bits ``a < b``: a
+    1-bit op multiplies the base by ``d0`` and its bit's rise by ``d1 /
+    d0``, a 2-bit op its control's rise by ``d0`` and its pair's factor by
+    ``d1 / d0``. The vector is then built bit by bit from its first entry,
+    the base: the entries with bit ``j`` set and no higher one are those
+    below ``2**j`` times what bit ``j`` adds given the bits below it,
+    ``rise[j]`` times ``pair[a, j]`` for each set bit ``a``, itself a
+    ``2**j`` vector doubled in place from those factors. So the build
+    costs ``O(2**w)`` work, ``O(w**2)`` numpy calls whatever the number of
+    ops, and no scratch vector.
+    """
+    base: complex = 1
+    rise: list[complex] = [1] * w
+    pair: dict[tuple[int, int], complex] = {}
+    for op in ops:
+        d0, d1 = diagonal_entries(op)
+        if len(op.qubits) == 1:
+            base *= d0
+            rise[op.qubits[0]] *= d1 / d0
+        else:
+            c, t = op.qubits
+            rise[c] *= d0
+            key = (min(c, t), max(c, t))
+            pair[key] = pair.get(key, 1) * (d1 / d0)
+    phase = np.empty(1 << w, dtype=np.complex128)
+    phase[0] = base
+    for j in range(w):
+        n = 1 << j
+        low, high = phase[:n], phase[n:2 * n]
+        below = [a for a in range(j) if pair.get((a, j), 1) != 1]
+        if not below:
+            np.multiply(low, rise[j], out=high)
+            continue
+        high[:1 << below[0]] = rise[j]
+        for a in range(below[0], j):
+            m = 1 << a
+            if a in below:
+                np.multiply(high[:m], pair[a, j], out=high[m:2 * m])
+            else:
+                high[m:2 * m] = high[:m]
+        high *= low
+    return phase
 
 
 def _slots(ops: Sequence[GateOp]) -> list[int]:
@@ -459,8 +517,8 @@ def _plan(
     """Groups of ops on the slots of a ``2**w`` block (``_compile``) as
     kernels ``(kind, arg)`` under a tracked bit order, ``order[j]`` the
     slot at index bit ``j``. Each kernel is built once, here, on the bits
-    it runs on: its group's ops, each lifted (``_lift``) from its slots to
-    their bits, applied (``apply_op``) to the identity or to ones.
+    it runs on, from its group's ops, each lifted (``_lift``) from its
+    slots to their bits.
 
     The order starts as the identity. A ``"dense"`` group on slots ``S``
     runs as ``("matmul", (t, u))``, one product on bits ``t`` to ``t + h -
@@ -474,12 +532,13 @@ def _plan(
     next dense group's slots to the highest bits when they are disjoint
     from ``S``, so that one can run in place; the other slots keep their
     order. ``u`` is the transpose of the ``2**h`` identity's rows with the
-    ops applied on bits ``t`` and up. A ``"phase"`` group is ``("phase",
-    vector)``, its ops applied to ones over the whole block, while ``2**w``
-    fits a chunk (``CHUNK_AMPS``). On a wider block a chunk is one row,
-    where the vector would cost as many passes as its ops and a ``2**w``
-    allocation, so each of its ops is an ``("op", op)`` on bits, as an
-    ``"op"`` group's one op is.
+    ops applied (``apply_op``) on bits ``t`` and up. A ``"phase"`` group is
+    ``("phase", vector)``, the factors its ops scale the whole block by,
+    built in closed form (``_phases``), while ``2**w`` fits a chunk
+    (``CHUNK_AMPS``). On a wider block a chunk is one row, where the vector
+    would cost a ``2**w`` allocation and a pass beside the multiply, so
+    each of its ops is an ``("op", op)`` on bits, as an ``"op"`` group's
+    one op is.
 
     A permute that would be the first kernel is not one: its order is the
     plan's entry order, which the gather produces. Nothing restores the
@@ -503,9 +562,7 @@ def _plan(
         if tag == "op" or (tag == "phase" and 1 << w > CHUNK_AMPS):
             kernels.extend(("op", _lift(op, bit_of)) for op in ops)
         elif tag == "phase":
-            phase = np.ones(1 << w, dtype=np.complex128)
-            for op in ops:
-                apply_op(phase, w, _lift(op, bit_of))
+            phase = _phases([_lift(op, bit_of) for op in ops], w)
             kernels.append(("phase", phase))
         else:
             slots = _slots(ops)
@@ -524,8 +581,9 @@ def _plan(
                 # 210-220 us, a 4x4 on bits 0-1 about 130 us (2 CPUs)
                 h = 2
             rows = np.eye(1 << h, dtype=np.complex128)
+            local = [b - t for b in bit_of]  # slot s on bit local[s] of u
             for op in ops:
-                apply_op(rows, h, _lift(op, [b - t for b in bit_of]))
+                apply_op(rows, h, _lift(op, local))
             # row i now holds the image of basis vector i: rows is u
             # transposed. On a 2**16-amplitude chunk, products with a copy
             # of u in C order ran 3-5% faster than with rows.T (2 CPUs)

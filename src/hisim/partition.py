@@ -89,10 +89,6 @@ class PartitionResult:
         )
         return [(pu, pv) for pu, pv in pairs if pu != pv]
 
-    def part_graph_edges(self, dag: GateDag) -> tuple[tuple[int, int], ...]:
-        """Directed edges between distinct parts, from gate-to-gate edges."""
-        return tuple(sorted(set(self._crossing(dag))))
-
     def cut_edges(self, dag: GateDag) -> int:
         """Number of gate-to-gate DAG edges crossing parts (recorded only)."""
         return len(self._crossing(dag))
@@ -688,13 +684,14 @@ def _doc(dag: GateDag, partition: PartitionResult | MultiLevelPartition) -> dict
                 )
             ],
         }
+    crossing = partition._crossing(dag)  # one walk over the wires for both
     return {
         "strategy": partition.strategy,
         "limit": partition.limit,
         "num_parts": partition.num_parts,
         "parts": [_part_doc(p) for p in partition.parts],
-        "edges": [list(e) for e in partition.part_graph_edges(dag)],
-        "cut_edges": partition.cut_edges(dag),
+        "edges": [list(e) for e in sorted(set(crossing))],
+        "cut_edges": len(crossing),
     }
 
 

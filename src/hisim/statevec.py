@@ -27,18 +27,22 @@ SWAP's two exchanged slot pairs), never decomposed: a diagonal scales
 them, exactly X exchanges them, slab by slab through one saved copy, and
 any other mixes them in place from one saved copy of the first.
 
-``is_diagonal`` is the one test for a gate that only scales amplitudes;
-``hisim.hier._unconjugate`` uses it to find the diagonal gates a pair of
-equal ``cx`` gates conjugates, which then become a phase, and
-``hisim.hier._compile`` to find runs of such gates, which commute,
-so each of their gates joins a group of other gates that holds its
-qubits, or else a phase group of such gates, folded into one ``2**w``
-phase vector, built by ``apply_op`` on a vector of ones, while ``2**w``
-fits a ``CHUNK_AMPS`` chunk (on a wider block each gate of the group is
-applied by ``apply_op`` to the chunk). Every group of several gates, and
-every lone gate that ``is_dense`` says mixes amplitude pairs, is fused
-into one dense ``2**k x 2**k`` unitary, built by ``apply_op`` on the
-identity of the ``k`` bits it runs on.
+``is_diagonal`` is the one test for a gate that only scales amplitudes,
+and ``is_dense`` for one that mixes them; both answer from the gate kind
+where the kind decides it, and build the 2x2 only for ``rx``, ``ry``,
+``cry`` and ``u3``, which scale at some angles. ``hisim.hier._unconjugate``
+uses ``is_diagonal`` to find the diagonal gates a pair of equal ``cx``
+gates conjugates, which then become a phase, and ``hisim.hier._compile``
+to find runs of such gates, which commute, so each of their gates joins
+a group of other gates that holds its qubits, or else a phase group of
+such gates, folded into one ``2**w`` phase vector while ``2**w`` fits a
+``CHUNK_AMPS`` chunk. That vector is built in closed form from each
+gate's two diagonal entries (``diagonal_entries``), by
+``hisim.hier._phases``, not by ``apply_op`` (on a wider block each gate
+of the group is applied by ``apply_op`` to the chunk). Every group of
+several gates, and every lone gate that ``is_dense`` says mixes
+amplitude pairs, is fused into one dense ``2**k x 2**k`` unitary, built
+by ``apply_op`` on the identity of the ``k`` bits it runs on.
 ``apply_matrix`` applies such a unitary to ``k`` consecutive bits of a
 cache-sized block, into a second buffer: on the lowest bits as one
 matrix product, or from bit ``low`` up as one stacked product.
@@ -121,14 +125,21 @@ def _ry(t: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
-def _rz(t: float) -> np.ndarray:
+def _rz_entries(t: float) -> tuple[complex, complex]:
     c, s = math.cos(t / 2), math.sin(t / 2)
-    return np.array([[c - 1j * s, 0], [0, c + 1j * s]], dtype=np.complex128)
+    return complex(c, -s), complex(c, s)
+
+
+def _rz(t: float) -> np.ndarray:
+    return np.diag(np.array(_rz_entries(t), dtype=np.complex128))
+
+
+def _u1_entries(lam: float) -> tuple[complex, complex]:
+    return 1 + 0j, complex(math.cos(lam), math.sin(lam))
 
 
 def _u1(lam: float) -> np.ndarray:
-    phase = complex(math.cos(lam), math.sin(lam))
-    return np.array([[1, 0], [0, phase]], dtype=np.complex128)
+    return np.diag(np.array(_u1_entries(lam), dtype=np.complex128))
 
 
 def _u3(t: float, phi: float, lam: float) -> np.ndarray:
@@ -293,19 +304,64 @@ def _exchanges(u: np.ndarray) -> bool:
     return bool((u == _X).all())
 
 
+#: what ``apply_op`` does to amplitude pairs (``_matrix_action``) for each
+#: kind that does the same at every angle; ``rx``, ``ry``, ``cry`` and
+#: ``u3`` only scale at some angles (``rx(0)``), so theirs is read from
+#: the 2x2
+_ACTION = {
+    **dict.fromkeys(
+        (GateKind.Z, GateKind.S, GateKind.T, GateKind.SDG, GateKind.TDG,
+         GateKind.RZ, GateKind.U1, GateKind.CZ, GateKind.CRZ),
+        "scales",
+    ),
+    **dict.fromkeys(
+        (GateKind.X, GateKind.CX, GateKind.CCX, GateKind.SWAP), "exchanges"
+    ),
+    GateKind.H: "mixes",
+    GateKind.Y: "mixes",
+}
+
+
+def _matrix_action(u: np.ndarray) -> str:
+    """``"scales"``, ``"exchanges"`` or ``"mixes"``: whether the 2x2 ``u``
+    has zero off-diagonals, is exactly X, or neither."""
+    return "scales" if _scales(u) else "exchanges" if _exchanges(u) else "mixes"
+
+
+def _action(op: GateOp) -> str:
+    """``_matrix_action`` of ``op``'s 2x2, from the kind where the kind
+    decides it (``_ACTION``); only otherwise is the 2x2 built."""
+    return _ACTION.get(op.kind) or _matrix_action(_gate_2x2(op))
+
+
 def is_diagonal(op: GateOp) -> bool:
     """Whether ``op`` only scales amplitudes, each by a factor that depends
     on its own index: any gate but SWAP whose 2x2 has zero off-diagonals
     (``rz``, ``u1``, ``z``, ``cz``, ``crz``, ...; also ``rx(0)``)."""
-    return _scales(_gate_2x2(op))
+    return _action(op) == "scales"
 
 
 def is_dense(op: GateOp) -> bool:
     """Whether ``apply_op`` mixes amplitude pairs for ``op``: its 2x2 neither
     only scales (``is_diagonal``) nor is exactly X, which exchanges them
     (X, CX, CCX, SWAP)."""
-    u = _gate_2x2(op)
-    return not (_scales(u) or _exchanges(u))
+    return _action(op) == "mixes"
+
+
+#: the diagonal entries of the kinds with angles whose 2x2 is diagonal at
+#: every angle, as the 2x2 holds them, without building it
+_ENTRIES = {GateKind.RZ: _rz_entries, GateKind.U1: _u1_entries}
+
+
+def diagonal_entries(op: GateOp) -> tuple[complex, complex]:
+    """The factors a diagonal op (``is_diagonal``) scales its target's
+    amplitudes by, at target 0 and at target 1, where its controls are
+    all 1; it leaves the others as they are."""
+    kind = _CONTROLLED.get(op.kind, op.kind)
+    if kind in _ENTRIES:
+        return _ENTRIES[kind](*op.params)
+    u = _base_matrix(kind, op.params)
+    return complex(u[0, 0]), complex(u[1, 1])
 
 
 def _exchange(arr: np.ndarray, fa: dict[int, int], fb: dict[int, int]) -> None:
@@ -347,17 +403,18 @@ def apply_op(arr: np.ndarray, w: int, op: GateOp) -> None:
         raise ValueError("arr must be C-contiguous")
     q = op.qubits
     u = _gate_2x2(op)
+    action = _ACTION.get(op.kind) or _matrix_action(u)
     if op.kind is GateKind.SWAP:
         fa, fb = {q[0]: 0, q[1]: 1}, {q[0]: 1, q[1]: 0}
     else:
         held = dict.fromkeys(q[:-1], 1)
         fa, fb = {**held, q[-1]: 0}, {**held, q[-1]: 1}
-    if _exchanges(u):
+    if action == "exchanges":
         _exchange(arr, fa, fb)
         return
     a = _subspace(arr, w, fa)
     b = _subspace(arr, w, fb)
-    if _scales(u):
+    if action == "scales":
         if u[0, 0] != 1.0:
             a *= u[0, 0]
         if u[1, 1] != 1.0:

@@ -329,12 +329,13 @@ _RUNS = Circuit(5, (
 
 def test_diagonal_runs_fold_while_the_block_fits_a_chunk(monkeypatch):
     """While ``2**w`` fits a chunk, the diagonal ops of a run that no dense
-    group can hold are built into one phase vector off the block, and the
-    others, with the dense ops around them, into unitaries on the
-    identity, so no op runs on the block op by op: on a block of several
-    rows and on a single-row block, here a whole-state part, with the same
-    calls. On a block wider than a chunk the phase vector's ops run on
-    each chunk one by one, and the dense groups are still fused."""
+    group can hold are built into one phase vector off the block, in closed
+    form, equal to their ``apply_op`` product on ones, and the others, with
+    the dense ops around them, into unitaries on the identity, so no op
+    runs on the block op by op: on a block of several rows and on a
+    single-row block, here a whole-state part, with the same calls. On a
+    block wider than a chunk the phase vector's ops run on each chunk one
+    by one, and the dense groups are still fused."""
     calls = []
     real = hier.apply_op
 
@@ -355,24 +356,31 @@ def test_diagonal_runs_fold_while_the_block_fits_a_chunk(monkeypatch):
     # 16x16 products round off more than one gate at a time: the bound is
     # 1e-15 of the largest amplitude
     atol = 1e-15 * np.max(np.abs(expect))
-    run_part(data, whole())
-    phase, low, high = (1 << 5,), (16, 16), (4, 4)
-    folded = [
+    exe = whole()
+    run_part(data, exe)
+    low, high = (16, 16), (4, 4)
+    fused = [
         *4 * [(GateKind.H, low, False)],
-        (GateKind.CRZ, phase, False),
-        (GateKind.CZ, phase, False),
         (GateKind.U1, high, False),
         (GateKind.RZ, high, False),
         (GateKind.H, high, False),
         (GateKind.T, high, False),
     ]
-    assert calls == folded
+    # only the unitaries' identities see apply_op: no op runs on the block
+    assert calls == fused
     np.testing.assert_allclose(data, expect, rtol=0, atol=atol)
+    # the phase vector is built while the order is still the identity
+    kernels = exe.steps.kernels
+    assert [kind for kind, _ in kernels] == ["matmul", "phase", "permute", "matmul"]
+    ones = np.ones(1 << 5, dtype=np.complex128)
+    for op in _RUNS.ops[4:7:2]:  # crz(3, 4) and cz(0, 4)
+        real(ones, 5, op)
+    np.testing.assert_allclose(kernels[1][1], ones, rtol=0, atol=1e-15)
 
     calls.clear()
     data = zero_state(5).data
     run_part(data, whole())
-    assert calls == folded
+    assert calls == fused
     np.testing.assert_allclose(data, simulate_flat(_RUNS).data, rtol=0, atol=1e-15)
 
     calls.clear()
@@ -390,10 +398,57 @@ def test_diagonal_runs_fold_while_the_block_fits_a_chunk(monkeypatch):
     # the unitaries are built once; the folded ops act on each one-row chunk
     row = (1, 1 << 5)
     assert [(kind, shape) for kind, shape, _ in calls] == [
-        *(call[:2] for call in folded if call[1] != phase),
+        *(call[:2] for call in fused),
         *3 * [(GateKind.CRZ, row), (GateKind.CZ, row)],
     ]
     np.testing.assert_allclose(data, expect, rtol=0, atol=atol)
+
+
+#: the diagonal ops a phase group may hold: kinds diagonal at any angle,
+#: and the angle-decided kinds at the angles where they are
+_PHASE_OPS = {
+    **dict.fromkeys(
+        (GateKind.RZ, GateKind.U1, GateKind.CRZ), st.tuples(st.floats(-7, 7))
+    ),
+    **dict.fromkeys(
+        (GateKind.CZ, GateKind.S, GateKind.T, GateKind.SDG, GateKind.TDG),
+        st.just(()),
+    ),
+    GateKind.RX: st.just((0.0,)),
+    GateKind.RY: st.just((0.0,)),
+    GateKind.CRY: st.just((0.0,)),
+    GateKind.U3: st.tuples(st.just(0.0), st.floats(-7, 7), st.floats(-7, 7)),
+}
+
+
+@st.composite
+def _phase_groups(draw):
+    w = draw(st.integers(1, 16))
+    ops = []
+    for _ in range(draw(st.integers(1, 24))):
+        kinds = [k for k in _PHASE_OPS if k.arity <= w]
+        kind = draw(st.sampled_from(kinds))
+        # two distinct slots in either order: the control above or below
+        slots = draw(st.permutations(range(w)))[:kind.arity]
+        ops.append(GateOp(kind, tuple(slots), draw(_PHASE_OPS[kind])))
+    return w, ops
+
+
+@settings(max_examples=80, deadline=None)
+@given(_phase_groups())
+def test_phase_vectors_match_the_ops_applied_to_ones(group):
+    """The closed-form phase vector of a group of diagonal ops on 1 to 16
+    bits equals ``apply_op`` of each, in order, on a vector of ones. Every
+    factor has modulus 1, and each side takes at most a few roundings of
+    about ``eps`` per op into an amplitude (the closed form through ratios
+    of diagonal entries), hence the bound of ``4 eps`` per op."""
+    w, ops = group
+    assert all(is_diagonal(op) for op in ops)
+    expect = np.ones(1 << w, dtype=np.complex128)
+    for op in ops:
+        apply_op(expect, w, op)
+    atol = 4 * len(ops) * np.finfo(np.float64).eps
+    np.testing.assert_allclose(hier._phases(ops, w), expect, rtol=0, atol=atol)
 
 
 def test_fused_run_allocates_only_its_phase_vector():

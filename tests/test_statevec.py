@@ -24,6 +24,7 @@ from hisim.statevec import (
     apply_matrix,
     apply_op,
     gate_matrix,
+    is_dense,
     is_diagonal,
     load_state,
     save_state,
@@ -129,6 +130,26 @@ def test_is_diagonal_agrees_with_the_gate_matrix(kind):
         op = GateOp(kind, tuple(range(kind.arity)), params)
         m = gate_matrix(kind, params)
         assert is_diagonal(op) == (np.count_nonzero(m - np.diag(np.diag(m))) == 0)
+
+
+@pytest.mark.parametrize("kind", list(GateKind))
+def test_kind_classes_agree_with_the_matrix_rule(kind):
+    """``is_diagonal`` and ``is_dense`` answer from the kind where it
+    decides, and agree with the rule on the 2x2 ``apply_op`` applies: it
+    scales when its off-diagonals are zero, exchanges when it is exactly
+    X (and for SWAP), and mixes otherwise; at random angles, at all-zero
+    angles and at angles of pi, where ``rx`` and ``ry`` come nearest X."""
+    rng = random.Random(kind.value)
+    draws = [random_params(rng, kind) for _ in range(8)]
+    draws += [(0.0,) * kind.num_params, (math.pi,) * kind.num_params]
+    for params in draws:
+        op = GateOp(kind, tuple(range(kind.arity)), params)
+        m = gate_matrix(GateKind.X if kind is GateKind.SWAP else kind, params)
+        u = m[-2:, -2:]  # the target's 2x2 where every control is 1
+        scales = bool(u[0, 1] == 0 and u[1, 0] == 0)
+        exchanges = bool((u == gate_matrix(GateKind.X)).all())
+        assert is_diagonal(op) == scales
+        assert is_dense(op) == (not scales and not exchanges)
 
 
 def test_zero_state():
