@@ -53,8 +53,8 @@ EXIT_VERIFY = 3
 
 VERIFY_MAX_QUBITS = 16
 
-_STRATEGIES = ("nat", "dfs", "dagp", "multilevel")
-_MODES = ("flat", "hierarchical", "multilevel", "distributed")
+_STRATEGIES = ("nat", "dfs", "dagp")
+_MODES = ("flat", "hierarchical", "distributed")
 #: defaults of the flags that parse to None, so that a command can tell a
 #: given flag from a defaulted one (``_refuse_ignored``)
 _DEFAULTS = {"strategy": "dagp", "seed": 0, "trials": 16, "p": 1}
@@ -99,33 +99,21 @@ def _load_circuit(spec: str) -> tuple[str, Circuit]:
     raise FileNotFoundError(f"no such file or bundled circuit: {spec}")
 
 
-def _widest_gate(circuit: Circuit) -> int:
-    return max((len(op.qubits) for op in circuit.ops), default=1)
-
-
 def _default_limit(circuit: Circuit) -> int:
     """Half the qubits, but never below the widest gate."""
-    return max(math.ceil(circuit.num_qubits / 2), _widest_gate(circuit))
+    widest = max((len(op.qubits) for op in circuit.ops), default=1)
+    return max(math.ceil(circuit.num_qubits / 2), widest)
 
 
-def _partition(
-    args, dag: GateDag, levels: bool
-) -> PartitionResult | MultiLevelPartition:
-    """The partition the flags ask for: two-level under ``--l1``/``--l2``
-    if ``levels``, else ``--strategy`` under ``--limit``. The limit (and
-    with it ``--l1``) defaults to ``_default_limit``, and ``--l2`` to half
-    of ``--l1``, never below the widest gate nor above ``--l1``."""
-    circuit = dag.circuit
-    limit = args.limit if args.limit is not None else _default_limit(circuit)
-    if levels:
-        l1 = args.l1 if args.l1 is not None else limit
-        if args.l2 is None:
-            l2 = min(max(math.ceil(l1 / 2), _widest_gate(circuit)), l1)
-        elif args.l2 > l1:
-            raise _UsageError(f"--l2 {args.l2} exceeds the level-1 limit {l1}")
-        else:
-            l2 = args.l2
-        return partition_multilevel(dag, l1, l2)
+def _partition(args, dag: GateDag) -> PartitionResult | MultiLevelPartition:
+    """The partition the flags ask for: under ``--l2``, two levels, dagp at
+    ``--limit`` and again at ``--l2`` inside each part; else ``--strategy``
+    under ``--limit``. The limit defaults to ``_default_limit``."""
+    limit = args.limit if args.limit is not None else _default_limit(dag.circuit)
+    if args.l2 is not None:
+        if args.l2 > limit:
+            raise _UsageError(f"--l2 {args.l2} exceeds the level-1 limit {limit}")
+        return partition_multilevel(dag, limit, args.l2)
     if args.strategy == "nat":
         return partition_nat(dag, limit)
     if args.strategy == "dfs":
@@ -155,14 +143,11 @@ def _write_or_print(text: str, out: str | None) -> None:
 # --- partition --------------------------------------------------------------
 
 def cmd_partition(args) -> int:
-    levels = args.strategy == "multilevel"
+    levels = args.l2 is not None
     dfs = args.strategy == "dfs"
     _refuse_ignored(args, (
-        ("--limit", args.limit is not None, not (levels and args.l1 is not None),
-         "applies only to a one-level strategy, or to multilevel without "
-         "--l1"),
-        ("--l1/--l2", args.l1 is not None or args.l2 is not None, levels,
-         "apply only to --strategy multilevel"),
+        ("--strategy", args.strategy is not None, not levels,
+         "applies only to a one-level partition (not with --l2)"),
         ("--seed", args.seed is not None, dfs, "applies only to --strategy dfs"),
         ("--trials", args.trials is not None, dfs,
          "applies only to --strategy dfs"),
@@ -176,7 +161,7 @@ def cmd_partition(args) -> int:
         text = to_dot(dag) if dag_path.suffix == ".dot" else dag_to_json(dag)
         dag_path.write_text(text + "\n")
 
-    partition = _partition(args, dag, levels)
+    partition = _partition(args, dag)
     _write_or_print(partition_to_json(dag, partition), args.out)
     if levels:
         head = (
@@ -257,28 +242,22 @@ def cmd_run(args) -> int:
         raise _UsageError(
             f"--verify supports up to {VERIFY_MAX_QUBITS} qubits, circuit has {n}"
         )
-    if args.trace and args.mode not in ("hierarchical", "multilevel"):
-        raise _UsageError("--trace requires --mode hierarchical or multilevel")
+    if args.trace and args.mode != "hierarchical":
+        raise _UsageError("--trace requires --mode hierarchical")
 
     partitions = args.mode != "flat" and args.partition is None
-    levels = partitions and (
-        args.mode == "multilevel"
-        or (args.mode == "distributed" and args.l1 is not None)
-    )
-    dfs = partitions and not levels and args.strategy == "dfs"
+    dfs = partitions and args.strategy == "dfs"
+    builds = ("applies only to a run that partitions (not --mode flat, nor "
+              "with --partition)")
     _refuse_ignored(args, (
         ("--partition", args.partition is not None, args.mode != "flat",
          "applies only to a partitioned run (any --mode but flat)"),
-        ("--limit", args.limit is not None,
-         partitions and not (levels and args.l1 is not None),
-         "applies only to a run that partitions, unless --l1 sets its "
-         "level-1 limit (not --mode flat, nor with --partition)"),
-        ("--l1/--l2", args.l1 is not None or args.l2 is not None, levels,
-         "apply only to a multilevel run without --partition "
-         "(--mode multilevel, or --mode distributed with --l1)"),
-        ("--strategy", args.strategy is not None, partitions and not levels,
+        ("--limit", args.limit is not None, partitions, builds),
+        ("--l2", args.l2 is not None, partitions, builds),
+        ("--strategy", args.strategy is not None,
+         partitions and args.l2 is None,
          "applies only to a run that partitions in one level (not --mode "
-         "flat or multilevel, nor with --partition or a distributed --l1)"),
+         "flat, nor with --partition or --l2)"),
         ("--seed", args.seed is not None, dfs,
          "applies only to a run that partitions with --strategy dfs"),
         ("--trials", args.trials is not None, dfs,
@@ -299,18 +278,7 @@ def cmd_run(args) -> int:
         if args.partition is not None:
             partition = partition_from_json(dag, Path(args.partition).read_text())
         else:
-            partition = _partition(args, dag, levels)
-
-        multilevel = isinstance(partition, MultiLevelPartition)
-        if args.mode == "hierarchical" and multilevel:
-            raise _UsageError(
-                "--mode hierarchical needs a flat partition; use --mode multilevel"
-            )
-        if args.mode == "multilevel" and not multilevel:
-            raise _UsageError(
-                "--mode multilevel needs --l1/--l2 limits or a "
-                "multilevel --partition document"
-            )
+            partition = _partition(args, dag)
         if args.mode == "distributed":
             state, comm = simulate_distributed(circuit, partition, args.p)
         else:
@@ -435,14 +403,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     r = sub.add_parser("run", help="simulate a circuit and report the run")
     r.add_argument("--mode", choices=_MODES, default="flat")
-    for s, strategies in ((p, _STRATEGIES), (r, ("nat", "dfs", "dagp"))):
+    for s in (p, r):
         s.add_argument("circuit", help=".qasm path or bundled circuit name")
-        s.add_argument("--strategy", choices=strategies,
+        s.add_argument("--strategy", choices=_STRATEGIES,
                        help=f"partitioner (default: {_DEFAULTS['strategy']})")
         s.add_argument("--limit", type=int,
-                       help="working-set limit (default: n/2)")
-        s.add_argument("--l1", type=int, help="level-1 limit (multilevel)")
-        s.add_argument("--l2", type=int, help="level-2 limit (multilevel)")
+                       help="working-set limit, of level 1 under --l2 "
+                            "(default: n/2)")
+        s.add_argument("--l2", type=int,
+                       help="partition in two levels, dagp at --limit and "
+                            "then at this limit inside each part")
         s.add_argument("--seed", type=int,
                        help=f"dfs shuffle seed (default: {_DEFAULTS['seed']})")
         s.add_argument("--trials", type=_int_from(1),

@@ -112,7 +112,6 @@ from .statevec import (
     apply_matrix,
     apply_op,
     diagonal_entries,
-    gate_matrix,
     is_dense,
     is_diagonal,
     simulate_flat,
@@ -404,10 +403,11 @@ def _unconjugate(ops: Sequence[GateOp]) -> list[GateOp]:
     """``ops`` with each ``cx(a, b)`` whose next op on slot ``a`` is the
     same ``cx(a, b)``, every op between them on slot ``b`` a 1-qubit
     diagonal (``is_diagonal``), dropped, and that second ``cx`` made a
-    ``crz(a, b, -2 * phi)``, ``phi`` the sum of ``angle(u11 / u00)`` over
-    those diagonals' 2x2s. This is exact, since ``X diag(p, q) X = diag(p,
-    q) rz(-2 arg(q / p))``, and turns a ZZ term ``cx rz cx`` into two
-    diagonal ops, which are free to move (``_compile``).
+    ``crz(a, b, -2 * phi)``, ``phi`` the sum of ``angle(d1 / d0)`` over
+    those diagonals' entries (``diagonal_entries``). This is exact, since
+    ``X diag(p, q) X = diag(p, q) rz(-2 arg(q / p))``, and turns a ZZ term
+    ``cx rz cx`` into two diagonal ops, which are free to move
+    (``_compile``).
     """
     out: list[GateOp | None] = list(ops)
     for i, op in enumerate(out):
@@ -425,8 +425,9 @@ def _unconjugate(ops: Sequence[GateOp]) -> list[GateOp]:
             if b in later.qubits:
                 if len(later.qubits) > 1 or not is_diagonal(later):
                     break
-                u = gate_matrix(later.kind, later.params)
-                phi += float(np.angle(u[1, 1] / u[0, 0]))
+                d0, d1 = diagonal_entries(later)
+                # numpy's complex division: Python's can differ in the last bit
+                phi += float(np.angle(np.complex128(d1) / d0))
     return [op for op in out if op is not None]
 
 

@@ -164,8 +164,8 @@ def check_partition(
     """Raise PartitionError unless ``partition``, flat or two-level, is a
     valid partition of ``dag``.
 
-    Every part is nonempty, within the limit and carries exactly its gates'
-    qubits. Read in order, the parts list every gate of ``0..G-1`` once,
+    Every part is nonempty, within the limit, carries exactly its gates'
+    qubits and has an id no other part in its list has. Read in order, the parts list every gate of ``0..G-1`` once,
     each part's gates ascending, so every gate-to-gate edge runs forward:
     that is the order execution follows, and it makes the quotient acyclic.
     A two-level partition also needs ``limit2 <= limit1``, its level 1
@@ -204,9 +204,14 @@ def _check_parts(
 ) -> None:
     """``check_partition``'s rule for ``parts`` over the ascending gate
     subset ``gates`` (named ``scope`` in messages); the edges that must run
-    forward are the subset's own ``_wires``."""
+    forward are the subset's own ``_wires``. Traces and reports name
+    parts by id, so no two in ``parts`` may share one."""
     part_of = dict.fromkeys(gates, -1)  # op index -> position of its part
+    ids = set()
     for pos, part in enumerate(parts):
+        if part.id in ids:
+            raise PartitionError(f"part id {part.id} repeats in {scope}")
+        ids.add(part.id)
         members = part.gate_indices
         if not members:
             raise PartitionError(f"part {part.id} is empty")

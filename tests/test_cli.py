@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -58,18 +61,23 @@ def test_rank_bits_beyond_the_circuit_is_input_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "mode", ["flat", "hierarchical", "multilevel", "distributed"]
+    "argv",
+    [
+        pytest.param(["--mode", "flat"], id="flat"),
+        pytest.param(["--mode", "hierarchical"], id="hierarchical"),
+        pytest.param(["--mode", "hierarchical", "--l2", "1"], id="multilevel"),
+        pytest.param(["--mode", "distributed"], id="distributed"),
+    ],
 )
-def test_gate_free_circuit_runs_in_every_mode(tmp_path, capsys, mode):
+def test_gate_free_circuit_runs_in_every_mode(tmp_path, capsys, argv):
     path = tmp_path / "empty.qasm"
     path.write_text("OPENQASM 2.0;\nqreg q[3];\n")
-    code, out, _ = run_cli(capsys, "run", str(path), "--mode", mode,
-                           "--verify")
+    code, out, _ = run_cli(capsys, "run", str(path), *argv, "--verify")
     assert code == 0
     report = json.loads(out)
     assert report["max_abs_delta"] == 0.0
     assert report["probabilities"] == {"000": 1.0}
-    if mode == "distributed":
+    if "distributed" in argv:
         assert report["comm"]["parts"] == 0
         assert report["comm"]["switches"] == []
 
@@ -209,7 +217,7 @@ REPORT_SCHEMA = {
             },
         },
         "mode": {
-            "enum": ["flat", "hierarchical", "multilevel", "distributed"]
+            "enum": ["flat", "hierarchical", "distributed"]
         },
         "num_parts": {"type": ["integer", "null"]},
         "parts": {
@@ -294,13 +302,16 @@ def test_distributed_run_reports_comm(capsys):
 
 
 def test_multilevel_run(capsys):
+    """``--l2`` makes a hierarchical run partition in two levels, dagp at
+    ``--limit`` and at ``--l2``; the report reads the limits off the
+    partition."""
     code, out, _ = run_cli(
         capsys,
         "run",
         "qft_12",
         "--mode",
-        "multilevel",
-        "--l1",
+        "hierarchical",
+        "--limit",
         "8",
         "--l2",
         "4",
@@ -308,59 +319,64 @@ def test_multilevel_run(capsys):
     )
     assert code == 0
     report = json.loads(out)
-    assert report["mode"] == "multilevel"
+    assert report["mode"] == "hierarchical"
+    assert report["strategy"] == "multilevel"
+    assert report["limit"] is None
     assert report["limit1"] == 8
     assert report["limit2"] == 4
     assert report["max_abs_delta"] < 1e-10
 
 
 def test_explicit_l2_above_l1_is_usage_error(capsys):
-    """An explicit ``--l2`` above the level-1 limit, given by ``--l1`` or
-    ``--limit``, is refused, not clamped; a defaulted ``--l2`` still fits
-    under ``--l1``."""
-    for argv in (
-        ("run", "qft_12", "--mode", "multilevel", "--l1", "3", "--l2", "5"),
-        ("run", "qft_12", "--mode", "multilevel", "--limit", "3", "--l2", "5"),
-        ("partition", "qft_12", "--strategy", "multilevel", "--l1", "3",
-         "--l2", "5"),
+    """An ``--l2`` above the level-1 limit, ``--limit`` or its default, is
+    refused, not clamped, by either command in any partitioned mode; an
+    ``--l2`` equal to it is two levels at one limit."""
+    for argv, limit in (
+        (("run", "qft_12", "--mode", "hierarchical", "--limit", "3"), 3),
+        (("run", "qft_12", "--mode", "distributed", "--limit", "3"), 3),
+        (("partition", "qft_12", "--limit", "3"), 3),
+        (("run", "qft_12", "--mode", "hierarchical"), 6),
+        (("partition", "qft_12"), 6),
     ):
-        code, _, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv, "--l2", str(limit + 2))
         assert code == 1
-        assert "--l2 5 exceeds the level-1 limit 3" in err
-    code, out, _ = run_cli(capsys, "run", "qft_12", "--mode", "multilevel",
-                           "--l1", "3")
+        assert out == ""
+        assert f"--l2 {limit + 2} exceeds the level-1 limit {limit}" in err
+    code, out, _ = run_cli(capsys, "run", "qft_12", "--mode", "hierarchical",
+                           "--l2", "6")
     assert code == 0
     report = json.loads(out)
-    assert (report["limit1"], report["limit2"]) == (3, 2)
+    assert (report["limit1"], report["limit2"]) == (6, 6)
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ("--mode", "hierarchical", "--l1", "5", "--l2", "3"),
-        ("--mode", "hierarchical", "--l2", "3"),
-        ("--mode", "flat", "--l1", "5"),
-        ("--mode", "distributed", "--p", "1", "--l2", "3"),
-        ("--mode", "multilevel", "--partition", "PART", "--l1", "5"),
-        ("--mode", "distributed", "--partition", "PART", "--l1", "5"),
+        ("--mode", "flat", "--l2", "3"),
+        ("--mode", "hierarchical", "--partition", "ML", "--l2", "3"),
+        ("--mode", "hierarchical", "--partition", "FLAT", "--l2", "3"),
+        ("--mode", "distributed", "--partition", "ML", "--l2", "3"),
+        ("--mode", "distributed", "--partition", "FLAT", "--l2", "3"),
         ("--mode", "flat", "--l2", "3", "--strategy", "nat"),
-        ("--mode", "hierarchical", "--l1", "5", "--p", "3"),
+        ("--mode", "flat", "--l2", "3", "--p", "0"),
+        ("--mode", "hierarchical", "--partition", "ML", "--l2", "3",
+         "--p", "3"),
     ],
 )
 def test_ignored_level_limits_are_usage_errors(tmp_path, capsys, argv):
-    """``--l1``/``--l2`` wherever the run would not partition in two
-    levels (another mode, distributed without ``--l1``, or a loaded
-    partition) are refused with exit 1, not silently dropped."""
-    part_path = tmp_path / "ml.json"
-    code, _, _ = run_cli(capsys, "partition", "qft_12", "--strategy",
-                         "multilevel", "--l1", "5", "--l2", "3",
-                         "--out", str(part_path))
-    assert code == 0
-    argv = [str(part_path) if a == "PART" else a for a in argv]
+    """``--l2`` wherever the run does not partition (``--mode flat``, or a
+    loaded partition of either kind) is refused with exit 1, not silently
+    dropped, and before the flags listed after it."""
+    paths = {"ML": tmp_path / "ml.json", "FLAT": tmp_path / "flat.json"}
+    for levels, path in ((("--l2", "3"), paths["ML"]), ((), paths["FLAT"])):
+        code, _, _ = run_cli(capsys, "partition", "qft_12", "--limit", "5",
+                             *levels, "--out", str(path))
+        assert code == 0
+    argv = [str(paths[a]) if a in paths else a for a in argv]
     code, out, err = run_cli(capsys, "run", "qft_12", *argv)
     assert code == 1
     assert out == ""
-    assert "--l1/--l2 apply only to a multilevel run" in err
+    assert "--l2 applies only to a run that partitions" in err
 
 
 @pytest.mark.parametrize(
@@ -372,27 +388,30 @@ def test_ignored_level_limits_are_usage_errors(tmp_path, capsys, argv):
          "--limit"),
         (("--mode", "distributed", "--partition", "PART", "--limit", "2"),
          "--limit"),
-        (("--mode", "multilevel", "--l1", "5", "--limit", "4"), "--limit"),
-        (("--mode", "distributed", "--l1", "5", "--limit", "4"), "--limit"),
+        (("--mode", "flat", "--limit", "4", "--l2", "2"), "--limit"),
+        (("--mode", "distributed", "--partition", "PART", "--limit", "4",
+          "--l2", "2"), "--limit"),
         (("--mode", "flat", "--strategy", "nat", "--seed", "3"), "--strategy"),
         (("--mode", "hierarchical", "--p", "3"), "--p"),
-        (("--mode", "multilevel", "--strategy", "nat"), "--strategy"),
+        (("--mode", "hierarchical", "--l2", "2", "--strategy", "nat"),
+         "--strategy"),
         (("--mode", "hierarchical", "--trials", "4"), "--trials"),
         (("--mode", "hierarchical", "--strategy", "nat", "--seed", "3"),
          "--seed"),
         (("--mode", "distributed", "--partition", "PART", "--strategy", "dfs"),
          "--strategy"),
-        (("--mode", "distributed", "--l1", "5", "--strategy", "dagp"),
+        (("--mode", "distributed", "--l2", "2", "--strategy", "dagp"),
          "--strategy"),
         (("--mode", "flat", "--p", "0"), "--p"),
     ],
 )
 def test_ignored_partition_and_limit_are_usage_errors(tmp_path, capsys, argv, flag):
     """``--partition`` or ``--limit`` under ``--mode flat``, and ``--limit``
-    alongside ``--partition`` or a two-level run's ``--l1``, are refused
-    with exit 1, not silently dropped. So are ``--strategy`` where the run
-    does not partition in one level, ``--seed`` and ``--trials`` where it
-    does not partition with dfs, and ``--p`` outside a distributed run."""
+    alongside ``--partition``, are refused with exit 1, not silently
+    dropped. So are ``--strategy`` where the run does not partition in one
+    level (beside ``--l2`` too, even ``dagp``, which level 1 always is),
+    ``--seed`` and ``--trials`` where it does not partition with dfs, and
+    ``--p`` outside a distributed run."""
     part_path = tmp_path / "parts.json"
     code, _, _ = run_cli(capsys, "partition", "bv_6", "--limit", "4",
                          "--out", str(part_path))
@@ -407,20 +426,19 @@ def test_ignored_partition_and_limit_are_usage_errors(tmp_path, capsys, argv, fl
 @pytest.mark.parametrize(
     "argv,flag",
     [
-        (("--strategy", "dagp", "--l1", "5", "--l2", "3"), "--l1/--l2 apply"),
-        (("--l2", "3"), "--l1/--l2 apply"),
-        (("--strategy", "multilevel", "--l1", "5", "--limit", "3"),
-         "--limit applies"),
+        (("--strategy", "dagp", "--l2", "3"), "--strategy applies"),
+        (("--strategy", "dfs", "--l2", "3", "--seed", "1"),
+         "--strategy applies"),
+        (("--l2", "3", "--trials", "4"), "--trials applies"),
         (("--strategy", "nat", "--seed", "3"), "--seed applies"),
         (("--trials", "4"), "--trials applies"),
-        (("--strategy", "multilevel", "--l1", "5", "--seed", "1"),
-         "--seed applies"),
+        (("--limit", "5", "--l2", "3", "--seed", "1"), "--seed applies"),
     ],
 )
 def test_ignored_partition_flags_are_usage_errors(capsys, argv, flag):
-    """``hisim partition`` refuses ``--l1``/``--l2`` outside a multilevel
-    partition, ``--limit`` beside a multilevel ``--l1``, and ``--seed`` or
-    ``--trials`` outside dfs, with exit 1 and nothing on stdout."""
+    """``hisim partition`` refuses ``--strategy`` beside ``--l2``, whose
+    level 1 is always dagp, and ``--seed`` or ``--trials`` outside dfs,
+    with exit 1 and nothing on stdout."""
     code, out, err = run_cli(capsys, "partition", "bv_6", *argv)
     assert code == 1
     assert out == ""
@@ -431,7 +449,7 @@ def test_ignored_partition_flags_are_usage_errors(capsys, argv, flag):
     "argv",
     [
         ("partition", "bv_6", "--strategy", "dfs", "--seed", "3", "--trials", "2"),
-        ("partition", "bv_6", "--strategy", "multilevel", "--limit", "4"),
+        ("partition", "bv_6", "--limit", "4", "--l2", "2"),
         ("run", "bv_6", "--mode", "distributed", "--strategy", "dfs", "--seed",
          "2", "--trials", "3", "--p", "2"),
         ("run", "bv_6", "--mode", "hierarchical", "--strategy", "nat"),
@@ -443,10 +461,10 @@ def test_flags_that_are_read_are_accepted(capsys, argv):
 
 
 def test_distributed_level_limits_partition_in_two_levels(capsys):
-    """``--mode distributed`` with ``--l1`` (and ``--l2``) runs a multilevel
-    partition at those limits."""
+    """``--mode distributed`` with ``--l2`` runs a two-level partition at
+    ``--limit`` and ``--l2``."""
     code, out, _ = run_cli(capsys, "run", "qft_12", "--mode", "distributed",
-                           "--p", "1", "--l1", "5", "--l2", "3", "--verify")
+                           "--p", "1", "--limit", "5", "--l2", "3", "--verify")
     assert code == 0
     report = json.loads(out)
     assert report["strategy"] == "multilevel"
@@ -501,11 +519,11 @@ def test_multilevel_trace_log_is_its_level1_log(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(hier, "run_part", record)
     logs = []
-    for argv in (["--mode", "multilevel", "--l1", "5", "--l2", "3"],
-                 ["--mode", "hierarchical", "--limit", "5"]):
+    for argv in (["--limit", "5", "--l2", "3"], ["--limit", "5"]):
         calls.clear()
         path = tmp_path / f"trace{len(logs)}.jsonl"
-        code, _, _ = run_cli(capsys, "run", "qft_12", *argv, "--trace", str(path))
+        code, _, _ = run_cli(capsys, "run", "qft_12", "--mode", "hierarchical",
+                             *argv, "--trace", str(path))
         assert code == 0
         logs.append(path.read_bytes())
         assert len(logs[-1].splitlines()) == len(calls) > 1
@@ -548,9 +566,7 @@ def test_partition_multilevel_document(capsys):
         capsys,
         "partition",
         "bv_6",
-        "--strategy",
-        "multilevel",
-        "--l1",
+        "--limit",
         "4",
         "--l2",
         "2",
@@ -608,13 +624,15 @@ def test_saved_partition_replays(tmp_path, capsys):
 
 
 def test_saved_multilevel_partition_replays(tmp_path, capsys):
+    """A two-level document replays under either partitioned mode."""
     parts_path = tmp_path / "ml.json"
     code, _, _ = run_cli(
-        capsys, "partition", "qft_12", "--strategy", "multilevel",
-        "--l1", "8", "--l2", "4", "--out", str(parts_path),
+        capsys, "partition", "qft_12", "--limit", "8", "--l2", "4",
+        "--out", str(parts_path),
     )
     assert code == 0
-    for mode in (["--mode", "multilevel"], ["--mode", "distributed", "--p", "1"]):
+    for mode in (["--mode", "hierarchical"],
+                 ["--mode", "distributed", "--p", "1"]):
         code, out, _ = run_cli(
             capsys, "run", "qft_12", *mode, "--partition", str(parts_path),
             "--verify",
@@ -624,17 +642,24 @@ def test_saved_multilevel_partition_replays(tmp_path, capsys):
         assert report["strategy"] == "multilevel"
         assert (report["limit1"], report["limit2"]) == (8, 4)
         assert report["max_abs_delta"] < 1e-10
-    # level-2 parts out of dependency order would run, in the wrong order
-    doc = json.loads(parts_path.read_text())
-    doc["sublevels"][0]["parts"].reverse()
-    doc["sublevels"][0]["padded_qubits"].reverse()
+    # level-2 parts out of dependency order would run, in the wrong order,
+    # and parts that share an id would share their trace rows
+    text = parts_path.read_text()
+    backwards, shared = json.loads(text), json.loads(text)
+    backwards["sublevels"][0]["parts"].reverse()
+    backwards["sublevels"][0]["padded_qubits"].reverse()
+    for part, sub in zip(shared["level1"]["parts"], shared["sublevels"]):
+        part["id"] = sub["parent"] = 7
     bad_path = tmp_path / "bad.json"
-    bad_path.write_text(json.dumps(doc))
-    code, _, _ = run_cli(
-        capsys, "run", "qft_12", "--mode", "multilevel",
-        "--partition", str(bad_path),
-    )
-    assert code == 2
+    for doc, message in ((backwards, "not topologically ordered"),
+                         (shared, "part id 7 repeats in 0..")):
+        bad_path.write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            capsys, "run", "qft_12", "--mode", "hierarchical",
+            "--partition", str(bad_path),
+        )
+        assert code == 2
+        assert message in err
 
 
 def test_replayed_part_listed_backwards_is_rejected(tmp_path, capsys):
@@ -694,9 +719,9 @@ def test_replayed_partition_with_unknown_strategy_is_an_input_error(
     run that reports the strategy it was given."""
     flat, nested = tmp_path / "flat.json", tmp_path / "nested.json"
     assert run_cli(capsys, "partition", "bell", "--out", str(flat))[0] == 0
-    assert run_cli(capsys, "partition", "bell", "--strategy", "multilevel",
+    assert run_cli(capsys, "partition", "bell", "--l2", "2",
                    "--out", str(nested))[0] == 0
-    for path, mode in ((flat, "hierarchical"), (nested, "multilevel")):
+    for path, mode in ((flat, "hierarchical"), (nested, "distributed")):
         doc = json.loads(path.read_text())
         doc.get("level1", doc)["strategy"] = strategy
         path.write_text(json.dumps(doc))
@@ -713,7 +738,7 @@ def test_replayed_partition_is_parsed_once(tmp_path, capsys, monkeypatch):
     """``hisim run --partition`` parses its document once, in the reader
     that tells a two-level document from a flat one."""
     path = tmp_path / "ml.json"
-    assert run_cli(capsys, "partition", "bell", "--strategy", "multilevel",
+    assert run_cli(capsys, "partition", "bell", "--l2", "2",
                    "--out", str(path))[0] == 0
     parsed = []
     loads = json.loads
@@ -724,7 +749,7 @@ def test_replayed_partition_is_parsed_once(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(json, "loads", spy)
     code, _, _ = run_cli(
-        capsys, "run", "bell", "--mode", "multilevel", "--partition", str(path),
+        capsys, "run", "bell", "--mode", "hierarchical", "--partition", str(path),
     )
     assert code == 0
     assert parsed == [path.read_text()]
@@ -769,3 +794,19 @@ def test_oracle_gap_small_subset(tmp_path, capsys):
         assert row["gap"] == row["dagp"] - row["optimal"]
         assert row["gap"] >= 0
     assert "combinations optimal" in out
+
+
+# --- README -----------------------------------------------------------------
+
+
+def test_readme_quick_start_runs(tmp_path, capsys, monkeypatch):
+    """Every ``hisim`` line of README's Quick start exits 0, in order, in
+    one directory, so the partitions it writes are there to replay."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Quick start\n\n```sh\n(.*?)```", readme, re.S)
+    lines = [ln for ln in block.group(1).splitlines() if ln.startswith("hisim ")]
+    assert len(lines) >= 8
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        code, _, err = run_cli(capsys, *shlex.split(line)[1:])
+        assert code == 0, (line, err)

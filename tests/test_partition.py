@@ -814,7 +814,8 @@ def test_check_partition_checks_two_level_partitions():
     """``check_partition`` takes a two-level partition as well as a flat one
     and holds it to the rule that the reader and ``hier.executable_parts``
     apply, with their messages: limit2 within limit1, one sublevel per
-    level-1 part, and level-2 parts that run their gates forward."""
+    level-1 part, level-2 parts that run their gates forward, and part ids
+    that do not repeat at either level."""
     g = build_dag(bench.build("qaoa_8"))
     ml = partition_multilevel(g, 6, 3)
     check_partition(g, ml)
@@ -832,11 +833,22 @@ def test_check_partition_checks_two_level_partitions():
     )
     sublevels = list(ml.sublevels)
     sublevels[i] = replace(sub, parts=tuple(backwards))
+    # a repeated part id, at level 1 and inside one part
+    first, second, *rest = ml.level1.parts
+    level1 = replace(ml.level1, parts=(first, replace(second, id=first.id), *rest))
+    k = next(k for k, sub in enumerate(ml.sublevels) if len(sub.parts) > 1)
+    a, b, *others = ml.sublevels[k].parts
+    renamed = list(ml.sublevels)
+    renamed[k] = replace(ml.sublevels[k], parts=(a, replace(b, id=a.id), *others))
     for bad, message in (
         (replace(ml, limit2=7), "limit2 7 exceeds limit1 6"),
         (replace(ml, sublevels=ml.sublevels[:-1]),
          f"{n - 1} sublevels for {n} level-1 parts"),
         (replace(ml, sublevels=tuple(sublevels)), "not ascending"),
+        (replace(ml, level1=level1),
+         rf"part id {first.id} repeats in 0\.\.{g.circuit.num_ops - 1}"),
+        (replace(ml, sublevels=tuple(renamed)),
+         f"part id {a.id} repeats in part {ml.level1.parts[k].id}"),
     ):
         with pytest.raises(PartitionError, match=message):
             check_partition(g, bad)
