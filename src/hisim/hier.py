@@ -12,8 +12,20 @@ scattered while it sits in cache; it computes the identical amplitudes.
 Every chunk is gathered through one index over the bits a chunk varies,
 built once per ``run_part`` call, from an offset set by its fixed free
 bits, so no index outgrows a chunk.
-A part on every qubit is one chunk, a view of the state, and runs the
-same plan: a one-part partition is fusion without partitioning.
+
+There is one execution regime. A part with more slots than ``width =
+max(log2(CHUNK_AMPS), FUSE_WIDTH)`` runs as its pieces: one dagp call
+(``partition._dagp``) cuts its ops into acyclic groups of at most
+``width`` slots, and each runs, in the order dagp returns, as a part on
+its own slots, at the part's positions of them. So a wide part is run
+by the iterative construction and simulation of smaller state vectors,
+as the paper runs each sub-circuit and as cache blocking does (Doi &
+Horii, QCE 2020), and no plan's block is wider than
+``max(CHUNK_AMPS, 2**FUSE_WIDTH)`` amplitudes. The part stays what its
+callers see: its positions, layout, trace row and documents do not
+change. A part on every qubit of at most ``width`` qubits is one chunk,
+a view of the state, and runs the same plan: a one-part partition is
+fusion without partitioning.
 
 Every execution path is ``run_part`` on an ``ExecutablePart``.
 ``executable_parts`` checks a partition of either kind by
@@ -54,12 +66,11 @@ identity bits when they all sit below ``FUSE_WIDTH`` (a 2x2 on the
 lowest bit to a 4x4), or in place from bit ``STRIDE_FLOOR`` up. Only
 otherwise does one permute move its slots to the lowest bits, and the
 same permute lifts the next unitary's slots to the highest bits: one
-``np.take`` through a ``2**w`` gather index built with the plan while
-``2**w`` fits a chunk, else one transposing copy. A phase group is one
-``2**w`` phase vector while that fits a chunk, built in closed form
-(``_phases``) from its gates' diagonal entries, at a cost that does not
-grow with their number; else its ops are lone ops, and a lone op runs as
-itself on its bits; nothing is re-addressed after it is built. A plan
+``np.take`` through a ``2**w`` gather index built with the plan. A phase
+group is one ``2**w`` phase vector, built in closed form (``_phases``)
+from its gates' diagonal entries, at a cost that does not grow with
+their number, and a lone op that exchanges amplitudes runs as itself on
+its bits; nothing is re-addressed after it is built. A plan
 enters and leaves in its own bit orders: the gather takes the chunk's
 columns in the order of the plan's first permute, and the scatter writes
 the chunk back from the order the last kernel leaves it in, read through
@@ -75,8 +86,7 @@ from one shared queue into its own gather and scratch buffers, so each
 helper adds at most two chunks of memory. numpy's BLAS is held to one
 thread while they run (``statevec._one_blas_thread``), each worker's
 products running on its own CPU, and the helpers are joined before the
-part returns. A part of one chunk, one whose rows are wider than a chunk
-(each helper would add two rows), and every part where numpy's BLAS
+part returns. A part of one chunk, and every part where numpy's BLAS
 thread count cannot be set, run on the calling thread alone.
 """
 
@@ -108,7 +118,6 @@ from .statevec import (
     _bit_view,
     _blas_threads,
     _one_blas_thread,
-    _permute_bits,
     apply_matrix,
     apply_op,
     diagonal_entries,
@@ -499,17 +508,14 @@ class Plan(NamedTuple):
     exit: tuple[int, ...]
 
 
-def _permute(order: Sequence[int], new: Sequence[int], w: int) -> tuple:
-    """The kernel that moves a ``2**w`` block from bit order ``order`` to
-    ``new`` (``order[j]`` the slot at index bit ``j``): ``("permute",
-    index)``, with ``index`` the ``2**w`` gather index of ``np.take``,
-    while ``2**w`` fits a chunk (``CHUNK_AMPS``); on a wider block, whose
-    index would be half the size of a row, up to half the state,
-    ``("permute", sigma)``, one transposing copy (``_permute_bits``)."""
-    if 1 << w <= CHUNK_AMPS:
-        # bit j of the new order comes from the bit its slot sits on now
-        return ("permute", bit_offsets([order.index(s) for s in new]))
-    return ("permute", tuple(new.index(s) for s in order))
+def _permute(order: Sequence[int], new: Sequence[int]) -> tuple:
+    """The kernel that moves a block from bit order ``order`` to ``new``
+    (``order[j]`` the slot at index bit ``j``): ``("permute", index)``,
+    with ``index`` the block's gather index of ``np.take``. A block is at
+    most ``max(CHUNK_AMPS, 2**FUSE_WIDTH)`` amplitudes (``run_part``'s
+    pieces), so no index outgrows a chunk."""
+    # bit j of the new order comes from the bit its slot sits on now
+    return ("permute", bit_offsets([order.index(s) for s in new]))
 
 
 def _plan(
@@ -535,11 +541,10 @@ def _plan(
     order. ``u`` is the transpose of the ``2**h`` identity's rows with the
     ops applied (``apply_op``) on bits ``t`` and up. A ``"phase"`` group is
     ``("phase", vector)``, the factors its ops scale the whole block by,
-    built in closed form (``_phases``), while ``2**w`` fits a chunk
-    (``CHUNK_AMPS``). On a wider block a chunk is one row, where the vector
-    would cost a ``2**w`` allocation and a pass beside the multiply, so
-    each of its ops is an ``("op", op)`` on bits, as an ``"op"`` group's
-    one op is.
+    built in closed form (``_phases``), and an ``"op"`` group's one op an
+    ``("op", op)`` on bits. The block is at most ``max(CHUNK_AMPS,
+    2**FUSE_WIDTH)`` amplitudes, since a wider part runs as pieces
+    (``run_part``), so no vector or index of a plan outgrows a chunk.
 
     A permute that would be the first kernel is not one: its order is the
     plan's entry order, which the gather produces. Nothing restores the
@@ -553,14 +558,14 @@ def _plan(
 
     def permute(new: list[int]) -> None:
         if kernels:
-            kernels.append(_permute(order, new, w))
+            kernels.append(_permute(order, new))
         else:
             entry[:] = new
         order[:] = new
 
     for i, (tag, ops) in enumerate(groups):
         bit_of = [order.index(s) for s in range(w)]  # slot s sits on bit_of[s]
-        if tag == "op" or (tag == "phase" and 1 << w > CHUNK_AMPS):
+        if tag == "op":
             kernels.extend(("op", _lift(op, bit_of)) for op in ops)
         elif tag == "phase":
             phase = _phases([_lift(op, bit_of) for op in ops], w)
@@ -601,56 +606,63 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _workers(chunks: int, w: int) -> int:
-    """Threads ``run_part`` runs ``chunks`` chunks of a part's
-    ``2**w``-amplitude rows on: one per CPU (``_cpus``), and at most one
-    per chunk. One when a row is wider than a chunk, since each further
-    worker would hold two more row-sized buffers, and one where numpy's
-    BLAS cannot be held to one thread (``statevec._blas_threads``), since
-    every worker's products would then start BLAS threads of their own."""
-    if 1 << w > CHUNK_AMPS or _blas_threads() is None:
-        return 1
-    return min(_cpus(), chunks)
+def _workers(chunks: int) -> int:
+    """Threads ``run_part`` runs ``chunks`` chunks of a part on: one per
+    CPU (``_cpus``), and at most one per chunk; one where numpy's BLAS
+    cannot be held to one thread (``statevec._blas_threads``), since every
+    worker's products would then start BLAS threads of their own."""
+    return 1 if _blas_threads() is None else min(_cpus(), chunks)
 
 
 def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     """Gather, execute, and scatter one part on the last axis of ``data``.
 
     The last axis must have length ``2**m`` with every staged position
-    below ``m``; leading axes are batch, each entry run alike: the rank
-    buffers of a distributed run (``hisim.dist``), or a batch of states.
-    The staged block has one ``2**w`` row per batch entry and free-qubit
+    below ``m``, the positions strictly ascending; leading axes are batch,
+    each entry run alike: the rank buffers of a distributed run
+    (``hisim.dist``), or a batch of states.
+
+    A part with more slots than ``width = max(log2(CHUNK_AMPS),
+    FUSE_WIDTH)`` runs as its pieces. One ``partition._dagp`` call cuts
+    its ops into acyclic groups of at most ``width`` slots, in execution
+    order; each is a part on the ascending slots its ops use (``_slots``),
+    its ops lifted to them (``_lift``), at the part's positions of those
+    slots, and is staged as below, in turn. A piece is never wider than
+    ``width``, so it is never cut again, and no row a plan runs on is
+    wider than ``max(CHUNK_AMPS, 2**FUSE_WIDTH)`` amplitudes. Pieces are
+    built as they run and are not kept. Any other part is staged itself:
+    its block has one ``2**w`` row per batch entry and free-qubit
     assignment.
 
     The rows are independent, so they are staged, run and scattered back
     in chunks of about ``CHUNK_AMPS`` amplitudes: several batch entries
     per chunk when a batch entry is small, else a run of rows of one entry
     (a power of two of them, so the chunk's higher free bits are fixed),
-    one row when a row is wider than that (a whole-state part is one
-    chunk, a view of ``data``). Each chunk runs the part's plan
-    (``ExecutablePart.steps``, built once per part). It is gathered in the
-    plan's entry order into a gather buffer, through one index over the
-    bits a chunk varies, the part's positions and its ``k`` lowest free
-    bits, built once per call (``part_block_indices`` over ``w + k`` bits,
-    mapped through those bits' ``bit_offsets``), from the offset its
-    fixed higher free bits spell, and it leaves by one transposed copy
-    from the plan's exit order into a view of ``data``. So no index holds
-    more than a chunk's ``2**(w + k)`` amplitudes, or one row's where a
-    row is wider. The plan's permutes and products, on the lowest bits or
-    in place higher up, alternate the chunk with a scratch buffer. The rows
-    are cut at the part's highest position, every bit above it batch, so
-    a part on the lowest bits of its array (positions ``0..w-1``) builds
-    no index matrix: each batch entry is a row, the chunks are views, and
-    the plan's entry order is one more permute in front of its kernels.
-    Such a chunk would end on its view, out of its exit order, when its
-    permutes and products are even in number; a gather buffer then takes
-    the view's turn after the first of them, so it too leaves by one
-    copy, except on a row wider than a chunk or in a plan with no permute
+    one row when a row is wider than that, which only a chunk smaller than
+    ``2**FUSE_WIDTH`` allows (a whole-state part of at most ``width``
+    qubits is one chunk, a view of ``data``). Each chunk runs the part's
+    plan (``ExecutablePart.steps``, built once per part). It is gathered
+    in the plan's entry order into a gather buffer, through one index
+    over the bits a chunk varies, the part's positions and its ``k``
+    lowest free bits, built once per call (``part_block_indices`` over
+    ``w + k`` bits, mapped through those bits' ``bit_offsets``), from the
+    offset its fixed higher free bits spell, and it leaves by one
+    transposed copy from the plan's exit order into a view of ``data``.
+    So no index holds more than a chunk's ``2**(w + k)`` amplitudes, or
+    one row's where a row is wider. The plan's permutes, each one
+    ``np.take`` through its gather index (``_permute``), and its products,
+    on the lowest bits or in place higher up, alternate the chunk with a
+    scratch buffer. The rows are cut at the part's highest position, every
+    bit above it batch, so a part on the lowest bits of its array
+    (positions ``0..w-1``) builds no index matrix: each batch entry is a
+    row, the chunks are views, and the plan's entry order is one more
+    permute in front of its kernels. Such a chunk would end on its view,
+    out of its exit order, when its permutes and products are even in
+    number; a gather buffer then takes the view's turn after the first of
+    them, so it too leaves by one copy, except in a plan with no permute
     or product, where a plain copy into the scratch goes first. A part on
     the lowest bits whose plan has no permute or product and leaves in the
-    identity order allocates nothing. A permute is one ``np.take`` through
-    its gather index while a row fits a chunk, else one transposing copy
-    (``_permute``).
+    identity order allocates nothing.
 
     The chunks run on ``_workers`` threads, each taking the next chunk
     from one shared queue until none is left: the calling thread, and one
@@ -660,9 +672,9 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     here once for all its chunks, as the plan needs them: so each helper
     adds at most two chunks to the call's memory. While the helpers run,
     numpy's BLAS is held to one thread (``statevec._one_blas_thread``),
-    each worker's products running on its own CPU. A part on one chunk,
-    on rows wider than a chunk, or on one CPU, and every part where the
-    BLAS thread count cannot be set, runs on the calling thread alone.
+    each worker's products running on its own CPU. A part on one chunk or
+    on one CPU, and every part where the BLAS thread count cannot be set,
+    runs on the calling thread alone.
     """
     m = int(data.shape[-1]).bit_length() - 1
     if data.shape[-1] != 1 << m:
@@ -670,8 +682,25 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     if not data.flags.c_contiguous:
         raise ValueError("data must be C-contiguous")
     positions = exe.positions
+    if any(a >= b for a, b in zip(positions, positions[1:])):
+        raise ValueError(f"positions {positions} do not strictly ascend")
     if positions and positions[-1] >= m:
         raise ValueError(f"position {positions[-1]} outside 0..{m - 1}")
+    width = max(CHUNK_AMPS.bit_length() - 1, FUSE_WIDTH)
+    if exe.num_slots <= width:
+        _run_chunks(data, exe)
+        return
+    for group in _dagp(exe.ops, range(len(exe.ops)), width):
+        slots = _slots([exe.ops[i] for i in group])
+        to = {s: i for i, s in enumerate(slots)}
+        ops = tuple(_lift(exe.ops[i], to) for i in group)
+        _run_chunks(data, ExecutablePart(tuple(positions[s] for s in slots), ops))
+
+
+def _run_chunks(data: np.ndarray, exe: ExecutablePart) -> None:
+    """Stage a part of at most ``width`` slots on ``data`` (``run_part``,
+    which checks both)."""
+    positions = exe.positions
     w = exe.num_slots
     # split at the part's highest bit: the bits above it are batch too
     m = positions[-1] + 1 if positions else 0
@@ -692,7 +721,7 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
         entry = [varying.index(positions[s]) for s in plan.entry]
         gidx = bit_offsets(varying)[part_block_indices(w + k, entry)]
     elif plan.entry != identity:
-        kernels = [_permute(identity, plan.entry, w), *kernels]
+        kernels = [_permute(identity, plan.entry), *kernels]
     # a leaving chunk's row index holds its slots in exit order, then its
     # free bits
     leave = _bit_view(flat, [*(positions[s] for s in plan.exit), *free])
@@ -700,9 +729,9 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     moves = sum(kind in ("permute", "matmul") for kind, _ in kernels)
     # a view that would be the last buffer written, out of order, must be
     # copied out to leave; after a first move it yields its turn to a
-    # gather buffer instead, unless a row outgrows a chunk
+    # gather buffer instead
     stuck = not staged and moves % 2 == 0 and plan.exit != identity
-    relay = stuck and moves > 0 and 1 << w <= CHUNK_AMPS
+    relay = stuck and moves > 0
 
     def buffers() -> tuple[np.ndarray | None, np.ndarray | None]:
         gathered = np.empty(size, dtype=data.dtype) if staged or relay else None
@@ -740,8 +769,6 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
                 else:
                     if kind == "matmul":
                         apply_matrix(cur, arg[1], other, arg[0])
-                    elif isinstance(arg, tuple):  # a row wider than a chunk
-                        _permute_bits(cur, arg, out=other)
                     else:
                         np.take(cur, arg, axis=-1, out=other, mode="clip")
                     cur, other = other, back if cur is sub else cur
@@ -751,7 +778,7 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
             if cur is not sub:
                 np.copyto(dest, cur.reshape(dest.shape))
 
-    workers = _workers(len(chunks), w)
+    workers = _workers(len(chunks))
     held = [buffers() for _ in range(workers)]
     if workers == 1:
         work(*held[0])

@@ -16,11 +16,12 @@ Only this module maps index bits to array axes: ``_bit_view`` views each
 entry of a batch with its bits reordered, by one axis transpose, and the
 scatter of ``hisim.hier.run_part`` writes into such a view, while
 ``_permute_bits`` copies one, of a whole array or of each entry, into a
-new array or a buffer: the transposing permute, for layout switches in
-``hisim.dist`` and for the bit order of a part's chunk in ``hisim.hier``
-when its rows are wider than a chunk. Narrower rows are permuted by one
-``np.take`` through a gather index instead (``hisim.hier._permute``),
-and a SWAP in a part only relabels its slots (``hisim.hier._relabel``).
+new array: the transposing permute of the layout switches of
+``hisim.dist``. A part's chunk is permuted by one ``np.take`` through a
+gather index instead (``hisim.hier._permute``), never wider than a chunk
+or ``2**FUSE_WIDTH``, since a part wider than a chunk runs as pieces
+that fit one; and a SWAP in a part only relabels its slots
+(``hisim.hier._relabel``).
 ``_subspace`` views every block with given slots held at given bits. A
 gate is a 2x2 on two such views (target at 0 and 1, controls at 1; or a
 SWAP's two exchanged slot pairs), never decomposed: a diagonal scales
@@ -35,14 +36,12 @@ uses ``is_diagonal`` to find the diagonal gates a pair of equal ``cx``
 gates conjugates, which then become a phase, and ``hisim.hier._compile``
 to find runs of such gates, which commute, so each of their gates joins
 a group of other gates that holds its qubits, or else a phase group of
-such gates, folded into one ``2**w`` phase vector while ``2**w`` fits a
-``CHUNK_AMPS`` chunk. That vector is built in closed form from each
-gate's two diagonal entries (``diagonal_entries``), by
-``hisim.hier._phases``, not by ``apply_op`` (on a wider block each gate
-of the group is applied by ``apply_op`` to the chunk). Every group of
-several gates, and every lone gate that ``is_dense`` says mixes
-amplitude pairs, is fused into one dense ``2**k x 2**k`` unitary, built
-by ``apply_op`` on the identity of the ``k`` bits it runs on.
+such gates, folded into one ``2**w`` phase vector. That vector is built
+in closed form from each gate's two diagonal entries
+(``diagonal_entries``), by ``hisim.hier._phases``, not by ``apply_op``.
+Every group of several gates, and every lone gate that ``is_dense`` says
+mixes amplitude pairs, is fused into one dense ``2**k x 2**k`` unitary,
+built by ``apply_op`` on the identity of the ``k`` bits it runs on.
 ``apply_matrix`` applies such a unitary to ``k`` consecutive bits of a
 cache-sized block, into a second buffer: on the lowest bits as one
 matrix product, or from bit ``low`` up as one stacked product.
@@ -269,25 +268,17 @@ def _bit_view(data: np.ndarray, bits: Sequence[int]) -> np.ndarray:
     )
 
 
-def _permute_bits(
-    data: np.ndarray, sigma: Sequence[int], out: np.ndarray | None = None
-) -> np.ndarray:
+def _permute_bits(data: np.ndarray, sigma: Sequence[int]) -> np.ndarray:
     """``data`` with index bit ``i`` of each entry moved to bit ``sigma[i]``.
 
     An entry is a run of ``2**len(sigma)`` amplitudes; any leading
     amplitudes are batch, each entry permuted alike. The move is one copy
-    of a ``_bit_view``: into ``out`` when given (C-contiguous, the size of
-    ``data``, not overlapping it), else into a new array of ``data``'s
-    shape.
+    of a ``_bit_view`` into a new array of ``data``'s shape.
     """
     bits = [0] * len(sigma)
     for i, j in enumerate(sigma):
         bits[j] = i
-    moved = _bit_view(data, bits)
-    if out is None:
-        return moved.copy().reshape(data.shape)
-    np.copyto(out.reshape(moved.shape), moved)
-    return out
+    return _bit_view(data, bits).copy().reshape(data.shape)
 
 
 def _gate_2x2(op: GateOp) -> np.ndarray:

@@ -4,6 +4,7 @@ with the plain single-pass simulator."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import random
@@ -254,6 +255,32 @@ def test_run_part_matches_single_assignment_passes(seed):
         np.testing.assert_allclose(data, expect, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("positions", [(2, 1), (1, 0), (3, 0), (1, 1)])
+def test_run_part_refuses_positions_that_do_not_ascend(positions):
+    """``run_part`` refuses a part whose positions do not strictly ascend,
+    with a plain message and the state untouched: on ``(2, 1)`` its
+    gather index, clipped, would run the part on the wrong amplitudes."""
+    ops = (GateOp(GateKind.H, (0,), ()), GateOp(GateKind.CX, (0, 1), ()))
+    data = zero_state(4).data
+    with pytest.raises(ValueError, match="do not strictly ascend"):
+        run_part(data, ExecutablePart(positions, ops))
+    assert np.array_equal(data, zero_state(4).data)
+
+
+def _spy_on_chunks(mp):
+    """The list of the parts ``run_part`` stages, each its own part or one
+    of its pieces, in order, while ``mp`` holds its patch."""
+    staged = []
+    real = hier._run_chunks
+
+    def spy(data, exe):
+        staged.append(exe)
+        real(data, exe)
+
+    mp.setattr(hier, "_run_chunks", spy)
+    return staged
+
+
 def test_remap_part_rewrites_operands_to_block_slots():
     """A ``cx 9,5`` in a 10-qubit circuit, in a part on qubits (5, 9),
     becomes a ``cx`` on slots (1, 0) of the part's block, kind and params
@@ -333,9 +360,11 @@ def test_diagonal_runs_fold_while_the_block_fits_a_chunk(monkeypatch):
     form, equal to their ``apply_op`` product on ones, and the others, with
     the dense ops around them, into unitaries on the identity, so no op
     runs on the block op by op: on a block of several rows and on a
-    single-row block, here a whole-state part, with the same calls. On a
-    block wider than a chunk the phase vector's ops run on each chunk one
-    by one, and the dense groups are still fused."""
+    single-row block, here a whole-state part, with the same calls. In
+    chunks of 2 amplitudes the part is wider than a chunk and runs as two
+    pieces of at most ``FUSE_WIDTH`` slots, the diagonal run inside one
+    with the dense ops on its slots: each piece is one unitary, and again
+    no op runs on the block."""
     calls = []
     real = hier.apply_op
 
@@ -385,22 +414,19 @@ def test_diagonal_runs_fold_while_the_block_fits_a_chunk(monkeypatch):
 
     calls.clear()
     monkeypatch.setattr(hier, "CHUNK_AMPS", 2)
+    staged = _spy_on_chunks(monkeypatch)
     data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     expect = data.copy()
     for op in _RUNS.ops:
         apply_op(expect, 5, op)
     atol = 1e-15 * np.max(np.abs(expect))
-    exe = whole()
-    run_part(data, exe)
-    assert [kind for kind, _ in exe.steps.kernels] == [
-        "matmul", "op", "op", "permute", "matmul"
-    ]
-    # the unitaries are built once; the folded ops act on each one-row chunk
-    row = (1, 1 << 5)
-    assert [(kind, shape) for kind, shape, _ in calls] == [
-        *(call[:2] for call in fused),
-        *3 * [(GateKind.CRZ, row), (GateKind.CZ, row)],
-    ]
+    run_part(data, whole())
+    assert [piece.positions for piece in staged] == [(0, 1, 3, 4), (2,)]
+    for piece in staged:
+        assert [kind for kind, _ in piece.steps.kernels] == ["matmul"]
+    # every op is applied once, to a unitary's identity
+    assert len(calls) == _RUNS.num_ops
+    assert not any(shares for _, _, shares in calls)
     np.testing.assert_allclose(data, expect, rtol=0, atol=atol)
 
 
@@ -1358,22 +1384,19 @@ def test_swaps_among_other_gates_relabel(monkeypatch, seed, chunk):
 
 @pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
 @pytest.mark.parametrize("seed", range(3))
-def test_indexed_permutes_equal_the_transposing_copy(monkeypatch, shape, seed):
+def test_indexed_permutes_equal_the_transposing_copy(shape, seed):
     """For random bit orders of 1 to 7 slots, the permute ``_permute``
-    builds while a row fits a chunk, one ``np.take`` through a ``2**w``
-    gather index, moves each entry of a batch as the transposing copy
-    (``_permute_bits``) it builds on a row wider than a chunk does, bit
-    for bit."""
+    builds, one ``np.take`` through a ``2**w`` gather index, moves each
+    entry of a batch as the transposing copy ``_permute_bits`` makes of
+    it, each slot's bit in ``order`` moved to its bit in ``new``, bit for
+    bit."""
     rng = np.random.default_rng(seed)
     for w in range(1, 8):
         order = [int(s) for s in rng.permutation(w)]
         new = [int(s) for s in rng.permutation(w)]
-        _, index = hier._permute(order, new, w)
+        _, index = hier._permute(order, new)
         assert index.shape == (1 << w,) and index.dtype == np.intp
-        with monkeypatch.context() as mp:
-            mp.setattr(hier, "CHUNK_AMPS", 1 << (w - 1))
-            _, sigma = hier._permute(order, new, w)
-        assert isinstance(sigma, tuple)
+        sigma = [new.index(s) for s in order]
         data = rng.normal(size=(*shape, 1 << w)) + 1j * rng.normal(size=(*shape, 1 << w))
         out = np.empty_like(data)
         np.take(data, index, axis=-1, out=out, mode="clip")
@@ -1651,10 +1674,12 @@ def test_partitioned_runs_peak_within_twice_the_state():
     peak at 1.29-1.36x the state, pinned at 1.5x (2x while the index
     matrix spanned the state, half its size), a distributed run on 2
     rank bits, which permutes the state out of place, at 2.1x. A
-    whole-state part (limit 20) runs its plan on the state as one view,
-    with one scratch buffer of its size, no phase vector, and no gather
-    index, its rows being wider than a chunk: each of its permutes is a
-    transposing copy. 2.1x."""
+    whole-state part (limit 20) runs as pieces of at most 16 slots, each
+    staged like a narrower part, so it holds no block wider than a chunk:
+    ising and qft peak at 1.35x, pinned at 1.5x, and qaoa at 1.57x on 2
+    CPUs, pinned at 1.6x, its widest piece holding four ``2**16`` phase
+    vectors beside two chunk buffers per worker (2.03x while the part ran
+    on the state as one view, with a scratch buffer of its size)."""
     n = 20
     qaoa = bench.qaoa(n, 2)
     qft = bench.qft(n)
@@ -1669,13 +1694,10 @@ def test_partitioned_runs_peak_within_twice_the_state():
         (lambda: execute_multilevel(qft, multi_qft), 1.5),
         (lambda: simulate_distributed(qft, dist_p, 2), 2.1),
     ]
-    for circuit in (ising, qaoa, qft):
+    for circuit, bound in ((ising, 1.5), (qaoa, 1.6), (qft, 1.5)):
         whole = partition_dagp(build_dag(circuit), n)
         assert whole.num_parts == 1
-        (exe,) = executable_parts(circuit, whole)
-        moves = [arg for kind, arg in exe.steps.kernels if kind == "permute"]
-        assert moves and all(isinstance(arg, tuple) for arg in moves)
-        runs.append((lambda c=circuit, p=whole: execute_hierarchical(c, p), 2.1))
+        runs.append((lambda c=circuit, p=whole: execute_hierarchical(c, p), bound))
     for run, bound in runs:
         tracemalloc.start()
         try:
@@ -1686,14 +1708,14 @@ def test_partitioned_runs_peak_within_twice_the_state():
         assert peak <= bound * state_bytes(n)
 
 
-def test_part_wider_than_a_chunk_holds_no_phase_vector():
-    """qft(20) at dagp limit 19 has a 19-slot staged part, whose rows are
-    wider than a chunk, so each chunk is one row and its diagonal runs
-    are lone ops, never a ``2**19`` phase vector (10.5x the state with
-    one per run). The run holds the state, the one gathered row every
-    chunk reuses, half the state, and the index of one row, a quarter, so
-    it peaks at 1.79x, pinned at 2x (2.04x while the index spanned the
-    state)."""
+def test_part_wider_than_a_chunk_runs_as_pieces_in_bounded_memory():
+    """qft(20) at dagp limit 19 has a 19-slot staged part, wider than a
+    chunk, which runs as pieces of at most 16 slots, so no plan holds a
+    ``2**19`` phase vector (10.5x the state with one per run) and no
+    buffer or index outgrows a chunk. The run peaks at 1.35x the state,
+    pinned at 1.5x (1.79x, pinned at 2x, while each chunk was one
+    gathered row of the part, half the state, through an index of a
+    quarter)."""
     n = 20
     qft = bench.qft(n)
     partition = partition_dagp(build_dag(qft), 19)
@@ -1704,36 +1726,141 @@ def test_part_wider_than_a_chunk_holds_no_phase_vector():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.0 * state_bytes(n)
+    assert peak <= 1.5 * state_bytes(n)
+
+
+# --- pieces of a part wider than a chunk -----------------------------------
+
+
+@pytest.mark.parametrize("chunk", [1 << 3, 1 << 5])
+@pytest.mark.parametrize("seed", range(3))
+def test_pieces_hold_each_op_of_a_wide_part_once(monkeypatch, chunk, seed):
+    """A part with more slots than ``width = max(log2(CHUNK_AMPS),
+    FUSE_WIDTH)`` runs as pieces of at most ``width`` slots, each on the
+    part's positions of the slots its ops use, ascending; together they
+    hold each of the part's ops once, and each slot's ops in the part's
+    order, so they run it. A part no wider runs as itself."""
+    monkeypatch.setattr(hier, "CHUNK_AMPS", chunk)
+    width = max(chunk.bit_length() - 1, hier.FUSE_WIDTH)
+    staged = _spy_on_chunks(monkeypatch)
+    n = 10
+    circuit = _spread(random.Random(seed + 60), n, 80)
+    data = zero_state(n).data
+    wide = 0
+    for exe in executable_parts(circuit, partition_dagp(build_dag(circuit), 8)):
+        staged.clear()
+        run_part(data, exe)
+        if exe.num_slots <= width:
+            assert len(staged) == 1 and staged[0] is exe
+            continue
+        wide += 1
+        slot_of = {p: s for s, p in enumerate(exe.positions)}
+        ops = []
+        for piece in staged:
+            assert piece.num_slots <= width
+            assert list(piece.positions) == sorted(set(piece.positions))
+            used = {s for op in piece.ops for s in op.qubits}
+            assert used == set(range(piece.num_slots))
+            back = [slot_of[p] for p in piece.positions]
+            ops += [hier._lift(op, back) for op in piece.ops]
+        assert Counter(ops) == Counter(exe.ops)
+        for s in range(exe.num_slots):
+            on = [op for op in exe.ops if s in op.qubits]
+            assert [op for op in ops if s in op.qubits] == on
+    assert wide
+    np.testing.assert_allclose(data, simulate_flat(circuit).data, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("chunk", [1 << 2, 1 << 5])
+@pytest.mark.parametrize("seed", range(3))
+def test_wide_parts_run_as_pieces_within_a_chunk_and_equal_flat(
+    monkeypatch, chunk, seed
+):
+    """In chunks of ``2**2`` or ``2**5`` amplitudes, hierarchical runs at
+    limits n and n - 2, a two-level run at n - 1 over 4, and distributed
+    runs on 1, 2 and 3 rank bits at limit n - p, whose rank buffers make
+    a batch that each piece is staged out of, all have parts wider than a
+    chunk and stay within 1e-12 of ``simulate_flat``; no plan any of them
+    builds (``_plan``) spans more than ``max(CHUNK_AMPS, 2**FUSE_WIDTH)``
+    amplitudes."""
+    monkeypatch.setattr(hier, "CHUNK_AMPS", chunk)
+    width = max(chunk.bit_length() - 1, hier.FUSE_WIDTH)
+    planned = []
+    real = hier._plan
+
+    def spy(groups, w, where):
+        planned.append(w)
+        return real(groups, w, where)
+
+    monkeypatch.setattr(hier, "_plan", spy)
+    n = 9
+    circuit = _spread(random.Random(seed + 80), n, 90)
+    dag = build_dag(circuit)
+    expect = simulate_flat(circuit).data
+    def distributed(p):
+        return lambda c, partition: simulate_distributed(c, partition, p).state
+
+    runs = [
+        (partition_dagp(dag, n), execute_hierarchical),
+        (partition_dagp(dag, n - 2), execute_hierarchical),
+        (partition_multilevel(dag, n - 1, 4), execute_multilevel),
+        *((partition_dagp(dag, n - p), distributed(p)) for p in (1, 2, 3)),
+    ]
+    for partition, run in runs:
+        assert max(len(part.qubits) for part in partition.parts) > width
+        planned.clear()
+        state = run(circuit, partition)
+        assert planned and max(planned) <= width
+        assert np.max(np.abs(state.data - expect)) <= 1e-12
+
+
+def test_pieces_leave_documents_and_traces_as_they_were():
+    """Pieces change nothing a run reports. The comm document of qft(20)
+    on 2 rank bits at dagp limit 18, where each part keeps its layout,
+    is the one it was while its parts ran as rows wider than a chunk: 2
+    switches and 25,165,824 remote bytes (3 and 37,748,736 at limit 14),
+    byte for byte; and a limit-n run's trace log is its one part."""
+    circuit = bench.qft(20)
+    dag = build_dag(circuit)
+    run = simulate_distributed(circuit, partition_dagp(dag, 18), 2)
+    doc = json.dumps(run.stats.to_json())
+    assert (run.stats.num_switches, run.stats.total_bytes) == (2, 25_165_824)
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "6dbe7cf278d5df855770d4b5727d15f96047c02184a2f685c5eaa5be5054b414"
+    )
+    assert np.max(np.abs(run.state.data - simulate_flat(circuit).data)) <= 1e-12
+    _, trace = execute_hierarchical(circuit, partition_dagp(dag, 20), with_trace=True)
+    assert trace.to_json_lines() == (
+        '{"part_id": 0, "w": 20, "iterations": 1, "gates": 410}'
+    )
 
 
 # --- the chunk pool ---------------------------------------------------------
 
 
 def test_workers_follow_the_cpus_and_the_chunks(monkeypatch):
-    """One worker per CPU, at most one per chunk; one on a row wider than
-    a chunk, and one where numpy's BLAS thread count cannot be set. The
-    count is read off stubs: no thread starts."""
+    """One worker per CPU, at most one per chunk, and one where numpy's
+    BLAS thread count cannot be set. The count is read off stubs: no
+    thread starts."""
     monkeypatch.setattr(hier, "_blas_threads", lambda: "found")
     for cpus, chunks, expect in [(1, 16, 1), (2, 16, 2), (64, 16, 16), (2, 1, 1)]:
         monkeypatch.setattr(hier, "_cpus", lambda cpus=cpus: cpus)
-        assert hier._workers(chunks, 14) == expect
-        assert hier._workers(chunks, 16) == expect  # a row of one chunk
-        assert hier._workers(chunks, 17) == 1
+        assert hier._workers(chunks) == expect
     monkeypatch.setattr(hier, "_blas_threads", lambda: None)
-    assert hier._workers(16, 14) == 1
+    assert hier._workers(16) == 1
     assert 1 <= hier._cpus() <= (os.cpu_count() or 1)
 
 
 def test_run_part_sizes_its_pool_by_its_chunks(monkeypatch):
     """``run_part`` asks ``_workers`` for a pool by the number of its
-    chunks and the width of its rows: a 5-slot part of a 10-qubit state
-    in chunks of ``2**6`` amplitudes, staged or on the lowest bits, is 16
-    chunks, and a whole-state part one."""
+    chunks: in chunks of ``2**6`` amplitudes, a 5-slot part of a 10-qubit
+    state, staged or on the lowest bits, is 16 chunks, and a whole-state
+    part of 6 qubits one. A 10-slot part of the 10-qubit state, wider
+    than a chunk, runs as its one 5-slot piece: 16 chunks."""
     asked = []
 
-    def one(chunks, w):
-        asked.append((chunks, w))
+    def one(chunks):
+        asked.append(chunks)
         return 1
 
     monkeypatch.setattr(hier, "_workers", one)
@@ -1743,9 +1870,11 @@ def test_run_part_sizes_its_pool_by_its_chunks(monkeypatch):
     data = zero_state(10).data
     for positions in [(0, 1, 2, 3, 4), (0, 2, 4, 6, 8)]:
         run_part(data, rebase(exe, dict(enumerate(positions))))
-    whole = Circuit(10, ops)
-    run_part(data, remap_part(whole, Part(0, tuple(range(5)), tuple(range(10)))))
-    assert asked == [(16, 5), (16, 5), (1, 10)]
+    whole = Part(0, tuple(range(5)), tuple(range(6)))
+    run_part(zero_state(6).data, remap_part(Circuit(6, ops), whole))
+    wide = Part(0, tuple(range(5)), tuple(range(10)))
+    run_part(data, remap_part(Circuit(10, ops), wide))
+    assert asked == [16, 16, 1, 16]
 
 
 def _pooled_runs(workers):
@@ -1852,9 +1981,9 @@ def test_view_chunks_leave_in_one_copy(monkeypatch, sets):
     permutes and products (the entry permute included) even or odd in
     number, never ends a chunk on its view, to be copied out and back
     again: the last of each chunk's permutes and products writes outside
-    the state, and with an even number none of them writes into it. Its
-    rows fit a chunk, so each permute is one ``np.take`` through its
-    gather index, the entry permute too, and none a transposing copy."""
+    the state, and with an even number none of them writes into it. Each
+    permute is one ``np.take`` through its gather index, the entry
+    permute too."""
     monkeypatch.setattr(hier, "_cpus", lambda: 1)
     monkeypatch.setattr(hier, "CHUNK_AMPS", 1 << 7)
     n = 9
@@ -1875,7 +2004,6 @@ def test_view_chunks_leave_in_one_copy(monkeypatch, sets):
 
     monkeypatch.setattr(hier, "apply_matrix", spy(hier.apply_matrix))
     monkeypatch.setattr(np, "take", spy(np.take))
-    monkeypatch.setattr(hier, "_permute_bits", None)
     run_part(data, exe)
     kinds = [kind for kind, _ in exe.steps.kernels]
     moves = 1 + kinds.count("permute") + kinds.count("matmul")  # and entry
