@@ -11,11 +11,15 @@ once: each part is built once by ``hisim.hier.executable_parts``, in qubit
 coordinates, and ``hisim.hier.rebase`` moves its positions to the offset
 bits that hold its qubits. A two-level part is its level-1 part, so only
 level-1 parts choose layouts; the level-2 parts' padded qubit sets are
-not staged. Between parts the layout
-changes and amplitudes move. The move is one permutation of the index
-bits, applied as an axis transpose; its communication counts follow in
-closed form from the same permutation, and every remote amplitude is
-charged 16 bytes (one complex128). The per-switch numbers live on
+not staged. Between parts the layout changes and amplitudes move. The
+move is one permutation of the index bits, applied as an axis
+transpose: one transposing copy into a new array
+(``statevec._permute_bits``), as the distribution of the start state
+and the assembly of the final one are, each on every CPU the process may
+use, its workers copying disjoint slabs of the new array through the
+pool of ``run_part``'s chunks. Its communication counts follow in closed
+form from the same permutation, and every remote amplitude is charged
+16 bytes (one complex128). The per-switch numbers live on
 ``CommStats.switches``, one ``SwitchStats`` per switch, derived from the
 plan in one pass.
 

@@ -83,19 +83,20 @@ The chunks of a part are independent, so ``run_part`` runs them on every
 CPU the process may use: the calling thread and one helper thread per
 further CPU, at most one worker per chunk, each taking the next chunk
 from one shared queue into its own gather and scratch buffers, so each
-helper adds at most two chunks of memory. numpy's BLAS is held to one
-thread while they run (``statevec._one_blas_thread``), each worker's
-products running on its own CPU, and the helpers are joined before the
-part returns. A part of one chunk, and every part where numpy's BLAS
-thread count cannot be set, run on the calling thread alone.
+helper adds at most two chunks of memory. The pool is
+``statevec._pool``, which the whole-state moves of ``hisim.dist``
+share. numpy's BLAS is held to one thread while they run
+(``statevec._one_blas_thread``), each worker's products running on its
+own CPU, and the helpers are joined before the part returns. A part of
+one chunk, and every part where numpy's BLAS thread count cannot be set,
+run on the calling thread alone.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import threading
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import groupby, product
@@ -117,7 +118,9 @@ from .statevec import (
     StateVector,
     _bit_view,
     _blas_threads,
+    _cpus,
     _one_blas_thread,
+    _pool,
     apply_matrix,
     apply_op,
     diagonal_entries,
@@ -598,19 +601,11 @@ def _plan(
     return Plan(tuple(entry), kernels, tuple(held[p] for p in order))
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _workers(chunks: int) -> int:
     """Threads ``run_part`` runs ``chunks`` chunks of a part on: one per
-    CPU (``_cpus``), and at most one per chunk; one where numpy's BLAS
-    cannot be held to one thread (``statevec._blas_threads``), since every
-    worker's products would then start BLAS threads of their own."""
+    CPU (``statevec._cpus``), and at most one per chunk; one where numpy's
+    BLAS cannot be held to one thread (``statevec._blas_threads``), since
+    every worker's products would then start BLAS threads of their own."""
     return 1 if _blas_threads() is None else min(_cpus(), chunks)
 
 
@@ -664,8 +659,9 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     the lowest bits whose plan has no permute or product and leaves in the
     identity order allocates nothing.
 
-    The chunks run on ``_workers`` threads, each taking the next chunk
-    from one shared queue until none is left: the calling thread, and one
+    The chunks run on ``_workers`` threads by ``statevec._pool``, the
+    pool of the whole-state moves too, each taking the next chunk from
+    one shared queue until none is left: the calling thread, and one
     helper thread per further worker, started here and joined before the
     call returns, also when a chunk raises, whose error the call then
     raises. Each worker has its own gather and scratch buffers, allocated
@@ -740,73 +736,48 @@ def _run_chunks(data: np.ndarray, exe: ExecutablePart) -> None:
 
     chunks = deque(product(range(0, len(flat), bstep), range(0, rows, rstep)))
 
-    def work(gathered: np.ndarray | None, spare: np.ndarray | None) -> None:
-        while True:
-            try:
-                b, r = chunks.popleft()
-            except IndexError:
-                return
-            sub = flat[b:b + bstep]
-            # the free bits above the chunk's rows are those of row r
-            high = (r >> i & 1 for i in range(m - w - 1, k - 1, -1))
-            dest = leave[(slice(b, b + bstep), *high)]
-            if staged:
-                cur = gathered[:dest.size].reshape(len(sub), rstep, 1 << w)
-                base = sum(1 << p for j, p in enumerate(free[k:]) if r >> k + j & 1)
-                # under the default mode="raise", np.take copies through a
-                # temporary when given ``out``; the indices are all in range
-                np.take(sub[:, base:], gidx, axis=1, out=cur, mode="clip")
+    def run(
+        chunk: tuple[int, int],
+        gathered: np.ndarray | None,
+        spare: np.ndarray | None,
+    ) -> None:
+        b, r = chunk
+        sub = flat[b:b + bstep]
+        # the free bits above the chunk's rows are those of row r
+        high = (r >> i & 1 for i in range(m - w - 1, k - 1, -1))
+        dest = leave[(slice(b, b + bstep), *high)]
+        if staged:
+            cur = gathered[:dest.size].reshape(len(sub), rstep, 1 << w)
+            base = sum(1 << p for j, p in enumerate(free[k:]) if r >> k + j & 1)
+            # under the default mode="raise", np.take copies through a
+            # temporary when given ``out``; the indices are all in range
+            np.take(sub[:, base:], gidx, axis=1, out=cur, mode="clip")
+        else:
+            cur = sub
+        if spare is not None:
+            other = spare[:cur.size].reshape(cur.shape)
+        back = gathered[:cur.size].reshape(cur.shape) if relay else sub
+        for kind, arg in kernels:
+            if kind == "phase":
+                cur *= arg
+            elif kind == "op":
+                apply_op(cur, w, arg)
             else:
-                cur = sub
-            if spare is not None:
-                other = spare[:cur.size].reshape(cur.shape)
-            back = gathered[:cur.size].reshape(cur.shape) if relay else sub
-            for kind, arg in kernels:
-                if kind == "phase":
-                    cur *= arg
-                elif kind == "op":
-                    apply_op(cur, w, arg)
+                if kind == "matmul":
+                    apply_matrix(cur, arg[1], other, arg[0])
                 else:
-                    if kind == "matmul":
-                        apply_matrix(cur, arg[1], other, arg[0])
-                    else:
-                        np.take(cur, arg, axis=-1, out=other, mode="clip")
-                    cur, other = other, back if cur is sub else cur
-            if cur is sub and plan.exit != identity:
-                other[...] = cur
-                cur = other
-            if cur is not sub:
-                np.copyto(dest, cur.reshape(dest.shape))
+                    np.take(cur, arg, axis=-1, out=other, mode="clip")
+                cur, other = other, back if cur is sub else cur
+        if cur is sub and plan.exit != identity:
+            other[...] = cur
+            cur = other
+        if cur is not sub:
+            np.copyto(dest, cur.reshape(dest.shape))
 
     workers = _workers(len(chunks))
     held = [buffers() for _ in range(workers)]
-    if workers == 1:
-        work(*held[0])
-        return
-    errors: list[BaseException] = []
-
-    def helper(gathered: np.ndarray | None, spare: np.ndarray | None) -> None:
-        try:
-            work(gathered, spare)
-        except BaseException as exc:  # raised again by the calling thread
-            errors.append(exc)
-            chunks.clear()
-
-    threads = [threading.Thread(target=helper, args=pair) for pair in held[1:]]
-    with _one_blas_thread():
-        try:
-            for thread in threads:
-                thread.start()
-            work(*held[0])
-        except BaseException:
-            chunks.clear()
-            raise
-        finally:
-            for thread in threads:
-                if thread.ident is not None:  # it started
-                    thread.join()
-    if errors:
-        raise errors[0]
+    with _one_blas_thread() if workers > 1 else nullcontext():
+        _pool(chunks, run, held)
 
 
 # --- instrumentation --------------------------------------------------------

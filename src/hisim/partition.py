@@ -351,7 +351,8 @@ def _merge_phase(
 
     Each step contracts the mergeable pair ranked first by descending
     shared-qubit count, then descending union size, then part order. Only
-    pairs joined by a part-graph edge go through the lazy priority queue:
+    pairs joined by a part-graph edge go through the lazy priority queue,
+    each as one int that sorts as that ranking (``key``):
     two parts that share a qubit can merge only if no other part lies
     between them on that qubit's wire, and then a gate edge joins them.
     An edge may also join two parts that share no qubit, when it runs
@@ -393,18 +394,30 @@ def _merge_phase(
     def mergeable(u: int, v: int) -> bool:
         # contraction is acyclic iff every u..v path is the direct edge
         bu, bv = 1 << u, 1 << v
-        return not any(reach[m] & bv for m in out[u] if m != v) and not any(
-            reach[m] & bu for m in out[v] if m != u
-        )
+        for m in out[u]:
+            if m != v and reach[m] & bv:
+                return False
+        for m in out[v]:
+            if m != u and reach[m] & bu:
+                return False
+        return True
 
-    def key(u: int, v: int) -> tuple[int, int, int, int] | None:
+    # a key packs (limit - shared, limit - union, u, v) into one int that
+    # sorts as the tuple: the counts lie in 0..limit - 1, the ids in
+    # 0..n - 1, each field as wide as its largest value needs
+    id_bits = (n - 1).bit_length()
+    count_bits = (limit - 1).bit_length()
+    ids = (1 << id_bits) - 1
+
+    def key(u: int, v: int) -> int | None:
         # a pair sharing no qubit is left to the scan, even when an edge
         # that runs through gates outside the subset joins it
         union = (qmask[u] | qmask[v]).bit_count()
-        negshared = union - qcount[u] - qcount[v]
-        if union > limit or not negshared:
+        shared = qcount[u] + qcount[v] - union
+        if union > limit or not shared:
             return None
-        return (negshared, -union, u, v)
+        counts = (limit - shared) << count_bits | limit - union
+        return (counts << id_bits | u) << id_bits | v
 
     def best_disjoint() -> tuple[int, int] | None:
         # every disjoint pair that fits, widest union first, then part order
@@ -425,7 +438,8 @@ def _merge_phase(
 
     while True:
         if heap:
-            negshared, union, u, v = heapq.heappop(heap)
+            k = heapq.heappop(heap)
+            u, v = k >> id_bits & ids, k & ids
             if u not in alive or v not in alive:
                 continue
             # drop a stale key: the contraction that changed it queued the
@@ -433,7 +447,7 @@ def _merge_phase(
             # parts grow); that entry was already judged, and only a
             # contraction of u or v, which queues the pair again, can change
             # the verdict
-            if key(u, v) != (negshared, union, u, v) or not mergeable(u, v):
+            if key(u, v) != k or not mergeable(u, v):
                 continue
         else:
             pair = best_disjoint()

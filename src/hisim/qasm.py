@@ -164,7 +164,10 @@ def _is_angle(p: object) -> bool:
 
 # --- angle expression evaluation -------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d*(?:[eE][+-]?\d+)?|\.?\d+(?:[eE][+-]?\d+)?)|(pi)|([()+\-*/^]))")
+_NUMBER = r"\d+\.\d*(?:[eE][+-]?\d+)?|\.?\d+(?:[eE][+-]?\d+)?"
+_TOKEN_RE = re.compile(rf"\s*(?:({_NUMBER})|(pi)|([()+\-*/^]))")
+#: a whole angle text that is one unsigned number literal
+_LITERAL_RE = re.compile(rf"\s*(?:{_NUMBER})\s*")
 _FOLD = {
     ast.UAdd: operator.pos, ast.USub: operator.neg,
     ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
@@ -182,6 +185,11 @@ def _eval_angle(text: str, line: int, col: int) -> float:
     ``+ -`` and binary ``+ - * / **`` evaluates it; every other node is
     refused. Every literal and every value must be a finite real; anything
     else is a QasmSyntaxError.
+
+    A text that is one unsigned number literal and blanks (``_LITERAL_RE``,
+    the number token of ``_TOKEN_RE``) is read by ``float`` alone: the
+    fold would give the float of the same literal, through its repr, which
+    reads back bit for bit, and refuse it when it is not finite, as here.
     """
     def bad(what: str = "bad angle expression") -> QasmSyntaxError:
         return QasmSyntaxError(f"{what} {text!r}", line, col)
@@ -192,6 +200,9 @@ def _eval_angle(text: str, line: int, col: int) -> float:
                 f"angle {text!r} is not a finite real number", line, col
             )
         return val
+
+    if _LITERAL_RE.fullmatch(text):
+        return finite(float(text))
 
     def fold(node: ast.expr) -> float:
         if isinstance(node, ast.Constant) and type(node.value) is float:

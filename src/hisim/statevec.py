@@ -16,9 +16,11 @@ Only this module maps index bits to array axes: ``_bit_view`` views each
 entry of a batch with its bits reordered, by one axis transpose, and the
 scatter of ``hisim.hier.run_part`` writes into such a view, while
 ``_permute_bits`` copies one, of a whole array or of each entry, into a
-new array: the transposing permute of the layout switches of
-``hisim.dist``. A part's chunk is permuted by one ``np.take`` through a
-gather index instead (``hisim.hier._permute``), never wider than a chunk
+new array: the transposing permute of the distribution, layout switches
+and assembly of ``hisim.dist``, which copies disjoint slabs of the one
+output array on every CPU. A part's chunk is permuted by one
+``np.take`` through a gather index instead (``hisim.hier._permute``),
+never wider than a chunk
 or ``2**FUSE_WIDTH``, since a part wider than a chunk runs as pieces
 that fit one; and a SWAP in a part only relabels its slots
 (``hisim.hier._relabel``).
@@ -48,9 +50,13 @@ matrix product, or from bit ``low`` up as one stacked product.
 ``hisim.hier`` picks the bits where the unitary's slots already sit, and
 permutes them only when no product fits there.
 
-``hisim.hier.run_part`` runs a part's chunks on several threads at once,
-and each thread's products then run in BLAS on its own CPU:
-``_one_blas_thread`` holds numpy's BLAS to one thread while they run,
+``_pool`` runs a queue of independent tasks on the calling thread and
+helper threads: ``_permute_bits``'s slabs, which make no BLAS call, and
+``hisim.hier.run_part``'s chunks. Both take one worker per CPU
+(``_cpus``), at most one per ``CHUNK_AMPS`` amplitudes they move. When
+chunks run on several threads at once, each thread's products run in
+BLAS on its own CPU: ``_one_blas_thread`` holds numpy's BLAS to one
+thread while they run,
 and the last of overlapping holds restores its old thread count after,
 also when a kernel raises. It expects numpy's BLAS to be OpenBLAS, as
 numpy's own wheels bundle it (scipy-openblas), exporting its
@@ -70,6 +76,7 @@ import json
 import math
 import os
 import threading
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
@@ -268,17 +275,100 @@ def _bit_view(data: np.ndarray, bits: Sequence[int]) -> np.ndarray:
     )
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _pool(tasks: deque, run: Callable[..., None], held: Sequence[tuple]) -> None:
+    """Call ``run(task, *held[i])`` on every task popped from ``tasks``, on
+    ``len(held)`` workers: the calling thread, with ``held[0]``, and one
+    helper thread per further entry, each taking the next task until none
+    is left. The helpers are started here and joined before the call
+    returns, also when a task raises: the tasks left are then dropped, and
+    the call raises the caller's error, else the first helper's."""
+
+    def work(*args) -> None:
+        while True:
+            try:
+                task = tasks.popleft()
+            except IndexError:
+                return
+            run(task, *args)
+
+    if len(held) == 1:
+        work(*held[0])
+        return
+    errors: list[BaseException] = []
+
+    def helper(*args) -> None:
+        try:
+            work(*args)
+        except BaseException as exc:  # raised again by the calling thread
+            errors.append(exc)
+            tasks.clear()
+
+    threads = [threading.Thread(target=helper, args=args) for args in held[1:]]
+    try:
+        for thread in threads:
+            thread.start()
+        work(*held[0])
+    except BaseException:
+        tasks.clear()
+        raise
+    finally:
+        for thread in threads:
+            if thread.ident is not None:  # it started
+                thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _permute_bits(data: np.ndarray, sigma: Sequence[int]) -> np.ndarray:
     """``data`` with index bit ``i`` of each entry moved to bit ``sigma[i]``.
 
     An entry is a run of ``2**len(sigma)`` amplitudes; any leading
-    amplitudes are batch, each entry permuted alike. The move is one copy
-    of a ``_bit_view`` into a new array of ``data``'s shape.
+    amplitudes are batch, each entry permuted alike. The move copies a
+    ``_bit_view`` into a new array of ``data``'s shape, on one worker per
+    CPU (``_cpus``) and at most one per ``CHUNK_AMPS`` amplitudes, so an
+    array under two chunks is copied on the calling thread alone. Workers
+    copy disjoint slabs of the output through ``_pool``, about two each:
+    runs of entries when there are that many, else the entries cut at
+    their top destination bits.
     """
     bits = [0] * len(sigma)
     for i, j in enumerate(sigma):
         bits[j] = i
-    return _bit_view(data, bits).copy().reshape(data.shape)
+    src = _bit_view(data, bits)
+    out = np.empty(data.shape, dtype=data.dtype)
+    dst = out.reshape(src.shape)
+    workers = min(_cpus(), data.size // CHUNK_AMPS)
+    if workers < 2:
+        np.copyto(dst, src)
+        return out
+    entries, slabs = src.shape[0], 2 * workers
+    if entries >= slabs:
+        step = -(-entries // slabs)
+        cuts = deque((slice(b, b + step),) for b in range(0, entries, step))
+    else:
+        # cut each entry at its top t destination bits, for at least
+        # ``slabs`` slabs in all; an entry spans workers / entries chunks or
+        # more, so it has those bits
+        t = (-(-slabs // entries) - 1).bit_length()
+        cuts = deque(
+            (b, *(r >> i & 1 for i in range(t - 1, -1, -1)))
+            for b in range(entries)
+            for r in range(1 << t)
+        )
+
+    def copy(cut: tuple) -> None:
+        np.copyto(dst[cut], src[cut])
+
+    _pool(cuts, copy, [()] * workers)
+    return out
 
 
 def _gate_2x2(op: GateOp) -> np.ndarray:

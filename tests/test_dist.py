@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+import hisim.statevec as statevec
 from hisim import bench
 from hisim.dag import build_dag
 from hisim.dist import (
@@ -386,20 +387,37 @@ def test_closed_form_plan_matches_elementwise_oracle():
     assert pairs == 985
 
 
-def test_layout_switch_peaks_at_most_twice_the_state():
+def test_layout_switch_peaks_at_most_twice_the_state(monkeypatch):
+    """A switch writes one new array of the state's size: on the calling
+    thread, and on 2 workers (stubbed CPUs, with chunks of ``2**12``
+    amplitudes so the state is 16 of them), whose slabs of that array add
+    no buffer."""
     n = 16
     rng = np.random.default_rng(4)
     sv = StateVector(n, rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
     old = choose_layout(n, 2, (0, 1))
     new = choose_layout(n, 2, (n - 2, n - 1))
     buffers = distribute_state(sv, old)
-    tracemalloc.start()
-    try:
-        plan_redistribution(old, new).apply(buffers)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * state_bytes(n)
+    pools = []
+    real = statevec._pool
+
+    def spy(tasks, run, held):
+        pools.append(len(held))
+        real(tasks, run, held)
+
+    monkeypatch.setattr(statevec, "_pool", spy)
+    for workers in (None, 2):
+        if workers:
+            monkeypatch.setattr(statevec, "_cpus", lambda: workers)
+            monkeypatch.setattr(statevec, "CHUNK_AMPS", 1 << 12)
+        tracemalloc.start()
+        try:
+            plan_redistribution(old, new).apply(buffers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * state_bytes(n)
+    assert pools == [2]
 
 
 def test_start_state_is_released_before_the_first_part(monkeypatch):

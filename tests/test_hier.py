@@ -1666,8 +1666,11 @@ def test_benchmark_plans_keep_their_kernel_placement(monkeypatch):
     assert len(calls) == 5
 
 
-def test_partitioned_runs_peak_within_twice_the_state():
-    """At n = 20, limit 14 (and 8 below it), a part stages one cache-sized
+def test_partitioned_runs_peak_within_twice_the_state(monkeypatch):
+    """On 2 workers (stubbed CPUs), the count the peaks below were measured
+    at (each further worker adds two chunks,
+    ``test_each_pool_helper_adds_two_chunks_to_a_runs_peak``):
+    at n = 20, limit 14 (and 8 below it), a part stages one cache-sized
     chunk at a time, so a run holds the state, one chunk's index matrix,
     chunk-sized temporaries and its plan's phase vectors, each over the
     part's ``2**14``-amplitude block: hierarchical and multilevel runs
@@ -1680,6 +1683,7 @@ def test_partitioned_runs_peak_within_twice_the_state():
     CPUs, pinned at 1.6x, its widest piece holding four ``2**16`` phase
     vectors beside two chunk buffers per worker (2.03x while the part ran
     on the state as one view, with a scratch buffer of its size)."""
+    monkeypatch.setattr(hier, "_cpus", lambda: 2)
     n = 20
     qaoa = bench.qaoa(n, 2)
     qft = bench.qft(n)
@@ -1708,14 +1712,44 @@ def test_partitioned_runs_peak_within_twice_the_state():
         assert peak <= bound * state_bytes(n)
 
 
-def test_part_wider_than_a_chunk_runs_as_pieces_in_bounded_memory():
+def test_each_pool_helper_adds_two_chunks_to_a_runs_peak(monkeypatch):
+    """The peaks above depend on the worker count, so they are pinned at
+    2 workers: each pool helper holds its own gather and scratch chunk.
+    At 4 workers (stubbed CPUs) hierarchical ising(20) at dagp 14 and
+    multilevel qaoa(20) at 14/8 peak two helpers' two chunks above their
+    2-worker peaks (4.00-4.14 chunks), at 1.55x and 1.61x the state,
+    past the 1.5x those runs are pinned at on 2 workers."""
+    _workers_found(4)
+    n = 20
+    ising, qaoa = bench.ising(n, 2), bench.qaoa(n, 2)
+    hier_p = partition_dagp(build_dag(ising), 14)
+    multi_p = partition_multilevel(build_dag(qaoa), 14, 8)
+    chunk = hier.CHUNK_AMPS * 16
+    for run in (
+        lambda: execute_hierarchical(ising, hier_p),
+        lambda: execute_multilevel(qaoa, multi_p),
+    ):
+        peaks = []
+        for workers in (2, 4):
+            monkeypatch.setattr(hier, "_cpus", lambda workers=workers: workers)
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert 2 * 2 * chunk * 0.95 <= peaks[1] - peaks[0] <= 2 * 2.1 * chunk
+
+
+def test_part_wider_than_a_chunk_runs_as_pieces_in_bounded_memory(monkeypatch):
     """qft(20) at dagp limit 19 has a 19-slot staged part, wider than a
     chunk, which runs as pieces of at most 16 slots, so no plan holds a
     ``2**19`` phase vector (10.5x the state with one per run) and no
-    buffer or index outgrows a chunk. The run peaks at 1.35x the state,
-    pinned at 1.5x (1.79x, pinned at 2x, while each chunk was one
-    gathered row of the part, half the state, through an index of a
-    quarter)."""
+    buffer or index outgrows a chunk. On 2 workers (stubbed CPUs), the
+    count it was measured at, the run peaks at 1.35x the state, pinned at
+    1.5x (1.79x, pinned at 2x, while each chunk was one gathered row of
+    the part, half the state, through an index of a quarter)."""
+    monkeypatch.setattr(hier, "_cpus", lambda: 2)
     n = 20
     qft = bench.qft(n)
     partition = partition_dagp(build_dag(qft), 19)

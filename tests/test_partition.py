@@ -446,6 +446,20 @@ def test_merge_phase_matches_oracle_on_wide_random_circuits():
     assert disjoint >= 400
 
 
+def test_merge_keys_have_no_fixed_field_width():
+    """The merge queue packs each pair's ranking into one int whose
+    fields are as wide as ``limit`` and the part count need, not a fixed
+    width: on a random circuit of 600 gates over 200 qubits at limit 130,
+    where ``limit - union`` reaches 129 for the first pairs, past 7 bits,
+    and parts grow past 128 qubits, the merge phase equals the oracle.
+    Under fixed 7-bit count fields two 2-qubit gates on one pair (2
+    shared, union 2) would tie with a gate on one of those qubits and
+    another (1 shared, union 2), and the merges differ from the oracle's."""
+    circuit = random_circuit(random.Random(12), 200, 600)
+    groups = _assert_merge_phase_matches_oracle(circuit, 130)
+    assert max(len({q for g in grp for q in circuit.ops[g].qubits}) for grp in groups) > 128
+
+
 def test_merge_phase_matches_oracle_on_projected_dags(monkeypatch):
     """``hier._compile`` hands dagp the gates outside diagonal runs, joined
     by their wires and by edges through the runs' free gates, which may

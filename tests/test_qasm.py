@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import math
 import operator
 
@@ -235,6 +236,71 @@ def test_angles_outside_the_grammar_are_refused(angle):
 def test_a_non_finite_angle_says_so(angle):
     with pytest.raises(QasmSyntaxError, match="not a finite real number"):
         _eval_angle(angle, 1, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0, allow_nan=False, allow_infinity=False))
+def test_literal_angles_read_as_the_fold_reads_them(x):
+    """A text that is one unsigned number literal is read without the
+    ``ast`` fold, to the fold's value bit for bit: the repr of any finite
+    non-negative float, and its exponent spellings (``e`` or ``E``, the
+    exponent signed or not, zero-padded, blanks around), read as the same
+    text in parentheses, which only the fold reads."""
+    x = abs(x)  # -0.0 spells a sign
+    mantissa, exp = f"{x:.17e}".split("e")
+    e = int(exp)
+    spellings = [
+        repr(x), f"{mantissa}e{e}", f"{mantissa}E{e:+d}", f"{mantissa}e{e:+04d}",
+        f" {x!r}\t",
+    ]
+    for text in spellings:
+        fast, slow = _eval_angle(text, 1, 1), _eval_angle(f"({text})", 1, 1)
+        assert type(fast) is float and fast.hex() == slow.hex()
+
+
+def test_literal_angles_skip_the_ast(monkeypatch):
+    """A lone literal is not parsed by ``ast``; anything more is."""
+    parsed = []
+    real = ast.parse
+
+    def spy(source, *args, **kwargs):
+        parsed.append(source)
+        return real(source, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", spy)
+    for text in ["2", " 0.5 ", "1e-3", ".25", "3.", "1E+2"]:
+        assert _eval_angle(text, 1, 1) == float(text)
+    assert parsed == []
+    for text in ["(2)", "+1", "pi", "1/2"]:
+        _eval_angle(text, 1, 1)
+    assert len(parsed) == 4
+
+
+@pytest.mark.parametrize(
+    "text, expect",
+    [
+        ("1e999", "angle '1e999' is not a finite real number"),
+        ("inf", "bad angle expression 'inf'"),
+        ("nan", "bad angle expression 'nan'"),
+        ("1e", "bad angle expression '1e'"),
+        (".", "bad angle expression '.'"),
+        ("1.5.2", "bad angle expression '1.5.2'"),
+        ("+1", 1.0),
+        (" 2 ", 2.0),
+    ],
+)
+def test_texts_near_a_literal_keep_their_reading(text, expect):
+    """Texts at the edge of the literal shortcut read as they did before
+    it: the same value, or the same error class, message, line and
+    column."""
+    if isinstance(expect, float):
+        assert _eval_angle(text, 3, 4) == expect
+        return
+    with pytest.raises(QasmSyntaxError) as exc:
+        _eval_angle(text, 3, 4)
+    assert type(exc.value) is QasmSyntaxError
+    assert str(exc.value) == f"line 3, col 4: {expect}"
+    assert (exc.value.line, exc.value.col) == (3, 4)
 
 
 @pytest.mark.parametrize(

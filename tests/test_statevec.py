@@ -7,6 +7,7 @@ import math
 import random
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,10 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hisim.statevec as statevec
 from hisim.errors import QubitCountOutOfRangeError
 from hisim.qasm import Circuit, GateKind, GateOp
 from hisim.statevec import (
+    CHUNK_AMPS,
     StateVector,
+    _bit_view,
     _blas_threads,
     _one_blas_thread,
     _permute_bits,
@@ -399,6 +403,131 @@ def test_permute_bits_moves_each_entrys_bits():
     moved = _permute_bits(data, sigma)
     assert not np.shares_memory(moved, data)
     np.testing.assert_array_equal(moved, expect)
+
+
+def _one_copy(data, sigma):
+    """The move on one worker: one copy of the ``_bit_view``."""
+    bits = [0] * len(sigma)
+    for i, j in enumerate(sigma):
+        bits[j] = i
+    return _bit_view(data, bits).copy().reshape(data.shape)
+
+
+def _spy_on_pool(monkeypatch):
+    """Record ``(slabs, workers)`` of every ``_pool`` call."""
+    calls = []
+    real = statevec._pool
+
+    def spy(tasks, run, held):
+        calls.append((len(tasks), len(held)))
+        return real(tasks, run, held)
+
+    monkeypatch.setattr(statevec, "_pool", spy)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pooled_moves_equal_one_copy_byte_for_byte(monkeypatch, workers):
+    """On 1, 2 or 3 workers (stubbed CPUs), ``_permute_bits`` equals one
+    transposing copy byte for byte, for random sigmas: on a flat
+    ``2**18``-amplitude state; on ``(4, 2**18)`` rank buffers, permuted
+    across their rank bits (one entry) and rank by rank (four entries);
+    and on 64 entries of ``2**12``. Entries are split by rows when there
+    are two per worker, else cut at their top destination bits, so both
+    ways run. Every array holds at least four chunks, so more than one
+    worker always pools, about two slabs each; threads switch every
+    microsecond, so a slab lost or copied twice by the shared queue would
+    show."""
+    monkeypatch.setattr(statevec, "_cpus", lambda: workers)
+    calls = _spy_on_pool(monkeypatch)
+    rng = np.random.default_rng(workers)
+    order = random.Random(workers)
+    cases = [((1 << 18,), 18), ((4, 1 << 18), 20), ((4, 1 << 18), 18), ((64, 1 << 12), 12)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for shape, k in cases:
+            data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            for _ in range(3):
+                sigma = order.sample(range(k), k)
+                moved = _permute_bits(data, sigma)
+                assert moved.shape == data.shape and moved.flags.c_contiguous
+                assert moved.tobytes() == _one_copy(data, sigma).tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    if workers == 1:
+        assert calls == []
+    else:
+        assert len(calls) == 3 * len(cases)
+        assert all(held == workers and slabs >= 2 * workers for slabs, held in calls)
+
+
+def test_moves_under_two_chunks_start_no_thread(monkeypatch):
+    """An array under two chunks is moved on the calling thread alone,
+    even with four CPUs (stubbed); one of two chunks starts one helper."""
+    monkeypatch.setattr(statevec, "_cpus", lambda: 4)
+    started = []
+    real = threading.Thread.start
+
+    def start(self):
+        started.append(self)
+        real(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    rng = np.random.default_rng(3)
+    order = random.Random(3)
+    for shape, k in [((CHUNK_AMPS,), 16), ((3, CHUNK_AMPS // 2), 15), ((CHUNK_AMPS // 8, 4), 2)]:
+        data = rng.normal(size=shape) + 0j
+        sigma = order.sample(range(k), k)
+        assert np.array_equal(_permute_bits(data, sigma), _one_copy(data, sigma))
+    assert started == []
+    data = rng.normal(size=2 * CHUNK_AMPS) + 0j
+    sigma = order.sample(range(17), 17)
+    assert np.array_equal(_permute_bits(data, sigma), _one_copy(data, sigma))
+    assert len(started) == 1
+
+
+def test_move_error_on_a_helper_reaches_the_caller_after_every_join(monkeypatch):
+    """A slab that raises on a helper thread raises in the caller of
+    ``_permute_bits``, and only once every helper is joined: the other
+    helper, still copying its slab when the first raises, has finished it
+    when the error arrives, and no thread is left running."""
+    monkeypatch.setattr(statevec, "_cpus", lambda: 3)
+    rng = np.random.default_rng(6)
+    data = rng.normal(size=1 << 18) + 0j
+    sigma = random.Random(6).sample(range(18), 18)
+    caller = threading.current_thread()
+    both = threading.Barrier(2, timeout=10)
+    raised = threading.Event()
+    lock = threading.Lock()
+    first: list[threading.Thread] = []  # helpers, in the order they take a role
+    finished = []
+    real = np.copyto
+
+    def copyto(dst, src, **kwargs):
+        me = threading.current_thread()
+        if me is caller:
+            raised.wait(timeout=10)  # let both helpers take a slab first
+        elif me not in first:
+            both.wait()  # both helpers hold a slab
+            with lock:
+                first.append(me)
+                role = len(first)
+            if role == 1:
+                raised.set()
+                raise RuntimeError("helper")
+            time.sleep(0.2)
+            real(dst, src, **kwargs)
+            finished.append(me)
+            return
+        real(dst, src, **kwargs)
+
+    threads = threading.active_count()
+    monkeypatch.setattr(np, "copyto", copyto)
+    with pytest.raises(RuntimeError, match="helper"):
+        _permute_bits(data, sigma)
+    assert finished == first[1:] and len(first) == 2
+    assert threading.active_count() == threads
 
 
 def test_overlapping_blas_holds_restore_the_thread_count():
