@@ -16,8 +16,9 @@ move is one permutation of the index bits, applied as an axis
 transpose: one transposing copy into a new array
 (``statevec._permute_bits``), as the distribution of the start state
 and the assembly of the final one are, each on every CPU the process may
-use, its workers copying disjoint slabs of the new array through the
-pool of ``run_part``'s chunks. Its communication counts follow in closed
+use, its workers copying disjoint slabs of the new array, each rank row
+cut at its top destination bits, through the pool of ``run_part``'s
+chunks. Its communication counts follow in closed
 form from the same permutation, and every remote amplitude is charged
 16 bytes (one complex128). The per-switch numbers live on
 ``CommStats.switches``, one ``SwitchStats`` per switch, derived from the

@@ -104,6 +104,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import statevec
 from .errors import VerificationError
 from .partition import (
     MultiLevelPartition,
@@ -118,7 +119,6 @@ from .statevec import (
     StateVector,
     _bit_view,
     _blas_threads,
-    _cpus,
     _one_blas_thread,
     _pool,
     apply_matrix,
@@ -602,11 +602,12 @@ def _plan(
 
 
 def _workers(chunks: int) -> int:
-    """Threads ``run_part`` runs ``chunks`` chunks of a part on: one per
-    CPU (``statevec._cpus``), and at most one per chunk; one where numpy's
-    BLAS cannot be held to one thread (``statevec._blas_threads``), since
-    every worker's products would then start BLAS threads of their own."""
-    return 1 if _blas_threads() is None else min(_cpus(), chunks)
+    """Threads ``run_part`` runs ``chunks`` chunks of a part on: those of
+    the whole-state moves (``statevec._pool_workers``), but one where
+    numpy's BLAS cannot be held to one thread (``statevec._blas_threads``),
+    since every worker's products would then start BLAS threads of their
+    own."""
+    return 1 if _blas_threads() is None else statevec._pool_workers(chunks)
 
 
 def run_part(data: np.ndarray, exe: ExecutablePart) -> None:

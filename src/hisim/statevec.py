@@ -52,13 +52,13 @@ permutes them only when no product fits there.
 
 ``_pool`` runs a queue of independent tasks on the calling thread and
 helper threads: ``_permute_bits``'s slabs, which make no BLAS call, and
-``hisim.hier.run_part``'s chunks. Both take one worker per CPU
-(``_cpus``), at most one per ``CHUNK_AMPS`` amplitudes they move. When
-chunks run on several threads at once, each thread's products run in
-BLAS on its own CPU: ``_one_blas_thread`` holds numpy's BLAS to one
-thread while they run,
-and the last of overlapping holds restores its old thread count after,
-also when a kernel raises. It expects numpy's BLAS to be OpenBLAS, as
+``hisim.hier.run_part``'s chunks. Both size it by ``_pool_workers``:
+one worker per CPU (``_cpus``), at most one per ``CHUNK_AMPS``
+amplitudes they move. When chunks run on several threads at once, each
+thread's products run in BLAS on its own CPU: ``_one_blas_thread``
+holds numpy's BLAS to one thread while they run, and the last of
+overlapping holds restores its old thread count after, also when a
+kernel raises. It expects numpy's BLAS to be OpenBLAS, as
 numpy's own wheels bundle it (scipy-openblas), exporting its
 ``set_num_threads`` and ``get_num_threads`` entry points under one of
 the names ``_BLAS_THREAD_CALLS`` lists, and safe to call from several
@@ -283,6 +283,12 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _pool_workers(chunks: int) -> int:
+    """Workers for ``chunks`` chunks of ``_pool`` work: one per CPU
+    (``_cpus``), and at most one per chunk."""
+    return min(_cpus(), chunks)
+
+
 def _pool(tasks: deque, run: Callable[..., None], held: Sequence[tuple]) -> None:
     """Call ``run(task, *held[i])`` on every task popped from ``tasks``, on
     ``len(held)`` workers: the calling thread, with ``held[0]``, and one
@@ -332,12 +338,12 @@ def _permute_bits(data: np.ndarray, sigma: Sequence[int]) -> np.ndarray:
 
     An entry is a run of ``2**len(sigma)`` amplitudes; any leading
     amplitudes are batch, each entry permuted alike. The move copies a
-    ``_bit_view`` into a new array of ``data``'s shape, on one worker per
-    CPU (``_cpus``) and at most one per ``CHUNK_AMPS`` amplitudes, so an
-    array under two chunks is copied on the calling thread alone. Workers
-    copy disjoint slabs of the output through ``_pool``, about two each:
-    runs of entries when there are that many, else the entries cut at
-    their top destination bits.
+    ``_bit_view`` into a new array of ``data``'s shape, on
+    ``_pool_workers`` of its ``CHUNK_AMPS``-amplitude chunks, so an array
+    under two chunks is copied on the calling thread alone. Workers copy
+    disjoint slabs of the output through ``_pool``: each entry cut at its
+    top ``t`` destination bits, ``t`` the fewest that make about two slabs
+    per worker (none when there are that many entries).
     """
     bits = [0] * len(sigma)
     for i, j in enumerate(sigma):
@@ -345,24 +351,20 @@ def _permute_bits(data: np.ndarray, sigma: Sequence[int]) -> np.ndarray:
     src = _bit_view(data, bits)
     out = np.empty(data.shape, dtype=data.dtype)
     dst = out.reshape(src.shape)
-    workers = min(_cpus(), data.size // CHUNK_AMPS)
+    workers = _pool_workers(data.size // CHUNK_AMPS)
     if workers < 2:
         np.copyto(dst, src)
         return out
     entries, slabs = src.shape[0], 2 * workers
-    if entries >= slabs:
-        step = -(-entries // slabs)
-        cuts = deque((slice(b, b + step),) for b in range(0, entries, step))
-    else:
-        # cut each entry at its top t destination bits, for at least
-        # ``slabs`` slabs in all; an entry spans workers / entries chunks or
-        # more, so it has those bits
-        t = (-(-slabs // entries) - 1).bit_length()
-        cuts = deque(
-            (b, *(r >> i & 1 for i in range(t - 1, -1, -1)))
-            for b in range(entries)
-            for r in range(1 << t)
-        )
+    # cut each entry at its top t destination bits, for at least ``slabs``
+    # slabs in all (t = 0 when there are that many entries); an entry spans
+    # workers / entries chunks or more, so it has those bits
+    t = (-(-slabs // entries) - 1).bit_length()
+    cuts = deque(
+        (b, *(r >> i & 1 for i in range(t - 1, -1, -1)))
+        for b in range(entries)
+        for r in range(1 << t)
+    )
 
     def copy(cut: tuple) -> None:
         np.copyto(dst[cut], src[cut])

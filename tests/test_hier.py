@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hisim import bench, hier
+from hisim import bench, hier, statevec
 from hisim.dag import build_dag
 from hisim.dist import simulate_distributed
 from hisim.hier import (
@@ -515,7 +515,7 @@ def test_fused_groups_allocate_one_scratch_chunk(monkeypatch, workers):
     buffer: the run allocates that chunk-sized buffer once per worker
     (one per CPU, stubbed), and no copy per step."""
     _workers_found(workers)
-    monkeypatch.setattr(hier, "_cpus", lambda: workers)
+    monkeypatch.setattr(statevec, "_cpus", lambda: workers)
     w = 10
     sets = ((0, 3, 6, 9), (1, 4, 7, 8), (2, 5, 6, 9), (0, 1, 8, 9))
     ops = tuple(
@@ -1429,7 +1429,7 @@ def test_chunk_indices_are_rows_of_the_block_index_matrix(
     bits), every batch entry's rows are covered, no index outgrows a
     chunk or a row, and the state equals the part's ops applied one by
     one."""
-    monkeypatch.setattr(hier, "_cpus", lambda: 1)
+    monkeypatch.setattr(statevec, "_cpus", lambda: 1)
     monkeypatch.setattr(hier, "CHUNK_AMPS", chunk)
     rng = random.Random(seed + 70)
     for _ in range(4):
@@ -1598,7 +1598,7 @@ def test_staged_part_allocates_its_buffers_once(monkeypatch, workers):
     holds one chunk's index matrix, built once, and those two chunk
     buffers per worker (one per CPU, stubbed), and never a third chunk."""
     _workers_found(workers)
-    monkeypatch.setattr(hier, "_cpus", lambda: workers)
+    monkeypatch.setattr(statevec, "_cpus", lambda: workers)
     rng = random.Random(2)
     w, n = 10, 18
     ops = [op for slots in _CONSECUTIVE["overlapping"] for op in _group(rng, slots)]
@@ -1683,7 +1683,7 @@ def test_partitioned_runs_peak_within_twice_the_state(monkeypatch):
     CPUs, pinned at 1.6x, its widest piece holding four ``2**16`` phase
     vectors beside two chunk buffers per worker (2.03x while the part ran
     on the state as one view, with a scratch buffer of its size)."""
-    monkeypatch.setattr(hier, "_cpus", lambda: 2)
+    monkeypatch.setattr(statevec, "_cpus", lambda: 2)
     n = 20
     qaoa = bench.qaoa(n, 2)
     qft = bench.qft(n)
@@ -1731,7 +1731,7 @@ def test_each_pool_helper_adds_two_chunks_to_a_runs_peak(monkeypatch):
     ):
         peaks = []
         for workers in (2, 4):
-            monkeypatch.setattr(hier, "_cpus", lambda workers=workers: workers)
+            monkeypatch.setattr(statevec, "_cpus", lambda workers=workers: workers)
             tracemalloc.start()
             try:
                 run()
@@ -1749,7 +1749,7 @@ def test_part_wider_than_a_chunk_runs_as_pieces_in_bounded_memory(monkeypatch):
     count it was measured at, the run peaks at 1.35x the state, pinned at
     1.5x (1.79x, pinned at 2x, while each chunk was one gathered row of
     the part, half the state, through an index of a quarter)."""
-    monkeypatch.setattr(hier, "_cpus", lambda: 2)
+    monkeypatch.setattr(statevec, "_cpus", lambda: 2)
     n = 20
     qft = bench.qft(n)
     partition = partition_dagp(build_dag(qft), 19)
@@ -1878,11 +1878,11 @@ def test_workers_follow_the_cpus_and_the_chunks(monkeypatch):
     thread starts."""
     monkeypatch.setattr(hier, "_blas_threads", lambda: "found")
     for cpus, chunks, expect in [(1, 16, 1), (2, 16, 2), (64, 16, 16), (2, 1, 1)]:
-        monkeypatch.setattr(hier, "_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(statevec, "_cpus", lambda cpus=cpus: cpus)
         assert hier._workers(chunks) == expect
     monkeypatch.setattr(hier, "_blas_threads", lambda: None)
     assert hier._workers(16) == 1
-    assert 1 <= hier._cpus() <= (os.cpu_count() or 1)
+    assert 1 <= statevec._cpus() <= (os.cpu_count() or 1)
 
 
 def test_run_part_sizes_its_pool_by_its_chunks(monkeypatch):
@@ -1949,9 +1949,9 @@ def test_pooled_runs_equal_one_worker_bit_for_bit(monkeypatch, workers):
     a chunk lost or run twice by the shared queue would show."""
     _workers_found(workers)
     monkeypatch.setattr(hier, "CHUNK_AMPS", 1 << 5)
-    monkeypatch.setattr(hier, "_cpus", lambda: 1)
+    monkeypatch.setattr(statevec, "_cpus", lambda: 1)
     expect = _pooled_runs(1)
-    monkeypatch.setattr(hier, "_cpus", lambda: workers)
+    monkeypatch.setattr(statevec, "_cpus", lambda: workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -1970,7 +1970,7 @@ def test_pool_joins_its_threads_and_restores_blas(monkeypatch, raiser):
     returns, BLAS runs on one thread while the pool runs, and its old
     thread count is back afterwards."""
     _workers_found(2)
-    monkeypatch.setattr(hier, "_cpus", lambda: 2)
+    monkeypatch.setattr(statevec, "_cpus", lambda: 2)
     monkeypatch.setattr(hier, "CHUNK_AMPS", 1 << 12)
     get, _ = _blas_threads()
     caller = threading.current_thread()
@@ -2018,7 +2018,7 @@ def test_view_chunks_leave_in_one_copy(monkeypatch, sets):
     the state, and with an even number none of them writes into it. Each
     permute is one ``np.take`` through its gather index, the entry
     permute too."""
-    monkeypatch.setattr(hier, "_cpus", lambda: 1)
+    monkeypatch.setattr(statevec, "_cpus", lambda: 1)
     monkeypatch.setattr(hier, "CHUNK_AMPS", 1 << 7)
     n = 9
     exe, ops = _enter_and_leave(monkeypatch, random.Random(8), sets)

@@ -432,12 +432,12 @@ def test_pooled_moves_equal_one_copy_byte_for_byte(monkeypatch, workers):
     transposing copy byte for byte, for random sigmas: on a flat
     ``2**18``-amplitude state; on ``(4, 2**18)`` rank buffers, permuted
     across their rank bits (one entry) and rank by rank (four entries);
-    and on 64 entries of ``2**12``. Entries are split by rows when there
-    are two per worker, else cut at their top destination bits, so both
-    ways run. Every array holds at least four chunks, so more than one
-    worker always pools, about two slabs each; threads switch every
-    microsecond, so a slab lost or copied twice by the shared queue would
-    show."""
+    and on 64 entries of ``2**12``. Each entry is cut at its top
+    destination bits, at as many as make two slabs per worker: none for
+    the 64 entries, up to three for one entry. Every array holds at least
+    four chunks, so more than one worker always pools; threads switch
+    every microsecond, so a slab lost or copied twice by the shared queue
+    would show."""
     monkeypatch.setattr(statevec, "_cpus", lambda: workers)
     calls = _spy_on_pool(monkeypatch)
     rng = np.random.default_rng(workers)
