@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hisim import bench, hier, partition
-from hisim.dag import NodeKind, build_dag
+from hisim.dag import NodeKind, build_dag, to_dot, to_json
 from hisim.errors import (
     LimitTooSmallError,
     PartitionError,
@@ -234,6 +234,82 @@ def test_bundled_partition_documents_are_pinned():
         digests[name] = digest.hexdigest()
     assert documents == 310
     assert digests == BUNDLED_DOCUMENT_DIGESTS
+
+
+#: SHA-256 over each bundled circuit's dfs documents, in the order
+#: ``test_bundled_dfs_documents_are_pinned`` writes them
+BUNDLED_DFS_DIGESTS = {
+    "adder_10": "88031b2a815bc2b46b9bd58375116137f815105e4349bdbcf28abc4744e6b087",
+    "bv_12": "3306476b6bd73f676708f6671fc36a5d2d142a151bb96d97e2fe73b62a28a6fc",
+    "bv_30": "646dd34e392b7e06f52d3fe5451f10d88f15e09a6e6f96eb2bd88c5b8670ad37",
+    "bv_6": "0c4628cd7935dab0e2878c89846acf6a55e162749eb46a70d6f46f0e83a10016",
+    "cat_state_6": "0347d84ee60a84084e165c220991d4f7d6794634e6f1fa2bb849dee6502079e3",
+    "cc_12": "e20078e5203950eb5c2e773775a6ccf9157bbc31bc6ccc4f16f7c786b2c46787",
+    "cc_8": "d97726d2385a794ea602a9976fd84faf724e1447645c365ffb1ff8eb3a5bc838",
+    "grover_7": "c0ed4ef057a8fb3127cdd53cb7dc5c84af240b9fa40fffc5174325ce72676a8d",
+    "ising_12": "3ded2588d3e6f2e66da9cf8e7c37e495518d514ba9b54e97eeabf1052c7face7",
+    "ising_8": "4555f1b78c787ac86ff9fc6a06e3e904fd2c20a733a44599dd08b2626d8e9ddc",
+    "qaoa_8": "c36223fe67eebfe06b85ea97b38a01f368b5cfe64a9a1bb4963f400ea451e913",
+    "qft_12": "ebe6e63b9487d8b531cc88d611beb36255b70dc531e5b76a56ab33462ebd93b9",
+    "qnn_8": "479fcd7d8051891703693bdcb9733907bad21eb2050246af562a5aac01022e55",
+    "qpe_9": "a096f465d4f9b45fcc9f7db04fbd9cb897d5066326624dcd01c006f60cd7fd06",
+}
+
+#: SHA-256 over each bundled circuit's DAG exports, ``to_json`` then ``to_dot``
+BUNDLED_EXPORT_DIGESTS = {
+    "adder_10": "79cc524b6065f3d53cad31d66632f3c56b5b7c1f8d5ad1eb4ff38fa4de3639e3",
+    "bell": "c768540f2346e85bfc62351ae5b81059371f71182534b8652cdada97d71c0795",
+    "bv_12": "9e63cef59d8105e48c9940ed8d65fe2f7fd754c70675c4bc6c20d36cab4b99bc",
+    "bv_30": "b5050ea8065e7ccb12a86b3f85ef827ab694a4f69f88f03cad4253c5db42b676",
+    "bv_6": "3f9895fb54a45d1d5cdac1c1c67769c7f8e997ea42e61c299db473841489b313",
+    "cat_state_6": "1326e0da6808bc37d55432c70943be724cc19348fb2ad6545486b88480b19cf4",
+    "cc_12": "c228c032c7639640d36ae1fe973cac09f2428804fdb2c84254085545ea6e0cc7",
+    "cc_8": "0f6b37ac7c70d1d29bdc99685eb18de5d58f1758ea4671166b1951353c63e176",
+    "grover_7": "784603b299cb5342a76effc9c3d4d686b88331cda3edcc2c79ff5c7c4ec472a0",
+    "ising_12": "d705d168de28b8d78d7b0e75dff184a40879fe92c49d3e95882d2f368c95b488",
+    "ising_8": "8dcac32a93fa6c962fc1be57fe8641b53a4c24891c1b89d0906ed6a84d89380c",
+    "qaoa_8": "f8cc638750716afc129bba326e68342922c5e1c55631797eb443799ecf806b6a",
+    "qft_12": "e8d7c3efd2f9ad2a7c69504dea223e39945def9255cd112ba7770ac067580d27",
+    "qnn_8": "f454612d3e73823405a323019bf4fbc5e7a15f003f5085f5de475dd5d350fd8c",
+    "qpe_9": "00c13f0ffa0f579b2388c39b55ef4fa479b17fef8f3bc963c899ac35eaf5c892",
+}
+
+
+def test_bundled_dfs_documents_are_pinned():
+    """Every bundled circuit except bell: the dfs document at every limit
+    from the widest gate to n - 1, 16 trials each, at seed 0 and then at
+    seed 7. dfs is the one strategy that walks the gate DAG's nodes and
+    successors, so this pins the graph's order as well as the cutoff scan.
+    236 documents."""
+    digests = {}
+    documents = 0
+    for name in bench.available():
+        g = build_dag(bench.build(name))
+        widest = max(len(op.qubits) for op in g.circuit.ops)
+        if widest >= g.num_qubits:
+            continue
+        digest = hashlib.sha256()
+        for limit in range(widest, g.num_qubits):
+            for seed in (0, 7):
+                text = partition_to_json(g, partition_dfs(g, limit, 16, seed))
+                digest.update((text + "\n").encode())
+                documents += 1
+        digests[name] = digest.hexdigest()
+    assert documents == 236
+    assert digests == BUNDLED_DFS_DIGESTS
+
+
+def test_bundled_dag_exports_are_pinned():
+    """Every bundled circuit's ``to_json`` and ``to_dot`` exports, byte for
+    byte: node ids, kinds and edge order as ``hisim partition --dag``
+    writes them."""
+    digests = {}
+    for name in bench.available():
+        g = build_dag(bench.build(name))
+        digest = hashlib.sha256((to_json(g) + "\n").encode())
+        digest.update(to_dot(g).encode())
+        digests[name] = digest.hexdigest()
+    assert digests == BUNDLED_EXPORT_DIGESTS
 
 
 # --- gate wires against the DAG ----------------------------------------------
