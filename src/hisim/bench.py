@@ -4,22 +4,20 @@ Standard textbook constructions (Bernstein-Vazirani, GHZ/cat preparation,
 counterfeit-coin, transverse-field Ising steps, QFT, QAOA, Grover, a layered
 quantum neural net ansatz, phase estimation, a Cuccaro ripple-carry adder)
 regenerated at desk scale so partitioning and execution stay cheap in tests.
-The shipped ``circuits/*.qasm`` files are produced by ``python -m hisim.bench``
-and must stay in sync with these factories.
+Each named circuit exists only as its factory: ``build(name)`` makes it,
+for the tests and for ``hisim run NAME``, and ``to_qasm`` writes its text.
 
 Controlled-phase gates outside the supported set are rewritten on the fly:
 ``cu1(t)`` becomes ``crz(t)`` plus ``u1(t/2)`` on the control, and the
-Bernstein-Vazirani oracle of the 30-qubit file uses the ``h . cz . h``
+Bernstein-Vazirani oracle of the 30-qubit circuit uses the ``h . cz . h``
 form of CX on the ancilla.
 """
 
 from __future__ import annotations
 
 import math
-from importlib import resources
-from pathlib import Path
 
-from .qasm import Circuit, GateKind, GateOp, parse_qasm, to_qasm
+from .qasm import Circuit, GateKind, GateOp
 
 _PI = math.pi
 
@@ -309,39 +307,8 @@ def available() -> tuple[str, ...]:
 
 
 def build(name: str) -> Circuit:
-    """Construct a bundled circuit from its factory (not from the file)."""
+    """Construct a bundled circuit from its factory."""
     try:
         return _FACTORIES[name]()
     except KeyError:
         raise KeyError(f"unknown bundled circuit {name!r}") from None
-
-
-def bundled_path(name: str) -> Path:
-    """Filesystem path of a bundled .qasm file."""
-    res = resources.files(__package__) / "circuits" / f"{name}.qasm"
-    p = Path(str(res))
-    if not p.exists():
-        raise FileNotFoundError(f"no bundled circuit {name!r}")
-    return p
-
-
-def load(name: str) -> Circuit:
-    """Parse a bundled .qasm file."""
-    return parse_qasm(bundled_path(name).read_text())
-
-
-def write_all(target_dir: str | Path) -> list[Path]:
-    """Regenerate every bundled .qasm file into target_dir."""
-    target = Path(target_dir)
-    target.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name in available():
-        path = target / f"{name}.qasm"
-        path.write_text(to_qasm(build(name)))
-        written.append(path)
-    return written
-
-
-if __name__ == "__main__":
-    for p in write_all(Path(__file__).parent / "circuits"):
-        print(p)

@@ -33,6 +33,7 @@ from .hier import (
 )
 from .dist import simulate_distributed
 from .partition import (
+    STRATEGIES,
     MultiLevelPartition,
     PartitionResult,
     optimal_parts_bruteforce,
@@ -53,7 +54,6 @@ EXIT_VERIFY = 3
 
 VERIFY_MAX_QUBITS = 16
 
-_STRATEGIES = ("nat", "dfs", "dagp")
 _MODES = ("flat", "hierarchical", "distributed")
 #: defaults of the flags that parse to None, so that a command can tell a
 #: given flag from a defaulted one (``_refuse_ignored``)
@@ -90,12 +90,13 @@ def _int_from(low: int):
 # --- shared helpers ---------------------------------------------------------
 
 def _load_circuit(spec: str) -> tuple[str, Circuit]:
-    """Accept a .qasm path or the name of a bundled circuit."""
+    """Accept a .qasm file or the name of a bundled circuit, built by its
+    factory; a directory is no file, so it never hides a name."""
     path = Path(spec)
-    if path.exists():
+    if path.is_file():
         return path.stem, parse_qasm(path.read_text())
     if spec in bench.available():
-        return spec, bench.load(spec)
+        return spec, bench.build(spec)
     raise FileNotFoundError(f"no such file or bundled circuit: {spec}")
 
 
@@ -405,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--mode", choices=_MODES, default="flat")
     for s in (p, r):
         s.add_argument("circuit", help=".qasm path or bundled circuit name")
-        s.add_argument("--strategy", choices=_STRATEGIES,
+        s.add_argument("--strategy", choices=STRATEGIES,
                        help=f"partitioner (default: {_DEFAULTS['strategy']})")
         s.add_argument("--limit", type=int,
                        help="working-set limit, of level 1 under --l2 "

@@ -5,10 +5,12 @@ qubit are chained between them, one edge per qubit. Node ids are dense:
 entries first (entry of qubit q has id q), then gates in program order
 (gate for op i has id num_qubits + i), then exits.
 
-Gate edges run forward in program order. ``hisim.partition`` reads the same
-gate-to-gate edges (pairs, multiplicity and order) straight from the op list,
-for any gate subset, through ``partition._wires``; of this graph it walks
-only the nodes, for ``partition_dfs``'s depth-first orders.
+``wires`` is the one walk along a circuit's qubit wires. ``hisim.partition``
+reads the gate-to-gate edges it yields, for any gate subset, and a
+``GateDag`` derives its nodes, edges and successor lists from the same walk
+over all gates, on first read: a run that only partitions with dagp or nat
+never builds them. Of this graph, ``dfs_topo_order`` walks the successor
+lists, for ``partition_dfs``, and the exports write the nodes and edges.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ from __future__ import annotations
 import enum
 import json
 import random
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from functools import cached_property
 
-from .qasm import Circuit
+from .qasm import Circuit, GateOp
 
 
 class NodeKind(enum.Enum):
@@ -46,15 +50,30 @@ class DagEdge:
     qubit: int
 
 
-@dataclass
+def wires(
+    ops: Sequence[GateOp], gates: Iterable[int], last: dict[int, int] | None = None
+) -> Iterator[tuple[int, int, int]]:
+    """Edges ``(u, v, q)`` along the qubit wires of an ascending gate
+    subset: for each gate ``v``, on each of its qubits ``q`` in operand
+    order, the gate ``u`` met last on that wire. ``last`` maps a qubit to
+    what its wire comes from before the walk, and the walk leaves each
+    wire's last gate there; a qubit not in it yields no edge into its
+    first gate. Without ``last``, these are the subset's gate-to-gate
+    edges."""
+    last = {} if last is None else last
+    for v in gates:
+        for q in ops[v].qubits:
+            if q in last:
+                yield last[q], v, q
+            last[q] = v
+
+
+@dataclass(frozen=True)
 class GateDag:
-    """The full dependency graph of a circuit."""
+    """The full dependency graph of a circuit, its nodes, edges and
+    successor lists built from ``wires`` on first read."""
 
     circuit: Circuit
-    nodes: tuple[DagNode, ...]
-    edges: tuple[DagEdge, ...]
-    succ: tuple[tuple[int, ...], ...] = field(repr=False)
-    pred: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @property
     def num_qubits(self) -> int:
@@ -73,46 +92,43 @@ class GateDag:
     def exit_id(self, qubit: int) -> int:
         return self.num_qubits + self.num_gates + qubit
 
+    @cached_property
+    def nodes(self) -> tuple[DagNode, ...]:
+        n, m = self.num_qubits, self.num_gates
+        return (
+            *(DagNode(q, NodeKind.ENTRY, qubit=q) for q in range(n)),
+            *(DagNode(n + i, NodeKind.GATE, op_index=i) for i in range(m)),
+            *(DagNode(n + m + q, NodeKind.EXIT, qubit=q) for q in range(n)),
+        )
+
+    @cached_property
+    def edges(self) -> tuple[DagEdge, ...]:
+        """Gate by gate, the edge into it on each of its qubits, then the
+        edge into each exit: qubit q with k gates contributes the chain
+        entry -> g1 -> ... -> gk -> exit of k+1 edges. The walk runs in op
+        indices, so entry q starts as op index q - n (node id q)."""
+        n, m = self.num_qubits, self.num_gates
+        last = {q: q - n for q in range(n)}
+        edges = [
+            DagEdge(n + u, n + v, q)
+            for u, v, q in wires(self.circuit.ops, range(m), last)
+        ]
+        edges += [DagEdge(n + last[q], n + m + q, q) for q in range(n)]
+        return tuple(edges)
+
+    @cached_property
+    def succ(self) -> tuple[tuple[int, ...], ...]:
+        succ: list[list[int]] = [[] for _ in self.nodes]
+        for e in self.edges:
+            succ[e.src].append(e.dst)
+        return tuple(tuple(s) for s in succ)
+
 
 def build_dag(circuit: Circuit) -> GateDag:
-    """Build the per-qubit-chained dependency DAG of a circuit.
-
-    Node count is num_ops + 2*num_qubits and edge count is
-    num_qubits + sum of gate arities: qubit q with k gates contributes the
-    chain entry -> g1 -> ... -> gk -> exit of k+1 edges.
-    """
-    n = circuit.num_qubits
-    num_ops = circuit.num_ops
-    nodes = [DagNode(q, NodeKind.ENTRY, qubit=q) for q in range(n)]
-    nodes += [
-        DagNode(n + i, NodeKind.GATE, op_index=i) for i in range(num_ops)
-    ]
-    nodes += [
-        DagNode(n + num_ops + q, NodeKind.EXIT, qubit=q) for q in range(n)
-    ]
-
-    edges: list[DagEdge] = []
-    last = list(range(n))  # most recent node on each qubit's chain
-    for i, op in enumerate(circuit.ops):
-        gid = n + i
-        for q in op.qubits:
-            edges.append(DagEdge(last[q], gid, q))
-            last[q] = gid
-    for q in range(n):
-        edges.append(DagEdge(last[q], n + num_ops + q, q))
-
-    succ: list[list[int]] = [[] for _ in nodes]
-    pred: list[list[int]] = [[] for _ in nodes]
-    for e in edges:
-        succ[e.src].append(e.dst)
-        pred[e.dst].append(e.src)
-    return GateDag(
-        circuit,
-        tuple(nodes),
-        tuple(edges),
-        tuple(tuple(s) for s in succ),
-        tuple(tuple(p) for p in pred),
-    )
+    """The per-qubit-chained dependency DAG of a circuit: node count
+    num_ops + 2*num_qubits, edge count num_qubits + sum of gate arities.
+    Nothing is walked until its nodes, edges or successors are read."""
+    return GateDag(circuit)
 
 
 def dfs_topo_order(dag: GateDag, seed: int = 0) -> list[int]:
@@ -124,9 +140,9 @@ def dfs_topo_order(dag: GateDag, seed: int = 0) -> list[int]:
     yields the same order.
     """
     rng = random.Random(seed)
-    roots = [node.id for node in dag.nodes if not dag.pred[node.id]]
+    roots = list(range(dag.num_qubits))  # the entries: no edge runs into one
     rng.shuffle(roots)
-    visited = [False] * len(dag.nodes)
+    visited = [False] * len(dag.succ)
     postorder: list[int] = []
     for root in roots:
         if visited[root]:

@@ -15,9 +15,10 @@ ascending, so every dependency runs forward and the part graph is acyclic
   again under a smaller limit for nested execution.
 
 Partitions at either level stay in global gate and qubit indices. Gate
-edges come from ``_wires``, for any ascending gate subset, so dagP and the
-validity rule run on a level-1 part's own gates to make and check its
-level-2 parts. dagP also kernelizes a part's gates (``hisim.hier``), with
+edges come from ``hisim.dag.wires``, for any ascending gate subset, so dagP
+and the validity rule run on a level-1 part's own gates to make and check
+its level-2 parts; only ``partition_dfs`` walks the ``GateDag``'s own graph.
+dagP also kernelizes a part's gates (``hisim.hier``), with
 edges added that run through the gates it leaves out (``_dagp``).
 
 Both kinds, a flat ``PartitionResult`` and a two-level
@@ -32,11 +33,10 @@ from __future__ import annotations
 
 import heapq
 import json
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain
 
-from .dag import GateDag, NodeKind, dfs_topo_order
+from .dag import GateDag, dfs_topo_order, wires
 # not called here: benchmarks/layers.py traces it under this name
 from .dag import build_dag  # noqa: F401
 from .errors import LimitTooSmallError, PartitionError, TooLargeForOracleError
@@ -44,6 +44,9 @@ from .qasm import Circuit, GateOp
 
 #: refusal threshold of the exact search
 ORACLE_MAX_GATES = 20
+
+#: the one-level partitioners, by the name documents and the CLI give them
+STRATEGIES = ("nat", "dfs", "dagp")
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,7 @@ class PartitionResult:
         part_of = self.part_of()
         pairs = (
             (part_of[u], part_of[v])
-            for u, v in _wires(dag.circuit.ops, range(dag.num_gates))
+            for u, v, _ in wires(dag.circuit.ops, range(dag.num_gates))
         )
         return [(pu, pv) for pu, pv in pairs if pu != pv]
 
@@ -131,19 +134,6 @@ def _check_limit(ops: Iterable[GateOp], limit: int) -> None:
     max_arity = max((len(op.qubits) for op in ops), default=1)
     if limit < max_arity:
         raise LimitTooSmallError(limit, max_arity)
-
-
-def _wires(ops: Sequence[GateOp], gates: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """Gate-to-gate edges within an ascending gate subset: for each gate,
-    ``(predecessor, gate)`` on each of its qubits that an earlier gate of
-    the subset touched, one edge per qubit, in the order ``build_dag``
-    lists them. Over all gates these are the DAG's gate-to-gate edges."""
-    last: dict[int, int] = {}  # qubit -> latest gate on it so far
-    for g in gates:
-        for q in ops[g].qubits:
-            if q in last:
-                yield last[q], g
-            last[q] = g
 
 
 def _make_result(
@@ -204,7 +194,7 @@ def _check_parts(
 ) -> None:
     """``check_partition``'s rule for ``parts`` over the ascending gate
     subset ``gates`` (named ``scope`` in messages); the edges that must run
-    forward are the subset's own ``_wires``. Traces and reports name
+    forward are the subset's own ``wires``. Traces and reports name
     parts by id, so no two in ``parts`` may share one."""
     part_of = dict.fromkeys(gates, -1)  # op index -> position of its part
     ids = set()
@@ -237,7 +227,7 @@ def _check_parts(
     missing = [g for g in gates if part_of[g] < 0]
     if missing:
         raise PartitionError(f"gates {missing} unassigned")
-    for u, v in _wires(ops, gates):
+    for u, v, _ in wires(ops, gates):
         if part_of[u] > part_of[v]:
             raise PartitionError(
                 f"parts not topologically ordered: gate {u} -> {v}"
@@ -286,11 +276,11 @@ def partition_dfs(
     if trials < 1:
         raise ValueError("trials must be positive")
     best: list[list[int]] | None = None
+    n, m = dag.num_qubits, dag.num_gates
     for i in range(trials):
+        # gate node ids are n..n+m-1, node n+g for op g
         order = [
-            dag.nodes[nid].op_index
-            for nid in dfs_topo_order(dag, seed + i)
-            if dag.nodes[nid].kind is NodeKind.GATE
+            nid - n for nid in dfs_topo_order(dag, seed + i) if n <= nid < n + m
         ]
         groups = _cutoff_scan(dag.circuit, order, limit)
         if best is None or len(groups) < len(best):
@@ -336,7 +326,9 @@ def _dagp(
     qmask = [sum(1 << q for q in ops[g].qubits) for g in gates]
     local = {g: i for i, g in enumerate(gates)}
     succ: list[set[int]] = [set() for _ in gates]
-    for u, v in chain(_wires(ops, gates), through):
+    for u, v, _ in wires(ops, gates):
+        succ[local[u]].add(local[v])
+    for u, v in through:
         succ[local[u]].add(local[v])
     groups, adj = _merge_phase(qmask, succ, limit)
     return [[gates[i] for i in grp] for grp in _topo_order_groups(groups, adj)]
@@ -539,7 +531,7 @@ def optimal_parts_bruteforce(dag: GateDag, limit: int) -> int:
         )
     qmask = [sum(1 << q for q in op.qubits) for op in ops]
     pred_mask = [0] * m
-    for u, v in _wires(ops, range(m)):
+    for u, v, _ in wires(ops, range(m)):
         pred_mask[v] |= 1 << u
 
     full = (1 << m) - 1
@@ -736,10 +728,10 @@ def _parts_from_doc(entries) -> tuple[Part, ...]:
 
 def _result_from_doc(doc: dict) -> PartitionResult:
     strategy = doc["strategy"]
-    if strategy not in ("nat", "dfs", "dagp"):
+    if strategy not in STRATEGIES:
         raise PartitionError(
             f"strategy {strategy!r} names no one-level partitioner "
-            f"(nat, dfs, dagp)"
+            f"({', '.join(STRATEGIES)})"
         )
     parts = _parts_from_doc(doc["parts"])
     return PartitionResult(strategy, _int(doc["limit"], "limit"), parts)

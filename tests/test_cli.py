@@ -82,6 +82,19 @@ def test_gate_free_circuit_runs_in_every_mode(tmp_path, capsys, argv):
         assert report["comm"]["switches"] == []
 
 
+def test_a_directory_does_not_hide_a_bundled_name(tmp_path, monkeypatch, capsys):
+    """``bell`` names the bundled circuit even beside a ``bell/``
+    directory: only a file is read as a path."""
+    (tmp_path / "bell").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "run", "bell", "--mode", "hierarchical",
+                           "--verify")
+    assert code == 0
+    report = json.loads(out)
+    assert report["circuit"]["name"] == "bell"
+    assert report["probabilities"] == {"00": 0.5, "11": 0.5}
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run_cli(capsys, "run", "/nonexistent/circuit.qasm")
     assert code == 2

@@ -72,11 +72,15 @@ def test_edges_follow_wires():
     assert (cx02, g.exit_id(0), 0) in pairs
 
 
-def test_pred_succ_mirror_edges():
-    g = _chain_dag()
-    for e in g.edges:
-        assert e.dst in g.succ[e.src]
-        assert e.src in g.pred[e.dst]
+def test_succ_mirrors_edges():
+    """``succ[u]`` lists the heads of u's edges, one per edge, in edge
+    order, on a circuit with gates that share two qubits."""
+    rng = random.Random(5)
+    for g in (_chain_dag(), build_dag(_random_circuit(rng, 4, 30))):
+        heads = [[] for _ in g.nodes]
+        for e in g.edges:
+            heads[e.src].append(e.dst)
+        assert [list(s) for s in g.succ] == heads
 
 
 def test_working_set_of_single_gate_is_its_arity():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hisim import bench, hier, partition
-from hisim.dag import NodeKind, build_dag, to_dot, to_json
+from hisim.dag import NodeKind, build_dag, to_dot, to_json, wires
 from hisim.errors import (
     LimitTooSmallError,
     PartitionError,
@@ -26,7 +26,6 @@ from hisim.partition import (
     _dagp,
     _make_result,
     _merge_phase,
-    _wires,
     check_partition,
     optimal_parts_bruteforce,
     partition_dagp,
@@ -316,9 +315,10 @@ def test_bundled_dag_exports_are_pinned():
 
 
 def _dag_wires(dag):
-    """(op index, op index) of every gate-to-gate DAG edge, in DAG order."""
+    """(op index, op index, qubit) of every gate-to-gate DAG edge, in DAG
+    order."""
     return [
-        (dag.nodes[e.src].op_index, dag.nodes[e.dst].op_index)
+        (dag.nodes[e.src].op_index, dag.nodes[e.dst].op_index, e.qubit)
         for e in dag.edges
         if dag.nodes[e.src].kind is NodeKind.GATE
         and dag.nodes[e.dst].kind is NodeKind.GATE
@@ -326,15 +326,15 @@ def _dag_wires(dag):
 
 
 def _assert_wires_match_dag(circuit, subset):
-    """``_wires`` over all gates is the DAG's gate-to-gate edge list (same
-    pairs, multiplicity and order); over an ascending subset it is the
-    edge list of the subset as a circuit of its own, mapped back."""
-    assert list(_wires(circuit.ops, range(circuit.num_ops))) == _dag_wires(
+    """``wires`` over all gates is the DAG's gate-to-gate edge list (same
+    pairs, qubits, multiplicity and order); over an ascending subset it is
+    the edge list of the subset as a circuit of its own, mapped back."""
+    assert list(wires(circuit.ops, range(circuit.num_ops))) == _dag_wires(
         build_dag(circuit)
     )
     sub = Circuit(circuit.num_qubits, tuple(circuit.ops[g] for g in subset))
-    assert list(_wires(circuit.ops, subset)) == [
-        (subset[u], subset[v]) for u, v in _dag_wires(build_dag(sub))
+    assert list(wires(circuit.ops, subset)) == [
+        (subset[u], subset[v], q) for u, v, q in _dag_wires(build_dag(sub))
     ]
 
 
@@ -353,21 +353,37 @@ def test_wires_match_dag_on_random_circuits(seed):
     _assert_wires_match_dag(circuit, subset)
 
 
+def test_dagp_nat_and_two_levels_build_no_node_graph():
+    """Partitioning by dagp, nat or in two levels, checking and writing
+    the result read the circuit's wires only: the DAG's nodes, edges and
+    successor lists stay unbuilt until something reads them."""
+    g = build_dag(bench.qaoa(12))
+    lazy = ("nodes", "edges", "succ")
+    for partition in (
+        partition_dagp(g, 6), partition_nat(g, 6), partition_multilevel(g, 6, 3)
+    ):
+        check_partition(g, partition)
+        partition_to_json(g, partition)
+    assert not set(lazy) & vars(g).keys()
+    partition_dfs(g, 6, trials=1)
+    assert set(lazy) <= vars(g).keys()
+
+
 # --- merge phase against its closure oracle ----------------------------------
 
 
 def _gate_succ(dag):
-    """Gate-to-gate successor sets by op index, read off the DAG's
-    node-level ``succ`` so the oracle's input does not come from
-    ``_wires``."""
-    return [
-        {
-            dag.nodes[s].op_index
-            for s in dag.succ[dag.gate_id(g)]
-            if dag.nodes[s].kind is NodeKind.GATE
-        }
-        for g in range(dag.num_gates)
-    ]
+    """Gate-to-gate successor sets by op index, from each qubit's list of
+    the gates on it, so the oracle's input does not come from ``wires``."""
+    on_qubit = [[] for _ in range(dag.num_qubits)]
+    for g, op in enumerate(dag.circuit.ops):
+        for q in op.qubits:
+            on_qubit[q].append(g)
+    succ = [set() for _ in range(dag.num_gates)]
+    for gates in on_qubit:
+        for u, v in zip(gates, gates[1:]):
+            succ[u].add(v)
+    return succ
 
 
 def _part_graph(part_of, succ, parts):

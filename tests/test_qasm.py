@@ -491,9 +491,13 @@ def test_numpy_and_int_params_round_trip(param):
     assert parse_qasm(text) == c
 
 
-@pytest.mark.parametrize("name", bench.DESK_NAMES)
+@pytest.mark.parametrize("name", bench.available())
 def test_bundled_files_parse_and_match_factories(name):
-    assert bench.load(name) == bench.build(name)
+    """Every bundled circuit, as its factory builds it for ``hisim run
+    NAME``, is valid and reads back from its OpenQASM text unchanged."""
+    circuit = bench.build(name)
+    validate(circuit)
+    assert parse_qasm(to_qasm(circuit)) == circuit
 
 
 def test_bv_30_shape():
