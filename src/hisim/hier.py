@@ -7,8 +7,10 @@ gathered out of the full state, the part's gates run on that small dense
 vector, and the results scatter back to the same positions. A part is
 therefore ``2**(n - w)`` independent gather/execute/scatter passes, one
 row of the staged block each. ``run_part`` stages the rows in chunks of
-about ``CHUNK_AMPS`` amplitudes, so each chunk is gathered, run and
+about ``statevec.CHUNK_AMPS`` amplitudes, so each chunk is gathered, run and
 scattered while it sits in cache; it computes the identical amplitudes.
+It reads that size from ``statevec`` at each call, as ``apply_op``'s
+slabs and the pool's worker count do, so one setting sizes all three.
 Every chunk is gathered through one index over the bits a chunk varies,
 built once per ``run_part`` call, from an offset set by its fixed free
 bits, so no index outgrows a chunk.
@@ -115,7 +117,6 @@ from .partition import (
 )
 from .qasm import Circuit, GateKind, GateOp
 from .statevec import (
-    CHUNK_AMPS,
     StateVector,
     _bit_view,
     _blas_threads,
@@ -683,7 +684,7 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
         raise ValueError(f"positions {positions} do not strictly ascend")
     if positions and positions[-1] >= m:
         raise ValueError(f"position {positions[-1]} outside 0..{m - 1}")
-    width = max(CHUNK_AMPS.bit_length() - 1, FUSE_WIDTH)
+    width = max(statevec.CHUNK_AMPS.bit_length() - 1, FUSE_WIDTH)
     if exe.num_slots <= width:
         _run_chunks(data, exe)
         return
@@ -706,8 +707,8 @@ def _run_chunks(data: np.ndarray, exe: ExecutablePart) -> None:
     kernels = plan.kernels
     identity = tuple(range(w))
     rows = 1 << (m - w)  # rows per batch entry
-    bstep = max(1, CHUNK_AMPS >> m)  # batch entries per chunk
-    k = max(0, min(m - w, (CHUNK_AMPS >> w).bit_length() - 1))
+    bstep = max(1, statevec.CHUNK_AMPS >> m)  # batch entries per chunk
+    k = max(0, min(m - w, (statevec.CHUNK_AMPS >> w).bit_length() - 1))
     rstep = 1 << k  # rows of an entry per chunk; free bits 0..k-1 vary
     free = sorted(set(range(m)) - set(positions))
     staged = positions != tuple(range(m))

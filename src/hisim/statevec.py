@@ -27,8 +27,16 @@ that fit one; and a SWAP in a part only relabels its slots
 ``_subspace`` views every block with given slots held at given bits. A
 gate is a 2x2 on two such views (target at 0 and 1, controls at 1; or a
 SWAP's two exchanged slot pairs), never decomposed: a diagonal scales
-them, exactly X exchanges them, slab by slab through one saved copy, and
-any other mixes them in place from one saved copy of the first.
+them in one pass, and exactly X exchanges them and any other mixes them,
+both through one saved copy of the first.
+
+This module cuts whole arrays by one rule, ``_slabs``: slabs of at most
+half a chunk (``CHUNK_AMPS``) along the leading axes, each a view.
+``apply_op`` saves, exchanges and mixes its two views one such slab of
+each at a time, so no gate's temporaries grow with the state: about one
+chunk, plus numpy's iteration buffers. ``_permute_bits`` copies the
+output's slabs, from the matching slabs of the ``_bit_view``, on every
+worker.
 
 ``is_diagonal`` is the one test for a gate that only scales amplitudes,
 and ``is_dense`` for one that mixes them; both answer from the gate kind
@@ -63,8 +71,9 @@ numpy's own wheels bundle it (scipy-openblas), exporting its
 ``set_num_threads`` and ``get_num_threads`` entry points under one of
 the names ``_BLAS_THREAD_CALLS`` lists, and safe to call from several
 threads at once. ``_blas_threads`` finds them through ``ctypes`` in the
-library numpy loaded, by the handle of numpy's own core extension, so no
-second copy of a BLAS is loaded; where it finds none, ``run_part`` runs
+library numpy loaded, by the handle of numpy's own core extension, found
+in ``sys.modules`` under its numpy 2.x name or its 1.x name, so nothing
+is imported and no second copy of a BLAS is loaded; where it finds none, ``run_part`` runs
 a part on one thread, since uncapped BLAS threads on every worker
 oversubscribe the CPUs.
 """
@@ -75,6 +84,7 @@ import ctypes
 import json
 import math
 import os
+import sys
 import threading
 from collections import deque
 from contextlib import contextmanager
@@ -92,8 +102,9 @@ from .qasm import Circuit, GateKind, GateOp
 DEFAULT_MAX_QUBITS = 24
 #: absolute ceiling on vector width; n=30 is 16 GiB
 HARD_MAX_QUBITS = 30
-#: amplitudes an exchange (X, CX, CCX, SWAP) moves, and ``hisim.hier.run_part``
-#: stages, per step (1 MiB); 2**14 to 2**16 ran fastest at n = 20
+#: amplitudes ``hisim.hier.run_part`` stages per chunk (1 MiB), twice a slab
+#: of ``apply_op`` and ``_permute_bits`` (``_slabs``); 2**14 to 2**16 ran
+#: fastest at n = 20
 CHUNK_AMPS = 1 << 16
 
 #: (get, set) names of OpenBLAS's thread-count entry points: those of
@@ -275,6 +286,27 @@ def _bit_view(data: np.ndarray, bits: Sequence[int]) -> np.ndarray:
     )
 
 
+def _slabs(shape: Sequence[int], most: int) -> list[tuple]:
+    """Indices that cut an array of ``shape`` along its leading axes into
+    slabs of at most ``most`` amplitudes, or of one where ``most`` is
+    smaller: the axes before the first whose trailing block fits are
+    fixed, that axis is sliced into runs of as many blocks as fit, and the
+    axes after it are whole. Each index ends in ``...``, so every slab is
+    a view, even of one amplitude, and writes through it hit the array."""
+    cut, block = len(shape), 1
+    while cut and block * shape[cut - 1] <= most:
+        cut -= 1
+        block *= shape[cut]
+    if not cut:
+        return [(...,)]
+    step = max(1, most // block)
+    return [
+        (*lead, slice(i, i + step), ...)
+        for lead in np.ndindex(*shape[:cut - 1])
+        for i in range(0, shape[cut - 1], step)
+    ]
+
+
 def _cpus() -> int:
     """The CPUs this process may run on."""
     try:
@@ -340,10 +372,10 @@ def _permute_bits(data: np.ndarray, sigma: Sequence[int]) -> np.ndarray:
     amplitudes are batch, each entry permuted alike. The move copies a
     ``_bit_view`` into a new array of ``data``'s shape, on
     ``_pool_workers`` of its ``CHUNK_AMPS``-amplitude chunks, so an array
-    under two chunks is copied on the calling thread alone. Workers copy
-    disjoint slabs of the output through ``_pool``: each entry cut at its
-    top ``t`` destination bits, ``t`` the fewest that make about two slabs
-    per worker (none when there are that many entries).
+    under two chunks is copied on the calling thread alone, in one copy.
+    Otherwise workers copy the output's slabs (``_slabs``) of at most
+    ``CHUNK_AMPS // 2`` amplitudes, at least two per worker, each from the
+    same slab of the view, through ``_pool``.
     """
     bits = [0] * len(sigma)
     for i, j in enumerate(sigma):
@@ -355,21 +387,11 @@ def _permute_bits(data: np.ndarray, sigma: Sequence[int]) -> np.ndarray:
     if workers < 2:
         np.copyto(dst, src)
         return out
-    entries, slabs = src.shape[0], 2 * workers
-    # cut each entry at its top t destination bits, for at least ``slabs``
-    # slabs in all (t = 0 when there are that many entries); an entry spans
-    # workers / entries chunks or more, so it has those bits
-    t = (-(-slabs // entries) - 1).bit_length()
-    cuts = deque(
-        (b, *(r >> i & 1 for i in range(t - 1, -1, -1)))
-        for b in range(entries)
-        for r in range(1 << t)
-    )
 
     def copy(cut: tuple) -> None:
         np.copyto(dst[cut], src[cut])
 
-    _pool(cuts, copy, [()] * workers)
+    _pool(deque(_slabs(dst.shape, CHUNK_AMPS // 2)), copy, [()] * workers)
     return out
 
 
@@ -447,31 +469,6 @@ def diagonal_entries(op: GateOp) -> tuple[complex, complex]:
     return complex(u[0, 0]), complex(u[1, 1])
 
 
-def _exchange(arr: np.ndarray, fa: dict[int, int], fb: dict[int, int]) -> None:
-    """Exchange the subspaces ``fa`` and ``fb`` (slot -> held bit, see
-    ``_subspace``) of ``arr``, one slab of ``CHUNK_AMPS`` amplitudes at a
-    time.
-
-    Every exchanged pair lies in one aligned run of ``2**(h+1)`` amplitudes,
-    ``h`` the highest held slot, so a slab of whole runs is exchanged on
-    its own: one saved copy of its first subspace, and, where the two
-    subspaces interleave (numpy then copies the source before assigning),
-    one copy of the second. The temporaries stay within one slab, or half
-    a run when a run is larger.
-    """
-    h = max(fa)
-    run = 1 << (h + 1)
-    runs = arr.reshape(-1, run)
-    step = max(1, CHUNK_AMPS // run)
-    for r0 in range(0, len(runs), step):
-        slab = runs[r0:r0 + step]
-        a = _subspace(slab, h + 1, fa)
-        b = _subspace(slab, h + 1, fb)
-        saved = a.copy()
-        a[...] = b
-        b[...] = saved
-
-
 def apply_op(arr: np.ndarray, w: int, op: GateOp) -> None:
     """Apply one gate in place to every w-qubit block of ``arr``.
 
@@ -479,6 +476,14 @@ def apply_op(arr: np.ndarray, w: int, op: GateOp) -> None:
     batch). The op's qubits are slots of that block: a circuit's own ops on
     the full state, or a part's ops as ``hisim.hier.remap_part`` rewrote
     them for its staged block.
+
+    A diagonal scales the op's two ``_subspace`` views in one pass. Any
+    other 2x2 runs on them one slab (``_slabs``) of at most
+    ``CHUNK_AMPS // 2`` amplitudes per view at a time, from one saved copy
+    of the first view's slab: X exchanges the slabs, and any other mixes
+    them in place. So its temporaries stay within one chunk, the saved
+    slab and a product's slab (or numpy's copy of an overlapping source),
+    plus numpy's iteration buffers, whatever the size of ``arr``.
     """
     if not arr.flags.c_contiguous:
         # the kernels write through reshaped views; a non-contiguous array
@@ -492,9 +497,6 @@ def apply_op(arr: np.ndarray, w: int, op: GateOp) -> None:
     else:
         held = dict.fromkeys(q[:-1], 1)
         fa, fb = {**held, q[-1]: 0}, {**held, q[-1]: 1}
-    if action == "exchanges":
-        _exchange(arr, fa, fb)
-        return
     a = _subspace(arr, w, fa)
     b = _subspace(arr, w, fb)
     if action == "scales":
@@ -503,11 +505,17 @@ def apply_op(arr: np.ndarray, w: int, op: GateOp) -> None:
         if u[1, 1] != 1.0:
             b *= u[1, 1]
         return
-    saved = a.copy()
-    a *= u[0, 0]
-    a += u[0, 1] * b
-    b *= u[1, 1]
-    b += u[1, 0] * saved
+    for cut in _slabs(a.shape, CHUNK_AMPS // 2):
+        sa, sb = a[cut], b[cut]
+        saved = sa.copy()
+        if action == "exchanges":
+            sa[...] = sb
+            sb[...] = saved
+        else:
+            sa *= u[0, 0]
+            sa += u[0, 1] * sb
+            sb *= u[1, 1]
+            sb += u[1, 0] * saved
 
 
 def apply_matrix(
@@ -545,13 +553,15 @@ def apply_matrix(
 def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     """The get and set calls of the thread count of the BLAS numpy loaded,
     or None where none is found (see the module docstring)."""
+    # numpy's core extension, as numpy 2.x and 1.x name it
+    core = sys.modules.get("numpy._core._multiarray_umath") or sys.modules.get(
+        "numpy.core._multiarray_umath"
+    )
     try:
-        from numpy._core import _multiarray_umath as core
-
         # RTLD_NOLOAD: the handle of the copy numpy loaded, or an OSError;
         # its symbols include those of the libraries it links against
         lib = ctypes.CDLL(core.__file__, mode=os.RTLD_NOLOAD)
-    except (ImportError, AttributeError, OSError):
+    except (AttributeError, OSError):  # no core extension, or not a library
         return None
     for get_name, set_name in _BLAS_THREAD_CALLS:
         try:

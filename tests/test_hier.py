@@ -413,7 +413,7 @@ def test_diagonal_runs_fold_while_the_block_fits_a_chunk(monkeypatch):
     np.testing.assert_allclose(data, simulate_flat(_RUNS).data, rtol=0, atol=1e-15)
 
     calls.clear()
-    monkeypatch.setattr(hier, "CHUNK_AMPS", 2)
+    monkeypatch.setattr(statevec, "CHUNK_AMPS", 2)
     staged = _spy_on_chunks(monkeypatch)
     data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     expect = data.copy()
@@ -545,7 +545,7 @@ def test_fused_groups_allocate_one_scratch_chunk(monkeypatch, workers):
     groups = _dagp(exe.ops, range(len(ops)), hier.FUSE_WIDTH)
     assert kinds.count("matmul") == len(groups) > 1
     assert "permute" in kinds
-    chunk = hier.CHUNK_AMPS * data.itemsize
+    chunk = statevec.CHUNK_AMPS * data.itemsize
     assert chunk < data.nbytes
     assert workers * chunk <= peak <= workers * 1.1 * chunk
     assert np.max(np.abs(data - expect)) <= 1e-12
@@ -567,7 +567,7 @@ def test_chunked_parts_match_the_oracle_and_flat(monkeypatch, rows):
     nested parts on a batch of four states equal the single-assignment
     passes, and every executor equals flat."""
     l1, l2 = 5, 3
-    monkeypatch.setattr(hier, "CHUNK_AMPS", rows << l1 or 1)
+    monkeypatch.setattr(statevec, "CHUNK_AMPS", rows << l1 or 1)
     n = 7
     circuit = _spread(random.Random(rows), n, 60)
     dag = build_dag(circuit)
@@ -658,7 +658,7 @@ def test_kernelized_parts_match_the_unfused_ops(width, seed, rows):
     data_rng = np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hier, "FUSE_WIDTH", width)
-        mp.setattr(hier, "CHUNK_AMPS", rows << l1)
+        mp.setattr(statevec, "CHUNK_AMPS", rows << l1)
         for partition in (partition_dagp(dag, l1), partition_multilevel(dag, l1, l2)):
             for exe in executable_parts(circuit, partition):
                 shape = (2, 1 << n)
@@ -733,7 +733,7 @@ def test_nested_parts_match_flat_and_the_oracle(
     diagonal gates all join dense groups), and qft8cx's a lone op too (in
     the others every exchange fuses with the gates around it)."""
     if chunk_rows:
-        monkeypatch.setattr(hier, "CHUNK_AMPS", chunk_rows << l1)
+        monkeypatch.setattr(statevec, "CHUNK_AMPS", chunk_rows << l1)
     circuit = build()
     partition = partition_multilevel(build_dag(circuit), l1, l2)
     expect = simulate_flat(circuit).data
@@ -773,7 +773,7 @@ def test_two_level_part_builds_its_index_matrix_once(monkeypatch):
         return real(num_qubits, qubits)
 
     monkeypatch.setattr(hier, "part_block_indices", counted)
-    monkeypatch.setattr(hier, "CHUNK_AMPS", 1 << 6)
+    monkeypatch.setattr(statevec, "CHUNK_AMPS", 1 << 6)
     circuit = bench.qft(9)
     partition = partition_multilevel(build_dag(circuit), 6, 4)
     data = zero_state(9).data
@@ -805,7 +805,7 @@ def test_part_on_the_lowest_bits_runs_on_views(monkeypatch, p):
     one by one."""
     calls = []
     monkeypatch.setattr(hier, "part_block_indices", lambda *a: calls.append(a))
-    monkeypatch.setattr(hier, "CHUNK_AMPS", 1 << 6)
+    monkeypatch.setattr(statevec, "CHUNK_AMPS", 1 << 6)
     circuit = Circuit(10, bench.qft(5).ops)
     partition = partition_dagp(build_dag(circuit), 5)
     assert [part.qubits for part in partition.parts] == [(0, 1, 2, 3, 4)]
@@ -999,7 +999,7 @@ def test_placed_kernels_match_the_unfused_ops(monkeypatch, seed):
     by one. Each product is its group's unitary, embedded where the plan
     finds the group's slots (``_check_products``), and together the plans
     use every kernel."""
-    monkeypatch.setattr(hier, "CHUNK_AMPS", 2 << 10)
+    monkeypatch.setattr(statevec, "CHUNK_AMPS", 2 << 10)
     rng = random.Random(seed)
     w, n = 10, 12
     cases = []
@@ -1146,7 +1146,7 @@ def test_diagonals_move_to_their_groups(width, seed):
     data_rng = np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hier, "FUSE_WIDTH", width)
-        mp.setattr(hier, "CHUNK_AMPS", 2 << w)
+        mp.setattr(statevec, "CHUNK_AMPS", 2 << w)
         calls = _spy_on_dagp(mp)
         left, _ = hier._relabel(ops, w)
         _check_groups(left, hier._compile(left), width)
@@ -1251,7 +1251,7 @@ def test_plans_enter_and_leave_in_their_own_orders(
     batch entries or rows per chunk (three times ``2**6`` or ``2**7``
     amplitudes: three batch entries, the last chunk short, or two rows),
     or the default."""
-    monkeypatch.setattr(hier, "CHUNK_AMPS", chunk)
+    monkeypatch.setattr(statevec, "CHUNK_AMPS", chunk)
     n, w = 9, 6
     exe, ops = _enter_and_leave(monkeypatch, random.Random(chunk + (p or 0)), sets)
     local = n - (p or 0)  # the offset bits of a rank buffer
@@ -1303,7 +1303,7 @@ def test_swap_only_parts_only_relabel(monkeypatch, placement, chunk):
     (``_SWAPS_EXIT``). On the lowest bits of a 9-qubit state or staged out
     of it, on rows wider than a chunk (``2**4`` amplitudes), in several
     chunks or in one, it equals the swaps applied one by one."""
-    monkeypatch.setattr(hier, "CHUNK_AMPS", chunk)
+    monkeypatch.setattr(statevec, "CHUNK_AMPS", chunk)
     exe = _swap_part()
     assert exe.steps == hier.Plan(tuple(range(5)), [], _SWAPS_EXIT)
     positions = tuple(range(5)) if placement == "lowest" else (0, 2, 3, 6, 8)
@@ -1316,7 +1316,7 @@ def test_kernel_less_view_plan_leaves_in_its_exit_order(monkeypatch, chunk):
     kernel but leaves out of the identity order copies each chunk out of
     its view and writes it back in that order, also on rows wider than a
     chunk, so it equals its swaps applied one by one."""
-    monkeypatch.setattr(hier, "CHUNK_AMPS", chunk)
+    monkeypatch.setattr(statevec, "CHUNK_AMPS", chunk)
     exe = _swap_part()
     exe.__dict__["steps"] = hier.Plan(tuple(range(5)), [], _SWAPS_EXIT)
     _run_against_the_ops(exe, 9, chunk)
@@ -1364,7 +1364,7 @@ def test_swaps_among_other_gates_relabel(monkeypatch, seed, chunk):
     one. No swap reaches a kernel, each product is its relabelled group's
     unitary (``_check_products``), and the plan leaves in the order the
     swaps relabel (``_walk``)."""
-    monkeypatch.setattr(hier, "CHUNK_AMPS", chunk)
+    monkeypatch.setattr(statevec, "CHUNK_AMPS", chunk)
     rng = random.Random(seed)
     w = 6
     ops = [GateOp(GateKind.H, (q,), ()) for q in range(w)]
@@ -1430,7 +1430,7 @@ def test_chunk_indices_are_rows_of_the_block_index_matrix(
     chunk or a row, and the state equals the part's ops applied one by
     one."""
     monkeypatch.setattr(statevec, "_cpus", lambda: 1)
-    monkeypatch.setattr(hier, "CHUNK_AMPS", chunk)
+    monkeypatch.setattr(statevec, "CHUNK_AMPS", chunk)
     rng = random.Random(seed + 70)
     for _ in range(4):
         n = rng.randint(3, 9)
@@ -1608,8 +1608,8 @@ def test_staged_part_allocates_its_buffers_once(monkeypatch, workers):
     exe = rebase(exe, dict(enumerate(positions)))
     assert "permute" in {kind for kind, _ in exe.steps.kernels}
     data = zero_state(n).data
-    chunk = hier.CHUNK_AMPS * data.itemsize
-    index = 8 * hier.CHUNK_AMPS  # one int64 per amplitude of a chunk
+    chunk = statevec.CHUNK_AMPS * data.itemsize
+    index = 8 * statevec.CHUNK_AMPS  # one int64 per amplitude of a chunk
     assert 4 * chunk == data.nbytes
     tracemalloc.start()
     try:
@@ -1724,7 +1724,7 @@ def test_each_pool_helper_adds_two_chunks_to_a_runs_peak(monkeypatch):
     ising, qaoa = bench.ising(n, 2), bench.qaoa(n, 2)
     hier_p = partition_dagp(build_dag(ising), 14)
     multi_p = partition_multilevel(build_dag(qaoa), 14, 8)
-    chunk = hier.CHUNK_AMPS * 16
+    chunk = statevec.CHUNK_AMPS * 16
     for run in (
         lambda: execute_hierarchical(ising, hier_p),
         lambda: execute_multilevel(qaoa, multi_p),
@@ -1774,7 +1774,7 @@ def test_pieces_hold_each_op_of_a_wide_part_once(monkeypatch, chunk, seed):
     part's positions of the slots its ops use, ascending; together they
     hold each of the part's ops once, and each slot's ops in the part's
     order, so they run it. A part no wider runs as itself."""
-    monkeypatch.setattr(hier, "CHUNK_AMPS", chunk)
+    monkeypatch.setattr(statevec, "CHUNK_AMPS", chunk)
     width = max(chunk.bit_length() - 1, hier.FUSE_WIDTH)
     staged = _spy_on_chunks(monkeypatch)
     n = 10
@@ -1817,7 +1817,7 @@ def test_wide_parts_run_as_pieces_within_a_chunk_and_equal_flat(
     chunk and stay within 1e-12 of ``simulate_flat``; no plan any of them
     builds (``_plan``) spans more than ``max(CHUNK_AMPS, 2**FUSE_WIDTH)``
     amplitudes."""
-    monkeypatch.setattr(hier, "CHUNK_AMPS", chunk)
+    monkeypatch.setattr(statevec, "CHUNK_AMPS", chunk)
     width = max(chunk.bit_length() - 1, hier.FUSE_WIDTH)
     planned = []
     real = hier._plan
@@ -1898,7 +1898,7 @@ def test_run_part_sizes_its_pool_by_its_chunks(monkeypatch):
         return 1
 
     monkeypatch.setattr(hier, "_workers", one)
-    monkeypatch.setattr(hier, "CHUNK_AMPS", 1 << 6)
+    monkeypatch.setattr(statevec, "CHUNK_AMPS", 1 << 6)
     ops = tuple(GateOp(GateKind.H, (q,), ()) for q in range(5))
     exe = remap_part(Circuit(5, ops), Part(0, tuple(range(5)), tuple(range(5))))
     data = zero_state(10).data
@@ -1948,7 +1948,7 @@ def test_pooled_runs_equal_one_worker_bit_for_bit(monkeypatch, workers):
     threads switching every microsecond, equal one worker's bit for bit:
     a chunk lost or run twice by the shared queue would show."""
     _workers_found(workers)
-    monkeypatch.setattr(hier, "CHUNK_AMPS", 1 << 5)
+    monkeypatch.setattr(statevec, "CHUNK_AMPS", 1 << 5)
     monkeypatch.setattr(statevec, "_cpus", lambda: 1)
     expect = _pooled_runs(1)
     monkeypatch.setattr(statevec, "_cpus", lambda: workers)
@@ -1971,7 +1971,7 @@ def test_pool_joins_its_threads_and_restores_blas(monkeypatch, raiser):
     thread count is back afterwards."""
     _workers_found(2)
     monkeypatch.setattr(statevec, "_cpus", lambda: 2)
-    monkeypatch.setattr(hier, "CHUNK_AMPS", 1 << 12)
+    monkeypatch.setattr(statevec, "CHUNK_AMPS", 1 << 12)
     get, _ = _blas_threads()
     caller = threading.current_thread()
     helper_ran = threading.Event()
@@ -2019,7 +2019,7 @@ def test_view_chunks_leave_in_one_copy(monkeypatch, sets):
     permute is one ``np.take`` through its gather index, the entry
     permute too."""
     monkeypatch.setattr(statevec, "_cpus", lambda: 1)
-    monkeypatch.setattr(hier, "CHUNK_AMPS", 1 << 7)
+    monkeypatch.setattr(statevec, "CHUNK_AMPS", 1 << 7)
     n = 9
     exe, ops = _enter_and_leave(monkeypatch, random.Random(8), sets)
     data_rng = np.random.default_rng(8)

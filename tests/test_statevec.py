@@ -25,6 +25,7 @@ from hisim.statevec import (
     _blas_threads,
     _one_blas_thread,
     _permute_bits,
+    _slabs,
     apply_matrix,
     apply_op,
     gate_matrix,
@@ -235,63 +236,74 @@ def test_simulate_flat_matches_dense_matrix_oracle(seed):
 
 
 @pytest.mark.parametrize("kind", list(GateKind))
-def test_every_operand_order_matches_dense_operator(kind):
+def test_every_operand_order_matches_dense_operator(monkeypatch, kind):
     """Each kind, at every ordered operand tuple on a 4-qubit block, acts as
-    its full 16x16 operator, on one vector and on a leading batch axis."""
+    its full 16x16 operator, on one vector and on a leading batch axis;
+    with the default chunk, and with chunks of 1, 2 and 64 amplitudes
+    (stubbed), whose slabs are single amplitudes, or whole views."""
     n = 4
     rng = random.Random(kind.value)
     draw = np.random.default_rng(21)
     batch = draw.normal(size=(3, 1 << n)) + 1j * draw.normal(size=(3, 1 << n))
-    for qubits in itertools.permutations(range(n), kind.arity):
-        op = GateOp(kind, qubits, random_params(rng, kind))
-        full = _full_operator(op, n)
-        one = batch[0].copy()
-        apply_op(one, n, op)
-        assert np.max(np.abs(one - full @ batch[0])) < 1e-12
-        many = batch.copy()
-        apply_op(many, n, op)
-        assert np.max(np.abs(many - batch @ full.T)) < 1e-12
+    for chunk in (CHUNK_AMPS, 1, 2, 64):
+        monkeypatch.setattr(statevec, "CHUNK_AMPS", chunk)
+        for qubits in itertools.permutations(range(n), kind.arity):
+            op = GateOp(kind, qubits, random_params(rng, kind))
+            full = _full_operator(op, n)
+            one = batch[0].copy()
+            apply_op(one, n, op)
+            assert np.max(np.abs(one - full @ batch[0])) < 1e-12
+            many = batch.copy()
+            apply_op(many, n, op)
+            assert np.max(np.abs(many - batch @ full.T)) < 1e-12
 
 
-def test_dense_gate_temporaries_stay_within_one_state():
-    """A dense 2x2 on a full state saves one half of it and builds one
-    half-sized product: at most the state's size in temporaries.
-
-    Only the lowest and highest targets are checked: between them the
-    halves are multi-axis strided views, and numpy's buffered iteration
-    adds its own fixed-size buffers (2 x 8192 amplitudes), which do not
-    grow with the state but are a quarter of it at n = 16.
-    """
-    n = 16
-    data = np.full(1 << n, 2 ** (-n / 2), dtype=np.complex128)
-    for t in (0, n - 1):
-        tracemalloc.start()
-        try:
-            apply_op(data, n, GateOp(GateKind.H, (t,), ()))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * state_bytes(n)
+@pytest.mark.parametrize("most", [0, 1, 2, 5, 8, 64, 1 << 10])
+def test_slabs_cover_the_array_once_as_views(most):
+    """``_slabs`` cuts an array into slabs of at most ``most`` amplitudes
+    (one where ``most`` is smaller) that cover every amplitude exactly
+    once, each a view, so writes through it hit the array, also where a
+    slab is a single amplitude."""
+    for shape in [(1,), (16,), (3, 2, 2, 2), (1, 2, 2, 2, 2), (5, 4, 3), (2, 7)]:
+        seen = np.zeros(shape, dtype=np.int64)
+        for cut in _slabs(shape, most):
+            assert cut[-1] is Ellipsis
+            slab = seen[cut]
+            assert 1 <= slab.size <= max(most, 1)
+            assert np.shares_memory(slab, seen)
+            slab += 1
+        assert (seen == 1).all(), (shape, most)
 
 
-def test_exchange_temporaries_stay_within_half_the_state():
-    """X exchanges its halves slab by slab through one saved copy, so on a
-    full 18-qubit state it allocates at most half the state (the saved
-    half on the top target, where one slab is the whole state), and moves
-    every amplitude to its stride partner exactly."""
-    n = 18
+def test_gate_temporaries_stay_within_one_chunk():
+    """A gate that saves a copy runs one slab of at most half a chunk per
+    view at a time, so on full 18- and 20-qubit states ``h``, ``ry``,
+    ``x``, ``cx``, ``swap`` and ``ccx``, with their target on the lowest,
+    a middle and the top qubit, each allocate at most one chunk (a saved
+    slab, and a product's or an overlapping assignment's slab), plus the
+    buffers of numpy's buffered iteration over strided slabs (two of
+    ``np.getbufsize()`` amplitudes, and a third as slack for numpy's small
+    allocations): a bound that does not grow with the state. ``x`` still
+    moves every amplitude to its stride partner."""
+    bound = (CHUNK_AMPS + 3 * np.getbufsize()) * 16
     rng = np.random.default_rng(17)
-    data = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    for t in (0, 9, n - 1):
-        before = data.copy()
-        tracemalloc.start()
-        try:
-            apply_op(data, n, GateOp(GateKind.X, (t,), ()))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.55 * state_bytes(n)
-        np.testing.assert_array_equal(data, before[np.arange(1 << n) ^ (1 << t)])
+    for n in (18, 20):
+        data = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        for kind in (GateKind.H, GateKind.RY, GateKind.X, GateKind.CX, GateKind.SWAP, GateKind.CCX):
+            for t in (0, n // 2, n - 1):
+                controls = [q for q in (n - 1, n // 2, 0) if q != t]
+                op = GateOp(kind, (*controls[:kind.arity - 1], t), (0.3,) * kind.num_params)
+                before = data.copy() if kind is GateKind.X else None
+                tracemalloc.start()
+                try:
+                    apply_op(data, n, op)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak <= bound, (n, op)
+                if before is not None:
+                    index = np.arange(1 << n) ^ (1 << t)
+                    np.testing.assert_array_equal(data, before[index])
 
 
 @pytest.mark.parametrize("kind", [GateKind.CX, GateKind.SWAP, GateKind.CCX])
@@ -560,6 +572,31 @@ def test_overlapping_blas_holds_restore_the_thread_count():
         assert get() == before
     finally:
         set_(old)
+
+
+def test_blas_calls_are_found_under_numpy_1_names(monkeypatch):
+    """Where numpy registers its core extension under its 1.x name,
+    ``numpy.core._multiarray_umath``, and not its 2.x name, both BLAS
+    thread calls are still found; under neither name, none is."""
+    if _blas_threads() is None:
+        pytest.skip("numpy's BLAS thread count cannot be set")
+    core = sys.modules["numpy._core._multiarray_umath"]
+    monkeypatch.delitem(sys.modules, "numpy._core._multiarray_umath")
+    monkeypatch.setitem(sys.modules, "numpy.core._multiarray_umath", core)
+    _blas_threads.cache_clear()
+    try:
+        calls = _blas_threads()
+        assert calls is not None
+        get, set_ = calls
+        old = get()
+        set_(old)
+        assert get() == old
+        monkeypatch.delitem(sys.modules, "numpy.core._multiarray_umath")
+        _blas_threads.cache_clear()
+        assert _blas_threads() is None
+    finally:
+        monkeypatch.undo()
+        _blas_threads.cache_clear()
 
 
 def test_blas_holds_on_many_threads_restore_the_thread_count():
