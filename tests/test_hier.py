@@ -1717,8 +1717,11 @@ def test_each_pool_helper_adds_two_chunks_to_a_runs_peak(monkeypatch):
     2 workers: each pool helper holds its own gather and scratch chunk.
     At 4 workers (stubbed CPUs) hierarchical ising(20) at dagp 14 and
     multilevel qaoa(20) at 14/8 peak two helpers' two chunks above their
-    2-worker peaks (4.00-4.14 chunks), at 1.55x and 1.61x the state,
-    past the 1.5x those runs are pinned at on 2 workers."""
+    2-worker peaks (3.99-4.03 chunks), at 1.54x and 1.61x the state,
+    past the 1.5x those runs are pinned at on 2 workers. (3.88-4.26
+    chunks while each worker's phase kernels ran through numpy's own
+    8192-amplitude buffer, one eighth of a chunk, whose overlap between
+    workers varied from run to run; ``hier._scale``.)"""
     _workers_found(4)
     n = 20
     ising, qaoa = bench.ising(n, 2), bench.qaoa(n, 2)

@@ -275,6 +275,47 @@ def test_slabs_cover_the_array_once_as_views(most):
         assert (seen == 1).all(), (shape, most)
 
 
+def test_dense_gate_temporaries_stay_within_one_state():
+    """A dense 2x2 on a full state saves one half of it and builds one
+    half-sized product: at most the state's size in temporaries.
+
+    Only the lowest and highest targets are checked: between them the
+    halves are multi-axis strided views, and numpy's buffered iteration
+    adds its own fixed-size buffers (2 x 8192 amplitudes), which do not
+    grow with the state but are a quarter of it at n = 16.
+    """
+    n = 16
+    data = np.full(1 << n, 2 ** (-n / 2), dtype=np.complex128)
+    for t in (0, n - 1):
+        tracemalloc.start()
+        try:
+            apply_op(data, n, GateOp(GateKind.H, (t,), ()))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * state_bytes(n)
+
+
+def test_exchange_temporaries_stay_within_half_the_state():
+    """X exchanges its halves slab by slab through one saved copy, so on a
+    full 18-qubit state it allocates at most half the state (the saved
+    half on the top target, where one slab is the whole state), and moves
+    every amplitude to its stride partner exactly."""
+    n = 18
+    rng = np.random.default_rng(17)
+    data = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    for t in (0, 9, n - 1):
+        before = data.copy()
+        tracemalloc.start()
+        try:
+            apply_op(data, n, GateOp(GateKind.X, (t,), ()))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.55 * state_bytes(n)
+        np.testing.assert_array_equal(data, before[np.arange(1 << n) ^ (1 << t)])
+
+
 def test_gate_temporaries_stay_within_one_chunk():
     """A gate that saves a copy runs one slab of at most half a chunk per
     view at a time, so on full 18- and 20-qubit states ``h``, ``ry``,
