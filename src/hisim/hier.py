@@ -170,10 +170,6 @@ FUSE_WIDTH = 4
 #: qaoa20-multilevel 0.169 against 0.167 s (benchmarks/run.py, medians of
 #: 8 alternating runs at ``--seconds 8``, 2 CPUs)
 STRIDE_FLOOR = 6
-#: least numpy buffer size, in amplitudes, a phase kernel runs under
-#: (``_scale``). On rows of 8 to 256 amplitudes (1 CPU, min of 5 timings)
-#: 1024 ran as fast as numpy's default 8192 or faster, 16 up to 4x slower
-PHASE_BUFFER = 1 << 10
 
 
 # --- addressing -------------------------------------------------------------
@@ -606,26 +602,6 @@ def _plan(
     return Plan(tuple(entry), kernels, tuple(held[p] for p in order))
 
 
-def _scale(block: np.ndarray, phase: np.ndarray) -> None:
-    """Multiply each run of ``len(phase)`` amplitudes of ``block`` by
-    ``phase``, in place.
-
-    numpy runs a broadcast operand whose rows are shorter than its buffer
-    size (``np.getbufsize()``, 8192 amplitudes by default) through a buffer
-    of that size, allocated per call on each worker, so the peak of a
-    pooled run would depend on how many workers' buffers overlap. Under a
-    buffer size of the row's length, at least ``PHASE_BUFFER``, rows of
-    that length or more need no buffer, and it runs no slower. numpy holds
-    the buffer size per thread, so other workers keep theirs.
-    """
-    size = np.getbufsize()
-    np.setbufsize(min(size, max(len(phase), PHASE_BUFFER)))
-    try:
-        block *= phase
-    finally:
-        np.setbufsize(size)
-
-
 def _workers(chunks: int) -> int:
     """Threads ``run_part`` runs ``chunks`` chunks of a part on: those of
     the whole-state moves (``statevec._pool_workers``), but one where
@@ -785,7 +761,7 @@ def _run_chunks(data: np.ndarray, exe: ExecutablePart) -> None:
         back = gathered[:cur.size].reshape(cur.shape) if relay else sub
         for kind, arg in kernels:
             if kind == "phase":
-                _scale(cur, arg)
+                cur *= arg
             elif kind == "op":
                 apply_op(cur, w, arg)
             else:

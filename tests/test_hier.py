@@ -3,6 +3,7 @@ with the plain single-pass simulator."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -281,6 +282,30 @@ def _spy_on_chunks(mp):
     return staged
 
 
+@contextlib.contextmanager
+def _chunks_of(amps):
+    """Inside the block, ``statevec.CHUNK_AMPS`` is ``amps``: it sizes
+    ``run_part``'s chunks and pieces, ``apply_op``'s slabs and the moves'
+    workers. Each plan (``hier._plan``) is still built under the default
+    chunk, since its products do not depend on the chunk, and a tiny one
+    would cut every gate applied to their identities into slabs of a few
+    amplitudes. Tests stage in tiny chunks only here, around the runs
+    under test, and compute their references under the default."""
+    default, real = statevec.CHUNK_AMPS, hier._plan
+
+    def plan(*args):
+        statevec.CHUNK_AMPS = default
+        try:
+            return real(*args)
+        finally:
+            statevec.CHUNK_AMPS = amps
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statevec, "CHUNK_AMPS", amps)
+        mp.setattr(hier, "_plan", plan)
+        yield
+
+
 def test_remap_part_rewrites_operands_to_block_slots():
     """A ``cx 9,5`` in a 10-qubit circuit, in a part on qubits (5, 9),
     becomes a ``cx`` on slots (1, 0) of the part's block, kind and params
@@ -413,14 +438,14 @@ def test_diagonal_runs_fold_while_the_block_fits_a_chunk(monkeypatch):
     np.testing.assert_allclose(data, simulate_flat(_RUNS).data, rtol=0, atol=1e-15)
 
     calls.clear()
-    monkeypatch.setattr(statevec, "CHUNK_AMPS", 2)
     staged = _spy_on_chunks(monkeypatch)
     data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     expect = data.copy()
     for op in _RUNS.ops:
         apply_op(expect, 5, op)
     atol = 1e-15 * np.max(np.abs(expect))
-    run_part(data, whole())
+    with _chunks_of(2):
+        run_part(data, whole())
     assert [piece.positions for piece in staged] == [(0, 1, 3, 4), (2,)]
     for piece in staged:
         assert [kind for kind, _ in piece.steps.kernels] == ["matmul"]
@@ -560,14 +585,14 @@ def _spread(rng, n, num_ops, kinds=tuple(GateKind)):
 
 
 @pytest.mark.parametrize("rows", [0, 1, 3])
-def test_chunked_parts_match_the_oracle_and_flat(monkeypatch, rows):
+def test_chunked_parts_match_the_oracle_and_flat(rows):
     """With chunks of one amplitude, of one ``2**l1``-amplitude row and of
     three such rows (three batch entries, the last chunk of a block then
     short; a staged part's rows go in runs of a power of two), flat and
     nested parts on a batch of four states equal the single-assignment
     passes, and every executor equals flat."""
     l1, l2 = 5, 3
-    monkeypatch.setattr(statevec, "CHUNK_AMPS", rows << l1 or 1)
+    chunk = rows << l1 or 1
     n = 7
     circuit = _spread(random.Random(rows), n, 60)
     dag = build_dag(circuit)
@@ -577,15 +602,16 @@ def test_chunked_parts_match_the_oracle_and_flat(monkeypatch, rows):
         shape = (4, 1 << n)
         data = data_rng.normal(size=shape) + 1j * data_rng.normal(size=shape)
         oracle = data.copy()
-        for exe in executable_parts(circuit, partition):
-            run_part(data, exe)
         for entry in oracle:
             _run_oracle(entry, circuit, partition)
+        with _chunks_of(chunk):
+            for exe in executable_parts(circuit, partition):
+                run_part(data, exe)
+            got = execute_hierarchical(circuit, partition)
+            states = [simulate_distributed(circuit, partition, p).state for p in (1, 2)]
         assert np.max(np.abs(data - oracle)) <= 1e-12
-        got = execute_hierarchical(circuit, partition)
         assert np.max(np.abs(got.data - expect)) <= 1e-12
-        for p in (1, 2):
-            state = simulate_distributed(circuit, partition, p).state
+        for state in states:
             assert np.max(np.abs(state.data - expect)) <= 1e-12
 
     # a whole-state part on a batch of four: each entry is one row, and the
@@ -595,7 +621,8 @@ def test_chunked_parts_match_the_oracle_and_flat(monkeypatch, rows):
     whole = remap_part(small, Part(0, gates, tuple(range(l1))))
     data = np.zeros((4, 1 << l1), dtype=np.complex128)
     data[:, 0] = 1.0
-    run_part(data, whole)
+    with _chunks_of(chunk):
+        run_part(data, whole)
     assert np.max(np.abs(data - simulate_flat(small).data)) <= 1e-12
 
 
@@ -658,24 +685,25 @@ def test_kernelized_parts_match_the_unfused_ops(width, seed, rows):
     data_rng = np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hier, "FUSE_WIDTH", width)
-        mp.setattr(statevec, "CHUNK_AMPS", rows << l1)
         for partition in (partition_dagp(dag, l1), partition_multilevel(dag, l1, l2)):
             for exe in executable_parts(circuit, partition):
                 shape = (2, 1 << n)
                 data = data_rng.normal(size=shape) + 1j * data_rng.normal(size=shape)
                 unfused = data.copy()
-                run_part(data, exe)
                 for entry in unfused:
                     _run_part_oracle(entry, exe)
+                with _chunks_of(rows << l1):
+                    run_part(data, exe)
                 assert np.max(np.abs(data - unfused)) <= 1e-12
                 assert all(
                     kind != "op" or len(arg.qubits) <= width
                     for kind, arg in exe.steps.kernels
                 )
-            got = execute_hierarchical(circuit, partition)
+            with _chunks_of(rows << l1):
+                got = execute_hierarchical(circuit, partition)
+                states = [simulate_distributed(circuit, partition, p).state for p in (1, 2)]
             assert np.max(np.abs(got.data - expect)) <= 1e-12
-            for p in (1, 2):
-                state = simulate_distributed(circuit, partition, p).state
+            for state in states:
                 assert np.max(np.abs(state.data - expect)) <= 1e-12
 
 
@@ -722,9 +750,7 @@ _NESTED = [
 
 @pytest.mark.parametrize("chunk_rows", [0, 1])
 @pytest.mark.parametrize("name,build,l1,l2", _NESTED)
-def test_nested_parts_match_flat_and_the_oracle(
-    monkeypatch, name, build, l1, l2, chunk_rows
-):
+def test_nested_parts_match_flat_and_the_oracle(name, build, l1, l2, chunk_rows):
     """Two-level parts run as their level-1 gates' dagp groups, by the
     default chunks and by chunks of one level-1 row, equal the truly
     nested single-assignment passes and flat, hierarchically and on 1 and
@@ -732,8 +758,7 @@ def test_nested_parts_match_flat_and_the_oracle(
     dense groups and SWAPs, phase groups in all but spread2 (whose free
     diagonal gates all join dense groups), and qft8cx's a lone op too (in
     the others every exchange fuses with the gates around it)."""
-    if chunk_rows:
-        monkeypatch.setattr(statevec, "CHUNK_AMPS", chunk_rows << l1)
+    chunk = chunk_rows << l1 or statevec.CHUNK_AMPS
     circuit = build()
     partition = partition_multilevel(build_dag(circuit), l1, l2)
     expect = simulate_flat(circuit).data
@@ -744,17 +769,19 @@ def test_nested_parts_match_flat_and_the_oracle(
         if len(sub.parts) > 1:
             held.update(tag for tag, _ in hier._compile(exe.ops))
             held.update(op.kind for op in exe.ops)
-        run_part(data, exe)
+        with _chunks_of(chunk):
+            run_part(data, exe)
     _run_oracle(oracle, circuit, partition)
     lone = {"op"} if name == "qft8cx" else set()
     phase = set() if name == "spread2" else {"phase"}
     assert {"dense", GateKind.SWAP} | phase | lone <= held
     assert np.max(np.abs(data - expect)) <= 1e-12
     assert np.max(np.abs(data - oracle)) <= 1e-12
-    got = execute_multilevel(circuit, partition)
+    with _chunks_of(chunk):
+        got = execute_multilevel(circuit, partition)
+        states = [simulate_distributed(circuit, partition, p).state for p in (1, 2)]
     assert np.max(np.abs(got.data - expect)) <= 1e-12
-    for p in (1, 2):
-        state = simulate_distributed(circuit, partition, p).state
+    for state in states:
         assert np.max(np.abs(state.data - expect)) <= 1e-12
 
 
@@ -773,14 +800,14 @@ def test_two_level_part_builds_its_index_matrix_once(monkeypatch):
         return real(num_qubits, qubits)
 
     monkeypatch.setattr(hier, "part_block_indices", counted)
-    monkeypatch.setattr(statevec, "CHUNK_AMPS", 1 << 6)
     circuit = bench.qft(9)
     partition = partition_multilevel(build_dag(circuit), 6, 4)
     data = zero_state(9).data
     low = 0
     for exe in executable_parts(circuit, partition):
         calls.clear()
-        run_part(data, exe)
+        with _chunks_of(1 << 6):
+            run_part(data, exe)
         if exe.positions == tuple(range(exe.num_slots)):
             low += 1
             assert calls == []
@@ -805,7 +832,6 @@ def test_part_on_the_lowest_bits_runs_on_views(monkeypatch, p):
     one by one."""
     calls = []
     monkeypatch.setattr(hier, "part_block_indices", lambda *a: calls.append(a))
-    monkeypatch.setattr(statevec, "CHUNK_AMPS", 1 << 6)
     circuit = Circuit(10, bench.qft(5).ops)
     partition = partition_dagp(build_dag(circuit), 5)
     assert [part.qubits for part in partition.parts] == [(0, 1, 2, 3, 4)]
@@ -815,10 +841,11 @@ def test_part_on_the_lowest_bits_runs_on_views(monkeypatch, p):
     expect = initial.data.copy()
     for op in circuit.ops:
         apply_op(expect, 10, op)
-    if p is None:
-        got = execute_hierarchical(circuit, partition, initial=initial)
-    else:
-        got = simulate_distributed(circuit, partition, p, initial=initial).state
+    with _chunks_of(1 << 6):
+        if p is None:
+            got = execute_hierarchical(circuit, partition, initial=initial)
+        else:
+            got = simulate_distributed(circuit, partition, p, initial=initial).state
     assert calls == []
     assert np.max(np.abs(got.data - expect)) <= 1e-12
 
@@ -990,7 +1017,7 @@ def _check_products(exe):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_placed_kernels_match_the_unfused_ops(monkeypatch, seed):
+def test_placed_kernels_match_the_unfused_ops(seed):
     """Dense steps run wherever their bits sit: a lone dense 1-qubit gate
     at every slot, fused groups found on the lowest, padded-low, highest
     and scattered bits, and disjoint and overlapping consecutive groups,
@@ -999,7 +1026,6 @@ def test_placed_kernels_match_the_unfused_ops(monkeypatch, seed):
     by one. Each product is its group's unitary, embedded where the plan
     finds the group's slots (``_check_products``), and together the plans
     use every kernel."""
-    monkeypatch.setattr(statevec, "CHUNK_AMPS", 2 << 10)
     rng = random.Random(seed)
     w, n = 10, 12
     cases = []
@@ -1030,7 +1056,8 @@ def test_placed_kernels_match_the_unfused_ops(monkeypatch, seed):
         expect = data.copy()
         for op in ops:
             apply_op(expect, n, hier._lift(op, positions))
-        run_part(data, exe)
+        with _chunks_of(2 << 10):
+            run_part(data, exe)
         assert np.max(np.abs(data - expect)) <= 1e-12
         _check_products(exe)
         for kind, arg in exe.steps.kernels:
@@ -1146,7 +1173,6 @@ def test_diagonals_move_to_their_groups(width, seed):
     data_rng = np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hier, "FUSE_WIDTH", width)
-        mp.setattr(statevec, "CHUNK_AMPS", 2 << w)
         calls = _spy_on_dagp(mp)
         left, _ = hier._relabel(ops, w)
         _check_groups(left, hier._compile(left), width)
@@ -1158,9 +1184,10 @@ def test_diagonals_move_to_their_groups(width, seed):
             shape = (2, 1 << n)
             data = data_rng.normal(size=shape) + 1j * data_rng.normal(size=shape)
             unfused = data.copy()
-            run_part(data, exe)
             for entry in unfused:
                 _run_part_oracle(entry, exe)
+            with _chunks_of(2 << w):
+                run_part(data, exe)
             assert np.max(np.abs(data - unfused)) <= 1e-12
 
 
@@ -1251,7 +1278,6 @@ def test_plans_enter_and_leave_in_their_own_orders(
     batch entries or rows per chunk (three times ``2**6`` or ``2**7``
     amplitudes: three batch entries, the last chunk short, or two rows),
     or the default."""
-    monkeypatch.setattr(statevec, "CHUNK_AMPS", chunk)
     n, w = 9, 6
     exe, ops = _enter_and_leave(monkeypatch, random.Random(chunk + (p or 0)), sets)
     local = n - (p or 0)  # the offset bits of a rank buffer
@@ -1266,7 +1292,8 @@ def test_plans_enter_and_leave_in_their_own_orders(
     expect = data.copy()
     for op in ops:
         apply_op(expect, local, hier._lift(op, positions))
-    run_part(data, exe)
+    with _chunks_of(chunk):
+        run_part(data, exe)
     assert np.max(np.abs(data - expect)) <= 1e-12
 
 
@@ -1282,44 +1309,44 @@ def _swap_part():
     return remap_part(Circuit(5, ops), Part(0, tuple(range(len(ops))), tuple(range(5))))
 
 
-def _run_against_the_ops(exe, n, seed):
-    """``exe`` run on a batch of two random ``n``-qubit states, against its
-    ops applied one by one on its positions."""
+def _run_against_the_ops(exe, n, seed, chunk):
+    """``exe`` run on a batch of two random ``n``-qubit states in chunks of
+    ``chunk`` amplitudes, against its ops applied one by one on its
+    positions."""
     data_rng = np.random.default_rng(seed)
     shape = (2, 1 << n)
     data = data_rng.normal(size=shape) + 1j * data_rng.normal(size=shape)
     expect = data.copy()
     for op in exe.ops:
         apply_op(expect, n, hier._lift(op, exe.positions))
-    run_part(data, exe)
+    with _chunks_of(chunk):
+        run_part(data, exe)
     assert np.max(np.abs(data - expect)) <= 1e-12
 
 
 @pytest.mark.parametrize("chunk", [1 << 4, 1 << 7, 1 << 16])
 @pytest.mark.parametrize("placement", ["lowest", "staged"])
-def test_swap_only_parts_only_relabel(monkeypatch, placement, chunk):
+def test_swap_only_parts_only_relabel(placement, chunk):
     """A part of swaps only plans no kernel at all: it enters in the
     identity order and leaves in the order its swaps relabel
     (``_SWAPS_EXIT``). On the lowest bits of a 9-qubit state or staged out
     of it, on rows wider than a chunk (``2**4`` amplitudes), in several
     chunks or in one, it equals the swaps applied one by one."""
-    monkeypatch.setattr(statevec, "CHUNK_AMPS", chunk)
     exe = _swap_part()
     assert exe.steps == hier.Plan(tuple(range(5)), [], _SWAPS_EXIT)
     positions = tuple(range(5)) if placement == "lowest" else (0, 2, 3, 6, 8)
-    _run_against_the_ops(rebase(exe, dict(enumerate(positions))), 9, chunk)
+    _run_against_the_ops(rebase(exe, dict(enumerate(positions))), 9, chunk, chunk)
 
 
 @pytest.mark.parametrize("chunk", [1 << 4, 1 << 7])
-def test_kernel_less_view_plan_leaves_in_its_exit_order(monkeypatch, chunk):
+def test_kernel_less_view_plan_leaves_in_its_exit_order(chunk):
     """A part on the lowest bits whose plan, set on it directly, has no
     kernel but leaves out of the identity order copies each chunk out of
     its view and writes it back in that order, also on rows wider than a
     chunk, so it equals its swaps applied one by one."""
-    monkeypatch.setattr(statevec, "CHUNK_AMPS", chunk)
     exe = _swap_part()
     exe.__dict__["steps"] = hier.Plan(tuple(range(5)), [], _SWAPS_EXIT)
-    _run_against_the_ops(exe, 9, chunk)
+    _run_against_the_ops(exe, 9, chunk, chunk)
 
 
 def test_swap_only_partitions_run_no_kernel():
@@ -1356,7 +1383,7 @@ _AMONG_SWAPS = (
 
 @pytest.mark.parametrize("chunk", [1 << 4, 2 << 6, 1 << 16])
 @pytest.mark.parametrize("seed", range(4))
-def test_swaps_among_other_gates_relabel(monkeypatch, seed, chunk):
+def test_swaps_among_other_gates_relabel(seed, chunk):
     """Parts of 6 slots whose swaps are interleaved with dense, diagonal
     and exchanging gates on the same slots, on the lowest bits of a
     9-qubit state or staged out of it, in chunks of rows wider than a
@@ -1364,7 +1391,6 @@ def test_swaps_among_other_gates_relabel(monkeypatch, seed, chunk):
     one. No swap reaches a kernel, each product is its relabelled group's
     unitary (``_check_products``), and the plan leaves in the order the
     swaps relabel (``_walk``)."""
-    monkeypatch.setattr(statevec, "CHUNK_AMPS", chunk)
     rng = random.Random(seed)
     w = 6
     ops = [GateOp(GateKind.H, (q,), ()) for q in range(w)]
@@ -1379,7 +1405,7 @@ def test_swaps_among_other_gates_relabel(monkeypatch, seed, chunk):
     for kind, arg in exe.steps.kernels:
         assert kind != "op" or arg.kind is not GateKind.SWAP
     for positions in (tuple(range(w)), (0, 2, 3, 5, 7, 8)):
-        _run_against_the_ops(rebase(exe, dict(enumerate(positions))), 9, seed)
+        _run_against_the_ops(rebase(exe, dict(enumerate(positions))), 9, seed, chunk)
 
 
 @pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
@@ -1430,7 +1456,6 @@ def test_chunk_indices_are_rows_of_the_block_index_matrix(
     chunk or a row, and the state equals the part's ops applied one by
     one."""
     monkeypatch.setattr(statevec, "_cpus", lambda: 1)
-    monkeypatch.setattr(statevec, "CHUNK_AMPS", chunk)
     rng = random.Random(seed + 70)
     for _ in range(4):
         n = rng.randint(3, 9)
@@ -1460,7 +1485,7 @@ def test_chunk_indices_are_rows_of_the_block_index_matrix(
                 return real(a, indices, *args, **kwargs)
             return take
 
-        with monkeypatch.context() as mp:
+        with monkeypatch.context() as mp, _chunks_of(chunk):
             mp.setattr(np, "take", spy(np.take))
             run_part(data, exe)
         seen: dict[int, int] = {}  # batch entry -> rows of it gathered
@@ -1547,7 +1572,9 @@ def test_conjugated_diagonals_become_phases(seed):
     for kind, arg in exe.steps.kernels:
         assert kind != "op" or arg.kind is not GateKind.CX
     for positions in (tuple(range(w)), _staged_positions(rng, w + 3, w)):
-        _run_against_the_ops(rebase(exe, dict(enumerate(positions))), w + 3, seed)
+        _run_against_the_ops(
+            rebase(exe, dict(enumerate(positions))), w + 3, seed, statevec.CHUNK_AMPS
+        )
 
 
 def test_conjugated_diagonal_sums_its_angles():
@@ -1717,11 +1744,8 @@ def test_each_pool_helper_adds_two_chunks_to_a_runs_peak(monkeypatch):
     2 workers: each pool helper holds its own gather and scratch chunk.
     At 4 workers (stubbed CPUs) hierarchical ising(20) at dagp 14 and
     multilevel qaoa(20) at 14/8 peak two helpers' two chunks above their
-    2-worker peaks (3.99-4.03 chunks), at 1.54x and 1.61x the state,
-    past the 1.5x those runs are pinned at on 2 workers. (3.88-4.26
-    chunks while each worker's phase kernels ran through numpy's own
-    8192-amplitude buffer, one eighth of a chunk, whose overlap between
-    workers varied from run to run; ``hier._scale``.)"""
+    2-worker peaks (4.00-4.14 chunks), at 1.55x and 1.61x the state,
+    past the 1.5x those runs are pinned at on 2 workers."""
     _workers_found(4)
     n = 20
     ising, qaoa = bench.ising(n, 2), bench.qaoa(n, 2)
@@ -1777,7 +1801,6 @@ def test_pieces_hold_each_op_of_a_wide_part_once(monkeypatch, chunk, seed):
     part's positions of the slots its ops use, ascending; together they
     hold each of the part's ops once, and each slot's ops in the part's
     order, so they run it. A part no wider runs as itself."""
-    monkeypatch.setattr(statevec, "CHUNK_AMPS", chunk)
     width = max(chunk.bit_length() - 1, hier.FUSE_WIDTH)
     staged = _spy_on_chunks(monkeypatch)
     n = 10
@@ -1786,7 +1809,8 @@ def test_pieces_hold_each_op_of_a_wide_part_once(monkeypatch, chunk, seed):
     wide = 0
     for exe in executable_parts(circuit, partition_dagp(build_dag(circuit), 8)):
         staged.clear()
-        run_part(data, exe)
+        with _chunks_of(chunk):
+            run_part(data, exe)
         if exe.num_slots <= width:
             assert len(staged) == 1 and staged[0] is exe
             continue
@@ -1820,7 +1844,6 @@ def test_wide_parts_run_as_pieces_within_a_chunk_and_equal_flat(
     chunk and stay within 1e-12 of ``simulate_flat``; no plan any of them
     builds (``_plan``) spans more than ``max(CHUNK_AMPS, 2**FUSE_WIDTH)``
     amplitudes."""
-    monkeypatch.setattr(statevec, "CHUNK_AMPS", chunk)
     width = max(chunk.bit_length() - 1, hier.FUSE_WIDTH)
     planned = []
     real = hier._plan
@@ -1846,7 +1869,8 @@ def test_wide_parts_run_as_pieces_within_a_chunk_and_equal_flat(
     for partition, run in runs:
         assert max(len(part.qubits) for part in partition.parts) > width
         planned.clear()
-        state = run(circuit, partition)
+        with _chunks_of(chunk):
+            state = run(circuit, partition)
         assert planned and max(planned) <= width
         assert np.max(np.abs(state.data - expect)) <= 1e-12
 

@@ -276,14 +276,10 @@ def test_slabs_cover_the_array_once_as_views(most):
 
 
 def test_dense_gate_temporaries_stay_within_one_state():
-    """A dense 2x2 on a full state saves one half of it and builds one
-    half-sized product: at most the state's size in temporaries.
-
-    Only the lowest and highest targets are checked: between them the
-    halves are multi-axis strided views, and numpy's buffered iteration
-    adds its own fixed-size buffers (2 x 8192 amplitudes), which do not
-    grow with the state but are a quarter of it at n = 16.
-    """
+    """A dense 2x2 on a full 16-qubit state, on its lowest and highest
+    target, allocates at most the state's size in temporaries
+    (``test_gate_temporaries_stay_within_one_chunk`` bounds every kind
+    and target by about one chunk)."""
     n = 16
     data = np.full(1 << n, 2 ** (-n / 2), dtype=np.complex128)
     for t in (0, n - 1):
@@ -297,10 +293,9 @@ def test_dense_gate_temporaries_stay_within_one_state():
 
 
 def test_exchange_temporaries_stay_within_half_the_state():
-    """X exchanges its halves slab by slab through one saved copy, so on a
-    full 18-qubit state it allocates at most half the state (the saved
-    half on the top target, where one slab is the whole state), and moves
-    every amplitude to its stride partner exactly."""
+    """X on a full 18-qubit state allocates at most half the state on its
+    lowest, a middle and its top target, and moves every amplitude to its
+    stride partner exactly."""
     n = 18
     rng = np.random.default_rng(17)
     data = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
