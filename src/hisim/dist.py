@@ -10,8 +10,8 @@ gates never cross ranks. Inside a layout the part runs through the same
 once: each part is built once by ``hisim.hier.executable_parts``, in qubit
 coordinates, and ``hisim.hier.rebase`` moves its positions to the offset
 bits that hold its qubits. A two-level part is its level-1 part, so only
-level-1 parts choose layouts; the level-2 parts' padded qubit sets are
-not staged. Between parts the layout changes and amplitudes move. The
+level-1 parts choose layouts, and level-2 parts are not staged. Between
+parts the layout changes and amplitudes move. The
 move is one permutation of the index bits, applied as an axis
 transpose: one transposing copy into a new array
 (``statevec._permute_bits``), as the distribution of the start state

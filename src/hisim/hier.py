@@ -35,10 +35,10 @@ Every execution path is ``run_part`` on an ``ExecutablePart``.
 builds each level-1 part once, in qubit coordinates:
 ``remap_part`` rewrites its gates to slots of its staged block, and its
 ``positions`` are its qubits. A two-level part is its level-1 part, its
-gates in program order: the level-2 partition is checked and documented
-(its parts' padded qubit sets), but it neither stages, orders nor traces
-anything, since the level-1 chunk already is the cache-sized vector and
-the kernels come from the part's own gate DAG. Distributed execution
+gates in program order: the level-2 partition is checked and written in
+documents, but it neither stages, orders nor traces anything, since the
+level-1 chunk already is the cache-sized vector and the kernels come from
+the part's own gate DAG. Distributed execution
 (``hisim.dist``) re-bases (``rebase``) the same parts onto rank buffers,
 addressing qubits by their offset bits; a layout changes nothing but
 ``positions``.
@@ -272,10 +272,8 @@ def executable_parts(
 
     A two-level part is built from its level-1 part alone, its gates in
     program order: its kernels come from the gate DAG (``_compile``), so
-    the level-2 partition orders nothing. It is checked, and its parts'
-    padded qubit sets (``MultiLevelPartition.padded_qubits``) are
-    documented, but not staged: the level-1 chunk already is the
-    cache-sized vector.
+    the level-2 partition orders nothing. It is checked and documented, but
+    not staged: the level-1 chunk already is the cache-sized vector.
     """
     _check(circuit.ops, partition)
     return (remap_part(circuit, part) for part in partition.parts)
@@ -720,6 +718,17 @@ def _run_chunks(data: np.ndarray, exe: ExecutablePart) -> None:
         gidx = bit_offsets(varying)[part_block_indices(w + k, entry)]
     elif plan.entry != identity:
         kernels = [_permute(identity, plan.entry), *kernels]
+    # a phase row shorter than numpy's buffer multiplies through a fresh
+    # iteration buffer per call on each worker; tiled over up to a buffer's
+    # worth of rows, it needs none. A view part has one row per chunk
+    # entry, so one under 13 slots keeps the buffer; no declared workload
+    # has one
+    tile = min(rstep, np.getbufsize() >> w)
+    if tile > 1:
+        kernels = [
+            (kind, np.tile(arg, tile) if kind == "phase" else arg)
+            for kind, arg in kernels
+        ]
     # a leaving chunk's row index holds its slots in exit order, then its
     # free bits
     leave = _bit_view(flat, [*(positions[s] for s in plan.exit), *free])
@@ -761,7 +770,8 @@ def _run_chunks(data: np.ndarray, exe: ExecutablePart) -> None:
         back = gathered[:cur.size].reshape(cur.shape) if relay else sub
         for kind, arg in kernels:
             if kind == "phase":
-                cur *= arg
+                tiled = cur.reshape(-1, arg.size)
+                tiled *= arg
             elif kind == "op":
                 apply_op(cur, w, arg)
             else:
@@ -790,16 +800,14 @@ class PartTrace:
 
     ``gather_calls`` counts single-assignment gathers, one per free-qubit
     assignment, i.e. ``2**(n - num_qubits)``; the batched implementation
-    moves the same amplitudes in one pass. ``scatter_calls`` mirrors it.
-    ``inner_bytes`` is the size of one staged vector, ``2**(num_qubits+4)``.
+    moves the same amplitudes in one pass, and scatters them back as many
+    times. One staged vector holds ``2**num_qubits`` amplitudes.
     """
 
     part_id: int
     num_qubits: int
     num_gates: int
     gather_calls: int
-    scatter_calls: int
-    inner_bytes: int
 
 
 @dataclass
@@ -834,10 +842,9 @@ def _trace(
     trace = ExecutionTrace(num_qubits)
     for part in partition.parts:
         w = len(part.qubits)
-        calls = 1 << (num_qubits - w)
-        trace.parts.append(PartTrace(
-            part.id, w, len(part.gate_indices), calls, calls, 1 << (w + 4)
-        ))
+        trace.parts.append(
+            PartTrace(part.id, w, len(part.gate_indices), 1 << (num_qubits - w))
+        )
     return trace
 
 

@@ -12,7 +12,8 @@ ascending, so every dependency runs forward and the part graph is acyclic
   parts and contracts part pairs while the union fits the limit.
 - ``optimal_parts_bruteforce``: exact minimum part count for small DAGs.
 - ``partition_multilevel``: a dagP partition whose parts are partitioned
-  again under a smaller limit for nested execution.
+  again under a smaller limit. The level-2 parts are checked and written
+  in documents; execution runs the level-1 parts (``hisim.hier``).
 
 Partitions at either level stay in global gate and qubit indices. Gate
 edges come from ``hisim.dag.wires``, for any ascending gate subset, so dagP
@@ -26,7 +27,8 @@ Both kinds, a flat ``PartitionResult`` and a two-level
 (``partition_to_json``) and one reader (``partition_from_json``), which
 tells them apart by the document's ``strategy``. Documents also carry
 ``num_parts``, ``working_set``, ``edges`` and ``cut_edges`` for their
-readers; the reader never reads them back.
+readers; the reader never reads them back. A two-level document adds,
+per level-1 part, its id and its level-2 parts.
 """
 
 from __future__ import annotations
@@ -119,9 +121,12 @@ class MultiLevelPartition:
     @property
     def padded_qubits(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """``[i][j]`` is level-2 part j of level-1 part i widened with parent
-        qubits, lowest index first, up to min(limit2, parent working set);
-        documented, not staged or traced: execution runs each level-1 part
-        whole, its gates in program order."""
+        qubits, lowest index first, up to min(limit2, parent working set):
+        the block a level-2 part would stage on. Execution runs each level-1
+        part whole, its gates in program order, and documents do not carry
+        these sets; the benchmark's level-2 check
+        (``benchmarks/workloads.py``) and the nested oracle of
+        ``tests/test_hier.py`` read them."""
         return tuple(
             tuple(_pad(p.qubits, parent, self.limit2) for p in sub.parts)
             for parent, sub in zip(self.level1.parts, self.sublevels)
@@ -637,8 +642,7 @@ def partition_multilevel(
     under ``limit2``.
 
     The level-2 pass is dagP on the part's gates alone, in global gate and
-    qubit indices, exactly as if the part were a circuit of its own. Level-2
-    parts are padded (``MultiLevelPartition.padded_qubits``) in documents.
+    qubit indices, exactly as if the part were a circuit of its own.
     """
     if limit2 > limit1:
         raise PartitionError(f"limit2 {limit2} exceeds limit1 {limit1}")
@@ -670,7 +674,7 @@ def partition_to_json(
     """Serialize a partition of either kind. A flat document holds its
     parts with their part-graph edges and edge cut; a two-level one
     (``"strategy": "multilevel"``) holds the level-1 document plus, per
-    level-1 part, its level-2 parts and padded qubit sets. ``num_parts``,
+    level-1 part, its id (``parent``) and its level-2 parts. ``num_parts``,
     ``working_set``, ``edges`` and ``cut_edges`` are written for readers
     and never read back."""
     return json.dumps(_doc(dag, partition), indent=2)
@@ -684,15 +688,8 @@ def _doc(dag: GateDag, partition: PartitionResult | MultiLevelPartition) -> dict
             "limit2": partition.limit2,
             "level1": _doc(dag, partition.level1),
             "sublevels": [
-                {
-                    "parent": parent.id,
-                    "parts": [_part_doc(p) for p in sub.parts],
-                    "padded_qubits": [list(q) for q in padded],
-                }
-                for parent, sub, padded in zip(
-                    partition.level1.parts, partition.sublevels,
-                    partition.padded_qubits,
-                )
+                {"parent": parent.id, "parts": [_part_doc(p) for p in sub.parts]}
+                for parent, sub in zip(partition.level1.parts, partition.sublevels)
             ],
         }
     crossing = partition._crossing(dag)  # one walk over the wires for both
@@ -748,18 +745,12 @@ def _multilevel_from_doc(doc: dict) -> MultiLevelPartition:
     )
 
 
-def _check_entries(ml: MultiLevelPartition, entries) -> None:
-    """The fields a two-level document adds per sublevel: its parent's id
-    and the padded qubit sets ``MultiLevelPartition.padded_qubits`` derives."""
-    for part, entry, padded in zip(ml.parts, entries, ml.padded_qubits):
+def _check_parents(ml: MultiLevelPartition, entries) -> None:
+    """The field a two-level document adds per sublevel: its parent's id."""
+    for part, entry in zip(ml.parts, entries):
         if _int(entry["parent"], "parent") != part.id:
             raise PartitionError(
                 f"sublevel of part {entry['parent']} listed for part {part.id}"
-            )
-        if tuple(tuple(q) for q in entry["padded_qubits"]) != padded:
-            raise PartitionError(
-                f"padded qubit sets of part {part.id} are not its level-2 "
-                f"qubits widened to min(limit2, working set)"
             )
 
 
@@ -769,16 +760,17 @@ def partition_from_json(
     """Load a document ``partition_to_json`` wrote: two-level if its
     strategy is ``multilevel``, else flat. A flat document's strategy, and
     a two-level one's level-1 strategy, must be ``nat``, ``dfs`` or
-    ``dagp``. The partition must pass ``check_partition``, and each padded
-    qubit set of a two-level one must be the one
-    ``MultiLevelPartition.padded_qubits`` derives."""
+    ``dagp``. The partition must pass ``check_partition``, and each
+    sublevel of a two-level one must name its level-1 part as ``parent``.
+    A ``padded_qubits`` key, which documents written by earlier versions
+    carry per sublevel, is ignored."""
     try:
         doc = json.loads(text)
         levels = doc["strategy"] == "multilevel"
         partition = _multilevel_from_doc(doc) if levels else _result_from_doc(doc)
         check_partition(dag, partition)
         if levels:
-            _check_entries(partition, doc["sublevels"])
+            _check_parents(partition, doc["sublevels"])
     except (LookupError, TypeError) as e:
         raise PartitionError(f"malformed partition document: {e!r}") from e
     return partition

@@ -337,9 +337,6 @@ def _pool(tasks: deque, run: Callable[..., None], held: Sequence[tuple]) -> None
                 return
             run(task, *args)
 
-    if len(held) == 1:
-        work(*held[0])
-        return
     errors: list[BaseException] = []
 
     def helper(*args) -> None:

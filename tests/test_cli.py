@@ -660,7 +660,6 @@ def test_saved_multilevel_partition_replays(tmp_path, capsys):
     text = parts_path.read_text()
     backwards, shared = json.loads(text), json.loads(text)
     backwards["sublevels"][0]["parts"].reverse()
-    backwards["sublevels"][0]["padded_qubits"].reverse()
     for part, sub in zip(shared["level1"]["parts"], shared["sublevels"]):
         part["id"] = sub["parent"] = 7
     bad_path = tmp_path / "bad.json"

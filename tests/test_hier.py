@@ -1744,8 +1744,11 @@ def test_each_pool_helper_adds_two_chunks_to_a_runs_peak(monkeypatch):
     2 workers: each pool helper holds its own gather and scratch chunk.
     At 4 workers (stubbed CPUs) hierarchical ising(20) at dagp 14 and
     multilevel qaoa(20) at 14/8 peak two helpers' two chunks above their
-    2-worker peaks (4.00-4.14 chunks), at 1.55x and 1.61x the state,
-    past the 1.5x those runs are pinned at on 2 workers."""
+    2-worker peaks (4.00-4.01 chunks), at 1.55x and 1.61x the state,
+    past the 1.5x those runs are pinned at on 2 workers. A phase vector
+    is tiled over a buffer's worth of rows, so no worker's multiply
+    allocates numpy's iteration buffer and the peaks do not move with how
+    the workers' calls overlap."""
     _workers_found(4)
     n = 20
     ising, qaoa = bench.ising(n, 2), bench.qaoa(n, 2)
@@ -1765,7 +1768,7 @@ def test_each_pool_helper_adds_two_chunks_to_a_runs_peak(monkeypatch):
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert 2 * 2 * chunk * 0.95 <= peaks[1] - peaks[0] <= 2 * 2.1 * chunk
+        assert 3.95 * chunk <= peaks[1] - peaks[0] <= 4.05 * chunk
 
 
 def test_part_wider_than_a_chunk_runs_as_pieces_in_bounded_memory(monkeypatch):
@@ -2221,12 +2224,10 @@ def test_trace_counts_follow_part_width():
     assert len(trace.parts) == len(partition.parts)
     for t, p in zip(trace.parts, partition.parts):
         w = len(p.qubits)
-        assert t.part_id == p.id
-        assert t.num_qubits == w
-        assert t.num_gates == len(p.gate_indices)
-        assert t.gather_calls == 1 << (n - w)
-        assert t.scatter_calls == 1 << (n - w)
-        assert t.inner_bytes == (1 << w) * 16
+        # every field: part_id, num_qubits, num_gates and gather_calls
+        assert dataclasses.astuple(t) == (
+            p.id, w, len(p.gate_indices), 1 << (n - w)
+        )
 
 
 def test_trace_rows_schema():

@@ -180,7 +180,7 @@ def test_benchmark_partition_documents_are_pinned():
     )
     g = build_dag(bench.qaoa(20))
     assert digest(partition_to_json(g, partition_multilevel(g, 14, 8))) == (
-        "22b545e77e0a978dbd6cb601592f55f5f319fce9797d402e01df31e53e727693"
+        "4375a1fe688d7b9f257c75bc33a409f5f755f43a4fd36869495f1f1b362f4174"
     )
     g = build_dag(bench.qaoa(30, 3))
     assert digest(partition_to_json(g, partition_dagp(g, 14))) == (
@@ -191,20 +191,20 @@ def test_benchmark_partition_documents_are_pinned():
 #: SHA-256 over each bundled circuit's dagp and multilevel documents, in the
 #: order ``test_bundled_partition_documents_are_pinned`` writes them
 BUNDLED_DOCUMENT_DIGESTS = {
-    "adder_10": "2a5f3f3bba2edb16a9b6747338ebf74497e2bd8fa4c7ce4b751d470c8ba8a6e2",
-    "bv_12": "8a91dab87f7fc012c77fc572f51407c4fa1081e7b70e304b7077fbe36d459e10",
-    "bv_30": "f08c28965eb37d12c66ebd253ef6df1444c0a77576fa0640b486764292e35d69",
-    "bv_6": "efb7b031415fa4798217480bd52b06356ce0852fad5ad89ef5c004107bd7ca15",
-    "cat_state_6": "3252743133fd5c7645c43562aec6ce92d23e89d522af64dde1fbfa1ba68fb55b",
-    "cc_12": "5aaded49ac079b13ae678861d9628931331c39fa43b00e965c37a1282f862bb3",
-    "cc_8": "f66d319b73b73189e7910c8b34ea62c38a5383945b9955ba1dfa1ff8980c5ee2",
-    "grover_7": "13f6033c14e2460eb37ea2256b285fa3ec63286105931c5fc598efdc0ee05354",
-    "ising_12": "a80be026868dd4ce33093da62e671dfec31f4ee90b2c25fa967558f4e814da9c",
-    "ising_8": "e49e964ebb0b2bc60f36fbabd94ac57eb69e44dcd53d544b4cf8e580787f9f5f",
-    "qaoa_8": "59c5abaa725011cb2c209791836fa1c535d1b8d9e03394a0220c298930ee039b",
-    "qft_12": "91e2e787a4922639a7241b583d482767f0a5228bb84445ea638c79548fe05a9c",
-    "qnn_8": "15ca33670c3051d3c836dea51f753e2a4dd62eb16ba8d9f34a19a495f9ed2908",
-    "qpe_9": "d53737ddb706c2d217c72e04de3100668b07c925c7b40168824381753f136b40",
+    "adder_10": "888c758469803fa65f57c8d77e3b92649350dae6db2c269ab74465834d7dd537",
+    "bv_12": "be13615481300513cc6f1a6fa3ce772433083adcd8d0ffc36ab73d0d6056eae1",
+    "bv_30": "8b559e0868edddcfcba481ed7f11181ca697fa8baf698c4184a75bddb6efbee0",
+    "bv_6": "29dfa5856eeaf396245809584873a35a0a5cfc0b3a21fcc7460fa5e70fcfcf2b",
+    "cat_state_6": "bb0db750f526e75b54b280db6921b4d37561cb05b3c3de8a23da9e9fbe410501",
+    "cc_12": "f558679a3fba8208e2606a6c2253135020f488f3d17f1d4774b870d4780ff0a7",
+    "cc_8": "5f576a7e1a6c4ccd6820d52d45ad14848e57780bbba7b32b6acfd4151488158e",
+    "grover_7": "16935cde7221a27bda48c3ce454f22af47498a549b0796e6de165bf84c4f23ee",
+    "ising_12": "d1cce32417a96c133ba6f00db6f026ea7e47a4d5aaf39c0e560031337934cf52",
+    "ising_8": "13ae68e53bb52ab03cd0f3a01d6e745d6f4096ccdd736cdac59b65987d3d4064",
+    "qaoa_8": "1d93717a6cdb8b0a0fb31b5ffbf706cb3d9aac16e3d122caae7346d154b43889",
+    "qft_12": "829dd89497339ee2bd322e5792ab9f88b95c16ac7ea38899f336b8b8250a47fd",
+    "qnn_8": "fb9c88f9d688759ff3bd99e658924c18bf7e3c271de2c4ca95a9038a472b691c",
+    "qpe_9": "cf8a78679386202864eb50e5dc95133b7cdd4c62b748c9569ab3eccf10094ef7",
 }
 
 
@@ -1109,11 +1109,49 @@ def test_multilevel_json_document_shape():
     assert doc["limit1"] == 4 and doc["limit2"] == 2
     assert doc["level1"]["num_parts"] == len(ml.level1.parts)
     assert len(doc["sublevels"]) == len(ml.sublevels)
-    for entry, sub, padded in zip(
-        doc["sublevels"], ml.sublevels, ml.padded_qubits
-    ):
+    for entry, parent, sub in zip(doc["sublevels"], ml.parts, ml.sublevels):
+        assert set(entry) == {"parent", "parts"}
+        assert entry["parent"] == parent.id
         assert len(entry["parts"]) == len(sub.parts)
-        assert entry["padded_qubits"] == [list(s) for s in padded]
+
+
+#: cat_state_6 at limits 3/2 as earlier versions wrote it, with each
+#: sublevel's padded qubit sets
+PADDED_DOCUMENT = (
+    '{"strategy": "multilevel", "limit1": 3, "limit2": 2, "level1": '
+    '{"strategy": "dagp", "limit": 3, "num_parts": 3, "parts": ['
+    '{"id": 0, "gate_indices": [0, 1, 2], "qubits": [0, 1, 2], "working_set": 3}, '
+    '{"id": 1, "gate_indices": [3, 4], "qubits": [2, 3, 4], "working_set": 3}, '
+    '{"id": 2, "gate_indices": [5], "qubits": [4, 5], "working_set": 2}], '
+    '"edges": [[0, 1], [1, 2]], "cut_edges": 2}, "sublevels": ['
+    '{"parent": 0, "parts": ['
+    '{"id": 0, "gate_indices": [0, 1], "qubits": [0, 1], "working_set": 2}, '
+    '{"id": 1, "gate_indices": [2], "qubits": [1, 2], "working_set": 2}], '
+    '"padded_qubits": [[0, 1], [1, 2]]}, '
+    '{"parent": 1, "parts": ['
+    '{"id": 0, "gate_indices": [3], "qubits": [2, 3], "working_set": 2}, '
+    '{"id": 1, "gate_indices": [4], "qubits": [3, 4], "working_set": 2}], '
+    '"padded_qubits": [[2, 3], [3, 4]]}, '
+    '{"parent": 2, "parts": ['
+    '{"id": 0, "gate_indices": [5], "qubits": [4, 5], "working_set": 2}], '
+    '"padded_qubits": [[4, 5]]}]}'
+)
+
+
+def test_multilevel_json_with_padded_qubit_sets_still_loads():
+    """A two-level document that carries ``padded_qubits``, as earlier
+    versions wrote it, loads into the partition it was written from; the
+    key is ignored, so a stale set loads too. Without the key it is the
+    document written now."""
+    g = build_dag(bench.build("cat_state_6"))
+    ml = partition_multilevel(g, 3, 2)
+    assert partition_from_json(g, PADDED_DOCUMENT) == ml
+    doc = json.loads(PADDED_DOCUMENT)
+    doc["sublevels"][0]["padded_qubits"][0].pop()
+    assert partition_from_json(g, json.dumps(doc)) == ml
+    for entry in doc["sublevels"]:
+        del entry["padded_qubits"]
+    assert json.loads(partition_to_json(g, ml)) == doc
 
 
 def test_multilevel_json_round_trip_and_validation():
@@ -1136,4 +1174,4 @@ def test_multilevel_json_round_trip_and_validation():
         d["sublevels"][1]["parts"][0]["gate_indices"][0]
     ))
     corrupt(lambda d: d["sublevels"][0]["parts"].reverse())
-    corrupt(lambda d: d["sublevels"][0]["padded_qubits"][0].pop())
+    corrupt(lambda d: d["sublevels"][0].update(parent=99))
