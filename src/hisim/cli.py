@@ -25,7 +25,7 @@ from .errors import (
     VerificationError,
 )
 from .hier import (
-    ExecutionTrace,
+    _trace,
     check_deviation,
     execute_hierarchical,
     max_deviation_from_flat,
@@ -242,16 +242,15 @@ def cmd_run(args) -> int:
         raise _UsageError(
             f"--verify supports up to {VERIFY_MAX_QUBITS} qubits, circuit has {n}"
         )
-    if args.trace and args.mode != "hierarchical":
-        raise _UsageError("--trace requires --mode hierarchical")
 
     partitions = args.mode != "flat" and args.partition is None
     dfs = partitions and args.strategy == "dfs"
+    runs_parts = "applies only to a partitioned run (any --mode but flat)"
     builds = ("applies only to a run that partitions (not --mode flat, nor "
               "with --partition)")
     _refuse_ignored(args, (
-        ("--partition", args.partition is not None, args.mode != "flat",
-         "applies only to a partitioned run (any --mode but flat)"),
+        ("--partition", args.partition is not None, args.mode != "flat", runs_parts),
+        ("--trace", args.trace is not None, args.mode != "flat", runs_parts),
         ("--limit", args.limit is not None, partitions, builds),
         ("--l2", args.l2 is not None, partitions, builds),
         ("--strategy", args.strategy is not None,
@@ -267,7 +266,6 @@ def cmd_run(args) -> int:
     ))
 
     partition: PartitionResult | MultiLevelPartition | None = None
-    trace: ExecutionTrace | None = None
     comm = None
 
     t0 = time.perf_counter()
@@ -282,7 +280,7 @@ def cmd_run(args) -> int:
         if args.mode == "distributed":
             state, comm = simulate_distributed(circuit, partition, args.p)
         else:
-            state, trace = execute_hierarchical(circuit, partition, with_trace=True)
+            state = execute_hierarchical(circuit, partition)
     wall = time.perf_counter() - t0
 
     max_delta = None
@@ -308,8 +306,8 @@ def cmd_run(args) -> int:
 
     if args.out:
         save_state(state, args.out)
-    if args.trace and trace is not None:
-        Path(args.trace).write_text(trace.to_json_lines() + "\n")
+    if args.trace:
+        Path(args.trace).write_text(_trace(n, partition).to_json_lines() + "\n")
     if args.report:
         Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
         parts_note = (

@@ -9,18 +9,18 @@ gates never cross ranks. Inside a layout the part runs through the same
 ``hisim.hier.run_part`` as hierarchical execution, on all rank buffers at
 once: each part is built once by ``hisim.hier.executable_parts``, in qubit
 coordinates, and ``hisim.hier.rebase`` moves its positions to the offset
-bits that hold its qubits. A two-level part is its level-1 part, so only
-level-1 parts choose layouts, and level-2 parts are not staged. Between
-parts the layout changes and amplitudes move. The
-move is one permutation of the index bits, applied as an axis
-transpose: one transposing copy into a new array
-(``statevec._permute_bits``), as the distribution of the start state
-and the assembly of the final one are, each on every CPU the process may
-use, its workers copying disjoint slabs of the new array, each rank row
-cut at its top destination bits, through the pool of ``run_part``'s
-chunks. Its communication counts follow in closed
-form from the same permutation, and every remote amplitude is charged
-16 bytes (one complex128). The per-switch numbers live on
+bits that hold its qubits, in whatever order the layout keeps them. A
+two-level part is its level-1 part, so only level-1 parts choose
+layouts, and level-2 parts are not staged. Between parts the layout
+changes and amplitudes move. The move is one permutation of the index
+bits, applied as an axis transpose: one transposing copy into a new
+array (``statevec._permute_bits``), as the distribution of the start
+state and the assembly of the final one are, each on every CPU the
+process may use, its workers copying disjoint slabs of the new array of
+at most half a chunk each (``statevec._slabs``), through the pool of
+``run_part``'s chunks. Its communication counts follow in closed form
+from the same permutation, and every remote amplitude is charged 16
+bytes (one complex128). The per-switch numbers live on
 ``CommStats.switches``, one ``SwitchStats`` per switch, derived from the
 plan in one pass.
 
@@ -70,8 +70,8 @@ class RankLayout:
     """Assignment of global qubits to offset bits and rank bits.
 
     ``local[j]`` is the qubit stored in offset bit ``j`` and ``process[k]``
-    the qubit spelled by rank bit ``k``; both tuples are ascending, so the
-    lowest-numbered local qubit is the fastest-varying offset bit.
+    the qubit spelled by rank bit ``k``, in any order; together they hold
+    every qubit once. ``choose_layout`` builds both ascending.
     """
 
     num_qubits: int
@@ -82,10 +82,6 @@ class RankLayout:
         seen = sorted(self.local + self.process)
         if seen != list(range(self.num_qubits)):
             raise ValueError("local and process must partition the qubits")
-        if list(self.local) != sorted(self.local):
-            raise ValueError("local qubits must be ascending")
-        if list(self.process) != sorted(self.process):
-            raise ValueError("process qubits must be ascending")
 
     @property
     def num_rank_bits(self) -> int:
@@ -388,17 +384,16 @@ def simulate_distributed(
     communication.
     """
     n = circuit.num_qubits
-    exes = executable_parts(circuit, partition)
-    exe = next(exes, None)
+    parts = partition.parts
+    exes = executable_parts(circuit, partition)  # checks the partition
     # a gate-free circuit has no parts; it runs under one padding layout
-    layout = choose_layout(n, num_rank_bits, exe.positions if exe else ())
+    layout = choose_layout(n, num_rank_bits, parts[0].qubits if parts else ())
     # no reference to the start state outlives its distribution, so a run
     # holds one state copy, not two
     buffers = distribute_state(_start_state(circuit, initial), layout)
-    stats = CommStats(n, num_rank_bits, len(partition.parts))
+    stats = CommStats(n, num_rank_bits, len(parts))
     layouts: list[RankLayout] = []
-    while exe is not None:
-        i = len(layouts)
+    for i, exe in enumerate(exes):
         if not set(exe.positions) <= set(layout.local):
             new_layout = choose_layout(n, num_rank_bits, exe.positions)
             plan = plan_redistribution(layout, new_layout)
@@ -408,5 +403,4 @@ def simulate_distributed(
         layouts.append(layout)
         offset_bit = {q: j for j, q in enumerate(layout.local)}
         run_part(buffers, rebase(exe, offset_bit))
-        exe = next(exes, None)
     return DistributedRun(assemble_state(buffers, layout), stats, layouts)

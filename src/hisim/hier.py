@@ -215,8 +215,9 @@ def part_block_indices(num_qubits: int, qubits: Sequence[int]) -> np.ndarray:
 class ExecutablePart:
     """A part translated into the coordinates of the array it runs on.
 
-    ``positions`` are the ascending bit positions of that array's last axis
-    the part stages; slot ``i`` of the staged block is ``positions[i]``.
+    ``positions`` are the distinct bit positions of that array's last axis
+    the part stages, in any order: slot ``i`` of the staged block sits on
+    bit ``positions[i]``.
     ``ops`` are the part's gates, in the order they run, with their
     operands rewritten to slots of the block, the only form the compiler
     and the kernels see. A two-level part is its level-1 part
@@ -255,11 +256,8 @@ def remap_part(circuit: Circuit, part: Part) -> ExecutablePart:
 def rebase(exe: ExecutablePart, position_of: Mapping[int, int]) -> ExecutablePart:
     """``exe`` on an array whose bit ``position_of[p]`` holds what bit ``p``
     of its current one does. Ops address slots, so only ``positions``
-    change; ``position_of`` must keep them ascending."""
-    positions = tuple(position_of[p] for p in exe.positions)
-    if any(a >= b for a, b in zip(positions, positions[1:])):
-        raise ValueError(f"positions {positions} are not ascending")
-    return replace(exe, positions=positions)
+    change, in whatever order ``position_of`` puts them."""
+    return replace(exe, positions=tuple(position_of[p] for p in exe.positions))
 
 
 def executable_parts(
@@ -613,7 +611,7 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     """Gather, execute, and scatter one part on the last axis of ``data``.
 
     The last axis must have length ``2**m`` with every staged position
-    below ``m``, the positions strictly ascending; leading axes are batch,
+    below ``m``, the positions distinct, in any order; leading axes are batch,
     each entry run alike: the rank buffers of a distributed run
     (``hisim.dist``), or a batch of states.
 
@@ -648,9 +646,9 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     ``np.take`` through its gather index (``_permute``), and its products,
     on the lowest bits or in place higher up, alternate the chunk with a
     scratch buffer. The rows are cut at the part's highest position, every
-    bit above it batch, so a part on the lowest bits of its array
-    (positions ``0..w-1``) builds no index matrix: each batch entry is a
-    row, the chunks are views, and the plan's entry order is one more
+    bit above it batch, so a part on the lowest bits of its array, in
+    order (positions ``0..w-1``), builds no index matrix: each batch entry
+    is a row, the chunks are views, and the plan's entry order is one more
     permute in front of its kernels. Such a chunk would end on its view,
     out of its exit order, when its permutes and products are even in
     number; a gather buffer then takes the view's turn after the first of
@@ -678,10 +676,10 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     if not data.flags.c_contiguous:
         raise ValueError("data must be C-contiguous")
     positions = exe.positions
-    if any(a >= b for a, b in zip(positions, positions[1:])):
-        raise ValueError(f"positions {positions} do not strictly ascend")
-    if positions and positions[-1] >= m:
-        raise ValueError(f"position {positions[-1]} outside 0..{m - 1}")
+    if len(set(positions)) != len(positions):
+        raise ValueError(f"positions {positions} repeat a bit")
+    if positions and max(positions) >= m:
+        raise ValueError(f"position {max(positions)} outside 0..{m - 1}")
     width = max(statevec.CHUNK_AMPS.bit_length() - 1, FUSE_WIDTH)
     if exe.num_slots <= width:
         _run_chunks(data, exe)
@@ -699,7 +697,7 @@ def _run_chunks(data: np.ndarray, exe: ExecutablePart) -> None:
     positions = exe.positions
     w = exe.num_slots
     # split at the part's highest bit: the bits above it are batch too
-    m = positions[-1] + 1 if positions else 0
+    m = max(positions, default=-1) + 1
     flat = data.reshape(-1, 1 << m)
     plan = exe.steps
     kernels = plan.kernels

@@ -51,6 +51,15 @@ def test_flag_out_of_range_is_usage_error(capsys, argv):
     assert "is below" in err
 
 
+def test_verify_beyond_its_qubit_cap_is_usage_error(capsys):
+    """``--verify`` on more than 16 qubits is refused with exit 1 before
+    anything runs."""
+    code, out, err = run_cli(capsys, "run", "bv_30", "--verify")
+    assert code == 1
+    assert out == ""
+    assert "--verify supports up to 16 qubits, circuit has 30" in err
+
+
 def test_rank_bits_beyond_the_circuit_is_input_error(capsys):
     """Whether ``--p`` fits depends on the circuit, so it is an input
     error, not a usage error."""
@@ -159,9 +168,9 @@ def test_nan_amplitude_fails_verification(capsys, monkeypatch, tmp_path):
     real = cli_mod.execute_hierarchical
 
     def corrupted(circuit, partition, **kwargs):
-        state, trace = real(circuit, partition, **kwargs)
+        state = real(circuit, partition, **kwargs)
         state.data[0] = np.nan
-        return state, trace
+        return state
 
     monkeypatch.setattr(cli_mod, "execute_hierarchical", corrupted)
     argv = ("run", "bv_6", "--mode", "hierarchical", "--verify")
@@ -543,6 +552,30 @@ def test_multilevel_trace_log_is_its_level1_log(tmp_path, capsys, monkeypatch):
     assert logs[0] == logs[1]
 
 
+def test_every_partitioned_run_writes_its_trace(tmp_path, capsys):
+    """``--trace`` writes the same log under ``--mode distributed`` as
+    under ``--mode hierarchical``: a trace row depends on the partition
+    alone. Under ``--mode flat``, which runs no part, it is refused with
+    exit 1 and writes nothing."""
+    logs = []
+    for mode in (["--mode", "hierarchical"], ["--mode", "distributed", "--p", "2"]):
+        path = tmp_path / f"trace{len(logs)}.jsonl"
+        code, _, err = run_cli(capsys, "run", "qft_12", *mode, "--verify",
+                               "--trace", str(path))
+        assert code == 0, err
+        logs.append(path.read_bytes())
+    assert logs[0] == logs[1]
+    assert len(logs[0].splitlines()) > 1
+    path = tmp_path / "flat.jsonl"
+    code, out, err = run_cli(capsys, "run", "qft_12", "--mode", "flat",
+                             "--trace", str(path))
+    assert code == 1
+    assert out == ""
+    assert ("--trace applies only to a partitioned run (any --mode but flat)"
+            in err)
+    assert not path.exists()
+
+
 # --- partition subcommand ---------------------------------------------------
 
 
@@ -700,6 +733,24 @@ def test_replayed_part_listed_backwards_is_rejected(tmp_path, capsys):
     assert "not ascending" in err
 
 
+def test_replayed_empty_part_is_an_input_error(tmp_path, capsys):
+    """A partition document with a part that holds no gate exits 2,
+    naming the part."""
+    parts_path = tmp_path / "parts.json"
+    code, _, _ = run_cli(capsys, "partition", "bv_6", "--limit", "4",
+                         "--out", str(parts_path))
+    assert code == 0
+    doc = json.loads(parts_path.read_text())
+    doc["parts"].insert(
+        0, {"id": 9, "gate_indices": [], "qubits": [], "working_set": 0}
+    )
+    parts_path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "run", "bv_6", "--mode", "hierarchical",
+                           "--partition", str(parts_path))
+    assert code == 2
+    assert "part 9 is empty" in err
+
+
 def test_replayed_partition_with_float_qubits_is_an_input_error(
     tmp_path, capsys
 ):
@@ -806,6 +857,24 @@ def test_oracle_gap_small_subset(tmp_path, capsys):
         assert row["gap"] == row["dagp"] - row["optimal"]
         assert row["gap"] >= 0
     assert "combinations optimal" in out
+
+
+def test_oracle_gap_notes_the_rows_it_cannot_score(tmp_path, capsys):
+    """``--truncate 0`` keeps every gate, so qft_12's 150 are past the
+    exact search: each row keeps its dagp count and a note instead of an
+    optimum, and no summary line is printed."""
+    out_path = tmp_path / "gap.json"
+    code, out, _ = run_cli(capsys, "oracle-gap", "--circuits", "qft_12",
+                           "--truncate", "0", "--limits", "4",
+                           "--out", str(out_path))
+    assert code == 0
+    note = "150 gates exceeds the exact-search guard of 20"
+    [row] = json.loads(out_path.read_text())
+    assert row["num_gates"] == 150
+    assert row["dagp"] == 20
+    assert (row["optimal"], row["gap"], row["note"]) == (None, None, note)
+    assert f"qft_12           150     4 -- {note}" in out
+    assert "combinations optimal" not in out
 
 
 # --- README -----------------------------------------------------------------

@@ -34,6 +34,7 @@ from hisim.errors import (
     PartitionError,
     PartTooWideForLayoutError,
 )
+from hisim.hier import executable_parts, rebase, run_part
 from hisim.partition import (
     partition_dagp,
     partition_dfs,
@@ -41,7 +42,7 @@ from hisim.partition import (
     partition_nat,
 )
 from hisim.qasm import Circuit, GateKind, GateOp
-from hisim.statevec import StateVector, simulate_flat, state_bytes
+from hisim.statevec import StateVector, simulate_flat, state_bytes, zero_state
 
 from random_circuits import random_circuit
 
@@ -160,12 +161,14 @@ def test_layout_counts_and_storage_order():
 
 
 def test_layout_validates_its_partition():
+    """Local and process qubits must partition the qubits, each tuple in
+    any order."""
     with pytest.raises(ValueError):
         RankLayout(3, (0, 1), (1, 2))  # overlap
     with pytest.raises(ValueError):
         RankLayout(3, (0,), (2,))  # missing qubit
-    with pytest.raises(ValueError):
-        RankLayout(3, (1, 0), (2,))  # unsorted
+    unsorted = RankLayout(4, (2, 0), (3, 1))
+    assert unsorted.storage_order == (2, 0, 3, 1)
 
 
 def test_layout_addressing():
@@ -233,6 +236,17 @@ def test_distribute_assemble_round_trip():
     pos = _layout_positions(lay)
     for g in range(16):
         assert buffers[pos[g] >> 2, pos[g] & 3] == data[g]
+
+
+def test_state_moves_refuse_a_layout_of_another_size():
+    """``distribute_state`` refuses a state of another width than the
+    layout, and ``assemble_state`` buffers of another shape."""
+    lay = RankLayout(4, (1, 3), (0, 2))
+    with pytest.raises(ValueError, match="state has 3 qubits, layout 4"):
+        distribute_state(zero_state(3), lay)
+    buffers = np.zeros((2, 8), dtype=np.complex128)
+    with pytest.raises(ValueError, match=r"buffers have shape \(2, 8\), need \(4, 4\)"):
+        assemble_state(buffers, lay)
 
 
 # --- redistribution plans ---------------------------------------------------
@@ -463,6 +477,48 @@ def test_distributed_matches_flat(p, seed):
     run = simulate_distributed(circuit, partition, p)
     expect = simulate_flat(circuit)
     assert np.max(np.abs(run.state.data - expect.data)) < 1e-10
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("circuit", [bench.qft(9), bench.qaoa(8), bench.ising(9)],
+                         ids=["qft_9", "qaoa_8", "ising_9"])
+def test_unsorted_layouts_equal_flat(circuit, p):
+    """Parts run under hand-built layouts whose local and process qubits
+    are shuffled at every part, padding included, equal ``simulate_flat``:
+    the start state is distributed, each switch moved and counted as the
+    element-wise oracle counts it, each part re-based to offset bits out
+    of order, and the final state assembled, all with qubits on bits in
+    any order."""
+    n = circuit.num_qubits
+    rng = random.Random(n * 10 + p)
+
+    def shuffled(qubits):
+        rest = [q for q in range(n) if q not in qubits]
+        rng.shuffle(rest)
+        pad = n - p - len(qubits)
+        local = [*qubits, *rest[:pad]]
+        rng.shuffle(local)
+        return RankLayout(n, tuple(local), tuple(rest[pad:]))
+
+    partition = partition_dagp(build_dag(circuit), n - p)
+    exes = list(executable_parts(circuit, partition))
+    layout = shuffled(exes[0].positions)
+    buffers = distribute_state(zero_state(n), layout)
+    unsorted = 0
+    for i, exe in enumerate(exes):
+        new = shuffled(exe.positions)
+        plan = plan_redistribution(layout, new)
+        sw = SwitchStats.from_plan(i, plan)
+        assert _switch_numbers(sw) == _oracle_numbers(layout, new)
+        buffers, layout = plan.apply(buffers), new
+        moved = rebase(exe, {q: j for j, q in enumerate(layout.local)})
+        unsorted += list(moved.positions) != sorted(moved.positions)
+        run_part(buffers, moved)
+    assert unsorted
+    np.testing.assert_allclose(
+        assemble_state(buffers, layout).data, simulate_flat(circuit).data,
+        rtol=0, atol=1e-12,
+    )
 
 
 @pytest.mark.parametrize("limit", [4, 6])

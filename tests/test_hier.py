@@ -256,16 +256,63 @@ def test_run_part_matches_single_assignment_passes(seed):
         np.testing.assert_allclose(data, expect, rtol=0, atol=1e-12)
 
 
+def _ascending(exe):
+    """``exe`` on its positions sorted, its slots renumbered so that each
+    op acts on the bits it did."""
+    order = sorted(exe.positions)
+    to = [order.index(p) for p in exe.positions]
+    ops = tuple(GateOp(op.kind, tuple(to[s] for s in op.qubits), op.params)
+                for op in exe.ops)
+    return ExecutablePart(tuple(order), ops)
+
+
 @pytest.mark.parametrize("positions", [(2, 1), (1, 0), (3, 0), (1, 1)])
-def test_run_part_refuses_positions_that_do_not_ascend(positions):
-    """``run_part`` refuses a part whose positions do not strictly ascend,
-    with a plain message and the state untouched: on ``(2, 1)`` its
-    gather index, clipped, would run the part on the wrong amplitudes."""
+def test_run_part_takes_positions_in_any_order(positions):
+    """``run_part`` runs a part on distinct positions in any order as the
+    same part on them ascending, its slots renumbered (on ``(2, 1)``,
+    reading the highest position as the last one would run it on the
+    wrong amplitudes), and as the single-assignment passes. It refuses
+    repeated positions with a plain message and the state untouched."""
     ops = (GateOp(GateKind.H, (0,), ()), GateOp(GateKind.CX, (0, 1), ()))
-    data = zero_state(4).data
-    with pytest.raises(ValueError, match="do not strictly ascend"):
-        run_part(data, ExecutablePart(positions, ops))
-    assert np.array_equal(data, zero_state(4).data)
+    exe = ExecutablePart(positions, ops)
+    rng = np.random.default_rng(7)
+    start = rng.normal(size=16) + 1j * rng.normal(size=16)
+    data = start.copy()
+    if len(set(positions)) < len(positions):
+        with pytest.raises(ValueError, match=r"positions \(1, 1\) repeat a bit"):
+            run_part(data, exe)
+        assert np.array_equal(data, start)
+        return
+    run_part(data, exe)
+    ascending, oracle = start.copy(), start.copy()
+    run_part(ascending, _ascending(exe))
+    _run_part_oracle(oracle, exe)
+    np.testing.assert_allclose(data, ascending, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(data, oracle, rtol=0, atol=1e-12)
+
+
+def test_run_part_refuses_arrays_and_positions_it_cannot_stage():
+    """``run_part`` refuses, with a plain message and the state untouched,
+    a last axis that is not a power of two, an array that is not
+    C-contiguous, and a position past the last axis."""
+    exe = ExecutablePart((0, 1), (GateOp(GateKind.CX, (0, 1), ()),))
+    for data, message in (
+        (np.ones(12, dtype=np.complex128), "last axis 12 is not a power of two"),
+        (np.ones(32, dtype=np.complex128)[::2], "data must be C-contiguous"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            run_part(data, exe)
+    data = np.ones(16, dtype=np.complex128)
+    with pytest.raises(ValueError, match=r"position 4 outside 0\.\.3"):
+        run_part(data, ExecutablePart((4, 0), exe.ops))
+    assert np.array_equal(data, np.ones(16))
+
+
+def test_block_indices_refuse_repeated_and_outside_positions():
+    with pytest.raises(ValueError, match=r"duplicate positions in \(1, 1\)"):
+        part_block_indices(3, (1, 1))
+    with pytest.raises(ValueError, match=r"position 3 outside 0\.\.2"):
+        part_block_indices(3, (0, 3))
 
 
 def _spy_on_chunks(mp):
@@ -310,7 +357,7 @@ def test_remap_part_rewrites_operands_to_block_slots():
     """A ``cx 9,5`` in a 10-qubit circuit, in a part on qubits (5, 9),
     becomes a ``cx`` on slots (1, 0) of the part's block, kind and params
     kept, and the part's run equals ``simulate_flat``. Re-basing the part
-    moves its positions only, and refuses a map that reorders them."""
+    moves its positions only, in the order the map gives them."""
     circuit = Circuit(10, (
         GateOp(GateKind.H, (9,), ()),
         GateOp(GateKind.RX, (5,), (0.4,)),
@@ -328,8 +375,32 @@ def test_remap_part_rewrites_operands_to_block_slots():
     np.testing.assert_allclose(data, simulate_flat(circuit).data, rtol=0, atol=1e-15)
     moved = rebase(exe, {5: 0, 9: 1})
     assert moved == dataclasses.replace(exe, positions=(0, 1))
-    with pytest.raises(ValueError, match="not ascending"):
-        rebase(exe, {5: 1, 9: 0})
+    assert rebase(exe, {5: 1, 9: 0}) == dataclasses.replace(exe, positions=(1, 0))
+
+
+@pytest.mark.parametrize("chunk", [1 << 16, 1 << 6, 1 << 4, 1 << 2])
+@pytest.mark.parametrize("seed", range(6))
+def test_parts_on_unsorted_positions_equal_their_ascending_parts(seed, chunk):
+    """A random part on 3-9 slots, at distinct positions out of order on a
+    state or on two rank buffers, equals the same part on its positions
+    ascending with its slots renumbered (``_ascending``): in chunks that
+    hold the whole state, in many chunks, and cut into pieces, as parts
+    wider than 6 and 4 slots are at chunks of ``2**6`` and fewer."""
+    rng = random.Random(seed + 500)
+    w = rng.randint(3, 9)
+    n = rng.randint(w, 10)
+    positions = tuple(rng.sample(range(n), w))
+    if list(positions) == sorted(positions):
+        positions = positions[::-1]
+    exe = ExecutablePart(positions, random_circuit(rng, w, rng.randint(8, 30)).ops)
+    shape = (*rng.choice([(), (2,)]), 1 << n)
+    data_rng = np.random.default_rng(seed)
+    start = data_rng.normal(size=shape) + 1j * data_rng.normal(size=shape)
+    got, expect = start.copy(), start.copy()
+    with _chunks_of(chunk):
+        run_part(got, exe)
+        run_part(expect, _ascending(exe))
+    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
 
 
 # --- diagonal runs ------------------------------------------------------------
@@ -2210,6 +2281,18 @@ def test_initial_state_is_respected():
     assert np.max(np.abs(got.data - sv.data)) < 1e-12
     # The caller's buffer must not be modified.
     np.testing.assert_array_equal(init.data, raw)
+
+
+def test_initial_state_of_another_width_is_refused():
+    """Both drivers refuse a start state of another width than the circuit,
+    naming both."""
+    circuit = bench.qft(3)
+    partition = partition_dagp(build_dag(circuit), 2)
+    message = "initial state has 4 qubits, circuit has 3"
+    with pytest.raises(ValueError, match=message):
+        execute_hierarchical(circuit, partition, initial=zero_state(4))
+    with pytest.raises(ValueError, match=message):
+        simulate_distributed(circuit, partition, 1, initial=zero_state(4))
 
 
 # --- execution traces -------------------------------------------------------

@@ -112,6 +112,11 @@ def test_dfs_is_deterministic_for_a_seed():
     assert a == b
 
 
+def test_dfs_refuses_zero_trials():
+    with pytest.raises(ValueError, match="trials must be positive"):
+        partition_dfs(_bv6(), 4, trials=0)
+
+
 def test_dagp_reaches_known_minimum_on_bv():
     g = _bv6()
     r = partition_dagp(g, 4)

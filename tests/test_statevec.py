@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 import sys
 import threading
 import time
@@ -677,6 +678,38 @@ def test_apply_matrix_rejects_bad_input():
         apply_matrix(np.zeros(4, dtype=np.complex128), np.eye(3), out[:4])
     with pytest.raises(ValueError):
         apply_matrix(np.zeros(4, dtype=np.complex128), np.eye(2), out)
+
+
+def test_kernels_refuse_bad_arrays_with_their_messages():
+    """``apply_op`` refuses an array it could not write through, and
+    ``apply_matrix`` a source or output that is not C-contiguous, a matrix
+    that is not square, not a power of two or does not tile the source,
+    and an output of another size, each with its message."""
+    strided = np.zeros(16, dtype=np.complex128)[::2]
+    with pytest.raises(ValueError, match="arr must be C-contiguous"):
+        apply_op(strided, 3, GateOp(GateKind.H, (0,), ()))
+    src = np.zeros(8, dtype=np.complex128)
+    out = np.zeros(8, dtype=np.complex128)
+    for a, b in ((strided, out), (src, np.zeros(16, dtype=np.complex128)[::2])):
+        with pytest.raises(ValueError, match="src and out must be C-contiguous"):
+            apply_matrix(a, np.eye(2), b)
+    for u, low in ((np.eye(2, 4), 0), (np.eye(3), 0), (np.eye(4), 2)):
+        message = f"matrix of shape {u.shape} at bit {low} on 8 amplitudes"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            apply_matrix(src, u, out, low)
+    with pytest.raises(ValueError, match="out holds 4 amplitudes, src 8"):
+        apply_matrix(src, np.eye(2), out[:4])
+
+
+def test_dump_of_another_size_than_its_sidecar_is_refused(tmp_path):
+    """A dump whose amplitude count does not match its sidecar's qubit
+    count is refused with both numbers."""
+    path = tmp_path / "state.bin"
+    save_state(zero_state(4), path)
+    sidecar = tmp_path / "state.bin.json"
+    sidecar.write_text(sidecar.read_text().replace('"num_qubits": 4', '"num_qubits": 5'))
+    with pytest.raises(ValueError, match="dump holds 16 amplitudes, expected 32"):
+        load_state(path)
 
 
 @settings(max_examples=25, deadline=None)
