@@ -307,7 +307,8 @@ def cmd_run(args) -> int:
     if args.out:
         save_state(state, args.out)
     if args.trace:
-        Path(args.trace).write_text(_trace(n, partition).to_json_lines() + "\n")
+        rows = _trace(n, partition).part_rows()
+        Path(args.trace).write_text("".join(json.dumps(r) + "\n" for r in rows))
     if args.report:
         Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
         parts_note = (

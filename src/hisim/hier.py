@@ -646,16 +646,17 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     ``np.take`` through its gather index (``_permute``), and its products,
     on the lowest bits or in place higher up, alternate the chunk with a
     scratch buffer. The rows are cut at the part's highest position, every
-    bit above it batch, so a part on the lowest bits of its array, in
-    order (positions ``0..w-1``), builds no index matrix: each batch entry
-    is a row, the chunks are views, and the plan's entry order is one more
-    permute in front of its kernels. Such a chunk would end on its view,
-    out of its exit order, when its permutes and products are even in
-    number; a gather buffer then takes the view's turn after the first of
-    them, so it too leaves by one copy, except in a plan with no permute
-    or product, where a plain copy into the scratch goes first. A part on
-    the lowest bits whose plan has no permute or product and leaves in the
-    identity order allocates nothing.
+    bit above it batch, so a part on the lowest bits of its array, in any
+    order (positions a permutation of ``0..w-1``), builds no index matrix:
+    each batch entry is a row, the chunks are views, and one more permute
+    in front of its kernels takes a view from its own order, the slots in
+    order of position, to the plan's entry order. Such a chunk would end on
+    its view, out of its exit order, when its permutes and products are
+    even in number; a gather buffer then takes the view's turn after the
+    first of them, so it too leaves by one copy, except in a plan with no
+    permute or product, where a plain copy into the scratch goes first. A
+    part on the lowest bits whose plan has no permute or product and
+    leaves in the view's own order allocates nothing.
 
     The chunks run on ``_workers`` threads by ``statevec._pool``, the
     pool of the whole-state moves too, each taking the next chunk from
@@ -701,21 +702,22 @@ def _run_chunks(data: np.ndarray, exe: ExecutablePart) -> None:
     flat = data.reshape(-1, 1 << m)
     plan = exe.steps
     kernels = plan.kernels
-    identity = tuple(range(w))
     rows = 1 << (m - w)  # rows per batch entry
     bstep = max(1, statevec.CHUNK_AMPS >> m)  # batch entries per chunk
     k = max(0, min(m - w, (statevec.CHUNK_AMPS >> w).bit_length() - 1))
     rstep = 1 << k  # rows of an entry per chunk; free bits 0..k-1 vary
     free = sorted(set(range(m)) - set(positions))
-    staged = positions != tuple(range(m))
+    staged = m > w
+    # a view holds slot natural[j] at bit j: its slots in order of position
+    natural = tuple(sorted(range(w), key=positions.__getitem__))
     if staged:
         # a chunk varies the part's positions and its lowest k free bits;
         # its higher free bits only offset the index
         varying = sorted([*positions, *free[:k]])
         entry = [varying.index(positions[s]) for s in plan.entry]
         gidx = bit_offsets(varying)[part_block_indices(w + k, entry)]
-    elif plan.entry != identity:
-        kernels = [_permute(identity, plan.entry), *kernels]
+    elif plan.entry != natural:
+        kernels = [_permute(natural, plan.entry), *kernels]
     # a phase row shorter than numpy's buffer multiplies through a fresh
     # iteration buffer per call on each worker; tiled over up to a buffer's
     # worth of rows, it needs none. A view part has one row per chunk
@@ -735,7 +737,7 @@ def _run_chunks(data: np.ndarray, exe: ExecutablePart) -> None:
     # a view that would be the last buffer written, out of order, must be
     # copied out to leave; after a first move it yields its turn to a
     # gather buffer instead
-    stuck = not staged and moves % 2 == 0 and plan.exit != identity
+    stuck = not staged and moves % 2 == 0 and plan.exit != natural
     relay = stuck and moves > 0
 
     def buffers() -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -778,7 +780,7 @@ def _run_chunks(data: np.ndarray, exe: ExecutablePart) -> None:
                 else:
                     np.take(cur, arg, axis=-1, out=other, mode="clip")
                 cur, other = other, back if cur is sub else cur
-        if cur is sub and plan.exit != identity:
+        if cur is sub and plan.exit != natural:
             other[...] = cur
             cur = other
         if cur is not sub:

@@ -30,53 +30,41 @@ from .errors import (
 
 
 class GateKind(enum.Enum):
-    """Supported gates. The value is the OpenQASM mnemonic."""
+    """Supported gates, one row each: ``(mnemonic, arity, num_params)``.
 
-    H = "h"
-    X = "x"
-    Y = "y"
-    Z = "z"
-    S = "s"
-    T = "t"
-    SDG = "sdg"
-    TDG = "tdg"
-    RX = "rx"
-    RY = "ry"
-    RZ = "rz"
-    U1 = "u1"
-    U3 = "u3"
-    CX = "cx"
-    CZ = "cz"
-    CRZ = "crz"
-    CRY = "cry"
-    SWAP = "swap"
-    CCX = "ccx"
+    The value is the OpenQASM mnemonic, so ``GateKind("cx")`` is CX;
+    ``arity`` is the number of qubits the gate takes and ``num_params``
+    the number of angles, none unless the row gives one. A controlled
+    kind takes its controls first and its target last.
+    """
 
-    @property
-    def arity(self) -> int:
-        return _ARITY[self]
+    H = "h", 1
+    X = "x", 1
+    Y = "y", 1
+    Z = "z", 1
+    S = "s", 1
+    T = "t", 1
+    SDG = "sdg", 1
+    TDG = "tdg", 1
+    RX = "rx", 1, 1
+    RY = "ry", 1, 1
+    RZ = "rz", 1, 1
+    U1 = "u1", 1, 1
+    U3 = "u3", 1, 3
+    CX = "cx", 2
+    CZ = "cz", 2
+    CRZ = "crz", 2, 1
+    CRY = "cry", 2, 1
+    SWAP = "swap", 2
+    CCX = "ccx", 3
 
-    @property
-    def num_params(self) -> int:
-        return _NUM_PARAMS[self]
+    def __new__(cls, mnemonic: str, arity: int, num_params: int = 0):
+        kind = object.__new__(cls)
+        kind._value_ = mnemonic
+        kind.arity = arity
+        kind.num_params = num_params
+        return kind
 
-
-_ARITY = {
-    GateKind.H: 1, GateKind.X: 1, GateKind.Y: 1, GateKind.Z: 1,
-    GateKind.S: 1, GateKind.T: 1, GateKind.SDG: 1, GateKind.TDG: 1,
-    GateKind.RX: 1, GateKind.RY: 1, GateKind.RZ: 1,
-    GateKind.U1: 1, GateKind.U3: 1,
-    GateKind.CX: 2, GateKind.CZ: 2, GateKind.CRZ: 2, GateKind.CRY: 2,
-    GateKind.SWAP: 2,
-    GateKind.CCX: 3,
-}
-
-_NUM_PARAMS = {
-    GateKind.RX: 1, GateKind.RY: 1, GateKind.RZ: 1, GateKind.U1: 1,
-    GateKind.U3: 3, GateKind.CRZ: 1, GateKind.CRY: 1,
-}
-for _k in GateKind:
-    _NUM_PARAMS.setdefault(_k, 0)
 
 _BY_NAME = {k.value: k for k in GateKind}
 

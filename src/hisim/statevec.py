@@ -38,8 +38,18 @@ chunk, plus numpy's iteration buffers. ``_permute_bits`` copies the
 output's slabs, from the matching slabs of the ``_bit_view``, on every
 worker.
 
+Each kind's 2x2 is stated once, in one table (``_2X2``): a constant, or
+a builder of the kind's angles. Every kind on more than one qubit but
+swap is controlled: every operand but the last is a control, and the
+kind's 2x2 is its target's, applied where the controls are all 1. Swap's
+is X, applied to its two exchanged slot pairs. What a kind does to
+amplitude pairs (``_ACTION``) is derived, not listed: the action
+(``_matrix_action``) of each constant 2x2, and scaling for each kind
+whose 2x2 is diagonal at every angle (``_ENTRIES``, which gives its two
+diagonal entries without building the 2x2).
+
 ``is_diagonal`` is the one test for a gate that only scales amplitudes,
-and ``is_dense`` for one that mixes them; both answer from the gate kind
+and ``is_dense`` for one that mixes them; both answer from ``_ACTION``
 where the kind decides it, and build the 2x2 only for ``rx``, ``ry``,
 ``cry`` and ``u3``, which scale at some angles. ``hisim.hier._unconjugate``
 uses ``is_diagonal`` to find the diagonal gates a pair of equal ``cx``
@@ -119,17 +129,8 @@ _BLAS_THREAD_CALLS = (
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
-_CONST_1Q = {
-    GateKind.H: np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=np.complex128),
-    GateKind.X: np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    GateKind.Z: np.array([[1, 0], [0, -1]], dtype=np.complex128),
-    GateKind.S: np.array([[1, 0], [0, 1j]], dtype=np.complex128),
-    GateKind.SDG: np.array([[1, 0], [0, -1j]], dtype=np.complex128),
-    GateKind.T: np.diag([1, np.exp(0.25j * np.pi)]).astype(np.complex128),
-    GateKind.TDG: np.diag([1, np.exp(-0.25j * np.pi)]).astype(np.complex128),
-}
-_X = _CONST_1Q[GateKind.X]
+_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 
 def _rx(t: float) -> np.ndarray:
@@ -170,31 +171,31 @@ def _u3(t: float, phi: float, lam: float) -> np.ndarray:
     )
 
 
-_PARAM_1Q = {
+#: the 2x2 ``apply_op`` applies for each kind, a constant or a builder of
+#: the kind's angles: a controlled kind's is its target's, applied where
+#: its controls are all 1, and swap's is X, applied to its two exchanged
+#: slot pairs
+_2X2: dict[GateKind, np.ndarray | Callable[..., np.ndarray]] = {
+    GateKind.H: np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=np.complex128),
+    GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    GateKind.S: np.array([[1, 0], [0, 1j]], dtype=np.complex128),
+    GateKind.SDG: np.array([[1, 0], [0, -1j]], dtype=np.complex128),
+    GateKind.T: np.diag([1, np.exp(0.25j * np.pi)]).astype(np.complex128),
+    GateKind.TDG: np.diag([1, np.exp(-0.25j * np.pi)]).astype(np.complex128),
+    **dict.fromkeys((GateKind.X, GateKind.CX, GateKind.CCX, GateKind.SWAP), _X),
+    **dict.fromkeys((GateKind.Z, GateKind.CZ), _Z),
     GateKind.RX: _rx,
-    GateKind.RY: _ry,
-    GateKind.RZ: _rz,
+    **dict.fromkeys((GateKind.RY, GateKind.CRY), _ry),
+    **dict.fromkeys((GateKind.RZ, GateKind.CRZ), _rz),
     GateKind.U1: _u1,
     GateKind.U3: _u3,
 }
 
-#: controlled kinds mapped to the 1q kind their target applies; every
-#: operand but the last is a control
-_CONTROLLED = {
-    GateKind.CX: GateKind.X,
-    GateKind.CZ: GateKind.Z,
-    GateKind.CRZ: GateKind.RZ,
-    GateKind.CRY: GateKind.RY,
-    GateKind.CCX: GateKind.X,
-}
-
 
 def _base_matrix(kind: GateKind, params: tuple[float, ...]) -> np.ndarray:
-    """The 2x2 acting on the target qubit (controls select its subspace)."""
-    kind = _CONTROLLED.get(kind, kind)
-    if kind in _CONST_1Q:
-        return _CONST_1Q[kind]
-    return _PARAM_1Q[kind](*params)
+    """The kind's 2x2 (``_2X2``) at the angles ``params``."""
+    u = _2X2[kind]
+    return u(*params) if callable(u) else u
 
 
 def gate_matrix(kind: GateKind, params: tuple[float, ...] = ()) -> np.ndarray:
@@ -206,12 +207,12 @@ def gate_matrix(kind: GateKind, params: tuple[float, ...] = ()) -> np.ndarray:
     """
     if kind is GateKind.SWAP:
         return np.eye(4, dtype=np.complex128)[[0, 2, 1, 3]]
-    if kind in _CONTROLLED:
-        dim = 1 << kind.arity
-        m = np.eye(dim, dtype=np.complex128)
-        m[dim - 2:, dim - 2:] = _base_matrix(kind, params)
-        return m
-    return _base_matrix(kind, params)
+    u = _base_matrix(kind, params)
+    if kind.arity == 1:
+        return u
+    m = np.eye(1 << kind.arity, dtype=np.complex128)
+    m[-2:, -2:] = u
+    return m
 
 
 # --- state vectors ----------------------------------------------------------
@@ -392,48 +393,34 @@ def _permute_bits(data: np.ndarray, sigma: Sequence[int]) -> np.ndarray:
     return out
 
 
-def _gate_2x2(op: GateOp) -> np.ndarray:
-    """The 2x2 ``apply_op`` applies to an op's two subspace views: X for a
-    SWAP's exchanged slot pairs, else the target's 2x2 with controls at 1."""
-    return _X if op.kind is GateKind.SWAP else _base_matrix(op.kind, op.params)
-
-
-def _scales(u: np.ndarray) -> bool:
-    return bool(u[0, 1] == 0 and u[1, 0] == 0)
-
-
-def _exchanges(u: np.ndarray) -> bool:
-    return bool((u == _X).all())
-
-
-#: what ``apply_op`` does to amplitude pairs (``_matrix_action``) for each
-#: kind that does the same at every angle; ``rx``, ``ry``, ``cry`` and
-#: ``u3`` only scale at some angles (``rx(0)``), so theirs is read from
-#: the 2x2
-_ACTION = {
-    **dict.fromkeys(
-        (GateKind.Z, GateKind.S, GateKind.T, GateKind.SDG, GateKind.TDG,
-         GateKind.RZ, GateKind.U1, GateKind.CZ, GateKind.CRZ),
-        "scales",
-    ),
-    **dict.fromkeys(
-        (GateKind.X, GateKind.CX, GateKind.CCX, GateKind.SWAP), "exchanges"
-    ),
-    GateKind.H: "mixes",
-    GateKind.Y: "mixes",
-}
-
-
 def _matrix_action(u: np.ndarray) -> str:
     """``"scales"``, ``"exchanges"`` or ``"mixes"``: whether the 2x2 ``u``
     has zero off-diagonals, is exactly X, or neither."""
-    return "scales" if _scales(u) else "exchanges" if _exchanges(u) else "mixes"
+    if u[0, 1] == 0 and u[1, 0] == 0:
+        return "scales"
+    return "exchanges" if (u == _X).all() else "mixes"
+
+
+#: the diagonal entries of the kinds with angles whose 2x2 is diagonal at
+#: every angle, as the 2x2 holds them, without building it
+_ENTRIES = {GateKind.RZ: _rz_entries, GateKind.CRZ: _rz_entries,
+            GateKind.U1: _u1_entries}
+
+#: what ``apply_op`` does to amplitude pairs (``_matrix_action``) for each
+#: kind that does the same at every angle: those with a constant 2x2, and
+#: those ``_ENTRIES`` holds, which scale. ``rx``, ``ry``, ``cry`` and
+#: ``u3`` only scale at some angles (``rx(0)``), so theirs is read from
+#: the 2x2
+_ACTION = {
+    **{k: _matrix_action(u) for k, u in _2X2.items() if not callable(u)},
+    **dict.fromkeys(_ENTRIES, "scales"),
+}
 
 
 def _action(op: GateOp) -> str:
     """``_matrix_action`` of ``op``'s 2x2, from the kind where the kind
     decides it (``_ACTION``); only otherwise is the 2x2 built."""
-    return _ACTION.get(op.kind) or _matrix_action(_gate_2x2(op))
+    return _ACTION.get(op.kind) or _matrix_action(_base_matrix(op.kind, op.params))
 
 
 def is_diagonal(op: GateOp) -> bool:
@@ -450,19 +437,13 @@ def is_dense(op: GateOp) -> bool:
     return _action(op) == "mixes"
 
 
-#: the diagonal entries of the kinds with angles whose 2x2 is diagonal at
-#: every angle, as the 2x2 holds them, without building it
-_ENTRIES = {GateKind.RZ: _rz_entries, GateKind.U1: _u1_entries}
-
-
 def diagonal_entries(op: GateOp) -> tuple[complex, complex]:
     """The factors a diagonal op (``is_diagonal``) scales its target's
     amplitudes by, at target 0 and at target 1, where its controls are
     all 1; it leaves the others as they are."""
-    kind = _CONTROLLED.get(op.kind, op.kind)
-    if kind in _ENTRIES:
-        return _ENTRIES[kind](*op.params)
-    u = _base_matrix(kind, op.params)
+    if op.kind in _ENTRIES:
+        return _ENTRIES[op.kind](*op.params)
+    u = _base_matrix(op.kind, op.params)
     return complex(u[0, 0]), complex(u[1, 1])
 
 
@@ -487,7 +468,7 @@ def apply_op(arr: np.ndarray, w: int, op: GateOp) -> None:
         # would silently reshape into a copy and drop the writes
         raise ValueError("arr must be C-contiguous")
     q = op.qubits
-    u = _gate_2x2(op)
+    u = _base_matrix(op.kind, op.params)
     action = _ACTION.get(op.kind) or _matrix_action(u)
     if op.kind is GateKind.SWAP:
         fa, fb = {q[0]: 0, q[1]: 1}, {q[0]: 1, q[1]: 0}

@@ -576,6 +576,29 @@ def test_every_partitioned_run_writes_its_trace(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_gate_free_run_writes_an_empty_trace(tmp_path, capsys):
+    """Every trace row ends in a newline, so a run with no gates, and so no
+    parts, writes an empty trace file, which parses line by line to no
+    rows; a run with parts writes its trace's JSON lines and one final
+    newline."""
+    source = tmp_path / "empty.qasm"
+    source.write_text("OPENQASM 2.0;\nqreg q[1];\n")
+    path = tmp_path / "empty.jsonl"
+    code, _, err = run_cli(capsys, "run", str(source), "--mode",
+                           "hierarchical", "--trace", str(path))
+    assert code == 0, err
+    assert path.read_bytes() == b""
+    assert [json.loads(s) for s in path.read_text().splitlines()] == []
+    code, _, err = run_cli(capsys, "run", "bv_6", "--mode", "hierarchical",
+                           "--strategy", "nat", "--limit", "4",
+                           "--trace", str(path))
+    assert code == 0, err
+    text = path.read_text()
+    rows = [json.loads(s) for s in text.splitlines()]
+    assert len(rows) == 5
+    assert text == "\n".join(json.dumps(row) for row in rows) + "\n"
+
+
 # --- partition subcommand ---------------------------------------------------
 
 

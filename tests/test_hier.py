@@ -403,6 +403,38 @@ def test_parts_on_unsorted_positions_equal_their_ascending_parts(seed, chunk):
     np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("chunk", [1 << 16, 1 << 6, 1 << 4])
+@pytest.mark.parametrize("seed", range(6))
+def test_parts_on_shuffled_lowest_bits_run_on_views(monkeypatch, seed, chunk):
+    """A random part whose positions are the lowest bits of its array out
+    of order, on a state or on two rank buffers, runs on views of the
+    array, building no index matrix (``part_block_indices``), and equals
+    the same part on its positions ascending (``_ascending``): in chunks
+    that hold the whole state, in several, and in chunks of one row. It
+    has at most as many slots as a piece, so it is never cut."""
+    calls = []
+    real = hier.part_block_indices
+    monkeypatch.setattr(
+        hier, "part_block_indices", lambda *a: calls.append(a) or real(*a)
+    )
+    rng = random.Random(seed + 700)
+    w = rng.randint(3, min(9, max(chunk.bit_length() - 1, hier.FUSE_WIDTH)))
+    n = rng.randint(w, 10)
+    positions = tuple(rng.sample(range(w), w))
+    if list(positions) == sorted(positions):
+        positions = positions[::-1]
+    exe = ExecutablePart(positions, random_circuit(rng, w, rng.randint(8, 30)).ops)
+    shape = (*rng.choice([(), (2,)]), 1 << n)
+    data_rng = np.random.default_rng(seed)
+    start = data_rng.normal(size=shape) + 1j * data_rng.normal(size=shape)
+    got, expect = start.copy(), start.copy()
+    with _chunks_of(chunk):
+        run_part(got, exe)
+        run_part(expect, _ascending(exe))
+    assert calls == []
+    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+
+
 # --- diagonal runs ------------------------------------------------------------
 
 @settings(max_examples=30, deadline=None)

@@ -43,6 +43,23 @@ def test_gate_kind_arities_and_params():
     assert len(GateKind) == 19
 
 
+def test_every_gate_kind_is_its_row():
+    """Each kind's mnemonic, which is its value and reads back to it,
+    its arity and its number of angles."""
+    rows = {
+        "H": ("h", 1, 0), "X": ("x", 1, 0), "Y": ("y", 1, 0),
+        "Z": ("z", 1, 0), "S": ("s", 1, 0), "T": ("t", 1, 0),
+        "SDG": ("sdg", 1, 0), "TDG": ("tdg", 1, 0),
+        "RX": ("rx", 1, 1), "RY": ("ry", 1, 1), "RZ": ("rz", 1, 1),
+        "U1": ("u1", 1, 1), "U3": ("u3", 1, 3),
+        "CX": ("cx", 2, 0), "CZ": ("cz", 2, 0), "CRZ": ("crz", 2, 1),
+        "CRY": ("cry", 2, 1), "SWAP": ("swap", 2, 0), "CCX": ("ccx", 3, 0),
+    }
+    assert {k.name: (k.value, k.arity, k.num_params) for k in GateKind} == rows
+    for kind in GateKind:
+        assert GateKind(kind.value) is kind
+
+
 def test_parse_simple_circuit():
     c = parse_qasm(
         "OPENQASM 2.0;\n"

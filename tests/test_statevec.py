@@ -24,11 +24,13 @@ from hisim.statevec import (
     StateVector,
     _bit_view,
     _blas_threads,
+    _matrix_action,
     _one_blas_thread,
     _permute_bits,
     _slabs,
     apply_matrix,
     apply_op,
+    diagonal_entries,
     gate_matrix,
     is_dense,
     is_diagonal,
@@ -156,6 +158,57 @@ def test_kind_classes_agree_with_the_matrix_rule(kind):
         exchanges = bool((u == gate_matrix(GateKind.X)).all())
         assert is_diagonal(op) == scales
         assert is_dense(op) == (not scales and not exchanges)
+
+
+def _draws(kind):
+    """Angles to try ``kind`` at: eight random draws, all zero (``rx(0)``
+    is the identity) and all pi, where ``rx`` and ``ry`` come nearest X."""
+    rng = random.Random(kind.value)
+    draws = [random_params(rng, kind) for _ in range(8)]
+    return draws + [(0.0,) * kind.num_params, (math.pi,) * kind.num_params]
+
+
+def _target_2x2(kind, params):
+    """The 2x2 on the target where every control is 1, from the full
+    matrix; a SWAP's is X, which exchanges its two pairs."""
+    m = gate_matrix(GateKind.X if kind is GateKind.SWAP else kind, params)
+    return m[-2:, -2:]
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [k for k in GateKind
+     if is_diagonal(GateOp(k, tuple(range(k.arity)), (0.0,) * k.num_params))],
+)
+def test_diagonal_entries_are_the_last_2x2s_diagonal(kind):
+    """For every kind that is diagonal at some angles, at each of its
+    draws where it is, ``diagonal_entries`` gives exactly the diagonal of
+    the last 2x2 of ``gate_matrix``: the factors at target 0 and 1 where
+    every control is 1."""
+    diagonal = 0
+    for params in _draws(kind):
+        op = GateOp(kind, tuple(range(kind.arity)), params)
+        if is_diagonal(op):
+            diagonal += 1
+            u = _target_2x2(kind, params)
+            assert diagonal_entries(op) == (complex(u[0, 0]), complex(u[1, 1]))
+    assert diagonal > 0
+
+
+def test_derived_actions_are_those_of_the_2x2s():
+    """``_ACTION``, derived from the constant 2x2s and ``_ENTRIES``, holds
+    exactly the kinds whose 2x2 does the same to amplitude pairs at every
+    draw, each with that action (``_matrix_action``); ``rx``, ``ry``,
+    ``cry`` and ``u3`` scale at zero angles only, so they are not in it."""
+    constant = {}
+    for kind in GateKind:
+        actions = {_matrix_action(_target_2x2(kind, p)) for p in _draws(kind)}
+        if len(actions) == 1:
+            constant[kind] = actions.pop()
+    assert statevec._ACTION == constant
+    assert set(GateKind) - set(constant) == {
+        GateKind.RX, GateKind.RY, GateKind.CRY, GateKind.U3
+    }
 
 
 def test_zero_state():
