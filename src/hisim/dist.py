@@ -14,8 +14,8 @@ two-level part is its level-1 part, so only level-1 parts choose
 layouts, and level-2 parts are not staged. Between parts the layout
 changes and amplitudes move. The move is one permutation of the index
 bits, applied as an axis transpose: one transposing copy into a new
-array (``statevec._permute_bits``), as the distribution of the start
-state and the assembly of the final one are, each on every CPU the
+array (``statevec._permute_bits``), as the distribution of an explicit
+start state and the assembly of the final one are, each on every CPU the
 process may use, its workers copying disjoint slabs of the new array of
 at most half a chunk each (``statevec._slabs``), through the pool of
 ``run_part``'s chunks. Its communication counts follow in closed form
@@ -23,6 +23,12 @@ from the same permutation, and every remote amplitude is charged 16
 bytes (one complex128). The per-switch numbers live on
 ``CommStats.switches``, one ``SwitchStats`` per switch, derived from the
 plan in one pass.
+
+A run with no ``initial`` distributes nothing. Its start, |0…0⟩, is
+amplitude 0 of rank 0 in every layout, so its rank buffers are the zero
+state as the first part leaves it (``hisim.hier._zero_start``): that part
+runs on a ``2**w`` vector of its own, unless it is wider than a chunk,
+and the vector is written into rank 0.
 
 All ranks are emulated in one process as rows of a single array, which
 makes the accounting exact and the final state directly comparable with
@@ -39,7 +45,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LayoutMismatchError, PartTooWideForLayoutError
-from .hier import _start_state, executable_parts, rebase, run_part
+from .hier import (
+    _start_state,
+    _zero_start,
+    executable_parts,
+    rebase,
+    run_part,
+)
 # not called here: benchmarks/layers.py traces them under these names
 from .hier import part_block_indices, remap_part  # noqa: F401
 from .partition import MultiLevelPartition, PartitionResult
@@ -349,6 +361,11 @@ def assemble_state(buffers: np.ndarray, layout: RankLayout) -> StateVector:
 
 # --- driver -----------------------------------------------------------------
 
+def _offset_bits(layout: RankLayout) -> dict[int, int]:
+    """The offset bit of each local qubit of ``layout``, for ``rebase``."""
+    return {q: j for j, q in enumerate(layout.local)}
+
+
 @dataclass
 class DistributedRun:
     """Result of an emulated distributed execution.
@@ -381,19 +398,31 @@ def simulate_distributed(
     Each part, checked and built by ``executable_parts``, then runs
     through ``run_part`` on every rank buffer at once, re-based to offset
     bits; a two-level part is its level-1 part, so it needs no extra
-    communication.
+    communication. With no ``initial``, the buffers start as the zero
+    state after the first part (``hier._zero_start``), with nothing
+    distributed; an ``initial`` is copied and distributed
+    (``distribute_state``).
     """
     n = circuit.num_qubits
     parts = partition.parts
     exes = executable_parts(circuit, partition)  # checks the partition
     # a gate-free circuit has no parts; it runs under one padding layout
     layout = choose_layout(n, num_rank_bits, parts[0].qubits if parts else ())
-    # no reference to the start state outlives its distribution, so a run
-    # holds one state copy, not two
-    buffers = distribute_state(_start_state(circuit, initial), layout)
     stats = CommStats(n, num_rank_bits, len(parts))
     layouts: list[RankLayout] = []
-    for i, exe in enumerate(exes):
+    if initial is None:
+        # |0…0⟩ is amplitude 0 of rank 0 in every layout, so nothing is
+        # distributed: the state starts as the first part leaves it
+        first = next(exes, None)
+        if first is not None:
+            first = rebase(first, _offset_bits(layout))
+            layouts.append(layout)
+        buffers = _zero_start(n, first).reshape(layout.num_ranks, -1)
+    else:
+        # no reference to the start state outlives its distribution, so a
+        # run holds one state copy, not two
+        buffers = distribute_state(_start_state(circuit, initial), layout)
+    for i, exe in enumerate(exes, start=len(layouts)):
         if not set(exe.positions) <= set(layout.local):
             new_layout = choose_layout(n, num_rank_bits, exe.positions)
             plan = plan_redistribution(layout, new_layout)
@@ -401,6 +430,5 @@ def simulate_distributed(
             stats.switches.append(SwitchStats.from_plan(i, plan))
             layout = new_layout
         layouts.append(layout)
-        offset_bit = {q: j for j, q in enumerate(layout.local)}
-        run_part(buffers, rebase(exe, offset_bit))
+        run_part(buffers, rebase(exe, _offset_bits(layout)))
     return DistributedRun(assemble_state(buffers, layout), stats, layouts)

@@ -43,6 +43,16 @@ the part's own gate DAG. Distributed execution
 addressing qubits by their offset bits; a layout changes nothing but
 ``positions``.
 
+A run's first vector is its first part's own. A run with no ``initial``
+starts from |0…0⟩, amplitude 0 alone, so only one row of its first
+part's block is not zero: the one whose free bits are all 0. That row
+runs as a ``2**w`` vector of its own and is then written into the zero
+state (``_zero_start``), so the first part stages one vector, not
+``2**(n - w)`` rows. A first part on every qubit, or one wider than a
+chunk, runs on the state, as does every part after the first and the
+first part of a run from an explicit ``initial``. |0…0⟩ is amplitude 0 of
+rank 0 in every layout, so a distributed run from it distributes nothing.
+
 Within a part, a swap moves no amplitude: each one relabels the slots
 after it (``_relabel``), the qubit relabelling of Häner & Steiger (SC17),
 and the order a chunk leaves in takes up what it would have moved. A ZZ
@@ -87,11 +97,13 @@ further CPU, at most one worker per chunk, each taking the next chunk
 from one shared queue into its own gather and scratch buffers, so each
 helper adds at most two chunks of memory. The pool is
 ``statevec._pool``, which the whole-state moves of ``hisim.dist``
-share. numpy's BLAS is held to one thread while they run
-(``statevec._one_blas_thread``), each worker's products running on its
-own CPU, and the helpers are joined before the part returns. A part of
-one chunk, and every part where numpy's BLAS thread count cannot be set,
-run on the calling thread alone.
+share. The helpers are joined before the part returns. A part of one
+chunk, and every part where numpy's BLAS thread count cannot be set, run
+on the calling thread alone. numpy's BLAS is held to one thread while any
+part runs, pooled or not (``statevec._one_blas_thread``): each worker's
+products run on its own CPU, and a part on the calling thread starts no
+BLAS threads, which stayed busy on the CPUs the next pooled part needed
+(see ``_run_chunks``).
 """
 
 from __future__ import annotations
@@ -665,11 +677,13 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
     call returns, also when a chunk raises, whose error the call then
     raises. Each worker has its own gather and scratch buffers, allocated
     here once for all its chunks, as the plan needs them: so each helper
-    adds at most two chunks to the call's memory. While the helpers run,
-    numpy's BLAS is held to one thread (``statevec._one_blas_thread``),
-    each worker's products running on its own CPU. A part on one chunk or
+    adds at most two chunks to the call's memory. A part on one chunk or
     on one CPU, and every part where the BLAS thread count cannot be set,
-    runs on the calling thread alone.
+    runs on the calling thread alone. Wherever the count can be set,
+    numpy's BLAS is held to one thread while the part runs
+    (``statevec._one_blas_thread``), on one worker too: each worker's
+    products run on its own CPU, and a one-chunk part's products start no
+    BLAS threads.
     """
     m = int(data.shape[-1]).bit_length() - 1
     if data.shape[-1] != 1 << m:
@@ -694,7 +708,14 @@ def run_part(data: np.ndarray, exe: ExecutablePart) -> None:
 
 def _run_chunks(data: np.ndarray, exe: ExecutablePart) -> None:
     """Stage a part of at most ``width`` slots on ``data`` (``run_part``,
-    which checks both)."""
+    which checks both), with numpy's BLAS held to one thread wherever its
+    thread count can be set, however many workers run.
+
+    The hold covers one worker as well. A first part of one chunk whose
+    products ran with the process's BLAS threads made every later, pooled
+    part of ``qaoa20-multilevel`` take 1.5-1.8x as long (2 CPUs), likely
+    since OpenBLAS's threads stay busy-waiting on the CPUs the pool needs.
+    """
     positions = exe.positions
     w = exe.num_slots
     # split at the part's highest bit: the bits above it are batch too
@@ -788,7 +809,7 @@ def _run_chunks(data: np.ndarray, exe: ExecutablePart) -> None:
 
     workers = _workers(len(chunks))
     held = [buffers() for _ in range(workers)]
-    with _one_blas_thread() if workers > 1 else nullcontext():
+    with nullcontext() if _blas_threads() is None else _one_blas_thread():
         _pool(chunks, run, held)
 
 
@@ -796,12 +817,16 @@ def _run_chunks(data: np.ndarray, exe: ExecutablePart) -> None:
 
 @dataclass(frozen=True)
 class PartTrace:
-    """Cost record for one part: how it was staged, not how long it took.
+    """Cost record for one part, from its formula: how a part of its
+    width is staged, not what ran or how long it took.
 
     ``gather_calls`` counts single-assignment gathers, one per free-qubit
     assignment, i.e. ``2**(n - num_qubits)``; the batched implementation
     moves the same amplitudes in one pass, and scatters them back as many
-    times. One staged vector holds ``2**num_qubits`` amplitudes.
+    times. One staged vector holds ``2**num_qubits`` amplitudes. The
+    first part of a run with no ``initial`` stages one such vector
+    (``_zero_start``), and its row keeps the formula, so trace logs do not
+    depend on the start.
     """
 
     part_id: int
@@ -850,15 +875,42 @@ def _trace(
 
 # --- drivers ----------------------------------------------------------------
 
-def _start_state(circuit: Circuit, initial: StateVector | None) -> StateVector:
-    if initial is None:
-        return zero_state(circuit.num_qubits)
+def _start_state(circuit: Circuit, initial: StateVector) -> StateVector:
     if initial.num_qubits != circuit.num_qubits:
         raise ValueError(
             f"initial state has {initial.num_qubits} qubits, "
             f"circuit has {circuit.num_qubits}"
         )
     return initial.copy()
+
+
+def _zero_start(num_qubits: int, first: ExecutablePart | None) -> np.ndarray:
+    """The ``2**num_qubits`` amplitudes of |0…0⟩ after ``first``, a run's
+    first part, if there is one: the start of a run with no ``initial``.
+
+    |0…0⟩ is amplitude 0 alone, so only the row of ``first``'s staged
+    block that holds it, the one with every free bit 0, is not zero. When
+    ``first`` leaves a qubit out and its ``2**w`` row fits a chunk
+    (``CHUNK_AMPS``), that row runs as a vector of its own, on positions
+    ``0..w-1``, and is written into the zero state at
+    ``bit_offsets(first.positions)``; every other row is zero before the
+    part and after it, and is never staged. The vector runs before the
+    state is made, so the state's allocation follows the part's small
+    ones, as a distributed start state's did. Any other first part runs
+    on the state, so the extra vector is at most one chunk.
+    """
+    w = first.num_slots if first is not None else num_qubits
+    if w == num_qubits or 1 << w > statevec.CHUNK_AMPS:
+        data = zero_state(num_qubits).data
+        if first is not None:
+            run_part(data, first)
+        return data
+    vector = np.zeros(1 << w, dtype=np.complex128)
+    vector[0] = 1
+    run_part(vector, replace(first, positions=tuple(range(w))))
+    data = zero_state(num_qubits).data
+    data[bit_offsets(first.positions)] = vector
+    return data
 
 
 def execute_hierarchical(
@@ -872,16 +924,24 @@ def execute_hierarchical(
 
     Level-1 parts execute in the given order, each as one ``run_part``
     pass; a two-level part runs as its level-1 part
-    (``executable_parts``). An invalid partition raises ``PartitionError``
-    before any state is made. The trace has one row per part that ran, so
-    a two-level run traces as its level-1 partition does.
+    (``executable_parts``). With no ``initial``, the state is the zero
+    state after the first part, which runs on its own ``2**w`` vector
+    where it fits a chunk and leaves a qubit out (``_zero_start``); an
+    ``initial`` is copied, and every part runs on the copy. An invalid
+    partition raises ``PartitionError`` before any state is made. The
+    trace has one row per part that ran, so a two-level run traces as its
+    level-1 partition does.
     """
     plan = executable_parts(circuit, partition)
-    state = _start_state(circuit, initial)
+    n = circuit.num_qubits
+    if initial is None:
+        state = StateVector(n, _zero_start(n, next(plan, None)))
+    else:
+        state = _start_state(circuit, initial)
     for exe in plan:
         run_part(state.data, exe)
     if with_trace:
-        return state, _trace(circuit.num_qubits, partition)
+        return state, _trace(n, partition)
     return state
 
 

@@ -72,9 +72,9 @@ permutes them only when no product fits there.
 helper threads: ``_permute_bits``'s slabs, which make no BLAS call, and
 ``hisim.hier.run_part``'s chunks. Both size it by ``_pool_workers``:
 one worker per CPU (``_cpus``), at most one per ``CHUNK_AMPS``
-amplitudes they move. When chunks run on several threads at once, each
-thread's products run in BLAS on its own CPU: ``_one_blas_thread``
-holds numpy's BLAS to one thread while they run, and the last of
+amplitudes they move. Each thread's products run in BLAS on its own
+CPU: ``_one_blas_thread`` holds numpy's BLAS to one thread while any
+part's chunks run, on one thread or several, and the last of
 overlapping holds restores its old thread count after, also when a
 kernel raises. It expects numpy's BLAS to be OpenBLAS, as
 numpy's own wheels bundle it (scipy-openblas), exporting its
@@ -129,8 +129,17 @@ _BLAS_THREAD_CALLS = (
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
-_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+
+def _const(rows) -> np.ndarray:
+    """A constant 2x2, read-only: ``gate_matrix`` hands it out as it is, so
+    no caller can change what ``apply_op`` applies."""
+    u = np.array(rows, dtype=np.complex128)
+    u.setflags(write=False)
+    return u
+
+
+_X = _const([[0, 1], [1, 0]])
+_Z = _const([[1, 0], [0, -1]])
 
 
 def _rx(t: float) -> np.ndarray:
@@ -176,12 +185,12 @@ def _u3(t: float, phi: float, lam: float) -> np.ndarray:
 #: its controls are all 1, and swap's is X, applied to its two exchanged
 #: slot pairs
 _2X2: dict[GateKind, np.ndarray | Callable[..., np.ndarray]] = {
-    GateKind.H: np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=np.complex128),
-    GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    GateKind.S: np.array([[1, 0], [0, 1j]], dtype=np.complex128),
-    GateKind.SDG: np.array([[1, 0], [0, -1j]], dtype=np.complex128),
-    GateKind.T: np.diag([1, np.exp(0.25j * np.pi)]).astype(np.complex128),
-    GateKind.TDG: np.diag([1, np.exp(-0.25j * np.pi)]).astype(np.complex128),
+    GateKind.H: _const([[_SQ2, _SQ2], [_SQ2, -_SQ2]]),
+    GateKind.Y: _const([[0, -1j], [1j, 0]]),
+    GateKind.S: _const([[1, 0], [0, 1j]]),
+    GateKind.SDG: _const([[1, 0], [0, -1j]]),
+    GateKind.T: _const(np.diag([1, np.exp(0.25j * np.pi)])),
+    GateKind.TDG: _const(np.diag([1, np.exp(-0.25j * np.pi)])),
     **dict.fromkeys((GateKind.X, GateKind.CX, GateKind.CCX, GateKind.SWAP), _X),
     **dict.fromkeys((GateKind.Z, GateKind.CZ), _Z),
     GateKind.RX: _rx,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import re
 import shlex
@@ -11,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from hisim.cli import main
+from hisim.cli import build_parser, main
 from hisim.statevec import load_state, simulate_flat
 from hisim import bench
 
@@ -914,3 +915,26 @@ def test_readme_quick_start_runs(tmp_path, capsys, monkeypatch):
     for line in lines:
         code, _, err = run_cli(capsys, *shlex.split(line)[1:])
         assert code == 0, (line, err)
+
+
+def test_readme_names_every_subcommand_and_flag():
+    """README.md names every subcommand of ``hisim``'s parser, as ``hisim
+    NAME``, and every ``--flag`` each of them defines, both read from the
+    parser itself."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (sub,) = [
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    missing = []
+    for name, command in sub.choices.items():
+        if f"hisim {name}" not in readme:
+            missing.append(f"hisim {name}")
+        for action in command._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            for flag in action.option_strings:
+                if not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", readme):
+                    missing.append(f"hisim {name} {flag}")
+    assert len(sub.choices) == 3
+    assert missing == []

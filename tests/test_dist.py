@@ -435,8 +435,8 @@ def test_layout_switch_peaks_at_most_twice_the_state(monkeypatch):
 
 
 def test_start_state_is_released_before_the_first_part(monkeypatch):
-    """Only the rank buffers hold the state while parts run: the start
-    state is dropped once it is distributed."""
+    """Only the rank buffers hold the state while parts run: an explicit
+    start state is dropped once it is distributed."""
     import hisim.dist as dist_mod
 
     real_start, real_run = dist_mod._start_state, dist_mod.run_part
@@ -455,9 +455,56 @@ def test_start_state_is_released_before_the_first_part(monkeypatch):
     monkeypatch.setattr(dist_mod, "_start_state", start_state)
     monkeypatch.setattr(dist_mod, "run_part", run_part)
     circuit = bench.build("bv_6")
-    run = simulate_distributed(circuit, partition_dfs(build_dag(circuit), 4), 1)
+    run = simulate_distributed(
+        circuit, partition_dfs(build_dag(circuit), 4), 1, initial=zero_state(6)
+    )
     assert alive_at_part and not any(alive_at_part)
     assert np.max(np.abs(run.state.data - simulate_flat(circuit).data)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "p, chunk, staged",
+    [(2, None, False), (2, 1 << 5, True), (0, None, True)],
+    ids=["own-vector", "wider-than-a-chunk", "every-qubit"],
+)
+def test_default_start_distributes_nothing(monkeypatch, p, chunk, staged):
+    """With no ``initial``, the rank buffers start as |0…0⟩, amplitude 0 of
+    rank 0 in every layout: no ``distribute_state`` or ``_permute_bits``
+    runs before the first part, which ``run_part`` gets as one ``2**w``
+    vector of its own. A first part wider than a chunk, or on every qubit,
+    runs on the zero state instead, whose bits are the offset bits and
+    then the rank bits; the later parts run on the rank buffers."""
+    import hisim.dist as dist_mod
+    import hisim.hier as hier_mod
+
+    if chunk:
+        monkeypatch.setattr(statevec, "CHUNK_AMPS", chunk)
+    events = []
+
+    def spy(name, real):
+        def wrapped(*args):
+            events.append((name, args[0].shape if name == "part" else None))
+            return real(*args)
+        return wrapped
+
+    run_part_spy = spy("part", hier_mod.run_part)
+    monkeypatch.setattr(hier_mod, "run_part", run_part_spy)
+    monkeypatch.setattr(dist_mod, "run_part", run_part_spy)
+    for name in ("distribute_state", "_permute_bits"):
+        monkeypatch.setattr(dist_mod, name, spy(name, getattr(dist_mod, name)))
+    circuit = bench.build("qft_12")
+    partition = partition_dagp(build_dag(circuit), 12 - p)
+    run = simulate_distributed(circuit, partition, p)
+    w = len(partition.parts[0].qubits)
+    buffers = (1 << p, 1 << (12 - p))
+    assert events[0] == ("part", (1 << 12,) if staged else (1 << w,))
+    assert [e for e in events if e[0] == "part"][1:] == (
+        [("part", buffers)] * (partition.num_parts - 1)
+    )
+    assert "distribute_state" not in {name for name, _ in events}
+    np.testing.assert_allclose(
+        run.state.data, simulate_flat(circuit).data, rtol=0, atol=1e-12
+    )
 
 
 # --- end-to-end distributed simulation --------------------------------------

@@ -2142,6 +2142,41 @@ def test_pool_joins_its_threads_and_restores_blas(monkeypatch, raiser):
     assert set(counts) == {1}
 
 
+def test_one_chunk_part_holds_blas_to_one_thread(monkeypatch):
+    """A part of one chunk runs on the calling thread alone, and its
+    product still runs with numpy's BLAS held to one thread; the old count
+    is back after it. The thread-count calls are a fake's, which records
+    them."""
+    calls = []
+    threads = [6]
+
+    def get():
+        calls.append("get")
+        return threads[0]
+
+    def set_(count):
+        calls.append(("set", count))
+        threads[0] = count
+
+    for owner in (statevec, hier):
+        monkeypatch.setattr(owner, "_blas_threads", lambda: (get, set_))
+    seen = []
+    real = hier.apply_matrix
+
+    def product(*args):
+        seen.append(threads[0])
+        return real(*args)
+
+    monkeypatch.setattr(hier, "apply_matrix", product)
+    ops = tuple(GateOp(GateKind.H, (q,), ()) for q in range(4))
+    exe = remap_part(Circuit(4, ops), Part(0, tuple(range(4)), tuple(range(4))))
+    data = zero_state(4).data
+    run_part(data, exe)
+    assert seen == [1]
+    assert calls == ["get", ("set", 1), ("set", 6)]
+    np.testing.assert_allclose(data, np.full(16, 0.25), rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("sets", _ENTER_AND_LEAVE)
 def test_view_chunks_leave_in_one_copy(monkeypatch, sets):
     """A part on the lowest bits whose plan leaves out of order, with its
@@ -2211,6 +2246,96 @@ def test_finished_parts_are_released(monkeypatch):
         run()
         assert len(drawn) == flat.num_parts > 2
         assert all(ref() is None for ref in drawn)
+
+
+# --- the start state --------------------------------------------------------
+
+
+_START_RUNS = {
+    "hierarchical": lambda c, initial: execute_hierarchical(
+        c, partition_dagp(build_dag(c), 14), initial=initial
+    ).data,
+    "two-level": lambda c, initial: execute_multilevel(
+        c, partition_multilevel(build_dag(c), 14, 8), initial=initial
+    ).data,
+    "distributed": lambda c, initial: simulate_distributed(
+        c, partition_dagp(build_dag(c), 14), 2, initial=initial
+    ).state.data,
+}
+
+
+@pytest.mark.parametrize("run", _START_RUNS)
+@pytest.mark.parametrize(
+    "circuit", [bench.qft(20), bench.qaoa(20, 2), bench.ising(20, 2)],
+    ids=["qft_20", "qaoa_20", "ising_20"],
+)
+def test_default_start_equals_an_explicit_zero_state(circuit, run):
+    """A run with no ``initial`` runs its first part on that part's own
+    ``2**w`` vector and writes it into the zero state; its final state is
+    bit for bit that of a run from ``initial=zero_state(n)``, whose first
+    part stages the whole state."""
+    run = _START_RUNS[run]
+    default = run(circuit, None)
+    assert np.array_equal(default, run(circuit, zero_state(circuit.num_qubits)))
+
+
+@pytest.mark.parametrize("chunk", [None, 1 << 3])
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_random_default_starts_equal_explicit_ones(monkeypatch, seed, p, chunk):
+    """Seeded random circuits and partitions, run hierarchically and on
+    ``2**p`` ranks, agree from the default start and from
+    ``zero_state(n)``. Under chunks of ``2**3`` amplitudes most first
+    parts are wider than a chunk, and so run on the state."""
+    if chunk:
+        monkeypatch.setattr(statevec, "CHUNK_AMPS", chunk)
+    rng = random.Random(seed * 31 + p)
+    n = rng.randint(p + 3, 9)
+    circuit = random_circuit(random.Random(seed * 13 + p), n, rng.randint(5, 50))
+    dag = build_dag(circuit)
+    partition = partition_dfs(dag, rng.randint(3, n - p), seed=seed)
+    zero = zero_state(n)
+    runs = [
+        lambda initial: execute_hierarchical(circuit, partition, initial=initial).data,
+        lambda initial: simulate_distributed(
+            circuit, partition, p, initial=initial
+        ).state.data,
+    ]
+    for run in runs:
+        np.testing.assert_allclose(run(None), run(zero), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "limit, chunk, on_state",
+    [(6, None, False), (6, 1 << 5, True), (12, None, True)],
+    ids=["own-vector", "wider-than-a-chunk", "every-qubit"],
+)
+def test_first_part_of_a_default_start_stages_one_vector(
+    monkeypatch, limit, chunk, on_state
+):
+    """A hierarchical run with no ``initial`` hands its first part to
+    ``run_part`` on a ``2**w`` vector of its own, unless that part is on
+    every qubit or wider than a chunk, when it runs on the state as any
+    later part does."""
+    if chunk:
+        monkeypatch.setattr(statevec, "CHUNK_AMPS", chunk)
+    shapes = []
+    real = hier.run_part
+
+    def spy(data, exe):
+        shapes.append(data.shape)
+        real(data, exe)
+
+    monkeypatch.setattr(hier, "run_part", spy)
+    circuit = bench.build("qft_12")
+    partition = partition_dagp(build_dag(circuit), limit)
+    state = execute_hierarchical(circuit, partition)
+    w = len(partition.parts[0].qubits)
+    assert shapes[0] == ((1 << 12,) if on_state else (1 << w,))
+    assert shapes[1:] == [(1 << 12,)] * (partition.num_parts - 1)
+    np.testing.assert_allclose(
+        state.data, simulate_flat(circuit).data, rtol=0, atol=1e-12
+    )
 
 
 # --- equivalence with the flat simulator ------------------------------------

@@ -65,6 +65,24 @@ def test_known_single_qubit_matrices():
     )
 
 
+@pytest.mark.parametrize(
+    "kind", [k for k in GateKind if k.arity == 1 and k.num_params == 0],
+    ids=lambda k: k.value,
+)
+def test_gate_matrix_constants_are_read_only(kind):
+    """A kind without angles hands out its table's own 2x2, which no
+    caller can write into: a later gate of that kind on |0> still applies
+    the table's first column."""
+    u = gate_matrix(kind)
+    column = u[:, 0].copy()
+    with pytest.raises(ValueError):
+        u[0, 0] = 2
+    data = zero_state(1).data
+    apply_op(data, 1, GateOp(kind, (0,), ()))
+    np.testing.assert_array_equal(data, column)
+    np.testing.assert_array_equal(gate_matrix(kind)[:, 0], column)
+
+
 def test_rotation_matrices():
     theta = 0.7
     np.testing.assert_allclose(
